@@ -182,11 +182,16 @@ def _poly_mul(p: list, q: list) -> list:
     return out
 
 
-def _poly_pow(p: list, k: int) -> list:
-    out = [Fraction(1)]
-    for _ in range(k):
-        out = _poly_mul(out, p)
-    return out
+def _grown(powers: list, k: int) -> list:
+    """The powers [1, f, f^2, ...] of a linear f = powers[1], through at
+    least f^k.  Grows a copy, so a list another caller already holds never
+    changes under it."""
+    if len(powers) > k:
+        return powers
+    powers = list(powers)
+    while len(powers) <= k:
+        powers.append(_poly_mul(powers[-1], powers[1]))
+    return powers
 
 
 @dataclass(frozen=True)
@@ -261,22 +266,40 @@ class Polygon:
         """
         p, q = _check_index(alpha, 2)
         total: Scalar = Fraction(0)
-        pts = self.vertex_list
-        m = len(pts)
-        for i in range(m):
-            x0, y0 = pts[i]
-            x1, y1 = pts[(i + 1) % m]
-            dx = scalars.sub(x1, x0)
-            if is_zero(dx):
-                continue
-            xpoly = [x0, dx]
-            ypoly = [y0, scalars.sub(y1, y0)]
-            integrand = _poly_mul(_poly_pow(xpoly, p), _poly_pow(ypoly, q + 1))
+        for dx, xs, ys in self._edge_powers(p, q + 1):
+            integrand = _poly_mul(xs[p], ys[q + 1])
             edge: Scalar = Fraction(0)
             for k, coeff in enumerate(integrand):
                 edge = scalars.add(edge, scalars.div(coeff, Fraction(k + 1)))
             total = scalars.add(total, scalars.mul(dx, edge))
         return scalars.div(scalars.neg(total), Fraction(q + 1))
+
+    def _edge_powers(self, p: int, r: int) -> list:
+        """For each edge with dx != 0: (dx, powers of x(t), powers of y(t)),
+        each power a coefficient list in t, through at least x^p and y^r.
+
+        The table belongs to this instance and is not a dataclass field, so
+        ==, hash and JSON ignore it.  It only grows, and growing replaces it
+        with a new table instead of changing the lists in the old one.
+        """
+        table = self.__dict__.get("_edge_table")
+        if table is None:
+            table = []
+            pts = self.vertex_list
+            m = len(pts)
+            for i in range(m):
+                x0, y0 = pts[i]
+                x1, y1 = pts[(i + 1) % m]
+                dx = scalars.sub(x1, x0)
+                if is_zero(dx):
+                    continue
+                one = [Fraction(1)]
+                table.append((dx, [one, [x0, dx]], [one, [y0, scalars.sub(y1, y0)]]))
+        elif len(table[0][1]) > p and len(table[0][2]) > r:
+            return table
+        table = [(dx, _grown(xs, p), _grown(ys, r)) for dx, xs, ys in table]
+        object.__setattr__(self, "_edge_table", table)
+        return table
 
     def volume(self) -> Scalar:
         return self.moment((0, 0))
@@ -415,14 +438,19 @@ def region_from_json(obj) -> Region:
     if not isinstance(obj, dict) or len(obj) != 1:
         raise ValueError(f"malformed region encoding: {obj!r}")
     if "simplex" in obj:
-        return Simplex(int(obj["simplex"]))
+        return Simplex(scalars.int_from_json(obj["simplex"]))
     if "cube" in obj:
-        return Cube(int(obj["cube"]))
+        return Cube(scalars.int_from_json(obj["cube"]))
     if "polygon" in obj:
+        vertices = obj["polygon"]
+        if not isinstance(vertices, list) or not all(
+            isinstance(v, list) and len(v) == 2 for v in vertices
+        ):
+            raise ValueError(f"a polygon must be a list of [x, y] vertices, got {vertices!r}")
         return Polygon(
             [
                 (scalars.scalar_from_json(x), scalars.scalar_from_json(y))
-                for x, y in obj["polygon"]
+                for x, y in vertices
             ]
         )
     if "disc" in obj:

@@ -12,6 +12,7 @@ produced, so a genuine ``Quad`` value is always irrational.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Union
 
@@ -53,6 +54,24 @@ def quad(a, b, d: int) -> Scalar:
     if b == 0:
         return a
     return Quad(a, b, d)
+
+
+def _make_quad(a: Fraction, b: Fraction, d: int) -> Scalar:
+    """a + b*sqrt(d) from Fractions and a radicand some Quad already carries,
+    collapsing to a when b == 0.
+
+    Arithmetic results come through here without the O(sqrt d) squarefree
+    check: a radicand is validated once, where a value enters through
+    ``Quad()``, ``quad()`` or ``scalar_from_json``, and every result built
+    from it inherits that check.
+    """
+    if not b:
+        return a
+    value = object.__new__(Quad)
+    object.__setattr__(value, "a", a)
+    object.__setattr__(value, "b", b)
+    object.__setattr__(value, "d", d)
+    return value
 
 
 class Quad:
@@ -107,7 +126,7 @@ class Quad:
         return sub(other, self)
 
     def __neg__(self):
-        return Quad(-self.a, -self.b, self.d)
+        return _make_quad(-self.a, -self.b, self.d)
 
     def __mul__(self, other):
         return mul(self, other)
@@ -124,7 +143,7 @@ class Quad:
         return pow_scalar(self, k)
 
     def conjugate(self) -> "Quad":
-        return Quad(self.a, -self.b, self.d)
+        return _make_quad(self.a, -self.b, self.d)
 
 
 class PiMultiple:
@@ -193,6 +212,9 @@ def conj(x) -> Scalar:
 
 
 def add(x, y) -> Scalar:
+    # two plain Fractions skip coercion; ints, bools and subclasses take the checked path
+    if type(x) is Fraction and type(y) is Fraction:
+        return x + y
     x = as_scalar(x)
     y = as_scalar(y)
     if isinstance(x, Fraction) and isinstance(y, Fraction):
@@ -201,13 +223,13 @@ def add(x, y) -> Scalar:
         if isinstance(y, Quad) and not isinstance(x, Quad):
             x, y = y, x
         if isinstance(y, Fraction):
-            return Quad(x.a + y, x.b, x.d)
+            return _make_quad(x.a + y, x.b, x.d)
         if isinstance(y, Quad):
             if x.d != y.d:
                 raise IncompatibleScalars(
                     f"cannot add values over sqrt({x.d}) and sqrt({y.d})"
                 )
-            return quad(x.a + y.a, x.b + y.b, x.d)
+            return _make_quad(x.a + y.a, x.b + y.b, x.d)
         # y is a PiMultiple
         if y.coefficient == 0:
             return x
@@ -230,10 +252,14 @@ def neg(x) -> Scalar:
 
 
 def sub(x, y) -> Scalar:
+    if type(x) is Fraction and type(y) is Fraction:
+        return x - y
     return add(x, neg(y))
 
 
 def mul(x, y) -> Scalar:
+    if type(x) is Fraction and type(y) is Fraction:
+        return x * y
     x = as_scalar(x)
     y = as_scalar(y)
     if isinstance(x, Fraction) and isinstance(y, Fraction):
@@ -250,12 +276,12 @@ def mul(x, y) -> Scalar:
     if isinstance(y, Quad) and not isinstance(x, Quad):
         x, y = y, x
     if isinstance(y, Fraction):
-        return quad(x.a * y, x.b * y, x.d)
+        return _make_quad(x.a * y, x.b * y, x.d)
     if x.d != y.d:
         raise IncompatibleScalars(
             f"cannot multiply values over sqrt({x.d}) and sqrt({y.d})"
         )
-    return quad(x.a * y.a + x.b * y.b * x.d, x.a * y.b + x.b * y.a, x.d)
+    return _make_quad(x.a * y.a + x.b * y.b * x.d, x.a * y.b + x.b * y.a, x.d)
 
 
 def div(x, y) -> Scalar:
@@ -267,12 +293,12 @@ def div(x, y) -> Scalar:
         if isinstance(x, Fraction):
             return x / y
         if isinstance(x, Quad):
-            return quad(x.a / y, x.b / y, x.d)
+            return _make_quad(x.a / y, x.b / y, x.d)
         return PiMultiple(x.coefficient / y)
     if isinstance(y, Quad):
         # 1/(a + b sqrt d) = (a - b sqrt d) / (a^2 - b^2 d), rational denominator
         norm = y.a * y.a - y.b * y.b * y.d
-        inv = quad(y.a / norm, -y.b / norm, y.d)
+        inv = _make_quad(y.a / norm, -y.b / norm, y.d)
         return mul(x, inv)
     # dividing by a pi multiple: only another pi multiple cancels the pi
     if isinstance(x, PiMultiple):
@@ -300,6 +326,8 @@ def eq(x, y) -> bool:
 
 
 def is_zero(x) -> bool:
+    if type(x) is Fraction:
+        return not x
     x = as_scalar(x)
     if isinstance(x, Fraction):
         return x == 0
@@ -349,8 +377,25 @@ def _frac_pair(f: Fraction) -> list:
     return [str(f.numerator), str(f.denominator)]
 
 
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def int_from_json(value) -> int:
+    """Decode a JSON integer: an int (not a bool) or a decimal integer string."""
+    if type(value) is int:
+        return value
+    if isinstance(value, str) and _INTEGER.fullmatch(value):
+        return int(value)
+    raise ValueError(f"expected an integer or a decimal integer string, got {value!r}")
+
+
 def _pair_frac(pair) -> Fraction:
-    return Fraction(int(pair[0]), int(pair[1]))
+    if not isinstance(pair, list) or len(pair) != 2:
+        raise ValueError(f"expected a [numerator, denominator] pair, got {pair!r}")
+    num, den = int_from_json(pair[0]), int_from_json(pair[1])
+    if den == 0:
+        raise ValueError(f"zero denominator in {pair!r}")
+    return Fraction(num, den)
 
 
 def scalar_to_json(x) -> dict:
@@ -369,7 +414,9 @@ def scalar_from_json(obj) -> Scalar:
         return _pair_frac(obj["rat"])
     if "quad" in obj:
         q = obj["quad"]
-        return quad(_pair_frac(q["a"]), _pair_frac(q["b"]), int(q["rad"]))
+        if not isinstance(q, dict) or set(q) != {"a", "b", "rad"}:
+            raise ValueError(f"a quad needs exactly the keys a, b and rad, got {q!r}")
+        return quad(_pair_frac(q["a"]), _pair_frac(q["b"]), int_from_json(q["rad"]))
     if "pi" in obj:
         return PiMultiple(_pair_frac(obj["pi"]))
     raise ValueError(f"unknown scalar tag in {obj!r}")

@@ -3,8 +3,9 @@
 These deliberately avoid the closed-form moment formulas in the package:
 simplex and cube moments come from recursive symbolic iterated
 integration over the region inequalities, determinants from the
-permutation sum, and disc moments from composite numeric quadrature in
-polar coordinates.
+permutation sum, disc moments from composite numeric quadrature in
+polar coordinates, and polygon moments from a fan triangulation pulled
+back to the unit simplex.
 """
 
 from __future__ import annotations
@@ -136,3 +137,31 @@ def hexagon_moment_numeric(p: int, q: int, panels: int = 4096) -> float:
     right = (h / 3.0) * acc
     left = right * (1.0 if p % 2 == 0 else -1.0)
     return square + right + left
+
+
+def fan_polygon_moment(vertices, p: int, q: int):
+    """Integral of x^p y^q over a simple polygon given in either orientation.
+
+    Fan-triangulates from vertex 0: each triangle (v0, vi, vi+1) is the
+    image of the unit simplex under u, w -> v0 + u (vi - v0) + w (vi+1 - v0),
+    so its integral is the Jacobian times the Dirichlet moments
+    a! b! / (a + b + 2)! of the expanded pull-back.  Signed triangles sum to
+    the polygon integral whatever its shape; the sign of the summed area
+    fixes the orientation.
+    """
+    x0, y0 = vertices[0]
+    total = Fraction(0)
+    area = Fraction(0)
+    for (x1, y1), (x2, y2) in zip(vertices[1:-1], vertices[2:]):
+        ax, ay, bx, by = x1 - x0, y1 - y0, x2 - x0, y2 - y0
+        jacobian = ax * by - bx * ay
+        xs = {(0, 0): x0, (1, 0): ax, (0, 1): bx}
+        ys = {(0, 0): y0, (1, 0): ay, (0, 1): by}
+        integrand = _poly_mul(_poly_pow(xs, p, 2), _poly_pow(ys, q, 2))
+        simplex_integral = Fraction(0)
+        for (a, b), coeff in integrand.items():
+            dirichlet = Fraction(math.factorial(a) * math.factorial(b), math.factorial(a + b + 2))
+            simplex_integral = simplex_integral + coeff * dirichlet
+        total = total + jacobian * simplex_integral
+        area = area + jacobian
+    return total if scalars.sign(area) > 0 else -total

@@ -243,3 +243,21 @@ def test_compound_proxy_reference_for_transcendental(capsys):
     blob = json.loads(out)
     assert blob["reference_kind"].startswith("level-")
     assert blob["order"] is not None
+
+
+@pytest.mark.parametrize(
+    "region, message",
+    [
+        ({"polygon": 5}, "list of [x, y] vertices"),
+        ({"polygon": [[{"quad": {"a": ["1", "1"]}}, {"rat": ["0", "1"]}]] * 3}, "keys a, b and rad"),
+        ({"polygon": [[{"rat": "12"}, {"rat": ["0", "1"]}]] * 3}, "[numerator, denominator] pair"),
+    ],
+)
+def test_malformed_region_file_is_a_domain_error(tmp_path, capsys, region, message):
+    path = tmp_path / "region.json"
+    path.write_text(json.dumps(region))
+    code, out, err = run_cli(capsys, "moments", "--region-file", str(path), "--degree", "0")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err

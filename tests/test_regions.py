@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -209,3 +210,70 @@ def test_hexagon_moments_against_numeric_oracle():
     for alpha in monomials_up_to(2, 4):
         exact = to_float(h.moment(alpha))
         assert abs(exact - hexagon_moment_numeric(*alpha)) < 1e-9, alpha
+
+
+def _random_rational_polygon(rng):
+    """A simple polygon with rational vertices: random points sorted by
+    angle about the origin, redrawn until the constructor accepts them."""
+    while True:
+        pts = set()
+        for _ in range(rng.randint(3, 8)):
+            pts.add((Fraction(rng.randint(-12, 12), rng.randint(1, 4)),
+                     Fraction(rng.randint(-12, 12), rng.randint(1, 4))))
+        pts = sorted(pts, key=lambda v: math.atan2(v[1], v[0]))
+        try:
+            Polygon(pts)
+        except ValueError:
+            continue
+        return pts
+
+
+def _sheared_hexagon(d):
+    """The paper's hexagon over Q(sqrt d), sheared and shifted so that odd
+    moments do not vanish by symmetry."""
+    r = quad(1, 1, d)
+    base = [(r, 0), (1, 1), (-1, 1), (scalars.neg(r), 0), (-1, -1), (1, -1)]
+    return [
+        (scalars.add(x, scalars.div(y, Fraction(2))), scalars.add(y, Fraction(1, 3)))
+        for x, y in base
+    ]
+
+
+def _oracle_cases():
+    rng = random.Random(20240)
+    return [_random_rational_polygon(rng) for _ in range(6)] + [_sheared_hexagon(7)]
+
+
+def test_polygon_moments_match_fan_triangulation_oracle():
+    from oracles import fan_polygon_moment
+
+    for vertices in _oracle_cases():
+        polygon = Polygon(vertices)
+        for p, q in monomials_up_to(2, 6):
+            assert polygon.moment((p, q)) == fan_polygon_moment(vertices, p, q), (vertices, p, q)
+
+
+def test_polygon_moments_ignore_vertex_order_and_orientation():
+    for vertices in _oracle_cases():
+        base = Polygon(vertices)
+        m = len(vertices)
+        variants = [vertices[k:] + vertices[:k] for k in range(1, m)]
+        variants.append(list(reversed(vertices)))
+        for variant in variants:
+            other = Polygon(variant)
+            for alpha in monomials_up_to(2, 4):
+                assert other.moment(alpha) == base.moment(alpha), (variant, alpha)
+
+
+def test_polygon_edge_table_grows_in_any_order():
+    # the per-instance power table is built lazily; asking for the highest
+    # degree first and then repeating must not disturb any later answer
+    for vertices in (_oracle_cases()[0], _sheared_hexagon(7)):
+        shared = Polygon(vertices)
+        descending = sorted(monomials_up_to(2, 6), key=sum, reverse=True)
+        for _ in range(2):
+            for alpha in descending:
+                assert shared.moment(alpha) == Polygon(vertices).moment(alpha), alpha
+        assert shared == Polygon(vertices)
+        assert hash(shared) == hash(Polygon(vertices))
+        assert region_to_json(shared) == region_to_json(Polygon(vertices))

@@ -217,3 +217,58 @@ def test_order_comparisons():
     assert scalars.lt(Fraction(1, 3), Fraction(1, 2))
     assert scalars.le(quad(0, 1, 3), Fraction(2))  # sqrt(3) <= 2
     assert not scalars.lt(quad(0, 1, 3), Fraction(1))
+
+
+def test_radicand_checked_once_where_values_enter(monkeypatch):
+    from simpson_nd.exactness import exactness_degree, monomials_up_to
+    from simpson_nd.regions import hexagon_paper
+    from simpson_nd.rules import cr5
+
+    rule = cr5()
+    hexagon = hexagon_paper()
+    checks = []
+    real = scalars._squarefree
+    monkeypatch.setattr(scalars, "_squarefree", lambda d: checks.append(d) or real(d))
+    assert exactness_degree(rule, 4).certified_degree == 2
+    for alpha in monomials_up_to(2, 6):
+        hexagon.moment(alpha)
+    assert checks == []
+    quad(1, 1, 3893)
+    assert checks == [3893]
+
+
+def test_entry_points_still_validate_the_radicand():
+    with pytest.raises(ValueError):
+        Quad(1, 1, 12)
+    with pytest.raises(ValueError):
+        quad(1, 1, 12)
+    with pytest.raises(ValueError):
+        scalar_from_json({"quad": {"a": ["1", "1"], "b": ["1", "1"], "rad": 12}})
+
+
+def test_rational_fast_path_rejects_bool():
+    with pytest.raises(TypeError):
+        scalars.add(True, Fraction(1))
+    with pytest.raises(TypeError):
+        scalars.mul(True, Fraction(1))
+    with pytest.raises(TypeError):
+        scalars.sub(Fraction(1), False)
+    with pytest.raises(TypeError):
+        scalars.is_zero(False)
+
+
+def test_arithmetic_results_collapse_to_fraction():
+    x = quad(2, 3, 7)
+    conjugate = scalars.conj(x)
+    assert conjugate == quad(2, -3, 7)
+    assert type(scalars.neg(x)) is Quad and scalars.neg(x) == quad(-2, -3, 7)
+    for value in (
+        scalars.mul(x, conjugate),
+        scalars.div(x, x),
+        scalars.add(x, scalars.neg(x)),
+        scalars.add(quad(1, 1, 7), quad(1, -1, 7)),
+        scalars.mul(x, Fraction(0)),
+        scalars.div(scalars.mul(x, conjugate), Fraction(5)),
+    ):
+        assert type(value) is Fraction, value
+    assert scalars.add(x, Fraction(1)) == quad(3, 3, 7)
