@@ -27,6 +27,7 @@ from .regions import (
     Simplex,
     UnitDisc,
     hexagon_paper,
+    integrate_terms,
     region_from_json,
     region_to_json,
     trapezoid_paper,
@@ -425,7 +426,7 @@ def _cmd_compound(args) -> int:
     else:
         try:
             poly = expr.to_monomial_poly(tree, rule.region.dimension)
-            reference = scalars.to_float(_poly_integral(rule, poly))
+            reference = scalars.to_float(integrate_terms(rule.region, poly.terms.items()))
             ref_kind = "exact"
         except SimpsonNdError:
             reference = compound_mod.compound_apply(rule, max(levels) + 3, f).estimate
@@ -460,14 +461,6 @@ def _cmd_compound(args) -> int:
         lines.append(f"no order fit: {exc}")
     _emit(args.format, payload, (["level", "cells", "estimate", "error", "ratio"], rows), lines)
     return 0
-
-
-def _poly_integral(rule, poly):
-    acc = None
-    for alpha, coeff in poly.terms.items():
-        term = scalars.mul(Fraction(coeff), rule.region.moment(alpha))
-        acc = term if acc is None else scalars.add(acc, term)
-    return acc if acc is not None else Fraction(0)
 
 
 _CATALOG_DEGREE_CAP = 5

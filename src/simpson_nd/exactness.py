@@ -64,7 +64,23 @@ def residual(rule: CubatureRule, alpha) -> Scalar:
         raise DimensionMismatch(
             f"multi-index {alpha} does not match region dimension"
         )
-    return scalars.sub(rule.apply_poly(monomial(alpha)), rule.region.moment(alpha))
+    return node_residual(rule.nodes, rule.weights, alpha, rule.region.moment(alpha))
+
+
+def node_residual(nodes, weights, alpha, moment) -> Scalar:
+    """Weighted sum of x^alpha over the nodes, minus ``moment``.
+
+    Nothing ties the nodes to a region, so residual systems can be
+    evaluated at parameter points that put nodes off the boundary.
+    """
+    total: Scalar = Fraction(0)
+    for node, w in zip(nodes, weights):
+        value: Scalar = Fraction(1)
+        for c, e in zip(node, alpha):
+            if e:
+                value = scalars.mul(value, c if e == 1 else scalars.pow_scalar(c, e))
+        total = scalars.add(total, scalars.mul(w, value))
+    return scalars.sub(total, moment)
 
 
 @dataclass(frozen=True)
@@ -198,10 +214,18 @@ def solve_lambda(
     return UniqueSolution((lam,))
 
 
-def _gauss_jordan(rows: list[list[Scalar]], ncols: int) -> list[int]:
-    """In-place reduced row echelon over the first ``ncols`` columns;
-    trailing columns ride along.  Returns the pivot column list."""
+def gauss_jordan(rows: list[list[Scalar]], ncols: int) -> tuple[list[int], Scalar]:
+    """In-place reduced row echelon form over the first ``ncols`` columns;
+    trailing columns ride along.  This is the package's only elimination
+    loop.
+
+    Each column's pivot is the first nonzero entry at or below the current
+    row.  Returns the pivot columns (so the rank) and, for a square block,
+    its determinant: the swap sign times the pivots taken before
+    normalising, or 0 when the rank is below ``ncols``.
+    """
     pivots: list[int] = []
+    det: Scalar = Fraction(1)
     r = 0
     for col in range(ncols):
         pivot_row = None
@@ -210,9 +234,13 @@ def _gauss_jordan(rows: list[list[Scalar]], ncols: int) -> list[int]:
                 pivot_row = i
                 break
         if pivot_row is None:
+            det = Fraction(0)
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        if pivot_row != r:
+            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+            det = scalars.neg(det)
         piv = rows[r][col]
+        det = scalars.mul(det, piv)
         rows[r] = [scalars.div(v, piv) for v in rows[r]]
         for i in range(len(rows)):
             if i != r and not is_zero(rows[i][col]):
@@ -223,7 +251,7 @@ def _gauss_jordan(rows: list[list[Scalar]], ncols: int) -> list[int]:
                 ]
         pivots.append(col)
         r += 1
-    return pivots
+    return pivots, det
 
 
 def solve_weights(region: Region, nodes, targets) -> LinearSolveOutcome:
@@ -249,7 +277,7 @@ def solve_weights(region: Region, nodes, targets) -> LinearSolveOutcome:
             Fraction(1) if j == i else Fraction(0) for j in range(len(equations))
         ]
         rows.append(list(eqn.coefficients) + [eqn.rhs] + ident)
-    pivots = _gauss_jordan(rows, nunk)
+    pivots, _ = gauss_jordan(rows, nunk)
     rank = len(pivots)
     for row in rows[rank:]:
         if is_zero(row[nunk]):

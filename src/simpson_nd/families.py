@@ -1,9 +1,12 @@
 """Parameterized boundary-node systems and their published solution
 families, verified by exact substitution.
 
-Each system is a residual evaluator: plug in node parameters and a blend
-parameter, get back the exact amount by which each target equation
-misses.  A parameter point solves the system exactly when every residual
+Every system is the paper's blend lam*M + (1-lam)*T on one region: M puts
+the region volume at the centroid, and T spreads it equally over boundary
+nodes placed by a few parameters.  A system is data, a node
+parameterization plus a table of named target monomials, and its residuals
+come from one function: the blend applied to each target minus the region
+moment.  A parameter point solves the system exactly when every residual
 is zero.  The solution families reduce each system to one free parameter;
 the reductions are checked by substitution here, never re-derived with a
 computer algebra system.
@@ -15,13 +18,15 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from functools import cached_property
+from typing import Callable, Sequence
 
-from . import scalars
+from . import rules, scalars
 from .errors import DenominatorZero, SingularInterpolation
-from .regions import Cube, Region, Simplex
+from .exactness import gauss_jordan, node_residual
+from .regions import Cube, Point, Region, Simplex, integrate_terms, trapezoid_paper
 from .rules import CubatureRule, blend, boundary_rule, midpoint_rule, monomial
-from .scalars import Scalar, as_scalar, is_zero, quad
+from .scalars import Scalar, as_scalar, is_zero
 
 
 @dataclass(frozen=True)
@@ -39,49 +44,110 @@ class SystemResiduals:
         return dict(zip(self.names, self.residuals))
 
 
-def _mix(lam, center_value, node_values, node_weight, integral) -> Scalar:
-    """lam*center + (1-lam)*node_weight*sum(node_values) - integral."""
-    lam = as_scalar(lam)
-    total: Scalar = Fraction(0)
-    for v in node_values:
-        total = scalars.add(total, v)
-    blended = scalars.add(
-        scalars.mul(lam, center_value),
-        scalars.mul(scalars.sub(Fraction(1), lam), scalars.mul(node_weight, total)),
-    )
-    return scalars.sub(blended, integral)
+class BlendSystem:
+    """lam * midpoint_rule + (1 - lam) * equal weights on placed nodes.
+
+    ``make_region`` builds the region on first use, so importing this
+    module does no geometry; ``place`` maps the node parameters to the
+    boundary nodes; ``targets`` lists the (name, exponent) rows in output
+    order.  Nodes are placed without any membership check, so a parameter
+    point may put them off the boundary.
+    """
+
+    def __init__(self, make_region: Callable[[], Region],
+                 place: Callable[..., tuple[Point, ...]], targets):
+        self.make_region = make_region
+        self.place = place
+        self.names = tuple(name for name, _ in targets)
+        self.alphas = tuple(alpha for _, alpha in targets)
+
+    @cached_property
+    def region(self) -> Region:
+        return self.make_region()
+
+    @cached_property
+    def _constants(self) -> tuple[Scalar, tuple[Scalar, ...], tuple[Scalar, ...]]:
+        """Region volume, then per target volume * x^alpha(centroid) and
+        the moment; computed on first use, once per system."""
+        vol = self.region.volume()
+        center = self.region.centroid()
+        return (
+            vol,
+            tuple(scalars.mul(vol, monomial(a).evaluate(center)) for a in self.alphas),
+            tuple(self.region.moment(a) for a in self.alphas),
+        )
+
+    def nodes(self, params) -> tuple[Point, ...]:
+        return self.place(*(as_scalar(v) for v in params))
+
+    def residuals(self, params, lam) -> SystemResiduals:
+        lam = as_scalar(lam)
+        nodes = self.nodes(params)
+        vol, centers, moments = self._constants
+        w = scalars.mul(scalars.sub(Fraction(1), lam), scalars.div(vol, Fraction(len(nodes))))
+        weights = (w,) * len(nodes)
+        # lam*vol*x^alpha(centroid) + sum w*x^alpha(node) - moment, with the
+        # center term moved to the moment side
+        return SystemResiduals(
+            self.names,
+            tuple(
+                node_residual(nodes, weights, alpha, scalars.sub(moment, scalars.mul(lam, center)))
+                for alpha, center, moment in zip(self.alphas, centers, moments)
+            ),
+        )
+
+    def rule(self, params, lam, label: str) -> CubatureRule:
+        return blend(
+            Fraction(lam),
+            midpoint_rule(self.region),
+            boundary_rule(self.region, self.nodes(params)),
+            label=label,
+        )
+
+
+_0, _1 = Fraction(0), Fraction(1)
+
+_TRIANGLE = BlendSystem(
+    lambda: Simplex(2),
+    lambda a, b, c: ((a, _0), (_0, b), (c, scalars.sub(_1, c))),
+    (("x", (1, 0)), ("y", (0, 1)), ("x^2", (2, 0)), ("y^2", (0, 2)), ("xy", (1, 1))),
+)
+
+_SQUARE = BlendSystem(
+    lambda: Cube(2),
+    lambda a, b, c, d: ((a, _0), (_0, b), (c, _1), (_1, d)),
+    (
+        ("x", (1, 0)), ("y", (0, 1)), ("x^2", (2, 0)), ("y^2", (0, 2)), ("xy", (1, 1)),
+        ("x^3", (3, 0)), ("y^3", (0, 3)), ("x^2*y", (2, 1)), ("x*y^2", (1, 2)),
+    ),
+)
+
+_TRAPEZOID = BlendSystem(
+    trapezoid_paper,
+    lambda a, b, c, d: ((a, _0), (_0, b), (_1, c), (d, scalars.add(d, _1))),
+    (("x", (1, 0)), ("y", (0, 1)), ("xy", (1, 1)), ("x^2", (2, 0)), ("y^2", (0, 2))),
+)
+
+# Only the quadratic rows; simplex3_face_system states the linear ones.
+_SIMPLEX3 = BlendSystem(
+    lambda: Simplex(3),
+    lambda a1, a2, a3, a4, a5, a6, a7, a8: (
+        (a1, a2, _0),
+        (a3, _0, a4),
+        (_0, a5, a6),
+        (a7, a8, scalars.sub(scalars.sub(_1, a7), a8)),
+    ),
+    (
+        ("xy", (1, 1, 0)), ("xz", (1, 0, 1)), ("yz", (0, 1, 1)),
+        ("x^2", (2, 0, 0)), ("y^2", (0, 2, 0)), ("z^2", (0, 0, 2)),
+    ),
+)
 
 
 def triangle_system(a, b, c, lam) -> SystemResiduals:
     """Residuals for x, y, x^2, y^2, xy of the standard-triangle blend with
-    boundary nodes (a,0), (0,b), (c,1-c).
-
-    The center term is area * f(1/3,1/3) = 1/2 f(1/3,1/3) and the node
-    term is 1/6 (f(a,0)+f(0,b)+f(c,1-c)).
-    """
-    a, b, c, lam = (as_scalar(v) for v in (a, b, c, lam))
-    one = Fraction(1)
-    cc = scalars.sub(one, c)
-    w = Fraction(1, 6)
-
-    def pw(v, k):
-        return scalars.pow_scalar(v, k)
-
-    sixth = Fraction(1, 6)
-    eighteenth = Fraction(1, 18)
-    rows = (
-        ("x", sixth, [a, c], Fraction(1, 6)),
-        ("y", sixth, [b, cc], Fraction(1, 6)),
-        ("x^2", eighteenth, [pw(a, 2), pw(c, 2)], Fraction(1, 12)),
-        ("y^2", eighteenth, [pw(b, 2), pw(cc, 2)], Fraction(1, 12)),
-        ("xy", eighteenth, [scalars.mul(c, cc)], Fraction(1, 24)),
-    )
-    names = []
-    residuals = []
-    for name, center, values, integral in rows:
-        names.append(name)
-        residuals.append(_mix(lam, center, values, w, integral))
-    return SystemResiduals(tuple(names), tuple(residuals))
+    boundary nodes (a,0), (0,b), (c,1-c)."""
+    return _TRIANGLE.residuals((a, b, c), lam)
 
 
 def triangle_family_lambda(c) -> Scalar:
@@ -117,16 +183,8 @@ def verify_triangle_family(c) -> tuple[bool, SystemResiduals]:
 
 def triangle_family_rule(c, label: str = "") -> CubatureRule:
     """The family member as an actual rule over the standard triangle."""
-    a, b, c, lam = triangle_family_member(c)
-    region = Simplex(2)
-    nodes = (
-        (a, Fraction(0)),
-        (Fraction(0), b),
-        (c, scalars.sub(Fraction(1), c)),
-    )
-    return blend(
-        Fraction(lam), midpoint_rule(region), boundary_rule(region, nodes), label=label
-    )
+    *params, lam = triangle_family_member(c)
+    return _TRIANGLE.rule(params, lam, label)
 
 
 # Quartic in c singling out the vertex (c=0) and edge-midpoint (c=1/2)
@@ -146,35 +204,8 @@ def triangle_selector_roots() -> set[Fraction]:
 
 def square_system(a, b, c, d, lam) -> SystemResiduals:
     """Residuals for x, y, x^2, y^2, xy, x^3, y^3, x^2 y, x y^2 of the
-    unit-square blend with boundary nodes (a,0), (0,b), (c,1), (1,d).
-
-    The center term is f(1/2,1/2) and the node term is the plain average
-    of the four boundary values.
-    """
-    a, b, c, d, lam = (as_scalar(v) for v in (a, b, c, d, lam))
-    one = Fraction(1)
-    w = Fraction(1, 4)
-
-    def pw(v, k):
-        return scalars.pow_scalar(v, k)
-
-    rows = (
-        ("x", Fraction(1, 2), [a, c, one], Fraction(1, 2)),
-        ("y", Fraction(1, 2), [b, one, d], Fraction(1, 2)),
-        ("x^2", Fraction(1, 4), [pw(a, 2), pw(c, 2), one], Fraction(1, 3)),
-        ("y^2", Fraction(1, 4), [pw(b, 2), one, pw(d, 2)], Fraction(1, 3)),
-        ("xy", Fraction(1, 4), [c, d], Fraction(1, 4)),
-        ("x^3", Fraction(1, 8), [pw(a, 3), pw(c, 3), one], Fraction(1, 4)),
-        ("y^3", Fraction(1, 8), [pw(b, 3), one, pw(d, 3)], Fraction(1, 4)),
-        ("x^2*y", Fraction(1, 8), [pw(c, 2), d], Fraction(1, 6)),
-        ("x*y^2", Fraction(1, 8), [c, pw(d, 2)], Fraction(1, 6)),
-    )
-    names = []
-    residuals = []
-    for name, center, values, integral in rows:
-        names.append(name)
-        residuals.append(_mix(lam, center, values, w, integral))
-    return SystemResiduals(tuple(names), tuple(residuals))
+    unit-square blend with boundary nodes (a,0), (0,b), (c,1), (1,d)."""
+    return _SQUARE.residuals((a, b, c, d), lam)
 
 
 def square_family_lambda(d) -> Scalar:
@@ -209,14 +240,8 @@ def verify_square_family(d) -> tuple[bool, SystemResiduals]:
 
 
 def square_family_rule(d, label: str = "") -> CubatureRule:
-    a, b, c, d, lam = square_family_member(d)
-    region = Cube(2)
-    one = Fraction(1)
-    zero = Fraction(0)
-    nodes = ((a, zero), (zero, b), (c, one), (one, d))
-    return blend(
-        Fraction(lam), midpoint_rule(region), boundary_rule(region, nodes), label=label
-    )
+    *params, lam = square_family_member(d)
+    return _SQUARE.rule(params, lam, label)
 
 
 # Cubic in d whose roots are the square-family members exact for x^3 y
@@ -231,47 +256,20 @@ def square_selector_roots() -> set[Fraction]:
 def trapezoid_system(a, b, c, d, lam) -> SystemResiduals:
     """Residuals for x, y, xy, x^2, y^2 of the trapezoid blend with
     boundary nodes (a,0), (0,b), (1,c), (d,d+1) on the trapezoid
-    (0,0),(1,0),(1,2),(0,1).
-
-    The center term is 3/2 f(5/9,7/9) and the node weight is 3/8.
-    """
-    a, b, c, d, lam = (as_scalar(v) for v in (a, b, c, d, lam))
-    one = Fraction(1)
-    w = Fraction(3, 8)
-    d1 = scalars.add(d, one)
-
-    def pw(v, k):
-        return scalars.pow_scalar(v, k)
-
-    rows = (
-        ("x", Fraction(5, 6), [a, one, d], Fraction(5, 6)),
-        ("y", Fraction(7, 6), [c, b, d1], Fraction(7, 6)),
-        ("xy", Fraction(35, 54), [c, scalars.mul(d, d1)], Fraction(17, 24)),
-        ("x^2", Fraction(25, 54), [pw(a, 2), one, pw(d, 2)], Fraction(7, 12)),
-        ("y^2", Fraction(49, 54), [pw(c, 2), pw(b, 2), pw(d1, 2)], Fraction(5, 4)),
-    )
-    names = []
-    residuals = []
-    for name, center, values, integral in rows:
-        names.append(name)
-        residuals.append(_mix(lam, center, values, w, integral))
-    return SystemResiduals(tuple(names), tuple(residuals))
+    (0,0),(1,0),(1,2),(0,1)."""
+    return _TRAPEZOID.residuals((a, b, c, d), lam)
 
 
 def trapezoid_family_member(conjugate: bool = False):
-    """(a, b, c, d, lam) solving the trapezoid system over Q(sqrt(3893)).
+    """(a, b, c, d, lam) solving the trapezoid system over Q(sqrt(3893)):
+    the CR5 node parameters.
 
     The two members come from the conjugate roots
     d = 11/18 +- (1/458) sqrt(3893); the companion parameters follow from
     the linear relations 9a + 9d = 11, 81b - 99d = -20, 81c + 180d = 191,
     and lam = 163/392 either way.
     """
-    s = -1 if conjugate else 1
-    d = quad(Fraction(11, 18), s * Fraction(1, 458), 3893)
-    a = quad(Fraction(11, 18), -s * Fraction(1, 458), 3893)
-    b = quad(Fraction(1, 2), s * Fraction(11, 4122), 3893)
-    c = quad(Fraction(1), -s * Fraction(10, 2061), 3893)
-    return a, b, c, d, Fraction(163, 392)
+    return (*rules.cr5_parameters(conjugate), rules.CR5_LAMBDA)
 
 
 def simplex3_face_system(a: Sequence, lam) -> SystemResiduals:
@@ -279,32 +277,15 @@ def simplex3_face_system(a: Sequence, lam) -> SystemResiduals:
     Q1 = (a1,a2,0), Q2 = (a3,0,a4), Q3 = (0,a5,a6), Q4 = (a7,a8,1-a7-a8).
 
     The three linear residuals are the simplified node-placement
-    equations a1+a3+a7 = 1, a2+a5+a8 = 1, a4+a6-a7-a8 = 0 (valid whenever
-    lam != 1); the six quadratic residuals keep the blend parameter:
-    lam/96 + (1-lam)/24 * S == 1/120 for the mixed terms and 1/60 for the
-    squares, where S sums the relevant node products.
+    equations a1+a3+a7 = 1, a2+a5+a8 = 1, a4+a6-a7-a8 = 0: the raw blend
+    residuals for x, y, z divided by (1-lam)/24, so valid whenever
+    lam != 1.  The six quadratic residuals (xy, xz, yz, x^2, y^2, z^2)
+    are the raw blend residuals.
     """
     if len(a) != 8:
         raise ValueError("need exactly eight face parameters")
     a1, a2, a3, a4, a5, a6, a7, a8 = (as_scalar(v) for v in a)
-    lam = as_scalar(lam)
-    one = Fraction(1)
-    z4 = scalars.sub(scalars.sub(one, a7), a8)  # third coordinate of Q4
-
-    def pw(v):
-        return scalars.pow_scalar(v, 2)
-
-    def lin(total, target) -> Scalar:
-        return scalars.sub(total, target)
-
-    def quadratic(s_total, integral) -> Scalar:
-        lhs = scalars.add(
-            scalars.mul(lam, Fraction(1, 96)),
-            scalars.mul(
-                scalars.sub(one, lam), scalars.mul(Fraction(1, 24), s_total)
-            ),
-        )
-        return scalars.sub(lhs, integral)
+    quadratic = _SIMPLEX3.residuals(a, lam)
 
     def total(*vals) -> Scalar:
         acc: Scalar = Fraction(0)
@@ -312,40 +293,17 @@ def simplex3_face_system(a: Sequence, lam) -> SystemResiduals:
             acc = scalars.add(acc, v)
         return acc
 
-    names = ("x", "y", "z", "xy", "xz", "yz", "x^2", "y^2", "z^2")
-    residuals = (
-        lin(total(a1, a3, a7), one),
-        lin(total(a2, a5, a8), one),
-        lin(total(a4, a6, scalars.neg(a7), scalars.neg(a8)), Fraction(0)),
-        quadratic(total(scalars.mul(a1, a2), scalars.mul(a7, a8)), Fraction(1, 120)),
-        quadratic(
-            total(scalars.mul(a3, a4), scalars.mul(a7, z4)), Fraction(1, 120)
-        ),
-        quadratic(
-            total(scalars.mul(a5, a6), scalars.mul(a8, z4)), Fraction(1, 120)
-        ),
-        quadratic(total(pw(a1), pw(a3), pw(a7)), Fraction(1, 60)),
-        quadratic(total(pw(a2), pw(a5), pw(a8)), Fraction(1, 60)),
-        quadratic(total(pw(a4), pw(a6), pw(z4)), Fraction(1, 60)),
+    linear = (
+        scalars.sub(total(a1, a3, a7), _1),
+        scalars.sub(total(a2, a5, a8), _1),
+        total(a4, a6, scalars.neg(a7), scalars.neg(a8)),
     )
-    return SystemResiduals(names, residuals)
+    return SystemResiduals(("x", "y", "z") + quadratic.names, linear + quadratic.residuals)
 
 
 def simplex3_face_rule(a: Sequence, lam, label: str = "") -> CubatureRule:
     """Build the actual rule for a face-system parameter point."""
-    a1, a2, a3, a4, a5, a6, a7, a8 = (as_scalar(v) for v in a)
-    region = Simplex(3)
-    zero = Fraction(0)
-    z4 = scalars.sub(scalars.sub(Fraction(1), a7), a8)
-    nodes = (
-        (a1, a2, zero),
-        (a3, zero, a4),
-        (zero, a5, a6),
-        (a7, a8, z4),
-    )
-    return blend(
-        Fraction(lam), midpoint_rule(region), boundary_rule(region, nodes), label=label
-    )
+    return _SIMPLEX3.rule(a, lam, label)
 
 
 def simplex3_vertex_solutions() -> list[tuple[Fraction, ...]]:
@@ -378,34 +336,11 @@ def _matrix_at(nodes, basis_exponents) -> tuple[tuple[Scalar, ...], ...]:
 
 
 def exact_det(matrix) -> Scalar:
-    """Determinant by exact Gaussian elimination with division."""
-    m = [list(row) for row in matrix]
-    n = len(m)
-    if any(len(row) != n for row in m):
+    """Determinant by exact Gauss-Jordan elimination."""
+    rows = [list(row) for row in matrix]
+    if any(len(row) != len(rows) for row in rows):
         raise ValueError("matrix must be square")
-    det: Scalar = Fraction(1)
-    sign = 1
-    for col in range(n):
-        pivot_row = None
-        for r in range(col, n):
-            if not is_zero(m[r][col]):
-                pivot_row = r
-                break
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != col:
-            m[col], m[pivot_row] = m[pivot_row], m[col]
-            sign = -sign
-        piv = m[col][col]
-        det = scalars.mul(det, piv)
-        for r in range(col + 1, n):
-            if is_zero(m[r][col]):
-                continue
-            f = scalars.div(m[r][col], piv)
-            m[r] = [
-                scalars.sub(v, scalars.mul(f, w)) for v, w in zip(m[r], m[col])
-            ]
-    return scalars.mul(Fraction(sign), det)
+    return gauss_jordan(rows, len(rows))[1]
 
 
 QUADRATIC_BASIS = ((2, 0), (0, 2), (1, 0), (0, 1), (0, 0))
@@ -467,25 +402,10 @@ def solve_linear_system(matrix, rhs) -> tuple[Scalar, ...]:
     the matrix is singular."""
     n = len(matrix)
     rows = [list(row) + [as_scalar(b)] for row, b in zip(matrix, rhs)]
-    for col in range(n):
-        pivot_row = None
-        for r in range(col, n):
-            if not is_zero(rows[r][col]):
-                pivot_row = r
-                break
-        if pivot_row is None:
-            raise SingularInterpolation("coefficient matrix is singular")
-        rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-        piv = rows[col][col]
-        rows[col] = [scalars.div(v, piv) for v in rows[col]]
-        for r in range(n):
-            if r != col and not is_zero(rows[r][col]):
-                f = rows[r][col]
-                rows[r] = [
-                    scalars.sub(v, scalars.mul(f, w))
-                    for v, w in zip(rows[r], rows[col])
-                ]
-    return tuple(rows[r][n] for r in range(n))
+    pivots, _ = gauss_jordan(rows, n)
+    if len(pivots) < n:
+        raise SingularInterpolation("coefficient matrix is singular")
+    return tuple(row[n] for row in rows)
 
 
 def integrate_interpolant(region: Region, basis, nodes, data) -> Scalar:
@@ -500,12 +420,8 @@ def integrate_interpolant(region: Region, basis, nodes, data) -> Scalar:
     data = tuple(as_scalar(v) for v in data)
     if not (len(basis) == len(nodes) == len(data)):
         raise ValueError("basis, nodes, and data must have equal length")
-    matrix = _matrix_at(nodes, basis)
-    coeffs = solve_linear_system(matrix, data)
-    total: Scalar = Fraction(0)
-    for coeff, alpha in zip(coeffs, basis):
-        total = scalars.add(total, scalars.mul(coeff, region.moment(alpha)))
-    return total
+    coeffs = solve_linear_system(_matrix_at(nodes, basis), data)
+    return integrate_terms(region, zip(basis, coeffs))
 
 
 def rational_roots(coefficients: Sequence[Fraction]) -> set[Fraction]:

@@ -395,6 +395,15 @@ class UnitDisc:
 Region = Union[Simplex, Cube, Polygon, UnitDisc]
 
 
+def integrate_terms(region: Region, terms) -> Scalar:
+    """Exact integral over the region of the polynomial given as
+    (exponent tuple, coefficient) pairs: the sum of coeff * moment."""
+    total: Scalar = Fraction(0)
+    for alpha, coeff in terms:
+        total = scalars.add(total, scalars.mul(coeff, region.moment(alpha)))
+    return total
+
+
 def trapezoid_paper() -> Polygon:
     """The trapezoid with vertex set {(0,0),(1,0),(0,1),(1,2)}, listed in
     simple counterclockwise order."""

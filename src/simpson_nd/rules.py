@@ -296,12 +296,23 @@ def cr4() -> CubatureRule:
     return blend(Fraction(1, 3), midpoint_rule(region), mids, label="CR4")
 
 
-def _cr5_boundary_nodes(conjugate: bool) -> tuple[Point, ...]:
+CR5_LAMBDA = Fraction(163, 392)
+
+
+def cr5_parameters(conjugate: bool) -> tuple[Scalar, Scalar, Scalar, Scalar]:
+    """(a, b, c, d) placing the CR5 nodes (a,0), (0,b), (1,c), (d,d+1) in
+    Q(sqrt(3893)); the conjugate branch flips the sign of sqrt(3893)."""
     s = -1 if conjugate else 1
-    d = quad(Fraction(11, 18), s * Fraction(1, 458), 3893)
-    a = quad(Fraction(11, 18), -s * Fraction(1, 458), 3893)
-    b = quad(Fraction(1, 2), s * Fraction(11, 4122), 3893)
-    c = quad(Fraction(1), -s * Fraction(10, 2061), 3893)
+    return (
+        quad(Fraction(11, 18), -s * Fraction(1, 458), 3893),
+        quad(Fraction(1, 2), s * Fraction(11, 4122), 3893),
+        quad(Fraction(1), -s * Fraction(10, 2061), 3893),
+        quad(Fraction(11, 18), s * Fraction(1, 458), 3893),
+    )
+
+
+def _cr5_boundary_nodes(conjugate: bool) -> tuple[Point, ...]:
+    a, b, c, d = cr5_parameters(conjugate)
     return (
         (a, Fraction(0)),
         (Fraction(1), c),
@@ -312,9 +323,8 @@ def _cr5_boundary_nodes(conjugate: bool) -> tuple[Point, ...]:
 
 def _cr5(conjugate: bool, label: str) -> CubatureRule:
     region = trapezoid_paper()
-    lam = Fraction(163, 392)
     bnd = boundary_rule(region, _cr5_boundary_nodes(conjugate))
-    return blend(lam, midpoint_rule(region), bnd, label=label)
+    return blend(CR5_LAMBDA, midpoint_rule(region), bnd, label=label)
 
 
 def cr5() -> CubatureRule:
@@ -402,9 +412,18 @@ def rule_to_json(rule: CubatureRule) -> dict:
 
 
 def rule_from_json(obj) -> CubatureRule:
-    region = region_from_json(obj["region"])
-    nodes = tuple(
-        tuple(scalars.scalar_from_json(c) for c in node) for node in obj["nodes"]
+    if not isinstance(obj, dict) or not {"region", "nodes", "weights"} <= set(obj):
+        raise ValueError(f"a rule needs the keys region, nodes and weights, got {obj!r}")
+    nodes, weights, label = obj["nodes"], obj["weights"], obj.get("label", "")
+    if not isinstance(nodes, list) or not all(isinstance(p, list) for p in nodes):
+        raise ValueError(f"rule nodes must be a list of coordinate lists, got {nodes!r}")
+    if not isinstance(weights, list):
+        raise ValueError(f"rule weights must be a list, got {weights!r}")
+    if not isinstance(label, str):
+        raise ValueError(f"a rule label must be a string, got {label!r}")
+    return CubatureRule(
+        region_from_json(obj["region"]),
+        tuple(tuple(scalars.scalar_from_json(c) for c in node) for node in nodes),
+        tuple(scalars.scalar_from_json(w) for w in weights),
+        label=label,
     )
-    weights = tuple(scalars.scalar_from_json(w) for w in obj["weights"])
-    return CubatureRule(region, nodes, weights, label=obj.get("label", ""))

@@ -25,6 +25,12 @@ Scalar = Union[Fraction, "Quad", "PiMultiple"]
 _RationalLike = (int, Fraction)
 
 
+# Largest accepted radicand.  The squarefree check is trial division,
+# O(sqrt d): about 0.1 s at this limit, and it grows tenfold for every two
+# more digits, so larger radicands are refused before the check starts.
+MAX_RADICAND = 10**12
+
+
 def _squarefree(d: int) -> bool:
     if d % 4 == 0:
         return False
@@ -77,8 +83,8 @@ def _make_quad(a: Fraction, b: Fraction, d: int) -> Scalar:
 class Quad:
     """A quadratic irrational a + b*sqrt(d) with rational a, b and b != 0.
 
-    d must be a squarefree integer >= 2.  Construct through :func:`quad`
-    when b may be zero.
+    d must be a squarefree integer with 2 <= d <= MAX_RADICAND.  Construct
+    through :func:`quad` when b may be zero.
     """
 
     __slots__ = ("a", "b", "d")
@@ -88,6 +94,8 @@ class Quad:
         b = Fraction(b)
         if not isinstance(d, int) or d < 2:
             raise ValueError(f"radicand must be an integer >= 2, got {d!r}")
+        if d > MAX_RADICAND:
+            raise ValueError(f"radicand {d} exceeds the limit {MAX_RADICAND}")
         if not _squarefree(d):
             raise ValueError(f"radicand must be squarefree, got {d}")
         if b == 0:

@@ -251,6 +251,11 @@ def test_compound_proxy_reference_for_transcendental(capsys):
         ({"polygon": 5}, "list of [x, y] vertices"),
         ({"polygon": [[{"quad": {"a": ["1", "1"]}}, {"rat": ["0", "1"]}]] * 3}, "keys a, b and rad"),
         ({"polygon": [[{"rat": "12"}, {"rat": ["0", "1"]}]] * 3}, "[numerator, denominator] pair"),
+        (
+            {"polygon": [[{"quad": {"a": ["0", "1"], "b": ["1", "1"], "rad": str(10**12 + 1)}},
+                          {"rat": ["0", "1"]}]] * 3},
+            "exceeds the limit",
+        ),
     ],
 )
 def test_malformed_region_file_is_a_domain_error(tmp_path, capsys, region, message):

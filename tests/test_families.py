@@ -10,6 +10,7 @@ from simpson_nd.errors import SingularInterpolation
 from simpson_nd.exactness import residual
 from simpson_nd.families import (
     bilinear_det_closed_form,
+    exact_det,
     integrate_interpolant,
     interp_matrix_bilinear,
     interp_matrix_quadratic,
@@ -17,6 +18,7 @@ from simpson_nd.families import (
     simplex3_face_rule,
     simplex3_face_system,
     simplex3_vertex_solutions,
+    solve_linear_system,
     square_family_lambda,
     square_family_rule,
     square_selector_roots,
@@ -263,6 +265,35 @@ def test_simplex3_linear_violation():
     assert not res.all_zero
 
 
+def test_simplex3_system_matches_rule_residuals():
+    rng = random.Random(5)
+    region = Simplex(3)
+    quadratic = {"xy": (1, 1, 0), "xz": (1, 0, 1), "yz": (0, 1, 1),
+                 "x^2": (2, 0, 0), "y^2": (0, 2, 0), "z^2": (0, 0, 2)}
+    linear = {"x": (1, 0, 0), "y": (0, 1, 0), "z": (0, 0, 1)}
+
+    def face_pair():
+        # two coordinates of a point on a face: both >= 0, sum <= 1
+        u = Fraction(rng.randint(0, 12), 12)
+        return u, Fraction(rng.randint(0, 12 - int(u * 12)), 12)
+
+    for _ in range(10):
+        a = [v for _ in range(4) for v in face_pair()]
+        lam = Fraction(rng.randint(-10, 10), rng.randint(1, 10))
+        if lam == 1:
+            lam = Fraction(1, 2)
+        a1, a2, a3, a4, a5, a6, a7, a8 = a
+        nodes = [(a1, a2, 0), (a3, 0, a4), (0, a5, a6), (a7, a8, 1 - a7 - a8)]
+        rule = blend(lam, midpoint_rule(region), boundary_rule(region, nodes))
+        res = simplex3_face_system(a, lam).as_dict()
+        assert list(res) == list(linear) + list(quadratic)
+        for name, alpha in quadratic.items():
+            assert scalars.eq(res[name], residual(rule, alpha)), (name, a, lam)
+        for name, alpha in linear.items():
+            raw = residual(rule, alpha)
+            assert scalars.eq(res[name], raw * Fraction(24) / (1 - lam)), (name, a, lam)
+
+
 def test_simplex3_vertex_search():
     solutions = simplex3_vertex_solutions()
     assert len(solutions) == 9
@@ -319,6 +350,68 @@ def test_bilinear_closed_form_matches_matrix():
         matrix, det = interp_matrix_bilinear(*vals)
         assert scalars.eq(det, bilinear_det_closed_form(*vals))
         assert scalars.eq(det, permutation_det(matrix))
+
+
+def _random_matrix(rng, n, field):
+    """Seeded n x n matrix over Q or Q(sqrt(3893)); about one in three has
+    a zero leading column (forcing row swaps) and one in three has its
+    last row a combination of the others (rank deficient)."""
+
+    def entry():
+        a = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        b = Fraction(rng.randint(-3, 3), rng.randint(1, 4)) if field == "quad" else 0
+        return quad(a, b, 3893)
+
+    m = [[entry() for _ in range(n)] for _ in range(n)]
+    kind = rng.randrange(3)
+    if kind == 1:
+        for row in m[: rng.randint(1, n)]:
+            row[0] = Fraction(0)
+    elif kind == 2 and n > 1:
+        s, t = Fraction(rng.randint(-3, 3)), Fraction(rng.randint(1, 3), 2)
+        other = m[1 % (n - 1)]
+        m[-1] = [scalars.add(scalars.mul(s, x), scalars.mul(t, y)) for x, y in zip(m[0], other)]
+    return m
+
+
+@pytest.mark.parametrize("field", ["rat", "quad"])
+def test_exact_det_matches_permutation_oracle(field):
+    rng = random.Random(41)
+    zero_dets = 0
+    for _ in range(30):
+        m = _random_matrix(rng, rng.randint(1, 5), field)
+        det = exact_det(m)
+        assert scalars.eq(det, permutation_det(m)), m
+        zero_dets += scalars.is_zero(det)
+    assert zero_dets >= 5  # the singular cases really occur
+
+
+def test_exact_det_rejects_non_square():
+    with pytest.raises(ValueError):
+        exact_det([[1, 2], [3, 4], [5, 6]])
+
+
+@pytest.mark.parametrize("field", ["rat", "quad"])
+def test_solve_linear_system_by_substitution(field):
+    rng = random.Random(43)
+    solved = singular = 0
+    for _ in range(30):
+        n = rng.randint(1, 5)
+        m = _random_matrix(rng, n, field)
+        rhs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
+        if scalars.is_zero(permutation_det(m)):
+            with pytest.raises(SingularInterpolation):
+                solve_linear_system(m, rhs)
+            singular += 1
+            continue
+        x = solve_linear_system(m, rhs)
+        for row, b in zip(m, rhs):
+            total = Fraction(0)
+            for coeff, value in zip(row, x):
+                total = scalars.add(total, scalars.mul(coeff, value))
+            assert scalars.eq(total, b)
+        solved += 1
+    assert solved >= 10 and singular >= 5
 
 
 def test_interpolant_centroid_indicator_weight():

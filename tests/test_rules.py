@@ -242,6 +242,26 @@ def test_rule_json_round_trip_bit_exact():
         assert again.label == rule.label
 
 
+@pytest.mark.parametrize(
+    "blob, message",
+    [
+        ({}, "keys region, nodes and weights"),
+        ([], "keys region, nodes and weights"),
+        ({"region": {"simplex": 2}, "nodes": 5, "weights": []}, "list of coordinate lists"),
+        ({"region": {"simplex": 2}, "nodes": [5], "weights": [5]}, "list of coordinate lists"),
+        ({"region": {"simplex": 2}, "nodes": [], "weights": 5}, "weights must be a list"),
+        (
+            {"region": {"simplex": 1}, "nodes": [[{"rat": ["0", "1"]}]],
+             "weights": [{"rat": ["1", "1"]}], "label": 7},
+            "label must be a string",
+        ),
+    ],
+)
+def test_rule_from_json_rejects_malformed_shapes(blob, message):
+    with pytest.raises(ValueError, match=message):
+        rule_from_json(blob)
+
+
 def test_monomial_poly_validation():
     with pytest.raises(DimensionMismatch):
         MonomialPoly(2, {(1, 1, 1): Fraction(1)})

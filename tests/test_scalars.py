@@ -246,6 +246,17 @@ def test_entry_points_still_validate_the_radicand():
         scalar_from_json({"quad": {"a": ["1", "1"], "b": ["1", "1"], "rad": 12}})
 
 
+def test_radicand_over_the_limit_is_refused_before_the_squarefree_check(monkeypatch):
+    monkeypatch.setattr(scalars, "_squarefree", lambda d: pytest.fail(f"checked {d}"))
+    big = scalars.MAX_RADICAND + 1
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        Quad(1, 1, big)
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        quad(1, 1, big)
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        scalar_from_json({"quad": {"a": ["1", "1"], "b": ["1", "1"], "rad": str(big)}})
+
+
 def test_rational_fast_path_rejects_bool():
     with pytest.raises(TypeError):
         scalars.add(True, Fraction(1))
