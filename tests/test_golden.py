@@ -1,6 +1,10 @@
-"""Byte-for-byte CLI outputs recorded before the residual systems were
-generated from node parameterizations and the elimination loops were
-merged.  A refactor of either must leave every file here unchanged.
+"""Byte-for-byte CLI outputs.  The ``family`` and ``verify`` files were
+recorded before the residual systems were generated from node
+parameterizations and the elimination loops were merged; the
+``compound`` files before the integrand was compiled and the cell
+shapes were folded into one affine-cell loop.  A refactor of any of these
+must leave every file here unchanged, which pins every compound estimate
+bit for bit.
 
 Each file holds the stdout of ``simpson-nd`` for the argv listed below,
 for example ``simpson-nd --format json verify --all > verify_all.json``.
@@ -23,10 +27,23 @@ FAMILY_CASES = {
     "family_simplex3": ("simplex3",),
 }
 
+COMPOUND_CASES = {
+    "compound_cr4_transcendental": (
+        "--rule", "CR4", "--expr", "exp(x)*sin(3*y)+cos(x*y)", "--levels", "1:4"),
+    # the reference is a level-6 estimate
+    "compound_midedge_transcendental": (
+        "--rule", "TriangleMidedge", "--expr", "sin(3*x+y)", "--levels", "1:3"),
+    "compound_midedge_polynomial": (
+        "--rule", "TriangleMidedge", "--expr", "x^4*y", "--levels", "3:6"),
+    "compound_simpson_1d": (
+        "--rule", "CR3", "--dim", "1", "--expr", "exp(5*x)*sin(7*x)", "--levels", "2:7"),
+}
+
 CASES = {"verify_all.json": ("--format", "json", "verify", "--all")}
-for _stem, _args in FAMILY_CASES.items():
-    CASES[f"{_stem}.txt"] = ("--format", "text", "family") + _args
-    CASES[f"{_stem}.json"] = ("--format", "json", "family") + _args
+for _command, _cases in (("family", FAMILY_CASES), ("compound", COMPOUND_CASES)):
+    for _stem, _args in _cases.items():
+        CASES[f"{_stem}.txt"] = ("--format", "text", _command) + _args
+        CASES[f"{_stem}.json"] = ("--format", "json", _command) + _args
 
 
 def test_every_golden_file_has_a_case():
