@@ -414,12 +414,21 @@ def _cmd_family(args) -> int:
     )
 
 
+def _parse_levels(text: str) -> tuple[int, int]:
+    lo, _, hi = text.partition(":")
+    lo, hi = int(lo), int(hi or lo)
+    if not 0 <= lo <= hi:
+        raise ValueError(f"--levels must be lo:hi with 0 <= lo <= hi, got {text!r}")
+    return lo, hi
+
+
 def _cmd_compound(args) -> int:
     rule = rules.named_rule(args.rule, args.dim)
     tree = expr.parse(args.expr)
     f = expr.as_function(tree)
-    lo, _, hi = args.levels.partition(":")
-    levels = list(range(int(lo), int(hi or lo) + 1))
+    lo, top = _parse_levels(args.levels)
+    levels = range(lo, top + 1)
+    reference = None
     if args.reference is not None:
         reference = float(args.reference)
         ref_kind = "explicit"
@@ -429,8 +438,12 @@ def _cmd_compound(args) -> int:
             reference = scalars.to_float(integrate_terms(rule.region, poly.terms.items()))
             ref_kind = "exact"
         except SimpsonNdError:
-            reference = compound_mod.compound_apply(rule, max(levels) + 3, f).estimate
-            ref_kind = f"level-{max(levels) + 3} estimate"
+            top += 3
+            ref_kind = f"level-{top} estimate"
+    # the highest level, the reference's included, is refused before any cell is built
+    compound_mod.compound_cells(rule, top)
+    if reference is None:
+        reference = compound_mod.compound_apply(rule, top, f).estimate
     estimates = [compound_mod.compound_apply(rule, lv, f) for lv in levels]
     errors = [abs(e.estimate - reference) for e in estimates]
     rows = []
@@ -535,7 +548,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("family", help="evaluate or verify the node-placement systems")
     p.add_argument("system", choices=("triangle", "square", "trapezoid", "simplex3"))
     p.add_argument("--param", help="family parameter (triangle: c, square: d)")
-    p.add_argument("--point", help="raw parameter tuple, comma separated")
+    p.add_argument("--point", help="raw parameter tuple, comma separated; write "
+                   "--point=-1,2,... when the first value is negative")
     p.add_argument("--branch", choices=("primary", "conjugate"), default="primary",
                    help="trapezoid family branch")
     p.add_argument("--vertex-search", action="store_true",
@@ -546,7 +560,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rule", required=True)
     p.add_argument("--dim", type=int, default=None)
     p.add_argument("--expr", required=True, help="integrand, e.g. 'exp(x+y)'")
-    p.add_argument("--levels", default="1:5", help="level range lo:hi")
+    p.add_argument("--levels", default="1:5",
+                   help="level range lo:hi, 0 <= lo <= hi; the highest level, and "
+                   "hi+3 when the reference is estimated, must stay within "
+                   f"{compound_mod.MAX_CELLS} cells")
     p.add_argument("--reference", type=float, default=None,
                    help="reference value (default: exact for polynomials)")
     p.set_defaults(func=_cmd_compound)
@@ -565,7 +582,7 @@ def run(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (SimpsonNdError, ValueError, OSError, ZeroDivisionError) as exc:
+    except (SimpsonNdError, ValueError, OSError, ZeroDivisionError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

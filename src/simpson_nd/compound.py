@@ -15,12 +15,15 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import scalars
-from .errors import DegenerateErrors, SingularMap, UnsupportedRegion
-from .regions import Cube, Point, Polygon, Simplex
+from .errors import DegenerateErrors, SingularMap, UnsupportedRegion, WorkLimit
+from .regions import Cube, Polygon, Simplex
 from .rules import CubatureRule
-from .scalars import Scalar, to_float
+from .scalars import to_float
 
 RationalMatrix = tuple[tuple[Fraction, ...], ...]
+
+# Cells of one compound_apply call; at most a few seconds of float work.
+MAX_CELLS = 2**20
 
 
 @dataclass(frozen=True)
@@ -43,14 +46,21 @@ def _is_identity(matrix, offset) -> bool:
     return all(o == 0 for o in offset)
 
 
-def _map_point(matrix, offset, point: Point) -> Point:
-    out = []
-    for i in range(len(matrix)):
-        acc: Scalar = Fraction(offset[i])
-        for j, c in enumerate(point):
-            acc = scalars.add(acc, scalars.mul(Fraction(matrix[i][j]), c))
-        out.append(acc)
-    return tuple(out)
+# x -> M x + o for each point of a list, accumulated left to right, for
+# exact scalars (map_rule) and floats (compound_apply) alike.
+
+
+def _affine_1d(offset, matrix, points):
+    (o,), ((m,),) = offset, matrix
+    return [(o + m * x,) for (x,) in points]
+
+
+def _affine_2d(offset, matrix, points):
+    (o0, o1), ((m00, m01), (m10, m11)) = offset, matrix
+    return [(o0 + m00 * x + m01 * y, o1 + m10 * x + m11 * y) for x, y in points]
+
+
+_AFFINE = {1: _affine_1d, 2: _affine_2d}
 
 
 def map_rule(rule: CubatureRule, matrix, offset) -> CubatureRule:
@@ -83,21 +93,24 @@ def map_rule(rule: CubatureRule, matrix, offset) -> CubatureRule:
     if isinstance(region, Cube):
         # vertex order from itertools.product traces a Z, not the border
         corners = (corners[0], corners[1], corners[3], corners[2])
-    image = Polygon([_map_point(matrix, offset, p) for p in corners])
+    image = Polygon(_affine_2d(offset, matrix, corners))
     scale = Fraction(abs(det))
-    nodes = tuple(_map_point(matrix, offset, p) for p in rule.nodes)
+    nodes = tuple(_affine_2d(offset, matrix, rule.nodes))
     weights = tuple(scalars.mul(scale, w) for w in rule.weights)
     label = f"{rule.label}|mapped" if rule.label else "mapped"
     return CubatureRule(image, nodes, weights, label=label)
 
 
 def triangle_children(v0, v1, v2):
-    """The four midpoint-subdivision children of a triangle, exact."""
+    """The four midpoint-subdivision children of a triangle.
+
+    Coordinates may be Fraction, Quad or float.  Float midpoints of the
+    dyadic coordinates met in compounding are exact, so float cells hold
+    the same values as exact ones.
+    """
 
     def mid(p, q):
-        return tuple(
-            scalars.div(scalars.add(a, b), Fraction(2)) for a, b in zip(p, q)
-        )
+        return tuple((a + b) / 2 for a, b in zip(p, q))
 
     m01 = mid(v0, v1)
     m02 = mid(v0, v2)
@@ -110,28 +123,67 @@ def triangle_children(v0, v1, v2):
     )
 
 
+# Each shape's cells as affine maps (offset, matrix) of the rule's region,
+# x -> matrix x + offset as in map_rule, in a fixed order: row-major grids,
+# depth-first triangle recursion.
+
+
+def _interval_cells(level: int):
+    h = 1.0 / 2**level
+    matrix = ((h,),)
+    for i in range(2**level):
+        yield (i * h,), matrix
+
+
+def _square_cells(level: int):
+    k = 2**level
+    h = 1.0 / k
+    matrix = ((h, 0.0), (0.0, h))
+    for j in range(k):
+        for i in range(k):
+            yield (i * h, j * h), matrix
+
+
 def _triangle_cells(level: int):
-    """Depth-first list of (v0, v1, v2) triangles at one subdivision level."""
-    zero, one = Fraction(0), Fraction(1)
-    start = ((zero, zero), (one, zero), (zero, one))
-    cells = [start]
-    for _ in range(level):
-        cells = [child for cell in cells for child in triangle_children(*cell)]
-    return cells
+    # an explicit depth-first stack: O(level) triangles alive, not 4^level
+    stack = [(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)), level)]
+    while stack:
+        (v0, v1, v2), depth = stack.pop()
+        if depth:
+            stack += [(child, depth - 1) for child in reversed(triangle_children(v0, v1, v2))]
+        else:
+            (x0, y0), (x1, y1), (x2, y2) = v0, v1, v2
+            yield (x0, y0), ((x1 - x0, x2 - x0), (y1 - y0, y2 - y0))
 
 
-def _supported_kind(rule: CubatureRule) -> str:
+def _cell_shape(rule: CubatureRule):
     region = rule.region
     if isinstance(region, Cube) and region.dimension == 2:
-        return "square"
+        return _square_cells
     if isinstance(region, (Cube, Simplex)) and region.dimension == 1:
-        return "interval"
+        return _interval_cells
     if isinstance(region, Simplex) and region.dimension == 2:
-        return "triangle"
+        return _triangle_cells
     raise UnsupportedRegion(
         "compounding supports the unit interval, the unit square, "
         "and the standard triangle"
     )
+
+
+def compound_cells(rule: CubatureRule, level: int) -> int:
+    """Number of cells compound_apply builds at this level, checked against
+    MAX_CELLS before any is built."""
+    if level < 0:
+        raise ValueError("level must be >= 0")
+    _cell_shape(rule)  # UnsupportedRegion first
+    # each of the dim axes is halved level times (a triangle splits in 4);
+    # the exponent is compared, so a huge level costs no huge power
+    exponent = level * rule.region.dimension
+    if exponent > math.log2(MAX_CELLS):
+        raise WorkLimit(
+            f"level {level} needs 2^{exponent} cells; the limit is {MAX_CELLS} cells"
+        )
+    return 2**exponent
 
 
 def compound_apply(
@@ -139,55 +191,22 @@ def compound_apply(
 ) -> CompoundEstimate:
     """Subdivide the rule's region 2^level times per axis (triangles: level
     rounds of 4-way midpoint subdivision), apply the mapped rule on every
-    cell, and sum in cell order with compensated accumulation."""
-    if level < 0:
-        raise ValueError("level must be >= 0")
-    kind = _supported_kind(rule)
+    cell, and sum in cell order with compensated accumulation.  Raises
+    WorkLimit above MAX_CELLS cells."""
+    cells = compound_cells(rule, level)
+    # |det| of every cell's map: the subdivision is uniform.  It is a power
+    # of two, so scaling by it rounds nowhere
+    scale = 1.0 / cells
+    affine = _AFFINE[rule.region.dimension]
     base_nodes = [tuple(to_float(c) for c in p) for p in rule.nodes]
     base_weights = [to_float(w) for w in rule.weights]
-
-    contributions: list[float] = []
-    if kind == "interval":
-        k = 2**level
-        h = 1.0 / k
-        for i in range(k):
-            x0 = i * h
-            cell = 0.0
-            for (nx,), w in zip(base_nodes, base_weights):
-                cell += w * f(x0 + nx * h)
-            contributions.append(cell * h)
-        cells = k
-    elif kind == "square":
-        k = 2**level
-        h = 1.0 / k
-        for j in range(k):
-            for i in range(k):
-                x0, y0 = i * h, j * h
-                cell = 0.0
-                for (nx, ny), w in zip(base_nodes, base_weights):
-                    cell += w * f(x0 + nx * h, y0 + ny * h)
-                contributions.append(cell * h * h)
-        cells = k * k
-    else:
-        tris = _triangle_cells(level)
-        for v0, v1, v2 in tris:
-            p0 = (to_float(v0[0]), to_float(v0[1]))
-            e1 = (to_float(v1[0]) - p0[0], to_float(v1[1]) - p0[1])
-            e2 = (to_float(v2[0]) - p0[0], to_float(v2[1]) - p0[1])
-            # |det| of the standard-triangle-to-cell map; scales the weights
-            scale = abs(e1[0] * e2[1] - e1[1] * e2[0])
-            cell = 0.0
-            for (nx, ny), w in zip(base_nodes, base_weights):
-                x = p0[0] + nx * e1[0] + ny * e2[0]
-                y = p0[1] + nx * e1[1] + ny * e2[1]
-                cell += w * f(x, y)
-            contributions.append(cell * scale)
-        cells = len(tris)
-
     total = 0.0
     carry = 0.0
-    for value in contributions:
-        y = value - carry
+    for offset, matrix in _cell_shape(rule)(level):
+        cell = 0.0
+        for point, w in zip(affine(offset, matrix, base_nodes), base_weights):
+            cell += w * f(*point)
+        y = cell * scale - carry
         t = total + y
         carry = (t - total) - y
         total = t

@@ -47,6 +47,11 @@ class UnsupportedRegion(SimpsonNdError):
     """The operation does not support this region type."""
 
 
+class WorkLimit(SimpsonNdError):
+    """The input asks for more work than a documented limit allows; raised
+    before the work starts."""
+
+
 class DegenerateErrors(SimpsonNdError):
     """Convergence-order fit got a zero or non-decreasing error sequence."""
 

@@ -277,37 +277,65 @@ def to_source(e: Expr) -> str:
     return _emit(e, 0)
 
 
-def eval_float(e: Expr, point) -> float:
+def _compile(e: Expr):
+    """Lower a tree once to nested closures g(point) -> float.
+
+    Every float operation happens in the same order as a walk of the tree
+    (left operand before right), so results are bit-identical to one.
+    """
     if isinstance(e, Num):
-        return e.value.numerator / e.value.denominator
+        value = e.value.numerator / e.value.denominator
+        return lambda p: value
     if isinstance(e, Var):
-        if e.index >= len(point):
-            raise ValueError(
-                f"variable {e.name} needs dimension >= {e.index + 1}"
-            )
-        return float(point[e.index])
+        index, name = e.index, e.name
+
+        def variable(p):
+            try:
+                return float(p[index])
+            except IndexError:
+                raise ValueError(
+                    f"variable {name} needs dimension >= {index + 1}"
+                ) from None
+
+        return variable
     if isinstance(e, Neg):
-        return -eval_float(e.arg, point)
+        arg = _compile(e.arg)
+        return lambda p: -arg(p)
     if isinstance(e, Call):
-        return FUNCTIONS[e.fn](eval_float(e.arg, point))
-    left = eval_float(e.left, point)
-    right = eval_float(e.right, point)
+        fn, arg = FUNCTIONS[e.fn], _compile(e.arg)
+        return lambda p: fn(arg(p))
+    left, right = _compile(e.left), _compile(e.right)
     if e.op == "+":
-        return left + right
+        return lambda p: left(p) + right(p)
     if e.op == "-":
-        return left - right
+        return lambda p: left(p) - right(p)
     if e.op == "*":
-        return left * right
+        return lambda p: left(p) * right(p)
     if e.op == "/":
-        return left / right
-    return left**right
+        return lambda p: left(p) / right(p)
+
+    def power(p):
+        base, exponent = left(p), right(p)
+        value = base**exponent
+        if type(value) is complex:
+            raise ValueError(f"{base!r}^{exponent!r} is not a real number")
+        return value
+
+    return power
+
+
+def eval_float(e: Expr, point) -> float:
+    """The value of the expression at a point; a complex power raises
+    ValueError, a float overflow OverflowError."""
+    return _compile(e)(point)
 
 
 def as_function(e: Expr):
-    """Wrap an expression as f(*coords) for the float rule path."""
+    """Compile an expression once to f(*coords) for the float rule path."""
+    g = _compile(e)
 
     def f(*coords):
-        return eval_float(e, coords)
+        return g(coords)
 
     return f
 

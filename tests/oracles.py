@@ -4,8 +4,9 @@ These deliberately avoid the closed-form moment formulas in the package:
 simplex and cube moments come from recursive symbolic iterated
 integration over the region inequalities, determinants from the
 permutation sum, disc moments from composite numeric quadrature in
-polar coordinates, and polygon moments from a fan triangulation pulled
-back to the unit simplex.
+polar coordinates, polygon moments from a fan triangulation pulled
+back to the unit simplex, and integrand values from a recursive walk of
+the expression tree.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import math
 from fractions import Fraction
 
 from simpson_nd import scalars
+from simpson_nd.expr import FUNCTIONS, Call, Neg, Num, Var
 
 Poly = dict[tuple, Fraction]
 
@@ -165,3 +167,32 @@ def fan_polygon_moment(vertices, p: int, q: int):
         total = total + jacobian * simplex_integral
         area = area + jacobian
     return total if scalars.sign(area) > 0 else -total
+
+
+def walk_eval_float(e, point):
+    """Evaluate an expression tree by recursion at every node.  A power
+    of a negative base to a fractional exponent returns Python's complex
+    value here, which the package's evaluator refuses."""
+    if isinstance(e, Num):
+        return e.value.numerator / e.value.denominator
+    if isinstance(e, Var):
+        if e.index >= len(point):
+            raise ValueError(
+                f"variable {e.name} needs dimension >= {e.index + 1}"
+            )
+        return float(point[e.index])
+    if isinstance(e, Neg):
+        return -walk_eval_float(e.arg, point)
+    if isinstance(e, Call):
+        return FUNCTIONS[e.fn](walk_eval_float(e.arg, point))
+    left = walk_eval_float(e.left, point)
+    right = walk_eval_float(e.right, point)
+    if e.op == "+":
+        return left + right
+    if e.op == "-":
+        return left - right
+    if e.op == "*":
+        return left * right
+    if e.op == "/":
+        return left / right
+    return left**right

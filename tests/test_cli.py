@@ -266,3 +266,74 @@ def test_malformed_region_file_is_a_domain_error(tmp_path, capsys, region, messa
     assert out == ""
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
+
+
+def test_family_point_with_a_negative_first_value(capsys):
+    # argparse reads a spaced "-1,..." as an option, so the help names the = form
+    code, out, _ = run_cli(capsys, "family", "--help")
+    assert code == 0
+    assert "--point=-1,2,..." in " ".join(out.split())
+    code, out, _ = run_cli(
+        capsys, "--format", "json", "family", "triangle", "--point=-1,3,5/2,7/9"
+    )
+    assert code == 0
+    residuals = {r["equation"]: r["value"] for r in json.loads(out)["residuals"]}
+    assert residuals["x"] == {"rat": ["1", "54"]}
+    assert residuals["xy"] == {"rat": ["-89", "648"]}
+
+
+@pytest.mark.parametrize(
+    "integrand, message",
+    [
+        ("exp(1000*x)", "range"),  # math.exp overflows
+        ("(x-1)^0.5", "is not a real number"),  # a negative base to a fractional power
+        ("exp(x)^1000", "out of range"),  # a float power overflows
+        ("10^400*x", "too large for a float"),  # the exact reference overflows
+    ],
+)
+def test_compound_float_domain_errors_exit_1(capsys, integrand, message):
+    code, out, err = run_cli(
+        capsys, "compound", "--rule", "CR3", "--dim", "1", "--expr", integrand
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
+def test_compound_fractional_power_of_a_nonnegative_base_still_runs(capsys):
+    code, out, _ = run_cli(
+        capsys, "--format", "json", "compound", "--rule", "CR3", "--dim", "1",
+        "--expr", "x^0.5", "--levels", "1:3",
+    )
+    assert code == 0
+    blob = json.loads(out)
+    assert all(isinstance(row["estimate"], float) for row in blob["rows"])
+
+
+@pytest.mark.parametrize(
+    "expr_text, levels, message",
+    [
+        ("x", "5:2", "0 <= lo <= hi"),
+        ("x", "=-1:2", "0 <= lo <= hi"),
+        ("x", "1:11", "the limit is"),  # 4^11 square cells
+        ("x", "1:1000000000", "the limit is"),
+        ("sin(x)", "1:8", "level 11 needs"),  # the estimated reference sits at hi+3
+        ("sin(x)", "1:20", "the limit is"),
+    ],
+)
+def test_compound_levels_are_checked_before_any_cell_is_built(
+    capsys, monkeypatch, expr_text, levels, message
+):
+    from simpson_nd import compound
+
+    def refuse(*args):
+        raise AssertionError("a compound estimate ran past the level check")
+
+    monkeypatch.setattr(compound, "compound_apply", refuse)
+    sep = "" if levels.startswith("=") else " "
+    argv = ["compound", "--rule", "CR4", "--expr", expr_text] + f"--levels{sep}{levels}".split()
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert message in err

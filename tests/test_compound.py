@@ -3,15 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from simpson_nd import scalars
+from simpson_nd import compound, scalars
 from simpson_nd.compound import (
+    MAX_CELLS,
     CompoundEstimate,
     compound_apply,
+    compound_cells,
     convergence_order,
     map_rule,
     triangle_children,
 )
-from simpson_nd.errors import DegenerateErrors, SingularMap, UnsupportedRegion
+from simpson_nd.errors import DegenerateErrors, SingularMap, UnsupportedRegion, WorkLimit
 from simpson_nd.exactness import exactness_degree, monomials_up_to
 from simpson_nd.regions import Polygon
 from simpson_nd.rules import cr1, cr3, cr4, cr6, triangle_midedge
@@ -67,6 +69,41 @@ def test_triangle_children_cover_parent_exactly():
     total = sum(doubled_area(t) for t in children)
     assert total == doubled_area(v)
     assert {doubled_area(t) for t in children} == {Fraction(1, 4)}
+
+
+def test_triangle_children_agree_across_scalar_types():
+    def subdivide(start, depth):
+        cells = [start]
+        for _ in range(depth):
+            cells = [child for cell in cells for child in triangle_children(*cell)]
+        return cells
+
+    zero, one = Fraction(0), Fraction(1)
+    exact = subdivide(((zero, zero), (one, zero), (zero, one)), 4)
+    floats = subdivide(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)), 4)
+    # dyadic midpoints are exact in floats: the same cells in the same order
+    assert [[[float(c) for c in v] for v in t] for t in exact] == [
+        [list(v) for v in t] for t in floats
+    ]
+    r = scalars.quad(0, 1, 3)
+    irrational = subdivide(((zero, zero), (r, zero), (zero, r)), 1)
+    assert irrational[3] == ((r / 2, zero), (r / 2, r / 2), (zero, r / 2))
+
+
+def test_compound_cell_limit_is_checked_before_any_cell_is_built(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a cell was built past the limit")
+
+    monkeypatch.setattr(compound, "triangle_children", refuse)
+    assert MAX_CELLS == 2**20
+    for rule, top in ((cr4(), 10), (triangle_midedge(), 10), (cr3(1), 20)):
+        assert compound_cells(rule, top) == MAX_CELLS
+        with pytest.raises(WorkLimit):
+            compound_apply(rule, top + 1, refuse)
+    with pytest.raises(WorkLimit):
+        compound_apply(cr4(), 10**9, refuse)
+    with pytest.raises(ValueError):
+        compound_apply(cr4(), -1, refuse)
 
 
 def test_compound_level_zero_weight_sum():

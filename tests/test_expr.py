@@ -7,6 +7,7 @@ import pytest
 from simpson_nd import scalars
 from simpson_nd.errors import ExprSyntaxError, NotPolynomial
 from simpson_nd.expr import (
+    FUNCTIONS,
     BinOp,
     Call,
     Neg,
@@ -20,6 +21,8 @@ from simpson_nd.expr import (
     to_source,
 )
 from simpson_nd.rules import cr1, cr3, cr4, cr5, cr6, triangle_midedge
+
+from oracles import walk_eval_float
 
 
 def test_parse_basic_structure():
@@ -136,6 +139,78 @@ def test_eval_float():
     assert eval_float(parse("sqrt(4)"), ()) == 2.0
     with pytest.raises(ValueError):
         eval_float(parse("z"), (1.0, 2.0))
+
+
+def _random_float_expr(rng, depth, names):
+    if depth == 0 or rng.random() < 0.25:
+        if rng.random() < 0.5:
+            return Num(Fraction(rng.choice([0, 1, 2, 3, 7, 25, 750]), rng.choice([1, 2, 4, 10, 3])))
+        name = rng.choice(names)
+        return Var(["x", "y", "z"].index(name), name)
+    kind = rng.randint(0, 7)
+    if kind == 0:
+        return Neg(_random_float_expr(rng, depth - 1, names))
+    if kind == 1:
+        return Call(rng.choice(sorted(FUNCTIONS)), _random_float_expr(rng, depth - 1, names))
+    op = rng.choice(["+", "-", "*", "/", "^"])
+    return BinOp(
+        op, _random_float_expr(rng, depth - 1, names), _random_float_expr(rng, depth - 1, names)
+    )
+
+
+def _post_order(e):
+    if isinstance(e, (Neg, Call)):
+        yield from _post_order(e.arg)
+    elif isinstance(e, BinOp):
+        yield from _post_order(e.left)
+        yield from _post_order(e.right)
+    yield e
+
+
+def _expected(tree, point):
+    """The walker's value, or the type of the first exception it raises,
+    except that the first power to go complex, in evaluation order, must
+    raise ValueError.  Every subtree is walked in the order the evaluator
+    meets it, so the first event found is the evaluator's first event."""
+    for node in _post_order(tree):
+        try:
+            value = walk_eval_float(node, point)
+        except Exception as exc:  # every exception type the walker raises is compared
+            return type(exc)
+        if isinstance(value, complex):
+            return ValueError
+    return value
+
+
+def _outcome(evaluate):
+    try:
+        return evaluate()
+    except Exception as exc:
+        return type(exc)
+
+
+def test_compiled_evaluator_matches_tree_walk_bit_for_bit():
+    rng = random.Random(4104)
+    coords = [0.0, -0.0, 1.0, 0.5, -1.5, 2.75, 700.0, -3.0]
+    seen = set()
+    for _ in range(1500):
+        names = rng.sample(["x", "y", "z"], rng.randint(1, 3))
+        tree = _random_float_expr(rng, rng.randint(1, 5), names)
+        f = as_function(tree)
+        for _ in range(3):
+            point = tuple(
+                rng.choice(coords) if rng.random() < 0.3 else rng.uniform(-4.0, 4.0)
+                for _ in range(rng.randint(1, 3))
+            )
+            want = _expected(tree, point)
+            for got in (_outcome(lambda: f(*point)), _outcome(lambda: eval_float(tree, point))):
+                if isinstance(want, float):
+                    assert type(got) is float and got.hex() == want.hex(), (tree, point)
+                else:
+                    assert got is want, (tree, point, got, want)
+            seen.add(want if isinstance(want, type) else float)
+    # the seeded trees reach values and every exception the walker can raise
+    assert seen >= {float, ValueError, ZeroDivisionError, OverflowError}
 
 
 def test_max_variable_index():
