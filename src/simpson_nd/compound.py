@@ -16,13 +16,14 @@ from typing import Callable, Sequence
 
 from . import scalars
 from .errors import DegenerateErrors, SingularMap, UnsupportedRegion, WorkLimit
-from .regions import Cube, Polygon, Simplex
+from .regions import Cube, Point, Polygon, Simplex
 from .rules import CubatureRule
-from .scalars import to_float
+from .scalars import Scalar, to_float
 
 RationalMatrix = tuple[tuple[Fraction, ...], ...]
 
-# Cells of one compound_apply call; at most a few seconds of float work.
+# The most cells one compound_apply call builds: 2^20 cells take about
+# 6 s for a three-function integrand on one core of a 2-vCPU Xeon.
 MAX_CELLS = 2**20
 
 
@@ -46,21 +47,14 @@ def _is_identity(matrix, offset) -> bool:
     return all(o == 0 for o in offset)
 
 
-# x -> M x + o for each point of a list, accumulated left to right, for
-# exact scalars (map_rule) and floats (compound_apply) alike.
-
-
-def _affine_1d(offset, matrix, points):
-    (o,), ((m,),) = offset, matrix
-    return [(o + m * x,) for (x,) in points]
-
-
-def _affine_2d(offset, matrix, points):
-    (o0, o1), ((m00, m01), (m10, m11)) = offset, matrix
-    return [(o0 + m00 * x + m01 * y, o1 + m10 * x + m11 * y) for x, y in points]
-
-
-_AFFINE = {1: _affine_1d, 2: _affine_2d}
+def _map_point(matrix, offset, point: Point) -> Point:
+    out = []
+    for i in range(len(matrix)):
+        acc: Scalar = Fraction(offset[i])
+        for j, c in enumerate(point):
+            acc = scalars.add(acc, scalars.mul(Fraction(matrix[i][j]), c))
+        out.append(acc)
+    return tuple(out)
 
 
 def map_rule(rule: CubatureRule, matrix, offset) -> CubatureRule:
@@ -93,9 +87,9 @@ def map_rule(rule: CubatureRule, matrix, offset) -> CubatureRule:
     if isinstance(region, Cube):
         # vertex order from itertools.product traces a Z, not the border
         corners = (corners[0], corners[1], corners[3], corners[2])
-    image = Polygon(_affine_2d(offset, matrix, corners))
+    image = Polygon([_map_point(matrix, offset, p) for p in corners])
     scale = Fraction(abs(det))
-    nodes = tuple(_affine_2d(offset, matrix, rule.nodes))
+    nodes = tuple(_map_point(matrix, offset, p) for p in rule.nodes)
     weights = tuple(scalars.mul(scale, w) for w in rule.weights)
     label = f"{rule.label}|mapped" if rule.label else "mapped"
     return CubatureRule(image, nodes, weights, label=label)
@@ -156,6 +150,30 @@ def _triangle_cells(level: int):
             yield (x0, y0), ((x1 - x0, x2 - x0), (y1 - y0, y2 - y0))
 
 
+# The rule's weighted sum on one cell, nodes mapped through x -> M x + o
+# and summed in node order.  One per dimension: a loop over coordinates
+# would cost more per node than the integrand does.
+
+
+def _cell_sum_1d(f, offset, matrix, nodes):
+    (o,), ((m,),) = offset, matrix
+    cell = 0.0
+    for (x,), w in nodes:
+        cell += w * f(o + m * x)
+    return cell
+
+
+def _cell_sum_2d(f, offset, matrix, nodes):
+    (o0, o1), ((m00, m01), (m10, m11)) = offset, matrix
+    cell = 0.0
+    for (x, y), w in nodes:
+        cell += w * f(o0 + m00 * x + m01 * y, o1 + m10 * x + m11 * y)
+    return cell
+
+
+_CELL_SUM = {1: _cell_sum_1d, 2: _cell_sum_2d}
+
+
 def _cell_shape(rule: CubatureRule):
     region = rule.region
     if isinstance(region, Cube) and region.dimension == 2:
@@ -197,16 +215,14 @@ def compound_apply(
     # |det| of every cell's map: the subdivision is uniform.  It is a power
     # of two, so scaling by it rounds nowhere
     scale = 1.0 / cells
-    affine = _AFFINE[rule.region.dimension]
-    base_nodes = [tuple(to_float(c) for c in p) for p in rule.nodes]
-    base_weights = [to_float(w) for w in rule.weights]
+    cell_sum = _CELL_SUM[rule.region.dimension]
+    nodes = [
+        (tuple(to_float(c) for c in p), to_float(w)) for p, w in zip(rule.nodes, rule.weights)
+    ]
     total = 0.0
     carry = 0.0
     for offset, matrix in _cell_shape(rule)(level):
-        cell = 0.0
-        for point, w in zip(affine(offset, matrix, base_nodes), base_weights):
-            cell += w * f(*point)
-        y = cell * scale - carry
+        y = cell_sum(f, offset, matrix, nodes) * scale - carry
         t = total + y
         carry = (t - total) - y
         total = t
