@@ -22,8 +22,9 @@ from .scalars import Scalar, to_float
 
 RationalMatrix = tuple[tuple[Fraction, ...], ...]
 
-# The most cells one compound_apply call builds: 2^20 cells take about
-# 6 s for a three-function integrand on one core of a 2-vCPU Xeon.
+# The most cells one compound_apply call builds: 2^20 square or triangle
+# cells take 6 to 8 s for a three-function integrand on one core of a
+# 2-vCPU Xeon.
 MAX_CELLS = 2**20
 
 
