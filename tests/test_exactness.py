@@ -2,7 +2,10 @@ import json
 from fractions import Fraction
 from math import factorial
 
+import pytest
+
 from simpson_nd import scalars
+from simpson_nd.errors import DimensionMismatch
 from simpson_nd.exactness import (
     Infeasible,
     Underdetermined,
@@ -22,6 +25,7 @@ from simpson_nd.rules import (
     cr3,
     cr4,
     cr5,
+    cr5_conjugate,
     midpoint_rule,
     monomial,
     vertex_rule,
@@ -199,6 +203,27 @@ def test_solve_weights_solution_zeroes_residuals():
                 total, scalars.mul(w, monomial(alpha).evaluate(tuple(map(Fraction, node))))
             )
         assert scalars.eq(total, region.moment(alpha)), alpha
+
+
+def test_solve_weights_rejects_a_node_of_the_wrong_length():
+    with pytest.raises(DimensionMismatch):
+        solve_weights(Simplex(2), [(0, 0, 0)], [(1, 0)])
+
+
+def test_solve_weights_gives_back_the_cr5_weights():
+    # both branches: the center and the four boundary nodes are fixed by
+    # the quadratics, so the solve must return the blend's own weights
+    for rule in (cr5(), cr5_conjugate()):
+        out = solve_weights(trapezoid_paper(), rule.nodes, list(monomials_up_to(2, 2)))
+        assert isinstance(out, UniqueSolution), rule.label
+        assert out.values == rule.weights, rule.label
+
+
+def test_cr5_residuals_are_galois_conjugate():
+    # sqrt(3893) -> -sqrt(3893) maps CR5 onto CR5* and fixes every moment
+    primary, conjugate = cr5(), cr5_conjugate()
+    for alpha in monomials_up_to(2, 6):
+        assert residual(conjugate, alpha) == scalars.conj(residual(primary, alpha)), alpha
 
 
 def test_solve_weights_underdetermined():

@@ -6,7 +6,7 @@ import pytest
 
 from oracles import permutation_det
 from simpson_nd import scalars
-from simpson_nd.errors import SingularInterpolation
+from simpson_nd.errors import DimensionMismatch, SingularInterpolation
 from simpson_nd.exactness import residual
 from simpson_nd.families import (
     bilinear_det_closed_form,
@@ -495,6 +495,11 @@ def test_singular_interpolation_raises():
     ]
     with pytest.raises(SingularInterpolation):
         integrate_interpolant(region, basis, nodes, [1, 0, 0, 0])
+
+
+def test_interpolant_rejects_a_node_of_the_wrong_length():
+    with pytest.raises(DimensionMismatch):
+        integrate_interpolant(Simplex(2), [(0, 0)], [(0, 0, 0)], [1])
 
 
 def test_linear_interpolant_matches_vertex_rule():

@@ -271,6 +271,11 @@ def test_monomial_poly_validation():
         cr4().apply_poly(MonomialPoly(3, {(1, 1, 1): Fraction(1)}))
 
 
+def test_evaluate_rejects_a_point_of_the_wrong_length():
+    with pytest.raises(DimensionMismatch):
+        MonomialPoly(2, {(1, 0): Fraction(1)}).evaluate((0, 0, 0))
+
+
 def test_vertex_rule_disc_has_no_vertices():
     from simpson_nd.errors import NoVertices
 
