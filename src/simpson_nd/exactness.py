@@ -20,7 +20,7 @@ from typing import Iterator, Optional, Union
 from . import scalars
 from .errors import DimensionMismatch, RegionMismatch
 from .regions import MultiIndex, Region
-from .rules import CubatureRule, monomial
+from .rules import CubatureRule, monomial_value, node_sum
 from .scalars import Scalar, is_zero
 
 
@@ -64,23 +64,7 @@ def residual(rule: CubatureRule, alpha) -> Scalar:
         raise DimensionMismatch(
             f"multi-index {alpha} does not match region dimension"
         )
-    return node_residual(rule.nodes, rule.weights, alpha, rule.region.moment(alpha))
-
-
-def node_residual(nodes, weights, alpha, moment) -> Scalar:
-    """Weighted sum of x^alpha over the nodes, minus ``moment``.
-
-    Nothing ties the nodes to a region, so residual systems can be
-    evaluated at parameter points that put nodes off the boundary.
-    """
-    total: Scalar = Fraction(0)
-    for node, w in zip(nodes, weights):
-        value: Scalar = Fraction(1)
-        for c, e in zip(node, alpha):
-            if e:
-                value = scalars.mul(value, c if e == 1 else scalars.pow_scalar(c, e))
-        total = scalars.add(total, scalars.mul(w, value))
-    return scalars.sub(total, moment)
+    return scalars.sub(node_sum(rule.nodes, rule.weights, alpha), rule.region.moment(alpha))
 
 
 @dataclass(frozen=True)
@@ -173,9 +157,10 @@ def solve_lambda(
     first: Optional[tuple[Equation, Scalar]] = None
     for alpha in targets:
         alpha = tuple(int(e) for e in alpha)
-        mono = monomial(alpha)
-        coef = scalars.sub(m.apply_poly(mono), t.apply_poly(mono))
-        rhs = scalars.sub(region.moment(alpha), t.apply_poly(mono))
+        moment = region.moment(alpha)
+        spread = node_sum(t.nodes, t.weights, alpha)
+        coef = scalars.sub(node_sum(m.nodes, m.weights, alpha), spread)
+        rhs = scalars.sub(moment, spread)
         equation = Equation(monomial_label(alpha), (coef,), rhs)
         if is_zero(coef):
             if is_zero(rhs):
@@ -267,8 +252,7 @@ def solve_weights(region: Region, nodes, targets) -> LinearSolveOutcome:
     nunk = len(nodes)
     equations: list[Equation] = []
     for alpha in targets:
-        mono = monomial(alpha)
-        coeffs = tuple(mono.evaluate(p) for p in nodes)
+        coeffs = tuple(monomial_value(p, alpha) for p in nodes)
         equations.append(Equation(monomial_label(alpha), coeffs, region.moment(alpha)))
     # augmented block [A | b | I] so every reduced row remembers its origin
     rows: list[list[Scalar]] = []

@@ -23,9 +23,9 @@ from typing import Callable, Sequence
 
 from . import rules, scalars
 from .errors import DenominatorZero, SingularInterpolation
-from .exactness import gauss_jordan, node_residual
+from .exactness import gauss_jordan
 from .regions import Cube, Point, Region, Simplex, integrate_terms, trapezoid_paper
-from .rules import CubatureRule, blend, boundary_rule, midpoint_rule, monomial
+from .rules import CubatureRule, blend, boundary_rule, midpoint_rule, monomial_value, node_sum
 from .scalars import Scalar, as_scalar, is_zero
 
 
@@ -66,33 +66,28 @@ class BlendSystem:
         return self.make_region()
 
     @cached_property
-    def _constants(self) -> tuple[Scalar, tuple[Scalar, ...], tuple[Scalar, ...]]:
-        """Region volume, then per target volume * x^alpha(centroid) and
-        the moment; computed on first use, once per system."""
-        vol = self.region.volume()
-        center = self.region.centroid()
-        return (
-            vol,
-            tuple(scalars.mul(vol, monomial(a).evaluate(center)) for a in self.alphas),
-            tuple(self.region.moment(a) for a in self.alphas),
-        )
+    def _constants(self) -> tuple[Scalar, Point, tuple[Scalar, ...]]:
+        """Region volume, centroid and the target moments; computed on
+        first use, once per system."""
+        region = self.region
+        return region.volume(), region.centroid(), tuple(region.moment(a) for a in self.alphas)
 
     def nodes(self, params) -> tuple[Point, ...]:
         return self.place(*(as_scalar(v) for v in params))
 
     def residuals(self, params, lam) -> SystemResiduals:
         lam = as_scalar(lam)
-        nodes = self.nodes(params)
-        vol, centers, moments = self._constants
-        w = scalars.mul(scalars.sub(Fraction(1), lam), scalars.div(vol, Fraction(len(nodes))))
-        weights = (w,) * len(nodes)
-        # lam*vol*x^alpha(centroid) + sum w*x^alpha(node) - moment, with the
-        # center term moved to the moment side
+        placed = self.nodes(params)
+        vol, center, moments = self._constants
+        w = scalars.mul(scalars.sub(Fraction(1), lam), scalars.div(vol, Fraction(len(placed))))
+        # the node list .rule() builds, without its membership checks
+        nodes = (center,) + placed
+        weights = (scalars.mul(lam, vol),) + (w,) * len(placed)
         return SystemResiduals(
             self.names,
             tuple(
-                node_residual(nodes, weights, alpha, scalars.sub(moment, scalars.mul(lam, center)))
-                for alpha, center, moment in zip(self.alphas, centers, moments)
+                scalars.sub(node_sum(nodes, weights, alpha), moment)
+                for alpha, moment in zip(self.alphas, moments)
             ),
         )
 
@@ -327,12 +322,7 @@ def simplex3_vertex_solutions() -> list[tuple[Fraction, ...]]:
 
 
 def _matrix_at(nodes, basis_exponents) -> tuple[tuple[Scalar, ...], ...]:
-    rows = []
-    for p in nodes:
-        rows.append(
-            tuple(monomial(alpha).evaluate(p) for alpha in basis_exponents)
-        )
-    return tuple(rows)
+    return tuple(tuple(monomial_value(p, alpha) for alpha in basis_exponents) for p in nodes)
 
 
 def exact_det(matrix) -> Scalar:

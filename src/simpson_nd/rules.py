@@ -80,18 +80,10 @@ class MonomialPoly:
         return max((sum(a) for a in self.terms), default=0)
 
     def evaluate(self, point: Point) -> Scalar:
-        if len(point) != self.dimension:
-            raise DimensionMismatch(
-                f"point has {len(point)} coordinates, polynomial dimension is {self.dimension}"
-            )
         point = tuple(as_scalar(c) for c in point)
         total: Scalar = Fraction(0)
         for alpha, coeff in self.terms.items():
-            term: Scalar = Fraction(coeff)
-            for c, e in zip(point, alpha):
-                if e:
-                    term = scalars.mul(term, scalars.pow_scalar(c, e))
-            total = scalars.add(total, term)
+            total = scalars.add(total, scalars.mul(coeff, monomial_value(point, alpha)))
         return total
 
     def evaluate_float(self, point) -> float:
@@ -142,6 +134,28 @@ class MonomialPoly:
         return result
 
 
+def monomial_value(point: Point, alpha: MultiIndex) -> Scalar:
+    """x^alpha at one point: the package's only loop over (coordinate,
+    exponent) pairs, and so its one check of a point's length."""
+    if len(point) != len(alpha):
+        raise DimensionMismatch(f"point has {len(point)} coordinates, dimension is {len(alpha)}")
+    value: Scalar = Fraction(1)
+    for c, e in zip(point, alpha):
+        if e:
+            value = scalars.mul(value, c if e == 1 else scalars.pow_scalar(c, e))
+    return value
+
+
+def node_sum(nodes, weights, alpha: MultiIndex) -> Scalar:
+    """sum_j w_j x^alpha(P_j) in node order, the left side of every
+    exactness equation.  Nothing ties the nodes to a region, so a system
+    can be summed at parameter points that put nodes off the boundary."""
+    total: Scalar = Fraction(0)
+    for node, w in zip(nodes, weights):
+        total = scalars.add(total, scalars.mul(w, monomial_value(node, alpha)))
+    return total
+
+
 def monomial(alpha, coefficient=1) -> MonomialPoly:
     """Single-term polynomial x^alpha times an optional rational coefficient."""
     alpha = tuple(int(e) for e in alpha)
@@ -186,8 +200,10 @@ class CubatureRule:
                 f"polynomial dimension {poly.dimension} does not match region"
             )
         total: Scalar = Fraction(0)
-        for node, w in zip(self.nodes, self.weights):
-            total = scalars.add(total, scalars.mul(w, poly.evaluate(node)))
+        for alpha, coeff in poly.terms.items():
+            total = scalars.add(
+                total, scalars.mul(coeff, node_sum(self.nodes, self.weights, alpha))
+            )
         return total
 
     def apply_fn(self, f: Callable[..., float]) -> float:
