@@ -226,13 +226,15 @@ def gauss_jordan(rows: list[list[Scalar]], ncols: int) -> tuple[list[int], Scala
             det = scalars.neg(det)
         piv = rows[r][col]
         det = scalars.mul(det, piv)
-        rows[r] = [scalars.div(v, piv) for v in rows[r]]
+        # left of col the pivot row is all zeros, so only col onward changes
+        pivot = [scalars.div(v, piv) for v in rows[r][col:]]
+        rows[r][col:] = pivot
         for i in range(len(rows)):
             if i != r and not is_zero(rows[i][col]):
                 f = rows[i][col]
-                rows[i] = [
+                rows[i][col:] = [
                     scalars.sub(v, scalars.mul(f, w))
-                    for v, w in zip(rows[i], rows[r])
+                    for v, w in zip(rows[i][col:], pivot)
                 ]
         pivots.append(col)
         r += 1
