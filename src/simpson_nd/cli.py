@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -20,7 +21,7 @@ from fractions import Fraction
 from . import claims as claims_mod
 from . import compound as compound_mod
 from . import exactness, expr, families, rules, scalars
-from .errors import SimpsonNdError
+from .errors import NotPolynomial, SimpsonNdError
 from .regions import (
     Cube,
     Region,
@@ -431,13 +432,15 @@ def _cmd_compound(args) -> int:
     reference = None
     if args.reference is not None:
         reference = float(args.reference)
+        if not math.isfinite(reference):
+            raise ValueError(f"--reference must be a finite number, got {reference}")
         ref_kind = "explicit"
     else:
         try:
             poly = expr.to_monomial_poly(tree, rule.region.dimension)
             reference = scalars.to_float(integrate_terms(rule.region, poly.terms.items()))
             ref_kind = "exact"
-        except SimpsonNdError:
+        except NotPolynomial:
             top += 3
             ref_kind = f"level-{top} estimate"
     # the highest level, the reference's included, is refused before any cell is built

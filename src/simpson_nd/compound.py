@@ -211,7 +211,8 @@ def compound_apply(
     """Subdivide the rule's region 2^level times per axis (triangles: level
     rounds of 4-way midpoint subdivision), apply the mapped rule on every
     cell, and sum in cell order with compensated accumulation.  Raises
-    WorkLimit above MAX_CELLS cells."""
+    WorkLimit above MAX_CELLS cells, and OverflowError when a float
+    overflow leaves the estimate infinite or NaN."""
     cells = compound_cells(rule, level)
     # |det| of every cell's map: the subdivision is uniform.  It is a power
     # of two, so scaling by it rounds nowhere
@@ -227,6 +228,8 @@ def compound_apply(
         t = total + y
         carry = (t - total) - y
         total = t
+    if not math.isfinite(total):
+        raise OverflowError(f"the level-{level} estimate is {total}: a float overflowed")
     return CompoundEstimate(level=level, cells=cells, estimate=total)
 
 

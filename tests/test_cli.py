@@ -325,3 +325,48 @@ def test_compound_levels_are_checked_before_any_cell_is_built(
     assert code == 1
     assert out == ""
     assert message in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_compound_non_finite_estimate_exits_1(capsys, fmt):
+    # exp(700)^2 is inf without raising, and inf * 0 at x = 0 is nan
+    code, out, err = run_cli(
+        capsys, "--format", fmt, "compound", "--rule", "CR4",
+        "--expr", "exp(700)*exp(700)*x", "--levels", "1:3",
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "a float overflowed" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_compound_non_finite_reference_exits_1(capsys, value):
+    code, out, err = run_cli(
+        capsys, "compound", "--rule", "CR4", "--expr", "x", f"--reference={value}"
+    )
+    assert code == 1
+    assert out == ""
+    assert "--reference must be a finite number" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("compound", "--rule", "CR3", "--dim", "1", "--expr", "1^2000000"), "exponent 2000000"),
+        (("compound", "--rule", "CR3", "--dim", "1", "--expr", "(x+1)^1100"), "exponent 1100"),
+        (("compound", "--rule", "CR4", "--expr", "x^20*y^20"), "needs degree 40"),
+        (("verify", "--rule", "CR3", "--dim", "13"), "dimension 13 is above the limit"),
+        (("catalog", "--dim", "13"), "dimension 13 is above the limit"),
+    ],
+)
+def test_work_limits_exit_1(capsys, monkeypatch, argv, message):
+    from simpson_nd import compound
+
+    def refuse(*args):
+        raise AssertionError("a compound estimate ran past a work limit")
+
+    monkeypatch.setattr(compound, "compound_apply", refuse)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert message in err

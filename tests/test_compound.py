@@ -210,6 +210,14 @@ def test_convergence_order_degenerate():
         convergence_order(ests, 1.0)
 
 
+def test_compound_apply_refuses_a_non_finite_estimate():
+    def overflowing(x, y):
+        return math.exp(700) * math.exp(700) * x  # inf, and nan at x = 0
+
+    with pytest.raises(OverflowError, match="level-1 estimate is nan"):
+        compound_apply(cr4(), 1, overflowing)
+
+
 def test_compound_determinism():
     f = lambda x, y: math.sin(3.0 * x) * math.cos(2.0 * y) + x
     a = compound_apply(cr4(), 4, f).estimate
