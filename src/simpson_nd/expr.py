@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import ExprSyntaxError, NotPolynomial
+from .errors import ExprSyntaxError, NotPolynomial, WorkLimit
 from .rules import MonomialPoly
 
 FUNCTIONS = {
@@ -34,6 +34,14 @@ FUNCTIONS = {
 }
 
 _ALIASES = {"x": 0, "y": 1, "z": 2}
+
+# Exact lowering expands products and powers term by term, so it refuses a
+# `^` exponent above MAX_POLY_EXPONENT (a power is that many multiplications)
+# and any product or power of degree above MAX_POLY_DEGREE, worked out from
+# the operands before multiplying.  (x+y+1)^32 expands in about 0.15 s on
+# one core of a 2-vCPU Xeon; unchecked, (x+1)^1100 took 11 s.
+MAX_POLY_EXPONENT = 1000
+MAX_POLY_DEGREE = 32
 
 
 @dataclass(frozen=True)
@@ -353,12 +361,19 @@ def max_variable_index(e: Expr) -> int:
     return max(max_variable_index(e.left), max_variable_index(e.right))
 
 
+def _check_degree(degree: int) -> None:
+    if degree > MAX_POLY_DEGREE:
+        raise WorkLimit(
+            f"expanding the polynomial needs degree {degree}; the limit is {MAX_POLY_DEGREE}"
+        )
+
+
 def to_monomial_poly(e: Expr, dimension: int | None = None) -> MonomialPoly:
     """Expand a polynomial expression to sparse monomial form.
 
     Raises NotPolynomial for transcendental calls, division by a
     non-constant, or an exponent that is not a literal non-negative
-    integer.
+    integer, and WorkLimit above MAX_POLY_EXPONENT or MAX_POLY_DEGREE.
     """
     if dimension is None:
         dimension = max(max_variable_index(e), 1)
@@ -388,13 +403,18 @@ def to_monomial_poly(e: Expr, dimension: int | None = None) -> MonomialPoly:
                 raise NotPolynomial(
                     "exponent must be a non-negative integer literal"
                 )
-            return left ** int(exponent.value)
+            k = int(exponent.value)
+            if k > MAX_POLY_EXPONENT:
+                raise WorkLimit(f"exponent {k} is above the limit of {MAX_POLY_EXPONENT}")
+            _check_degree(left.degree() * k)
+            return left ** k
         right = lower(node.right)
         if node.op == "+":
             return left + right
         if node.op == "-":
             return left - right
         if node.op == "*":
+            _check_degree(left.degree() + right.degree())
             return left * right
         # division: the divisor must be a constant
         if set(right.terms) - {(0,) * dimension}:

@@ -18,6 +18,7 @@ from .errors import (
     NodeNotOnBoundary,
     NodeOutsideRegion,
     RegionMismatch,
+    WorkLimit,
 )
 from .regions import (
     Cube,
@@ -262,9 +263,21 @@ def blend(lam, a: CubatureRule, b: CubatureRule, label: str = "") -> CubatureRul
     return CubatureRule(a.region, tuple(nodes), tuple(weights), label=label)
 
 
+# CR1..CR3 are built for n <= MAX_RULE_DIMENSION only: CR3(n) has 2^n + 1
+# nodes, all built at once (CR3(12) takes about 1.2 s), and certifying any of
+# them scans every monomial in n variables.
+MAX_RULE_DIMENSION = 12
+
+
+def _check_rule_dimension(n: int) -> None:
+    if n > MAX_RULE_DIMENSION:
+        raise WorkLimit(f"dimension {n} is above the limit of {MAX_RULE_DIMENSION} for CR1..CR3")
+
+
 def cr1(n: int) -> CubatureRule:
     """Center-plus-vertices blend on the n-simplex, blend parameter
     (n+1)/(n+2); exact for every quadratic."""
+    _check_rule_dimension(n)
     region = Simplex(n)
     lam = Fraction(n + 1, n + 2)
     return blend(lam, midpoint_rule(region), vertex_rule(region), label=f"CR1({n})")
@@ -284,6 +297,7 @@ def cr2(n: int) -> CubatureRule:
     """Center-plus-face-centers blend on the n-simplex, blend parameter
     -(n-2)(n+1)/(n+2); exact for every quadratic.  The center weight is
     negative for n >= 3 and zero for n = 2."""
+    _check_rule_dimension(n)
     region = Simplex(n)
     lam = Fraction(-(n - 2) * (n + 1), n + 2)
     faces = boundary_rule(region, _face_centers(n))
@@ -293,6 +307,7 @@ def cr2(n: int) -> CubatureRule:
 def cr3(n: int) -> CubatureRule:
     """Center-plus-vertices blend on the n-cube with blend parameter 2/3;
     exact for every cubic.  For n = 1 this is classical Simpson's rule."""
+    _check_rule_dimension(n)
     region = Cube(n)
     return blend(
         Fraction(2, 3), midpoint_rule(region), vertex_rule(region), label=f"CR3({n})"

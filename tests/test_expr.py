@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 
 from simpson_nd import scalars
-from simpson_nd.errors import ExprSyntaxError, NotPolynomial
+from simpson_nd.errors import ExprSyntaxError, NotPolynomial, WorkLimit
 from simpson_nd.expr import (
     FUNCTIONS,
+    MAX_POLY_DEGREE,
     BinOp,
     Call,
     Neg,
@@ -20,7 +21,7 @@ from simpson_nd.expr import (
     to_monomial_poly,
     to_source,
 )
-from simpson_nd.rules import cr1, cr3, cr4, cr5, cr6, triangle_midedge
+from simpson_nd.rules import MonomialPoly, cr1, cr3, cr4, cr5, cr6, triangle_midedge
 
 from oracles import walk_eval_float
 
@@ -130,6 +131,29 @@ def test_to_monomial_poly_rejections():
         to_monomial_poly(parse("1/x"))
     with pytest.raises(NotPolynomial):
         to_monomial_poly(parse("y"), dimension=1)
+
+
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        ("1^2000000", "exponent 2000000 is above the limit"),
+        ("(x+1)^1100", "exponent 1100 is above the limit"),
+        (f"(x+y+1)^{MAX_POLY_DEGREE + 1}", f"needs degree {MAX_POLY_DEGREE + 1}"),
+    ],
+)
+def test_lowering_limits_refuse_a_power_before_multiplying(monkeypatch, source, message):
+    def refuse(*args):
+        raise AssertionError("a polynomial was multiplied past the limits")
+
+    monkeypatch.setattr(MonomialPoly, "__mul__", refuse)
+    monkeypatch.setattr(MonomialPoly, "__pow__", refuse)
+    with pytest.raises(WorkLimit, match=message):
+        to_monomial_poly(parse(source))
+
+
+def test_lowering_limits_refuse_a_product_from_its_operand_degrees():
+    with pytest.raises(WorkLimit, match=f"needs degree {MAX_POLY_DEGREE + 1}"):
+        to_monomial_poly(parse(f"x^{MAX_POLY_DEGREE // 2}*y^{MAX_POLY_DEGREE // 2 + 1}"))
 
 
 def test_eval_float():

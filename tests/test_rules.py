@@ -12,7 +12,9 @@ from simpson_nd.errors import (
     NodeNotOnBoundary,
     NodeOutsideRegion,
     RegionMismatch,
+    WorkLimit,
 )
+from simpson_nd import rules
 from simpson_nd.regions import Cube, Simplex, UnitDisc, trapezoid_paper
 from simpson_nd.rules import (
     CubatureRule,
@@ -274,6 +276,20 @@ def test_monomial_poly_validation():
 def test_evaluate_rejects_a_point_of_the_wrong_length():
     with pytest.raises(DimensionMismatch):
         MonomialPoly(2, {(1, 0): Fraction(1)}).evaluate((0, 0, 0))
+
+
+@pytest.mark.parametrize("builder, region", [(cr1, "Simplex"), (cr2, "Simplex"), (cr3, "Cube")])
+def test_rule_dimension_limit_refuses_before_any_node_is_built(monkeypatch, builder, region):
+    def reached(*args):
+        raise AssertionError("the region was built")
+
+    monkeypatch.setattr(rules, region, reached)
+    with pytest.raises(WorkLimit, match="above the limit"):
+        builder(rules.MAX_RULE_DIMENSION + 1)
+    # the largest admitted dimension, 12 or more, goes on to build its region
+    assert rules.MAX_RULE_DIMENSION >= 12
+    with pytest.raises(AssertionError, match="the region was built"):
+        builder(rules.MAX_RULE_DIMENSION)
 
 
 def test_vertex_rule_disc_has_no_vertices():
