@@ -89,21 +89,16 @@ def _display_monomials(dim: int, degree: int):
         yield from block
 
 
-def _emit(fmt: str, payload: dict, table: tuple[list[str], list[list[str]]] | None,
+def _emit(fmt: str, payload: dict, table: tuple[list[str], list[list[str]]],
           text_lines: list[str]) -> None:
     if fmt == "json":
         print(json.dumps(payload, indent=2))
     elif fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        if table is not None:
-            header, rows = table
-            writer.writerow(header)
-            writer.writerows(rows)
-        else:
-            writer.writerow(["key", "value"])
-            for key, value in payload.items():
-                writer.writerow([key, json.dumps(value) if isinstance(value, (dict, list)) else value])
+        header, rows = table
+        writer.writerow(header)
+        writer.writerows(rows)
         print(buf.getvalue(), end="")
     else:
         for line in text_lines:

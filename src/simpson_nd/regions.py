@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 from typing import Union
 
 from . import scalars
@@ -341,6 +341,11 @@ class Polygon:
         return any(_on_segment(point, pts[i], pts[(i + 1) % m]) for i in range(m))
 
 
+def _double_factorial(k: int) -> int:
+    """k (k-2) (k-4) ... down to 1 or 2; 1 for k <= 0."""
+    return prod(range(k, 0, -2))
+
+
 @dataclass(frozen=True)
 class UnitDisc:
     """Closed unit disc in the plane; all moments are pi multiples."""
@@ -359,27 +364,14 @@ class UnitDisc:
         raise NoVertices("the unit disc has no vertices")
 
     def moment(self, alpha) -> Scalar:
+        """2 pi (m-1)!! (n-1)!! / ((m+n+2) (m+n)!!) for even m and n, else 0."""
         m, n = _check_index(alpha, 2)
         if m % 2 or n % 2:
             return PiMultiple(0)
-        if m == 0 and n == 0:
-            return PiMultiple(1)
-        if n == 0 or m == 0:
-            if m == 0:
-                m = n
-            c = Fraction(
-                factorial(m - 1),
-                2 ** (m - 2) * factorial(m // 2 - 1) * factorial(m // 2),
-            )
-            return PiMultiple(c / (m + 2))
-        c = Fraction(
-            factorial(n - 1) * factorial(m - 1),
-            2 ** (m + n - 3)
-            * factorial(n // 2 - 1)
-            * factorial(m // 2 - 1)
-            * factorial((m + n) // 2),
+        return PiMultiple(
+            Fraction(2 * _double_factorial(m - 1) * _double_factorial(n - 1),
+                     (m + n + 2) * _double_factorial(m + n))
         )
-        return PiMultiple(c / (m + n + 2))
 
     def contains(self, point: Point) -> bool:
         x, y = _as_point(point)

@@ -4,7 +4,8 @@ These deliberately avoid the closed-form moment formulas in the package:
 simplex and cube moments come from recursive symbolic iterated
 integration over the region inequalities, determinants from the
 permutation sum, disc moments from composite numeric quadrature in
-polar coordinates, polygon moments from a fan triangulation pulled
+polar coordinates and from single-factorial case formulas (not the
+package's double-factorial closed form), polygon moments from a fan triangulation pulled
 back to the unit simplex, and integrand values from a recursive walk of
 the expression tree.
 """
@@ -89,6 +90,33 @@ def permutation_det(matrix):
             term = scalars.mul(term, matrix[i][perm[i]])
         total = scalars.add(total, term)
     return total
+
+
+def factorial_disc_moment(m: int, n: int):
+    """Exact disc moment of x^m y^n from single factorials, in three
+    cases: odd exponents, one exponent zero, both positive."""
+    factorial = math.factorial
+    PiMultiple = scalars.PiMultiple
+    if m % 2 or n % 2:
+        return PiMultiple(0)
+    if m == 0 and n == 0:
+        return PiMultiple(1)
+    if n == 0 or m == 0:
+        if m == 0:
+            m = n
+        c = Fraction(
+            factorial(m - 1),
+            2 ** (m - 2) * factorial(m // 2 - 1) * factorial(m // 2),
+        )
+        return PiMultiple(c / (m + 2))
+    c = Fraction(
+        factorial(n - 1) * factorial(m - 1),
+        2 ** (m + n - 3)
+        * factorial(n // 2 - 1)
+        * factorial(m // 2 - 1)
+        * factorial((m + n) // 2),
+    )
+    return PiMultiple(c / (m + n + 2))
 
 
 def disc_moment_numeric(m: int, n: int, panels: int = 1 << 12) -> float:

@@ -4,7 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import disc_moment_numeric, iterated_cube_moment, iterated_simplex_moment, binomial
+from oracles import (
+    binomial,
+    disc_moment_numeric,
+    factorial_disc_moment,
+    iterated_cube_moment,
+    iterated_simplex_moment,
+)
 from simpson_nd import scalars
 from simpson_nd.errors import DimensionMismatch, NoVertices
 from simpson_nd.exactness import monomials_up_to
@@ -86,6 +92,13 @@ def test_disc_moments():
     assert d.moment((3, 1)) == PiMultiple(0)
     # moments keep the pi tag even at zero so disc tables stay uniform
     assert isinstance(d.moment((1, 0)), PiMultiple)
+
+
+def test_disc_moment_closed_form_matches_the_factorial_cases():
+    disc = UnitDisc()
+    for m in range(41):
+        for n in range(41):
+            assert disc.moment((m, n)) == factorial_disc_moment(m, n), (m, n)
 
 
 def test_disc_moment_against_polar_quadrature():
