@@ -444,6 +444,8 @@ def _cmd_compound(args) -> int:
         reference = compound_mod.compound_apply(rule, top, f).estimate
     estimates = [compound_mod.compound_apply(rule, lv, f) for lv in levels]
     errors = [abs(e.estimate - reference) for e in estimates]
+    if not all(map(math.isfinite, errors)):
+        raise OverflowError("an error |estimate - reference| overflowed")
     rows = []
     for i, (est, err) in enumerate(zip(estimates, errors)):
         ratio = "" if i == 0 or err == 0 else f"{errors[i - 1] / err:.3f}"

@@ -349,6 +349,17 @@ def test_compound_non_finite_reference_exits_1(capsys, value):
     assert "--reference must be a finite number" in err
 
 
+def test_compound_overflowing_error_exits_1(capsys):
+    # finite estimates near -1.7e308 against a reference of +1.7e308
+    code, out, err = run_cli(
+        capsys, "--format", "json", "compound", "--rule", "CR3", "--dim", "1",
+        "--expr", "0-1.7*10^308*x", "--reference=1.7e308", "--levels", "1:3",
+    )
+    assert code == 1
+    assert out == ""
+    assert "overflowed" in err
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
