@@ -289,6 +289,8 @@ def test_family_point_with_a_negative_first_value(capsys):
         ("(x-1)^0.5", "is not a real number"),  # a negative base to a fractional power
         ("exp(x)^1000", "out of range"),  # a float power overflows
         ("10^400*x", "too large for a float"),  # the exact reference overflows
+        # exp(700)^2 is inf without raising, and inf * 0 at x = 0 is nan
+        ("exp(700)*exp(700)*x", "a float overflowed"),
     ],
 )
 def test_compound_float_domain_errors_exit_1(capsys, integrand, message):
@@ -327,37 +329,24 @@ def test_compound_levels_are_checked_before_any_cell_is_built(
     assert message in err
 
 
-@pytest.mark.parametrize("fmt", ["text", "json"])
-def test_compound_non_finite_estimate_exits_1(capsys, fmt):
-    # exp(700)^2 is inf without raising, and inf * 0 at x = 0 is nan
-    code, out, err = run_cli(
-        capsys, "--format", fmt, "compound", "--rule", "CR4",
-        "--expr", "exp(700)*exp(700)*x", "--levels", "1:3",
-    )
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: ") and "a float overflowed" in err
-
-
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-def test_compound_non_finite_reference_exits_1(capsys, value):
-    code, out, err = run_cli(
-        capsys, "compound", "--rule", "CR4", "--expr", "x", f"--reference={value}"
-    )
-    assert code == 1
-    assert out == ""
-    assert "--reference must be a finite number" in err
-
-
-def test_compound_overflowing_error_exits_1(capsys):
-    # finite estimates near -1.7e308 against a reference of +1.7e308
+@pytest.mark.parametrize(
+    "integrand, reference, message",
+    [
+        ("x", "nan", "--reference must be a finite number"),
+        ("x", "inf", "--reference must be a finite number"),
+        ("x", "-inf", "--reference must be a finite number"),
+        # finite estimates near -8.5e307 against +1.7e308
+        ("0-1.7*10^308*x", "1.7e308", "|estimate - reference| overflowed"),
+    ],
+)
+def test_compound_non_finite_reference_or_error_exits_1(capsys, integrand, reference, message):
     code, out, err = run_cli(
         capsys, "--format", "json", "compound", "--rule", "CR3", "--dim", "1",
-        "--expr", "0-1.7*10^308*x", "--reference=1.7e308", "--levels", "1:3",
+        "--expr", integrand, f"--reference={reference}", "--levels", "1:3",
     )
     assert code == 1
     assert out == ""
-    assert "overflowed" in err
+    assert message in err
 
 
 @pytest.mark.parametrize(
