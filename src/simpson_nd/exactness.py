@@ -157,10 +157,9 @@ def solve_lambda(
     first: Optional[tuple[Equation, Scalar]] = None
     for alpha in targets:
         alpha = tuple(int(e) for e in alpha)
-        moment = region.moment(alpha)
         spread = node_sum(t.nodes, t.weights, alpha)
         coef = scalars.sub(node_sum(m.nodes, m.weights, alpha), spread)
-        rhs = scalars.sub(moment, spread)
+        rhs = scalars.sub(region.moment(alpha), spread)
         equation = Equation(monomial_label(alpha), (coef,), rhs)
         if is_zero(coef):
             if is_zero(rhs):
