@@ -6,7 +6,7 @@ from math import factorial
 
 import pytest
 
-from simpson_nd import scalars
+from simpson_nd import rules, scalars
 from simpson_nd.errors import (
     DimensionMismatch,
     NodeNotOnBoundary,
@@ -14,7 +14,6 @@ from simpson_nd.errors import (
     RegionMismatch,
     WorkLimit,
 )
-from simpson_nd import rules
 from simpson_nd.regions import Cube, Simplex, UnitDisc, trapezoid_paper
 from simpson_nd.rules import (
     CubatureRule,
