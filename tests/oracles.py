@@ -6,8 +6,9 @@ integration over the region inequalities, determinants from the
 permutation sum, disc moments from composite numeric quadrature in
 polar coordinates and from single-factorial case formulas (not the
 package's double-factorial closed form), polygon moments from a fan triangulation pulled
-back to the unit simplex, and integrand values from a recursive walk of
-the expression tree.
+back to the unit simplex, integrand values from a recursive walk of
+the expression tree, and a + b*sqrt(d) arithmetic from the componentwise
+field formulas.
 """
 
 from __future__ import annotations
@@ -224,3 +225,18 @@ def walk_eval_float(e, point):
     if e.op == "/":
         return left / right
     return left**right
+
+
+def quad_components(op: str, x, y, d: int) -> tuple:
+    """(a, b) with a + b*sqrt(d) = x op y, where x and y are (a, b) pairs
+    over the same sqrt(d).  A quotient is rationalized by the conjugate of
+    the divisor, whose norm a^2 - b^2 d is rational."""
+    (a1, b1), (a2, b2) = x, y
+    if op == "+":
+        return a1 + a2, b1 + b2
+    if op == "-":
+        return a1 - a2, b1 - b2
+    if op == "*":
+        return a1 * a2 + b1 * b2 * d, a1 * b2 + a2 * b1
+    norm = a2 * a2 - b2 * b2 * d
+    return (a1 * a2 - b1 * b2 * d) / norm, (a2 * b1 - a1 * b2) / norm

@@ -2,7 +2,12 @@
 recorded before the residual systems were generated from node
 parameterizations and the elimination loops were merged; the
 ``compound`` files before the integrand was compiled and the cell
-shapes were folded into one affine-cell loop.  A refactor of any of these
+shapes were folded into one affine-cell loop; the ``catalog``,
+``moments`` and ``derive`` files before the ``Quad`` and ``PiMultiple``
+operators took over their own arithmetic.  Those pin the CR5/CR5* nodes
+in Q(sqrt 3893), the CR6 pi weights, hexagon moments in Q(sqrt 3), the
+irrational lambda witness and a Gauss-Jordan solve over ``Quad`` pivots.
+A refactor of any of these
 must leave every file here unchanged, which pins every compound estimate
 bit for bit.
 
@@ -39,11 +44,21 @@ COMPOUND_CASES = {
         "--rule", "CR3", "--dim", "1", "--expr", "exp(5*x)*sin(7*x)", "--levels", "2:7"),
 }
 
+FIELD_CASES = {
+    "catalog_dim3": ("catalog", "--dim", "3"),
+    "moments_hexagon": ("moments", "--region", "hexagon-paper", "--degree", "4"),
+    "derive_hexagon_lambda": ("derive", "--region", "hexagon-paper", "--targets", "deg2"),
+    "derive_hexagon_weights": (
+        "derive", "--region", "hexagon-paper", "--targets", "deg2", "--mode", "weights"),
+}
+
 CASES = {"verify_all.json": ("--format", "json", "verify", "--all")}
-for _command, _cases in (("family", FAMILY_CASES), ("compound", COMPOUND_CASES)):
+for _command, _cases in (
+    (("family",), FAMILY_CASES), (("compound",), COMPOUND_CASES), ((), FIELD_CASES),
+):
     for _stem, _args in _cases.items():
-        CASES[f"{_stem}.txt"] = ("--format", "text", _command) + _args
-        CASES[f"{_stem}.json"] = ("--format", "json", _command) + _args
+        CASES[f"{_stem}.txt"] = ("--format", "text") + _command + _args
+        CASES[f"{_stem}.json"] = ("--format", "json") + _command + _args
 
 
 def test_every_golden_file_has_a_case():

@@ -1,10 +1,12 @@
 import json
 import math
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
+from oracles import quad_components
 from simpson_nd import scalars
 from simpson_nd.errors import IncompatibleScalars
 from simpson_nd.scalars import (
@@ -283,3 +285,100 @@ def test_arithmetic_results_collapse_to_fraction():
     ):
         assert type(value) is Fraction, value
     assert scalars.add(x, Fraction(1)) == quad(3, 3, 7)
+
+
+_OPERATORS = {
+    "+": (operator.add, scalars.add),
+    "-": (operator.sub, scalars.sub),
+    "*": (operator.mul, scalars.mul),
+    "/": (operator.truediv, scalars.div),
+}
+
+_INCOMPATIBLE_MESSAGES = {
+    "cannot add values over sqrt(3) and sqrt(3893)",
+    "cannot add values over sqrt(3893) and sqrt(3)",
+    "cannot multiply values over sqrt(3) and sqrt(3893)",
+    "cannot multiply values over sqrt(3893) and sqrt(3)",
+    "cannot add a pi multiple to a sqrt value",
+    "cannot add a nonzero rational to a pi multiple",
+    "pi times pi is outside the scalar tower",
+    "pi times a sqrt value is not representable",
+    "cannot divide a pi-free value by a pi multiple",
+}
+
+
+def _mixed_operands(rng):
+    operands = [0, 3, -2, Fraction(0), PiMultiple(0)]
+    for _ in range(3):
+        operands.append(rng.randint(-9, 9))
+        operands.append(_random_fraction(rng, 20))
+        operands.append(PiMultiple(_random_fraction(rng, 20)))
+        for d in (3, 3893):
+            b = _random_fraction(rng, 20) or Fraction(1)
+            operands.append(quad(_random_fraction(rng, 20), b, d))
+    for d in (3, 3893):
+        operands.append(quad(0, Fraction(1, 7), d))
+    return operands
+
+
+def _outcome(fn, x, y):
+    try:
+        return fn(x, y)
+    except (ArithmeticError, IncompatibleScalars, TypeError) as exc:
+        return exc
+
+
+def _components(x):
+    return (x.a, x.b) if isinstance(x, Quad) else (Fraction(x), Fraction(0))
+
+
+def test_operators_and_scalar_functions_agree_on_mixed_operands():
+    """Every ordered pair of int, Fraction, Quad (d = 3 and 3893) and
+    PiMultiple (zero included), under + - * /: the operator and the
+    ``scalars`` function give equal values of one type or the same
+    exception.  Pairs of two ints are left out: there ``x op y`` is Python's
+    own int arithmetic (``1 / 2`` is a float)."""
+    operands = _mixed_operands(random.Random(20261018))
+    seen = set()
+    for x in operands:
+        for y in operands:
+            if type(x) is int and type(y) is int:
+                continue
+            for op, (infix, function) in _OPERATORS.items():
+                got, want = _outcome(infix, x, y), _outcome(function, x, y)
+                case = (x, op, y)
+                if op == "/" and scalars.is_zero(y):
+                    assert type(want) is type(got) is ZeroDivisionError, (case, got, want)
+                if isinstance(want, Exception):
+                    assert type(got) is type(want), (case, got, want)
+                    seen.add(type(want))
+                    if isinstance(want, IncompatibleScalars):
+                        assert str(want) in _INCOMPATIBLE_MESSAGES, case
+                        assert str(got) == str(want), case
+                    continue
+                assert type(got) is type(want) and got == want, (case, got, want)
+                seen.add(type(want))
+                quads = [v for v in (x, y) if isinstance(v, Quad)]
+                if quads and not any(isinstance(v, PiMultiple) for v in (x, y)):
+                    a, b = quad_components(op, _components(x), _components(y), quads[0].d)
+                    assert _components(want) == (a, b), case
+                    assert isinstance(want, Quad) == (b != 0), case
+                    assert not isinstance(want, Quad) or want.d == quads[0].d, case
+    assert seen >= {Fraction, Quad, PiMultiple, ZeroDivisionError, IncompatibleScalars}
+
+
+def test_bool_and_float_operands_are_refused_by_operators_and_functions():
+    rng = random.Random(1018)
+    exact = [PiMultiple(0), PiMultiple(_random_fraction(rng)), quad(1, 2, 3)]
+    exact.append(quad(_random_fraction(rng), _random_fraction(rng) or 1, 3893))
+    for bad in (True, False, 1.5, 0.0):
+        for other in exact + [Fraction(2), 7]:
+            for infix, function in _OPERATORS.values():
+                for x, y in ((bad, other), (other, bad)):
+                    with pytest.raises(TypeError):
+                        function(x, y)
+                    if isinstance(other, (Quad, PiMultiple)):
+                        with pytest.raises(TypeError):
+                            infix(x, y)
+        with pytest.raises(TypeError):
+            scalars.neg(bad)
