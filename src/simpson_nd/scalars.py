@@ -2,11 +2,12 @@
 and rational multiples of pi.
 
 Rationals are plain ``fractions.Fraction`` values (always canonical).
-``Quad`` and ``PiMultiple`` interoperate with ``Fraction`` and ``int``
-through the reflected operators, so mixed sums such as
-``Fraction(1, 2) * Quad(...) + 0`` work directly.  A ``Quad`` whose
-irrational component is zero collapses to a ``Fraction`` as soon as it is
-produced, so a genuine ``Quad`` value is always irrational.
+``Quad`` and ``PiMultiple`` implement their own operators, as ``Fraction``
+does, and return ``NotImplemented`` for an operand they do not know, so
+mixed expressions such as ``Fraction(1, 2) * Quad(...) + 0`` work directly
+and ``add``/``sub``/``mul``/``div`` only coerce their operands first.  A
+``Quad`` whose irrational component is zero collapses to a ``Fraction`` as
+soon as it is produced, so a genuine ``Quad`` value is always irrational.
 """
 
 from __future__ import annotations
@@ -42,15 +43,19 @@ def _squarefree(d: int) -> bool:
     return True
 
 
-def as_scalar(x) -> Scalar:
-    """Coerce an int to Fraction; pass exact scalars through; reject floats."""
-    if isinstance(x, bool):
-        raise TypeError("bool is not a scalar")
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, (Fraction, Quad, PiMultiple)):
+def _operand(x):
+    """An exact scalar as is and an int as a Fraction; None for anything else,
+    bool and float included, so that an operator returns NotImplemented."""
+    if isinstance(x, (Fraction, _Exact)):
         return x
-    raise TypeError(f"not an exact scalar: {x!r}")
+    return Fraction(x) if isinstance(x, int) and not isinstance(x, bool) else None
+
+
+def as_scalar(x) -> Scalar:
+    """Coerce an int to Fraction; pass exact scalars through; reject bools and floats."""
+    if (value := _operand(x)) is None:
+        raise TypeError(f"not an exact scalar: {x!r}")
+    return value
 
 
 def quad(a, b, d: int) -> Scalar:
@@ -80,7 +85,30 @@ def _make_quad(a: Fraction, b: Fraction, d: int) -> Scalar:
     return value
 
 
-class Quad:
+class _Exact:
+    """What Quad and PiMultiple share; each implements its own operators, as
+    Fraction does, and a mixed Quad/PiMultiple case is decided by Quad."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} values are immutable")
+
+    def __str__(self):
+        return format_scalar(self)
+
+    def __sub__(self, other):
+        if (other := _operand(other)) is None:
+            return NotImplemented
+        return self + -other
+
+    def __rsub__(self, other):
+        if (other := _operand(other)) is None:
+            return NotImplemented
+        return -self + other
+
+
+class Quad(_Exact):
     """A quadratic irrational a + b*sqrt(d) with rational a, b and b != 0.
 
     d must be a squarefree integer with 2 <= d <= MAX_RADICAND.  Construct
@@ -104,14 +132,8 @@ class Quad:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "d", d)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Quad values are immutable")
-
     def __repr__(self):
         return f"Quad({self.a!r}, {self.b!r}, {self.d})"
-
-    def __str__(self):
-        return format_scalar(self)
 
     def __eq__(self, other):
         if isinstance(other, Quad):
@@ -123,29 +145,60 @@ class Quad:
         return hash(("quad", self.a, self.b, self.d))
 
     def __add__(self, other):
-        return add(self, other)
+        if (other := _operand(other)) is None:
+            return NotImplemented
+        if isinstance(other, Quad):
+            if other.d != self.d:
+                raise IncompatibleScalars(
+                    f"cannot add values over sqrt({self.d}) and sqrt({other.d})"
+                )
+            return _make_quad(self.a + other.a, self.b + other.b, self.d)
+        if isinstance(other, PiMultiple):
+            if other.coefficient == 0:
+                return self
+            raise IncompatibleScalars("cannot add a pi multiple to a sqrt value")
+        return _make_quad(self.a + other, self.b, self.d)
 
     __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
 
     def __neg__(self):
         return _make_quad(-self.a, -self.b, self.d)
 
     def __mul__(self, other):
-        return mul(self, other)
+        if (other := _operand(other)) is None:
+            return NotImplemented
+        if isinstance(other, Quad):
+            if other.d != self.d:
+                raise IncompatibleScalars(
+                    f"cannot multiply values over sqrt({self.d}) and sqrt({other.d})"
+                )
+            a, b, d = self.a, self.b, self.d
+            return _make_quad(a * other.a + b * other.b * d, a * other.b + b * other.a, d)
+        if isinstance(other, PiMultiple):
+            raise IncompatibleScalars("pi times a sqrt value is not representable")
+        return _make_quad(self.a * other, self.b * other, self.d)
 
     __rmul__ = __mul__
 
+    def _inverse(self) -> "Quad":
+        # 1/(a + b sqrt d) = (a - b sqrt d) / (a^2 - b^2 d), rational denominator
+        norm = self.a * self.a - self.b * self.b * self.d
+        return _make_quad(self.a / norm, -self.b / norm, self.d)
+
     def __truediv__(self, other):
-        return div(self, other)
+        if (other := _operand(other)) is None:
+            return NotImplemented
+        if isinstance(other, Quad):
+            return self * other._inverse()
+        if isinstance(other, PiMultiple):
+            if other.coefficient == 0:
+                raise ZeroDivisionError("scalar division by zero")
+            raise IncompatibleScalars("cannot divide a pi-free value by a pi multiple")
+        return _make_quad(self.a / other, self.b / other, self.d)
 
     def __rtruediv__(self, other):
-        return div(other, self)
+        # x / q = (1/q) * x, and __mul__ returns NotImplemented for an unknown x
+        return self._inverse().__mul__(other)
 
     def __pow__(self, k: int):
         return pow_scalar(self, k)
@@ -154,24 +207,19 @@ class Quad:
         return _make_quad(self.a, -self.b, self.d)
 
 
-class PiMultiple:
+class PiMultiple(_Exact):
     """A rational multiple of pi.  The coefficient may be zero; a zero
     PiMultiple compares equal to 0 but keeps its tag so pi-valued tables
-    (disc moments) stay uniformly typed."""
+    (disc moments) stay uniformly typed.  A Quad operand gets NotImplemented,
+    so that Quad's reflected method decides."""
 
     __slots__ = ("coefficient",)
 
     def __init__(self, coefficient):
         object.__setattr__(self, "coefficient", Fraction(coefficient))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("PiMultiple values are immutable")
-
     def __repr__(self):
         return f"PiMultiple({self.coefficient!r})"
-
-    def __str__(self):
-        return format_scalar(self)
 
     def __eq__(self, other):
         if isinstance(other, PiMultiple):
@@ -186,29 +234,42 @@ class PiMultiple:
         return hash(("pi", self.coefficient))
 
     def __add__(self, other):
-        return add(self, other)
+        if (other := _operand(other)) is None or isinstance(other, Quad):
+            return NotImplemented
+        if isinstance(other, PiMultiple):
+            return PiMultiple(self.coefficient + other.coefficient)
+        if other != 0 and self.coefficient != 0:
+            raise IncompatibleScalars("cannot add a nonzero rational to a pi multiple")
+        return self if other == 0 else other
 
     __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
 
     def __neg__(self):
         return PiMultiple(-self.coefficient)
 
     def __mul__(self, other):
-        return mul(self, other)
+        if (other := _operand(other)) is None or isinstance(other, Quad):
+            return NotImplemented
+        if isinstance(other, PiMultiple):
+            raise IncompatibleScalars("pi times pi is outside the scalar tower")
+        return PiMultiple(self.coefficient * other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return div(self, other)
+        if (other := _operand(other)) is None or isinstance(other, Quad):
+            return NotImplemented
+        if isinstance(other, PiMultiple):
+            # only another pi multiple cancels the pi
+            return self.coefficient / other.coefficient
+        return PiMultiple(self.coefficient / other)
 
     def __rtruediv__(self, other):
-        return div(other, self)
+        if (other := _operand(other)) is None or isinstance(other, Quad):
+            return NotImplemented
+        if self.coefficient == 0:
+            raise ZeroDivisionError("scalar division by zero")
+        raise IncompatibleScalars("cannot divide a pi-free value by a pi multiple")
 
 
 def conj(x) -> Scalar:
@@ -219,99 +280,34 @@ def conj(x) -> Scalar:
     return x
 
 
+# The scalar functions coerce through as_scalar, then apply the operator;
+# add, sub and mul skip the coercion for two plain Fractions.
+
+
 def add(x, y) -> Scalar:
-    # two plain Fractions skip coercion; ints, bools and subclasses take the checked path
     if type(x) is Fraction and type(y) is Fraction:
         return x + y
-    x = as_scalar(x)
-    y = as_scalar(y)
-    if isinstance(x, Fraction) and isinstance(y, Fraction):
-        return x + y
-    if isinstance(x, Quad) or isinstance(y, Quad):
-        if isinstance(y, Quad) and not isinstance(x, Quad):
-            x, y = y, x
-        if isinstance(y, Fraction):
-            return _make_quad(x.a + y, x.b, x.d)
-        if isinstance(y, Quad):
-            if x.d != y.d:
-                raise IncompatibleScalars(
-                    f"cannot add values over sqrt({x.d}) and sqrt({y.d})"
-                )
-            return _make_quad(x.a + y.a, x.b + y.b, x.d)
-        # y is a PiMultiple
-        if y.coefficient == 0:
-            return x
-        raise IncompatibleScalars("cannot add a pi multiple to a sqrt value")
-    # at least one PiMultiple, the other Fraction or PiMultiple
-    if isinstance(x, PiMultiple) and isinstance(y, PiMultiple):
-        return PiMultiple(x.coefficient + y.coefficient)
-    if isinstance(y, PiMultiple):
-        x, y = y, x
-    if y == 0:
-        return x
-    if x.coefficient == 0:
-        return y
-    raise IncompatibleScalars("cannot add a nonzero rational to a pi multiple")
+    return as_scalar(x) + as_scalar(y)
 
 
 def neg(x) -> Scalar:
-    x = as_scalar(x)
-    return -x
+    return -as_scalar(x)
 
 
 def sub(x, y) -> Scalar:
     if type(x) is Fraction and type(y) is Fraction:
         return x - y
-    return add(x, neg(y))
+    return as_scalar(x) - as_scalar(y)
 
 
 def mul(x, y) -> Scalar:
     if type(x) is Fraction and type(y) is Fraction:
         return x * y
-    x = as_scalar(x)
-    y = as_scalar(y)
-    if isinstance(x, Fraction) and isinstance(y, Fraction):
-        return x * y
-    if isinstance(x, PiMultiple) and isinstance(y, PiMultiple):
-        raise IncompatibleScalars("pi times pi is outside the scalar tower")
-    if isinstance(x, PiMultiple) or isinstance(y, PiMultiple):
-        if isinstance(y, PiMultiple):
-            x, y = y, x
-        if isinstance(y, Quad):
-            raise IncompatibleScalars("pi times a sqrt value is not representable")
-        return PiMultiple(x.coefficient * y)
-    # Quad with Quad or Fraction
-    if isinstance(y, Quad) and not isinstance(x, Quad):
-        x, y = y, x
-    if isinstance(y, Fraction):
-        return _make_quad(x.a * y, x.b * y, x.d)
-    if x.d != y.d:
-        raise IncompatibleScalars(
-            f"cannot multiply values over sqrt({x.d}) and sqrt({y.d})"
-        )
-    return _make_quad(x.a * y.a + x.b * y.b * x.d, x.a * y.b + x.b * y.a, x.d)
+    return as_scalar(x) * as_scalar(y)
 
 
 def div(x, y) -> Scalar:
-    x = as_scalar(x)
-    y = as_scalar(y)
-    if is_zero(y):
-        raise ZeroDivisionError("scalar division by zero")
-    if isinstance(y, Fraction):
-        if isinstance(x, Fraction):
-            return x / y
-        if isinstance(x, Quad):
-            return _make_quad(x.a / y, x.b / y, x.d)
-        return PiMultiple(x.coefficient / y)
-    if isinstance(y, Quad):
-        # 1/(a + b sqrt d) = (a - b sqrt d) / (a^2 - b^2 d), rational denominator
-        norm = y.a * y.a - y.b * y.b * y.d
-        inv = _make_quad(y.a / norm, -y.b / norm, y.d)
-        return mul(x, inv)
-    # dividing by a pi multiple: only another pi multiple cancels the pi
-    if isinstance(x, PiMultiple):
-        return x.coefficient / y.coefficient
-    raise IncompatibleScalars("cannot divide a pi-free value by a pi multiple")
+    return as_scalar(x) / as_scalar(y)
 
 
 def pow_scalar(x, k: int) -> Scalar:
