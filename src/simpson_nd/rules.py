@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Mapping
 
 from . import scalars
 from .errors import (
@@ -85,15 +85,6 @@ class MonomialPoly:
         total: Scalar = Fraction(0)
         for alpha, coeff in self.terms.items():
             total = scalars.add(total, scalars.mul(coeff, monomial_value(point, alpha)))
-        return total
-
-    def evaluate_float(self, point) -> float:
-        total = 0.0
-        for alpha, coeff in self.terms.items():
-            term = coeff.numerator / coeff.denominator
-            for c, e in zip(point, alpha):
-                term *= c**e
-            total += term
         return total
 
     def __add__(self, other: "MonomialPoly") -> "MonomialPoly":
@@ -205,13 +196,6 @@ class CubatureRule:
             total = scalars.add(
                 total, scalars.mul(coeff, node_sum(self.nodes, self.weights, alpha))
             )
-        return total
-
-    def apply_fn(self, f: Callable[..., float]) -> float:
-        """Floating-point application, summed in node-index order."""
-        total = 0.0
-        for node, w in zip(self.nodes, self.weights):
-            total += to_float(w) * f(*[to_float(c) for c in node])
         return total
 
 

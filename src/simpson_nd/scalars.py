@@ -358,11 +358,6 @@ def sign(x) -> int:
     return sa if x.a * x.a > x.b * x.b * x.d else sb
 
 
-def lt(x, y) -> bool:
-    """Exact order comparison; only defined within one additive habitat."""
-    return sign(sub(y, x)) > 0
-
-
 def le(x, y) -> bool:
     return sign(sub(y, x)) >= 0
 

@@ -7,8 +7,8 @@ permutation sum, disc moments from composite numeric quadrature in
 polar coordinates and from single-factorial case formulas (not the
 package's double-factorial closed form), polygon moments from a fan triangulation pulled
 back to the unit simplex, integrand values from a recursive walk of
-the expression tree, and a + b*sqrt(d) arithmetic from the componentwise
-field formulas.
+the expression tree, a + b*sqrt(d) arithmetic from the componentwise
+field formulas, and float rule sums from the node and weight lists.
 """
 
 from __future__ import annotations
@@ -240,3 +240,11 @@ def quad_components(op: str, x, y, d: int) -> tuple:
         return a1 * a2 + b1 * b2 * d, a1 * b2 + a2 * b1
     norm = a2 * a2 - b2 * b2 * d
     return (a1 * a2 - b1 * b2 * d) / norm, (a2 * b1 - a1 * b2) / norm
+
+
+def float_rule_sum(rule, f) -> float:
+    """sum_j w_j f(P_j) in floats, summed in node order."""
+    total = 0.0
+    for node, w in zip(rule.nodes, rule.weights):
+        total += scalars.to_float(w) * f(*map(scalars.to_float, node))
+    return total

@@ -23,7 +23,7 @@ from simpson_nd.expr import (
 )
 from simpson_nd.rules import MonomialPoly, cr1, cr3, cr4, cr5, cr6, triangle_midedge
 
-from oracles import walk_eval_float
+from oracles import float_rule_sum, walk_eval_float
 
 
 def test_parse_basic_structure():
@@ -249,5 +249,5 @@ def test_float_path_agrees_with_exact_path():
     for rule in [cr1(2), cr3(2), cr4(), cr5(), cr6(), triangle_midedge()]:
         poly = to_monomial_poly(tree, 2)
         exact = scalars.to_float(rule.apply_poly(poly))
-        approx = rule.apply_fn(f)
+        approx = float_rule_sum(rule, f)
         assert math.isclose(exact, approx, rel_tol=1e-10, abs_tol=1e-10), rule.label
