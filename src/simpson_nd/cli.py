@@ -21,7 +21,7 @@ from fractions import Fraction
 from . import claims as claims_mod
 from . import compound as compound_mod
 from . import exactness, expr, families, rules, scalars
-from .errors import NotPolynomial, SimpsonNdError
+from .errors import NotPolynomial, SimpsonNdError, WorkLimit
 from .regions import (
     Cube,
     Region,
@@ -43,6 +43,20 @@ def _default_format() -> str:
 
 
 def _parse_region(alias: str | None, path: str | None) -> Region:
+    """The --region or --region-file region.  A simplex or cube above
+    rules.MAX_RULE_DIMENSION is refused before any vertex, node or moment is
+    built: derive places 2^n cube vertices, and the work grows about 4x for
+    every two dimensions."""
+    region = _read_region(alias, path)
+    if isinstance(region, (Simplex, Cube)) and region.dimension > rules.MAX_RULE_DIMENSION:
+        raise WorkLimit(
+            f"dimension {region.dimension} is above the limit of "
+            f"{rules.MAX_RULE_DIMENSION} for simplex and cube regions"
+        )
+    return region
+
+
+def _read_region(alias: str | None, path: str | None) -> Region:
     if path:
         with open(path, "r", encoding="utf-8") as fh:
             return region_from_json(json.load(fh))

@@ -370,3 +370,33 @@ def test_work_limits_exit_1(capsys, monkeypatch, argv, message):
     assert code == 1
     assert out == ""
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv, region_file",
+    [
+        (("derive", "--region", "cube:13", "--targets", "deg1"), None),
+        (("derive", "--region", "simplex:13"), None),
+        (("moments", "--region", "cube:13", "--degree", "2"), None),
+        (("derive", "--mode", "weights"), {"cube": 13}),
+        (("moments", "--degree", "1"), {"simplex": 13}),
+    ],
+)
+def test_region_dimension_is_checked_before_any_vertex_is_built(
+    tmp_path, capsys, monkeypatch, argv, region_file
+):
+    from simpson_nd.regions import Cube, Simplex
+
+    def refuse(self):
+        raise AssertionError("region vertices were built past the dimension check")
+
+    monkeypatch.setattr(Cube, "vertices", refuse)
+    monkeypatch.setattr(Simplex, "vertices", refuse)
+    if region_file is not None:
+        path = tmp_path / "region.json"
+        path.write_text(json.dumps(region_file))
+        argv += ("--region-file", str(path))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "dimension 13 is above the limit of 12" in err
