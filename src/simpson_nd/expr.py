@@ -39,9 +39,16 @@ _ALIASES = {"x": 0, "y": 1, "z": 2}
 # `^` exponent above MAX_POLY_EXPONENT (a power is that many multiplications)
 # and any product or power of degree above MAX_POLY_DEGREE, worked out from
 # the operands before multiplying.  (x+y+1)^32 expands in about 0.15 s on
-# one core of a 2-vCPU Xeon; unchecked, (x+1)^1100 took 11 s.
+# one core of a 2-vCPU Xeon; unchecked, (x+1)^1100 took 11 s.  The degree
+# alone still admits C(n + 32, n) terms in n variables, so a product or power
+# whose result may have more than MAX_POLY_TERMS terms is refused as well.
+# The bound is the smaller of C(n + degree, n), the number of monomials of
+# that degree or less, and the number of products of operand terms (so a
+# single monomial is never refused).  (x+y+z+1)^20, 1,771 terms, takes about
+# 0.4 s; (x1+...+x6+1)^12, 18,564 terms, took 2.2 s.
 MAX_POLY_EXPONENT = 1000
 MAX_POLY_DEGREE = 32
+MAX_POLY_TERMS = 2000
 
 
 @dataclass(frozen=True)
@@ -361,10 +368,15 @@ def max_variable_index(e: Expr) -> int:
     return max(max_variable_index(e.left), max_variable_index(e.right))
 
 
-def _check_degree(degree: int) -> None:
+def _check_size(dimension: int, degree: int, products: int) -> None:
     if degree > MAX_POLY_DEGREE:
         raise WorkLimit(
             f"expanding the polynomial needs degree {degree}; the limit is {MAX_POLY_DEGREE}"
+        )
+    terms = min(math.comb(dimension + degree, dimension), products)
+    if terms > MAX_POLY_TERMS:
+        raise WorkLimit(
+            f"expanding the polynomial may give {terms} terms; the limit is {MAX_POLY_TERMS}"
         )
 
 
@@ -373,7 +385,8 @@ def to_monomial_poly(e: Expr, dimension: int | None = None) -> MonomialPoly:
 
     Raises NotPolynomial for transcendental calls, division by a
     non-constant, or an exponent that is not a literal non-negative
-    integer, and WorkLimit above MAX_POLY_EXPONENT or MAX_POLY_DEGREE.
+    integer, and WorkLimit above MAX_POLY_EXPONENT, MAX_POLY_DEGREE or
+    MAX_POLY_TERMS.
     """
     if dimension is None:
         dimension = max(max_variable_index(e), 1)
@@ -406,7 +419,9 @@ def to_monomial_poly(e: Expr, dimension: int | None = None) -> MonomialPoly:
             k = int(exponent.value)
             if k > MAX_POLY_EXPONENT:
                 raise WorkLimit(f"exponent {k} is above the limit of {MAX_POLY_EXPONENT}")
-            _check_degree(left.degree() * k)
+            # a product of k of left's terms, chosen with repetition
+            products = math.comb(max(len(left.terms), 1) + k - 1, k)
+            _check_size(dimension, left.degree() * k, products)
             return left ** k
         right = lower(node.right)
         if node.op == "+":
@@ -414,7 +429,8 @@ def to_monomial_poly(e: Expr, dimension: int | None = None) -> MonomialPoly:
         if node.op == "-":
             return left - right
         if node.op == "*":
-            _check_degree(left.degree() + right.degree())
+            products = len(left.terms) * len(right.terms)
+            _check_size(dimension, left.degree() + right.degree(), products)
             return left * right
         # division: the divisor must be a constant
         if set(right.terms) - {(0,) * dimension}:

@@ -357,6 +357,11 @@ def test_compound_non_finite_reference_or_error_exits_1(capsys, integrand, refer
         (("compound", "--rule", "CR4", "--expr", "x^20*y^20"), "needs degree 40"),
         (("verify", "--rule", "CR3", "--dim", "13"), "dimension 13 is above the limit"),
         (("catalog", "--dim", "13"), "dimension 13 is above the limit"),
+        (
+            ("derive", "--region", "cube:6", "--targets", "deg1",
+             "--exclude", "(x1+x2+x3+x4+x5+x6+1)^12"),
+            "may give 18564 terms",
+        ),
     ],
 )
 def test_work_limits_exit_1(capsys, monkeypatch, argv, message):

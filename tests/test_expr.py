@@ -9,6 +9,7 @@ from simpson_nd.errors import ExprSyntaxError, NotPolynomial, WorkLimit
 from simpson_nd.expr import (
     FUNCTIONS,
     MAX_POLY_DEGREE,
+    MAX_POLY_TERMS,
     BinOp,
     Call,
     Neg,
@@ -139,6 +140,8 @@ def test_to_monomial_poly_rejections():
         ("1^2000000", "exponent 2000000 is above the limit"),
         ("(x+1)^1100", "exponent 1100 is above the limit"),
         (f"(x+y+1)^{MAX_POLY_DEGREE + 1}", f"needs degree {MAX_POLY_DEGREE + 1}"),
+        # C(6 + 12, 6) = 18564 monomials of degree <= 12 in six variables
+        ("(x1+x2+x3+x4+x5+x6+1)^12", "may give 18564 terms"),
     ],
 )
 def test_lowering_limits_refuse_a_power_before_multiplying(monkeypatch, source, message):
@@ -154,6 +157,16 @@ def test_lowering_limits_refuse_a_power_before_multiplying(monkeypatch, source, 
 def test_lowering_limits_refuse_a_product_from_its_operand_degrees():
     with pytest.raises(WorkLimit, match=f"needs degree {MAX_POLY_DEGREE + 1}"):
         to_monomial_poly(parse(f"x^{MAX_POLY_DEGREE // 2}*y^{MAX_POLY_DEGREE // 2 + 1}"))
+
+
+def test_lowering_limits_bound_the_term_count():
+    # each factor has C(3 + 12, 3) = 455 terms; their product could have C(3 + 24, 3)
+    assert 455 ** 2 > 2925 > MAX_POLY_TERMS
+    with pytest.raises(WorkLimit, match="may give 2925 terms"):
+        to_monomial_poly(parse("(x+y+z+1)^12*(x+y+z+1)^12"))
+    # a single monomial is one product of terms, whatever its degree and dimension
+    poly = to_monomial_poly(parse(f"x1^{MAX_POLY_DEGREE - 2}*x2^2"), 12)
+    assert list(poly.terms) == [(MAX_POLY_DEGREE - 2, 2) + (0,) * 10]
 
 
 def test_eval_float():
