@@ -44,9 +44,8 @@ def _default_format() -> str:
 
 def _parse_region(alias: str | None, path: str | None) -> Region:
     """The --region or --region-file region.  A simplex or cube above
-    rules.MAX_RULE_DIMENSION is refused before any vertex, node or moment is
-    built: derive places 2^n cube vertices, and the work grows about 4x for
-    every two dimensions."""
+    rules.MAX_RULE_DIMENSION is refused before any vertex is built: derive
+    places all 2^n cube vertices."""
     region = _read_region(alias, path)
     if isinstance(region, (Simplex, Cube)) and region.dimension > rules.MAX_RULE_DIMENSION:
         raise WorkLimit(

@@ -39,13 +39,11 @@ _ALIASES = {"x": 0, "y": 1, "z": 2}
 # `^` exponent above MAX_POLY_EXPONENT (a power is that many multiplications)
 # and any product or power of degree above MAX_POLY_DEGREE, worked out from
 # the operands before multiplying.  (x+y+1)^32 expands in about 0.15 s on
-# one core of a 2-vCPU Xeon; unchecked, (x+1)^1100 took 11 s.  The degree
-# alone still admits C(n + 32, n) terms in n variables, so a product or power
-# whose result may have more than MAX_POLY_TERMS terms is refused as well.
-# The bound is the smaller of C(n + degree, n), the number of monomials of
-# that degree or less, and the number of products of operand terms (so a
-# single monomial is never refused).  (x+y+z+1)^20, 1,771 terms, takes about
-# 0.4 s; (x1+...+x6+1)^12, 18,564 terms, took 2.2 s.
+# one core of a 2-vCPU Xeon; unchecked, (x+1)^1100 took 11 s.  In n
+# variables a degree still admits C(n + degree, n) terms, so a result that
+# may have more than MAX_POLY_TERMS terms is refused too, bounded by the
+# smaller of that and the number of products of operand terms (a single
+# monomial always passes).  Unchecked, (x1+...+x6+1)^12 (18,564 terms) took 2.2 s.
 MAX_POLY_EXPONENT = 1000
 MAX_POLY_DEGREE = 32
 MAX_POLY_TERMS = 2000

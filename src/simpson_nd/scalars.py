@@ -86,8 +86,9 @@ def _make_quad(a: Fraction, b: Fraction, d: int) -> Scalar:
 
 
 class _Exact:
-    """What Quad and PiMultiple share; each implements its own operators, as
-    Fraction does, and a mixed Quad/PiMultiple case is decided by Quad."""
+    """Immutability, printing and subtraction as addition of the negation,
+    shared by Quad and PiMultiple.  Each implements its other operators
+    itself, as Fraction does, and Quad decides every mixed Quad/PiMultiple case."""
 
     __slots__ = ()
 
