@@ -234,6 +234,24 @@ def test_derive_disc_lambda(capsys):
     assert blob["values"] == [{"rat": ["1", "2"]}]
 
 
+@pytest.mark.parametrize(
+    "region, targets, exclude, witness",
+    [
+        # an irrational root of the one informative equation
+        ("hexagon-paper", "deg2", "y^2",
+         "the only solution lam = 5/8 - 1/24*sqrt(3) (from x^2) is irrational"),
+        # an equation whose lam coefficient vanishes but whose right side does not
+        ("disc", "deg4", "x^4", "equation for x^2*y^2 reads 0*lam = pi/24"),
+    ],
+)
+def test_derive_lambda_infeasibility_witnesses(capsys, region, targets, exclude, witness):
+    code, out, _ = run_cli(
+        capsys, "derive", "--region", region, "--targets", targets, "--exclude", exclude
+    )
+    assert code == 0
+    assert out.splitlines()[1] == f"  infeasible: {witness}"
+
+
 def test_compound_proxy_reference_for_transcendental(capsys):
     code, out, _ = run_cli(
         capsys, "--format", "json", "compound", "--rule", "CR4",
@@ -245,12 +263,20 @@ def test_compound_proxy_reference_for_transcendental(capsys):
     assert blob["order"] is not None
 
 
+def _rational_polygon(vertices) -> dict:
+    return {"polygon": [[{"rat": [str(c), "1"]} for c in v] for v in vertices]}
+
+
 @pytest.mark.parametrize(
     "region, message",
     [
         ({"polygon": 5}, "list of [x, y] vertices"),
         ({"polygon": [[{"quad": {"a": ["1", "1"]}}, {"rat": ["0", "1"]}]] * 3}, "keys a, b and rad"),
         ({"polygon": [[{"rat": "12"}, {"rat": ["0", "1"]}]] * 3}, "[numerator, denominator] pair"),
+        # the edges (2, 0)-(0, 1) and (1, 2)-(0, 0) cross
+        (_rational_polygon([(0, 0), (2, 0), (0, 1), (1, 2)]), "must be simple"),
+        # the second edge doubles back along the first
+        (_rational_polygon([(0, 0), (2, 0), (1, 0), (0, 1)]), "degenerate spike"),
         (
             {"polygon": [[{"quad": {"a": ["0", "1"], "b": ["1", "1"], "rad": str(10**12 + 1)}},
                           {"rat": ["0", "1"]}]] * 3},

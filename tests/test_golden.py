@@ -1,15 +1,15 @@
-"""Byte-for-byte CLI outputs.  The ``family`` and ``verify`` files were
-recorded before the residual systems were generated from node
-parameterizations and the elimination loops were merged; the
+"""Byte-for-byte CLI outputs.  The ``verify`` file and the ``family``
+files but one were recorded before the residual systems were generated
+from node parameterizations and the elimination loops were merged; the
 ``compound`` files before the integrand was compiled and the cell
 shapes were folded into one affine-cell loop; the ``catalog``,
 ``moments`` and ``derive`` files before the ``Quad`` and ``PiMultiple``
-operators took over their own arithmetic.  Those pin the CR5/CR5* nodes
-in Q(sqrt 3893), the CR6 pi weights, hexagon moments in Q(sqrt 3), the
-irrational lambda witness and a Gauss-Jordan solve over ``Quad`` pivots.
-A refactor of any of these
-must leave every file here unchanged, which pins every compound estimate
-bit for bit.
+operators took over their own arithmetic; ``family_square_param`` before
+the claim suite read each rule's exactness report.  Those pin the
+CR5/CR5* nodes in Q(sqrt 3893), the CR6 pi weights, hexagon moments in
+Q(sqrt 3), the irrational lambda witness and a Gauss-Jordan solve over
+``Quad`` pivots.  A refactor of any of these must leave every file here
+unchanged, which pins every compound estimate bit for bit.
 
 Each file holds the stdout of ``simpson-nd`` for the argv listed below,
 for example ``simpson-nd --format json verify --all > verify_all.json``.
@@ -26,6 +26,7 @@ GOLDEN = Path(__file__).parent / "golden"
 FAMILY_CASES = {
     "family_triangle_point": ("triangle", "--point", "2,0,0,1"),
     "family_square_point": ("square", "--point", "1/3,2,0,1/2,1/2"),
+    "family_square_param": ("square", "--param", "1/3"),
     "family_trapezoid_point": ("trapezoid", "--point", "0,0,0,0,1"),
     "family_trapezoid_conjugate": ("trapezoid", "--branch", "conjugate"),
     "family_simplex3_point": ("simplex3", "--point", "1/2,1/3,2,1/5,0,3/4,1/7,2/7,3/5"),

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -211,8 +212,14 @@ def test_disc_membership_with_quad_coordinates():
 
 
 def test_region_json_round_trip():
-    for region in [Simplex(4), Cube(2), trapezoid_paper(), hexagon_paper(), UnitDisc()]:
-        again = region_from_json(region_to_json(region))
+    regions = [Simplex(4), Cube(2), trapezoid_paper(), hexagon_paper(), UnitDisc()]
+    rng = random.Random(708)
+    regions += [Simplex(rng.randint(1, 12)) for _ in range(5)]
+    regions += [Cube(rng.randint(1, 12)) for _ in range(5)]
+    regions += [Polygon(_random_rational_polygon(rng)) for _ in range(20)]
+    regions += [Polygon(_sheared_hexagon(d)) for d in (2, 7, 3893)]
+    for region in regions:
+        again = region_from_json(json.loads(json.dumps(region_to_json(region))))
         assert again == region
 
 

@@ -7,6 +7,7 @@ from math import factorial
 import pytest
 
 from oracles import float_rule_sum
+from test_regions import _random_rational_polygon
 from simpson_nd import rules, scalars
 from simpson_nd.errors import (
     DimensionMismatch,
@@ -15,7 +16,7 @@ from simpson_nd.errors import (
     RegionMismatch,
     WorkLimit,
 )
-from simpson_nd.regions import Cube, Simplex, UnitDisc, trapezoid_paper
+from simpson_nd.regions import Cube, Polygon, Simplex, UnitDisc, trapezoid_paper
 from simpson_nd.rules import (
     CubatureRule,
     MonomialPoly,
@@ -234,8 +235,35 @@ def test_apply_fn_examples():
     assert abs(estimate - 1.0) < 0.02  # exact integral over the triangle is 1
 
 
+def _random_rules(rng):
+    """Seeded rules with random exact weights: on random rational polygons
+    (nodes at the vertices and the centroid), on simplices and cubes (nodes
+    at the vertices), and on the disc (nodes on the axes, pi weights)."""
+    def weight():
+        value = Fraction(rng.randint(-50, 50), rng.randint(1, 50))
+        if rng.random() < 0.5:
+            return value
+        return quad(value, Fraction(rng.randint(1, 9), rng.randint(1, 9)), rng.choice((2, 3, 3893)))
+
+    out = []
+    for _ in range(10):
+        region = Polygon(_random_rational_polygon(rng))
+        nodes = region.vertices() + (region.centroid(),)
+        out.append(CubatureRule(region, nodes, [weight() for _ in nodes], label="polygon"))
+    for _ in range(5):
+        n = rng.randint(1, 6)
+        region = rng.choice((Simplex, Cube))(n)
+        nodes = region.vertices()
+        out.append(CubatureRule(region, nodes, [weight() for _ in nodes]))
+    axes = ((1, 0), (0, 1), (-1, 0), (0, -1))
+    out.append(
+        CubatureRule(UnitDisc(), axes, [PiMultiple(Fraction(rng.randint(1, 9), 4)) for _ in axes])
+    )
+    return out
+
+
 def test_rule_json_round_trip_bit_exact():
-    for rule in [cr5(), cr6(), cr1(3)]:
+    for rule in [cr5(), cr6(), cr1(3)] + _random_rules(random.Random(709)):
         blob = json.dumps(rule_to_json(rule))
         again = rule_from_json(json.loads(blob))
         assert again.region == rule.region

@@ -168,6 +168,20 @@ def test_sign():
     assert scalars.sign(PiMultiple(Fraction(-1, 7))) == -1
 
 
+def _random_scalar(rng):
+    """A seeded Fraction, Quad over one of four radicands, or pi multiple;
+    numerators and denominators run up to 10^30."""
+    def fraction():
+        return Fraction(rng.randint(-(10**rng.randint(1, 30)), 10**30), rng.randint(1, 10**30))
+
+    kind = rng.randrange(3)
+    if kind == 0:
+        return fraction()
+    if kind == 1:
+        return Quad(fraction(), fraction() or 1, rng.choice((2, 3, 5, 3893)))
+    return PiMultiple(fraction())
+
+
 def test_json_round_trip_bit_exact():
     values = [
         Fraction(1, 3),
@@ -177,6 +191,8 @@ def test_json_round_trip_bit_exact():
         PiMultiple(0),
         Fraction(0),
     ]
+    rng = random.Random(707)
+    values += [_random_scalar(rng) for _ in range(200)]
     for value in values:
         encoded = json.dumps(scalar_to_json(value))
         decoded = scalar_from_json(json.loads(encoded))
