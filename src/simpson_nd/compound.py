@@ -11,16 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Sequence
 
-from . import scalars
-from .errors import DegenerateErrors, SingularMap, UnsupportedRegion, WorkLimit
-from .regions import Cube, Point, Polygon, Simplex
+from .errors import DegenerateErrors, UnsupportedRegion, WorkLimit
+from .regions import Cube, Simplex
 from .rules import CubatureRule
-from .scalars import Scalar, to_float
-
-RationalMatrix = tuple[tuple[Fraction, ...], ...]
+from .scalars import to_float
 
 # The most cells one compound_apply call builds: 2^20 square or triangle
 # cells take 6 to 8 s for a three-function integrand on one core of a
@@ -33,67 +29,6 @@ class CompoundEstimate:
     level: int
     cells: int
     estimate: float
-
-
-def _det2(m: RationalMatrix) -> Fraction:
-    return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-
-
-def _is_identity(matrix, offset) -> bool:
-    n = len(matrix)
-    for i in range(n):
-        for j in range(n):
-            if matrix[i][j] != (1 if i == j else 0):
-                return False
-    return all(o == 0 for o in offset)
-
-
-def _map_point(matrix, offset, point: Point) -> Point:
-    out = []
-    for i in range(len(matrix)):
-        acc: Scalar = Fraction(offset[i])
-        for j, c in enumerate(point):
-            acc = scalars.add(acc, scalars.mul(Fraction(matrix[i][j]), c))
-        out.append(acc)
-    return tuple(out)
-
-
-def map_rule(rule: CubatureRule, matrix, offset) -> CubatureRule:
-    """Push a rule through an affine map with rational entries.
-
-    Nodes map through x -> M x + o and weights scale by |det M|, which
-    preserves the exactness degree on the image region.  Supported images:
-    any affine image of a 2-d region with straight edges (returned as a
-    Polygon).  The identity map is accepted for every region.
-    """
-    matrix = tuple(tuple(Fraction(v) for v in row) for row in matrix)
-    offset = tuple(Fraction(v) for v in offset)
-    dim = rule.region.dimension
-    if len(matrix) != dim or any(len(row) != dim for row in matrix) or len(offset) != dim:
-        raise ValueError("affine map shape does not match the region dimension")
-    if _is_identity(matrix, offset):
-        return rule
-    if dim != 2:
-        raise UnsupportedRegion("only 2-d regions can be mapped off the identity")
-    det = _det2(matrix)
-    if det == 0:
-        raise SingularMap("affine map has zero determinant")
-    region = rule.region
-    if isinstance(region, (Simplex, Cube)):
-        corners = region.vertices()
-    elif isinstance(region, Polygon):
-        corners = region.vertices()
-    else:
-        raise UnsupportedRegion("the disc has no affine polygon image")
-    if isinstance(region, Cube):
-        # vertex order from itertools.product traces a Z, not the border
-        corners = (corners[0], corners[1], corners[3], corners[2])
-    image = Polygon([_map_point(matrix, offset, p) for p in corners])
-    scale = Fraction(abs(det))
-    nodes = tuple(_map_point(matrix, offset, p) for p in rule.nodes)
-    weights = tuple(scalars.mul(scale, w) for w in rule.weights)
-    label = f"{rule.label}|mapped" if rule.label else "mapped"
-    return CubatureRule(image, nodes, weights, label=label)
 
 
 def triangle_children(v0, v1, v2):
@@ -119,8 +54,9 @@ def triangle_children(v0, v1, v2):
 
 
 # Each shape's cells as affine maps (offset, matrix) of the rule's region,
-# x -> matrix x + offset as in map_rule, in a fixed order: row-major grids,
-# depth-first triangle recursion.
+# x -> matrix x + offset, in a fixed order: row-major grids, depth-first
+# triangle recursion.  These float cells are the one way a rule is mapped
+# onto a cell.
 
 
 def _interval_cells(level: int):

@@ -39,10 +39,6 @@ class SingularInterpolation(SimpsonNdError):
     """The interpolation system has a singular coefficient matrix."""
 
 
-class SingularMap(SimpsonNdError):
-    """The affine map has zero determinant."""
-
-
 class UnsupportedRegion(SimpsonNdError):
     """The operation does not support this region type."""
 

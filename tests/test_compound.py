@@ -10,51 +10,13 @@ from simpson_nd.compound import (
     compound_apply,
     compound_cells,
     convergence_order,
-    map_rule,
     triangle_children,
 )
-from simpson_nd.errors import DegenerateErrors, SingularMap, UnsupportedRegion, WorkLimit
-from simpson_nd.exactness import exactness_degree, monomials_up_to
-from simpson_nd.regions import Polygon
+from simpson_nd.errors import DegenerateErrors, UnsupportedRegion, WorkLimit
+from simpson_nd.exactness import monomials_up_to
 from simpson_nd.rules import cr1, cr3, cr4, cr6, triangle_midedge
 
 E = math.e
-HALF = Fraction(1, 2)
-IDENTITY = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
-
-
-def test_map_rule_identity():
-    rule = cr4()
-    assert map_rule(rule, IDENTITY, (0, 0)) is rule
-    disc_rule = cr6()
-    assert map_rule(disc_rule, IDENTITY, (0, 0)) is disc_rule
-
-
-def test_map_rule_quarter_square():
-    scaled = map_rule(cr4(), ((HALF, 0), (0, HALF)), (0, 0))
-    assert scaled.weight_sum() == Fraction(1, 4)
-    assert isinstance(scaled.region, Polygon)
-    assert scaled.region.volume() == Fraction(1, 4)
-
-
-def test_map_rule_preserves_exactness_degree():
-    mapped = map_rule(triangle_midedge(), ((HALF, 0), (0, HALF)), (0, 0))
-    report = exactness_degree(mapped, 3)
-    assert report.certified_degree == 2
-    shifted = map_rule(cr4(), ((Fraction(1, 3), 0), (0, Fraction(1, 5))), (2, 3))
-    assert exactness_degree(shifted, 4).certified_degree == 3
-
-
-def test_map_rule_singular():
-    with pytest.raises(SingularMap):
-        map_rule(cr4(), ((Fraction(1), Fraction(1)), (Fraction(1), Fraction(1))), (0, 0))
-
-
-def test_map_rule_unsupported():
-    with pytest.raises(UnsupportedRegion):
-        map_rule(cr6(), ((HALF, 0), (0, HALF)), (0, 0))
-    with pytest.raises(UnsupportedRegion):
-        map_rule(cr3(1), ((HALF,),), (HALF,))
 
 
 def test_triangle_children_cover_parent_exactly():
@@ -223,11 +185,3 @@ def test_compound_determinism():
     a = compound_apply(cr4(), 4, f).estimate
     b = compound_apply(cr4(), 4, f).estimate
     assert a == b
-
-
-def test_map_rule_composes():
-    # map a mapped rule again: quarter-triangle then a translation
-    quarter = map_rule(triangle_midedge(), ((HALF, 0), (0, HALF)), (0, 0))
-    moved = map_rule(quarter, IDENTITY, (Fraction(2), Fraction(3)))
-    assert moved.weight_sum() == Fraction(1, 8)
-    assert exactness_degree(moved, 3).certified_degree == 2
