@@ -40,59 +40,54 @@ def _simpson_weights(rule: rules.CubatureRule) -> bool:
     return [(n, w) for n, w in pairs] == expected
 
 
+def _fails_first_at(report: exactness.ExactnessReport, alpha, value) -> bool:
+    """The scan's first nonzero residual is at x^alpha and equals value."""
+    return report.failing == alpha and report.failing_residual == value
+
+
 def _check_cr1() -> list[Claim]:
-    out = []
-    ok_all = True
-    for n in range(1, 7):
-        rule = rules.cr1(n)
-        if exactness.exactness_degree(rule, 2).certified_degree != 2:
-            ok_all = False
-    out.append(Claim("cr1-quadratic-exactness-n1..6", ok_all, "certified degree 2"))
-    ok_wit = True
-    for n in range(3, 7):
+    members = {n: rules.cr1(n) for n in range(1, 7)}
+    reports = {n: exactness.exactness_degree(rule, 5) for n, rule in members.items()}
+    ok_all = all(report.certified_degree >= 2 for report in reports.values())
+
+    def witness_holds(n: int) -> bool:
+        # the scan stops at x1^3, before any distinct-triple cubic
         alpha = (1, 1, 1) + (0,) * (n - 3)
-        expected = Fraction(1, (n + 1) * factorial(n + 2)) - Fraction(
-            1, factorial(n + 3)
-        )
-        if exactness.residual(rules.cr1(n), alpha) != expected:
-            ok_wit = False
-    out.append(
+        expected = Fraction(1, (n + 1) * factorial(n + 2)) - Fraction(1, factorial(n + 3))
+        return exactness.residual(members[n], alpha) == expected
+
+    ok_wit = all(witness_holds(n) for n in range(3, 7))
+    ok_deg = all(reports[n].certified_degree == 2 for n in range(2, 7))
+    return [
+        Claim("cr1-quadratic-exactness-n1..6", ok_all, "certified degree 2"),
         Claim(
             "cr1-cubic-failure-witness",
             ok_wit,
             "residual of a distinct-triple cubic is 1/((n+1)(n+2)!) - 1/(n+3)!",
-        )
-    )
-    ok_deg = all(
-        exactness.exactness_degree(rules.cr1(n), 4).certified_degree == 2
-        for n in range(2, 7)
-    )
-    out.append(Claim("cr1-degree-cap-n2..6", ok_deg, "degree stays exactly 2"))
-    r1 = rules.cr1(1)
-    out.append(
+        ),
+        Claim("cr1-degree-cap-n2..6", ok_deg, "degree stays exactly 2"),
         Claim(
             "cr1-1d-is-simpson",
-            _simpson_weights(r1)
-            and exactness.exactness_degree(r1, 5).certified_degree == 3,
+            _simpson_weights(members[1]) and reports[1].certified_degree == 3,
             "the 1-d member is classical Simpson (degree 3)",
-        )
-    )
-    return out
+        ),
+    ]
 
 
 def _check_cr2() -> list[Claim]:
+    members = {n: rules.cr2(n) for n in range(2, 6)}
     ok_deg = all(
-        exactness.exactness_degree(rules.cr2(n), 4).certified_degree == 2
-        for n in range(2, 6)
+        exactness.exactness_degree(rule, 4).certified_degree == 2
+        for rule in members.values()
     )
     ok_neg = True
     for n in range(3, 6):
-        rule = rules.cr2(n)
+        rule = members[n]
         center = rule.region.centroid()
         w = next(w for p, w in zip(rule.nodes, rule.weights) if p == center)
         if not scalars.sign(w) < 0:
             ok_neg = False
-    ok_mid = rules.rules_equivalent(rules.cr2(2), rules.triangle_midedge())
+    ok_mid = rules.rules_equivalent(members[2], rules.triangle_midedge())
     return [
         Claim("cr2-quadratic-exactness-n2..5", ok_deg, "certified degree 2"),
         Claim("cr2-negative-center-weight-n>=3", ok_neg, "center weight < 0"),
@@ -100,22 +95,23 @@ def _check_cr2() -> list[Claim]:
     ]
 
 
+_QUARTIC_RESIDUAL = Fraction(5, 24) - Fraction(1, 5)
+
+
 def _check_cr3() -> list[Claim]:
-    ok_deg = all(
-        exactness.exactness_degree(rules.cr3(n), 5).certified_degree == 3
-        for n in range(1, 7)
-    )
+    members = {n: rules.cr3(n) for n in range(1, 7)}
+    reports = {n: exactness.exactness_degree(rule, 5) for n, rule in members.items()}
+    ok_deg = all(report.certified_degree == 3 for report in reports.values())
     ok_res = all(
-        exactness.residual(rules.cr3(n), (4,) + (0,) * (n - 1))
-        == Fraction(5, 24) - Fraction(1, 5)
-        for n in range(1, 7)
+        _fails_first_at(report, (4,) + (0,) * (n - 1), _QUARTIC_RESIDUAL)
+        for n, report in reports.items()
     )
     return [
         Claim("cr3-cubic-exactness-n1..6", ok_deg, "certified degree 3"),
         Claim("cr3-quartic-residual", ok_res, "x^4 residual is 5/24 - 1/5 = 1/120"),
         Claim(
             "cr3-1d-is-simpson",
-            _simpson_weights(rules.cr3(1)),
+            _simpson_weights(members[1]),
             "weights (1/6, 2/3, 1/6) at 0, 1/2, 1",
         ),
     ]
@@ -124,11 +120,12 @@ def _check_cr3() -> list[Claim]:
 def _check_cr4() -> list[Claim]:
     rule = rules.cr4()
     report = exactness.exactness_degree(rule, 5)
+    # the scan stops at x^4, before x^3 y and x y^3
     ok = (
         report.certified_degree == 3
+        and _fails_first_at(report, (4, 0), _QUARTIC_RESIDUAL)
         and scalars.is_zero(exactness.residual(rule, (3, 1)))
         and scalars.is_zero(exactness.residual(rule, (1, 3)))
-        and exactness.residual(rule, (4, 0)) == Fraction(5, 24) - Fraction(1, 5)
     )
     return [
         Claim(
@@ -140,13 +137,11 @@ def _check_cr4() -> list[Claim]:
 
 
 def _check_cr5() -> list[Claim]:
-    rule = rules.cr5()
-    report = exactness.exactness_degree(rule, 4)
-    ok = report.certified_degree == 2 and exactness.residual(rule, (3, 0)) == Fraction(
-        336001, 762048
-    ) - Fraction(9, 20)
-    conj = rules.cr5_conjugate()
-    ok_conj = exactness.exactness_degree(conj, 2).certified_degree == 2
+    report = exactness.exactness_degree(rules.cr5(), 4)
+    ok = report.certified_degree == 2 and _fails_first_at(
+        report, (3, 0), Fraction(336001, 762048) - Fraction(9, 20)
+    )
+    ok_conj = exactness.exactness_degree(rules.cr5_conjugate(), 2).certified_degree == 2
     return [
         Claim(
             "cr5-quadratic-exactness-sqrt3893",
@@ -158,10 +153,9 @@ def _check_cr5() -> list[Claim]:
 
 
 def _check_cr6() -> list[Claim]:
-    rule = rules.cr6()
-    report = exactness.exactness_degree(rule, 5)
-    ok = report.certified_degree == 3 and exactness.residual(rule, (4, 0)) == PiMultiple(
-        Fraction(1, 8)
+    report = exactness.exactness_degree(rules.cr6(), 5)
+    ok = report.certified_degree == 3 and _fails_first_at(
+        report, (4, 0), PiMultiple(Fraction(1, 8))
     )
     return [
         Claim(
@@ -173,10 +167,11 @@ def _check_cr6() -> list[Claim]:
 
 
 def _check_midedge() -> list[Claim]:
-    rule = rules.triangle_midedge()
+    report = exactness.exactness_degree(rules.triangle_midedge(), 4)
+    # rule(x^3) = 1/24 follows from the residual and the moment 1/20
     ok = (
-        exactness.exactness_degree(rule, 4).certified_degree == 2
-        and rule.apply_poly(rules.monomial((3, 0))) == Fraction(1, 24)
+        report.certified_degree == 2
+        and _fails_first_at(report, (3, 0), Fraction(1, 24) - Fraction(1, 20))
         and Simplex(2).moment((3, 0)) == Fraction(1, 20)
     )
     return [
