@@ -176,6 +176,8 @@ class Quad(_Exact):
             a, b, d = self.a, self.b, self.d
             return _make_quad(a * other.a + b * other.b * d, a * other.b + b * other.a, d)
         if isinstance(other, PiMultiple):
+            if other.coefficient == 0:
+                return other
             raise IncompatibleScalars("pi times a sqrt value is not representable")
         return _make_quad(self.a * other, self.b * other, self.d)
 
@@ -282,7 +284,7 @@ def conj(x) -> Scalar:
 
 
 # The scalar functions coerce through as_scalar, then apply the operator;
-# add, sub and mul skip the coercion for two plain Fractions.
+# add, sub, mul and div skip the coercion for two plain Fractions.
 
 
 def add(x, y) -> Scalar:
@@ -308,6 +310,8 @@ def mul(x, y) -> Scalar:
 
 
 def div(x, y) -> Scalar:
+    if type(x) is Fraction and type(y) is Fraction:
+        return x / y
     return as_scalar(x) / as_scalar(y)
 
 

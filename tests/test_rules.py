@@ -243,7 +243,8 @@ def _random_rules(rng):
         value = Fraction(rng.randint(-50, 50), rng.randint(1, 50))
         if rng.random() < 0.5:
             return value
-        return quad(value, Fraction(rng.randint(1, 9), rng.randint(1, 9)), rng.choice((2, 3, 3893)))
+        b = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+        return quad(value, b, rng.choice((2, 3, 3893)))
 
     out = []
     for _ in range(10):

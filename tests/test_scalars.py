@@ -90,6 +90,23 @@ def test_pi_times_pi_is_loud():
         scalars.mul(PiMultiple(1), quad(0, 1, 3))
 
 
+def test_zero_pi_times_a_quad_is_zero_pi():
+    # as Fraction * PiMultiple(0) and Quad + PiMultiple(0) already were
+    zero_pi = PiMultiple(0)
+    for q in (quad(1, 2, 3), quad(Fraction(11, 18), Fraction(-1, 458), 3893)):
+        products = (q * zero_pi, zero_pi * q, scalars.mul(q, zero_pi), scalars.mul(zero_pi, q))
+        for product in products:
+            assert type(product) is PiMultiple and product == zero_pi
+        for quotient in (zero_pi / q, scalars.div(zero_pi, q)):
+            assert type(quotient) is PiMultiple and quotient == zero_pi
+        with pytest.raises(ZeroDivisionError):
+            scalars.div(q, zero_pi)
+        for nonzero in (PiMultiple(1), PiMultiple(Fraction(-3, 7))):
+            for x, y in ((q, nonzero), (nonzero, q)):
+                with pytest.raises(IncompatibleScalars, match="pi times a sqrt value"):
+                    scalars.mul(x, y)
+
+
 def test_quad_constructor_validation():
     with pytest.raises(ValueError):
         Quad(1, 1, 12)  # 12 = 4*3 is not squarefree
@@ -106,6 +123,10 @@ def test_division():
         scalars.div(Fraction(1), PiMultiple(1))
     with pytest.raises(ZeroDivisionError):
         scalars.div(Fraction(1), Fraction(0))
+    # two Fractions skip the coercion and give the Fraction quotient
+    assert type(scalars.div(Fraction(3, 4), Fraction(-9, 2))) is Fraction
+    assert scalars.div(Fraction(3, 4), Fraction(-9, 2)) == Fraction(-1, 6)
+    assert scalars.div(3, Fraction(1, 2)) == Fraction(6)
 
 
 def _random_fraction(rng, span=60):
