@@ -24,6 +24,7 @@ from . import exactness, expr, families, rules, scalars
 from .errors import NotPolynomial, SimpsonNdError, WorkLimit
 from .regions import (
     Cube,
+    Polygon,
     Region,
     Simplex,
     UnitDisc,
@@ -90,6 +91,28 @@ def _region_name(region: Region, alias: str | None = None) -> str:
     if isinstance(region, UnitDisc):
         return "disc"
     return "polygon"
+
+
+def _check_monomial_table(region: Region, degree: int) -> None:
+    """moments and derive tabulate every monomial through ``degree``.  Refuse
+    a degree above expr.MAX_POLY_DEGREE, or a table above expr.MAX_POLY_TERMS
+    entries, before any moment is computed.  A polygon moment is one boundary
+    integral per edge, so a polygon's table counts every edge of it."""
+    if degree > expr.MAX_POLY_DEGREE:
+        raise WorkLimit(f"degree {degree} is above the limit of {expr.MAX_POLY_DEGREE}")
+    if degree < 0:
+        return
+    entries = math.comb(region.dimension + degree, degree)
+    what = f"{entries} monomials"
+    if isinstance(region, Polygon):
+        edges = len(region.vertices())
+        entries *= edges
+        what += f" x {edges} edges = {entries} boundary integrals"
+    if entries > expr.MAX_POLY_TERMS:
+        raise WorkLimit(
+            f"degree {degree} in {region.dimension} variables needs {what}; "
+            f"the limit is {expr.MAX_POLY_TERMS}"
+        )
 
 
 def _display_monomials(dim: int, degree: int):
@@ -171,6 +194,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_moments(args) -> int:
     region = _parse_region(args.region, args.region_file)
+    _check_monomial_table(region, args.degree)
     dim = region.dimension
     entries = []
     for alpha in _display_monomials(dim, args.degree):
@@ -208,10 +232,12 @@ def _cmd_moments(args) -> int:
     return 0
 
 
-def _parse_targets(text: str, dim: int) -> list[tuple[int, ...]]:
+def _parse_targets(text: str, region: Region) -> list[tuple[int, ...]]:
     text = text.strip().lower()
     if text.startswith("deg"):
-        return list(exactness.monomials_up_to(dim, int(text[3:])))
+        degree = int(text[3:])
+        _check_monomial_table(region, degree)
+        return list(exactness.monomials_up_to(region.dimension, degree))
     raise ValueError(f"unknown targets {text!r}; use degN")
 
 
@@ -251,13 +277,29 @@ def _spread_nodes(region: Region):
     return tuple(region.vertices())
 
 
+def _check_system(region: Region, targets: int, mode: str) -> None:
+    """Refuse a derive system above exactness.MAX_SYSTEM_ENTRIES before any
+    rule is built.  A cube's 2^n vertices are counted, not built."""
+    if isinstance(region, Cube):
+        nodes = 1 + 2**region.dimension
+    else:
+        nodes = 1 + len(_spread_nodes(region))
+    entries = targets * (nodes if mode == "lambda" else nodes + 1 + targets)
+    if entries > exactness.MAX_SYSTEM_ENTRIES:
+        raise WorkLimit(
+            f"{targets} targets on {nodes} nodes make a {mode} system of {entries} "
+            f"entries; the limit is {exactness.MAX_SYSTEM_ENTRIES}"
+        )
+
+
 def _cmd_derive(args) -> int:
     region = _parse_region(args.region, args.region_file)
     dim = region.dimension
-    targets = _parse_targets(args.targets, dim)
+    targets = _parse_targets(args.targets, region)
     if args.exclude:
         alpha = _parse_exclude(args.exclude, dim)
         targets = [t for t in targets if t != alpha]
+    _check_system(region, len(targets), args.mode)
     if args.mode == "lambda":
         spread = (
             rules.boundary_rule(region, _spread_nodes(region))

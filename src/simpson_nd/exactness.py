@@ -23,6 +23,14 @@ from .regions import MultiIndex, Region
 from .rules import CubatureRule, monomial_value, node_sum
 from .scalars import Scalar, is_zero
 
+# Most entries of an exact system the solvers may be asked to build:
+# targets x nodes values for solve_lambda, and the targets x (nodes + 1 +
+# targets) block [A | b | I] that solve_weights reduces.  On one core of a
+# 2-vCPU Xeon, derive on cube:12 with deg1 targets (53,261 and 53,443
+# entries) takes 0.9 s and 1.2 s; unchecked, deg2 targets in weights mode
+# (381,199 entries) took 17 s and deg3 targets in lambda mode 27 s.
+MAX_SYSTEM_ENTRIES = 60_000
+
 
 def monomials_of_degree(nvars: int, degree: int) -> Iterator[MultiIndex]:
     """Exponent tuples of one total degree, in descending lexicographic order."""

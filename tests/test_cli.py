@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 
 import pytest
 
@@ -431,3 +432,92 @@ def test_region_dimension_is_checked_before_any_vertex_is_built(
     assert code == 1
     assert out == ""
     assert "dimension 13 is above the limit of 12" in err
+
+
+def _circle_polygon(m: int) -> dict:
+    """m rational vertices rounded from a circle of radius 1000."""
+    def rat(v):
+        return {"rat": [str(round(v)), "1"]}
+
+    angles = [2 * math.pi * i / m for i in range(m)]
+    return {"polygon": [[rat(1000 * math.cos(t)), rat(1000 * math.sin(t))] for t in angles]}
+
+
+@pytest.mark.parametrize(
+    "argv, region_file, message",
+    [
+        (("moments", "--region", "cube:12", "--degree", "8"), None,
+         "degree 8 in 12 variables needs 125970 monomials; the limit is 2000"),
+        (("moments", "--region", "simplex:1", "--degree", "33"), None,
+         "degree 33 is above the limit of 32"),
+        (("moments", "--region", "hexagon-paper", "--degree", "25"), None,
+         "351 monomials x 6 edges = 2106 boundary integrals"),
+        (("derive", "--region", "cube:12", "--targets", "deg8"), None, "needs 125970 monomials"),
+        (("derive", "--region", "simplex:12", "--targets", "deg4", "--mode", "weights"), None,
+         "1820 targets on 14 nodes make a weights system of 3339700 entries"),
+        (("derive", "--region", "cube:12", "--targets", "deg3"), None,
+         "455 targets on 4097 nodes make a lambda system of 1864135 entries"),
+        (("derive", "--region", "cube:12", "--targets", "deg2", "--mode", "weights"), None,
+         "91 targets on 4097 nodes make a weights system of 381199 entries"),
+        (("moments", "--degree", "0"), _circle_polygon(101),
+         "polygon has 101 vertices; the limit is 100"),
+        (("derive", "--mode", "weights"), _circle_polygon(101),
+         "polygon has 101 vertices; the limit is 100"),
+    ],
+)
+def test_table_system_and_polygon_limits_refuse_before_any_work(
+    tmp_path, capsys, monkeypatch, argv, region_file, message
+):
+    from simpson_nd import exactness, rules
+    from simpson_nd.regions import Cube, Polygon, Simplex, UnitDisc
+
+    def refuse(*args):
+        raise AssertionError("costly work started past a work limit")
+
+    for region in (Simplex, Cube, Polygon, UnitDisc):
+        monkeypatch.setattr(region, "moment", refuse)
+    for name in ("vertex_rule", "midpoint_rule", "boundary_rule"):
+        monkeypatch.setattr(rules, name, refuse)
+    for name in ("solve_lambda", "solve_weights"):
+        monkeypatch.setattr(exactness, name, refuse)
+    if region_file is not None:
+        # the built-in hexagon still runs its simplicity check
+        monkeypatch.setattr(Polygon, "_check_simple", staticmethod(refuse))
+        path = tmp_path / "region.json"
+        path.write_text(json.dumps(region_file))
+        argv += ("--region-file", str(path))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert message in err
+
+
+class _Reached(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("moments", "--region", "cube:12", "--degree", "4"),  # 1,820 monomials
+        ("moments", "--region", "hexagon-paper", "--degree", "24"),  # 6 x 325 = 1,950
+        ("derive", "--region", "cube:12", "--targets", "deg1"),  # 13 x 4,097 = 53,261
+        # 13 x (4,097 + 1 + 13) = 53,443
+        ("derive", "--region", "cube:12", "--targets", "deg1", "--mode", "weights"),
+        # 120 x (129 + 1 + 120) = 30,000
+        ("derive", "--region", "cube:7", "--targets", "deg3", "--mode", "weights"),
+    ],
+)
+def test_inputs_just_inside_the_limits_reach_the_work(capsys, monkeypatch, argv):
+    from simpson_nd import exactness, rules
+    from simpson_nd.regions import Cube, Polygon
+
+    def reached(*args):
+        raise _Reached
+
+    monkeypatch.setattr(Cube, "moment", reached)
+    monkeypatch.setattr(Polygon, "moment", reached)
+    monkeypatch.setattr(rules, "vertex_rule", reached)
+    monkeypatch.setattr(exactness, "solve_weights", reached)
+    with pytest.raises(_Reached):
+        run(list(argv))
