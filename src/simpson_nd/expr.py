@@ -9,10 +9,11 @@ Grammar (standard precedence, ^ binds tightest and associates right):
     power  := atom ('^' unary)?
     atom   := NUMBER | NAME '(' expr ')' | NAME | '(' expr ')'
 
-NUMBER is a decimal literal ("2", "0.25"); it parses to an exact rational
-with a power-of-ten denominator, so lowering polynomial expressions stays
-exact.  NAME is a function (sin cos exp log sqrt) or a variable: x1..xn,
-with x, y, z as aliases for the first three.
+NUMBER is a decimal literal of ASCII digits ("2", "0.25"); it parses to an
+exact rational with a power-of-ten denominator, so lowering polynomial
+expressions stays exact.  NAME is a function (sin cos exp log sqrt) or a
+variable: x1..xn, with x, y, z as aliases for the first three.  Any other
+character, "²" included, is a syntax error at its offset.
 """
 
 from __future__ import annotations
@@ -88,6 +89,12 @@ class _Token:
     offset: int
 
 
+def _digit(ch: str) -> bool:
+    """ASCII 0-9 only: str.isdigit also accepts superscripts such as "²",
+    which int() refuses, and other scripts' digits, which it reads."""
+    return "0" <= ch <= "9"
+
+
 def _lex(source: str) -> list[_Token]:
     tokens = []
     i = 0
@@ -97,21 +104,21 @@ def _lex(source: str) -> list[_Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and source[i + 1].isdigit()):
+        if _digit(ch) or (ch == "." and i + 1 < n and _digit(source[i + 1])):
             start = i
-            while i < n and source[i].isdigit():
+            while i < n and _digit(source[i]):
                 i += 1
             if i < n and source[i] == ".":
                 i += 1
-                if i >= n or not source[i].isdigit():
+                if i >= n or not _digit(source[i]):
                     raise ExprSyntaxError(i, ("digit",), source[i] if i < n else "")
-                while i < n and source[i].isdigit():
+                while i < n and _digit(source[i]):
                     i += 1
             tokens.append(_Token("num", source[start:i], start))
             continue
         if ch.isalpha() or ch == "_":
             start = i
-            while i < n and (source[i].isalnum() or source[i] == "_"):
+            while i < n and (source[i].isalpha() or _digit(source[i]) or source[i] == "_"):
                 i += 1
             tokens.append(_Token("name", source[start:i], start))
             continue
@@ -219,8 +226,9 @@ class _Parser:
                 return Call(name, arg)
             if name in _ALIASES:
                 return Var(_ALIASES[name], name)
-            if name.startswith("x") and name[1:].isdigit() and int(name[1:]) >= 1:
-                return Var(int(name[1:]) - 1, name)
+            index = name[1:]
+            if name.startswith("x") and index.isascii() and index.isdigit() and int(index) >= 1:
+                return Var(int(index) - 1, name)
             raise ExprSyntaxError(tok.offset, ("variable", "function"), name)
         if tok.kind == "lparen":
             self.advance()

@@ -79,6 +79,16 @@ def test_syntax_error_offsets():
     with pytest.raises(ExprSyntaxError) as err:
         parse("x ? y")
     assert err.value.offset == 2
+    # a decimal point needs a digit after it
+    with pytest.raises(ExprSyntaxError) as err:
+        parse("1.")
+    assert err.value.offset == 2
+    # only ASCII digits are digits: a superscript or another script's digit
+    # is an unexpected character where it stands
+    for source, offset in (("x²", 1), ("2²", 1), ("x1²", 2), ("x٣", 1), ("x1٣ + 1", 2)):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse(source)
+        assert err.value.offset == offset, source
 
 
 def _random_expr(rng, depth):
