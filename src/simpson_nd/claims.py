@@ -74,19 +74,18 @@ def _check_cr1() -> list[Claim]:
     ]
 
 
+def _center_weight(rule: rules.CubatureRule):
+    center = rule.region.centroid()
+    return next(w for p, w in zip(rule.nodes, rule.weights) if p == center)
+
+
 def _check_cr2() -> list[Claim]:
     members = {n: rules.cr2(n) for n in range(2, 6)}
     ok_deg = all(
         exactness.exactness_degree(rule, 4).certified_degree == 2
         for rule in members.values()
     )
-    ok_neg = True
-    for n in range(3, 6):
-        rule = members[n]
-        center = rule.region.centroid()
-        w = next(w for p, w in zip(rule.nodes, rule.weights) if p == center)
-        if not scalars.sign(w) < 0:
-            ok_neg = False
+    ok_neg = all(scalars.sign(_center_weight(members[n])) < 0 for n in range(3, 6))
     ok_mid = rules.rules_equivalent(members[2], rules.triangle_midedge())
     return [
         Claim("cr2-quadratic-exactness-n2..5", ok_deg, "certified degree 2"),
