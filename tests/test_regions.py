@@ -13,10 +13,9 @@ from oracles import (
     iterated_simplex_moment,
 )
 from simpson_nd import scalars
-from simpson_nd.errors import DimensionMismatch, NoVertices, WorkLimit
+from simpson_nd.errors import DimensionMismatch, NoVertices
 from simpson_nd.exactness import monomials_up_to
 from simpson_nd.regions import (
-    MAX_POLYGON_VERTICES,
     Cube,
     Polygon,
     Simplex,
@@ -161,18 +160,6 @@ def test_polygon_translation_covariance():
             for j in range(q + 1):
                 expected += binomial(p, i) * binomial(q, j) * base.moment((i, j))
         assert shifted.moment((p, q)) == expected, (p, q)
-
-
-def test_polygon_vertex_limit_refuses_before_the_simplicity_check(monkeypatch):
-    def refuse(pts):
-        raise AssertionError("the simplicity check ran past the vertex limit")
-
-    monkeypatch.setattr(Polygon, "_check_simple", staticmethod(refuse))
-    m = MAX_POLYGON_VERTICES + 1
-    angles = [2 * math.pi * i / m for i in range(m)]
-    pts = [(round(1000 * math.cos(t)), round(1000 * math.sin(t))) for t in angles]
-    with pytest.raises(WorkLimit, match=f"polygon has {m} vertices; the limit is 100"):
-        Polygon(pts)
 
 
 def test_polygon_orientation_normalized():
