@@ -226,9 +226,9 @@ class _Parser:
                 return Call(name, arg)
             if name in _ALIASES:
                 return Var(_ALIASES[name], name)
-            index = name[1:]
-            if name.startswith("x") and index.isascii() and index.isdigit() and int(index) >= 1:
-                return Var(int(index) - 1, name)
+            # a name holds letters, ASCII digits and "_", and no letter is a digit
+            if name.startswith("x") and name[1:].isdigit() and int(name[1:]) >= 1:
+                return Var(int(name[1:]) - 1, name)
             raise ExprSyntaxError(tok.offset, ("variable", "function"), name)
         if tok.kind == "lparen":
             self.advance()
