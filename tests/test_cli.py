@@ -274,15 +274,15 @@ def _rational_polygon(vertices) -> dict:
         ({"polygon": 5}, "list of [x, y] vertices"),
         ({"polygon": [[{"quad": {"a": ["1", "1"]}}, {"rat": ["0", "1"]}]] * 3}, "keys a, b and rad"),
         ({"polygon": [[{"rat": "12"}, {"rat": ["0", "1"]}]] * 3}, "[numerator, denominator] pair"),
-        # the edges (2, 0)-(0, 1) and (1, 2)-(0, 0) cross
-        (_rational_polygon([(0, 0), (2, 0), (0, 1), (1, 2)]), "must be simple"),
-        # the second edge doubles back along the first
-        (_rational_polygon([(0, 0), (2, 0), (1, 0), (0, 1)]), "degenerate spike"),
         (
             {"polygon": [[{"quad": {"a": ["0", "1"], "b": ["1", "1"], "rad": str(10**12 + 1)}},
                           {"rat": ["0", "1"]}]] * 3},
             "exceeds the limit",
         ),
+        # the edges (2, 0)-(0, 1) and (1, 2)-(0, 0) cross
+        (_rational_polygon([(0, 0), (2, 0), (0, 1), (1, 2)]), "must be simple"),
+        # the second edge doubles back along the first
+        (_rational_polygon([(0, 0), (2, 0), (1, 0), (0, 1)]), "degenerate spike"),
     ],
 )
 def test_malformed_region_file_is_a_domain_error(tmp_path, capsys, region, message):
