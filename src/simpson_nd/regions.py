@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, prod
+from math import comb, factorial, prod
 from typing import Union
 
 from . import scalars
@@ -172,26 +172,12 @@ def _segments_intersect(a, b, c, d) -> bool:
     return False
 
 
-def _poly_mul(p: list, q: list) -> list:
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, pi in enumerate(p):
-        if is_zero(pi):
-            continue
-        for j, qj in enumerate(q):
-            out[i + j] = scalars.add(out[i + j], scalars.mul(pi, qj))
+def _powers(x: Scalar, k: int) -> list:
+    """[1, x, x^2, ..., x^k], exact."""
+    out = [Fraction(1)]
+    for _ in range(k):
+        out.append(scalars.mul(out[-1], x))
     return out
-
-
-def _grown(powers: list, k: int) -> list:
-    """The powers [1, f, f^2, ...] of a linear f = powers[1], through at
-    least f^k.  Grows a copy, so a list another caller already holds never
-    changes under it."""
-    if len(powers) > k:
-        return powers
-    powers = list(powers)
-    while len(powers) <= k:
-        powers.append(_poly_mul(powers[-1], powers[1]))
-    return powers
 
 
 # Most vertices a Polygon accepts.  The simplicity check compares every
@@ -269,49 +255,46 @@ class Polygon:
         return self.vertex_list
 
     def moment(self, alpha) -> Scalar:
-        """Exact integral of x^p y^q by a boundary integral.
+        """Exact integral of x^p y^q by Green's theorem in closed form.
 
-        Each edge is parameterized linearly on t in [0,1]; the integrand
-        x(t)^p y(t)^(q+1) x'(t) expands to an exact polynomial in t which
-        integrates term by term.  The counterclockwise normalization fixes
-        the overall sign so that the (0,0) moment is the area.
+        Summed over the counterclockwise edges (x0, y0) -> (x1, y1):
+
+            p! q! / (p+q+2)! * sum (x0 y1 - x1 y0) *
+                sum_{k<=p, l<=q} C(k+l, l) C(p+q-k-l, q-l) x0^k x1^(p-k) y0^l y1^(q-l)
+
+        (Steger, On the Calculation of Arbitrary Moments of Polygons, 1996).
+        Only vertex powers enter, so nothing is kept between calls.
         """
         p, q = _check_index(alpha, 2)
+        pts = self.vertex_list
+        xs = [_powers(x, p) for x, _ in pts]
+        ys = [_powers(y, q) for _, y in pts]
+        coeffs = [
+            [Fraction(comb(k + l, l) * comb(p + q - k - l, q - l)) for l in range(q + 1)]
+            for k in range(p + 1)
+        ]
         total: Scalar = Fraction(0)
-        for dx, xs, ys in self._edge_powers(p, q + 1):
-            integrand = _poly_mul(xs[p], ys[q + 1])
+        m = len(pts)
+        for i in range(m):
+            j = (i + 1) % m
+            (x0, y0), (x1, y1) = pts[i], pts[j]
+            cross = scalars.sub(scalars.mul(x0, y1), scalars.mul(x1, y0))
+            if is_zero(cross):
+                continue
+            y0s, y1s = ys[i], ys[j]
+            yy = [(l, y) for l in range(q + 1)
+                  if not is_zero(y := scalars.mul(y0s[l], y1s[q - l]))]
             edge: Scalar = Fraction(0)
-            for k, coeff in enumerate(integrand):
-                edge = scalars.add(edge, scalars.div(coeff, Fraction(k + 1)))
-            total = scalars.add(total, scalars.mul(dx, edge))
-        return scalars.div(scalars.neg(total), Fraction(q + 1))
-
-    def _edge_powers(self, p: int, r: int) -> list:
-        """For each edge with dx != 0: (dx, powers of x(t), powers of y(t)),
-        each power a coefficient list in t, through at least x^p and y^r.
-
-        The table belongs to this instance and is not a dataclass field, so
-        ==, hash and JSON ignore it.  It only grows, and growing replaces it
-        with a new table instead of changing the lists in the old one.
-        """
-        table = self.__dict__.get("_edge_table")
-        if table is None:
-            table = []
-            pts = self.vertex_list
-            m = len(pts)
-            for i in range(m):
-                x0, y0 = pts[i]
-                x1, y1 = pts[(i + 1) % m]
-                dx = scalars.sub(x1, x0)
-                if is_zero(dx):
+            for k in range(p + 1):
+                xx = scalars.mul(xs[i][k], xs[j][p - k])
+                if is_zero(xx):
                     continue
-                one = [Fraction(1)]
-                table.append((dx, [one, [x0, dx]], [one, [y0, scalars.sub(y1, y0)]]))
-        elif len(table[0][1]) > p and len(table[0][2]) > r:
-            return table
-        table = [(dx, _grown(xs, p), _grown(ys, r)) for dx, xs, ys in table]
-        object.__setattr__(self, "_edge_table", table)
-        return table
+                inner: Scalar = Fraction(0)
+                for l, y in yy:
+                    inner = scalars.add(inner, scalars.mul(coeffs[k][l], y))
+                edge = scalars.add(edge, scalars.mul(xx, inner))
+            total = scalars.add(total, scalars.mul(cross, edge))
+        return scalars.mul(Fraction(factorial(p) * factorial(q), factorial(p + q + 2)), total)
 
     def volume(self) -> Scalar:
         return self.moment((0, 0))
