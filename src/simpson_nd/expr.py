@@ -49,6 +49,16 @@ MAX_POLY_EXPONENT = 1000
 MAX_POLY_DEGREE = 32
 MAX_POLY_TERMS = 2000
 
+# Parsing, printing, compiling, evaluating and lowering all recurse on the
+# tree, so parse refuses an expression deeper than MAX_EXPR_DEPTH levels.
+# A pair of parentheses, a unary minus, a function call and each ^ or
+# + - * / operator is one level above its operands; a number or variable is
+# level 0.  So x inside 100 parentheses and a written-out sum of 101 terms
+# are exactly at the limit.  The check runs while parsing, so the parser
+# (six frames per parenthesis) never recurses past it; unchecked, x inside
+# 300 parentheses or a 2000-term sum raised RecursionError.
+MAX_EXPR_DEPTH = 100
+
 
 @dataclass(frozen=True)
 class Num:
@@ -145,9 +155,14 @@ _ATOM_EXPECTED = ("number", "variable", "function", "'('", "'-'")
 
 
 class _Parser:
+    """Each parse method returns (tree, its height in levels, as counted by
+    MAX_EXPR_DEPTH); ``depth`` is the number of levels open around the
+    current token."""
+
     def __init__(self, source: str):
         self.tokens = _lex(source)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -163,8 +178,24 @@ class _Parser:
             raise ExprSyntaxError(tok.offset, ("')'",), tok.text)
         self.advance()
 
+    def check(self, height: int) -> int:
+        if self.depth + height > MAX_EXPR_DEPTH:
+            raise WorkLimit(
+                f"the expression is nested too deep; the limit is {MAX_EXPR_DEPTH} levels"
+            )
+        return height
+
+    def nested(self, parse) -> tuple[Expr, int]:
+        """parse() one level further down, under a parenthesis, a unary
+        minus, a function call or a ^."""
+        self.depth += 1
+        self.check(0)
+        e, height = parse()
+        self.depth -= 1
+        return e, height + 1
+
     def parse(self) -> Expr:
-        e = self.expr()
+        e, _ = self.expr()
         tok = self.peek()
         if tok.kind != "end":
             raise ExprSyntaxError(
@@ -172,36 +203,40 @@ class _Parser:
             )
         return e
 
-    def expr(self) -> Expr:
-        left = self.term()
+    def expr(self) -> tuple[Expr, int]:
+        left, height = self.term()
         while self.peek().kind == "op" and self.peek().text in "+-":
             op = self.advance().text
-            left = BinOp(op, left, self.term())
-        return left
+            right, right_height = self.term()
+            left, height = BinOp(op, left, right), self.check(max(height, right_height) + 1)
+        return left, height
 
-    def term(self) -> Expr:
-        left = self.unary()
+    def term(self) -> tuple[Expr, int]:
+        left, height = self.unary()
         while self.peek().kind == "op" and self.peek().text in "*/":
             op = self.advance().text
-            left = BinOp(op, left, self.unary())
-        return left
+            right, right_height = self.unary()
+            left, height = BinOp(op, left, right), self.check(max(height, right_height) + 1)
+        return left, height
 
-    def unary(self) -> Expr:
+    def unary(self) -> tuple[Expr, int]:
         tok = self.peek()
         if tok.kind == "op" and tok.text == "-":
             self.advance()
-            return Neg(self.unary())
+            arg, height = self.nested(self.unary)
+            return Neg(arg), height
         return self.power()
 
-    def power(self) -> Expr:
-        base = self.atom()
+    def power(self) -> tuple[Expr, int]:
+        base, height = self.atom()
         tok = self.peek()
         if tok.kind == "op" and tok.text == "^":
             self.advance()
-            return BinOp("^", base, self.unary())
-        return base
+            exponent, exponent_height = self.nested(self.unary)
+            return BinOp("^", base, exponent), self.check(max(height + 1, exponent_height))
+        return base, height
 
-    def atom(self) -> Expr:
+    def atom(self) -> tuple[Expr, int]:
         tok = self.peek()
         if tok.kind == "num":
             self.advance()
@@ -212,7 +247,7 @@ class _Parser:
                 )
             else:
                 value = Fraction(int(tok.text))
-            return Num(value)
+            return Num(value), 0
         if tok.kind == "name":
             self.advance()
             name = tok.text
@@ -221,24 +256,26 @@ class _Parser:
                 if opening.kind != "lparen":
                     raise ExprSyntaxError(opening.offset, ("'('",), opening.text)
                 self.advance()
-                arg = self.expr()
+                arg, height = self.nested(self.expr)
                 self.expect_rparen()
-                return Call(name, arg)
+                return Call(name, arg), height
             if name in _ALIASES:
-                return Var(_ALIASES[name], name)
+                return Var(_ALIASES[name], name), 0
             # a name holds letters, ASCII digits and "_", and no letter is a digit
             if name.startswith("x") and name[1:].isdigit() and int(name[1:]) >= 1:
-                return Var(int(name[1:]) - 1, name)
+                return Var(int(name[1:]) - 1, name), 0
             raise ExprSyntaxError(tok.offset, ("variable", "function"), name)
         if tok.kind == "lparen":
             self.advance()
-            inner = self.expr()
+            inner, height = self.nested(self.expr)
             self.expect_rparen()
-            return inner
+            return inner, height
         raise ExprSyntaxError(tok.offset, _ATOM_EXPECTED, tok.text)
 
 
 def parse(source: str) -> Expr:
+    """The tree of an expression; ExprSyntaxError at the first offending
+    offset, WorkLimit when it is nested deeper than MAX_EXPR_DEPTH."""
     return _Parser(source).parse()
 
 

@@ -8,6 +8,7 @@ from simpson_nd import scalars
 from simpson_nd.errors import ExprSyntaxError, NotPolynomial, WorkLimit
 from simpson_nd.expr import (
     FUNCTIONS,
+    MAX_EXPR_DEPTH,
     MAX_POLY_DEGREE,
     MAX_POLY_TERMS,
     BinOp,
@@ -177,6 +178,25 @@ def test_lowering_limits_bound_the_term_count():
     # a single monomial is one product of terms, whatever its degree and dimension
     poly = to_monomial_poly(parse(f"x1^{MAX_POLY_DEGREE - 2}*x2^2"), 12)
     assert list(poly.terms) == [(MAX_POLY_DEGREE - 2, 2) + (0,) * 10]
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "(" * MAX_EXPR_DEPTH + "x" + ")" * MAX_EXPR_DEPTH,
+        "+".join(["x"] * 100),
+        "+".join(["x"] * (MAX_EXPR_DEPTH + 1)),  # MAX_EXPR_DEPTH operators
+        "-" * MAX_EXPR_DEPTH + "x",
+        "x" + "^1" * MAX_EXPR_DEPTH,
+        "sin(" * MAX_EXPR_DEPTH + "x" + ")" * MAX_EXPR_DEPTH,
+        "(" * 50 + "x" + "*x" * 49 + ")" * 50,
+    ],
+)
+def test_expressions_at_the_depth_limit_are_admitted(source):
+    # deeper ones are refused through the CLI in tests/test_cli.py
+    tree = parse(source)
+    assert parse(to_source(tree)) == tree
+    assert eval_float(tree, (1.0,)) == walk_eval_float(tree, (1.0,))
 
 
 def test_eval_float():
