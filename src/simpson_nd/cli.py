@@ -38,6 +38,25 @@ from .regions import (
 FORMATS = ("text", "json", "csv")
 
 
+def _ascii_number(convert):
+    """convert(text) for a number read from the command line, refusing any
+    text that is not ASCII first: int(), Fraction() and float() also read
+    other scripts' digits, so "٣" would pass for 3."""
+
+    def number(text: str):
+        if not text.isascii():
+            raise ValueError(f"{text!r} is not a number written in ASCII")
+        return convert(text)
+
+    number.__name__ = convert.__name__  # argparse names the type in its usage errors
+    return number
+
+
+_int = _ascii_number(int)
+_fraction = _ascii_number(Fraction)
+_float = _ascii_number(float)
+
+
 def _default_format() -> str:
     env = os.environ.get("SIMPSON_ND_FORMAT", "text").strip().lower()
     return env if env in FORMATS else "text"
@@ -72,9 +91,9 @@ def _read_region(alias: str | None, path: str | None) -> Region:
     if ":" in alias:
         kind, _, dim = alias.partition(":")
         if kind == "simplex":
-            return Simplex(int(dim))
+            return Simplex(_int(dim))
         if kind == "cube":
-            return Cube(int(dim))
+            return Cube(_int(dim))
     raise ValueError(
         f"unknown region {alias!r}; use simplex:N, cube:N, disc, "
         "trapezoid-paper, hexagon-paper, or --region-file"
@@ -97,11 +116,12 @@ def _check_monomial_table(region: Region, degree: int) -> None:
     """moments and derive tabulate every monomial through ``degree``.  Refuse
     a degree above expr.MAX_POLY_DEGREE, or a table above expr.MAX_POLY_TERMS
     entries, before any moment is computed.  A polygon moment is one boundary
-    integral per edge, so a polygon's table counts every edge of it."""
+    integral per edge, so a polygon's table counts every edge of it.  A
+    negative degree is a domain error, not an empty table."""
+    if degree < 0:
+        raise ValueError(f"degree must be >= 0, got {degree}")
     if degree > expr.MAX_POLY_DEGREE:
         raise WorkLimit(f"degree {degree} is above the limit of {expr.MAX_POLY_DEGREE}")
-    if degree < 0:
-        return
     entries = math.comb(region.dimension + degree, degree)
     what = f"{entries} monomials"
     if isinstance(region, Polygon):
@@ -234,11 +254,14 @@ def _cmd_moments(args) -> int:
 
 def _parse_targets(text: str, region: Region) -> list[tuple[int, ...]]:
     text = text.strip().lower()
-    if text.startswith("deg"):
-        degree = int(text[3:])
-        _check_monomial_table(region, degree)
-        return list(exactness.monomials_up_to(region.dimension, degree))
-    raise ValueError(f"unknown targets {text!r}; use degN")
+    try:
+        degree = _int(text[3:]) if text.startswith("deg") else None
+    except ValueError:
+        degree = None
+    if degree is None:
+        raise ValueError(f"unknown targets {text!r}; use degN")
+    _check_monomial_table(region, degree)
+    return list(exactness.monomials_up_to(region.dimension, degree))
 
 
 def _parse_exclude(text: str, dim: int) -> tuple[int, ...]:
@@ -344,7 +367,7 @@ def _values(text: str, count: int) -> list[Fraction]:
     parts = [p for p in text.replace(" ", "").split(",") if p]
     if len(parts) != count:
         raise ValueError(f"expected {count} comma-separated rationals, got {text!r}")
-    return [Fraction(p) for p in parts]
+    return [_fraction(p) for p in parts]
 
 
 def _residual_report(args, name: str, res, extra: dict | None = None,
@@ -376,7 +399,7 @@ def _cmd_family(args) -> int:
         if args.point:
             a, b, c, lam = _values(args.point, 4)
             return _residual_report(args, system, families.triangle_system(a, b, c, lam))
-        c = Fraction(args.param if args.param is not None else "1/2")
+        c = _fraction(args.param if args.param is not None else "1/2")
         ok, res = families.verify_triangle_family(c)
         member = families.triangle_family_member(c)
         roots = sorted(families.triangle_selector_roots())
@@ -399,7 +422,7 @@ def _cmd_family(args) -> int:
         if args.point:
             a, b, c, d, lam = _values(args.point, 5)
             return _residual_report(args, system, families.square_system(a, b, c, d, lam))
-        d = Fraction(args.param if args.param is not None else "1/2")
+        d = _fraction(args.param if args.param is not None else "1/2")
         ok, res = families.verify_square_family(d)
         member = families.square_family_member(d)
         roots = sorted(families.square_selector_roots())
@@ -467,7 +490,7 @@ def _cmd_family(args) -> int:
 
 def _parse_levels(text: str) -> tuple[int, int]:
     lo, _, hi = text.partition(":")
-    lo, hi = int(lo), int(hi or lo)
+    lo, hi = _int(lo), _int(hi or lo)
     if not 0 <= lo <= hi:
         raise ValueError(f"--levels must be lo:hi with 0 <= lo <= hi, got {text!r}")
     return lo, hi
@@ -481,7 +504,7 @@ def _cmd_compound(args) -> int:
     levels = range(lo, top + 1)
     reference = None
     if args.reference is not None:
-        reference = float(args.reference)
+        reference = args.reference
         if not math.isfinite(reference):
             raise ValueError(f"--reference must be a finite number, got {reference}")
         ref_kind = "explicit"
@@ -581,15 +604,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="certify exactness degrees")
     p.add_argument("--rule", help="rule name: CR1..CR6, CR5*, TriangleMidedge")
-    p.add_argument("--dim", type=int, default=None, help="dimension for CR1..CR3")
-    p.add_argument("--max-degree", type=int, default=5)
+    p.add_argument("--dim", type=_int, default=None, help="dimension for CR1..CR3")
+    p.add_argument("--max-degree", type=_int, default=5)
     p.add_argument("--all", action="store_true", help="run the whole claim suite")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("moments", help="exact region moments")
     p.add_argument("--region", help="simplex:N, cube:N, disc, trapezoid-paper, hexagon-paper")
     p.add_argument("--region-file", help="path to a region JSON file")
-    p.add_argument("--degree", type=int, default=2)
+    p.add_argument("--degree", type=_int, default=2)
     p.set_defaults(func=_cmd_moments)
 
     p = sub.add_parser("derive", help="solve for the blend parameter or free weights")
@@ -613,18 +636,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compound", help="subdivision convergence study")
     p.add_argument("--rule", required=True)
-    p.add_argument("--dim", type=int, default=None)
+    p.add_argument("--dim", type=_int, default=None)
     p.add_argument("--expr", required=True, help="integrand, e.g. 'exp(x+y)'")
     p.add_argument("--levels", default="1:5",
                    help="level range lo:hi, 0 <= lo <= hi; the highest level, and "
                    "hi+3 when the reference is estimated, must stay within "
                    f"{compound_mod.MAX_CELLS} cells")
-    p.add_argument("--reference", type=float, default=None,
+    p.add_argument("--reference", type=_float, default=None,
                    help="reference value (default: exact for polynomials)")
     p.set_defaults(func=_cmd_compound)
 
     p = sub.add_parser("catalog", help="list the named rules")
-    p.add_argument("--dim", type=int, default=2, help="dimension for CR1..CR3")
+    p.add_argument("--dim", type=_int, default=2, help="dimension for CR1..CR3")
     p.set_defaults(func=_cmd_catalog)
     return parser
 

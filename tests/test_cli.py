@@ -376,6 +376,19 @@ def test_compound_non_finite_reference_or_error_exits_1(capsys, integrand, refer
     assert message in err
 
 
+# each ran into RecursionError before expr.MAX_EXPR_DEPTH
+_DEEP_EXPRESSIONS = [
+    "(" * 101 + "x" + ")" * 101,
+    "(" * 300 + "x" + ")" * 300,
+    "(" * 3000 + "x" + ")" * 3000,
+    "-" * 5000 + "x",
+    "x" + "^2" * 3000,
+    "+".join(["x"] * 102),
+    "+".join(["x"] * 2000),
+]
+_TOO_DEEP = "nested too deep"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -389,6 +402,14 @@ def test_compound_non_finite_reference_or_error_exits_1(capsys, integrand, refer
              "--exclude", "(x1+x2+x3+x4+x5+x6+1)^12"),
             "may give 18564 terms",
         ),
+        *[
+            (("compound", "--rule", "CR4", "--levels", "1:2", f"--expr={deep}"), _TOO_DEEP)
+            for deep in _DEEP_EXPRESSIONS
+        ],
+        *[
+            (("derive", "--region", "cube:2", f"--exclude={deep}"), _TOO_DEEP)
+            for deep in _DEEP_EXPRESSIONS
+        ],
     ],
 )
 def test_work_limits_exit_1(capsys, monkeypatch, argv, message):
@@ -402,6 +423,7 @@ def test_work_limits_exit_1(capsys, monkeypatch, argv, message):
     assert code == 1
     assert out == ""
     assert message in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -463,6 +485,8 @@ def _circle_polygon(m: int) -> dict:
          "polygon has 101 vertices; the limit is 100"),
         (("derive", "--mode", "weights"), _circle_polygon(101),
          "polygon has 101 vertices; the limit is 100"),
+        (("moments", "--region", "simplex:2", "--degree", "-3"), None, "degree must be >= 0"),
+        (("derive", "--region", "simplex:2", "--targets", "deg-1"), None, "must be >= 0"),
     ],
 )
 def test_table_system_and_polygon_limits_refuse_before_any_work(
@@ -521,3 +545,34 @@ def test_inputs_just_inside_the_limits_reach_the_work(capsys, monkeypatch, argv)
     monkeypatch.setattr(exactness, "solve_weights", reached)
     with pytest.raises(_Reached):
         run(list(argv))
+
+
+_NOT_ASCII = "not a number written in ASCII"
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (("derive", "--region", "cube:\u0663", "--targets", "deg2"), 1, _NOT_ASCII),
+        (("derive", "--region", "simplex:\u0663"), 1, _NOT_ASCII),
+        (("derive", "--region", "cube:3", "--targets", "deg\u0662"), 1, "unknown targets"),
+        (("derive", "--region", "cube:3", "--targets", "deg"), 1, "unknown targets 'deg'; use"),
+        (("moments", "--region", "cube:2", "--degree", "\u0662"), 2, "invalid int value"),
+        (("verify", "--rule", "CR3", "--dim", "3", "--max-degree", "\u0662"), 2, "invalid int"),
+        (("catalog", "--dim", "\u0662"), 2, "invalid int value"),
+        (("family", "triangle", "--param", "\u0663/\u0664"), 1, _NOT_ASCII),
+        (("family", "square", "--point", "\u0661,2,3,4,5"), 1, _NOT_ASCII),
+        (("compound", "--rule", "CR3", "--dim", "\u0662", "--expr", "x"), 2, "invalid int"),
+        (("compound", "--rule", "CR3", "--dim", "2", "--expr", "x", "--levels", "\u0661:\u0663"),
+         1, _NOT_ASCII),
+        (("compound", "--rule", "CR3", "--dim", "2", "--expr", "x", "--reference", "\u0663"),
+         2, "invalid float value"),
+    ],
+)
+def test_numbers_must_be_written_in_ascii(capsys, argv, code, message):
+    # int(), Fraction() and float() would read these Arabic-Indic digits as 1, 2, 3 and 4
+    got, out, err = run_cli(capsys, *argv)
+    assert got == code
+    assert out == ""
+    assert message in err
+    assert "Traceback" not in err
