@@ -22,7 +22,7 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 from . import rules, scalars
-from .errors import DenominatorZero, SingularInterpolation
+from .errors import DenominatorZero, SingularInterpolation, WorkLimit
 from .exactness import gauss_jordan
 from .regions import Cube, Point, Region, Simplex, integrate_terms, trapezoid_paper
 from .rules import CubatureRule, blend, boundary_rule, midpoint_rule, monomial_value, node_sum
@@ -414,9 +414,20 @@ def integrate_interpolant(region: Region, basis, nodes, data) -> Scalar:
     return integrate_terms(region, zip(basis, coeffs))
 
 
+# The rational root test finds the divisors of both end coefficients by trial
+# division up to their square roots, then tries every pair of them.  An end
+# coefficient above MAX_ROOT_COEFFICIENT (trial division takes about 0.15 s at
+# the limit) or more than MAX_DIVISOR_PAIRS pairs (about 0.45 s for a cubic)
+# raise WorkLimit first.  Unchecked, [735134400, 0, 0, 735134400] took 84 s on
+# one core of a 2-vCPU Xeon.
+MAX_ROOT_COEFFICIENT = 10**12
+MAX_DIVISOR_PAIRS = 10_000
+
+
 def rational_roots(coefficients: Sequence[Fraction]) -> set[Fraction]:
     """All rational roots of a polynomial given by ascending rational
-    coefficients, by the rational root test after clearing denominators."""
+    coefficients, by the rational root test after clearing denominators.
+    WorkLimit above MAX_ROOT_COEFFICIENT or MAX_DIVISOR_PAIRS."""
     coeffs = [Fraction(c) for c in coefficients]
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
@@ -435,6 +446,12 @@ def rational_roots(coefficients: Sequence[Fraction]) -> set[Fraction]:
     for c in coeffs:
         denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
     ints = [int(c * denom_lcm) for c in coeffs]
+    largest = max(abs(ints[0]), abs(ints[-1]))
+    if largest > MAX_ROOT_COEFFICIENT:
+        raise WorkLimit(
+            f"end coefficient {largest} is above the limit of {MAX_ROOT_COEFFICIENT} "
+            "for the rational root test"
+        )
 
     def divisors(k: int) -> list[int]:
         k = abs(k)
@@ -447,8 +464,14 @@ def rational_roots(coefficients: Sequence[Fraction]) -> set[Fraction]:
             i += 1
         return out
 
-    for p in divisors(ints[0]):
-        for q in divisors(ints[-1]):
+    numerators, denominators = divisors(ints[0]), divisors(ints[-1])
+    if len(numerators) * len(denominators) > MAX_DIVISOR_PAIRS:
+        raise WorkLimit(
+            f"the rational root test would try {len(numerators) * len(denominators)} "
+            f"divisor pairs; the limit is {MAX_DIVISOR_PAIRS}"
+        )
+    for p in numerators:
+        for q in denominators:
             for cand in (Fraction(p, q), Fraction(-p, q)):
                 value = Fraction(0)
                 for coeff in reversed(ints):

@@ -6,7 +6,7 @@ import pytest
 
 from oracles import permutation_det
 from simpson_nd import scalars
-from simpson_nd.errors import DimensionMismatch, SingularInterpolation
+from simpson_nd.errors import DimensionMismatch, SingularInterpolation, WorkLimit
 from simpson_nd.exactness import residual
 from simpson_nd.families import (
     bilinear_det_closed_form,
@@ -546,3 +546,26 @@ def test_rational_roots_helper():
     }
     assert rational_roots((Fraction(0), Fraction(0), Fraction(1))) == {Fraction(0)}
     assert rational_roots((Fraction(1), Fraction(0), Fraction(1))) == set()
+
+
+@pytest.mark.parametrize(
+    "coefficients, message",
+    [
+        ((720720, 0, 0, 720720), "57600 divisor pairs; the limit is 10000"),
+        ((735134400, 0, 0, 735134400), "divisor pairs; the limit is 10000"),
+        ((10**12 + 1, 0, 1), "end coefficient 1000000000001 is above the limit"),
+        # the limit applies after clearing denominators: 2 * ((10^12 + 1)/2 + x^2/2)
+        ((Fraction(10**12 + 1, 2), 0, Fraction(1, 2)), "end coefficient 1000000000001"),
+    ],
+)
+def test_rational_roots_refuses_costly_divisor_searches(coefficients, message):
+    with pytest.raises(WorkLimit, match=message):
+        rational_roots(tuple(Fraction(c) for c in coefficients))
+
+
+def test_rational_roots_just_inside_its_limits():
+    # x^2 - 10^12: one end coefficient at the limit, 169 divisor pairs
+    assert rational_roots((Fraction(-(10**12)), Fraction(0), Fraction(1))) == {
+        Fraction(10**6),
+        Fraction(-(10**6)),
+    }
