@@ -504,7 +504,7 @@ def _cmd_compound(args) -> int:
     levels = range(lo, top + 1)
     reference = None
     if args.reference is not None:
-        reference = args.reference
+        reference = float(args.reference)
         if not math.isfinite(reference):
             raise ValueError(f"--reference must be a finite number, got {reference}")
         ref_kind = "explicit"
