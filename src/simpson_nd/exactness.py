@@ -5,7 +5,9 @@ and for free node weights.
 (ascending total degree; within a degree, descending exponent tuples, so
 x1^d comes first) and certifies the largest degree whose residuals all
 vanish exactly.  Exactness for monomials extends to all polynomials of
-the same degree by linearity.
+the same degree by linearity.  For a rule on a simplex or cube whose
+nodes and weights are closed under coordinate permutations, one tuple per
+permutation orbit is enough (Stroud 1971; Grundmann and Moller 1978).
 
 The solvers return values, not exceptions: infeasibility is a finding,
 carried with a checkable certificate.
@@ -13,14 +15,16 @@ carried with a checkable certificate.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial, prod
 from typing import Iterator, Optional, Union
 
 from . import scalars
 from .errors import DimensionMismatch, RegionMismatch
-from .regions import MultiIndex, Region
-from .rules import CubatureRule, monomial_value, node_sum
+from .regions import Cube, MultiIndex, Region, Simplex
+from .rules import CubatureRule, NodeTable, monomial_value, node_sum
 from .scalars import Scalar, is_zero
 
 # Most entries of an exact system the solvers may be asked to build:
@@ -39,6 +43,23 @@ def monomials_of_degree(nvars: int, degree: int) -> Iterator[MultiIndex]:
         return
     for head in range(degree, -1, -1):
         for rest in monomials_of_degree(nvars - 1, degree - head):
+            yield (head,) + rest
+
+
+def sorted_monomials_of_degree(
+    nvars: int, degree: int, cap: Optional[int] = None
+) -> Iterator[MultiIndex]:
+    """The descending exponent tuples (head at most ``cap``) of one total
+    degree, in the order ``monomials_of_degree`` lists them.  Each is the
+    lexicographic maximum of its orbit under coordinate permutations."""
+    if cap is None:
+        cap = degree
+    if nvars == 1:
+        if degree <= cap:
+            yield (degree,)
+        return
+    for head in range(min(degree, cap), -(-degree // nvars) - 1, -1):
+        for rest in sorted_monomials_of_degree(nvars - 1, degree - head, head):
             yield (head,) + rest
 
 
@@ -99,14 +120,42 @@ class ExactnessReport:
         }
 
 
+def scans_orbits(region: Region, table: NodeTable) -> bool:
+    """Whether ``exactness_degree`` may scan only descending exponent tuples:
+    the region's moments are permutation-invariant (a ``Simplex`` or a
+    ``Cube``), the table is on its integer path, and the node/weight
+    multiset is closed under coordinate permutations.  Grouped by (sorted
+    coordinates, weight), each group must hold every distinct permutation
+    of its coordinates, all equally often; O(N n log n)."""
+    if not isinstance(region, (Simplex, Cube)) or table.columns is None:
+        return False
+    groups: dict[tuple, Counter] = {}
+    for node, w in zip(zip(*table.columns), table.scaled_weights):
+        groups.setdefault((tuple(sorted(node)), w), Counter())[node] += 1
+    for (coords, _), members in groups.items():
+        orbit_size = factorial(len(coords)) // prod(
+            factorial(k) for k in Counter(coords).values()
+        )
+        if len(members) != orbit_size or len(set(members.values())) != 1:
+            return False
+    return True
+
+
 def exactness_degree(rule: CubatureRule, max_degree: int) -> ExactnessReport:
-    """Scan residuals degree by degree; certify through the last clean degree."""
+    """Scan residuals degree by degree; certify through the last clean degree.
+
+    Both the sum and the moment of a monomial are unchanged when the rule
+    scans orbits and its coordinates are permuted, so the first failing
+    tuple in graded order is the descending one that starts its orbit: the
+    report is the full scan's."""
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
-    nvars = rule.region.dimension
+    region = rule.region
+    table = NodeTable(rule.nodes, rule.weights)
+    scan = sorted_monomials_of_degree if scans_orbits(region, table) else monomials_of_degree
     for d in range(max_degree + 1):
-        for alpha in monomials_of_degree(nvars, d):
-            r = residual(rule, alpha)
+        for alpha in scan(region.dimension, d):
+            r = scalars.sub(table.sum(alpha), region.moment(alpha))
             if not is_zero(r):
                 return ExactnessReport(rule.label, d - 1, alpha, r, max_degree)
     return ExactnessReport(rule.label, max_degree, None, None, max_degree)
@@ -162,11 +211,12 @@ def solve_lambda(
     if m.region != t.region:
         raise RegionMismatch("rules must share one region")
     region = m.region
+    m_table, t_table = NodeTable(m.nodes, m.weights), NodeTable(t.nodes, t.weights)
     first: Optional[tuple[Equation, Scalar]] = None
     for alpha in targets:
         alpha = tuple(int(e) for e in alpha)
-        spread = node_sum(t.nodes, t.weights, alpha)
-        coef = scalars.sub(node_sum(m.nodes, m.weights, alpha), spread)
+        spread = t_table.sum(alpha)
+        coef = scalars.sub(m_table.sum(alpha), spread)
         rhs = scalars.sub(region.moment(alpha), spread)
         equation = Equation(monomial_label(alpha), (coef,), rhs)
         if is_zero(coef):

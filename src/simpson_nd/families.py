@@ -25,7 +25,7 @@ from . import rules, scalars
 from .errors import DenominatorZero, SingularInterpolation, WorkLimit
 from .exactness import gauss_jordan
 from .regions import Cube, Point, Region, Simplex, integrate_terms, trapezoid_paper
-from .rules import CubatureRule, blend, boundary_rule, midpoint_rule, monomial_value, node_sum
+from .rules import CubatureRule, NodeTable, blend, boundary_rule, midpoint_rule, monomial_value
 from .scalars import Scalar, as_scalar, is_zero
 
 
@@ -83,10 +83,11 @@ class BlendSystem:
         # the node list .rule() builds, without its membership checks
         nodes = (center,) + placed
         weights = (scalars.mul(lam, vol),) + (w,) * len(placed)
+        table = NodeTable(nodes, weights)
         return SystemResiduals(
             self.names,
             tuple(
-                scalars.sub(node_sum(nodes, weights, alpha), moment)
+                scalars.sub(table.sum(alpha), moment)
                 for alpha, moment in zip(self.alphas, moments)
             ),
         )
@@ -460,7 +461,8 @@ def rational_roots(coefficients: Sequence[Fraction]) -> set[Fraction]:
         while i * i <= k:
             if k % i == 0:
                 out.append(i)
-                out.append(k // i)
+                if i * i != k:
+                    out.append(k // i)
             i += 1
         return out
 
@@ -470,12 +472,11 @@ def rational_roots(coefficients: Sequence[Fraction]) -> set[Fraction]:
             f"the rational root test would try {len(numerators) * len(denominators)} "
             f"divisor pairs; the limit is {MAX_DIVISOR_PAIRS}"
         )
-    for p in numerators:
-        for q in denominators:
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                value = Fraction(0)
-                for coeff in reversed(ints):
-                    value = value * cand + coeff
-                if value == 0:
-                    roots.add(cand)
+    candidates = {Fraction(s * p, q) for p in numerators for q in denominators for s in (1, -1)}
+    for cand in candidates:
+        value = Fraction(0)
+        for coeff in reversed(ints):
+            value = value * cand + coeff
+        if value == 0:
+            roots.add(cand)
     return roots

@@ -8,6 +8,7 @@ irrational boundary nodes (CR5) are certified, not assumed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -138,14 +139,69 @@ def monomial_value(point: Point, alpha: MultiIndex) -> Scalar:
     return value
 
 
+class NodeTable:
+    """Nodes and weights laid out for many sums of w_j x^alpha(P_j).
+
+    When every coordinate and weight is a ``Fraction`` and every node has
+    one length, the table keeps X = D x and W = Dw w as integers, where D
+    and Dw are the lcms of the coordinate and the weight denominators, so
+    sum_j w_j x^alpha(P_j) = (sum_j W_j X_j^alpha) / (Dw D^|alpha|) is
+    int arithmetic and one ``Fraction`` at the end.  Otherwise (a ``Quad``
+    coordinate, a pi weight) ``columns`` is None and each sum is the
+    scalar loop over ``monomial_value`` in node order.  Exact sums do not
+    depend on their order, so both give the same value.
+    """
+
+    __slots__ = ("nodes", "weights", "dimension", "columns", "scaled_weights",
+                 "denominator", "weight_denominator")
+
+    def __init__(self, nodes, weights):
+        pairs = tuple(zip(nodes, weights))
+        self.nodes = tuple(p for p, _ in pairs)
+        self.weights = tuple(w for _, w in pairs)
+        self.dimension = len(self.nodes[0]) if self.nodes else None
+        self.columns = None
+        if (
+            self.nodes
+            and all(len(p) == self.dimension for p in self.nodes)
+            and all(type(w) is Fraction for w in self.weights)
+            and all(type(c) is Fraction for p in self.nodes for c in p)
+        ):
+            d = math.lcm(*(c.denominator for p in self.nodes for c in p))
+            dw = math.lcm(*(w.denominator for w in self.weights))
+            self.columns = tuple(
+                tuple(c.numerator * (d // c.denominator) for c in column)
+                for column in zip(*self.nodes)
+            )
+            self.scaled_weights = tuple(w.numerator * (dw // w.denominator) for w in self.weights)
+            self.denominator = d
+            self.weight_denominator = dw
+
+    def sum(self, alpha: MultiIndex) -> Scalar:
+        if self.columns is None:
+            total: Scalar = Fraction(0)
+            for node, w in zip(self.nodes, self.weights):
+                total = scalars.add(total, scalars.mul(w, monomial_value(node, alpha)))
+            return total
+        if len(alpha) != self.dimension:
+            raise DimensionMismatch(
+                f"point has {self.dimension} coordinates, dimension is {len(alpha)}"
+            )
+        terms = list(self.scaled_weights)
+        for column, e in zip(self.columns, alpha):
+            if e < 0:
+                raise ValueError("exponent must be a non-negative integer")
+            if e:
+                terms = [t * x**e for t, x in zip(terms, column)]
+        return Fraction(sum(terms), self.weight_denominator * self.denominator ** sum(alpha))
+
+
 def node_sum(nodes, weights, alpha: MultiIndex) -> Scalar:
-    """sum_j w_j x^alpha(P_j) in node order, the left side of every
-    exactness equation.  Nothing ties the nodes to a region, so a system
-    can be summed at parameter points that put nodes off the boundary."""
-    total: Scalar = Fraction(0)
-    for node, w in zip(nodes, weights):
-        total = scalars.add(total, scalars.mul(w, monomial_value(node, alpha)))
-    return total
+    """sum_j w_j x^alpha(P_j), the left side of every exactness equation:
+    the package's one weighted sum, through ``NodeTable``.  Nothing ties
+    the nodes to a region, so a system can be summed at parameter points
+    that put nodes off the boundary."""
+    return NodeTable(nodes, weights).sum(alpha)
 
 
 def monomial(alpha, coefficient=1) -> MonomialPoly:
@@ -191,11 +247,10 @@ class CubatureRule:
             raise DimensionMismatch(
                 f"polynomial dimension {poly.dimension} does not match region"
             )
+        table = NodeTable(self.nodes, self.weights)
         total: Scalar = Fraction(0)
         for alpha, coeff in poly.terms.items():
-            total = scalars.add(
-                total, scalars.mul(coeff, node_sum(self.nodes, self.weights, alpha))
-            )
+            total = scalars.add(total, scalars.mul(coeff, table.sum(alpha)))
         return total
 
 

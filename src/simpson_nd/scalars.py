@@ -284,7 +284,7 @@ def conj(x) -> Scalar:
 
 
 # The scalar functions coerce through as_scalar, then apply the operator;
-# add, sub, mul and div skip the coercion for two plain Fractions.
+# add, sub, mul, div and le skip the coercion for two plain Fractions.
 
 
 def add(x, y) -> Scalar:
@@ -348,9 +348,11 @@ def is_zero(x) -> bool:
 def sign(x) -> int:
     """Exact sign (-1, 0, +1).  For a + b*sqrt(d) the mixed-sign case is
     settled by comparing a^2 with b^2 d, which never ties for squarefree d."""
-    x = as_scalar(x)
+    if type(x) is not Fraction:
+        x = as_scalar(x)
     if isinstance(x, Fraction):
-        return (x > 0) - (x < 0)
+        # the denominator is positive
+        return (x.numerator > 0) - (x.numerator < 0)
     if isinstance(x, PiMultiple):
         c = x.coefficient
         return (c > 0) - (c < 0)
@@ -364,6 +366,8 @@ def sign(x) -> int:
 
 
 def le(x, y) -> bool:
+    if type(x) is Fraction and type(y) is Fraction:
+        return x.numerator * y.denominator <= y.numerator * x.denominator
     return sign(sub(y, x)) >= 0
 
 

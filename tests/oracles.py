@@ -8,7 +8,8 @@ polar coordinates and from single-factorial case formulas (not the
 package's double-factorial closed form), polygon moments from a fan triangulation pulled
 back to the unit simplex, integrand values from a recursive walk of
 the expression tree, a + b*sqrt(d) arithmetic from the componentwise
-field formulas, and float rule sums from the node and weight lists.
+field formulas, float rule sums from the node and weight lists, and
+exact rule sums and exactness reports node by node over every monomial.
 """
 
 from __future__ import annotations
@@ -248,3 +249,29 @@ def float_rule_sum(rule, f) -> float:
     for node, w in zip(rule.nodes, rule.weights):
         total += scalars.to_float(w) * f(*map(scalars.to_float, node))
     return total
+
+
+def scalar_node_sum(nodes, weights, alpha):
+    """sum_j w_j x^alpha(P_j) by scalar operators, node by node."""
+    total = Fraction(0)
+    for node, w in zip(nodes, weights):
+        term = w
+        for c, e in zip(node, alpha):
+            for _ in range(e):
+                term = scalars.mul(term, c)
+        total = scalars.add(total, term)
+    return total
+
+
+def full_scan_report(rule, max_degree: int) -> tuple:
+    """(certified degree, first failing exponent tuple, its residual) from
+    every monomial in graded order: by degree, then descending tuples."""
+    n = rule.region.dimension
+    for d in range(max_degree + 1):
+        tuples = [t for t in itertools.product(range(d + 1), repeat=n) if sum(t) == d]
+        for alpha in sorted(tuples, reverse=True):
+            r = scalars.sub(scalar_node_sum(rule.nodes, rule.weights, alpha),
+                            rule.region.moment(alpha))
+            if not scalars.is_zero(r):
+                return d - 1, alpha, r
+    return max_degree, None, None

@@ -4,6 +4,7 @@ from math import factorial
 
 import pytest
 
+from oracles import full_scan_report
 from simpson_nd import scalars
 from simpson_nd.errors import DimensionMismatch
 from simpson_nd.exactness import (
@@ -15,19 +16,26 @@ from simpson_nd.exactness import (
     monomials_of_degree,
     monomials_up_to,
     residual,
+    scans_orbits,
     solve_lambda,
     solve_weights,
+    sorted_monomials_of_degree,
 )
 from simpson_nd.regions import Cube, Simplex, hexagon_paper, trapezoid_paper
 from simpson_nd.rules import (
+    CubatureRule,
+    NodeTable,
     blend,
     cr1,
+    cr2,
     cr3,
     cr4,
     cr5,
     cr5_conjugate,
+    cr6,
     midpoint_rule,
     monomial,
+    triangle_midedge,
     vertex_rule,
 )
 from simpson_nd.scalars import PiMultiple
@@ -340,3 +348,91 @@ def test_solve_weights_over_quadratic_field():
     assert out.values == rule.weights
     assert out.values[0] == Fraction(489, 784)
     assert set(out.values[1:]) == {Fraction(687, 3136)}
+
+
+def _scans_orbits(rule) -> bool:
+    return scans_orbits(rule.region, NodeTable(rule.nodes, rule.weights))
+
+
+def _report_tuple(report):
+    return report.certified_degree, report.failing, report.failing_residual
+
+
+def test_sorted_monomials_are_the_descending_tuples_in_scan_order():
+    for n in range(1, 7):
+        for d in range(7):
+            descending = [
+                a for a in monomials_of_degree(n, d) if list(a) == sorted(a, reverse=True)
+            ]
+            assert list(sorted_monomials_of_degree(n, d)) == descending
+
+
+@pytest.mark.parametrize("max_degree", [2, 5])
+def test_orbit_scan_gives_the_full_scan_report(max_degree):
+    catalog = [cr4(), cr5(), cr5_conjugate(), cr6(), triangle_midedge()]
+    for n in range(1, 7):
+        catalog += [cr1(n), cr2(n), cr3(n)]
+    for rule in catalog:
+        report = exactness_degree(rule, max_degree)
+        assert _report_tuple(report) == full_scan_report(rule, max_degree), rule.label
+    # CR4 and the midedge rule are closed under x <-> y; CR5, CR5* and CR6
+    # are not on a simplex or cube and have Quad or pi entries
+    scanned = {rule.label for rule in catalog if _scans_orbits(rule)}
+    assert scanned == {rule.label for rule in catalog} - {"CR5", "CR5*", "CR6"}
+
+
+def _cr3_2_moving(source, target):
+    """CR3(2) with 1/7 of weight moved from the vertex ``source`` to ``target``."""
+    rule = cr3(2)
+    shift = {
+        tuple(map(Fraction, source)): Fraction(-1, 7),
+        tuple(map(Fraction, target)): Fraction(1, 7),
+    }
+    weights = tuple(w + shift.get(p, 0) for p, w in zip(rule.nodes, rule.weights))
+    return CubatureRule(rule.region, rule.nodes, weights, label="moved")
+
+
+def _moved_weight_cr3_2():
+    return _cr3_2_moving((0, 1), (1, 0))
+
+
+def _dropped_member_cube3():
+    # CR3(3) without the vertex (1, 0, 0); (0, 1, 0) and (0, 0, 1) stay
+    rule = cr3(3)
+    kept = [
+        (p, w) for p, w in zip(rule.nodes, rule.weights)
+        if p != (Fraction(1), Fraction(0), Fraction(0))
+    ]
+    return CubatureRule(
+        rule.region, tuple(p for p, _ in kept), tuple(w for _, w in kept), label="dropped"
+    )
+
+
+def _uneven_multiplicity_square():
+    # (1, 0) twice and (0, 1) once: every permutation is there, unequally often
+    one, zero, q = Fraction(1), Fraction(0), Fraction(1, 3)
+    return CubatureRule(Cube(2), ((one, zero), (one, zero), (zero, one)), (q, q, q), label="uneven")
+
+
+@pytest.mark.parametrize(
+    "build", [_moved_weight_cr3_2, _dropped_member_cube3, _uneven_multiplicity_square]
+)
+def test_a_rule_not_closed_under_permutations_gets_the_full_scan(build):
+    rule = build()
+    assert not _scans_orbits(rule)
+    for max_degree in (0, 1, 3, 5):
+        report = exactness_degree(rule, max_degree)
+        assert _report_tuple(report) == full_scan_report(rule, max_degree)
+
+
+def test_the_moved_weight_fails_at_the_first_moved_coordinate():
+    report = exactness_degree(_moved_weight_cr3_2(), 3)
+    assert _report_tuple(report) == (0, (1, 0), Fraction(1, 7))
+
+
+def test_a_closed_rule_with_a_symmetric_defect_is_orbit_scanned():
+    # (0, 0) and (1, 1) are one-point orbits, so the rule stays closed
+    moved = _cr3_2_moving((1, 1), (0, 0))
+    assert _scans_orbits(moved)
+    report = exactness_degree(moved, 3)
+    assert _report_tuple(report) == full_scan_report(moved, 3) == (0, (1, 0), Fraction(-1, 7))

@@ -6,7 +6,7 @@ from math import factorial
 
 import pytest
 
-from oracles import float_rule_sum
+from oracles import float_rule_sum, scalar_node_sum
 from test_regions import _random_rational_polygon
 from simpson_nd import rules, scalars
 from simpson_nd.errors import (
@@ -20,6 +20,7 @@ from simpson_nd.regions import Cube, Polygon, Simplex, UnitDisc, trapezoid_paper
 from simpson_nd.rules import (
     CubatureRule,
     MonomialPoly,
+    NodeTable,
     blend,
     boundary_rule,
     cr1,
@@ -32,6 +33,7 @@ from simpson_nd.rules import (
     midpoint_rule,
     monomial,
     named_rule,
+    node_sum,
     rule_from_json,
     rule_to_json,
     rules_equivalent,
@@ -333,3 +335,46 @@ def test_boundary_rule_on_circle():
     assert r.weights == (PiMultiple(Fraction(1, 4)),) * 4
     with pytest.raises(NodeNotOnBoundary):
         boundary_rule(UnitDisc(), [(Fraction(1, 2), 0)])
+
+
+def _random_fraction(rng):
+    if rng.random() < 0.2:
+        return Fraction(0)
+    return Fraction(rng.randint(-40, 40), rng.choice((1, 2, 3, 7, 12, 35, 1001)))
+
+
+def test_integer_node_table_matches_scalar_sums_on_random_rules():
+    rng = random.Random(20261018)
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        count = rng.randint(1, 6)
+        nodes = [tuple(_random_fraction(rng) for _ in range(n)) for _ in range(count)]
+        weights = [_random_fraction(rng) for _ in range(count)]
+        table = NodeTable(nodes, weights)
+        assert table.columns is not None
+        for _ in range(5):
+            alpha = tuple(rng.randint(0, 4) for _ in range(n))
+            expected = scalar_node_sum(nodes, weights, alpha)
+            assert table.sum(alpha) == expected
+            assert node_sum(nodes, weights, alpha) == expected
+
+
+def test_quad_and_pi_rules_take_the_scalar_path():
+    for rule in (cr5(), cr5_conjugate(), cr6()):
+        table = NodeTable(rule.nodes, rule.weights)
+        assert table.columns is None
+        for alpha in ((0, 0), (3, 0), (1, 2), (2, 2)):
+            assert table.sum(alpha) == scalar_node_sum(rule.nodes, rule.weights, alpha)
+
+
+@pytest.mark.parametrize("build", [lambda: cr3(2), cr4, cr5, cr6])
+def test_node_table_refuses_a_wrong_length_multi_index(build):
+    rule = build()
+    table = NodeTable(rule.nodes, rule.weights)
+    for alpha in ((1,), (1, 0, 0)):
+        with pytest.raises(DimensionMismatch):
+            table.sum(alpha)
+        with pytest.raises(DimensionMismatch):
+            node_sum(rule.nodes, rule.weights, alpha)
+    with pytest.raises(ValueError, match="non-negative"):
+        table.sum((1, -1))
