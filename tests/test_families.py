@@ -553,11 +553,11 @@ def test_rational_roots_helper():
     [
         ((720720, 0, 0, 720720), "57600 divisor pairs; the limit is 10000"),
         ((735134400, 0, 0, 735134400), "divisor pairs; the limit is 10000"),
-        # 1587600 = 1260^2 has 225 divisors, its square root counted once
-        ((1587600, 0, 0, 1587600), "50625 divisor pairs; the limit is 10000"),
         ((10**12 + 1, 0, 1), "end coefficient 1000000000001 is above the limit"),
         # the limit applies after clearing denominators: 2 * ((10^12 + 1)/2 + x^2/2)
         ((Fraction(10**12 + 1, 2), 0, Fraction(1, 2)), "end coefficient 1000000000001"),
+        # 1587600 = 1260^2 has 225 divisors, its square root counted once
+        ((1587600, 0, 0, 1587600), "50625 divisor pairs; the limit is 10000"),
     ],
 )
 def test_rational_roots_refuses_costly_divisor_searches(coefficients, message):
