@@ -10,14 +10,15 @@ any rounding.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 from typing import Union
 
 from . import scalars
-from .errors import DimensionMismatch, NoVertices, WorkLimit
-from .scalars import PiMultiple, Scalar, as_scalar, is_zero, quad, sign
+from .errors import DimensionMismatch, IncompatibleScalars, NoVertices, WorkLimit
+from .scalars import PiMultiple, Quad, Scalar, _make_quad, as_scalar, is_zero, quad, sign
 
 MultiIndex = tuple[int, ...]
 Point = tuple[Scalar, ...]
@@ -127,57 +128,144 @@ class Cube:
         return any(is_zero(c) or scalars.eq(c, Fraction(1)) for c in point)
 
 
-def _cross(ox, oy, ax, ay, bx, by) -> Scalar:
-    """Cross product (a - o) x (b - o), exact."""
-    return scalars.sub(
-        scalars.mul(scalars.sub(ax, ox), scalars.sub(by, oy)),
-        scalars.mul(scalars.sub(bx, ox), scalars.sub(ay, oy)),
+# Polygon geometry runs on integers.  _integer_view scales every coordinate
+# by one common denominator D > 0: a rational x becomes the int x*D, and
+# over Q(sqrt d) a + b*sqrt(d) becomes the int pair (a*D, b*D), meaning
+# (A + B*sqrt(d))/D, the common-denominator form of Cohen, A Course in
+# Computational Algebraic Number Theory (GTM 138), 4.2.  Moments, areas and
+# orientations are ring expressions in the coordinates, and scaling by
+# D > 0 changes no sign, so they need no Fraction until the end.
+
+
+def _scaled(c, den: int, d):
+    """c * den for a coordinate over the common denominator den: an int, or
+    an (A, B) pair when the view is over Z[sqrt d]."""
+    if isinstance(c, Quad):
+        return (c.a.numerator * (den // c.a.denominator), c.b.numerator * (den // c.b.denominator))
+    x = c.numerator * (den // c.denominator)
+    return x if d is None else (x, 0)
+
+
+def _integer_view(points):
+    """(D, d, rows) for a sequence of exact points.
+
+    D > 0 is the lcm of every Fraction denominator and every Quad .a/.b
+    denominator, d the one radicand of the Quad coordinates (None when all
+    are rational), and rows the points with each coordinate times D: ints
+    when d is None, else (A, B) int pairs, a rational coordinate as (A, 0).
+    A pi multiple, or a Quad over a second radicand, raises
+    IncompatibleScalars.
+    """
+    d = None
+    den = 1
+    for point in points:
+        for c in point:
+            if isinstance(c, Fraction):
+                den = lcm(den, c.denominator)
+            elif isinstance(c, Quad):
+                if d is None:
+                    d = c.d
+                elif c.d != d:
+                    raise IncompatibleScalars(
+                        f"polygon coordinates over sqrt({d}) and sqrt({c.d}) cannot be mixed"
+                    )
+                den = lcm(den, c.a.denominator, c.b.denominator)
+            else:
+                raise IncompatibleScalars(f"{c!r} is not a rational or a + b*sqrt(d) coordinate")
+    return den, d, [tuple(_scaled(c, den, d) for c in point) for point in points]
+
+
+def _times(u, v, d):
+    """Product of two view values: ints, or (A, B) pairs over Z[sqrt d]."""
+    if d is None:
+        return u * v
+    a, b = u
+    e, f = v
+    return (a * e + b * f * d, a * f + b * e)
+
+
+def _plus(u, v, d):
+    if d is None:
+        return u + v
+    return (u[0] + v[0], u[1] + v[1])
+
+
+def _minus(u, v, d):
+    if d is None:
+        return u - v
+    return (u[0] - v[0], u[1] - v[1])
+
+
+def _signum(u, d) -> int:
+    """Sign of a view value.  For A + B*sqrt(d) the mixed-sign case compares
+    A^2 with B^2 d, as scalars.sign does."""
+    if d is None:
+        return (u > 0) - (u < 0)
+    a, b = u
+    sa = (a > 0) - (a < 0)
+    sb = (b > 0) - (b < 0)
+    if sa == sb or sa == 0:
+        return sb
+    if sb == 0:
+        return sa
+    return sa if a * a > b * b * d else sb
+
+
+def _turn(o, a, b, d) -> int:
+    """Sign of the cross product (a - o) x (b - o) of three view points."""
+    ax, ay = _minus(a[0], o[0], d), _minus(a[1], o[1], d)
+    bx, by = _minus(b[0], o[0], d), _minus(b[1], o[1], d)
+    return _signum(_minus(_times(ax, by, d), _times(bx, ay, d), d), d)
+
+
+def _in_box(p, a, b, d) -> bool:
+    """Whether view point p lies in the bounding box of segment ab: in each
+    coordinate, p - a and p - b do not share a sign."""
+    return all(
+        _signum(_minus(p[i], a[i], d), d) * _signum(_minus(p[i], b[i], d), d) <= 0
+        for i in (0, 1)
     )
 
 
-def _orient(o, a, b) -> int:
-    return sign(_cross(o[0], o[1], a[0], a[1], b[0], b[1]))
+def _on_edge(p, a, b, d) -> bool:
+    return _turn(a, b, p, d) == 0 and _in_box(p, a, b, d)
 
 
-def _between(p, a, b) -> bool:
-    """Assuming p collinear with segment ab: is p within the segment box?"""
-    for i in (0, 1):
-        lo, hi = a[i], b[i]
-        if sign(scalars.sub(hi, lo)) < 0:
-            lo, hi = hi, lo
-        if sign(scalars.sub(p[i], lo)) < 0 or sign(scalars.sub(hi, p[i])) < 0:
-            return False
-    return True
-
-
-def _on_segment(p, a, b) -> bool:
-    return _orient(a, b, p) == 0 and _between(p, a, b)
-
-
-def _segments_intersect(a, b, c, d) -> bool:
-    d1 = _orient(c, d, a)
-    d2 = _orient(c, d, b)
-    d3 = _orient(a, b, c)
-    d4 = _orient(a, b, d)
+def _edges_meet(a, b, c, e, d) -> bool:
+    """Whether the closed segments ab and ce of view points share a point."""
+    d1 = _turn(c, e, a, d)
+    d2 = _turn(c, e, b, d)
+    d3 = _turn(a, b, c, d)
+    d4 = _turn(a, b, e, d)
     if d1 * d2 < 0 and d3 * d4 < 0:
         return True
-    if d1 == 0 and _between(a, c, d):
-        return True
-    if d2 == 0 and _between(b, c, d):
-        return True
-    if d3 == 0 and _between(c, a, b):
-        return True
-    if d4 == 0 and _between(d, a, b):
-        return True
-    return False
+    return (
+        (d1 == 0 and _in_box(a, c, e, d))
+        or (d2 == 0 and _in_box(b, c, e, d))
+        or (d3 == 0 and _in_box(c, a, b, d))
+        or (d4 == 0 and _in_box(e, a, b, d))
+    )
 
 
-def _powers(x: Scalar, k: int) -> list:
-    """[1, x, x^2, ..., x^k], exact."""
-    out = [Fraction(1)]
+def _view_powers(x, k: int, d) -> list:
+    """[1, x, x^2, ..., x^k] of a view value."""
+    out = [1 if d is None else (1, 0)]
     for _ in range(k):
-        out.append(scalars.mul(out[-1], x))
+        out.append(_times(out[-1], x, d))
     return out
+
+
+def _weighted_sum(weights, values, d):
+    """sum w * v over int weights and view values."""
+    if d is None:
+        return sum(map(operator.mul, weights, values))
+    return (sum(w * a for w, (a, _) in zip(weights, values)),
+            sum(w * b for w, (_, b) in zip(weights, values)))
+
+
+def _on_boundary(pt, rows, d) -> bool:
+    m = len(rows)
+    return any(_on_edge(pt, rows[i], rows[(i + 1) % m], d) for i in range(m))
 
 
 # Most vertices a Polygon accepts.  The simplicity check compares every
@@ -189,13 +277,16 @@ MAX_POLYGON_VERTICES = 100
 
 @dataclass(frozen=True)
 class Polygon:
-    """Simple planar polygon with exact Scalar coordinates.
+    """Simple planar polygon with rational or a + b*sqrt(d) coordinates,
+    one radicand d per polygon.
 
     Vertices are normalized to counterclockwise order at construction
     (reversed when the signed area comes out negative) so the boundary
     integrals below carry a uniform sign.  Simplicity is enforced by an
     exact pairwise edge-intersection check; more than MAX_POLYGON_VERTICES
-    vertices raise WorkLimit before it starts.
+    vertices raise WorkLimit before it starts.  The area sign, the check,
+    the moments and membership all run on ``_integer_view``, built again
+    on each call.
     """
 
     vertex_list: tuple[Point, ...]
@@ -210,41 +301,47 @@ class Polygon:
             )
         if any(len(p) != 2 for p in pts):
             raise ValueError("polygon vertices must be 2-dimensional")
-        twice_area: Scalar = Fraction(0)
-        m = len(pts)
+        for i, point in enumerate(pts):
+            for axis, c in zip("xy", point):
+                if isinstance(c, PiMultiple):
+                    raise ValueError(
+                        f"vertex {i} has the pi-valued {axis} coordinate {c!r}; "
+                        "polygon coordinates must be rational or a + b*sqrt(d)"
+                    )
+        _, d, rows = _integer_view(pts)
+        twice_area = 0 if d is None else (0, 0)
+        m = len(rows)
         for i in range(m):
-            x0, y0 = pts[i]
-            x1, y1 = pts[(i + 1) % m]
-            twice_area = scalars.add(
-                twice_area,
-                scalars.sub(scalars.mul(x0, y1), scalars.mul(x1, y0)),
-            )
-        s = sign(twice_area)
+            (x0, y0), (x1, y1) = rows[i], rows[(i + 1) % m]
+            twice_area = _plus(twice_area, _minus(_times(x0, y1, d), _times(x1, y0, d), d), d)
+        s = _signum(twice_area, d)
         if s == 0:
             raise ValueError("polygon is degenerate (zero area)")
         if s < 0:
             pts = tuple(reversed(pts))
-        self._check_simple(pts)
+            rows.reverse()
+        self._check_simple(rows, d)
         object.__setattr__(self, "vertex_list", pts)
 
     @staticmethod
-    def _check_simple(pts):
-        m = len(pts)
-        edges = [(pts[i], pts[(i + 1) % m]) for i in range(m)]
+    def _check_simple(rows, d):
+        """Raise unless the closed chain of view points is simple."""
+        m = len(rows)
+        edges = [(rows[i], rows[(i + 1) % m]) for i in range(m)]
         for i in range(m):
             a, b = edges[i]
             for j in range(i + 1, m):
-                c, d = edges[j]
+                c, e = edges[j]
                 adjacent = j == i + 1 or (i == 0 and j == m - 1)
                 if adjacent:
                     shared = b if j == i + 1 else a
-                    other_far = d if j == i + 1 else c
+                    other_far = e if j == i + 1 else c
                     # consecutive edges may only meet at their shared vertex
-                    if _orient(a, b, c) == 0 and _orient(a, b, d) == 0:
-                        if _on_segment(other_far, a, b) and other_far != shared:
+                    if _turn(a, b, c, d) == 0 and _turn(a, b, e, d) == 0:
+                        if _on_edge(other_far, a, b, d) and other_far != shared:
                             raise ValueError("polygon has a degenerate spike")
                     continue
-                if _segments_intersect(a, b, c, d):
+                if _edges_meet(a, b, c, e, d):
                     raise ValueError("polygon must be simple (edges intersect)")
 
     @property
@@ -263,38 +360,38 @@ class Polygon:
                 sum_{k<=p, l<=q} C(k+l, l) C(p+q-k-l, q-l) x0^k x1^(p-k) y0^l y1^(q-l)
 
         (Steger, On the Calculation of Arbitrary Moments of Polygons, 1996).
-        Only vertex powers enter, so nothing is kept between calls.
+        Each term has degree p+q+2 in the coordinates, so the sum T runs on
+        the integer view and the moment is p! q! T / ((p+q+2)! D^(p+q+2)).
         """
         p, q = _check_index(alpha, 2)
-        pts = self.vertex_list
-        xs = [_powers(x, p) for x, _ in pts]
-        ys = [_powers(y, q) for _, y in pts]
-        coeffs = [
-            [Fraction(comb(k + l, l) * comb(p + q - k - l, q - l)) for l in range(q + 1)]
+        den, d, pts = _integer_view(self.vertex_list)
+        zero = 0 if d is None else (0, 0)
+        xs = [_view_powers(x, p, d) for x, _ in pts]
+        ys = [_view_powers(y, q, d) for _, y in pts]
+        weights = [
+            [comb(k + l, l) * comb(p + q - k - l, q - l) for l in range(q + 1)]
             for k in range(p + 1)
         ]
-        total: Scalar = Fraction(0)
+        total = zero
         m = len(pts)
         for i in range(m):
             j = (i + 1) % m
             (x0, y0), (x1, y1) = pts[i], pts[j]
-            cross = scalars.sub(scalars.mul(x0, y1), scalars.mul(x1, y0))
-            if is_zero(cross):
+            cross = _minus(_times(x0, y1, d), _times(x1, y0, d), d)
+            if cross == zero:
                 continue
-            y0s, y1s = ys[i], ys[j]
-            yy = [(l, y) for l in range(q + 1)
-                  if not is_zero(y := scalars.mul(y0s[l], y1s[q - l]))]
-            edge: Scalar = Fraction(0)
+            yy = [_times(ys[i][l], ys[j][q - l], d) for l in range(q + 1)]
+            edge = zero
             for k in range(p + 1):
-                xx = scalars.mul(xs[i][k], xs[j][p - k])
-                if is_zero(xx):
-                    continue
-                inner: Scalar = Fraction(0)
-                for l, y in yy:
-                    inner = scalars.add(inner, scalars.mul(coeffs[k][l], y))
-                edge = scalars.add(edge, scalars.mul(xx, inner))
-            total = scalars.add(total, scalars.mul(cross, edge))
-        return scalars.mul(Fraction(factorial(p) * factorial(q), factorial(p + q + 2)), total)
+                inner = _weighted_sum(weights[k], yy, d)
+                xx = _times(xs[i][k], xs[j][p - k], d)
+                edge = _plus(edge, _times(xx, inner, d), d)
+            total = _plus(total, _times(cross, edge, d), d)
+        num = factorial(p) * factorial(q)
+        scale = factorial(p + q + 2) * den ** (p + q + 2)
+        if d is None:
+            return Fraction(num * total, scale)
+        return _make_quad(Fraction(num * total[0], scale), Fraction(num * total[1], scale), d)
 
     def volume(self) -> Scalar:
         return self.moment((0, 0))
@@ -306,34 +403,36 @@ class Polygon:
             scalars.div(self.moment((0, 1)), area),
         )
 
+    def _view_with(self, point):
+        """The integer view of the vertices and the query point together:
+        (d, vertex rows, point row)."""
+        _, d, rows = _integer_view(self.vertex_list + (_as_point(point),))
+        return d, rows[:-1], rows[-1]
+
     def contains(self, point: Point) -> bool:
-        point = _as_point(point)
-        if self.on_boundary(point):
+        d, rows, pt = self._view_with(point)
+        if _on_boundary(pt, rows, d):
             return True
-        # even-odd crossing count against a horizontal ray to the left;
-        # the half-open straddle test keeps vertex crossings consistent
-        px, py = point
+        # even-odd crossing count against a horizontal ray to the right; the
+        # half-open straddle test keeps vertex crossings consistent.  The
+        # crossing x of edge ab lies right of px exactly when the turn
+        # (pt, a, b) has the sign of by - ay, positive when b is the end above.
+        py = pt[1]
         inside = False
-        pts = self.vertex_list
-        m = len(pts)
+        m = len(rows)
         for i in range(m):
-            ax, ay = pts[i]
-            bx, by = pts[(i + 1) % m]
-            above_a = sign(scalars.sub(ay, py)) > 0
-            above_b = sign(scalars.sub(by, py)) > 0
+            a, b = rows[i], rows[(i + 1) % m]
+            above_a = _signum(_minus(a[1], py, d), d) > 0
+            above_b = _signum(_minus(b[1], py, d), d) > 0
             if above_a == above_b:
                 continue
-            t = scalars.div(scalars.sub(py, ay), scalars.sub(by, ay))
-            xcross = scalars.add(ax, scalars.mul(t, scalars.sub(bx, ax)))
-            if sign(scalars.sub(xcross, px)) > 0:
+            if _turn(pt, a, b, d) == (1 if above_b else -1):
                 inside = not inside
         return inside
 
     def on_boundary(self, point: Point) -> bool:
-        point = _as_point(point)
-        pts = self.vertex_list
-        m = len(pts)
-        return any(_on_segment(point, pts[i], pts[(i + 1) % m]) for i in range(m))
+        d, rows, pt = self._view_with(point)
+        return _on_boundary(pt, rows, d)
 
 
 def _double_factorial(k: int) -> int:
