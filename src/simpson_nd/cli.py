@@ -41,11 +41,15 @@ FORMATS = ("text", "json", "csv")
 def _ascii_number(convert):
     """convert(text) for a number read from the command line, refusing any
     text that is not ASCII first: int(), Fraction() and float() also read
-    other scripts' digits, so "٣" would pass for 3."""
+    other scripts' digits, so "٣" would pass for 3.  Digit-grouping
+    underscores, which they accept too, are refused as the expression
+    lexer refuses them."""
 
     def number(text: str):
         if not text.isascii():
             raise ValueError(f"{text!r} is not a number written in ASCII")
+        if "_" in text:
+            raise ValueError(f"{text!r} is not a number: write it without '_'")
         return convert(text)
 
     number.__name__ = convert.__name__  # argparse names the type in its usage errors
@@ -168,6 +172,11 @@ def _fmt(x) -> str:
 def _cmd_verify(args) -> int:
     fmt = args.format
     if args.all:
+        given = [flag for flag, value in (("--rule", args.rule), ("--dim", args.dim),
+                                          ("--max-degree", args.max_degree))
+                 if value is not None]
+        if given:
+            raise ValueError(f"verify --all runs the claim suite and takes no {', '.join(given)}")
         results = claims_mod.run_claims()
         ok = all(c.ok for c in results)
         payload = {
@@ -186,7 +195,8 @@ def _cmd_verify(args) -> int:
     if not args.rule:
         raise ValueError("verify needs --rule NAME or --all")
     rule = rules.named_rule(args.rule, args.dim)
-    report = exactness.exactness_degree(rule, args.max_degree)
+    max_degree = 5 if args.max_degree is None else args.max_degree
+    report = exactness.exactness_degree(rule, max_degree)
     payload = {"command": "verify", **report.to_json()}
     lines = [
         f"rule {rule.label}: certified degree {report.certified_degree} "
@@ -605,8 +615,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="certify exactness degrees")
     p.add_argument("--rule", help="rule name: CR1..CR6, CR5*, TriangleMidedge")
     p.add_argument("--dim", type=_int, default=None, help="dimension for CR1..CR3")
-    p.add_argument("--max-degree", type=_int, default=5)
-    p.add_argument("--all", action="store_true", help="run the whole claim suite")
+    p.add_argument("--max-degree", type=_int, default=None,
+                   help="highest degree scanned (default 5)")
+    p.add_argument("--all", action="store_true",
+                   help="run the whole claim suite (takes no --rule, --dim or --max-degree)")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("moments", help="exact region moments")
