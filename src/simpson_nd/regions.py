@@ -269,9 +269,11 @@ def _on_boundary(pt, rows, d) -> bool:
 
 
 # Most vertices a Polygon accepts.  The simplicity check compares every
-# pair of edges, O(m^2) exact orientation tests: 100 vertices take about
-# 0.4 s with rational coordinates and about 1 s in Q(sqrt 3893) on one core
-# of a 2-vCPU Xeon, and unchecked, 800 rational vertices took 21.5 s.
+# pair of edges, O(m^2) exact orientation tests on the integer view: 100
+# vertices take about 0.02 s with rational coordinates over one small
+# denominator, 0.04 s over the denominators 2..101 and 0.04 s in
+# Q(sqrt 3893), on one core of a 2-vCPU Xeon; with the limit lifted, 800
+# rational vertices take about 1.1 s (21.5 s with the old scalar check).
 MAX_POLYGON_VERTICES = 100
 
 
@@ -406,7 +408,8 @@ class Polygon:
     def _view_with(self, point):
         """The integer view of the vertices and the query point together:
         (d, vertex rows, point row)."""
-        _, d, rows = _integer_view(self.vertex_list + (_as_point(point),))
+        x, y = _as_point(point)
+        _, d, rows = _integer_view(self.vertex_list + ((x, y),))
         return d, rows[:-1], rows[-1]
 
     def contains(self, point: Point) -> bool:

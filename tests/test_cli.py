@@ -20,6 +20,10 @@ def test_verify_rule(capsys):
     assert "certified degree 3" in out
     assert "x^4" in out
     assert "1/120" in out
+    # --max-degree is 5 unless given
+    code, again, _ = run_cli(capsys, "verify", "--rule", "CR3", "--dim", "3")
+    assert code == 0
+    assert again == out
 
 
 def test_verify_rule_json(capsys):
@@ -223,6 +227,18 @@ def test_domain_error_exit_1(capsys):
     code, _, err = run_cli(capsys, "verify")
     assert code == 1
     assert "needs --rule" in err
+    # --all runs the claim suite, so a rule option beside it is an error
+    for argv, named in [
+        (("--rule", "CR7", "--all"), "--rule"),
+        (("--rule", "CR3", "--all"), "--rule"),
+        (("--dim", "1000000000001", "--all"), "--dim"),
+        (("--all", "--max-degree", "5"), "--max-degree"),
+        (("--all", "--rule", "CR3", "--dim", "3"), "--rule, --dim"),
+    ]:
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 1
+        assert out == ""
+        assert f"verify --all runs the claim suite and takes no {named}" in err
 
 
 def test_derive_disc_lambda(capsys):
@@ -283,6 +299,19 @@ def _rational_polygon(vertices) -> dict:
         (_rational_polygon([(0, 0), (2, 0), (0, 1), (1, 2)]), "must be simple"),
         # the second edge doubles back along the first
         (_rational_polygon([(0, 0), (2, 0), (1, 0), (0, 1)]), "degenerate spike"),
+        # pi-valued vertices, zero pi included, are refused when the polygon is built
+        ({"polygon": [[{"pi": ["0", "1"]}, {"rat": ["1", "1"]}], [{"rat": ["1", "1"]},
+                      {"rat": ["0", "1"]}], [{"rat": ["0", "1"]}, {"rat": ["0", "1"]}]]},
+         "polygon coordinates must be rational or a + b*sqrt(d)"),
+        ({"polygon": [[{"pi": ["1", "1"]}, {"rat": ["0", "1"]}], [{"rat": ["0", "1"]},
+                      {"rat": ["1", "1"]}], [{"rat": ["0", "1"]}, {"rat": ["0", "1"]}]]},
+         "polygon coordinates must be rational or a + b*sqrt(d)"),
+        # vertices over two radicands
+        ({"polygon": [[{"quad": {"a": ["1", "1"], "b": ["1", "1"], "rad": "2"}},
+                       {"rat": ["0", "1"]}],
+                      [{"rat": ["0", "1"]}, {"quad": {"a": ["1", "1"], "b": ["1", "1"], "rad": "3"}}],
+                      [{"rat": ["0", "1"]}, {"rat": ["0", "1"]}]]},
+         "sqrt(2) and sqrt(3)"),
     ],
 )
 def test_malformed_region_file_is_a_domain_error(tmp_path, capsys, region, message):
@@ -567,10 +596,19 @@ _NOT_ASCII = "not a number written in ASCII"
          1, _NOT_ASCII),
         (("compound", "--rule", "CR3", "--dim", "2", "--expr", "x", "--reference", "\u0663"),
          2, "invalid float value"),
+        # digit-grouping underscores, which the expression lexer refuses too
+        (("verify", "--rule", "CR3", "--dim", "1_0"), 2, "invalid int value"),
+        (("derive", "--region", "cube:2", "--targets", "deg1_0"), 1, "unknown targets"),
+        (("moments", "--region", "simplex:1_0"), 1, "without '_'"),
+        (("family", "square", "--param", "1_0/3_0"), 1, "without '_'"),
+        (("compound", "--rule", "CR3", "--dim", "2", "--expr", "x", "--levels", "1:1_0"),
+         1, "without '_'"),
+        (("compound", "--rule", "CR3", "--dim", "2", "--expr", "1_0*x"), 1, "syntax error"),
     ],
 )
 def test_numbers_must_be_written_in_ascii(capsys, argv, code, message):
-    # int(), Fraction() and float() would read these Arabic-Indic digits as 1, 2, 3 and 4
+    # int(), Fraction() and float() would read these Arabic-Indic digits as 1, 2,
+    # 3 and 4, and "1_0" as 10
     got, out, err = run_cli(capsys, *argv)
     assert got == code
     assert out == ""

@@ -13,7 +13,7 @@ from oracles import (
     iterated_simplex_moment,
 )
 from simpson_nd import scalars
-from simpson_nd.errors import DimensionMismatch, NoVertices
+from simpson_nd.errors import DimensionMismatch, IncompatibleScalars, NoVertices
 from simpson_nd.exactness import monomials_up_to
 from simpson_nd.regions import (
     Cube,
@@ -34,6 +34,11 @@ def test_volumes():
     assert trapezoid_paper().volume() == Fraction(3, 2)
     assert UnitDisc().volume() == PiMultiple(1)
     assert hexagon_paper().volume() == quad(4, 2, 3)
+    # the simple neighbours of two polygons test_polygon_rejects_bad_input refuses
+    assert Polygon(_notched_square(scalars.sub(2, _TINY))).volume() == scalars.add(2, _TINY)
+    assert Polygon(_needle_square(scalars.sub(Fraction(1, 2), _TINY))).volume() == (
+        scalars.add(1, _TINY)
+    )
 
 
 def test_centroids():
@@ -169,6 +174,25 @@ def test_polygon_orientation_normalized():
     assert cw.vertices() == ((1, 0), (1, 2), (0, 1), (0, 0))
 
 
+# p/q - sqrt(2) with p^2 - 2 q^2 = 1, about 3.5e-20: its sign rests on the
+# exact comparison of p^2 with 2 q^2, and in floats p/q equals sqrt(2)
+_TINY = quad(Fraction(4478554083, 3166815962), -1, 2)
+
+
+def _notched_square(tip_x):
+    """The square [0, 2]^2 with a notch from its left side whose tip sits at
+    (tip_x, 1): simple while tip_x < 2, crossing the right side past it."""
+    return [(0, 0), (2, 0), (2, 2), (0, 2), (tip_x, 1)]
+
+
+def _needle_square(x_back):
+    """The unit square with a needle up to (1/2, 3) from (1/2, 1) on its top
+    side, coming back to (x_back, 1): a thin simple needle while
+    x_back < 1/2, back over its own foot past it."""
+    half = Fraction(1, 2)
+    return [(0, 0), (1, 0), (1, 1), (half, 1), (half, 3), (x_back, 1), (0, 1)]
+
+
 def test_polygon_rejects_bad_input():
     with pytest.raises(ValueError):
         Polygon([(0, 0), (1, 0)])
@@ -177,6 +201,16 @@ def test_polygon_rejects_bad_input():
     # the published vertex listing order self-intersects
     with pytest.raises(ValueError):
         Polygon([(0, 0), (1, 0), (0, 1), (1, 2)])
+    # a crossing and a near-collinear needle, each past the line by _TINY
+    with pytest.raises(ValueError, match="must be simple"):
+        Polygon(_notched_square(scalars.add(2, _TINY)))
+    with pytest.raises(ValueError, match="must be simple"):
+        Polygon(_needle_square(scalars.add(Fraction(1, 2), _TINY)))
+    for pi_value in (PiMultiple(1), PiMultiple(0)):
+        with pytest.raises(ValueError, match="polygon coordinates must be rational or a"):
+            Polygon([(pi_value, 0), (0, 1), (0, 0)])
+    with pytest.raises(IncompatibleScalars):
+        Polygon([(quad(1, 1, 2), 0), (0, quad(1, 1, 3)), (0, 0)])
 
 
 def test_polygon_membership():
@@ -191,6 +225,20 @@ def test_polygon_membership():
     assert hexagon.contains((0, 0))
     assert hexagon.on_boundary((quad(1, 1, 3), 0))
     assert not hexagon.contains((3, 0))
+    # the midpoint of the edge from (1 + sqrt 3, 0) to (1, 1)
+    assert hexagon.on_boundary((quad(1, Fraction(1, 2), 3), Fraction(1, 2)))
+    assert hexagon.contains((quad(1, Fraction(1, 2), 3), Fraction(1, 2)))
+    # that edge crosses y = 1/2 at 1 + sqrt(3)/2; 1351/780 and 989/571
+    # straddle sqrt 3 by under 2e-6
+    half = Fraction(1, 2)
+    assert not hexagon.contains((1 + Fraction(1351, 1560), half))
+    assert hexagon.contains((1 + Fraction(989, 1142), half))
+    assert not hexagon.on_boundary((1 + Fraction(989, 1142), half))
+    # a second radicand, or pi, has no place in the hexagon's integer view
+    with pytest.raises(IncompatibleScalars):
+        hexagon.contains((quad(0, 1, 2), 0))
+    with pytest.raises(IncompatibleScalars):
+        hexagon.contains((PiMultiple(0), half))
 
 
 def test_simplex_and_cube_membership():
@@ -259,9 +307,30 @@ def _sheared_hexagon(d):
     ]
 
 
+def _random_quad_polygon(rng, d):
+    """A simple polygon with a + b*sqrt(d) coordinates, a and b of mixed
+    signs and denominators and b*sqrt(d) of the size of a, sorted by angle
+    about the origin and redrawn until the constructor accepts it."""
+    root = math.isqrt(d)
+
+    def coordinate():
+        return quad(Fraction(rng.randint(-12, 12), rng.randint(1, 6)),
+                    Fraction(rng.randint(-12, 12), rng.randint(1, 6) * root), d)
+
+    while True:
+        pts = {(coordinate(), coordinate()) for _ in range(rng.randint(3, 7))}
+        pts = sorted(pts, key=lambda v: math.atan2(to_float(v[1]), to_float(v[0])))
+        try:
+            Polygon(pts)
+        except ValueError:
+            continue
+        return pts
+
+
 def _oracle_cases():
     rng = random.Random(20240)
-    return [_random_rational_polygon(rng) for _ in range(6)] + [_sheared_hexagon(7)]
+    cases = [_random_rational_polygon(rng) for _ in range(6)] + [_sheared_hexagon(7)]
+    return cases + [_random_quad_polygon(rng, d) for d in (2, 3893, 1000003)]
 
 
 def test_polygon_moments_match_fan_triangulation_oracle():
