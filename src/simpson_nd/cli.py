@@ -291,11 +291,15 @@ def _outcome_payload(outcome) -> dict:
             "values": [scalars.scalar_to_json(v) for v in outcome.values],
         }
     if isinstance(outcome, exactness.Infeasible):
-        return {
+        payload = {
             "outcome": "infeasible",
             "witness": outcome.witness,
             "equations": [e.label for e in outcome.equations],
         }
+        # a weight system's certificate: these multiples of the equations sum to 0 = nonzero
+        if outcome.multipliers:
+            payload["multipliers"] = [scalars.scalar_to_json(m) for m in outcome.multipliers]
+        return payload
     return {
         "outcome": "underdetermined",
         "particular": [scalars.scalar_to_json(v) for v in outcome.particular],

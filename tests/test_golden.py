@@ -51,6 +51,10 @@ FIELD_CASES = {
     "derive_hexagon_lambda": ("derive", "--region", "hexagon-paper", "--targets", "deg2"),
     "derive_hexagon_weights": (
         "derive", "--region", "hexagon-paper", "--targets", "deg2", "--mode", "weights"),
+    # the right-hand sides are all pi multiples
+    "derive_disc_weights": ("derive", "--region", "disc", "--mode", "weights"),
+    # the infeasible certificate 0 = -1/80 and its multipliers
+    "derive_trapezoid_weights": ("derive", "--region", "trapezoid-paper", "--mode", "weights"),
 }
 
 CASES = {"verify_all.json": ("--format", "json", "verify", "--all")}
