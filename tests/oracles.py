@@ -9,7 +9,9 @@ package's double-factorial closed form), polygon moments from a fan triangulatio
 back to the unit simplex, integrand values from a recursive walk of
 the expression tree, a + b*sqrt(d) arithmetic from the componentwise
 field formulas, float rule sums from the node and weight lists, and
-exact rule sums and exactness reports node by node over every monomial.
+exact rule sums and exactness reports node by node over every monomial,
+and reduced row echelon forms by Gauss-Jordan elimination with one scalar
+operation per entry.
 """
 
 from __future__ import annotations
@@ -275,3 +277,42 @@ def full_scan_report(rule, max_degree: int) -> tuple:
             if not scalars.is_zero(r):
                 return d - 1, alpha, r
     return max_degree, None, None
+
+
+def scalar_gauss_jordan(rows, ncols: int):
+    """(pivot columns, determinant) after reducing ``rows`` in place over
+    the first ``ncols`` columns, one scalar operation per entry: the pivot
+    is the first nonzero entry at or below the current row, the pivot row
+    is divided by it and every other row with a nonzero entry in the pivot
+    column is cleared.  The determinant is the swap sign times the pivots
+    taken before normalising, or 0 when the rank is below ``ncols``."""
+    pivots = []
+    det = Fraction(1)
+    r = 0
+    for col in range(ncols):
+        pivot_row = None
+        for i in range(r, len(rows)):
+            if not scalars.is_zero(rows[i][col]):
+                pivot_row = i
+                break
+        if pivot_row is None:
+            det = Fraction(0)
+            continue
+        if pivot_row != r:
+            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+            det = scalars.neg(det)
+        piv = rows[r][col]
+        det = scalars.mul(det, piv)
+        # left of col the pivot row is all zeros, so only col onward changes
+        pivot = [scalars.div(v, piv) for v in rows[r][col:]]
+        rows[r][col:] = pivot
+        for i in range(len(rows)):
+            if i != r and not scalars.is_zero(rows[i][col]):
+                f = rows[i][col]
+                rows[i][col:] = [
+                    scalars.sub(v, scalars.mul(f, w))
+                    for v, w in zip(rows[i][col:], pivot)
+                ]
+        pivots.append(col)
+        r += 1
+    return pivots, det
