@@ -18,14 +18,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, lcm, prod
 from typing import Iterator, Optional, Union
 
 from . import scalars
-from .errors import DimensionMismatch, RegionMismatch
+from .errors import DimensionMismatch, IncompatibleScalars, RegionMismatch
 from .regions import Cube, MultiIndex, Region, Simplex
 from .rules import CubatureRule, NodeTable, monomial_value, node_sum
-from .scalars import Scalar, is_zero
+from .scalars import PiMultiple, Quad, Scalar, _make_quad, is_zero
 
 # Most entries of an exact system the solvers may be asked to build:
 # targets x nodes values for solve_lambda, and the targets x (nodes + 1 +
@@ -256,47 +256,179 @@ def solve_lambda(
     return UniqueSolution((lam,))
 
 
+_ZERO = Fraction(0)
+
+# Elimination runs on an integer view of the rows.  Each row is multiplied
+# by the lcm S of its denominators, so an entry becomes an int, or over
+# Q(sqrt d) an (A, B) int pair meaning A + B*sqrt(d) (the common-denominator
+# form of Cohen, GTM 138, 4.2).  A trailing column of pi multiples holds
+# their rational coefficients.  Bareiss's one-step fraction-free rule
+# (Math. Comp. 22, 1968) then keeps every entry in Z or Z[sqrt d]: by
+# Sylvester's identity each entry is a minor of the scaled rows, so the
+# division by the previous pivot is exact.
+
+
+def _scale_in(rows: list[list[Scalar]], ncols: int):
+    """(d, pi_columns, scales, view) for the rows of ``gauss_jordan``.
+
+    d is the one radicand (None when every entry is rational), pi_columns
+    the trailing columns whose every entry is a pi multiple, scales the
+    lcm S of each row's denominators, and view each row times S: ints, or
+    (A, B) int pairs when d is set.  A pi multiple anywhere else, or a
+    second radicand, raises IncompatibleScalars."""
+    width = len(rows[0]) if rows else 0
+    pi_columns = {
+        j for j in range(ncols, width) if all(isinstance(row[j], PiMultiple) for row in rows)
+    }
+    d = None
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            if type(x) is Fraction:
+                continue
+            if isinstance(x, Quad):
+                if d is None:
+                    d = x.d
+                elif x.d != d:
+                    raise IncompatibleScalars(
+                        f"cannot eliminate values over sqrt({d}) and sqrt({x.d}) together"
+                    )
+            elif isinstance(x, PiMultiple):
+                if j not in pi_columns:
+                    raise IncompatibleScalars(
+                        f"row {i} has the pi multiple {x!r} in column {j}; elimination "
+                        f"takes pi only in a column after the first {ncols} "
+                        "whose every entry is a pi multiple"
+                    )
+            else:
+                scalars.as_scalar(x)  # an int passes; a float or a bool raises
+    scales, view = [], []
+    for row in rows:
+        values = [x.coefficient if j in pi_columns else x for j, x in enumerate(row)]
+        if d is None:
+            s = lcm(*(x.denominator for x in values))
+            view.append([x.numerator * (s // x.denominator) for x in values])
+        else:
+            parts = [(x.a, x.b) if type(x) is Quad else (x, 0) for x in values]
+            s = lcm(*(x.denominator for pair in parts for x in pair))
+            view.append([
+                (a.numerator * (s // a.denominator), b.numerator * (s // b.denominator))
+                for a, b in parts
+            ])
+        scales.append(s)
+    return d, pi_columns, scales, view
+
+
+def _step(row: list, pivot: list, start: int, p, f, prev, d) -> None:
+    """row[start:] = (p*row - f*pivot) / prev in place, over Z or Z[sqrt d].
+
+    Over Z[sqrt d], p and f are first multiplied by the conjugate of prev,
+    which leaves one division by the integer norm of prev."""
+    if d is None:
+        if f:
+            row[start:] = [(p * v - f * w) // prev for v, w in zip(row[start:], pivot[start:])]
+        else:
+            row[start:] = [p * v // prev for v in row[start:]]
+        return
+    qa, qb = prev
+    norm = qa * qa - qb * qb * d
+    pa, pb = p[0] * qa - p[1] * qb * d, p[1] * qa - p[0] * qb
+    pbd = pb * d
+    if f == (0, 0):
+        row[start:] = [((pa * a + pbd * b) // norm, (pa * b + pb * a) // norm) for a, b in row[start:]]
+        return
+    fa, fb = f[0] * qa - f[1] * qb * d, f[1] * qa - f[0] * qb
+    fbd = fb * d
+    row[start:] = [
+        ((pa * a + pbd * b - fa * e - fbd * g) // norm, (pa * b + pb * a - fa * g - fb * e) // norm)
+        for (a, b), (e, g) in zip(row[start:], pivot[start:])
+    ]
+
+
+def _times(x, k: int, d):
+    """k * x for a view value x."""
+    return x * k if d is None else (x[0] * k, x[1] * k)
+
+
+def _divider(q, d):
+    """The map from a view value x to the scalar x / q, for a view value q != 0."""
+    if d is None:
+        return lambda x: Fraction(x, q) if x else _ZERO
+    qa, qb = q
+    norm, qbd = qa * qa - qb * qb * d, qb * d
+
+    def divide(x):
+        a, b = x
+        if not (a or b):
+            return _ZERO
+        return _make_quad(Fraction(a * qa - b * qbd, norm), Fraction(b * qa - a * qb, norm), d)
+
+    return divide
+
+
 def gauss_jordan(rows: list[list[Scalar]], ncols: int) -> tuple[list[int], Scalar]:
     """In-place reduced row echelon form over the first ``ncols`` columns;
     trailing columns ride along.  This is the package's only elimination
     loop.
 
-    Each column's pivot is the first nonzero entry at or below the current
-    row.  Returns the pivot columns (so the rank) and, for a square block,
-    its determinant: the swap sign times the pivots taken before
-    normalising, or 0 when the rank is below ``ncols``.
+    Elimination is fraction-free over Z or Z[sqrt d] (Bareiss, *Sylvester's
+    identity and multistep integer-preserving Gaussian elimination*, Math.
+    Comp. 22, 1968).  Each row is scaled by the lcm of its denominators;
+    each column's pivot p is the first nonzero entry at or below the
+    current row, and every other row becomes (p*row - f*pivot_row) / prev,
+    with f its entry in the pivot column and prev the previous pivot.
+    The entries become scalars once, at the end: a pivot row divided by
+    the last pivot, a row below the rank by its scale times the last
+    pivot.  The rows, the pivots and the trailing columns are those of
+    Gauss-Jordan elimination with one scalar operation per entry.
+
+    Entries are rationals and values over one radicand.  A trailing
+    column whose every entry is a pi multiple is reduced as its
+    coefficients and comes back as pi multiples; a pi multiple anywhere
+    else, a second radicand, or a pi column entry that would be a sqrt
+    value times pi raises IncompatibleScalars.
+
+    Returns the pivot columns (so the rank) and the determinant: the swap
+    sign times the last pivot over the product of the pivot rows' scales,
+    or 0 when the rank is below ``ncols``.  It is the block's determinant
+    only when the block is square.
     """
+    d, pi_columns, scales, view = _scale_in(rows, ncols)
+    zero, one = (0, 1) if d is None else ((0, 0), (1, 0))
+    prev = one
     pivots: list[int] = []
-    det: Scalar = Fraction(1)
+    sign = 1
     r = 0
     for col in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if not is_zero(rows[i][col]):
-                pivot_row = i
-                break
+        pivot_row = next((i for i in range(r, len(view)) if view[i][col] != zero), None)
         if pivot_row is None:
-            det = Fraction(0)
             continue
         if pivot_row != r:
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-            det = scalars.neg(det)
-        piv = rows[r][col]
-        det = scalars.mul(det, piv)
-        # left of col the pivot row is all zeros, so only col onward changes
-        pivot = [scalars.div(v, piv) for v in rows[r][col:]]
-        rows[r][col:] = pivot
-        for i in range(len(rows)):
-            if i != r and not is_zero(rows[i][col]):
-                f = rows[i][col]
-                rows[i][col:] = [
-                    scalars.sub(v, scalars.mul(f, w))
-                    for v, w in zip(rows[i][col:], pivot)
-                ]
+            view[r], view[pivot_row] = view[pivot_row], view[r]
+            scales[r], scales[pivot_row] = scales[pivot_row], scales[r]
+            sign = -sign
+        pivot = view[r]
+        p = pivot[col]
+        for i, row in enumerate(view):
+            if i != r:
+                # a row is zero left of its own pivot, a row below r left of col
+                _step(row, pivot, pivots[i] if i < r else col, p, row[col], prev, d)
         pivots.append(col)
+        prev = p
         r += 1
-    return pivots, det
 
+    reduced = []
+    for i, row in enumerate(view):
+        values = [*map(_divider(prev if i < r else _times(prev, scales[i], d), d), row)]
+        for j in pi_columns:
+            if isinstance(values[j], Quad):
+                raise IncompatibleScalars("pi times a sqrt value is not representable")
+            values[j] = PiMultiple(values[j])
+        reduced.append(values)
+    for row, values in zip(rows, reduced):
+        row[:] = values
+    if r < ncols:
+        return pivots, _ZERO
+    return pivots, _divider(_times(one, prod(scales[:r]), d), d)(_times(prev, sign, d))
 
 def solve_weights(region: Region, nodes, targets) -> LinearSolveOutcome:
     """Exact solve for one weight per node so the rule matches the region

@@ -6,7 +6,10 @@ determinant.  The systems mix denominators within a row and between the
 ``.a`` and ``.b`` parts of one entry, and include singular,
 rank-deficient and inconsistent blocks, wide ``[A | b | I]`` blocks as
 ``solve_weights`` builds them, rows whose entry in the pivot column is
-zero, and a trailing column of pi multiples.
+zero, and a trailing column of pi multiples.  The scalar loop reduces
+a pi column only while every product it forms is representable; the
+fraction-free loop reduces it as its rational coefficients and refuses
+only a result it cannot represent.
 """
 
 import random
@@ -15,6 +18,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import scalar_gauss_jordan
+from simpson_nd.errors import IncompatibleScalars
 from simpson_nd.exactness import gauss_jordan
 from simpson_nd.scalars import PiMultiple, Quad
 
@@ -119,3 +123,71 @@ def test_a_trailing_pi_column_comes_back_as_pi_multiples():
         assert all(type(row[col]) is PiMultiple for row in reduced)
         zero_pi += any(row[col] == 0 for row in reduced)
     assert zero_pi >= 20
+
+
+@pytest.mark.parametrize("d", RADICANDS)
+def test_a_pi_column_over_a_radicand_reduces_as_its_coefficients(d):
+    """The pi column comes back as pi times the reduced coefficient column,
+    and a coefficient that is not rational is refused."""
+    rng = random.Random(1111 + d)
+    answered = refused = 0
+    for _ in range(60):
+        rows, ncols = _system(rng, d)
+        coefficients = [_rational(rng) for _ in rows]
+        plain = [row + [c] for row, c in zip(rows, coefficients)]
+        pivots, _ = scalar_gauss_jordan(plain, ncols)
+        tagged = [row + [PiMultiple(c)] for row, c in zip(rows, coefficients)]
+        if all(isinstance(row[-1], Fraction) for row in plain):
+            assert gauss_jordan(tagged, ncols)[0] == pivots
+            want = [row[:-1] + [PiMultiple(row[-1])] for row in plain]
+            assert [[repr(x) for x in r] for r in tagged] == [[repr(x) for x in r] for r in want]
+            answered += 1
+        else:
+            with pytest.raises(IncompatibleScalars, match="^pi times a sqrt value is not representable$"):
+                gauss_jordan(tagged, ncols)
+            refused += 1
+    assert answered >= 10 and refused >= 10
+
+
+def test_a_pi_column_is_reduced_where_the_scalar_loop_formed_sqrt_times_pi():
+    root2 = Quad(0, 1, 2)
+    rows = [[root2, Fraction(1), PiMultiple(1)], [Fraction(0), Fraction(1), PiMultiple(1)]]
+    with pytest.raises(IncompatibleScalars):
+        scalar_gauss_jordan([list(r) for r in rows], 2)  # pi / sqrt(2)
+    assert gauss_jordan(rows, 2) == ([0, 1], root2)
+    assert repr(rows) == repr([
+        [Fraction(1), Fraction(0), PiMultiple(0)], [Fraction(0), Fraction(1), PiMultiple(1)]
+    ])
+
+
+# Inputs the fraction-free loop refuses.  The scalar loop answered each of
+# these, because it never had to combine the values that do not fit.
+REFUSED = {
+    "pi in a pivot column": (
+        [[Fraction(1), Fraction(0)], [Fraction(0), PiMultiple(1)]], 2,
+        r"^row 1 has the pi multiple PiMultiple\(Fraction\(1, 1\)\) in column 1; "
+        r"elimination takes pi only in a column after the first 2 whose every entry "
+        r"is a pi multiple$",
+    ),
+    "pi beside a rational zero in a trailing column": (
+        [[Fraction(1), PiMultiple(1)], [Fraction(1), Fraction(0)]], 1,
+        r"^row 0 has the pi multiple PiMultiple\(Fraction\(1, 1\)\) in column 1; ",
+    ),
+    "two radicands": (
+        [[Quad(0, 1, 2)], [Quad(0, 1, 3)]], 1,
+        r"^cannot eliminate values over sqrt\(2\) and sqrt\(3\) together$",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_refuses_pi_outside_a_pi_column_and_a_second_radicand(case):
+    rows, ncols, message = REFUSED[case]
+    scalar_gauss_jordan([list(r) for r in rows], ncols)
+    with pytest.raises(IncompatibleScalars, match=message):
+        gauss_jordan([list(r) for r in rows], ncols)
+
+
+def test_refuses_a_float_entry():
+    with pytest.raises(TypeError):
+        gauss_jordan([[Fraction(1), 0.5]], 1)
