@@ -327,7 +327,10 @@ def _matrix_at(nodes, basis_exponents) -> tuple[tuple[Scalar, ...], ...]:
 
 
 def exact_det(matrix) -> Scalar:
-    """Determinant by exact Gauss-Jordan elimination."""
+    """Determinant by ``gauss_jordan``, which eliminates fraction-free over Z
+    or Z[sqrt d] (Bareiss, Math. Comp. 22, 1968): the swap sign times the
+    last pivot of the rows scaled to integers, over the product of the
+    row scales."""
     rows = [list(row) for row in matrix]
     if any(len(row) != len(rows) for row in rows):
         raise ValueError("matrix must be square")
