@@ -31,8 +31,10 @@ from .scalars import PiMultiple, Quad, Scalar, _make_quad, is_zero
 # targets x nodes values for solve_lambda, and the targets x (nodes + 1 +
 # targets) block [A | b | I] that solve_weights reduces.  On one core of a
 # 2-vCPU Xeon, derive on cube:12 with deg1 targets (53,261 and 53,443
-# entries) takes 0.9 s and 1.2 s; unchecked, deg2 targets in weights mode
-# (381,199 entries) took 17 s and deg3 targets in lambda mode 27 s.
+# entries) takes 0.2 s and 0.5 s, and cube:7 with deg3 targets in weights
+# mode (30,000 entries) 0.5 s; unchecked, deg2 targets in weights mode
+# (381,199 entries) took 17 s with one scalar operation per entry, and
+# deg3 targets in lambda mode 27 s.
 MAX_SYSTEM_ENTRIES = 60_000
 
 
@@ -258,15 +260,6 @@ def solve_lambda(
 
 _ZERO = Fraction(0)
 
-# Elimination runs on an integer view of the rows.  Each row is multiplied
-# by the lcm S of its denominators, so an entry becomes an int, or over
-# Q(sqrt d) an (A, B) int pair meaning A + B*sqrt(d) (the common-denominator
-# form of Cohen, GTM 138, 4.2).  A trailing column of pi multiples holds
-# their rational coefficients.  Bareiss's one-step fraction-free rule
-# (Math. Comp. 22, 1968) then keeps every entry in Z or Z[sqrt d]: by
-# Sylvester's identity each entry is a minor of the scaled rows, so the
-# division by the previous pivot is exact.
-
 
 def _scale_in(rows: list[list[Scalar]], ncols: int):
     """(d, pi_columns, scales, view) for the rows of ``gauss_jordan``.
@@ -372,14 +365,17 @@ def gauss_jordan(rows: list[list[Scalar]], ncols: int) -> tuple[list[int], Scala
 
     Elimination is fraction-free over Z or Z[sqrt d] (Bareiss, *Sylvester's
     identity and multistep integer-preserving Gaussian elimination*, Math.
-    Comp. 22, 1968).  Each row is scaled by the lcm of its denominators;
-    each column's pivot p is the first nonzero entry at or below the
-    current row, and every other row becomes (p*row - f*pivot_row) / prev,
-    with f its entry in the pivot column and prev the previous pivot.
-    The entries become scalars once, at the end: a pivot row divided by
-    the last pivot, a row below the rank by its scale times the last
-    pivot.  The rows, the pivots and the trailing columns are those of
-    Gauss-Jordan elimination with one scalar operation per entry.
+    Comp. 22, 1968).  Each row is scaled by the lcm of its denominators, so
+    an entry becomes an int, or an (A, B) int pair meaning A + B*sqrt(d)
+    (Cohen, GTM 138, 4.2).  Each column's pivot p is the first nonzero
+    entry at or below the current row, and every other row becomes
+    (p*row - f*pivot_row) / prev, with f its entry in the pivot column and
+    prev the previous pivot.  By Sylvester's identity every entry is a
+    minor of the scaled rows, so the division is exact.  The entries
+    become scalars once, at the end: a pivot row divided by the last
+    pivot, a row below the rank by its scale times the last pivot.  The
+    rows, the pivots and the trailing columns are those of Gauss-Jordan
+    elimination with one scalar operation per entry.
 
     Entries are rationals and values over one radicand.  A trailing
     column whose every entry is a pi multiple is reduced as its
@@ -429,6 +425,7 @@ def gauss_jordan(rows: list[list[Scalar]], ncols: int) -> tuple[list[int], Scala
     if r < ncols:
         return pivots, _ZERO
     return pivots, _divider(_times(one, prod(scales[:r]), d), d)(_times(prev, sign, d))
+
 
 def solve_weights(region: Region, nodes, targets) -> LinearSolveOutcome:
     """Exact solve for one weight per node so the rule matches the region

@@ -3,13 +3,19 @@ files but one were recorded before the residual systems were generated
 from node parameterizations and the elimination loops were merged; the
 ``compound`` files before the integrand was compiled and the cell
 shapes were folded into one affine-cell loop; the ``catalog``,
-``moments`` and ``derive`` files before the ``Quad`` and ``PiMultiple``
-operators took over their own arithmetic; ``family_square_param`` before
-the claim suite read each rule's exactness report.  Those pin the
-CR5/CR5* nodes in Q(sqrt 3893), the CR6 pi weights, hexagon moments in
-Q(sqrt 3), the irrational lambda witness and a Gauss-Jordan solve over
-``Quad`` pivots.  A refactor of any of these must leave every file here
-unchanged, which pins every compound estimate bit for bit.
+``moments`` and ``derive_hexagon`` files before the ``Quad`` and
+``PiMultiple`` operators took over their own arithmetic;
+``family_square_param`` before the claim suite read each rule's
+exactness report.  Every file here, ``derive_disc_weights`` and
+``derive_trapezoid_weights`` included, was recorded before
+``gauss_jordan`` became fraction-free over Z and Z[sqrt d] (Bareiss
+1968).  Those pin the CR5/CR5* nodes in Q(sqrt 3893), the CR6 pi
+weights, hexagon moments in Q(sqrt 3), the irrational lambda witness, a
+Gauss-Jordan solve over ``Quad`` pivots, the disc's weights solved
+against a column of pi moments, and the trapezoid's infeasibility
+certificate with its multipliers.  A refactor of any of these must leave
+every file here unchanged, which pins every compound estimate bit for
+bit.
 
 Each file holds the stdout of ``simpson-nd`` for the argv listed below,
 for example ``simpson-nd --format json verify --all > verify_all.json``.
