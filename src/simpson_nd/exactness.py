@@ -23,7 +23,7 @@ from typing import Iterator, Optional, Union
 
 from . import scalars
 from .errors import DimensionMismatch, IncompatibleScalars, RegionMismatch
-from .regions import Cube, MultiIndex, Region, Simplex
+from .regions import Cube, MultiIndex, Region, Simplex, _scaled
 from .rules import CubatureRule, NodeTable, monomial_value, node_sum
 from .scalars import PiMultiple, Quad, Scalar, _make_quad, is_zero
 
@@ -297,16 +297,11 @@ def _scale_in(rows: list[list[Scalar]], ncols: int):
     scales, view = [], []
     for row in rows:
         values = [x.coefficient if j in pi_columns else x for j, x in enumerate(row)]
-        if d is None:
-            s = lcm(*(x.denominator for x in values))
-            view.append([x.numerator * (s // x.denominator) for x in values])
-        else:
-            parts = [(x.a, x.b) if type(x) is Quad else (x, 0) for x in values]
-            s = lcm(*(x.denominator for pair in parts for x in pair))
-            view.append([
-                (a.numerator * (s // a.denominator), b.numerator * (s // b.denominator))
-                for a, b in parts
-            ])
+        s = lcm(*(
+            lcm(x.a.denominator, x.b.denominator) if type(x) is Quad else x.denominator
+            for x in values
+        ))
+        view.append([_scaled(x, s, d) for x in values])
         scales.append(s)
     return d, pi_columns, scales, view
 

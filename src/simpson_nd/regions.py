@@ -138,8 +138,8 @@ class Cube:
 
 
 def _scaled(c, den: int, d):
-    """c * den for a coordinate over the common denominator den: an int, or
-    an (A, B) pair when the view is over Z[sqrt d]."""
+    """c * den for a rational or a + b*sqrt(d) over the common denominator
+    den: an int, or an (A, B) pair when the view is over Z[sqrt d]."""
     if isinstance(c, Quad):
         return (c.a.numerator * (den // c.a.denominator), c.b.numerator * (den // c.b.denominator))
     x = c.numerator * (den // c.denominator)
