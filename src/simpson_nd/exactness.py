@@ -415,8 +415,7 @@ def gauss_jordan(rows: list[list[Scalar]], ncols: int) -> tuple[list[int], Scala
                 raise IncompatibleScalars("pi times a sqrt value is not representable")
             values[j] = PiMultiple(values[j])
         reduced.append(values)
-    for row, values in zip(rows, reduced):
-        row[:] = values
+    rows[:] = reduced
     if r < ncols:
         return pivots, _ZERO
     return pivots, _divider(_times(one, prod(scales[:r]), d), d)(_times(prev, sign, d))
