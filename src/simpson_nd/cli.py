@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -225,11 +226,8 @@ def _cmd_verify(args) -> int:
 def _cmd_moments(args) -> int:
     region = _parse_region(args.region, args.region_file)
     _check_monomial_table(region, args.degree)
-    dim = region.dimension
-    entries = []
-    for alpha in _display_monomials(dim, args.degree):
-        value = region.moment(alpha)
-        entries.append((alpha, value))
+    alphas = list(_display_monomials(region.dimension, args.degree))
+    entries = list(zip(alphas, region.moments(alphas)))
     payload = {
         "command": "moments",
         "region": region_to_json(region),
@@ -605,13 +603,17 @@ def _cmd_catalog(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every
+    later one: do not mutate it.  ``--format`` defaults to None, which
+    ``run`` resolves through SIMPSON_ND_FORMAT on each call."""
     parser = argparse.ArgumentParser(
         prog="simpson-nd",
         description="Exact blended cubature rules and their certification.",
     )
     parser.add_argument(
-        "--format", choices=FORMATS, default=_default_format(),
+        "--format", choices=FORMATS, default=None,
         help="output format (default from SIMPSON_ND_FORMAT, else text)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -674,6 +676,8 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    if args.format is None:
+        args.format = _default_format()
     try:
         return args.func(args)
     except (SimpsonNdError, ValueError, OSError, ZeroDivisionError, OverflowError) as exc:

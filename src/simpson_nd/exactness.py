@@ -29,10 +29,10 @@ from .scalars import PiMultiple, Quad, Scalar, _make_quad, is_zero
 
 # Most entries of an exact system the solvers may be asked to build:
 # targets x nodes values for solve_lambda, and the targets x (nodes + 1 +
-# targets) block [A | b | I] that solve_weights reduces.  On one core of a
-# 2-vCPU Xeon, derive on cube:12 with deg1 targets (53,261 and 53,443
-# entries) takes 0.2 s and 0.5 s, and cube:7 with deg3 targets in weights
-# mode (30,000 entries) 0.5 s; unchecked, deg2 targets in weights mode
+# targets) block [A | b | I] that solve_weights reduces when a system is
+# infeasible.  On one core of a 2-vCPU Xeon, derive on cube:12 with deg1
+# targets (53,261 and 53,443 entries) takes 0.2 s and 0.5 s, and cube:7
+# with deg3 targets in weights mode (30,000 entries) 0.5 s; unchecked, deg2 targets in weights mode
 # (381,199 entries) took 17 s with one scalar operation per entry, and
 # deg3 targets in lambda mode 27 s.
 MAX_SYSTEM_ENTRIES = 60_000
@@ -214,12 +214,12 @@ def solve_lambda(
         raise RegionMismatch("rules must share one region")
     region = m.region
     m_table, t_table = NodeTable(m.nodes, m.weights), NodeTable(t.nodes, t.weights)
+    targets = [tuple(int(e) for e in alpha) for alpha in targets]
     first: Optional[tuple[Equation, Scalar]] = None
-    for alpha in targets:
-        alpha = tuple(int(e) for e in alpha)
+    for alpha, moment in zip(targets, region.moments(targets)):
         spread = t_table.sum(alpha)
         coef = scalars.sub(m_table.sum(alpha), spread)
-        rhs = scalars.sub(region.moment(alpha), spread)
+        rhs = scalars.sub(moment, spread)
         equation = Equation(monomial_label(alpha), (coef,), rhs)
         if is_zero(coef):
             if is_zero(rhs):
@@ -432,26 +432,26 @@ def solve_weights(region: Region, nodes, targets) -> LinearSolveOutcome:
     nodes = tuple(tuple(scalars.as_scalar(c) for c in p) for p in nodes)
     targets = [tuple(int(e) for e in alpha) for alpha in targets]
     nunk = len(nodes)
-    equations: list[Equation] = []
-    for alpha in targets:
-        coeffs = tuple(monomial_value(p, alpha) for p in nodes)
-        equations.append(Equation(monomial_label(alpha), coeffs, region.moment(alpha)))
-    # augmented block [A | b | I] so every reduced row remembers its origin
-    rows: list[list[Scalar]] = []
-    for i, eqn in enumerate(equations):
-        ident: list[Scalar] = [
-            Fraction(1) if j == i else Fraction(0) for j in range(len(equations))
-        ]
-        rows.append(list(eqn.coefficients) + [eqn.rhs] + ident)
+    equations = [
+        Equation(monomial_label(alpha), tuple(monomial_value(p, alpha) for p in nodes), moment)
+        for alpha, moment in zip(targets, region.moments(targets))
+    ]
+    rows = [[*eqn.coefficients, eqn.rhs] for eqn in equations]
     pivots, _ = gauss_jordan(rows, nunk)
     rank = len(pivots)
-    for row in rows[rank:]:
-        if is_zero(row[nunk]):
-            continue
-        multipliers = tuple(row[nunk + 1 :])
+    if any(not is_zero(row[nunk]) for row in rows[rank:]):
+        # Reduce [A | b | I] so every row remembers its origin.  The 0/1
+        # identity entries change no row scale and no pivot, so the A and b
+        # columns, and the rank, come out as above.
+        rows = [
+            [*eqn.coefficients, eqn.rhs, *(Fraction(int(j == i)) for j in range(len(equations)))]
+            for i, eqn in enumerate(equations)
+        ]
+        gauss_jordan(rows, nunk)
+        row = next(row for row in rows[rank:] if not is_zero(row[nunk]))
         used = [
             (equations[i], mult)
-            for i, mult in enumerate(multipliers)
+            for i, mult in enumerate(row[nunk + 1 :])
             if not is_zero(mult)
         ]
         labels = ", ".join(eqn.label for eqn, _ in used)

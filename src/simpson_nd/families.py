@@ -70,7 +70,7 @@ class BlendSystem:
         """Region volume, centroid and the target moments; computed on
         first use, once per system."""
         region = self.region
-        return region.volume(), region.centroid(), tuple(region.moment(a) for a in self.alphas)
+        return region.volume(), region.centroid(), region.moments(self.alphas)
 
     def nodes(self, params) -> tuple[Point, ...]:
         return self.place(*(as_scalar(v) for v in params))

@@ -72,6 +72,9 @@ class Simplex:
             num *= factorial(e)
         return Fraction(num, factorial(self.dimension + sum(alpha)))
 
+    def moments(self, alphas) -> tuple[Scalar, ...]:
+        return tuple(map(self.moment, alphas))
+
     def contains(self, point: Point) -> bool:
         if any(sign(c) < 0 for c in point):
             return False
@@ -118,6 +121,9 @@ class Cube:
         for e in alpha:
             result *= Fraction(1, e + 1)
         return result
+
+    def moments(self, alphas) -> tuple[Scalar, ...]:
+        return tuple(map(self.moment, alphas))
 
     def contains(self, point: Point) -> bool:
         return all(sign(c) >= 0 and scalars.le(c, Fraction(1)) for c in point)
@@ -287,8 +293,9 @@ class Polygon:
     integrals below carry a uniform sign.  Simplicity is enforced by an
     exact pairwise edge-intersection check; more than MAX_POLYGON_VERTICES
     vertices raise WorkLimit before it starts.  The area sign, the check,
-    the moments and membership all run on ``_integer_view``, built again
-    on each call.
+    the moments and membership all run on ``_integer_view``, built once
+    per call: ``moments`` builds one view for a whole batch of indices.
+    Nothing is cached on the instance.
     """
 
     vertex_list: tuple[Point, ...]
@@ -354,7 +361,11 @@ class Polygon:
         return self.vertex_list
 
     def moment(self, alpha) -> Scalar:
-        """Exact integral of x^p y^q by Green's theorem in closed form.
+        return self.moments((alpha,))[0]
+
+    def moments(self, alphas) -> tuple[Scalar, ...]:
+        """Exact integrals of x^p y^q, one per (p, q) in ``alphas``, by
+        Green's theorem in closed form.
 
         Summed over the counterclockwise edges (x0, y0) -> (x1, y1):
 
@@ -364,46 +375,55 @@ class Polygon:
         (Steger, On the Calculation of Arbitrary Moments of Polygons, 1996).
         Each term has degree p+q+2 in the coordinates, so the sum T runs on
         the integer view and the moment is p! q! T / ((p+q+2)! D^(p+q+2)).
+        Every index is checked first; the view, the vertex power tables up
+        to the largest p and q, and the edge cross products are then built
+        once for the whole batch.
         """
-        p, q = _check_index(alpha, 2)
+        alphas = [_check_index(alpha, 2) for alpha in alphas]
         den, d, pts = _integer_view(self.vertex_list)
         zero = 0 if d is None else (0, 0)
-        xs = [_view_powers(x, p, d) for x, _ in pts]
-        ys = [_view_powers(y, q, d) for _, y in pts]
-        weights = [
-            [comb(k + l, l) * comb(p + q - k - l, q - l) for l in range(q + 1)]
-            for k in range(p + 1)
-        ]
-        total = zero
+        pmax = max((p for p, _ in alphas), default=0)
+        qmax = max((q for _, q in alphas), default=0)
+        xs = [_view_powers(x, pmax, d) for x, _ in pts]
+        ys = [_view_powers(y, qmax, d) for _, y in pts]
+        edges = []
         m = len(pts)
         for i in range(m):
             j = (i + 1) % m
             (x0, y0), (x1, y1) = pts[i], pts[j]
             cross = _minus(_times(x0, y1, d), _times(x1, y0, d), d)
-            if cross == zero:
-                continue
-            yy = [_times(ys[i][l], ys[j][q - l], d) for l in range(q + 1)]
-            edge = zero
-            for k in range(p + 1):
-                inner = _weighted_sum(weights[k], yy, d)
-                xx = _times(xs[i][k], xs[j][p - k], d)
-                edge = _plus(edge, _times(xx, inner, d), d)
-            total = _plus(total, _times(cross, edge, d), d)
-        num = factorial(p) * factorial(q)
-        scale = factorial(p + q + 2) * den ** (p + q + 2)
-        if d is None:
-            return Fraction(num * total, scale)
-        return _make_quad(Fraction(num * total[0], scale), Fraction(num * total[1], scale), d)
+            if cross != zero:
+                edges.append((cross, xs[i], xs[j], ys[i], ys[j]))
+        out = []
+        for p, q in alphas:
+            weights = [
+                [comb(k + l, l) * comb(p + q - k - l, q - l) for l in range(q + 1)]
+                for k in range(p + 1)
+            ]
+            total = zero
+            for cross, x0s, x1s, y0s, y1s in edges:
+                yy = [_times(y0s[l], y1s[q - l], d) for l in range(q + 1)]
+                edge = zero
+                for k in range(p + 1):
+                    inner = _weighted_sum(weights[k], yy, d)
+                    xx = _times(x0s[k], x1s[p - k], d)
+                    edge = _plus(edge, _times(xx, inner, d), d)
+                total = _plus(total, _times(cross, edge, d), d)
+            num = factorial(p) * factorial(q)
+            scale = factorial(p + q + 2) * den ** (p + q + 2)
+            if d is None:
+                out.append(Fraction(num * total, scale))
+            else:
+                out.append(_make_quad(Fraction(num * total[0], scale),
+                                      Fraction(num * total[1], scale), d))
+        return tuple(out)
 
     def volume(self) -> Scalar:
         return self.moment((0, 0))
 
     def centroid(self) -> Point:
-        area = self.volume()
-        return (
-            scalars.div(self.moment((1, 0)), area),
-            scalars.div(self.moment((0, 1)), area),
-        )
+        area, mx, my = self.moments(((0, 0), (1, 0), (0, 1)))
+        return scalars.div(mx, area), scalars.div(my, area)
 
     def _view_with(self, point):
         """The integer view of the vertices and the query point together:
@@ -469,6 +489,9 @@ class UnitDisc:
             Fraction(2 * _double_factorial(m - 1) * _double_factorial(n - 1),
                      (m + n + 2) * _double_factorial(m + n))
         )
+
+    def moments(self, alphas) -> tuple[Scalar, ...]:
+        return tuple(map(self.moment, alphas))
 
     def contains(self, point: Point) -> bool:
         x, y = _as_point(point)

@@ -218,6 +218,41 @@ def test_usage_error_exit_2(capsys):
     capsys.readouterr()
 
 
+_CSV_VERIFY_HEADER = ["rule", "degree", "tested", "failing", "residual"]
+
+
+def test_shared_parser_reads_the_format_variable_on_each_run(capsys, monkeypatch):
+    from simpson_nd.cli import build_parser
+
+    assert build_parser() is build_parser()
+    argv = ("verify", "--rule", "CR4")
+    monkeypatch.setenv("SIMPSON_ND_FORMAT", "json")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["label"] == "CR4"
+    monkeypatch.setenv("SIMPSON_ND_FORMAT", "csv")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert next(csv.reader(io.StringIO(out))) == _CSV_VERIFY_HEADER
+    # an explicit --format beats the variable
+    code, out, _ = run_cli(capsys, "--format", "text", *argv)
+    assert code == 0
+    assert out.startswith("rule CR4: certified degree 3")
+
+
+def test_a_run_after_a_usage_error_still_answers(capsys, monkeypatch):
+    monkeypatch.setenv("SIMPSON_ND_FORMAT", "csv")
+    code, out, err = run_cli(capsys, "verify", "--format", "yaml")
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments" in err
+    code, out, err = run_cli(capsys, "verify", "--rule", "CR4")
+    assert code == 0
+    assert err == ""
+    assert next(csv.reader(io.StringIO(out))) == _CSV_VERIFY_HEADER
+    assert "CR4,3," in out
+
+
 def test_domain_error_exit_1(capsys):
     code, _, err = run_cli(capsys, "verify", "--rule", "CR9")
     assert code == 1
@@ -529,6 +564,7 @@ def test_table_system_and_polygon_limits_refuse_before_any_work(
 
     for region in (Simplex, Cube, Polygon, UnitDisc):
         monkeypatch.setattr(region, "moment", refuse)
+        monkeypatch.setattr(region, "moments", refuse)
     for name in ("vertex_rule", "midpoint_rule", "boundary_rule"):
         monkeypatch.setattr(rules, name, refuse)
     for name in ("solve_lambda", "solve_weights"):
@@ -569,7 +605,9 @@ def test_inputs_just_inside_the_limits_reach_the_work(capsys, monkeypatch, argv)
         raise _Reached
 
     monkeypatch.setattr(Cube, "moment", reached)
+    monkeypatch.setattr(Cube, "moments", reached)
     monkeypatch.setattr(Polygon, "moment", reached)
+    monkeypatch.setattr(Polygon, "moments", reached)
     monkeypatch.setattr(rules, "vertex_rule", reached)
     monkeypatch.setattr(exactness, "solve_weights", reached)
     with pytest.raises(_Reached):

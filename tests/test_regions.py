@@ -129,6 +129,19 @@ def test_dimension_mismatch():
         Cube(3).moment((1, 1))
 
 
+def test_moment_batches():
+    for region in [Simplex(3), Cube(2), trapezoid_paper(), hexagon_paper(), UnitDisc()]:
+        assert region.moments(()) == ()
+        alphas = list(monomials_up_to(region.dimension, 4))
+        alphas += alphas[::3]
+        assert region.moments(alphas) == tuple(map(region.moment, alphas)), region
+        for bad, error in [((1,) * (region.dimension + 1), DimensionMismatch),
+                           ((0,) * (region.dimension - 1) + (-1,), ValueError)]:
+            for at in (0, len(alphas)):
+                with pytest.raises(error):
+                    region.moments(alphas[:at] + [bad] + alphas[at:])
+
+
 def test_zero_index_moment_is_volume():
     for region in [Simplex(3), Cube(2), trapezoid_paper(), hexagon_paper(), UnitDisc()]:
         zero = (0,) * region.dimension
@@ -336,10 +349,17 @@ def _oracle_cases():
 def test_polygon_moments_match_fan_triangulation_oracle():
     from oracles import fan_polygon_moment
 
+    rng = random.Random(20241)
     for vertices in _oracle_cases():
         polygon = Polygon(vertices)
+        expected = {}
         for p, q in monomials_up_to(2, 6):
-            assert polygon.moment((p, q)) == fan_polygon_moment(vertices, p, q), (vertices, p, q)
+            expected[p, q] = fan_polygon_moment(vertices, p, q)
+            assert polygon.moment((p, q)) == expected[p, q], (vertices, p, q)
+        # one batch over every monomial, shuffled and with repeats
+        batch = list(expected) + rng.choices(list(expected), k=10)
+        rng.shuffle(batch)
+        assert polygon.moments(batch) == tuple(expected[a] for a in batch), vertices
         assert vars(polygon) == {"vertex_list": polygon.vertex_list}
 
 
