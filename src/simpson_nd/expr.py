@@ -1,5 +1,6 @@
 """Integrand expressions: a small recursive-descent parser, float
-evaluation, and exact lowering of polynomial expressions.
+evaluation through one generated Python function per expression, and
+exact lowering of polynomial expressions.
 
 Grammar (standard precedence, ^ binds tightest and associates right):
 
@@ -49,8 +50,9 @@ MAX_POLY_EXPONENT = 1000
 MAX_POLY_DEGREE = 32
 MAX_POLY_TERMS = 2000
 
-# Parsing, printing, compiling, evaluating and lowering all recurse on the
-# tree, so parse refuses an expression deeper than MAX_EXPR_DEPTH levels.
+# Parsing, printing, compiling and lowering all recurse on the tree, and the
+# compiled integrand nests a bracket per level (CPython's parser allows 200),
+# so parse refuses an expression deeper than MAX_EXPR_DEPTH levels.
 # A pair of parentheses, a unary minus, a function call and each ^ or
 # + - * / operator is one level above its operands; a number or variable is
 # level 0.  So x inside 100 parentheses and a written-out sum of 101 terms
@@ -58,6 +60,7 @@ MAX_POLY_TERMS = 2000
 # (six frames per parenthesis) never recurses past it; unchecked, x inside
 # 300 parentheses or a 2000-term sum raised RecursionError.
 MAX_EXPR_DEPTH = 100
+_TOO_DEEP = f"the expression is nested too deep; the limit is {MAX_EXPR_DEPTH} levels"
 
 
 @dataclass(frozen=True)
@@ -69,6 +72,10 @@ class Num:
 class Var:
     index: int  # zero-based
     name: str
+
+    def __post_init__(self):
+        if type(self.index) is not int or self.index < 0:
+            raise ValueError(f"a variable index must be an int >= 0, got {self.index!r}")
 
 
 @dataclass(frozen=True)
@@ -82,11 +89,19 @@ class BinOp:
     left: "Expr"
     right: "Expr"
 
+    def __post_init__(self):
+        if self.op not in _PREC:
+            raise ValueError(f"unknown operator {self.op!r}")
+
 
 @dataclass(frozen=True)
 class Call:
     fn: str
     arg: "Expr"
+
+    def __post_init__(self):
+        if self.fn not in FUNCTIONS:
+            raise ValueError(f"unknown function {self.fn!r}")
 
 
 Expr = Union[Num, Var, Neg, BinOp, Call]
@@ -180,9 +195,7 @@ class _Parser:
 
     def check(self, height: int) -> int:
         if self.depth + height > MAX_EXPR_DEPTH:
-            raise WorkLimit(
-                f"the expression is nested too deep; the limit is {MAX_EXPR_DEPTH} levels"
-            )
+            raise WorkLimit(_TOO_DEEP)
         return height
 
     def nested(self, parse) -> tuple[Expr, int]:
@@ -335,67 +348,89 @@ def to_source(e: Expr) -> str:
     return _emit(e, 0)
 
 
-def _compile(e: Expr):
-    """Lower a tree once to nested closures g(point) -> float.
+def _power(base, exponent):
+    value = base**exponent
+    if type(value) is complex:
+        raise ValueError(f"{base!r}^{exponent!r} is not a real number")
+    return value
 
-    Every float operation happens in the same order as a walk of the tree
-    (left operand before right), so results are bit-identical to one.
-    """
+
+def _check_dimension(variables, point) -> None:
+    """Raise the ValueError of the first variable, in evaluation order,
+    that the point has no coordinate for; return if there is none."""
+    for index, name in variables:
+        if index >= len(point):
+            raise ValueError(f"variable {name} needs dimension >= {index + 1}") from None
+
+
+# The generated source holds only float reprs, integer subscripts of p, the
+# operators below and these names, bound in a namespace without builtins.
+# No string of the tree is pasted in: op and fn are looked up here.
+_OPERATORS = {"+": "+", "-": "-", "*": "*", "/": "/"}
+_CALLS = {name: f"_{name}" for name in FUNCTIONS}
+_NAMESPACE = {
+    "__builtins__": {},
+    "_float": float,
+    "_power": _power,
+    "_check_dimension": _check_dimension,
+    "IndexError": IndexError,
+    **{_CALLS[name]: fn for name, fn in FUNCTIONS.items()},
+}
+
+
+def _source(e: Expr, variables: list, depth: int) -> str:
+    """Python source of one fully bracketed expression over the tuple p,
+    evaluated in the order of a walk of the tree (left operand before
+    right); appends each variable to ``variables`` in that order."""
+    if depth > MAX_EXPR_DEPTH:
+        raise WorkLimit(_TOO_DEEP)
     if isinstance(e, Num):
-        value = e.value.numerator / e.value.denominator
-        return lambda p: value
+        # computed now, so 10^400 raises OverflowError before any point
+        return repr(float(e.value.numerator / e.value.denominator))
     if isinstance(e, Var):
-        index, name = e.index, e.name
-
-        def variable(p):
-            try:
-                return float(p[index])
-            except IndexError:
-                raise ValueError(
-                    f"variable {name} needs dimension >= {index + 1}"
-                ) from None
-
-        return variable
+        variables.append((e.index, e.name))
+        return f"_float(p[{e.index}])"
     if isinstance(e, Neg):
-        arg = _compile(e.arg)
-        return lambda p: -arg(p)
+        return f"(-{_source(e.arg, variables, depth + 1)})"
     if isinstance(e, Call):
-        fn, arg = FUNCTIONS[e.fn], _compile(e.arg)
-        return lambda p: fn(arg(p))
-    left, right = _compile(e.left), _compile(e.right)
-    if e.op == "+":
-        return lambda p: left(p) + right(p)
-    if e.op == "-":
-        return lambda p: left(p) - right(p)
-    if e.op == "*":
-        return lambda p: left(p) * right(p)
-    if e.op == "/":
-        return lambda p: left(p) / right(p)
-
-    def power(p):
-        base, exponent = left(p), right(p)
-        value = base**exponent
-        if type(value) is complex:
-            raise ValueError(f"{base!r}^{exponent!r} is not a real number")
-        return value
-
-    return power
+        return f"{_CALLS[e.fn]}({_source(e.arg, variables, depth + 1)})"
+    left = _source(e.left, variables, depth + 1)
+    right = _source(e.right, variables, depth + 1)
+    if e.op == "^":
+        # a call, not **: no complex constant is ever folded
+        return f"_power({left}, {right})"
+    return f"({left} {_OPERATORS[e.op]} {right})"
 
 
 def eval_float(e: Expr, point) -> float:
     """The value of the expression at a point; a complex power raises
     ValueError, a float overflow OverflowError."""
-    return _compile(e)(point)
+    return as_function(e)(*point)
 
 
 def as_function(e: Expr):
-    """Compile an expression once to f(*coords) for the float rule path."""
-    g = _compile(e)
+    """Compile an expression once to one generated Python function
+    f(*coords) -> float that evaluates the whole tree in one frame.
 
-    def f(*coords):
-        return g(coords)
-
-    return f
+    Every float operation happens in the same order as a walk of the tree
+    (left operand before right) and constants are the same floats, so
+    results and the first error raised are identical to a walk's.  A tree
+    deeper than MAX_EXPR_DEPTH raises WorkLimit; the source then nests at
+    most about MAX_EXPR_DEPTH + 2 brackets, under CPython's limit of 200.
+    """
+    variables: list = []
+    body = _source(e, variables, 0)
+    source = (
+        "def f(*p):\n"
+        "    try:\n"
+        f"        return {body}\n"
+        "    except IndexError:\n"
+        "        _check_dimension(_variables, p)\n"
+        "        raise\n"
+    )
+    namespace = {**_NAMESPACE, "_variables": tuple(variables)}
+    exec(compile(source, "<integrand>", "exec"), namespace)
+    return namespace["f"]
 
 
 def max_variable_index(e: Expr) -> int:

@@ -21,7 +21,7 @@ import math
 from fractions import Fraction
 
 from simpson_nd import scalars
-from simpson_nd.expr import FUNCTIONS, Call, Neg, Num, Var
+from simpson_nd.expr import FUNCTIONS, BinOp, Call, Neg, Num, Var
 
 Poly = dict[tuple, Fraction]
 
@@ -228,6 +228,49 @@ def walk_eval_float(e, point):
     if e.op == "/":
         return left / right
     return left**right
+
+
+def random_float_expr(rng, depth, names):
+    """A seeded tree over the variables in names (from x, y, z) whose
+    constants include non-dyadic ones, so every float path is exercised."""
+    if depth == 0 or rng.random() < 0.25:
+        if rng.random() < 0.5:
+            return Num(Fraction(rng.choice([0, 1, 2, 3, 7, 25, 750]), rng.choice([1, 2, 4, 10, 3])))
+        name = rng.choice(names)
+        return Var(["x", "y", "z"].index(name), name)
+    kind = rng.randint(0, 7)
+    if kind == 0:
+        return Neg(random_float_expr(rng, depth - 1, names))
+    if kind == 1:
+        return Call(rng.choice(sorted(FUNCTIONS)), random_float_expr(rng, depth - 1, names))
+    op = rng.choice(["+", "-", "*", "/", "^"])
+    return BinOp(
+        op, random_float_expr(rng, depth - 1, names), random_float_expr(rng, depth - 1, names)
+    )
+
+
+def _post_order(e):
+    if isinstance(e, (Neg, Call)):
+        yield from _post_order(e.arg)
+    elif isinstance(e, BinOp):
+        yield from _post_order(e.left)
+        yield from _post_order(e.right)
+    yield e
+
+
+def walk_outcome(tree, point):
+    """The walker's value, or the type of the first exception it raises,
+    except that the first power to go complex, in evaluation order, gives
+    ValueError.  Every subtree is walked in the order an evaluator meets
+    it, so the first event found is the evaluator's first event."""
+    for node in _post_order(tree):
+        try:
+            value = walk_eval_float(node, point)
+        except Exception as exc:  # every exception type the walker raises is compared
+            return type(exc)
+        if isinstance(value, complex):
+            return ValueError
+    return value
 
 
 def quad_components(op: str, x, y, d: int) -> tuple:

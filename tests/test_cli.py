@@ -395,6 +395,24 @@ def test_compound_float_domain_errors_exit_1(capsys, integrand, message):
 
 
 @pytest.mark.parametrize(
+    "integrand, message",
+    [
+        ("x*y", "variable y needs dimension >= 2"),
+        # the first failure in evaluation order is the one reported
+        ("(0-1)^0.5*y", "-1.0^0.5 is not a real number"),
+        ("y*(0-1)^0.5", "variable y needs dimension >= 2"),
+        # the constant is made a float once, when the integrand is compiled
+        ("1" + "0" * 399 + "*x", "integer division result too large for a float"),
+    ],
+)
+def test_compound_integrand_errors_exit_1_with_one_line(capsys, integrand, message):
+    code, out, err = run_cli(
+        capsys, "compound", "--rule", "CR3", "--dim", "1", "--expr", integrand, "--levels", "1:3"
+    )
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
     "expr_text, levels, message",
     [
         ("x", "--levels=5:2", "0 <= lo <= hi"),

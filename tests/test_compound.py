@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,10 @@ from simpson_nd.compound import (
 )
 from simpson_nd.errors import DegenerateErrors, UnsupportedRegion, WorkLimit
 from simpson_nd.exactness import monomials_up_to
+from simpson_nd.expr import as_function
 from simpson_nd.rules import cr1, cr3, cr4, cr6, triangle_midedge
+
+from oracles import random_float_expr, walk_outcome
 
 E = math.e
 
@@ -185,3 +189,40 @@ def test_compound_determinism():
     a = compound_apply(cr4(), 4, f).estimate
     b = compound_apply(cr4(), 4, f).estimate
     assert a == b
+
+
+def _outcome(rule, level, f):
+    try:
+        return compound_apply(rule, level, f).estimate.hex()
+    except Exception as exc:
+        return type(exc)
+
+
+def test_compiled_integrand_matches_tree_walk_through_compound_apply():
+    # CR1(2)'s centroid node (1/3, 1/3) is not dyadic, so its mapped
+    # coordinates round; the tree-walk reference sees the same floats
+    def walked(tree):
+        def f(*point):
+            outcome = walk_outcome(tree, point)
+            if isinstance(outcome, type):
+                raise outcome
+            return outcome
+
+        return f
+
+    rng = random.Random(1317)
+    seen = set()
+    for rule, names in (
+        (cr3(1), ["x"]),
+        (cr4(), ["x", "y"]),
+        (triangle_midedge(), ["x", "y"]),
+        (cr1(2), ["x", "y"]),
+    ):
+        for _ in range(40):
+            tree = random_float_expr(rng, rng.randint(1, 4), names)
+            for level in range(4):
+                want = _outcome(rule, level, walked(tree))
+                assert _outcome(rule, level, as_function(tree)) == want, (rule.label, level, tree)
+                seen.add(want if isinstance(want, type) else str)
+    # estimates and the errors a float integrand raises are all reached
+    assert seen >= {str, ValueError, ZeroDivisionError, OverflowError}

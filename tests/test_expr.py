@@ -25,7 +25,7 @@ from simpson_nd.expr import (
 )
 from simpson_nd.rules import MonomialPoly, cr1, cr3, cr4, cr5, cr6, triangle_midedge
 
-from oracles import float_rule_sum, walk_eval_float
+from oracles import float_rule_sum, random_float_expr, walk_eval_float, walk_outcome
 
 
 def test_parse_basic_structure():
@@ -199,6 +199,44 @@ def test_expressions_at_the_depth_limit_are_admitted(source):
     assert eval_float(tree, (1.0,)) == walk_eval_float(tree, (1.0,))
 
 
+def test_compiling_a_tree_past_the_depth_limit_is_refused():
+    # parse never builds one; through the API the generated source would
+    # pass CPython's limit of 200 nested brackets
+    tree = Var(0, "x")
+    for _ in range(MAX_EXPR_DEPTH):
+        tree = Neg(tree)
+    assert as_function(tree)(2.0) == 2.0
+    with pytest.raises(WorkLimit, match="nested too deep"):
+        as_function(Neg(tree))
+
+
+def test_binop_refuses_an_operator_outside_the_grammar():
+    x, two = Var(0, "x"), Num(Fraction(2))
+    for op in ("+", "-", "*", "/", "^"):
+        assert as_function(BinOp(op, x, two))(3.0) == walk_eval_float(BinOp(op, x, two), (3.0,))
+    # "%" used to evaluate as a power, lower as a division and fail to print
+    for op in ("%", "**", "", " +"):
+        with pytest.raises(ValueError, match="unknown operator"):
+            BinOp(op, x, two)
+
+
+def test_call_refuses_a_function_outside_the_table():
+    x = Var(0, "x")
+    for fn in FUNCTIONS:
+        assert as_function(Call(fn, x))(0.5) == FUNCTIONS[fn](0.5)
+    for fn in ("abs", "__import__", "Sin", ""):
+        with pytest.raises(ValueError, match="unknown function"):
+            Call(fn, x)
+
+
+def test_var_refuses_an_index_that_is_not_a_non_negative_int():
+    assert as_function(Var(2, "z"))(1.0, 2.0, 3.0) == 3.0
+    # -1 used to read the last coordinate silently
+    for index in (-1, 1.0, "0", True, None):
+        with pytest.raises(ValueError, match="variable index"):
+            Var(index, "x")
+
+
 def test_eval_float():
     f = as_function(parse("exp(x+y)"))
     assert math.isclose(f(0.25, 0.5), math.exp(0.75), rel_tol=1e-15)
@@ -208,45 +246,16 @@ def test_eval_float():
         eval_float(parse("z"), (1.0, 2.0))
 
 
-def _random_float_expr(rng, depth, names):
-    if depth == 0 or rng.random() < 0.25:
-        if rng.random() < 0.5:
-            return Num(Fraction(rng.choice([0, 1, 2, 3, 7, 25, 750]), rng.choice([1, 2, 4, 10, 3])))
-        name = rng.choice(names)
-        return Var(["x", "y", "z"].index(name), name)
-    kind = rng.randint(0, 7)
-    if kind == 0:
-        return Neg(_random_float_expr(rng, depth - 1, names))
-    if kind == 1:
-        return Call(rng.choice(sorted(FUNCTIONS)), _random_float_expr(rng, depth - 1, names))
-    op = rng.choice(["+", "-", "*", "/", "^"])
-    return BinOp(
-        op, _random_float_expr(rng, depth - 1, names), _random_float_expr(rng, depth - 1, names)
-    )
-
-
-def _post_order(e):
-    if isinstance(e, (Neg, Call)):
-        yield from _post_order(e.arg)
-    elif isinstance(e, BinOp):
-        yield from _post_order(e.left)
-        yield from _post_order(e.right)
-    yield e
-
-
-def _expected(tree, point):
-    """The walker's value, or the type of the first exception it raises,
-    except that the first power to go complex, in evaluation order, must
-    raise ValueError.  Every subtree is walked in the order the evaluator
-    meets it, so the first event found is the evaluator's first event."""
-    for node in _post_order(tree):
-        try:
-            value = walk_eval_float(node, point)
-        except Exception as exc:  # every exception type the walker raises is compared
-            return type(exc)
-        if isinstance(value, complex):
-            return ValueError
-    return value
+def test_left_operand_fails_first_under_every_operator():
+    complex_power = parse("(0-1)^0.5")
+    y = Var(1, "y")
+    for op in ("+", "-", "*", "/", "^"):
+        with pytest.raises(ValueError, match=r"^-1\.0\^0\.5 is not a real number$"):
+            as_function(BinOp(op, complex_power, y))(2.0)
+        with pytest.raises(ValueError, match=r"^variable y needs dimension >= 2$"):
+            as_function(BinOp(op, y, complex_power))(2.0)
+    with pytest.raises(ValueError, match="variable y"):
+        as_function(Call("sin", BinOp("*", Neg(y), complex_power)))(2.0)
 
 
 def _outcome(evaluate):
@@ -262,14 +271,14 @@ def test_compiled_evaluator_matches_tree_walk_bit_for_bit():
     seen = set()
     for _ in range(1500):
         names = rng.sample(["x", "y", "z"], rng.randint(1, 3))
-        tree = _random_float_expr(rng, rng.randint(1, 5), names)
+        tree = random_float_expr(rng, rng.randint(1, 5), names)
         f = as_function(tree)
         for _ in range(3):
             point = tuple(
                 rng.choice(coords) if rng.random() < 0.3 else rng.uniform(-4.0, 4.0)
                 for _ in range(rng.randint(1, 3))
             )
-            want = _expected(tree, point)
+            want = walk_outcome(tree, point)
             for got in (_outcome(lambda: f(*point)), _outcome(lambda: eval_float(tree, point))):
                 if isinstance(want, float):
                     assert type(got) is float and got.hex() == want.hex(), (tree, point)
