@@ -364,9 +364,16 @@ def _check_dimension(variables, point) -> None:
 
 
 # The generated source holds only float reprs, integer subscripts of p, the
-# operators below and these names, bound in a namespace without builtins.
-# No string of the tree is pasted in: op and fn are looked up here.
-_OPERATORS = {"+": "+", "-": "-", "*": "*", "/": "/"}
+# forms below and these names, bound in a namespace without builtins.  No
+# string of the tree is pasted in: op and fn are looked up here.  ^ is a
+# call, not **, so CPython never folds a complex constant.
+_BINARY = {
+    "+": "({} + {})",
+    "-": "({} - {})",
+    "*": "({} * {})",
+    "/": "({} / {})",
+    "^": "_power({}, {})",
+}
 _CALLS = {name: f"_{name}" for name in FUNCTIONS}
 _NAMESPACE = {
     "__builtins__": {},
@@ -395,11 +402,7 @@ def _source(e: Expr, variables: list, depth: int) -> str:
     if isinstance(e, Call):
         return f"{_CALLS[e.fn]}({_source(e.arg, variables, depth + 1)})"
     left = _source(e.left, variables, depth + 1)
-    right = _source(e.right, variables, depth + 1)
-    if e.op == "^":
-        # a call, not **: no complex constant is ever folded
-        return f"_power({left}, {right})"
-    return f"({left} {_OPERATORS[e.op]} {right})"
+    return _BINARY[e.op].format(left, _source(e.right, variables, depth + 1))
 
 
 def eval_float(e: Expr, point) -> float:
