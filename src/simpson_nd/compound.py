@@ -4,7 +4,11 @@ A base rule over the unit interval, the unit square, or the standard
 triangle is mapped affinely onto every cell of a uniform subdivision and
 the per-cell estimates are summed.  Cell order is fixed (row-major grids,
 depth-first triangle recursion) and the float accumulation is compensated,
-so results are reproducible bit for bit.
+so results are reproducible bit for bit.  The loop over the cells is one
+Python function generated and compiled per rule and integrand, with the
+nodes as float constants and an integrand from expr.as_function inlined;
+it does the float operations, in the same order, of a loop that maps
+each node and calls the integrand.
 """
 
 from __future__ import annotations
@@ -18,9 +22,10 @@ from .regions import Cube, Simplex
 from .rules import CubatureRule
 from .scalars import to_float
 
-# The most cells one compound_apply call builds: 2^20 square or triangle
-# cells take 6 to 8 s for a three-function integrand on one core of a
-# 2-vCPU Xeon.
+# The most cells one compound_apply call builds: 2^20 cells take about 2 s
+# on CR4 and 3 s on the triangle midedge rule (building the triangle cells
+# is more than half of that) for a three-function integrand on one core of
+# a 2-vCPU Xeon.
 MAX_CELLS = 2**20
 
 
@@ -76,39 +81,86 @@ def _square_cells(level: int):
 
 
 def _triangle_cells(level: int):
-    # an explicit depth-first stack: O(level) triangles alive, not 4^level
+    # an explicit depth-first stack: O(level) triangles alive, not 4^level;
+    # the children of a depth-1 triangle are cells, yielded as they come
     stack = [(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)), level)]
     while stack:
-        (v0, v1, v2), depth = stack.pop()
-        if depth:
-            stack += [(child, depth - 1) for child in reversed(triangle_children(v0, v1, v2))]
-        else:
-            (x0, y0), (x1, y1), (x2, y2) = v0, v1, v2
+        triangle, depth = stack.pop()
+        if depth > 1:
+            stack += [(child, depth - 1) for child in reversed(triangle_children(*triangle))]
+            continue
+        cells = triangle_children(*triangle) if depth else (triangle,)  # level 0: the root
+        for (x0, y0), (x1, y1), (x2, y2) in cells:
             yield (x0, y0), ((x1 - x0, x2 - x0), (y1 - y0, y2 - y0))
 
 
-# The rule's weighted sum on one cell, nodes mapped through x -> M x + o
-# and summed in node order.  One per dimension: a loop over coordinates
-# would cost more per node than the integrand does.
+# One generated function per (rule, integrand) runs the whole cell loop.
+# Per cell it maps each node through x -> M x + o with the node's float
+# constants, adds w * f(x) in node order, and adds the cell to the
+# compensated sum: the float operations, in the order, of a loop that
+# calls f.  An integrand from expr.as_function is inlined over the locals
+# x0, x1 (a call costs more than the integrand's arithmetic); any other
+# callable is called as _f(x0, x1).  The source holds only float reprs,
+# the fixed names below and the integrand's inline_source text, and runs
+# without builtins.
 
 
-def _cell_sum_1d(f, offset, matrix, nodes):
-    (o,), ((m,),) = offset, matrix
-    cell = 0.0
-    for (x,), w in nodes:
-        cell += w * f(o + m * x)
-    return cell
+def _kernel_source(dimension: int, nodes, body: str) -> str:
+    axes = range(dimension)
+    offset = "".join(f"o{i}, " for i in axes)
+    matrix = "".join("(" + "".join(f"m{i}{j}, " for j in axes) + "), " for i in axes)
+    lines = [
+        "def kernel(cells, scale):",
+        "    total = 0.0",
+        "    carry = 0.0",
+        f"    for ({offset}), ({matrix}) in cells:",
+        "        cell = 0.0",
+    ]
+    for point, weight in nodes:
+        for i in axes:
+            terms = "".join(f" + m{i}{j} * {point[j]!r}" for j in axes)
+            lines.append(f"        x{i} = o{i}{terms}")
+        lines.append(f"        cell += {weight!r} * ({body})")
+    lines += [
+        "        y = cell * scale - carry",
+        "        t = total + y",
+        "        carry = (t - total) - y",
+        "        total = t",
+        "    return total",
+    ]
+    return "\n".join(lines) + "\n"
 
 
-def _cell_sum_2d(f, offset, matrix, nodes):
-    (o0, o1), ((m00, m01), (m10, m11)) = offset, matrix
-    cell = 0.0
-    for (x, y), w in nodes:
-        cell += w * f(o0 + m00 * x + m01 * y, o1 + m10 * x + m11 * y)
-    return cell
+def _compile_kernel(rule: CubatureRule, f: Callable[..., float]):
+    dimension = rule.region.dimension
+    inline_source = getattr(f, "inline_source", None)
+    if inline_source is None:
+        body = "_f(" + ", ".join(f"x{i}" for i in range(dimension)) + ")"
+        namespace = {"__builtins__": {}, "_f": f}
+    else:
+        body, namespace = inline_source(dimension)
+    nodes = [
+        (tuple(to_float(c) for c in p), to_float(w)) for p, w in zip(rule.nodes, rule.weights)
+    ]
+    source = _kernel_source(dimension, nodes, body)
+    exec(compile(source, "<compound kernel>", "exec"), namespace)
+    return namespace["kernel"]
 
 
-_CELL_SUM = {1: _cell_sum_1d, 2: _cell_sum_2d}
+# The one kernel kept, as (integrand, rule, kernel).  The CLI calls
+# compound_apply once per level with one integrand and one rule, so a
+# request compiles one kernel (about 0.4 ms for CR4), and nothing is kept
+# once the next request starts.
+_last_kernel = (None, None, None)
+
+
+def _kernel(rule: CubatureRule, f: Callable[..., float]):
+    global _last_kernel
+    last_f, last_rule, kernel = _last_kernel
+    if last_f is not f or last_rule != rule:
+        kernel = _compile_kernel(rule, f)
+        _last_kernel = (f, rule, kernel)
+    return kernel
 
 
 def _cell_shape(rule: CubatureRule):
@@ -146,24 +198,15 @@ def compound_apply(
 ) -> CompoundEstimate:
     """Subdivide the rule's region 2^level times per axis (triangles: level
     rounds of 4-way midpoint subdivision), apply the mapped rule on every
-    cell, and sum in cell order with compensated accumulation.  Raises
-    WorkLimit above MAX_CELLS cells, and OverflowError when a float
-    overflow leaves the estimate infinite or NaN."""
+    cell, and sum in cell order with compensated accumulation.  f takes
+    one float per coordinate; one from expr.as_function is inlined, not
+    called.  Raises WorkLimit above MAX_CELLS cells, and OverflowError when
+    a float overflow leaves the estimate infinite or NaN."""
     cells = compound_cells(rule, level)
     # |det| of every cell's map: the subdivision is uniform.  It is a power
     # of two, so scaling by it rounds nowhere
     scale = 1.0 / cells
-    cell_sum = _CELL_SUM[rule.region.dimension]
-    nodes = [
-        (tuple(to_float(c) for c in p), to_float(w)) for p, w in zip(rule.nodes, rule.weights)
-    ]
-    total = 0.0
-    carry = 0.0
-    for offset, matrix in _cell_shape(rule)(level):
-        y = cell_sum(f, offset, matrix, nodes) * scale - carry
-        t = total + y
-        carry = (t - total) - y
-        total = t
+    total = _kernel(rule, f)(_cell_shape(rule)(level), scale)
     if not math.isfinite(total):
         raise OverflowError(f"the level-{level} estimate is {total}: a float overflowed")
     return CompoundEstimate(level=level, cells=cells, estimate=total)

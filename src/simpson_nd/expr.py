@@ -19,6 +19,7 @@ character, "²" included, is a syntax error at its offset.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -355,18 +356,26 @@ def _power(base, exponent):
     return value
 
 
+def _missing(variable) -> None:
+    """Raise the ValueError of a variable (index, name) that the point has
+    no coordinate for."""
+    index, name = variable
+    raise ValueError(f"variable {name} needs dimension >= {index + 1}") from None
+
+
 def _check_dimension(variables, point) -> None:
     """Raise the ValueError of the first variable, in evaluation order,
     that the point has no coordinate for; return if there is none."""
-    for index, name in variables:
-        if index >= len(point):
-            raise ValueError(f"variable {name} needs dimension >= {index + 1}") from None
+    for variable in variables:
+        if variable[0] >= len(point):
+            _missing(variable)
 
 
-# The generated source holds only float reprs, integer subscripts of p, the
-# forms below and these names, bound in a namespace without builtins.  No
-# string of the tree is pasted in: op and fn are looked up here.  ^ is a
-# call, not **, so CPython never folds a complex constant.
+# The generated source holds only float reprs, the coordinate names the
+# caller chooses (integer subscripts of p, or locals x0, x1, ...), the forms
+# below and these names, bound in a namespace without builtins.  No string
+# of the tree is pasted in: op and fn are looked up here.  ^ is a call, not
+# **, so CPython never folds a complex constant.
 _BINARY = {
     "+": "({} + {})",
     "-": "({} - {})",
@@ -380,29 +389,30 @@ _NAMESPACE = {
     "_float": float,
     "_power": _power,
     "_check_dimension": _check_dimension,
+    "_missing": _missing,
     "IndexError": IndexError,
     **{_CALLS[name]: fn for name, fn in FUNCTIONS.items()},
 }
 
 
-def _source(e: Expr, variables: list, depth: int) -> str:
-    """Python source of one fully bracketed expression over the tuple p,
-    evaluated in the order of a walk of the tree (left operand before
-    right); appends each variable to ``variables`` in that order."""
+def _source(e: Expr, coordinate, depth: int) -> str:
+    """Python source of one fully bracketed expression, evaluated in the
+    order of a walk of the tree (left operand before right);
+    ``coordinate(var)`` gives the source of each variable, called in that
+    order."""
     if depth > MAX_EXPR_DEPTH:
         raise WorkLimit(_TOO_DEEP)
     if isinstance(e, Num):
         # computed now, so 10^400 raises OverflowError before any point
         return repr(float(e.value.numerator / e.value.denominator))
     if isinstance(e, Var):
-        variables.append((e.index, e.name))
-        return f"_float(p[{e.index}])"
+        return coordinate(e)
     if isinstance(e, Neg):
-        return f"(-{_source(e.arg, variables, depth + 1)})"
+        return f"(-{_source(e.arg, coordinate, depth + 1)})"
     if isinstance(e, Call):
-        return f"{_CALLS[e.fn]}({_source(e.arg, variables, depth + 1)})"
-    left = _source(e.left, variables, depth + 1)
-    return _BINARY[e.op].format(left, _source(e.right, variables, depth + 1))
+        return f"{_CALLS[e.fn]}({_source(e.arg, coordinate, depth + 1)})"
+    left = _source(e.left, coordinate, depth + 1)
+    return _BINARY[e.op].format(left, _source(e.right, coordinate, depth + 1))
 
 
 def eval_float(e: Expr, point) -> float:
@@ -420,9 +430,18 @@ def as_function(e: Expr):
     results and the first error raised are identical to a walk's.  A tree
     deeper than MAX_EXPR_DEPTH raises WorkLimit; the source then nests at
     most about MAX_EXPR_DEPTH + 2 brackets, under CPython's limit of 200.
+
+    ``f.inline_source(dimension)`` gives the same expression for a caller
+    that compiles it into its own loop (see _inline_source);
+    ``functools.wraps`` carries it over to a wrapper of f.
     """
     variables: list = []
-    body = _source(e, variables, 0)
+
+    def coordinate(var: Var) -> str:
+        variables.append((var.index, var.name))
+        return f"_float(p[{var.index}])"
+
+    body = _source(e, coordinate, 0)
     source = (
         "def f(*p):\n"
         "    try:\n"
@@ -433,7 +452,31 @@ def as_function(e: Expr):
     )
     namespace = {**_NAMESPACE, "_variables": tuple(variables)}
     exec(compile(source, "<integrand>", "exec"), namespace)
-    return namespace["f"]
+    f = namespace["f"]
+    f.inline_source = functools.partial(_inline_source, e)
+    return f
+
+
+def _inline_source(e: Expr, dimension: int) -> tuple[str, dict]:
+    """The expression as the source of one Python expression over float
+    locals x0 .. x{dimension - 1}, and the namespace (no builtins) it must
+    run in.
+
+    Its float operations and their order are as_function's, so a caller
+    that binds the coordinates of a point to those locals gets the same
+    value, bit for bit, or the same first error: a variable past the
+    dimension raises its "needs dimension" ValueError where a walk reads it.
+    """
+    missing: list = []
+
+    def coordinate(var: Var) -> str:
+        if var.index < dimension:
+            return f"x{var.index}"
+        missing.append((var.index, var.name))
+        return f"_missing(_variables[{len(missing) - 1}])"
+
+    body = _source(e, coordinate, 0)
+    return body, {**_NAMESPACE, "_variables": tuple(missing)}
 
 
 def max_variable_index(e: Expr) -> int:

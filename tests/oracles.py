@@ -3,7 +3,8 @@
 These deliberately avoid the closed-form moment formulas in the package:
 simplex and cube moments come from recursive symbolic iterated
 integration over the region inequalities, determinants from the
-permutation sum, disc moments from composite numeric quadrature in
+permutation sum, float triangle cells from a stack that holds every
+triangle of the subdivision, disc moments from composite numeric quadrature in
 polar coordinates and from single-factorial case formulas (not the
 package's double-factorial closed form), polygon moments from a fan triangulation pulled
 back to the unit simplex, integrand values from a recursive walk of
@@ -20,7 +21,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from simpson_nd import scalars
+from simpson_nd import compound, scalars
 from simpson_nd.expr import FUNCTIONS, BinOp, Call, Neg, Num, Var
 
 Poly = dict[tuple, Fraction]
@@ -199,6 +200,22 @@ def fan_polygon_moment(vertices, p: int, q: int):
         total = total + jacobian * simplex_integral
         area = area + jacobian
     return total if scalars.sign(area) > 0 else -total
+
+
+def stack_triangle_cells(level: int):
+    """Float triangle cells (offset, matrix) in depth-first order from a
+    stack that pushes every triangle, the cells too, and pops each cell
+    again.  It calls compound.triangle_children as looked up at each call,
+    so a test can count the calls."""
+    stack = [(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)), level)]
+    while stack:
+        (v0, v1, v2), depth = stack.pop()
+        if depth:
+            children = compound.triangle_children(v0, v1, v2)
+            stack += [(child, depth - 1) for child in reversed(children)]
+        else:
+            (x0, y0), (x1, y1), (x2, y2) = v0, v1, v2
+            yield (x0, y0), ((x1 - x0, x2 - x0), (y1 - y0, y2 - y0))
 
 
 def walk_eval_float(e, point):

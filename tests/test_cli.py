@@ -438,6 +438,34 @@ def test_compound_levels_are_checked_before_any_cell_is_built(
     assert message in err
 
 
+def test_a_compound_request_compiles_one_kernel(capsys, monkeypatch):
+    from simpson_nd import compound
+
+    compile_kernel, compound_apply = compound._compile_kernel, compound.compound_apply
+    builds, levels = [], []
+    monkeypatch.setattr(
+        compound, "_compile_kernel", lambda *args: builds.append(args) or compile_kernel(*args)
+    )
+    monkeypatch.setattr(
+        compound, "compound_apply", lambda *args: levels.append(args[1]) or compound_apply(*args)
+    )
+    argv = ("compound", "--rule", "CR4", "--expr", "exp(x)*sin(3*y)", "--levels", "1:4")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert "level-7 estimate" in out
+    assert levels == [7, 1, 2, 3, 4]
+    assert len(builds) == 1
+
+    # every estimate goes through compound.compound_apply, which the
+    # work-limit tests replace with one that refuses
+    def refuse(*args):
+        raise AssertionError("a compound estimate ran")
+
+    monkeypatch.setattr(compound, "compound_apply", refuse)
+    with pytest.raises(AssertionError, match="a compound estimate ran"):
+        run_cli(capsys, *argv)
+
+
 @pytest.mark.parametrize(
     "integrand, reference, message",
     [

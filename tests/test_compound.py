@@ -16,9 +16,9 @@ from simpson_nd.compound import (
 from simpson_nd.errors import DegenerateErrors, UnsupportedRegion, WorkLimit
 from simpson_nd.exactness import monomials_up_to
 from simpson_nd.expr import as_function
-from simpson_nd.rules import cr1, cr3, cr4, cr6, triangle_midedge
+from simpson_nd.rules import cr1, cr2, cr3, cr4, cr6, triangle_midedge
 
-from oracles import random_float_expr, walk_outcome
+from oracles import random_float_expr, stack_triangle_cells, walk_eval_float, walk_outcome
 
 E = math.e
 
@@ -54,6 +54,23 @@ def test_triangle_children_agree_across_scalar_types():
     r = scalars.quad(0, 1, 3)
     irrational = subdivide(((zero, zero), (r, zero), (zero, r)), 1)
     assert irrational[3] == ((r / 2, zero), (r / 2, r / 2), (zero, r / 2))
+
+
+def test_triangle_cells_match_a_stack_of_every_triangle(monkeypatch):
+    calls = []
+
+    def counted(*triangle):
+        calls.append(triangle)
+        return triangle_children(*triangle)
+
+    monkeypatch.setattr(compound, "triangle_children", counted)
+    for level in range(9):
+        calls.clear()
+        want = repr(list(stack_triangle_cells(level)))  # signed zeros included
+        want_calls = len(calls)
+        calls.clear()
+        assert repr(list(compound._triangle_cells(level))) == want
+        assert len(calls) == want_calls == (4**level - 1) // 3
 
 
 def test_compound_cell_limit_is_checked_before_any_cell_is_built(monkeypatch):
@@ -198,11 +215,30 @@ def _outcome(rule, level, f):
         return type(exc)
 
 
+# (rule, variable names, highest level) for the path tests: every cell
+# shape, and CR1(2)'s centroid node (1/3, 1/3), which is not dyadic, so its
+# mapped coordinates round
+_PATH_CASES = (
+    (cr1(1), ["x"], 3),
+    (cr3(1), ["x"], 3),
+    (cr4(), ["x", "y"], 3),
+    (cr3(2), ["x", "y"], 3),
+    (triangle_midedge(), ["x", "y"], 5),
+    (cr1(2), ["x", "y"], 5),
+    (cr2(2), ["x", "y"], 5),
+)
+
+
 def test_compiled_integrand_matches_tree_walk_through_compound_apply():
-    # CR1(2)'s centroid node (1/3, 1/3) is not dyadic, so its mapped
-    # coordinates round; the tree-walk reference sees the same floats
+    # the tree-walk reference sees the same mapped floats
     def walked(tree):
         def f(*point):
+            try:
+                value = walk_eval_float(tree, point)
+            except Exception:  # walk_outcome finds the first error below
+                value = None
+            if type(value) is float:  # no complex power on the way either
+                return value
             outcome = walk_outcome(tree, point)
             if isinstance(outcome, type):
                 raise outcome
@@ -212,17 +248,37 @@ def test_compiled_integrand_matches_tree_walk_through_compound_apply():
 
     rng = random.Random(1317)
     seen = set()
-    for rule, names in (
-        (cr3(1), ["x"]),
-        (cr4(), ["x", "y"]),
-        (triangle_midedge(), ["x", "y"]),
-        (cr1(2), ["x", "y"]),
-    ):
+    for rule, names, top in _PATH_CASES:
         for _ in range(40):
             tree = random_float_expr(rng, rng.randint(1, 4), names)
-            for level in range(4):
+            for level in range(top + 1):
                 want = _outcome(rule, level, walked(tree))
                 assert _outcome(rule, level, as_function(tree)) == want, (rule.label, level, tree)
                 seen.add(want if isinstance(want, type) else str)
     # estimates and the errors a float integrand raises are all reached
     assert seen >= {str, ValueError, ZeroDivisionError, OverflowError}
+
+
+def _full_outcome(rule, level, f):
+    try:
+        return compound_apply(rule, level, f).estimate.hex()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_inlined_integrand_matches_a_called_one_through_compound_apply():
+    # as_function's integrand is inlined into the compound kernel; the
+    # wrapper hides it, so the kernel calls it instead
+    rng = random.Random(2420)
+    seen = set()
+    for rule, names, top in _PATH_CASES:
+        names = names + ["y" if len(names) == 1 else "z"]  # one past the dimension
+        for _ in range(40):
+            f = as_function(random_float_expr(rng, rng.randint(1, 4), names))
+            for level in range(top + 1):
+                want = _full_outcome(rule, level, lambda *p: f(*p))
+                assert _full_outcome(rule, level, f) == want, (rule.label, level, f)
+                seen.add(want if isinstance(want, tuple) else str)
+    assert {str, (ValueError, "variable z needs dimension >= 3")} <= seen
+    assert (ValueError, "variable y needs dimension >= 2") in seen
+    assert {t for t, _ in seen - {str}} >= {ValueError, ZeroDivisionError, OverflowError}

@@ -2,7 +2,8 @@
 files but one were recorded before the residual systems were generated
 from node parameterizations and the elimination loops were merged; the
 ``compound`` files before the integrand was compiled and the cell
-shapes were folded into one affine-cell loop; the ``catalog``,
+shapes were folded into one affine-cell loop (``compound_cr1_triangle``
+before the cell loop and the integrand were compiled into one kernel); the ``catalog``,
 ``moments`` and ``derive_hexagon`` files before the ``Quad`` and
 ``PiMultiple`` operators took over their own arithmetic;
 ``family_square_param`` before the claim suite read each rule's
@@ -49,6 +50,9 @@ COMPOUND_CASES = {
         "--rule", "TriangleMidedge", "--expr", "x^4*y", "--levels", "3:6"),
     "compound_simpson_1d": (
         "--rule", "CR3", "--dim", "1", "--expr", "exp(5*x)*sin(7*x)", "--levels", "2:7"),
+    # the centroid (1/3, 1/3) is not dyadic, so its mapped coordinates round
+    "compound_cr1_triangle": (
+        "--rule", "CR1", "--dim", "2", "--expr", "exp(x)*cos(2*y)+sin(x*y)", "--levels", "1:4"),
 }
 
 FIELD_CASES = {
