@@ -81,17 +81,46 @@ def _square_cells(level: int):
 
 
 def _triangle_cells(level: int):
-    # an explicit depth-first stack: O(level) triangles alive, not 4^level;
-    # the children of a depth-1 triangle are cells, yielded as they come
-    stack = [(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)), level)]
+    # Each triangle is its map (o, M), M with columns a and b; its children,
+    # in triangle_children's order, are (o, M/2), (o + a/2, M/2),
+    # (o + b/2, M/2) and (o + a/2, (b/2, (b - a)/2)).  Every coordinate is
+    # dyadic, so these are exactly the midpoints and vertex differences of
+    # the vertex form, and no -0.0 arises.  The child matrices depend on M
+    # alone, and there are at most six M per depth (orientation has order
+    # 6), so each is worked out once and its tuples shared.  An explicit
+    # depth-first stack keeps O(level) triangles alive, not 4^level; the
+    # children of a depth-1 triangle are cells, yielded as they come.
+    root = ((0.0, 0.0), ((1.0, 0.0), (0.0, 1.0)))
+    if level == 0:
+        yield root
+        return
+    split = {}
+    stack = [(root, level)]
+    pop = stack.pop
+    push = stack.append
     while stack:
-        triangle, depth = stack.pop()
+        (o, matrix), depth = pop()
+        children = split.get(matrix)
+        if children is None:
+            (ax, bx), (ay, by) = matrix
+            half = ((ax / 2, bx / 2), (ay / 2, by / 2))
+            turned = ((bx / 2, (bx - ax) / 2), (by / 2, (by - ay) / 2))
+            children = split[matrix] = (half, turned, ax / 2, ay / 2, bx / 2, by / 2)
+        half, turned, hax, hay, hbx, hby = children
+        ox, oy = o
+        a = (ox + hax, oy + hay)
+        b = (ox + hbx, oy + hby)
         if depth > 1:
-            stack += [(child, depth - 1) for child in reversed(triangle_children(*triangle))]
-            continue
-        cells = triangle_children(*triangle) if depth else (triangle,)  # level 0: the root
-        for (x0, y0), (x1, y1), (x2, y2) in cells:
-            yield (x0, y0), ((x1 - x0, x2 - x0), (y1 - y0, y2 - y0))
+            depth -= 1
+            push(((a, turned), depth))
+            push(((b, half), depth))
+            push(((a, half), depth))
+            push(((o, half), depth))
+        else:
+            yield o, half
+            yield a, half
+            yield b, half
+            yield a, turned
 
 
 # One generated function per (rule, integrand) runs the whole cell loop.

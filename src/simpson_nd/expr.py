@@ -374,8 +374,14 @@ def _check_dimension(variables, point) -> None:
 # The generated source holds only float reprs, the coordinate names the
 # caller chooses (integer subscripts of p, or locals x0, x1, ...), the forms
 # below and these names, bound in a namespace without builtins.  No string
-# of the tree is pasted in: op and fn are looked up here.  ^ is a call, not
-# **, so CPython never folds a complex constant.
+# of the tree is pasted in: op and fn are looked up here.  ^ is a call to
+# _power, except that a literal integer exponent (a Num with denominator 1,
+# or the Neg of one) is emitted as **, which skips a call per power: a float
+# to an integral float power is never complex, and it raises the same
+# OverflowError or ZeroDivisionError from the same operation.  CPython
+# folds a constant ** only when folding succeeds, so (10.0 ** 400.0) still
+# compiles and raises when called.  Any other exponent stays a call, so
+# CPython never folds a complex constant such as (-1.0) ** 0.5.
 _BINARY = {
     "+": "({} + {})",
     "-": "({} - {})",
@@ -412,7 +418,16 @@ def _source(e: Expr, coordinate, depth: int) -> str:
     if isinstance(e, Call):
         return f"{_CALLS[e.fn]}({_source(e.arg, coordinate, depth + 1)})"
     left = _source(e.left, coordinate, depth + 1)
-    return _BINARY[e.op].format(left, _source(e.right, coordinate, depth + 1))
+    right = _source(e.right, coordinate, depth + 1)
+    if e.op == "^" and _literal_integer(e.right):
+        return f"({left} ** {right})"
+    return _BINARY[e.op].format(left, right)
+
+
+def _literal_integer(e: Expr) -> bool:
+    if isinstance(e, Neg):
+        e = e.arg
+    return isinstance(e, Num) and e.value.denominator == 1
 
 
 def eval_float(e: Expr, point) -> float:

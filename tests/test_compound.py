@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from simpson_nd import compound, scalars
+from simpson_nd import compound, rules, scalars
 from simpson_nd.compound import (
     MAX_CELLS,
     CompoundEstimate,
@@ -15,8 +15,9 @@ from simpson_nd.compound import (
 )
 from simpson_nd.errors import DegenerateErrors, UnsupportedRegion, WorkLimit
 from simpson_nd.exactness import monomials_up_to
-from simpson_nd.expr import as_function
-from simpson_nd.rules import cr1, cr2, cr3, cr4, cr6, triangle_midedge
+from simpson_nd.expr import as_function, parse
+from simpson_nd.regions import Simplex
+from simpson_nd.rules import cr1, cr2, cr3, cr4, cr6, named_rule, triangle_midedge
 
 from oracles import random_float_expr, stack_triangle_cells, walk_eval_float, walk_outcome
 
@@ -56,33 +57,48 @@ def test_triangle_children_agree_across_scalar_types():
     assert irrational[3] == ((r / 2, zero), (r / 2, r / 2), (zero, r / 2))
 
 
-def test_triangle_cells_match_a_stack_of_every_triangle(monkeypatch):
-    calls = []
-
-    def counted(*triangle):
-        calls.append(triangle)
-        return triangle_children(*triangle)
-
-    monkeypatch.setattr(compound, "triangle_children", counted)
+def test_triangle_cells_match_a_stack_of_every_triangle():
     for level in range(9):
-        calls.clear()
         want = repr(list(stack_triangle_cells(level)))  # signed zeros included
-        want_calls = len(calls)
-        calls.clear()
         assert repr(list(compound._triangle_cells(level))) == want
-        assert len(calls) == want_calls == (4**level - 1) // 3
+
+
+def test_every_catalog_triangle_rule_gives_the_same_bits_on_either_triangle_cells():
+    catalog = [named_rule(name, 2) for name in (*rules._NAMED_NEED_DIM, *rules._NAMED_FIXED)]
+    triangle_rules = [
+        rule
+        for rule in catalog
+        if isinstance(rule.region, Simplex) and rule.region.dimension == 2
+    ]
+    assert [rule.label for rule in triangle_rules] == ["CR1(2)", "CR2(2)", "TriangleMidedge"]
+    for source in ("exp(x)*sin(3*y)+cos(x*y)", "x^4*y - 3*x*y^2 + 1"):
+        f = as_function(parse(source))
+        for rule in triangle_rules:
+            kernel = compound._kernel(rule, f)
+            for level in range(7):
+                scale = 1.0 / 4**level
+                want = kernel(stack_triangle_cells(level), scale).hex()
+                assert kernel(compound._triangle_cells(level), scale).hex() == want, (
+                    rule.label,
+                    source,
+                    level,
+                )
 
 
 def test_compound_cell_limit_is_checked_before_any_cell_is_built(monkeypatch):
     def refuse(*args):
         raise AssertionError("a cell was built past the limit")
 
-    monkeypatch.setattr(compound, "triangle_children", refuse)
+    for shape in ("_interval_cells", "_square_cells", "_triangle_cells"):
+        monkeypatch.setattr(compound, shape, refuse)
     assert MAX_CELLS == 2**20
     for rule, top in ((cr4(), 10), (triangle_midedge(), 10), (cr3(1), 20)):
         assert compound_cells(rule, top) == MAX_CELLS
         with pytest.raises(WorkLimit):
             compound_apply(rule, top + 1, refuse)
+        # the refusing shape is the one this rule's cells come from
+        with pytest.raises(AssertionError, match="past the limit"):
+            compound_apply(rule, 0, lambda *p: 0.0)
     with pytest.raises(WorkLimit):
         compound_apply(cr4(), 10**9, refuse)
     with pytest.raises(ValueError):

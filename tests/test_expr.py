@@ -289,6 +289,67 @@ def test_compiled_evaluator_matches_tree_walk_bit_for_bit():
     assert seen >= {float, ValueError, ZeroDivisionError, OverflowError}
 
 
+def _inlined(f, dimension):
+    """f's inline source compiled alone over x0 .. x{dimension - 1}, as the
+    compound kernel inlines it."""
+    body, namespace = f.inline_source(dimension)
+    names = ", ".join(f"x{i}" for i in range(dimension))
+    exec(f"def g({names}):\n    return {body}\n", namespace)
+    return namespace["g"]
+
+
+def _bits_or_error(evaluate):
+    try:
+        return evaluate().hex()
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+def test_literal_integer_powers_match_the_walk_in_bits_and_messages():
+    # a literal integer exponent is emitted as ** in place of a _power call
+    rng = random.Random(1515)
+    x = Var(0, "x")
+    bases = [x, Neg(x), BinOp("*", x, Num(Fraction(3))), BinOp("-", x, Num(Fraction(1, 2)))]
+    coords = [0.0, -0.0, -1.0, -2.5, 0.5, 1e-300, -1e-300, 1e300, -1e300, 10.0, -10.0]
+    seen = set()
+    for _ in range(600):
+        k = rng.choice([0, 1, 2, 3, 750, 1075, -1, -2, -3, -750])
+        if k >= 0:
+            exponent = Num(Fraction(k))
+        else:  # "-2" parses to Neg(Num(2)); Num(-2) is a literal integer too
+            exponent = rng.choice([Neg(Num(Fraction(-k))), Num(Fraction(k))])
+        tree = BinOp("^", rng.choice(bases), exponent)
+        f = as_function(tree)
+        assert "_power" not in f.inline_source(1)[0]
+        point = rng.choice(coords) if rng.random() < 0.7 else rng.uniform(-4.0, 4.0)
+        want = _bits_or_error(lambda: walk_eval_float(tree, (point,)))
+        if isinstance(want, tuple):
+            assert walk_outcome(tree, (point,)) is want[0]
+        else:
+            assert walk_outcome(tree, (point,)).hex() == want
+        assert _bits_or_error(lambda: f(point)) == want, (tree, point)
+        assert _bits_or_error(lambda: _inlined(f, 1)(point)) == want, (tree, point)
+        seen.add(want[0] if isinstance(want, tuple) else float)
+    assert seen == {float, ZeroDivisionError, OverflowError}
+
+
+@pytest.mark.parametrize(
+    "source, point, want",
+    [
+        ("(0-2)^3", 0.0, (-8.0).hex()),
+        ("x^-2", 0.0, (ZeroDivisionError, "0.0 cannot be raised to a negative power")),
+        ("10^400", 0.0, (OverflowError, "(34, 'Numerical result out of range')")),
+        ("(0-1)^0.5", 0.0, (ValueError, "-1.0^0.5 is not a real number")),
+    ],
+)
+def test_literal_integer_power_cases(source, point, want):
+    f = as_function(parse(source))  # 10^400 compiles: CPython folds it only if it can
+    assert _bits_or_error(lambda: f(point)) == want
+    assert _bits_or_error(lambda: _inlined(f, 1)(point)) == want
+    # only the fractional exponent keeps the call that refuses a complex value
+    assert ("_power" in f.inline_source(1)[0]) == source.endswith("0.5")
+
+
 def test_max_variable_index():
     assert max_variable_index(parse("3.5")) == 0
     assert max_variable_index(parse("x*y + x4")) == 4
