@@ -22,10 +22,10 @@ from .regions import Cube, Simplex
 from .rules import CubatureRule
 from .scalars import to_float
 
-# The most cells one compound_apply call builds: 2^20 cells take about 2 s
-# on CR4 and 3 s on the triangle midedge rule (building the triangle cells
-# is more than half of that) for a three-function integrand on one core of
-# a 2-vCPU Xeon.
+# The most cells one compound_apply call builds: 2^20 cells take about
+# 2-2.5 s on CR4 and 1.5-2 s on the triangle midedge rule (building the
+# triangle cells is about 0.4 s of that) for a three-function integrand on
+# one core of a 2-vCPU Xeon.
 MAX_CELLS = 2**20
 
 
