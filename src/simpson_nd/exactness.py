@@ -18,14 +18,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm, prod
+from math import factorial, prod
 from typing import Iterator, Optional, Union
 
 from . import scalars
 from .errors import DimensionMismatch, IncompatibleScalars, RegionMismatch
-from .regions import Cube, MultiIndex, Region, Simplex, _scaled
+from .regions import Cube, MultiIndex, Region, Simplex
 from .rules import CubatureRule, NodeTable, monomial_value, node_sum
-from .scalars import PiMultiple, Quad, Scalar, _make_quad, is_zero
+from .scalars import PiMultiple, Scalar, is_zero
 
 # Most entries of an exact system the solvers may be asked to build:
 # targets x nodes values for solve_lambda, and the targets x (nodes + 1 +
@@ -125,11 +125,11 @@ class ExactnessReport:
 def scans_orbits(region: Region, table: NodeTable) -> bool:
     """Whether ``exactness_degree`` may scan only descending exponent tuples:
     the region's moments are permutation-invariant (a ``Simplex`` or a
-    ``Cube``), the table is on its integer path, and the node/weight
-    multiset is closed under coordinate permutations.  Grouped by (sorted
-    coordinates, weight), each group must hold every distinct permutation
-    of its coordinates, all equally often; O(N n log n)."""
-    if not isinstance(region, (Simplex, Cube)) or table.columns is None:
+    ``Cube``) and the node/weight multiset is closed under coordinate
+    permutations.  Grouped by (sorted coordinates, weight) on the table's
+    integer view, each group must hold every distinct permutation of its
+    coordinates, all equally often; O(N n log n)."""
+    if not isinstance(region, (Simplex, Cube)):
         return False
     groups: dict[tuple, Counter] = {}
     for node, w in zip(zip(*table.columns), table.scaled_weights):
@@ -258,51 +258,34 @@ def solve_lambda(
     return UniqueSolution((lam,))
 
 
-_ZERO = Fraction(0)
-
-
 def _scale_in(rows: list[list[Scalar]], ncols: int):
     """(d, pi_columns, scales, view) for the rows of ``gauss_jordan``.
 
     d is the one radicand (None when every entry is rational), pi_columns
-    the trailing columns whose every entry is a pi multiple, scales the
-    lcm S of each row's denominators, and view each row times S: ints, or
-    (A, B) int pairs when d is set.  A pi multiple anywhere else, or a
-    second radicand, raises IncompatibleScalars."""
+    the trailing columns whose every entry is a pi multiple, and scales and
+    view each row's common denominator S and integer view from
+    ``scalars.integer_view``, a pi column entry as its coefficient.  A pi
+    multiple anywhere else, or a second radicand, raises IncompatibleScalars."""
     width = len(rows[0]) if rows else 0
     pi_columns = {
         j for j in range(ncols, width) if all(isinstance(row[j], PiMultiple) for row in rows)
     }
-    d = None
+    values = []
     for i, row in enumerate(rows):
         for j, x in enumerate(row):
-            if type(x) is Fraction:
-                continue
-            if isinstance(x, Quad):
-                if d is None:
-                    d = x.d
-                elif x.d != d:
-                    raise IncompatibleScalars(
-                        f"cannot eliminate values over sqrt({d}) and sqrt({x.d}) together"
-                    )
-            elif isinstance(x, PiMultiple):
-                if j not in pi_columns:
-                    raise IncompatibleScalars(
-                        f"row {i} has the pi multiple {x!r} in column {j}; elimination "
-                        f"takes pi only in a column after the first {ncols} "
-                        "whose every entry is a pi multiple"
-                    )
-            else:
-                scalars.as_scalar(x)  # an int passes; a float or a bool raises
+            if isinstance(x, PiMultiple) and j not in pi_columns:
+                raise IncompatibleScalars(
+                    f"row {i} has the pi multiple {x!r} in column {j}; elimination "
+                    f"takes pi only in a column after the first {ncols} "
+                    "whose every entry is a pi multiple"
+                )
+        values.append([x.coefficient if j in pi_columns else x for j, x in enumerate(row)])
+    d = scalars.radicand([x for row in values for x in row], "eliminate")
     scales, view = [], []
-    for row in rows:
-        values = [x.coefficient if j in pi_columns else x for j, x in enumerate(row)]
-        s = lcm(*(
-            lcm(x.a.denominator, x.b.denominator) if type(x) is Quad else x.denominator
-            for x in values
-        ))
-        view.append([_scaled(x, s, d) for x in values])
+    for row in values:
+        s, scaled = scalars.integer_view(row, d)
         scales.append(s)
+        view.append(scaled)
     return d, pi_columns, scales, view
 
 
@@ -330,27 +313,6 @@ def _step(row: list, pivot: list, start: int, p, f, prev, d) -> None:
         ((pa * a + pbd * b - fa * e - fbd * g) // norm, (pa * b + pb * a - fa * g - fb * e) // norm)
         for (a, b), (e, g) in zip(row[start:], pivot[start:])
     ]
-
-
-def _times(x, k: int, d):
-    """k * x for a view value x."""
-    return x * k if d is None else (x[0] * k, x[1] * k)
-
-
-def _divider(q, d):
-    """The map from a view value x to the scalar x / q, for a view value q != 0."""
-    if d is None:
-        return lambda x: Fraction(x, q) if x else _ZERO
-    qa, qb = q
-    norm, qbd = qa * qa - qb * qb * d, qb * d
-
-    def divide(x):
-        a, b = x
-        if not (a or b):
-            return _ZERO
-        return _make_quad(Fraction(a * qa - b * qbd, norm), Fraction(b * qa - a * qb, norm), d)
-
-    return divide
 
 
 def gauss_jordan(rows: list[list[Scalar]], ncols: int) -> tuple[list[int], Scalar]:
@@ -409,16 +371,17 @@ def gauss_jordan(rows: list[list[Scalar]], ncols: int) -> tuple[list[int], Scala
 
     reduced = []
     for i, row in enumerate(view):
-        values = [*map(_divider(prev if i < r else _times(prev, scales[i], d), d), row)]
+        values = [scalars.from_view(x, prev, d) for x in row]
+        if i >= r:
+            # a row below the rank still carries its scale S
+            values = [scalars.div(x, scales[i]) for x in values]
         for j in pi_columns:
-            if isinstance(values[j], Quad):
-                raise IncompatibleScalars("pi times a sqrt value is not representable")
             values[j] = PiMultiple(values[j])
         reduced.append(values)
     rows[:] = reduced
     if r < ncols:
-        return pivots, _ZERO
-    return pivots, _divider(_times(one, prod(scales[:r]), d), d)(_times(prev, sign, d))
+        return pivots, Fraction(0)
+    return pivots, scalars.from_view(prev, sign * prod(scales[:r]), d)
 
 
 def solve_weights(region: Region, nodes, targets) -> LinearSolveOutcome:

@@ -15,7 +15,6 @@ computer algebra system.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -446,10 +445,7 @@ def rational_roots(coefficients: Sequence[Fraction]) -> set[Fraction]:
         coeffs = coeffs[low:]
     if len(coeffs) == 1:
         return roots
-    denom_lcm = 1
-    for c in coeffs:
-        denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
-    ints = [int(c * denom_lcm) for c in coeffs]
+    _, ints = scalars.integer_view(coeffs)
     largest = max(abs(ints[0]), abs(ints[-1]))
     if largest > MAX_ROOT_COEFFICIENT:
         raise WorkLimit(

@@ -13,12 +13,13 @@ import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, prod
 from typing import Union
 
 from . import scalars
-from .errors import DimensionMismatch, IncompatibleScalars, NoVertices, WorkLimit
-from .scalars import PiMultiple, Quad, Scalar, _make_quad, as_scalar, is_zero, quad, sign
+from .errors import DimensionMismatch, NoVertices, WorkLimit
+from .scalars import PiMultiple, Scalar, as_scalar, is_zero, quad, sign
+from .scalars import view_minus, view_plus, view_sign, view_sum, view_times
 
 MultiIndex = tuple[int, ...]
 Point = tuple[Scalar, ...]
@@ -134,101 +135,32 @@ class Cube:
         return any(is_zero(c) or scalars.eq(c, Fraction(1)) for c in point)
 
 
-# Polygon geometry runs on integers.  _integer_view scales every coordinate
-# by one common denominator D > 0: a rational x becomes the int x*D, and
-# over Q(sqrt d) a + b*sqrt(d) becomes the int pair (a*D, b*D), meaning
-# (A + B*sqrt(d))/D, the common-denominator form of Cohen, A Course in
-# Computational Algebraic Number Theory (GTM 138), 4.2.  Moments, areas and
-# orientations are ring expressions in the coordinates, and scaling by
-# D > 0 changes no sign, so they need no Fraction until the end.
-
-
-def _scaled(c, den: int, d):
-    """c * den for a rational or a + b*sqrt(d) over the common denominator
-    den: an int, or an (A, B) pair when the view is over Z[sqrt d]."""
-    if isinstance(c, Quad):
-        return (c.a.numerator * (den // c.a.denominator), c.b.numerator * (den // c.b.denominator))
-    x = c.numerator * (den // c.denominator)
-    return x if d is None else (x, 0)
+# Polygon geometry runs on the integer view of ``scalars.integer_view``:
+# moments, areas and orientations are ring expressions in the coordinates,
+# so they need no Fraction until the end.
 
 
 def _integer_view(points):
-    """(D, d, rows) for a sequence of exact points.
-
-    D > 0 is the lcm of every Fraction denominator and every Quad .a/.b
-    denominator, d the one radicand of the Quad coordinates (None when all
-    are rational), and rows the points with each coordinate times D: ints
-    when d is None, else (A, B) int pairs, a rational coordinate as (A, 0).
-    A pi multiple, or a Quad over a second radicand, raises
-    IncompatibleScalars.
-    """
-    d = None
-    den = 1
-    for point in points:
-        for c in point:
-            if isinstance(c, Fraction):
-                den = lcm(den, c.denominator)
-            elif isinstance(c, Quad):
-                if d is None:
-                    d = c.d
-                elif c.d != d:
-                    raise IncompatibleScalars(
-                        f"polygon coordinates over sqrt({d}) and sqrt({c.d}) cannot be mixed"
-                    )
-                den = lcm(den, c.a.denominator, c.b.denominator)
-            else:
-                raise IncompatibleScalars(f"{c!r} is not a rational or a + b*sqrt(d) coordinate")
-    return den, d, [tuple(_scaled(c, den, d) for c in point) for point in points]
-
-
-def _times(u, v, d):
-    """Product of two view values: ints, or (A, B) pairs over Z[sqrt d]."""
-    if d is None:
-        return u * v
-    a, b = u
-    e, f = v
-    return (a * e + b * f * d, a * f + b * e)
-
-
-def _plus(u, v, d):
-    if d is None:
-        return u + v
-    return (u[0] + v[0], u[1] + v[1])
-
-
-def _minus(u, v, d):
-    if d is None:
-        return u - v
-    return (u[0] - v[0], u[1] - v[1])
-
-
-def _signum(u, d) -> int:
-    """Sign of a view value.  For A + B*sqrt(d) the mixed-sign case compares
-    A^2 with B^2 d, as scalars.sign does."""
-    if d is None:
-        return (u > 0) - (u < 0)
-    a, b = u
-    sa = (a > 0) - (a < 0)
-    sb = (b > 0) - (b < 0)
-    if sa == sb or sa == 0:
-        return sb
-    if sb == 0:
-        return sa
-    return sa if a * a > b * b * d else sb
+    """(D, d, rows): the common denominator, the radicand and one (x, y)
+    row of view values per point, from ``scalars.integer_view``."""
+    flat = [c for point in points for c in point]
+    d = scalars.radicand(flat, "combine")
+    den, view = scalars.integer_view(flat, d)
+    return den, d, list(zip(view[::2], view[1::2]))
 
 
 def _turn(o, a, b, d) -> int:
     """Sign of the cross product (a - o) x (b - o) of three view points."""
-    ax, ay = _minus(a[0], o[0], d), _minus(a[1], o[1], d)
-    bx, by = _minus(b[0], o[0], d), _minus(b[1], o[1], d)
-    return _signum(_minus(_times(ax, by, d), _times(bx, ay, d), d), d)
+    ax, ay = view_minus(a[0], o[0], d), view_minus(a[1], o[1], d)
+    bx, by = view_minus(b[0], o[0], d), view_minus(b[1], o[1], d)
+    return view_sign(view_minus(view_times(ax, by, d), view_times(bx, ay, d), d), d)
 
 
 def _in_box(p, a, b, d) -> bool:
     """Whether view point p lies in the bounding box of segment ab: in each
     coordinate, p - a and p - b do not share a sign."""
     return all(
-        _signum(_minus(p[i], a[i], d), d) * _signum(_minus(p[i], b[i], d), d) <= 0
+        view_sign(view_minus(p[i], a[i], d), d) * view_sign(view_minus(p[i], b[i], d), d) <= 0
         for i in (0, 1)
     )
 
@@ -257,7 +189,7 @@ def _view_powers(x, k: int, d) -> list:
     """[1, x, x^2, ..., x^k] of a view value."""
     out = [1 if d is None else (1, 0)]
     for _ in range(k):
-        out.append(_times(out[-1], x, d))
+        out.append(view_times(out[-1], x, d))
     return out
 
 
@@ -293,9 +225,11 @@ class Polygon:
     integrals below carry a uniform sign.  Simplicity is enforced by an
     exact pairwise edge-intersection check; more than MAX_POLYGON_VERTICES
     vertices raise WorkLimit before it starts.  The area sign, the check,
-    the moments and membership all run on ``_integer_view``, built once
-    per call: ``moments`` builds one view for a whole batch of indices.
-    Nothing is cached on the instance.
+    the moments and membership all run on the package's one integer view,
+    ``scalars.integer_view`` over Z or Z[sqrt d], built once per call:
+    ``moments`` builds one view for a whole batch of indices and turns each
+    total into a scalar with ``scalars.from_view``.  Nothing is cached on
+    the instance.
     """
 
     vertex_list: tuple[Point, ...]
@@ -318,12 +252,11 @@ class Polygon:
                         "polygon coordinates must be rational or a + b*sqrt(d)"
                     )
         _, d, rows = _integer_view(pts)
-        twice_area = 0 if d is None else (0, 0)
-        m = len(rows)
-        for i in range(m):
-            (x0, y0), (x1, y1) = rows[i], rows[(i + 1) % m]
-            twice_area = _plus(twice_area, _minus(_times(x0, y1, d), _times(x1, y0, d), d), d)
-        s = _signum(twice_area, d)
+        crosses = [
+            view_minus(view_times(x0, y1, d), view_times(x1, y0, d), d)
+            for (x0, y0), (x1, y1) in zip(rows, rows[1:] + rows[:1])
+        ]
+        s = view_sign(view_sum(crosses, d), d)
         if s == 0:
             raise ValueError("polygon is degenerate (zero area)")
         if s < 0:
@@ -391,7 +324,7 @@ class Polygon:
         for i in range(m):
             j = (i + 1) % m
             (x0, y0), (x1, y1) = pts[i], pts[j]
-            cross = _minus(_times(x0, y1, d), _times(x1, y0, d), d)
+            cross = view_minus(view_times(x0, y1, d), view_times(x1, y0, d), d)
             if cross != zero:
                 edges.append((cross, xs[i], xs[j], ys[i], ys[j]))
         out = []
@@ -402,20 +335,16 @@ class Polygon:
             ]
             total = zero
             for cross, x0s, x1s, y0s, y1s in edges:
-                yy = [_times(y0s[l], y1s[q - l], d) for l in range(q + 1)]
+                yy = [view_times(y0s[l], y1s[q - l], d) for l in range(q + 1)]
                 edge = zero
                 for k in range(p + 1):
                     inner = _weighted_sum(weights[k], yy, d)
-                    xx = _times(x0s[k], x1s[p - k], d)
-                    edge = _plus(edge, _times(xx, inner, d), d)
-                total = _plus(total, _times(cross, edge, d), d)
-            num = factorial(p) * factorial(q)
-            scale = factorial(p + q + 2) * den ** (p + q + 2)
-            if d is None:
-                out.append(Fraction(num * total, scale))
-            else:
-                out.append(_make_quad(Fraction(num * total[0], scale),
-                                      Fraction(num * total[1], scale), d))
+                    xx = view_times(x0s[k], x1s[p - k], d)
+                    edge = view_plus(edge, view_times(xx, inner, d), d)
+                total = view_plus(total, view_times(cross, edge, d), d)
+            # p! q! divides (p+q+2)!, so the divisor is an int
+            scale = factorial(p + q + 2) // (factorial(p) * factorial(q)) * den ** (p + q + 2)
+            out.append(scalars.from_view(total, scale, d))
         return tuple(out)
 
     def volume(self) -> Scalar:
@@ -445,8 +374,8 @@ class Polygon:
         m = len(rows)
         for i in range(m):
             a, b = rows[i], rows[(i + 1) % m]
-            above_a = _signum(_minus(a[1], py, d), d) > 0
-            above_b = _signum(_minus(b[1], py, d), d) > 0
+            above_a = view_sign(view_minus(a[1], py, d), d) > 0
+            above_b = view_sign(view_minus(b[1], py, d), d) > 0
             if above_a == above_b:
                 continue
             if _turn(pt, a, b, d) == (1 if above_b else -1):

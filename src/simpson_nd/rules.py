@@ -8,9 +8,11 @@ irrational boundary nodes (CR5) are certified, not assumed.
 
 from __future__ import annotations
 
-import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from itertools import chain
 from typing import Mapping
 
 from . import scalars
@@ -32,7 +34,7 @@ from .regions import (
     region_to_json,
     trapezoid_paper,
 )
-from .scalars import Scalar, as_scalar, is_zero, quad, to_float
+from .scalars import PiMultiple, Scalar, as_scalar, is_zero, quad, to_float
 
 
 class MonomialPoly:
@@ -142,58 +144,53 @@ def monomial_value(point: Point, alpha: MultiIndex) -> Scalar:
 class NodeTable:
     """Nodes and weights laid out for many sums of w_j x^alpha(P_j).
 
-    When every coordinate and weight is a ``Fraction`` and every node has
-    one length, the table keeps X = D x and W = Dw w as integers, where D
-    and Dw are the lcms of the coordinate and the weight denominators, so
-    sum_j w_j x^alpha(P_j) = (sum_j W_j X_j^alpha) / (Dw D^|alpha|) is
-    int arithmetic and one ``Fraction`` at the end.  Otherwise (a ``Quad``
-    coordinate, a pi weight) ``columns`` is None and each sum is the
-    scalar loop over ``monomial_value`` in node order.  Exact sums do not
-    depend on their order, so both give the same value.
+    The table keeps X = D x and W = Dw w on the integer view of
+    ``scalars.integer_view``, over Z or Z[sqrt d], where D and Dw are the
+    common denominators of the coordinates and of the weights, so
+    sum_j w_j x^alpha(P_j) = (sum_j W_j X_j^alpha) / (Dw D^|alpha|) is int
+    or int pair arithmetic and one conversion at the end.  When every
+    weight is a pi multiple (CR6), W holds the coefficients and each sum
+    comes back times pi, as a pi column does in ``gauss_jordan``.  Every
+    table sums this one way: a pi coordinate, a pi weight beside a pi-free
+    one or a second radicand raises IncompatibleScalars, and nodes of
+    different lengths raise DimensionMismatch.
     """
 
-    __slots__ = ("nodes", "weights", "dimension", "columns", "scaled_weights",
-                 "denominator", "weight_denominator")
+    __slots__ = ("nodes", "weights", "dimension", "radicand", "pi", "columns",
+                 "scaled_weights", "denominator", "weight_denominator")
 
     def __init__(self, nodes, weights):
         pairs = tuple(zip(nodes, weights))
         self.nodes = tuple(p for p, _ in pairs)
         self.weights = tuple(w for _, w in pairs)
+        if len(set(map(len, self.nodes))) > 1:
+            raise DimensionMismatch("nodes have different numbers of coordinates")
         self.dimension = len(self.nodes[0]) if self.nodes else None
-        self.columns = None
-        if (
-            self.nodes
-            and all(len(p) == self.dimension for p in self.nodes)
-            and all(type(w) is Fraction for w in self.weights)
-            and all(type(c) is Fraction for p in self.nodes for c in p)
-        ):
-            d = math.lcm(*(c.denominator for p in self.nodes for c in p))
-            dw = math.lcm(*(w.denominator for w in self.weights))
-            self.columns = tuple(
-                tuple(c.numerator * (d // c.denominator) for c in column)
-                for column in zip(*self.nodes)
-            )
-            self.scaled_weights = tuple(w.numerator * (dw // w.denominator) for w in self.weights)
-            self.denominator = d
-            self.weight_denominator = dw
+        self.pi = set(map(type, self.weights)) == {PiMultiple}
+        weights = [w.coefficient for w in self.weights] if self.pi else list(self.weights)
+        coordinates = list(chain.from_iterable(zip(*self.nodes)))
+        d = self.radicand = scalars.radicand(coordinates + weights, "sum")
+        self.denominator, flat = scalars.integer_view(coordinates, d)
+        self.weight_denominator, self.scaled_weights = scalars.integer_view(weights, d)
+        n = len(self.nodes)
+        self.columns = tuple(flat[i:i + n] for i in range(0, len(flat), n))
 
     def sum(self, alpha: MultiIndex) -> Scalar:
-        if self.columns is None:
-            total: Scalar = Fraction(0)
-            for node, w in zip(self.nodes, self.weights):
-                total = scalars.add(total, scalars.mul(w, monomial_value(node, alpha)))
-            return total
         if len(alpha) != self.dimension:
             raise DimensionMismatch(
                 f"point has {self.dimension} coordinates, dimension is {len(alpha)}"
             )
-        terms = list(self.scaled_weights)
+        d = self.radicand
+        times = operator.mul if d is None else partial(scalars.view_times, d=d)
+        terms = self.scaled_weights
         for column, e in zip(self.columns, alpha):
             if e < 0:
                 raise ValueError("exponent must be a non-negative integer")
-            if e:
-                terms = [t * x**e for t, x in zip(terms, column)]
-        return Fraction(sum(terms), self.weight_denominator * self.denominator ** sum(alpha))
+            for _ in range(e):
+                terms = list(map(times, terms, column))
+        total = scalars.view_sum(terms, d)
+        value = scalars.from_view(total, self.weight_denominator * self.denominator ** sum(alpha), d)
+        return PiMultiple(value) if self.pi else value
 
 
 def node_sum(nodes, weights, alpha: MultiIndex) -> Scalar:

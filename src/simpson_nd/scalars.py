@@ -8,6 +8,9 @@ mixed expressions such as ``Fraction(1, 2) * Quad(...) + 0`` work directly
 and ``add``/``sub``/``mul``/``div`` only coerce their operands first.  A
 ``Quad`` whose irrational component is zero collapses to a ``Fraction`` as
 soon as it is produced, so a genuine ``Quad`` value is always irrational.
+
+The end of the module holds the package's one integer view over Z or
+Z[sqrt d], on which polygons, node tables and the elimination compute.
 """
 
 from __future__ import annotations
@@ -173,8 +176,7 @@ class Quad(_Exact):
                 raise IncompatibleScalars(
                     f"cannot multiply values over sqrt({self.d}) and sqrt({other.d})"
                 )
-            a, b, d = self.a, self.b, self.d
-            return _make_quad(a * other.a + b * other.b * d, a * other.b + b * other.a, d)
+            return _make_quad(*view_times((self.a, self.b), (other.a, other.b), self.d), self.d)
         if isinstance(other, PiMultiple):
             if other.coefficient == 0:
                 return other
@@ -219,6 +221,8 @@ class PiMultiple(_Exact):
     __slots__ = ("coefficient",)
 
     def __init__(self, coefficient):
+        if type(coefficient) is Quad:
+            raise IncompatibleScalars("pi times a sqrt value is not representable")
         object.__setattr__(self, "coefficient", Fraction(coefficient))
 
     def __repr__(self):
@@ -346,8 +350,7 @@ def is_zero(x) -> bool:
 
 
 def sign(x) -> int:
-    """Exact sign (-1, 0, +1).  For a + b*sqrt(d) the mixed-sign case is
-    settled by comparing a^2 with b^2 d, which never ties for squarefree d."""
+    """Exact sign (-1, 0, +1); a + b*sqrt(d) by ``view_sign`` of (a, b)."""
     if type(x) is not Fraction:
         x = as_scalar(x)
     if isinstance(x, Fraction):
@@ -356,13 +359,7 @@ def sign(x) -> int:
     if isinstance(x, PiMultiple):
         c = x.coefficient
         return (c > 0) - (c < 0)
-    sa = (x.a > 0) - (x.a < 0)
-    sb = (x.b > 0) - (x.b < 0)
-    if sa == sb or sa == 0:
-        return sb
-    if sb == 0:
-        return sa
-    return sa if x.a * x.a > x.b * x.b * x.d else sb
+    return view_sign((x.a, x.b), x.d)
 
 
 def le(x, y) -> bool:
@@ -378,6 +375,118 @@ def to_float(x) -> float:
     if isinstance(x, Quad):
         return float(x.a) + float(x.b) * math.sqrt(x.d)
     return float(x.coefficient) * math.pi
+
+
+# The integer view.  Polygon geometry, node sums and elimination run on
+# integers: values over one common denominator D > 0, so a rational x
+# becomes the int x*D and, over Q(sqrt d), a + b*sqrt(d) becomes the int
+# pair (a*D, b*D), meaning (A + B*sqrt(d))/D, the common-denominator form
+# of Cohen, A Course in Computational Algebraic Number Theory (GTM 138),
+# 4.2.  Ring expressions in the values stay in the view, scaling by D > 0
+# changes no sign, and a result becomes a scalar once, through
+# ``from_view``.  Each view function takes the radicand d, None for ints.
+
+
+def radicand(values, verb: str) -> int | None:
+    """The one radicand of the Quad values, None when every value is rational.
+
+    A second radicand or a pi multiple raises IncompatibleScalars, whose
+    message says what could not be done ("cannot sum values over ...").
+    An int passes; anything else raises TypeError, as in ``as_scalar``."""
+    if set(map(type, values)) <= {Fraction}:
+        return None
+    d = None
+    for x in values:
+        if type(x) is Quad:
+            if d is None:
+                d = x.d
+            elif x.d != d:
+                raise IncompatibleScalars(
+                    f"cannot {verb} values over sqrt({d}) and sqrt({x.d}) together"
+                )
+        elif type(x) is PiMultiple:
+            raise IncompatibleScalars(f"cannot {verb} the pi multiple {x!r} with values free of pi")
+        elif type(x) is not Fraction:
+            as_scalar(x)
+    return d
+
+
+def integer_view(values, d: int | None = None) -> tuple[int, list]:
+    """(D, view) for exact values over the radicand d, as ``radicand`` finds it.
+
+    D > 0 is the lcm of every denominator, a Quad's .a and .b included, and
+    the view holds each value times D: an int when d is None, else an
+    (A, B) int pair meaning A + B*sqrt(d), a rational value as (A, 0)."""
+    if d is None:
+        dens = [x.denominator for x in values]
+        den = math.lcm(*dens)
+        return den, [x.numerator * (den // q) for x, q in zip(values, dens)]
+    # the rational parts a and b of every value, on one common denominator
+    parts = [(x.a, x.b) if type(x) is Quad else (x, 0) for x in values]
+    den, flat = integer_view([c for part in parts for c in part])
+    return den, list(zip(flat[::2], flat[1::2]))
+
+
+def view_times(u, v, d):
+    """Product of two view values."""
+    if d is None:
+        return u * v
+    a, b = u
+    e, f = v
+    return (a * e + b * f * d, a * f + b * e)
+
+
+def view_plus(u, v, d):
+    if d is None:
+        return u + v
+    return (u[0] + v[0], u[1] + v[1])
+
+
+def view_minus(u, v, d):
+    if d is None:
+        return u - v
+    return (u[0] - v[0], u[1] - v[1])
+
+
+def view_sum(values, d):
+    """The sum of a list of view values."""
+    if d is None:
+        return sum(values)
+    return sum(a for a, _ in values), sum(b for _, b in values)
+
+
+def view_sign(u, d) -> int:
+    """Sign of a view value.  For A + B*sqrt(d) the mixed-sign case is
+    settled by comparing A^2 with B^2 d, which never ties for squarefree d.
+    ``sign`` passes the Fraction pair of a Quad."""
+    if d is None:
+        return (u > 0) - (u < 0)
+    a, b = u
+    sa = (a > 0) - (a < 0)
+    sb = (b > 0) - (b < 0)
+    if sa == sb or sa == 0:
+        return sb
+    if sb == 0:
+        return sa
+    return sa if a * a > b * b * d else sb
+
+
+_ZERO = Fraction(0)
+
+
+def from_view(x, q, d) -> Scalar:
+    """The scalar x / q, for a view value x and an int or view value q != 0."""
+    if d is None:
+        return Fraction(x, q) if x else _ZERO
+    a, b = x
+    if not (a or b):
+        return _ZERO
+    if type(q) is int:
+        return _make_quad(Fraction(a, q), Fraction(b, q), d)
+    # 1/(qa + qb sqrt d) = (qa - qb sqrt d) / (qa^2 - qb^2 d), an integer norm
+    qa, qb = q
+    norm = qa * qa - qb * qb * d
+    return _make_quad(Fraction(a * qa - b * qb * d, norm), Fraction(b * qa - a * qb, norm), d)
 
 
 def _frac_pair(f: Fraction) -> list:

@@ -1,3 +1,4 @@
+import errno
 import math
 import random
 from fractions import Fraction
@@ -338,14 +339,20 @@ def test_literal_integer_powers_match_the_walk_in_bits_and_messages():
     [
         ("(0-2)^3", (-8.0).hex()),
         ("x^-2", (ZeroDivisionError, "0.0 cannot be raised to a negative power")),
-        ("10^400", (OverflowError, "(34, 'Numerical result out of range')")),
+        ("10^400", (OverflowError, errno.ERANGE)),
         ("(0-1)^0.5", (ValueError, "-1.0^0.5 is not a real number")),
     ],
 )
 def test_literal_integer_power_cases_at_zero(source, want):
     f = as_function(parse(source))  # 10^400 compiles: CPython folds it only if it can
-    assert _bits_or_error(lambda: f(0.0)) == want
-    assert _bits_or_error(lambda: _inlined(f, 1)(0.0)) == want
+    for evaluate in (f, _inlined(f, 1)):
+        if want[0] is OverflowError:
+            # the message is the C library's strerror text; only the errno is portable
+            with pytest.raises(OverflowError) as raised:
+                evaluate(0.0)
+            assert raised.value.args[0] == want[1]
+        else:
+            assert _bits_or_error(lambda: evaluate(0.0)) == want
     # only the fractional exponent keeps the call that refuses a complex value
     assert ("_power" in f.inline_source(1)[0]) == source.endswith("0.5")
 

@@ -11,11 +11,13 @@ from test_regions import _random_rational_polygon
 from simpson_nd import rules, scalars
 from simpson_nd.errors import (
     DimensionMismatch,
+    IncompatibleScalars,
     NodeNotOnBoundary,
     NodeOutsideRegion,
     RegionMismatch,
     WorkLimit,
 )
+from simpson_nd.exactness import monomials_of_degree
 from simpson_nd.regions import Cube, Polygon, Simplex, UnitDisc, trapezoid_paper
 from simpson_nd.rules import (
     CubatureRule,
@@ -40,7 +42,7 @@ from simpson_nd.rules import (
     triangle_midedge,
     vertex_rule,
 )
-from simpson_nd.scalars import PiMultiple, quad, to_float
+from simpson_nd.scalars import PiMultiple, Quad, quad, to_float
 
 ALL_NAMED = lambda: [
     cr1(2),
@@ -359,12 +361,89 @@ def test_integer_node_table_matches_scalar_sums_on_random_rules():
             assert node_sum(nodes, weights, alpha) == expected
 
 
-def test_quad_and_pi_rules_take_the_scalar_path():
-    for rule in (cr5(), cr5_conjugate(), cr6()):
+def test_quad_and_pi_rules_sum_over_the_integer_view():
+    # CR5 and CR5* over Z[sqrt 3893]; CR6 with pi factored out of its weights
+    for rule, d, pi in ((cr5(), 3893, False), (cr5_conjugate(), 3893, False), (cr6(), None, True)):
         table = NodeTable(rule.nodes, rule.weights)
-        assert table.columns is None
-        for alpha in ((0, 0), (3, 0), (1, 2), (2, 2)):
-            assert table.sum(alpha) == scalar_node_sum(rule.nodes, rule.weights, alpha)
+        assert (table.radicand, table.pi) == (d, pi)
+        kinds = {type(x) for column in table.columns + (table.scaled_weights,) for x in column}
+        assert kinds == ({tuple} if d else {int})
+        for degree in range(7):
+            for alpha in monomials_of_degree(2, degree):
+                got, want = table.sum(alpha), scalar_node_sum(rule.nodes, rule.weights, alpha)
+                assert (type(got), got) == (type(want), want)
+
+
+def _random_field_table(rng, d):
+    """Nodes mixing rational and a + b*sqrt(d) coordinates, and weights
+    that are rational, in Q(sqrt d) or all pi multiples."""
+    def value(quadratic):
+        a = _random_fraction(rng)
+        return quad(a, _random_fraction(rng) or 1, d) if quadratic and rng.random() < 0.5 else a
+
+    n = rng.randint(1, 3)
+    nodes = [tuple(value(True) for _ in range(n)) for _ in range(rng.randint(1, 6))]
+    kind = rng.choice(("rational", "quad", "pi"))
+    if kind == "pi":
+        weights = [PiMultiple(_random_fraction(rng)) for _ in nodes]
+    else:
+        weights = [value(kind == "quad") for _ in nodes]
+    return nodes, weights
+
+
+def _sum_or_error(nodes, weights, alpha):
+    try:
+        return NodeTable(nodes, weights).sum(alpha)
+    except IncompatibleScalars:
+        return IncompatibleScalars
+
+
+def test_node_tables_over_quadratic_fields_match_scalar_sums_and_conjugate():
+    rng = random.Random(16_3893)
+    compared = conjugated = 0
+    for _ in range(300):
+        d = rng.choice((2, 3, 5, 3893))
+        nodes, weights = _random_field_table(rng, d)
+        conj_nodes = [tuple(scalars.conj(c) for c in p) for p in nodes]
+        conj_weights = [scalars.conj(w) for w in weights]
+        for _ in range(4):
+            alpha = tuple(rng.randint(0, 4) for _ in nodes[0])
+            got = _sum_or_error(nodes, weights, alpha)
+            try:
+                want = scalar_node_sum(nodes, weights, alpha)
+            except IncompatibleScalars:
+                pass  # a nonzero pi weight times a sqrt value: no oracle
+            else:
+                assert (type(got), got) == (type(want), want), (nodes, weights, alpha)
+                compared += 1
+            mirrored = _sum_or_error(conj_nodes, conj_weights, alpha)
+            if got is IncompatibleScalars:
+                assert mirrored is IncompatibleScalars
+            else:
+                assert (type(mirrored), mirrored) == (type(got), scalars.conj(got))
+                conjugated += isinstance(got, Quad)
+    assert compared >= 800 and conjugated >= 500
+
+
+def test_node_tables_refuse_mixed_pi_weights_pi_coordinates_and_ragged_nodes():
+    rng = random.Random(1616)
+    for _ in range(100):
+        d = rng.choice((2, 3, 5, 3893))
+        nodes, weights = _random_field_table(rng, d)
+        alpha = (1,) * len(nodes[0])
+        pi = PiMultiple(Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+        j = rng.randrange(len(nodes))
+        if len(nodes) > 1:
+            mixed = list(weights)
+            mixed[j], mixed[j - 1] = pi, Fraction(rng.randint(1, 9))
+            with pytest.raises(IncompatibleScalars):
+                NodeTable(nodes, mixed).sum(alpha)
+        with_pi = nodes[:j] + [(pi,) + nodes[j][1:]] + nodes[j + 1:]
+        with pytest.raises(IncompatibleScalars):
+            NodeTable(with_pi, weights).sum(alpha)
+        ragged = nodes + [nodes[0] + (Fraction(1),)]
+        with pytest.raises(DimensionMismatch):
+            NodeTable(ragged, weights + weights[:1]).sum(alpha)
 
 
 @pytest.mark.parametrize("build", [lambda: cr3(2), cr4, cr5, cr6])
