@@ -18,13 +18,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, lcm, prod
 from typing import Iterator, Optional, Union
 
 from . import scalars
 from .errors import DimensionMismatch, IncompatibleScalars, RegionMismatch
 from .regions import Cube, MultiIndex, Region, Simplex
-from .rules import CubatureRule, NodeTable, monomial_value, node_sum
+from .rules import CubatureRule, NodeTable, node_sum
 from .scalars import PiMultiple, Scalar, is_zero
 
 # Most entries of an exact system the solvers may be asked to build:
@@ -317,22 +317,9 @@ def _step(row: list, pivot: list, start: int, p, f, prev, d) -> None:
 
 def gauss_jordan(rows: list[list[Scalar]], ncols: int) -> tuple[list[int], Scalar]:
     """In-place reduced row echelon form over the first ``ncols`` columns;
-    trailing columns ride along.  This is the package's only elimination
-    loop.
-
-    Elimination is fraction-free over Z or Z[sqrt d] (Bareiss, *Sylvester's
-    identity and multistep integer-preserving Gaussian elimination*, Math.
-    Comp. 22, 1968).  Each row is scaled by the lcm of its denominators, so
-    an entry becomes an int, or an (A, B) int pair meaning A + B*sqrt(d)
-    (Cohen, GTM 138, 4.2).  Each column's pivot p is the first nonzero
-    entry at or below the current row, and every other row becomes
-    (p*row - f*pivot_row) / prev, with f its entry in the pivot column and
-    prev the previous pivot.  By Sylvester's identity every entry is a
-    minor of the scaled rows, so the division is exact.  The entries
-    become scalars once, at the end: a pivot row divided by the last
-    pivot, a row below the rank by its scale times the last pivot.  The
-    rows, the pivots and the trailing columns are those of Gauss-Jordan
-    elimination with one scalar operation per entry.
+    trailing columns ride along.  The rows are scalars: ``_scale_in``
+    scales each row by the lcm of its denominators onto the integer view,
+    and ``_eliminate``, the package's only elimination loop, reduces them.
 
     Entries are rationals and values over one radicand.  A trailing
     column whose every entry is a pi multiple is reduced as its
@@ -346,6 +333,29 @@ def gauss_jordan(rows: list[list[Scalar]], ncols: int) -> tuple[list[int], Scala
     only when the block is square.
     """
     d, pi_columns, scales, view = _scale_in(rows, ncols)
+    pivots, det, rows[:] = _eliminate(view, scales, ncols, d, pi_columns)
+    return pivots, det
+
+
+def _eliminate(view: list[list], scales: list[int], ncols: int, d, pi_columns):
+    """(pivots, determinant, reduced scalar rows) of rows already on the
+    integer view: row i holds S_i times its values, S_i = scales[i], as
+    ints or as (A, B) int pairs meaning A + B*sqrt(d) (Cohen, GTM 138,
+    4.2), a column in ``pi_columns`` by its pi coefficients.  ``view`` and
+    ``scales`` are reduced in place.
+
+    Elimination is fraction-free over Z or Z[sqrt d] (Bareiss, *Sylvester's
+    identity and multistep integer-preserving Gaussian elimination*, Math.
+    Comp. 22, 1968).  Each column's pivot p is the first nonzero entry at
+    or below the current row, and every other row becomes
+    (p*row - f*pivot_row) / prev, with f its entry in the pivot column and
+    prev the previous pivot.  By Sylvester's identity every entry is a
+    minor of the scaled rows, so the division is exact.  The entries
+    become scalars once, at the end: a pivot row divided by the last
+    pivot, a row below the rank by its scale times the last pivot.  The
+    rows, the pivots and the trailing columns are those of Gauss-Jordan
+    elimination with one scalar operation per entry.
+    """
     zero, one = (0, 1) if d is None else ((0, 0), (1, 0))
     prev = one
     pivots: list[int] = []
@@ -378,52 +388,79 @@ def gauss_jordan(rows: list[list[Scalar]], ncols: int) -> tuple[list[int], Scala
         for j in pi_columns:
             values[j] = PiMultiple(values[j])
         reduced.append(values)
-    rows[:] = reduced
     if r < ncols:
-        return pivots, Fraction(0)
-    return pivots, scalars.from_view(prev, sign * prod(scales[:r]), d)
+        return pivots, Fraction(0), reduced
+    return pivots, scalars.from_view(prev, sign * prod(scales[:r]), d), reduced
 
 
 def solve_weights(region: Region, nodes, targets) -> LinearSolveOutcome:
     """Exact solve for one weight per node so the rule matches the region
     moments of every target monomial.
 
-    Works over whatever quadratic field the node coordinates need.  An
-    inconsistent system yields an Infeasible value whose multipliers
-    combine the cited equations into 0 == nonzero.
+    Works over whatever quadratic field the node coordinates and the
+    moments need.  The rows come from the integer view of a ``NodeTable``
+    with unit weights: row alpha's node entries are its terms X_j^alpha
+    over D^|alpha|, and its right-hand side is the moment, a pi moment (the
+    disc) as its coefficient in a pi column.  Each row is scaled once, by
+    the lcm S of D^|alpha| and the moment's denominator, and goes to
+    ``_eliminate`` as ints or Z[sqrt d] pairs; no entry is a scalar until
+    the reduced rows come back.  An inconsistent system yields an
+    Infeasible value whose multipliers combine the cited equations into
+    0 == nonzero.
     """
     nodes = tuple(tuple(scalars.as_scalar(c) for c in p) for p in nodes)
     targets = [tuple(int(e) for e in alpha) for alpha in targets]
     nunk = len(nodes)
-    equations = [
-        Equation(monomial_label(alpha), tuple(monomial_value(p, alpha) for p in nodes), moment)
-        for alpha, moment in zip(targets, region.moments(targets))
-    ]
-    rows = [[*eqn.coefficients, eqn.rhs] for eqn in equations]
-    pivots, _ = gauss_jordan(rows, nunk)
+    moments = region.moments(targets)
+    pi = all(type(m) is PiMultiple for m in moments)
+    rhs = [m.coefficient for m in moments] if pi else list(moments)
+    d = scalars.radicand([c for p in nodes for c in p] + rhs, "eliminate")
+    table = NodeTable(nodes, [Fraction(1)] * nunk)
+
+    def lift(k: int):
+        return k if d is None else (k, 0)
+
+    scales, view, entries = [], [], []
+    for alpha, moment in zip(targets, rhs):
+        terms = table.terms(alpha)
+        if table.radicand != d:
+            # rational nodes, moments over sqrt(d)
+            terms = [(x, 0) for x in terms]
+        q = table.denominator ** sum(alpha)
+        den, (b,) = scalars.integer_view([moment], d)
+        scale = lcm(q, den)
+        scales.append(scale)
+        view.append([scalars.view_times(x, lift(scale // q), d) for x in terms]
+                    + [scalars.view_times(b, lift(scale // den), d)])
+        entries.append((terms, q))
+    pi_columns = {nunk} if pi else set()
+    pivots, _, rows = _eliminate([list(row) for row in view], list(scales), nunk, d, pi_columns)
     rank = len(pivots)
     if any(not is_zero(row[nunk]) for row in rows[rank:]):
-        # Reduce [A | b | I] so every row remembers its origin.  The 0/1
-        # identity entries change no row scale and no pivot, so the A and b
-        # columns, and the rank, come out as above.
-        rows = [
-            [*eqn.coefficients, eqn.rhs, *(Fraction(int(j == i)) for j in range(len(equations)))]
-            for i, eqn in enumerate(equations)
+        # Reduce [A | b | I] so every row remembers its origin: row i gains
+        # the identity's row i times its scale.  The identity changes no
+        # pivot, so the A and b columns, and the rank, come out as above.
+        block = [
+            row + [lift(scale if j == i else 0) for j in range(len(view))]
+            for i, (row, scale) in enumerate(zip(view, scales))
         ]
-        gauss_jordan(rows, nunk)
+        _, _, rows = _eliminate(block, scales, nunk, d, pi_columns)
         row = next(row for row in rows[rank:] if not is_zero(row[nunk]))
-        used = [
-            (equations[i], mult)
-            for i, mult in enumerate(row[nunk + 1 :])
-            if not is_zero(mult)
-        ]
-        labels = ", ".join(eqn.label for eqn, _ in used)
+        used = [(i, mult) for i, mult in enumerate(row[nunk + 1 :]) if not is_zero(mult)]
+        equations = tuple(
+            Equation(
+                monomial_label(targets[i]),
+                tuple(scalars.from_view(x, entries[i][1], d) for x in entries[i][0]),
+                moments[i],
+            )
+            for i, _ in used
+        )
         return Infeasible(
             witness=(
-                f"combining the equations for {labels} gives "
-                f"0 = {scalars.format_scalar(row[nunk])}"
+                f"combining the equations for {', '.join(eqn.label for eqn in equations)} "
+                f"gives 0 = {scalars.format_scalar(row[nunk])}"
             ),
-            equations=tuple(eqn for eqn, _ in used),
+            equations=equations,
             multipliers=tuple(mult for _, mult in used),
         )
     solution: list[Scalar] = [Fraction(0)] * nunk

@@ -10,16 +10,15 @@ any rounding.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import factorial, prod
 from typing import Union
 
 from . import scalars
 from .errors import DimensionMismatch, NoVertices, WorkLimit
 from .scalars import PiMultiple, Scalar, as_scalar, is_zero, quad, sign
-from .scalars import view_minus, view_plus, view_sign, view_sum, view_times
+from .scalars import view_minus, view_sign, view_sum, view_times
 
 MultiIndex = tuple[int, ...]
 Point = tuple[Scalar, ...]
@@ -185,20 +184,15 @@ def _edges_meet(a, b, c, e, d) -> bool:
     )
 
 
-def _view_powers(x, k: int, d) -> list:
-    """[1, x, x^2, ..., x^k] of a view value."""
-    out = [1 if d is None else (1, 0)]
-    for _ in range(k):
-        out.append(view_times(out[-1], x, d))
-    return out
-
-
-def _weighted_sum(weights, values, d):
-    """sum w * v over int weights and view values."""
+def _mul_add(xs, us, ys, vs, ws, d) -> list:
+    """[x*u + y*v + w, ...] elementwise over lists of view values."""
     if d is None:
-        return sum(map(operator.mul, weights, values))
-    return (sum(w * a for w, (a, _) in zip(weights, values)),
-            sum(w * b for w, (_, b) in zip(weights, values)))
+        return [x * u + y * v + w for x, u, y, v, w in zip(xs, us, ys, vs, ws)]
+    return [
+        (xa * ua + ya * va + (xb * ub + yb * vb) * d + wa,
+         xa * ub + xb * ua + ya * vb + yb * va + wb)
+        for (xa, xb), (ua, ub), (ya, yb), (va, vb), (wa, wb) in zip(xs, us, ys, vs, ws)
+    ]
 
 
 def _on_boundary(pt, rows, d) -> bool:
@@ -298,54 +292,63 @@ class Polygon:
 
     def moments(self, alphas) -> tuple[Scalar, ...]:
         """Exact integrals of x^p y^q, one per (p, q) in ``alphas``, by
-        Green's theorem in closed form.
+        Green's theorem and one recurrence per edge.
 
-        Summed over the counterclockwise edges (x0, y0) -> (x1, y1):
+        For the counterclockwise edge (x0, y0) -> (x1, y1), set
+        A(0,0) = H(0,0) = x0 y1 - x1 y0 and, a term with a negative index
+        being 0,
 
-            p! q! / (p+q+2)! * sum (x0 y1 - x1 y0) *
-                sum_{k<=p, l<=q} C(k+l, l) C(p+q-k-l, q-l) x0^k x1^(p-k) y0^l y1^(q-l)
+            A(i,j) = x0 A(i-1,j) + y0 A(i,j-1)
+            H(i,j) = x1 H(i-1,j) + y1 H(i,j-1) + A(i,j).
 
-        (Steger, On the Calculation of Arbitrary Moments of Polygons, 1996).
-        Each term has degree p+q+2 in the coordinates, so the sum T runs on
-        the integer view and the moment is p! q! T / ((p+q+2)! D^(p+q+2)).
-        Every index is checked first; the view, the vertex power tables up
-        to the largest p and q, and the edge cross products are then built
-        once for the whole batch.
+        The moment of x^p y^q is p! q! / (p+q+2)! times the sum of H(p,q)
+        over the edges: A(i,j) counts the paths to (i,j), so H(p,q) unrolls
+        to Steger's binomial double sum (Steger, On the Calculation of
+        Arbitrary Moments of Polygons, 1996).  H(p,q) has degree p+q+2 in
+        the coordinates, so the sum T runs on the integer view and the
+        moment is p! q! T / ((p+q+2)! D^(p+q+2)).  Every index is checked
+        first; the view is then built once, and the recurrence runs once,
+        over every edge at a time, on the down-closed set of the batch: each
+        (i, j) at or below some (p, q) in ``alphas``.
         """
         alphas = [_check_index(alpha, 2) for alpha in alphas]
+        if not alphas:
+            return ()
         den, d, pts = _integer_view(self.vertex_list)
         zero = 0 if d is None else (0, 0)
-        pmax = max((p for p, _ in alphas), default=0)
-        qmax = max((q for _, q in alphas), default=0)
-        xs = [_view_powers(x, pmax, d) for x, _ in pts]
-        ys = [_view_powers(y, qmax, d) for _, y in pts]
-        edges = []
-        m = len(pts)
-        for i in range(m):
-            j = (i + 1) % m
-            (x0, y0), (x1, y1) = pts[i], pts[j]
-            cross = view_minus(view_times(x0, y1, d), view_times(x1, y0, d), d)
-            if cross != zero:
-                edges.append((cross, xs[i], xs[j], ys[i], ys[j]))
-        out = []
+        edges = [
+            (view_minus(view_times(x0, y1, d), view_times(x1, y0, d), d), x0, y0, x1, y1)
+            for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1])
+        ]
+        crosses, x0s, y0s, x1s, y1s = zip(*(edge for edge in edges if edge[0] != zero))
+        zeros = [zero] * len(crosses)
+        # reach[i]: the largest q of an index (p, q) of the batch with p >= i
+        reach = [-1] * (max(p for p, _ in alphas) + 1)
         for p, q in alphas:
-            weights = [
-                [comb(k + l, l) * comb(p + q - k - l, q - l) for l in range(q + 1)]
-                for k in range(p + 1)
-            ]
-            total = zero
-            for cross, x0s, x1s, y0s, y1s in edges:
-                yy = [view_times(y0s[l], y1s[q - l], d) for l in range(q + 1)]
-                edge = zero
-                for k in range(p + 1):
-                    inner = _weighted_sum(weights[k], yy, d)
-                    xx = view_times(x0s[k], x1s[p - k], d)
-                    edge = view_plus(edge, view_times(xx, inner, d), d)
-                total = view_plus(total, view_times(cross, edge, d), d)
-            # p! q! divides (p+q+2)!, so the divisor is an int
-            scale = factorial(p + q + 2) // (factorial(p) * factorial(q)) * den ** (p + q + 2)
-            out.append(scalars.from_view(total, scale, d))
-        return tuple(out)
+            reach[p] = max(reach[p], q)
+        for i in range(len(reach) - 2, -1, -1):
+            reach[i] = max(reach[i], reach[i + 1])
+        wanted = set(alphas)
+        totals = {}
+        a_above = h_above = None
+        for i, top in enumerate(reach):
+            a_row, h_row = [], []
+            for j in range(top + 1):
+                if i == j == 0:
+                    a = h = crosses
+                else:
+                    a = _mul_add(x0s, a_above[j] if i else zeros,
+                                 y0s, a_row[j - 1] if j else zeros, zeros, d)
+                    h = _mul_add(x1s, h_above[j] if i else zeros,
+                                 y1s, h_row[j - 1] if j else zeros, a, d)
+                a_row.append(a)
+                h_row.append(h)
+                if (i, j) in wanted:
+                    # p! q! divides (p+q+2)!, so the divisor is an int
+                    scale = factorial(i + j + 2) // (factorial(i) * factorial(j)) * den ** (i + j + 2)
+                    totals[i, j] = scalars.from_view(view_sum(h, d), scale, d)
+            a_above, h_above = a_row, h_row
+        return tuple(totals[alpha] for alpha in alphas)
 
     def volume(self) -> Scalar:
         return self.moment((0, 0))

@@ -148,7 +148,9 @@ class NodeTable:
     ``scalars.integer_view``, over Z or Z[sqrt d], where D and Dw are the
     common denominators of the coordinates and of the weights, so
     sum_j w_j x^alpha(P_j) = (sum_j W_j X_j^alpha) / (Dw D^|alpha|) is int
-    or int pair arithmetic and one conversion at the end.  When every
+    or int pair arithmetic and one conversion at the end.  ``terms`` is the
+    one power loop that builds the W_j X_j^alpha: ``sum`` adds them up, and
+    ``solve_weights`` takes them, with unit weights, as its rows.  When every
     weight is a pi multiple (CR6), W holds the coefficients and each sum
     comes back times pi, as a pi column does in ``gauss_jordan``.  Every
     table sums this one way: a pi coordinate, a pi weight beside a pi-free
@@ -175,7 +177,9 @@ class NodeTable:
         n = len(self.nodes)
         self.columns = tuple(flat[i:i + n] for i in range(0, len(flat), n))
 
-    def sum(self, alpha: MultiIndex) -> Scalar:
+    def terms(self, alpha: MultiIndex) -> list:
+        """W_j X_j^alpha on the view, one per node, from the table's one
+        power loop: w_j x^alpha(P_j) is the j-th term over Dw D^|alpha|."""
         if len(alpha) != self.dimension:
             raise DimensionMismatch(
                 f"point has {self.dimension} coordinates, dimension is {len(alpha)}"
@@ -188,7 +192,11 @@ class NodeTable:
                 raise ValueError("exponent must be a non-negative integer")
             for _ in range(e):
                 terms = list(map(times, terms, column))
-        total = scalars.view_sum(terms, d)
+        return terms
+
+    def sum(self, alpha: MultiIndex) -> Scalar:
+        d = self.radicand
+        total = scalars.view_sum(self.terms(alpha), d)
         value = scalars.from_view(total, self.weight_denominator * self.denominator ** sum(alpha), d)
         return PiMultiple(value) if self.pi else value
 
@@ -252,10 +260,14 @@ class CubatureRule:
 
 
 def midpoint_rule(region: Region) -> CubatureRule:
-    """Single node at the center of mass, weighted by the region volume."""
-    return CubatureRule(
-        region, (region.centroid(),), (region.volume(),), label="midpoint"
+    """Single node at the center of mass, weighted by the region volume:
+    one moment batch of the zero index and the unit vectors."""
+    n = region.dimension
+    volume, *firsts = region.moments(
+        [(0,) * n] + [tuple(int(i == k) for i in range(n)) for k in range(n)]
     )
+    centroid = tuple(scalars.div(m, volume) for m in firsts)
+    return CubatureRule(region, (centroid,), (volume,), label="midpoint")
 
 
 def vertex_rule(region: Region) -> CubatureRule:

@@ -7,12 +7,14 @@ permutation sum, float triangle cells from a stack that holds every
 triangle of the subdivision, disc moments from composite numeric quadrature in
 polar coordinates and from single-factorial case formulas (not the
 package's double-factorial closed form), polygon moments from a fan triangulation pulled
-back to the unit simplex, integrand values from a recursive walk of
+back to the unit simplex and from Steger's binomial double sum over the
+edges, integrand values from a recursive walk of
 the expression tree, a + b*sqrt(d) arithmetic from the componentwise
 field formulas, float rule sums from the node and weight lists, and
 exact rule sums and exactness reports node by node over every monomial,
-and reduced row echelon forms by Gauss-Jordan elimination with one scalar
-operation per entry.
+reduced row echelon forms by Gauss-Jordan elimination with one scalar
+operation per entry, and weight solves from rows of ``monomial_value``
+scalars reduced by that elimination.
 """
 
 from __future__ import annotations
@@ -22,7 +24,15 @@ import math
 from fractions import Fraction
 
 from simpson_nd import compound, scalars
+from simpson_nd.exactness import (
+    Equation,
+    Infeasible,
+    Underdetermined,
+    UniqueSolution,
+    monomial_label,
+)
 from simpson_nd.expr import FUNCTIONS, BinOp, Call, Neg, Num, Var
+from simpson_nd.rules import monomial_value
 
 Poly = dict[tuple, Fraction]
 
@@ -202,6 +212,29 @@ def fan_polygon_moment(vertices, p: int, q: int):
     return total if scalars.sign(area) > 0 else -total
 
 
+def steger_polygon_moment(vertices, p: int, q: int):
+    """Integral of x^p y^q over a simple polygon whose vertices are listed
+    counterclockwise, by Steger's closed form: the sum over the edges
+    (x0, y0) -> (x1, y1) of (x0 y1 - x1 y0) times
+
+        sum_{k<=p, l<=q} C(k+l, l) C(p+q-k-l, q-l) x0^k x1^(p-k) y0^l y1^(q-l),
+
+    times p! q! / (p+q+2)! (Steger, On the Calculation of Arbitrary Moments
+    of Polygons, 1996).  Plain operators only, so the vertices may be
+    exact scalars or floats."""
+    total = 0
+    for (x0, y0), (x1, y1) in zip(vertices, vertices[1:] + vertices[:1]):
+        ys = [y0**l * y1 ** (q - l) for l in range(q + 1)]
+        edge = 0
+        for k in range(p + 1):
+            xs = x0**k * x1 ** (p - k)
+            for l in range(q + 1):
+                weight = math.comb(k + l, l) * math.comb(p + q - k - l, q - l)
+                edge = edge + weight * xs * ys[l]
+        total = total + (x0 * y1 - x1 * y0) * edge
+    return total * Fraction(math.factorial(p) * math.factorial(q), math.factorial(p + q + 2))
+
+
 def stack_triangle_cells(level: int):
     """Float triangle cells (offset, matrix) in depth-first order from a
     stack that pushes every triangle, the cells too, and pops each cell
@@ -376,3 +409,41 @@ def scalar_gauss_jordan(rows, ncols: int):
         pivots.append(col)
         r += 1
     return pivots, det
+
+
+def scalar_solve_weights(region, nodes, targets):
+    """The outcome of ``exactness.solve_weights`` from scalar rows: each
+    entry is ``monomial_value`` of a node, the rows [A | b] are reduced by
+    ``scalar_gauss_jordan``, and an inconsistent system is reduced again
+    as [A | b | I] so that the first row below the rank with a nonzero
+    right-hand side names its equations and multipliers."""
+    nodes = [tuple(scalars.as_scalar(c) for c in p) for p in nodes]
+    targets = [tuple(alpha) for alpha in targets]
+    nunk = len(nodes)
+    equations = [
+        Equation(monomial_label(alpha), tuple(monomial_value(p, alpha) for p in nodes), moment)
+        for alpha, moment in zip(targets, region.moments(targets))
+    ]
+    rows = [[*eqn.coefficients, eqn.rhs] for eqn in equations]
+    pivots, _ = scalar_gauss_jordan(rows, nunk)
+    rank = len(pivots)
+    if any(not scalars.is_zero(row[nunk]) for row in rows[rank:]):
+        rows = [
+            [*eqn.coefficients, eqn.rhs, *(Fraction(int(j == i)) for j in range(len(equations)))]
+            for i, eqn in enumerate(equations)
+        ]
+        scalar_gauss_jordan(rows, nunk)
+        row = next(row for row in rows[rank:] if not scalars.is_zero(row[nunk]))
+        used = [(equations[i], m) for i, m in enumerate(row[nunk + 1:]) if not scalars.is_zero(m)]
+        labels = ", ".join(eqn.label for eqn, _ in used)
+        return Infeasible(
+            witness=f"combining the equations for {labels} gives 0 = {scalars.format_scalar(row[nunk])}",
+            equations=tuple(eqn for eqn, _ in used),
+            multipliers=tuple(m for _, m in used),
+        )
+    solution = [Fraction(0)] * nunk
+    for r, col in enumerate(pivots):
+        solution[col] = rows[r][nunk]
+    if rank == nunk:
+        return UniqueSolution(tuple(solution))
+    return Underdetermined(particular=tuple(solution), nullity=nunk - rank)

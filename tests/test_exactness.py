@@ -1,10 +1,13 @@
 import json
+import math
+import random
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
-from oracles import full_scan_report
+from oracles import full_scan_report, scalar_solve_weights, steger_polygon_moment
 from simpson_nd import scalars
 from simpson_nd.errors import DimensionMismatch
 from simpson_nd.exactness import (
@@ -21,7 +24,14 @@ from simpson_nd.exactness import (
     solve_weights,
     sorted_monomials_of_degree,
 )
-from simpson_nd.regions import Cube, Simplex, hexagon_paper, trapezoid_paper
+from simpson_nd.regions import (
+    Cube,
+    Polygon,
+    Simplex,
+    UnitDisc,
+    hexagon_paper,
+    trapezoid_paper,
+)
 from simpson_nd.rules import (
     CubatureRule,
     NodeTable,
@@ -436,3 +446,151 @@ def test_a_closed_rule_with_a_symmetric_defect_is_orbit_scanned():
     assert _scans_orbits(moved)
     report = exactness_degree(moved, 3)
     assert _report_tuple(report) == full_scan_report(moved, 3) == (0, (1, 0), Fraction(-1, 7))
+
+
+def _strict_hull(points):
+    """The counterclockwise convex hull of sorted integer points, with no
+    three consecutive vertices on a line (Andrew's monotone chain)."""
+    def turn(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    lower, upper = [], []
+    for chain, pts in ((lower, points), (upper, reversed(points))):
+        for p in pts:
+            while len(chain) >= 2 and turn(chain[-2], chain[-1], p) <= 0:
+                chain.pop()
+            chain.append(p)
+    return lower[:-1] + upper[:-1]
+
+
+def _conjugable_polygon(rng, d):
+    """Counterclockwise vertices of a convex polygon over Q(sqrt d) whose
+    conjugate is convex too; rational when d is None.
+
+    The strictly convex hull of integer points in [-9, 9]^2 has a nonzero
+    integer cross product at every turn and edges shorter than 26.  Each
+    coordinate then moves by b*sqrt(d) with |b*sqrt(d)| < 1/500, so under
+    either embedding of Q(sqrt d) a turn's cross product moves by less
+    than 1/3 and keeps its sign: both polygons stay convex.  Last, every
+    coordinate is divided by one s in 1..4."""
+    hull = []
+    while len(hull) < 3:
+        hull = _strict_hull(sorted({(rng.randint(-9, 9), rng.randint(-9, 9))
+                                    for _ in range(rng.randint(4, 12))}))
+    s = rng.randint(1, 4)
+    if d is None:
+        return [(Fraction(x, s), Fraction(y, s)) for x, y in hull]
+    # 9 / (4500 (isqrt(d) + 1)) < 1 / (500 sqrt(d))
+    low = 4500 * (math.isqrt(d) + 1)
+
+    def move(c):
+        return scalars.quad(Fraction(c, s), Fraction(rng.randint(-9, 9), s * low), d)
+
+    return [(move(x), move(y)) for x, y in hull]
+
+
+def _fields(outcome, f=lambda x: x):
+    """An outcome's kind and values, f applied to every scalar; the witness
+    text of an Infeasible outcome is left to ``_check_certificate``."""
+    def each(values):
+        return tuple(map(f, values))
+
+    if isinstance(outcome, UniqueSolution):
+        return "unique", each(outcome.values)
+    if isinstance(outcome, Underdetermined):
+        return "underdetermined", each(outcome.particular), outcome.nullity
+    equations = [(e.label, each(e.coefficients), f(e.rhs)) for e in outcome.equations]
+    return "infeasible", equations, each(outcome.multipliers)
+
+
+def _check_certificate(outcome):
+    """An Infeasible outcome's multipliers take its equations to
+    0 = the value its witness names, and that value is not 0."""
+    width = len(outcome.equations[0].coefficients)
+    left, right = [Fraction(0)] * width, Fraction(0)
+    for eqn, mult in zip(outcome.equations, outcome.multipliers):
+        left = [scalars.add(x, scalars.mul(mult, c)) for x, c in zip(left, eqn.coefficients)]
+        right = scalars.add(right, scalars.mul(mult, eqn.rhs))
+    assert all(scalars.is_zero(x) for x in left), outcome
+    assert not scalars.is_zero(right), outcome
+    labels = ", ".join(e.label for e in outcome.equations)
+    assert outcome.witness == (
+        f"combining the equations for {labels} gives 0 = {scalars.format_scalar(right)}"
+    )
+
+
+@pytest.mark.parametrize("d", (2, 3, 3893, 1000003))
+def test_conjugating_a_polygon_conjugates_its_moments_and_weight_solves(d):
+    rng = random.Random(1700 + d)
+    alphas = list(monomials_up_to(2, 6))
+    targets = list(monomials_up_to(2, 2))
+    kinds = Counter()
+    for _ in range(5):
+        polygon = Polygon(_conjugable_polygon(rng, d))
+        image = Polygon([tuple(map(scalars.conj, v)) for v in polygon.vertex_list])
+        assert image.vertex_list == tuple(tuple(map(scalars.conj, v)) for v in polygon.vertex_list)
+        moments = polygon.moments(alphas)
+        assert image.moments(alphas) == tuple(map(scalars.conj, moments))
+        # each embedding's moments are those of its real polygon, in floats
+        for region, values in ((polygon, moments), (image, image.moments(alphas))):
+            real = [tuple(map(scalars.to_float, v)) for v in region.vertex_list]
+            scale = 1 + max(abs(c) for v in real for c in v)
+            for alpha, value in zip(alphas, values):
+                want = steger_polygon_moment(real, *alpha)
+                assert abs(scalars.to_float(value) - want) <= 1e-10 * scale ** (sum(alpha) + 2), alpha
+        centroid = polygon.centroid()
+        assert image.centroid() == tuple(map(scalars.conj, centroid))
+        # the centroid and the first k vertices: fewer unknowns than the six
+        # quadratic targets (infeasible), as many, or more (underdetermined)
+        for k in range(2, len(polygon.vertex_list) + 1):
+            nodes = (centroid,) + polygon.vertex_list[:k]
+            out = solve_weights(polygon, nodes, targets)
+            assert repr(out) == repr(scalar_solve_weights(polygon, nodes, targets))
+            mirrored = solve_weights(image, [tuple(map(scalars.conj, p)) for p in nodes], targets)
+            assert _fields(mirrored) == _fields(out, scalars.conj)
+            if isinstance(out, Infeasible):
+                _check_certificate(out)
+                _check_certificate(mirrored)
+            kinds[type(out).__name__] += 1
+    assert set(kinds) == {"Infeasible", "UniqueSolution", "Underdetermined"}, kinds
+
+
+def _weight_systems():
+    """(name, region, nodes, targets): the centroid plus every vertex (the
+    four axis points on the disc), as ``derive --mode weights`` builds
+    them, on seeded rational and Q(sqrt d) polygons and the named regions."""
+    rng = random.Random(1800)
+    regions = [(f"polygon-{d}-{i}", Polygon(_conjugable_polygon(rng, d)))
+               for d in (None, 2, 3, 3893, 1000003) for i in range(2)]
+    regions += [("disc", UnitDisc()), ("simplex:2", Simplex(2)), ("cube:2", Cube(2)),
+                ("cube:3", Cube(3)), ("trapezoid-paper", trapezoid_paper()),
+                ("hexagon-paper", hexagon_paper())]
+    for name, region in regions:
+        spread = ((1, 0), (0, 1), (-1, 0), (0, -1)) if name == "disc" else region.vertices()
+        nodes = (region.centroid(),) + tuple(spread)
+        for degree in (1, 2, 3, 4):
+            yield name, region, nodes, list(monomials_up_to(region.dimension, degree))
+
+
+def test_solve_weights_matches_the_scalar_rows():
+    kinds = Counter()
+    pi_certificates = 0
+    for name, region, nodes, targets in _weight_systems():
+        out = solve_weights(region, nodes, targets)
+        want = scalar_solve_weights(region, nodes, targets)
+        assert out == want, (name, targets)
+        assert repr(out) == repr(want), (name, targets)
+        kinds[type(out).__name__] += 1
+        if isinstance(out, Infeasible):
+            _check_certificate(out)
+        if name == "disc" and isinstance(out, Infeasible):
+            pi_certificates += 1
+            assert all(isinstance(e.rhs, PiMultiple) for e in out.equations)
+    assert set(kinds) == {"Infeasible", "UniqueSolution", "Underdetermined"}, kinds
+    assert pi_certificates == 1
+    trapezoid = solve_weights(trapezoid_paper(), (trapezoid_paper().centroid(),)
+                              + trapezoid_paper().vertices(), list(monomials_up_to(2, 2)))
+    assert isinstance(trapezoid, Infeasible) and trapezoid.witness.endswith(" gives 0 = -1/80")
+    hexagon = solve_weights(hexagon_paper(), (hexagon_paper().centroid(),)
+                            + hexagon_paper().vertices(), list(monomials_up_to(2, 2)))
+    assert isinstance(hexagon, Underdetermined)

@@ -373,3 +373,34 @@ def test_polygon_moments_ignore_vertex_order_and_orientation():
             other = Polygon(variant)
             for alpha in monomials_up_to(2, 4):
                 assert other.moment(alpha) == base.moment(alpha), (variant, alpha)
+
+
+@pytest.mark.parametrize("d", (None, 2, 3, 3893, 1000003))
+def test_polygon_moment_recurrence_matches_the_closed_forms(d):
+    from oracles import fan_polygon_moment, steger_polygon_moment
+
+    rng = random.Random(20242 + (d or 0))
+    for _ in range(2):
+        vertices = _random_rational_polygon(rng) if d is None else _random_quad_polygon(rng, d)
+        polygon = Polygon(vertices)
+        ccw = list(polygon.vertex_list)
+        expected = {}
+        for alpha in monomials_up_to(2, 8):
+            expected[alpha] = steger_polygon_moment(ccw, *alpha)
+            assert polygon.moment(alpha) == expected[alpha], (vertices, alpha)
+        assert polygon.moments(list(expected)) == tuple(expected.values()), vertices
+        for alpha in monomials_up_to(2, 4):
+            assert expected[alpha] == fan_polygon_moment(vertices, *alpha), (vertices, alpha)
+        # sparse shuffled batches with repeats: the recurrence runs only
+        # over the indices at or below some index of the batch
+        for size in (1, 2, 5, 12):
+            batch = rng.choices(list(expected), k=size)
+            batch += rng.choices(batch, k=2)
+            rng.shuffle(batch)
+            assert polygon.moments(batch) == tuple(expected[a] for a in batch), (vertices, batch)
+        singles = [(12, 0), (0, 12), (6, 6)]
+        for alpha in singles:
+            want = steger_polygon_moment(ccw, *alpha)
+            assert polygon.moment(alpha) == want, (vertices, alpha)
+            assert polygon.moments([alpha, (0, 0), alpha]) == (want, expected[0, 0], want)
+        assert polygon.moments(singles) == tuple(steger_polygon_moment(ccw, *a) for a in singles)

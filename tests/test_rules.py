@@ -18,7 +18,7 @@ from simpson_nd.errors import (
     WorkLimit,
 )
 from simpson_nd.exactness import monomials_of_degree
-from simpson_nd.regions import Cube, Polygon, Simplex, UnitDisc, trapezoid_paper
+from simpson_nd.regions import Cube, Polygon, Simplex, UnitDisc, hexagon_paper, trapezoid_paper
 from simpson_nd.rules import (
     CubatureRule,
     MonomialPoly,
@@ -70,6 +70,30 @@ def test_midpoint_rule_examples():
     d = midpoint_rule(UnitDisc())
     assert d.nodes == ((0, 0),)
     assert d.weights == (PiMultiple(1),)
+
+
+@pytest.mark.parametrize("region", [
+    Simplex(1), Simplex(4), Cube(1), Cube(3), UnitDisc(), trapezoid_paper(), hexagon_paper(),
+    Polygon(_random_rational_polygon(random.Random(62))),
+], ids=["simplex1", "simplex4", "cube1", "cube3", "disc", "trapezoid", "hexagon", "polygon"])
+def test_midpoint_rule_takes_one_moment_batch(monkeypatch, region):
+    batches = []
+    cls = type(region)
+    original = cls.moments
+
+    def counted(self, alphas):
+        batches.append(list(alphas))
+        return original(self, alphas)
+
+    monkeypatch.setattr(cls, "moments", counted)
+    rule = midpoint_rule(region)
+    n = region.dimension
+    assert batches == [[(0,) * n] + [tuple(int(i == k) for i in range(n)) for k in range(n)]]
+    monkeypatch.undo()
+    assert repr(rule.nodes) == repr((region.centroid(),))
+    assert repr(rule.weights) == repr((region.volume(),))
+    if isinstance(region, Polygon):
+        assert vars(region) == {"vertex_list": region.vertex_list}
 
 
 def test_vertex_rule_examples():
