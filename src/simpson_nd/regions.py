@@ -117,10 +117,7 @@ class Cube:
 
     def moment(self, alpha) -> Scalar:
         alpha = _check_index(alpha, self.dimension)
-        result = Fraction(1)
-        for e in alpha:
-            result *= Fraction(1, e + 1)
-        return result
+        return Fraction(1, prod(e + 1 for e in alpha))
 
     def moments(self, alphas) -> tuple[Scalar, ...]:
         return tuple(map(self.moment, alphas))

@@ -264,7 +264,7 @@ def midpoint_rule(region: Region) -> CubatureRule:
     one moment batch of the zero index and the unit vectors."""
     n = region.dimension
     volume, *firsts = region.moments(
-        [(0,) * n] + [tuple(int(i == k) for i in range(n)) for k in range(n)]
+        [(0,) * n] + [(0,) * k + (1,) + (0,) * (n - 1 - k) for k in range(n)]
     )
     centroid = tuple(scalars.div(m, volume) for m in firsts)
     return CubatureRule(region, (centroid,), (volume,), label="midpoint")
