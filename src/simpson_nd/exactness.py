@@ -31,10 +31,10 @@ from .scalars import PiMultiple, Scalar, is_zero
 # targets x nodes values for solve_lambda, and the targets x (nodes + 1 +
 # targets) block [A | b | I] that solve_weights reduces when a system is
 # infeasible.  On one core of a 2-vCPU Xeon, derive on cube:12 with deg1
-# targets (53,261 and 53,443 entries) takes 0.2 s and 0.5 s, and cube:7
-# with deg3 targets in weights mode (30,000 entries) 0.5 s; unchecked, deg2 targets in weights mode
-# (381,199 entries) took 17 s with one scalar operation per entry, and
-# deg3 targets in lambda mode 27 s.
+# targets (53,261 and 53,443 entries) takes 0.2 s in either mode, and
+# cube:7 with deg3 targets in weights mode (30,000 entries) 0.15-0.25 s;
+# unchecked, deg2 targets in weights mode (381,199 entries) took 17 s with
+# one scalar operation per entry, and deg3 targets in lambda mode 27 s.
 MAX_SYSTEM_ENTRIES = 60_000
 
 
