@@ -58,26 +58,10 @@ def triangle_children(v0, v1, v2):
     )
 
 
-# Each shape's cells as affine maps (offset, matrix) of the rule's region,
-# x -> matrix x + offset, in a fixed order: row-major grids, depth-first
-# triangle recursion.  These float cells are the one way a rule is mapped
-# onto a cell.
-
-
-def _interval_cells(level: int):
-    h = 1.0 / 2**level
-    matrix = ((h,),)
-    for i in range(2**level):
-        yield (i * h,), matrix
-
-
-def _square_cells(level: int):
-    k = 2**level
-    h = 1.0 / k
-    matrix = ((h, 0.0), (0.0, h))
-    for j in range(k):
-        for i in range(k):
-            yield (i * h, j * h), matrix
+# The triangle cells as affine maps (offset, matrix) of the rule's region,
+# x -> matrix x + offset, in depth-first order.  These float cells are the
+# one way a rule is mapped onto a triangle; the interval and square
+# kernels walk their grids by index instead (see _grid_source).
 
 
 def _triangle_cells(level: int):
@@ -127,14 +111,28 @@ def _triangle_cells(level: int):
 # Per cell it maps each node through x -> M x + o with the node's float
 # constants, adds w * f(x) in node order, and adds the cell to the
 # compensated sum: the float operations, in the order, of a loop that
-# calls f.  An integrand from expr.as_function is inlined over the locals
-# x0, x1 (a call costs more than the integrand's arithmetic); any other
-# callable is called as _f(x0, x1).  The source holds only float reprs,
-# the fixed names below and the integrand's inline_source text, and runs
-# without builtins.
+# calls f at every node of every cell.  An integrand from
+# expr.as_function is inlined over the locals x0, x1 (a call costs more
+# than the integrand's arithmetic); any other callable is called as
+# _f(x0, x1).  The source holds only float reprs, the fixed names below
+# and the integrand's inline_source text, and runs without builtins.
+#
+# On the interval and the square the kernel walks the row-major grid by
+# index, with o = i h and M = h I, h = 2^-level, and evaluates each node
+# shared by two cells once.  A node p with p[a] == 0.0 whose partner
+# q = p + e_a is also a node (q[a] == 1.0, every other coordinate equal)
+# takes q's value from cell i - e_a: along axis 0 from a local r<n>
+# carried through the row, along axis 1 from a column buffer s<n>, both
+# written at the end of a cell.  The mapped coordinates agree bit for bit,
+# since (i - 1) h + h * 1.0 == i h exactly for dyadic h and i <= 2^20, and
+# the other axes use one expression in both cells.  (M's zero entries are
+# left out: o + 0.0 * p == o, as o is never -0.0.)  In the first column or
+# row p is evaluated in its node-order place, so the points f sees are
+# those of the every-node loop with repeats removed, in the same order,
+# and the first error raised is the same.
 
 
-def _kernel_source(dimension: int, nodes, body: str) -> str:
+def _cells_source(dimension: int, nodes, body: str) -> str:
     axes = range(dimension)
     offset = "".join(f"o{i}, " for i in axes)
     matrix = "".join("(" + "".join(f"m{i}{j}, " for j in axes) + "), " for i in axes)
@@ -150,14 +148,57 @@ def _kernel_source(dimension: int, nodes, body: str) -> str:
             terms = "".join(f" + m{i}{j} * {point[j]!r}" for j in axes)
             lines.append(f"        x{i} = o{i}{terms}")
         lines.append(f"        cell += {weight!r} * ({body})")
-    lines += [
-        "        y = cell * scale - carry",
-        "        t = total + y",
-        "        carry = (t - total) - y",
-        "        total = t",
+    return "\n".join(lines + _sum_lines("        ")) + "\n"
+
+
+def _sum_lines(pad: str) -> list:
+    return [
+        f"{pad}y = cell * scale - carry",
+        f"{pad}t = total + y",
+        f"{pad}carry = (t - total) - y",
+        f"{pad}total = t",
         "    return total",
     ]
-    return "\n".join(lines) + "\n"
+
+
+def _stored(node: int, axis: int) -> str:
+    # where a shared node's value from cell i - e_axis is kept
+    return f"r{node}" if axis == 0 else f"s{node}[i0]"
+
+
+def _grid_source(dimension: int, nodes, body: str) -> str:
+    axes = range(dimension)
+    points = [point for point, _ in nodes]
+    shared = {}  # node -> [(axis, partner)]
+    for n, p in enumerate(points):
+        for a in axes:
+            q = p[:a] + (1.0,) + p[a + 1 :]
+            if p[a] == 0.0 and q in points:
+                shared.setdefault(n, []).append((a, points.index(q)))
+    partners = {q for pairs in shared.values() for _, q in pairs}
+    lines = ["def kernel(k, scale):", "    h = 1.0 / k", "    total = 0.0", "    carry = 0.0"]
+    lines += [f"    s{n} = [0.0] * k" for n, pairs in shared.items() if any(a == 1 for a, _ in pairs)]
+    for a in reversed(axes):
+        pad = "    " * (dimension - a)
+        lines += [f"{pad}for i{a} in _range(k):", f"{pad}    o{a} = i{a} * h"]
+    pad = "    " * (dimension + 1)
+    lines.append(f"{pad}cell = 0.0")
+    for n, point in enumerate(points):
+        mapped = [f"x{i} = o{i} + h * {point[i]!r}" for i in axes]
+        if n in shared:
+            for branch, (a, _) in zip(("if", "elif"), shared[n]):
+                lines += [f"{pad}{branch} i{a}:", f"{pad}    v{n} = {_stored(n, a)}"]
+            lines.append(f"{pad}else:")
+            lines += [f"{pad}    {line}" for line in mapped + [f"v{n} = {body}"]]
+        else:
+            lines += [pad + line for line in mapped]
+            if n in partners:
+                lines.append(f"{pad}v{n} = {body}")
+        value = f"v{n}" if n in shared or n in partners else f"({body})"
+        lines.append(f"{pad}cell += {nodes[n][1]!r} * {value}")
+    for n, pairs in shared.items():
+        lines += [f"{pad}{_stored(n, a)} = v{q}" for a, q in pairs]
+    return "\n".join(lines + _sum_lines(pad)) + "\n"
 
 
 def _compile_kernel(rule: CubatureRule, f: Callable[..., float]):
@@ -171,7 +212,11 @@ def _compile_kernel(rule: CubatureRule, f: Callable[..., float]):
     nodes = [
         (tuple(to_float(c) for c in p), to_float(w)) for p, w in zip(rule.nodes, rule.weights)
     ]
-    source = _kernel_source(dimension, nodes, body)
+    if _on_grid(rule):
+        source = _grid_source(dimension, nodes, body)
+        namespace["_range"] = range
+    else:
+        source = _cells_source(dimension, nodes, body)
     exec(compile(source, "<compound kernel>", "exec"), namespace)
     return namespace["kernel"]
 
@@ -192,14 +237,15 @@ def _kernel(rule: CubatureRule, f: Callable[..., float]):
     return kernel
 
 
-def _cell_shape(rule: CubatureRule):
+def _on_grid(rule: CubatureRule) -> bool:
+    """True on the interval and the square, False on the triangle."""
     region = rule.region
     if isinstance(region, Cube) and region.dimension == 2:
-        return _square_cells
+        return True
     if isinstance(region, (Cube, Simplex)) and region.dimension == 1:
-        return _interval_cells
+        return True
     if isinstance(region, Simplex) and region.dimension == 2:
-        return _triangle_cells
+        return False
     raise UnsupportedRegion(
         "compounding supports the unit interval, the unit square, "
         "and the standard triangle"
@@ -211,7 +257,7 @@ def compound_cells(rule: CubatureRule, level: int) -> int:
     MAX_CELLS before any is built."""
     if level < 0:
         raise ValueError("level must be >= 0")
-    _cell_shape(rule)  # UnsupportedRegion first
+    _on_grid(rule)  # UnsupportedRegion first
     # each of the dim axes is halved level times (a triangle splits in 4);
     # the exponent is compared, so a huge level costs no huge power
     exponent = level * rule.region.dimension
@@ -235,7 +281,11 @@ def compound_apply(
     # |det| of every cell's map: the subdivision is uniform.  It is a power
     # of two, so scaling by it rounds nowhere
     scale = 1.0 / cells
-    total = _kernel(rule, f)(_cell_shape(rule)(level), scale)
+    kernel = _kernel(rule, f)
+    if _on_grid(rule):
+        total = kernel(2**level, scale)
+    else:
+        total = kernel(_triangle_cells(level), scale)
     if not math.isfinite(total):
         raise OverflowError(f"the level-{level} estimate is {total}: a float overflowed")
     return CompoundEstimate(level=level, cells=cells, estimate=total)

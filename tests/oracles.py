@@ -4,7 +4,8 @@ These deliberately avoid the closed-form moment formulas in the package:
 simplex and cube moments come from recursive symbolic iterated
 integration over the region inequalities, determinants from the
 permutation sum, float triangle cells from a stack that holds every
-triangle of the subdivision, disc moments from composite numeric quadrature in
+triangle of the subdivision, interval and square compound sums from a
+call of the integrand at every node of every grid cell, disc moments from composite numeric quadrature in
 polar coordinates and from single-factorial case formulas (not the
 package's double-factorial closed form), polygon moments from a fan triangulation pulled
 back to the unit simplex and from Steger's binomial double sum over the
@@ -249,6 +250,41 @@ def stack_triangle_cells(level: int):
         else:
             (x0, y0), (x1, y1), (x2, y2) = v0, v1, v2
             yield (x0, y0), ((x1 - x0, x2 - x0), (y1 - y0, y2 - y0))
+
+
+def every_node_compound(rule, level: int, f) -> float:
+    """The compensated compound sum of a rule on the interval or the
+    square, with f called at every node of every cell: the cells of the
+    row-major grid as affine maps (o, M), o = i*h and M = h*I, each node
+    mapped through x -> M x + o term by term, zero entries of M included.
+    The float operations, and their order, are those of compound_apply."""
+    k = 2**level
+    h = 1.0 / k
+    nodes = [
+        (tuple(map(scalars.to_float, p)), scalars.to_float(w))
+        for p, w in zip(rule.nodes, rule.weights)
+    ]
+    if rule.region.dimension == 1:
+        cells = [((i * h,), ((h,),)) for i in range(k)]
+    else:
+        matrix = ((h, 0.0), (0.0, h))
+        cells = [((i * h, j * h), matrix) for j in range(k) for i in range(k)]
+    scale = 1.0 / len(cells)
+    total = carry = 0.0
+    for offset, matrix in cells:
+        cell = 0.0
+        for point, weight in nodes:
+            x = []
+            for o, row in zip(offset, matrix):
+                for m, p in zip(row, point):
+                    o = o + m * p
+                x.append(o)
+            cell += weight * f(*x)
+        y = cell * scale - carry
+        t = total + y
+        carry = (t - total) - y
+        total = t
+    return total
 
 
 def walk_eval_float(e, point):

@@ -19,7 +19,13 @@ from simpson_nd.expr import as_function, parse
 from simpson_nd.regions import Simplex
 from simpson_nd.rules import cr1, cr2, cr3, cr4, cr6, named_rule, triangle_midedge
 
-from oracles import random_float_expr, stack_triangle_cells, walk_eval_float, walk_outcome
+from oracles import (
+    every_node_compound,
+    random_float_expr,
+    stack_triangle_cells,
+    walk_eval_float,
+    walk_outcome,
+)
 
 E = math.e
 
@@ -87,16 +93,18 @@ def test_every_catalog_triangle_rule_gives_the_same_bits_on_either_triangle_cell
 
 def test_compound_cell_limit_is_checked_before_any_cell_is_built(monkeypatch):
     def refuse(*args):
-        raise AssertionError("a cell was built past the limit")
+        raise AssertionError("a kernel was built past the limit")
 
-    for shape in ("_interval_cells", "_square_cells", "_triangle_cells"):
-        monkeypatch.setattr(compound, shape, refuse)
+    # every shape's cells are walked by a kernel built here, and the
+    # triangle's come from _triangle_cells besides
+    monkeypatch.setattr(compound, "_compile_kernel", refuse)
+    monkeypatch.setattr(compound, "_triangle_cells", refuse)
     assert MAX_CELLS == 2**20
     for rule, top in ((cr4(), 10), (triangle_midedge(), 10), (cr3(1), 20)):
         assert compound_cells(rule, top) == MAX_CELLS
         with pytest.raises(WorkLimit):
             compound_apply(rule, top + 1, refuse)
-        # the refusing shape is the one this rule's cells come from
+        # a new integrand needs a new kernel, which refuses
         with pytest.raises(AssertionError, match="past the limit"):
             compound_apply(rule, 0, lambda *p: 0.0)
     with pytest.raises(WorkLimit):
@@ -298,3 +306,66 @@ def test_inlined_integrand_matches_a_called_one_through_compound_apply():
     assert {str, (ValueError, "variable z needs dimension >= 3")} <= seen
     assert (ValueError, "variable y needs dimension >= 2") in seen
     assert {t for t, _ in seen - {str}} >= {ValueError, ZeroDivisionError, OverflowError}
+
+
+def _recording(f, points):
+    def record(*point):
+        points.append(tuple(map(float.hex, point)))
+        return f(*point)
+
+    return record
+
+
+def _every_node_outcome(rule, level, f):
+    try:
+        total = every_node_compound(rule, level, f)
+    except Exception as exc:
+        return type(exc), str(exc)
+    if math.isfinite(total):
+        return total.hex()
+    return OverflowError, f"the level-{level} estimate is {total}: a float overflowed"
+
+
+def test_grid_kernels_evaluate_each_shared_node_once():
+    # (rule, level) -> calls: cell centres plus the distinct grid points
+    # on the boundary nodes, against nodes * cells for a call per node
+    calls = {
+        (cr3(1), 3): 8 + 9,
+        (cr1(1), 5): 32 + 33,
+        (cr4(), 3): 64 + 2 * 8 * 9,
+        (cr3(2), 3): 64 + 9 * 9,
+        (cr3(2), 0): 5,
+    }
+    for (rule, level), want in calls.items():
+        points = []
+        compound_apply(rule, level, _recording(lambda *p: 1.0, points))
+        assert len(points) == len(set(points)) == want, (rule.label, level)
+
+
+def test_grid_kernels_match_a_call_at_every_node_of_every_cell():
+    # the estimate, or the error raised, is the every-node loop's, inlined
+    # or called; a called integrand sees that loop's points, repeats
+    # removed, in the order they first come
+    rng = random.Random(1810)
+    seen = set()
+    for rule, names in (
+        (cr1(1), ["x"]),
+        (cr2(1), ["x"]),
+        (cr3(1), ["x"]),
+        (cr4(), ["x", "y"]),
+        (cr3(2), ["x", "y"]),
+    ):
+        # integrands that first fail on the grid lines x = 0, 1/2 and 1
+        trees = [parse(text) for text in ("log(x)", "1/(2*x-1)", "exp(710*x)")]
+        trees += [random_float_expr(rng, rng.randint(1, 4), names) for _ in range(40)]
+        for tree in trees:
+            f = as_function(tree)
+            for level in range(6):
+                every, once = [], []
+                want = _every_node_outcome(rule, level, _recording(f, every))
+                assert _full_outcome(rule, level, f) == want, (rule.label, level, f)
+                assert _full_outcome(rule, level, _recording(f, once)) == want
+                assert once == list(dict.fromkeys(every)), (rule.label, level, f)
+                seen.add(want if isinstance(want, tuple) else str)
+    assert {t for t, _ in seen - {str}} >= {ValueError, ZeroDivisionError, OverflowError}
+    assert str in seen

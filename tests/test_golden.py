@@ -3,7 +3,9 @@ files but one were recorded before the residual systems were generated
 from node parameterizations and the elimination loops were merged; the
 ``compound`` files before the integrand was compiled and the cell
 shapes were folded into one affine-cell loop (``compound_cr1_triangle``
-before the cell loop and the integrand were compiled into one kernel); the ``catalog``,
+before the cell loop and the integrand were compiled into one kernel,
+``compound_cr3_square``, whose vertex nodes are shared by four cells,
+before the grid kernels evaluated each shared node once); the ``catalog``,
 ``moments`` and ``derive_hexagon`` files before the ``Quad`` and
 ``PiMultiple`` operators took over their own arithmetic;
 ``family_square_param`` before the claim suite read each rule's
@@ -53,6 +55,9 @@ COMPOUND_CASES = {
     # the centroid (1/3, 1/3) is not dyadic, so its mapped coordinates round
     "compound_cr1_triangle": (
         "--rule", "CR1", "--dim", "2", "--expr", "exp(x)*cos(2*y)+sin(x*y)", "--levels", "1:4"),
+    # the vertex nodes are shared by the cells at a grid corner
+    "compound_cr3_square": (
+        "--rule", "CR3", "--dim", "2", "--expr", "exp(x*y)+x^5", "--levels", "1:5"),
 }
 
 FIELD_CASES = {
