@@ -8,7 +8,11 @@ so results are reproducible bit for bit.  The loop over the cells is one
 Python function generated and compiled per rule and integrand, with the
 nodes as float constants and an integrand from expr.as_function inlined;
 it does the float operations, in the same order, of a loop that maps
-each node and calls the integrand.
+each node of each cell and calls the integrand.  On the interval and
+the square a grid node shared by neighbouring cells is evaluated once,
+in the first cell that has it, and its value reused: its mapped
+coordinates are the same floats in every cell, so every estimate keeps
+its bits.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from .rules import CubatureRule
 from .scalars import to_float
 
 # The most cells one compound_apply call builds: 2^20 cells take about
-# 2-2.5 s on CR4 and 1.5-2 s on the triangle midedge rule (building the
+# 1.2-1.4 s on CR4 and 1.5-2 s on the triangle midedge rule (building the
 # triangle cells is about 0.4 s of that) for a three-function integrand on
 # one core of a 2-vCPU Xeon.
 MAX_CELLS = 2**20
@@ -115,13 +119,14 @@ def _triangle_cells(level: int):
 # expr.as_function is inlined over the locals x0, x1 (a call costs more
 # than the integrand's arithmetic); any other callable is called as
 # _f(x0, x1).  The source holds only float reprs, the fixed names below
-# and the integrand's inline_source text, and runs without builtins.
+# and the integrand's inline_source text, and runs without builtins (the
+# grid kernels get range as _range).
 #
 # On the interval and the square the kernel walks the row-major grid by
 # index, with o = i h and M = h I, h = 2^-level, and evaluates each node
-# shared by two cells once.  A node p with p[a] == 0.0 whose partner
-# q = p + e_a is also a node (q[a] == 1.0, every other coordinate equal)
-# takes q's value from cell i - e_a: along axis 0 from a local r<n>
+# shared by neighbouring cells once.  A node p with p[a] == 0.0 whose
+# partner q = p + e_a is also a node (q[a] == 1.0, every other coordinate
+# equal) takes q's value from cell i - e_a: along axis 0 from a local r<n>
 # carried through the row, along axis 1 from a column buffer s<n>, both
 # written at the end of a cell.  The mapped coordinates agree bit for bit,
 # since (i - 1) h + h * 1.0 == i h exactly for dyadic h and i <= 2^20, and
@@ -148,10 +153,10 @@ def _cells_source(dimension: int, nodes, body: str) -> str:
             terms = "".join(f" + m{i}{j} * {point[j]!r}" for j in axes)
             lines.append(f"        x{i} = o{i}{terms}")
         lines.append(f"        cell += {weight!r} * ({body})")
-    return "\n".join(lines + _sum_lines("        ")) + "\n"
+    return "\n".join(lines + _tail("        ")) + "\n"
 
 
-def _sum_lines(pad: str) -> list:
+def _tail(pad: str) -> list:
     return [
         f"{pad}y = cell * scale - carry",
         f"{pad}t = total + y",
@@ -177,28 +182,29 @@ def _grid_source(dimension: int, nodes, body: str) -> str:
                 shared.setdefault(n, []).append((a, points.index(q)))
     partners = {q for pairs in shared.values() for _, q in pairs}
     lines = ["def kernel(k, scale):", "    h = 1.0 / k", "    total = 0.0", "    carry = 0.0"]
-    lines += [f"    s{n} = [0.0] * k" for n, pairs in shared.items() if any(a == 1 for a, _ in pairs)]
+    columns = [n for n, pairs in shared.items() if any(a == 1 for a, _ in pairs)]
+    lines += [f"    s{n} = [0.0] * k" for n in columns]
     for a in reversed(axes):
         pad = "    " * (dimension - a)
         lines += [f"{pad}for i{a} in _range(k):", f"{pad}    o{a} = i{a} * h"]
     pad = "    " * (dimension + 1)
     lines.append(f"{pad}cell = 0.0")
-    for n, point in enumerate(points):
-        mapped = [f"x{i} = o{i} + h * {point[i]!r}" for i in axes]
+    for n, (point, weight) in enumerate(nodes):
+        named = n in shared or n in partners
+        value = f"v{n}" if named else f"({body})"
+        evaluate = [f"x{i} = o{i} + h * {point[i]!r}" for i in axes]
+        evaluate += [f"v{n} = {body}"] if named else []
         if n in shared:
             for branch, (a, _) in zip(("if", "elif"), shared[n]):
                 lines += [f"{pad}{branch} i{a}:", f"{pad}    v{n} = {_stored(n, a)}"]
             lines.append(f"{pad}else:")
-            lines += [f"{pad}    {line}" for line in mapped + [f"v{n} = {body}"]]
+            lines += [f"{pad}    {line}" for line in evaluate]
         else:
-            lines += [pad + line for line in mapped]
-            if n in partners:
-                lines.append(f"{pad}v{n} = {body}")
-        value = f"v{n}" if n in shared or n in partners else f"({body})"
-        lines.append(f"{pad}cell += {nodes[n][1]!r} * {value}")
+            lines += [pad + line for line in evaluate]
+        lines.append(f"{pad}cell += {weight!r} * {value}")
     for n, pairs in shared.items():
         lines += [f"{pad}{_stored(n, a)} = v{q}" for a, q in pairs]
-    return "\n".join(lines + _sum_lines(pad)) + "\n"
+    return "\n".join(lines + _tail(pad)) + "\n"
 
 
 def _compile_kernel(rule: CubatureRule, f: Callable[..., float]):
@@ -223,7 +229,7 @@ def _compile_kernel(rule: CubatureRule, f: Callable[..., float]):
 
 # The one kernel kept, as (integrand, rule, kernel).  The CLI calls
 # compound_apply once per level with one integrand and one rule, so a
-# request compiles one kernel (about 0.4 ms for CR4), and nothing is kept
+# request compiles one kernel (about 0.4-0.5 ms for CR4), and nothing is kept
 # once the next request starts.
 _last_kernel = (None, None, None)
 

@@ -5,17 +5,18 @@ simplex and cube moments come from recursive symbolic iterated
 integration over the region inequalities, determinants from the
 permutation sum, float triangle cells from a stack that holds every
 triangle of the subdivision, interval and square compound sums from a
-call of the integrand at every node of every grid cell, disc moments from composite numeric quadrature in
-polar coordinates and from single-factorial case formulas (not the
-package's double-factorial closed form), polygon moments from a fan triangulation pulled
-back to the unit simplex and from Steger's binomial double sum over the
-edges, integrand values from a recursive walk of
-the expression tree, a + b*sqrt(d) arithmetic from the componentwise
-field formulas, float rule sums from the node and weight lists, and
-exact rule sums and exactness reports node by node over every monomial,
-reduced row echelon forms by Gauss-Jordan elimination with one scalar
-operation per entry, and weight solves from rows of ``monomial_value``
-scalars reduced by that elimination.
+call of the integrand at every node of every grid cell, disc moments
+from composite numeric quadrature in polar coordinates and from
+single-factorial case formulas (not the package's double-factorial
+closed form), polygon moments from a fan triangulation pulled back to
+the unit simplex and from Steger's binomial double sum over the edges,
+integrand values from a recursive walk of the expression tree, a +
+b*sqrt(d) arithmetic from the componentwise field formulas, float rule
+sums from the node and weight lists, and exact rule sums and exactness
+reports node by node over every monomial, reduced row echelon forms by
+Gauss-Jordan elimination with one scalar operation per entry, and weight
+solves from rows of ``monomial_value`` scalars reduced by that
+elimination.
 """
 
 from __future__ import annotations
