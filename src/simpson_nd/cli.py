@@ -308,7 +308,7 @@ def _outcome_payload(outcome) -> dict:
 def _spread_nodes(region: Region):
     """The vertex set, or the four axis points for the vertex-free disc."""
     if isinstance(region, UnitDisc):
-        return ((1, 0), (0, 1), (-1, 0), (0, -1))
+        return rules.DISC_AXIS_POINTS
     return tuple(region.vertices())
 
 
@@ -405,12 +405,23 @@ def _residual_report(args, name: str, res, extra: dict | None = None,
     return 0
 
 
+# family --point: each system's parameter count, lambda included, and its residuals,
+# looked up on each call so that benchmarks/tracing.py's wrappers are seen
+_POINT_SYSTEMS = {
+    "triangle": (4, lambda *v: families.triangle_system(*v)),
+    "square": (5, lambda *v: families.square_system(*v)),
+    "trapezoid": (5, lambda *v: families.trapezoid_system(*v)),
+    "simplex3": (9, lambda *v: families.simplex3_face_system(v[:8], v[8])),
+}
+
+
 def _cmd_family(args) -> int:
     system = args.system
+    # --point wins over every other option but simplex3's --vertex-search
+    if args.point and not (system == "simplex3" and args.vertex_search):
+        count, residuals = _POINT_SYSTEMS[system]
+        return _residual_report(args, system, residuals(*_values(args.point, count)))
     if system == "triangle":
-        if args.point:
-            a, b, c, lam = _values(args.point, 4)
-            return _residual_report(args, system, families.triangle_system(a, b, c, lam))
         c = _fraction(args.param if args.param is not None else "1/2")
         ok, res = families.verify_triangle_family(c)
         member = families.triangle_family_member(c)
@@ -431,9 +442,6 @@ def _cmd_family(args) -> int:
             ],
         )
     if system == "square":
-        if args.point:
-            a, b, c, d, lam = _values(args.point, 5)
-            return _residual_report(args, system, families.square_system(a, b, c, d, lam))
         d = _fraction(args.param if args.param is not None else "1/2")
         ok, res = families.verify_square_family(d)
         member = families.square_family_member(d)
@@ -450,9 +458,6 @@ def _cmd_family(args) -> int:
             ],
         )
     if system == "trapezoid":
-        if args.point:
-            a, b, c, d, lam = _values(args.point, 5)
-            return _residual_report(args, system, families.trapezoid_system(a, b, c, d, lam))
         conjugate = args.branch == "conjugate"
         a, b, c, d, lam = families.trapezoid_family_member(conjugate)
         res = families.trapezoid_system(a, b, c, d, lam)
@@ -486,11 +491,6 @@ def _cmd_family(args) -> int:
         lines += ["  (" + ", ".join(str(v) for v in sol) + ")" for sol in solutions]
         _emit(args.format, payload, (["solution", "parameters"], rows), lines)
         return 0
-    if args.point:
-        vals = _values(args.point, 9)
-        return _residual_report(
-            args, "simplex3", families.simplex3_face_system(vals[:8], vals[8])
-        )
     third = Fraction(1, 3)
     res = families.simplex3_face_system((third,) * 8, Fraction(-4, 5))
     return _residual_report(

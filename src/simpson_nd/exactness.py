@@ -22,7 +22,7 @@ from math import factorial, lcm, prod
 from typing import Iterator, Optional, Union
 
 from . import scalars
-from .errors import DimensionMismatch, IncompatibleScalars, RegionMismatch
+from .errors import DimensionMismatch, IncompatibleScalars, RegionMismatch, WorkLimit
 from .regions import Cube, MultiIndex, Region, Simplex
 from .rules import CubatureRule, NodeTable, node_sum
 from .scalars import PiMultiple, Scalar, is_zero
@@ -36,6 +36,15 @@ from .scalars import PiMultiple, Scalar, is_zero
 # unchecked, deg2 targets in weights mode (381,199 entries) took 17 s with
 # one scalar operation per entry, and deg3 targets in lambda mode 27 s.
 MAX_SYSTEM_ENTRIES = 60_000
+
+# Most bits of a weight system's largest row denominator, the lcm of
+# D^|alpha| (D the nodes' common denominator) and the moment's; checked
+# before elimination.  On one core of a 2-vCPU Xeon, deg3 targets on 4-16
+# vertices over Q(sqrt 3893) take 0.01-0.12 s with the sqrt parts over one
+# 6-digit denominator (about 420 bits) and 0.12-0.26 s over distinct 2- and
+# 3-digit ones (540-890 bits); over distinct 6-digit ones, 8 vertices (2,718
+# bits) took 2.3 s.  A rational 100-gon, deg4 targets, takes 1.3 s at 690 bits.
+MAX_DENOMINATOR_BITS = 768
 
 
 def monomials_of_degree(nvars: int, degree: int) -> Iterator[MultiIndex]:
@@ -406,7 +415,8 @@ def solve_weights(region: Region, nodes, targets) -> LinearSolveOutcome:
     ``_eliminate`` as ints or Z[sqrt d] pairs; no entry is a scalar until
     the reduced rows come back.  An inconsistent system yields an
     Infeasible value whose multipliers combine the cited equations into
-    0 == nonzero.
+    0 == nonzero.  A row denominator above MAX_DENOMINATOR_BITS raises
+    WorkLimit before elimination.
     """
     nodes = tuple(tuple(scalars.as_scalar(c) for c in p) for p in nodes)
     targets = [tuple(int(e) for e in alpha) for alpha in targets]
@@ -433,6 +443,9 @@ def solve_weights(region: Region, nodes, targets) -> LinearSolveOutcome:
         view.append([scalars.view_times(x, lift(scale // q), d) for x in terms]
                     + [scalars.view_times(b, lift(scale // den), d)])
         entries.append((terms, q))
+    if (bits := max(scales, default=1).bit_length()) > MAX_DENOMINATOR_BITS:
+        raise WorkLimit(f"the weight system's rows need a common denominator of {bits} bits; "
+                        f"the limit is {MAX_DENOMINATOR_BITS}")
     pi_columns = {nunk} if pi else set()
     pivots, _, rows = _eliminate([list(row) for row in view], list(scales), nunk, d, pi_columns)
     rank = len(pivots)

@@ -13,7 +13,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
-from typing import Union
 
 from . import scalars
 from .errors import DimensionMismatch, NoVertices, WorkLimit
@@ -39,8 +38,35 @@ def _as_point(p) -> Point:
     return tuple(as_scalar(c) for c in p)
 
 
+class Region:
+    """Base of the four regions.  Each region supplies ``moment`` (and a
+    batch ``moments`` when it has a faster one); volume and centroid, the
+    A(D) and P of the paper's M(f) = A(D) f(P), are its zero and first
+    moments, asked for here in one batch."""
+
+    __slots__ = ()
+
+    def moments(self, alphas) -> tuple[Scalar, ...]:
+        return tuple(map(self.moment, alphas))
+
+    def volume(self) -> Scalar:
+        return self.moment((0,) * self.dimension)
+
+    def mass(self) -> tuple[Scalar, Point]:
+        """(volume, centroid) from one batch of the zero index and the
+        unit vectors."""
+        n = self.dimension
+        volume, *firsts = self.moments(
+            [(0,) * n] + [(0,) * k + (1,) + (0,) * (n - 1 - k) for k in range(n)]
+        )
+        return volume, tuple(scalars.div(m, volume) for m in firsts)
+
+    def centroid(self) -> Point:
+        return self.mass()[1]
+
+
 @dataclass(frozen=True)
-class Simplex:
+class Simplex(Region):
     """Standard n-simplex: x_i >= 0, sum x_i <= 1."""
 
     dimension: int
@@ -48,13 +74,6 @@ class Simplex:
     def __post_init__(self):
         if self.dimension < 1:
             raise ValueError("simplex dimension must be >= 1")
-
-    def volume(self) -> Scalar:
-        return Fraction(1, factorial(self.dimension))
-
-    def centroid(self) -> Point:
-        n = self.dimension
-        return tuple(Fraction(1, n + 1) for _ in range(n))
 
     def vertices(self) -> tuple[Point, ...]:
         n = self.dimension
@@ -71,9 +90,6 @@ class Simplex:
         for e in alpha:
             num *= factorial(e)
         return Fraction(num, factorial(self.dimension + sum(alpha)))
-
-    def moments(self, alphas) -> tuple[Scalar, ...]:
-        return tuple(map(self.moment, alphas))
 
     def contains(self, point: Point) -> bool:
         if any(sign(c) < 0 for c in point):
@@ -93,7 +109,7 @@ class Simplex:
 
 
 @dataclass(frozen=True)
-class Cube:
+class Cube(Region):
     """Unit n-cube [0,1]^n."""
 
     dimension: int
@@ -101,12 +117,6 @@ class Cube:
     def __post_init__(self):
         if self.dimension < 1:
             raise ValueError("cube dimension must be >= 1")
-
-    def volume(self) -> Scalar:
-        return Fraction(1)
-
-    def centroid(self) -> Point:
-        return tuple(Fraction(1, 2) for _ in range(self.dimension))
 
     def vertices(self) -> tuple[Point, ...]:
         # lexicographic over {0,1}^n with the leftmost coordinate most significant
@@ -118,9 +128,6 @@ class Cube:
     def moment(self, alpha) -> Scalar:
         alpha = _check_index(alpha, self.dimension)
         return Fraction(1, prod(e + 1 for e in alpha))
-
-    def moments(self, alphas) -> tuple[Scalar, ...]:
-        return tuple(map(self.moment, alphas))
 
     def contains(self, point: Point) -> bool:
         return all(sign(c) >= 0 and scalars.le(c, Fraction(1)) for c in point)
@@ -207,7 +214,7 @@ MAX_POLYGON_VERTICES = 100
 
 
 @dataclass(frozen=True)
-class Polygon:
+class Polygon(Region):
     """Simple planar polygon with rational or a + b*sqrt(d) coordinates,
     one radicand d per polygon.
 
@@ -347,13 +354,6 @@ class Polygon:
             a_above, h_above = a_row, h_row
         return tuple(totals[alpha] for alpha in alphas)
 
-    def volume(self) -> Scalar:
-        return self.moment((0, 0))
-
-    def centroid(self) -> Point:
-        area, mx, my = self.moments(((0, 0), (1, 0), (0, 1)))
-        return scalars.div(mx, area), scalars.div(my, area)
-
     def _view_with(self, point):
         """The integer view of the vertices and the query point together:
         (d, vertex rows, point row)."""
@@ -393,18 +393,12 @@ def _double_factorial(k: int) -> int:
 
 
 @dataclass(frozen=True)
-class UnitDisc:
+class UnitDisc(Region):
     """Closed unit disc in the plane; all moments are pi multiples."""
 
     @property
     def dimension(self) -> int:
         return 2
-
-    def volume(self) -> Scalar:
-        return PiMultiple(1)
-
-    def centroid(self) -> Point:
-        return (Fraction(0), Fraction(0))
 
     def vertices(self):
         raise NoVertices("the unit disc has no vertices")
@@ -419,9 +413,6 @@ class UnitDisc:
                      (m + n + 2) * _double_factorial(m + n))
         )
 
-    def moments(self, alphas) -> tuple[Scalar, ...]:
-        return tuple(map(self.moment, alphas))
-
     def contains(self, point: Point) -> bool:
         x, y = _as_point(point)
         rr = scalars.add(scalars.mul(x, x), scalars.mul(y, y))
@@ -433,15 +424,14 @@ class UnitDisc:
         return scalars.eq(rr, Fraction(1))
 
 
-Region = Union[Simplex, Cube, Polygon, UnitDisc]
-
-
 def integrate_terms(region: Region, terms) -> Scalar:
     """Exact integral over the region of the polynomial given as
-    (exponent tuple, coefficient) pairs: the sum of coeff * moment."""
+    (exponent tuple, coefficient) pairs: the sum of coeff * moment, with
+    every moment from one batch."""
+    terms = list(terms)
     total: Scalar = Fraction(0)
-    for alpha, coeff in terms:
-        total = scalars.add(total, scalars.mul(coeff, region.moment(alpha)))
+    for (_, coeff), moment in zip(terms, region.moments([alpha for alpha, _ in terms])):
+        total = scalars.add(total, scalars.mul(coeff, moment))
     return total
 
 

@@ -260,13 +260,8 @@ class CubatureRule:
 
 
 def midpoint_rule(region: Region) -> CubatureRule:
-    """Single node at the center of mass, weighted by the region volume:
-    one moment batch of the zero index and the unit vectors."""
-    n = region.dimension
-    volume, *firsts = region.moments(
-        [(0,) * n] + [(0,) * k + (1,) + (0,) * (n - 1 - k) for k in range(n)]
-    )
-    centroid = tuple(scalars.div(m, volume) for m in firsts)
+    """Single node at the center of mass, weighted by the region volume."""
+    volume, centroid = region.mass()
     return CubatureRule(region, (centroid,), (volume,), label="midpoint")
 
 
@@ -421,15 +416,15 @@ def cr5_conjugate() -> CubatureRule:
     return _cr5(conjugate=True, label="CR5*")
 
 
+# CR6's boundary nodes, and derive's spread nodes on the vertex-free disc
+DISC_AXIS_POINTS = tuple((Fraction(x), Fraction(y)) for x, y in ((1, 0), (0, 1), (-1, 0), (0, -1)))
+
+
 def cr6() -> CubatureRule:
     """Unit-disc rule pi/2 f(0,0) + pi/8 (f(1,0)+f(0,1)+f(-1,0)+f(0,-1));
     exact for every cubic."""
     region = UnitDisc()
-    one = Fraction(1)
-    zero = Fraction(0)
-    circle = boundary_rule(
-        region, ((one, zero), (zero, one), (-one, zero), (zero, -one))
-    )
+    circle = boundary_rule(region, DISC_AXIS_POINTS)
     return blend(Fraction(1, 2), midpoint_rule(region), circle, label="CR6")
 
 

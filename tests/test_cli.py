@@ -373,6 +373,33 @@ def test_family_point_with_a_negative_first_value(capsys):
     assert residuals["xy"] == {"rat": ["-89", "648"]}
 
 
+def test_family_point_precedence(capsys):
+    """--point wins over --param, --branch and a stray --vertex-search, except
+    that simplex3's --vertex-search wins over --point."""
+    point = {
+        "triangle": ("--point=2,0,0,1", "--param", "1/3"),
+        "square": ("--point=1/3,2,0,1/2,1/2", "--param", "1/3"),
+        "trapezoid": ("--point=0,0,0,0,1", "--branch", "conjugate"),
+    }
+    for system, (given, *other) in point.items():
+        expected = run_cli(capsys, "--format", "json", "family", system, given)
+        for extra in (other, ["--vertex-search"]):
+            assert run_cli(capsys, "--format", "json", "family", system, given, *extra) == expected
+            assert run_cli(capsys, "--format", "json", "family", system, *extra, given) == expected
+    simplex3 = "--point=1/2,1/3,2,1/5,0,3/4,1/7,2/7,3/5"
+    search = run_cli(capsys, "--format", "json", "family", "simplex3", "--vertex-search")
+    assert json.loads(search[1])["vertex_search"] is True
+    for argv in ((simplex3, "--vertex-search"), ("--vertex-search", simplex3)):
+        assert run_cli(capsys, "--format", "json", "family", "simplex3", *argv) == search
+    residuals = run_cli(capsys, "--format", "json", "family", "simplex3", simplex3)
+    assert json.loads(residuals[1])["residuals"][0]["equation"] == "x"
+    # the arity check names each system's count
+    for system, count in (("triangle", 4), ("square", 5), ("trapezoid", 5), ("simplex3", 9)):
+        code, out, err = run_cli(capsys, "family", system, "--point", "1,2")
+        assert (code, out) == (1, "")
+        assert f"expected {count} comma-separated rationals, got '1,2'" in err
+
+
 @pytest.mark.parametrize(
     "integrand, message",
     [
@@ -625,6 +652,44 @@ def test_table_system_and_polygon_limits_refuse_before_any_work(
     assert code == 1
     assert out == ""
     assert message in err
+
+
+def _q3893_octagon(denominator):
+    """_circle_polygon(8) with coordinate i moved by (1 + i % 9) /
+    denominator(i) * sqrt(3893), under 0.01: still convex."""
+    def quad(c, i):
+        b = [str(1 + i % 9), str(denominator(i))]
+        return {"quad": {"a": c["rat"], "b": b, "rad": 3893}}
+
+    vertices = _circle_polygon(8)["polygon"]
+    return {"polygon": [[quad(x, 2 * i), quad(y, 2 * i + 1)] for i, (x, y) in enumerate(vertices)]}
+
+
+def test_weight_rows_over_many_denominators_are_refused_before_elimination(
+    tmp_path, capsys, monkeypatch
+):
+    from simpson_nd import exactness
+
+    argv = ("--format", "json", "derive", "--mode", "weights", "--targets", "deg3",
+            "--region-file")
+    shared = tmp_path / "shared.json"
+    shared.write_text(json.dumps(_q3893_octagon(lambda i: 100003)))
+    code, out, _ = run_cli(capsys, *argv, str(shared))
+    assert code == 0
+    assert json.loads(out)["outcome"] == "infeasible"
+
+    def refuse(*args):
+        raise AssertionError("elimination started past the denominator limit")
+
+    # distinct 6-digit denominators: rows of 2,465 bits, 1.2-2.3 s unchecked
+    monkeypatch.setattr(exactness, "_eliminate", refuse)
+    distinct = tmp_path / "distinct.json"
+    distinct.write_text(json.dumps(_q3893_octagon(lambda i: 100003 + 10 * i)))
+    code, out, err = run_cli(capsys, *argv, str(distinct))
+    assert code == 1
+    assert out == ""
+    assert err == ("error: the weight system's rows need a common denominator of 2465 bits; "
+                   f"the limit is {exactness.MAX_DENOMINATOR_BITS}\n")
 
 
 class _Reached(Exception):

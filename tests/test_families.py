@@ -5,7 +5,7 @@ from math import factorial
 import pytest
 
 from oracles import permutation_det
-from simpson_nd import scalars
+from simpson_nd import families, scalars
 from simpson_nd.errors import DimensionMismatch, SingularInterpolation, WorkLimit
 from simpson_nd.exactness import residual
 from simpson_nd.families import (
@@ -32,7 +32,7 @@ from simpson_nd.families import (
     verify_square_family,
     verify_triangle_family,
 )
-from simpson_nd.regions import Cube, Simplex, trapezoid_paper
+from simpson_nd.regions import Cube, Polygon, Simplex, trapezoid_paper
 from simpson_nd.rules import (
     blend,
     boundary_rule,
@@ -241,6 +241,28 @@ def test_trapezoid_system_matches_rule_residuals():
         res = trapezoid_system(a, b, c, d, lam)
         for name, alpha in zip(res.names, targets):
             assert scalars.eq(res.as_dict()[name], residual(rule, alpha)), name
+
+
+def test_a_blend_system_asks_its_region_twice(monkeypatch):
+    """mass() and the targets: two moment batches for a fresh system's
+    constants, none after."""
+    calls = []
+    original = Polygon.moments
+
+    def counted(self, alphas):
+        calls.append(list(alphas))
+        return original(self, alphas)
+
+    monkeypatch.setattr(Polygon, "moments", counted)
+    template = families._TRAPEZOID
+    system = families.BlendSystem(
+        template.make_region, template.place, list(zip(template.names, template.alphas))
+    )
+    member = trapezoid_family_member()
+    assert system.residuals(member[:4], member[4]).all_zero
+    assert calls == [[(0, 0), (1, 0), (0, 1)], list(template.alphas)]
+    system.residuals((0, 0, 0, 0), 1)
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------- simplex3

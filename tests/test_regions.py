@@ -18,13 +18,16 @@ from simpson_nd.exactness import monomials_up_to
 from simpson_nd.regions import (
     Cube,
     Polygon,
+    Region,
     Simplex,
     UnitDisc,
     hexagon_paper,
+    integrate_terms,
     region_from_json,
     region_to_json,
     trapezoid_paper,
 )
+from simpson_nd.rules import midpoint_rule
 from simpson_nd.scalars import PiMultiple, quad, to_float
 
 
@@ -47,6 +50,61 @@ def test_centroids():
     assert hexagon_paper().centroid() == (0, 0)
     assert Cube(3).centroid() == (Fraction(1, 2),) * 3
     assert UnitDisc().centroid() == (0, 0)
+
+
+def _closed_forms():
+    """(region, volume, centroid) as each region wrote them before volume
+    and centroid came from its moments."""
+    for n in range(1, 13):
+        yield Simplex(n), Fraction(1, math.factorial(n)), (Fraction(1, n + 1),) * n
+        yield Cube(n), Fraction(1), (Fraction(1, 2),) * n
+    yield UnitDisc(), PiMultiple(1), (Fraction(0), Fraction(0))
+    yield trapezoid_paper(), Fraction(3, 2), (Fraction(5, 9), Fraction(7, 9))
+    yield hexagon_paper(), quad(4, 2, 3), (Fraction(0), Fraction(0))
+
+
+def test_volume_centroid_and_midpoint_keep_their_closed_form_reprs():
+    for region, volume, centroid in _closed_forms():
+        rule = midpoint_rule(region)
+        assert repr(region.volume()) == repr(volume), region
+        assert repr(region.centroid()) == repr(centroid), region
+        assert repr(region.mass()) == repr((volume, centroid)), region
+        assert repr(rule.nodes) == repr((centroid,)), region
+        assert repr(rule.weights) == repr((volume,)), region
+
+
+def test_regions_share_one_base():
+    # benchmarks/tracing.py wraps moment and contains through Class.__dict__
+    for cls in (Simplex, Cube, Polygon, UnitDisc):
+        assert issubclass(cls, Region)
+        assert {"moment", "contains"} <= set(vars(cls)), cls
+        assert not {"volume", "centroid"} & set(vars(cls)), cls
+    assert {"moments", "__init__"} <= set(vars(Polygon))
+    assert not any("moments" in vars(cls) for cls in (Simplex, Cube, UnitDisc))
+    assert Region.__slots__ == ()
+    polygon = trapezoid_paper()
+    polygon.mass()
+    assert vars(polygon) == {"vertex_list": polygon.vertex_list}
+
+
+def test_integrate_terms_asks_for_one_moment_batch(monkeypatch):
+    calls = []
+    original = Polygon.moments
+
+    def counted(self, alphas):
+        calls.append(list(alphas))
+        return original(self, alphas)
+
+    polygon = hexagon_paper()
+    terms = [((2, 0), Fraction(3)), ((0, 0), Fraction(-1, 2)), ((1, 3), Fraction(5)),
+             ((0, 4), Fraction(7, 3))]
+    expected = Fraction(0)
+    for alpha, coeff in terms:
+        expected = scalars.add(expected, scalars.mul(coeff, polygon.moment(alpha)))
+    monkeypatch.setattr(Polygon, "moments", counted)
+    assert integrate_terms(polygon, iter(terms)) == expected
+    assert calls == [[alpha for alpha, _ in terms]]
+    assert integrate_terms(polygon, []) == 0
 
 
 def test_simplex_moment_facts():
