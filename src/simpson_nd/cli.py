@@ -346,7 +346,8 @@ def _cmd_derive(args) -> int:
         )
         unknowns = ["lambda"]
     else:
-        nodes = (region.centroid(),) + _spread_nodes(region)
+        # the centroid through midpoint_rule, whose membership check lambda mode shares
+        nodes = rules.midpoint_rule(region).nodes + _spread_nodes(region)
         outcome = exactness.solve_weights(region, nodes, targets)
         unknowns = [f"w{i + 1}" for i in range(len(nodes))]
     payload = {

@@ -46,6 +46,15 @@ MAX_SYSTEM_ENTRIES = 60_000
 # bits) took 2.3 s.  A rational 100-gon, deg4 targets, takes 1.3 s at 690 bits.
 MAX_DENOMINATOR_BITS = 768
 
+# Most word operations a weight solve's elimination is estimated to take,
+# checked before it starts: k Bareiss steps over the [A | b | I] block, each
+# entry a minor of up to k rows of b bits, so rows x (nodes + 1 + rows) x k x
+# w^2, for k = min(rows, nodes), w = 1 + k b / 64 and b the bits of the
+# largest scaled row entry, and 8 times that over Z[sqrt d].  On one core of a
+# 2-vCPU Xeon, 1e9 takes 0.4-1.1 s over Z and 0.5-1.1 s over Z[sqrt d]; a
+# 40-gon with integer coordinates up to 3,000 and deg8 targets, 6.9e9, took 7.6 s.
+MAX_ELIMINATION_WORK = 2 * 10**9
+
 
 def monomials_of_degree(nvars: int, degree: int) -> Iterator[MultiIndex]:
     """Exponent tuples of one total degree, in descending lexicographic order."""
@@ -415,8 +424,8 @@ def solve_weights(region: Region, nodes, targets) -> LinearSolveOutcome:
     ``_eliminate`` as ints or Z[sqrt d] pairs; no entry is a scalar until
     the reduced rows come back.  An inconsistent system yields an
     Infeasible value whose multipliers combine the cited equations into
-    0 == nonzero.  A row denominator above MAX_DENOMINATOR_BITS raises
-    WorkLimit before elimination.
+    0 == nonzero.  Rows past MAX_DENOMINATOR_BITS or MAX_ELIMINATION_WORK
+    raise WorkLimit before elimination.
     """
     nodes = tuple(tuple(scalars.as_scalar(c) for c in p) for p in nodes)
     targets = [tuple(int(e) for e in alpha) for alpha in targets]
@@ -446,6 +455,13 @@ def solve_weights(region: Region, nodes, targets) -> LinearSolveOutcome:
     if (bits := max(scales, default=1).bit_length()) > MAX_DENOMINATOR_BITS:
         raise WorkLimit(f"the weight system's rows need a common denominator of {bits} bits; "
                         f"the limit is {MAX_DENOMINATOR_BITS}")
+    largest = max((abs(v) for row in view for x in row for v in (x if d else (x,))), default=0)
+    k = min(len(view), nunk)
+    words = 1 + k * largest.bit_length() // 64
+    work = len(view) * (nunk + 1 + len(view)) * k * words * words * (1 if d is None else 8)
+    if work > MAX_ELIMINATION_WORK:
+        raise WorkLimit(f"eliminating {len(view)} rows on {nunk} nodes is estimated at {work:,} "
+                        f"word operations; the limit is {MAX_ELIMINATION_WORK:,}")
     pi_columns = {nunk} if pi else set()
     pivots, _, rows = _eliminate([list(row) for row in view], list(scales), nunk, d, pi_columns)
     rank = len(pivots)

@@ -16,8 +16,8 @@ from math import factorial, prod
 
 from . import scalars
 from .errors import DimensionMismatch, NoVertices, WorkLimit
-from .scalars import PiMultiple, Scalar, as_scalar, is_zero, quad, sign
-from .scalars import view_minus, view_sign, view_sum, view_times
+from .scalars import PiMultiple, Scalar, as_scalar, quad
+from .scalars import view_minus, view_plus, view_sign, view_sum, view_times
 
 MultiIndex = tuple[int, ...]
 Point = tuple[Scalar, ...]
@@ -34,17 +34,36 @@ def _check_index(alpha, dimension: int) -> MultiIndex:
     return alpha
 
 
-def _as_point(p) -> Point:
-    return tuple(as_scalar(c) for c in p)
+def _point_view(points):
+    """(D, d, rows): the common denominator, the radicand and one row of
+    view values per point, from one ``scalars.integer_view`` of every
+    coordinate in the list.  Membership and polygon geometry run on it:
+    signs, moments, areas and orientations are ring expressions in the
+    coordinates, so they need no Fraction until the end."""
+    flat = [c for point in points for c in point]
+    d = scalars.radicand(flat, "combine")
+    den, view = scalars.integer_view(flat, d)
+    values = iter(view)
+    return den, d, [list(itertools.islice(values, len(point))) for point in points]
 
 
 class Region:
     """Base of the four regions.  Each region supplies ``moment`` (and a
     batch ``moments`` when it has a faster one); volume and centroid, the
     A(D) and P of the paper's M(f) = A(D) f(P), are its zero and first
-    moments, asked for here in one batch."""
+    moments, asked for here in one batch.  Its one membership routine,
+    ``locate(points)``, gives -1 (outside), 0 (boundary) or +1 (inside) per
+    point from one ``_point_view`` of the list; ``contains`` and
+    ``on_boundary`` ask it about one point, and each region keeps
+    ``contains`` in its own ``__dict__`` for ``benchmarks/tracing.py``."""
 
     __slots__ = ()
+
+    def contains(self, point: Point) -> bool:
+        return self.locate([point])[0] >= 0
+
+    def on_boundary(self, point: Point) -> bool:
+        return self.locate([point])[0] == 0
 
     def moments(self, alphas) -> tuple[Scalar, ...]:
         return tuple(map(self.moment, alphas))
@@ -91,21 +110,14 @@ class Simplex(Region):
             num *= factorial(e)
         return Fraction(num, factorial(self.dimension + sum(alpha)))
 
-    def contains(self, point: Point) -> bool:
-        if any(sign(c) < 0 for c in point):
-            return False
-        total: Scalar = Fraction(0)
-        for c in point:
-            total = scalars.add(total, c)
-        return scalars.le(total, Fraction(1))
+    def locate(self, points) -> list[int]:
+        """min(sign(X_i), sign(D - sum X_i)) per point, for X = D x."""
+        den, d, rows = _point_view(points)
+        top = den if d is None else (den, 0)
+        return [min(view_sign(view_minus(top, view_sum(row, d), d), d),
+                    *(view_sign(x, d) for x in row)) for row in rows]
 
-    def on_boundary(self, point: Point) -> bool:
-        if not self.contains(point):
-            return False
-        total: Scalar = Fraction(0)
-        for c in point:
-            total = scalars.add(total, c)
-        return any(is_zero(c) for c in point) or scalars.eq(total, Fraction(1))
+    contains = Region.contains
 
 
 @dataclass(frozen=True)
@@ -129,27 +141,15 @@ class Cube(Region):
         alpha = _check_index(alpha, self.dimension)
         return Fraction(1, prod(e + 1 for e in alpha))
 
-    def contains(self, point: Point) -> bool:
-        return all(sign(c) >= 0 and scalars.le(c, Fraction(1)) for c in point)
+    def locate(self, points) -> list[int]:
+        """min over i of sign(X_i) and sign(D - X_i) per point, for X = D x."""
+        den, d, rows = _point_view(points)
+        if d is None:
+            return [view_sign(min(min(row), den - max(row)), d) for row in rows]
+        return [min(view_sign(v, d) for x in row for v in (x, view_minus((den, 0), x, d)))
+                for row in rows]
 
-    def on_boundary(self, point: Point) -> bool:
-        if not self.contains(point):
-            return False
-        return any(is_zero(c) or scalars.eq(c, Fraction(1)) for c in point)
-
-
-# Polygon geometry runs on the integer view of ``scalars.integer_view``:
-# moments, areas and orientations are ring expressions in the coordinates,
-# so they need no Fraction until the end.
-
-
-def _integer_view(points):
-    """(D, d, rows): the common denominator, the radicand and one (x, y)
-    row of view values per point, from ``scalars.integer_view``."""
-    flat = [c for point in points for c in point]
-    d = scalars.radicand(flat, "combine")
-    den, view = scalars.integer_view(flat, d)
-    return den, d, list(zip(view[::2], view[1::2]))
+    contains = Region.contains
 
 
 def _turn(o, a, b, d) -> int:
@@ -166,10 +166,6 @@ def _in_box(p, a, b, d) -> bool:
         view_sign(view_minus(p[i], a[i], d), d) * view_sign(view_minus(p[i], b[i], d), d) <= 0
         for i in (0, 1)
     )
-
-
-def _on_edge(p, a, b, d) -> bool:
-    return _turn(a, b, p, d) == 0 and _in_box(p, a, b, d)
 
 
 def _edges_meet(a, b, c, e, d) -> bool:
@@ -199,9 +195,21 @@ def _mul_add(xs, us, ys, vs, ws, d) -> list:
     ]
 
 
-def _on_boundary(pt, rows, d) -> bool:
-    m = len(rows)
-    return any(_on_edge(pt, rows[i], rows[(i + 1) % m], d) for i in range(m))
+def _polygon_sign(pt, edges, d) -> int:
+    """0 on an edge, else +1 or -1 by the parity of the edges crossing a
+    ray to the right of view point pt, with a half-open straddle test; edge
+    ab crosses right of pt when the turn (pt, a, b) has the sign of by - ay."""
+    _, py = pt
+    inside = False
+    for a, b in edges:
+        turn = _turn(pt, a, b, d)
+        if turn == 0 and _in_box(pt, a, b, d):
+            return 0
+        above_a = view_sign(view_minus(a[1], py, d), d) > 0
+        above_b = view_sign(view_minus(b[1], py, d), d) > 0
+        if above_a != above_b and turn == (1 if above_b else -1):
+            inside = not inside
+    return 1 if inside else -1
 
 
 # Most vertices a Polygon accepts.  The simplicity check compares every
@@ -226,14 +234,15 @@ class Polygon(Region):
     the moments and membership all run on the package's one integer view,
     ``scalars.integer_view`` over Z or Z[sqrt d], built once per call:
     ``moments`` builds one view for a whole batch of indices and turns each
-    total into a scalar with ``scalars.from_view``.  Nothing is cached on
-    the instance.
+    total into a scalar with ``scalars.from_view``, and ``locate`` one view
+    of the vertices and every queried point together.  Nothing is cached
+    on the instance.
     """
 
     vertex_list: tuple[Point, ...]
 
     def __init__(self, vertex_list):
-        pts = tuple(_as_point(v) for v in vertex_list)
+        pts = tuple(tuple(map(as_scalar, v)) for v in vertex_list)
         if len(pts) < 3:
             raise ValueError("polygon needs at least 3 vertices")
         if len(pts) > MAX_POLYGON_VERTICES:
@@ -249,7 +258,7 @@ class Polygon(Region):
                         f"vertex {i} has the pi-valued {axis} coordinate {c!r}; "
                         "polygon coordinates must be rational or a + b*sqrt(d)"
                     )
-        _, d, rows = _integer_view(pts)
+        _, d, rows = _point_view(pts)
         crosses = [
             view_minus(view_times(x0, y1, d), view_times(x1, y0, d), d)
             for (x0, y0), (x1, y1) in zip(rows, rows[1:] + rows[:1])
@@ -278,7 +287,7 @@ class Polygon(Region):
                     other_far = e if j == i + 1 else c
                     # consecutive edges may only meet at their shared vertex
                     if _turn(a, b, c, d) == 0 and _turn(a, b, e, d) == 0:
-                        if _on_edge(other_far, a, b, d) and other_far != shared:
+                        if _in_box(other_far, a, b, d) and other_far != shared:
                             raise ValueError("polygon has a degenerate spike")
                     continue
                 if _edges_meet(a, b, c, e, d):
@@ -318,7 +327,7 @@ class Polygon(Region):
         alphas = [_check_index(alpha, 2) for alpha in alphas]
         if not alphas:
             return ()
-        den, d, pts = _integer_view(self.vertex_list)
+        den, d, pts = _point_view(self.vertex_list)
         zero = 0 if d is None else (0, 0)
         edges = [
             (view_minus(view_times(x0, y1, d), view_times(x1, y0, d), d), x0, y0, x1, y1)
@@ -354,37 +363,14 @@ class Polygon(Region):
             a_above, h_above = a_row, h_row
         return tuple(totals[alpha] for alpha in alphas)
 
-    def _view_with(self, point):
-        """The integer view of the vertices and the query point together:
-        (d, vertex rows, point row)."""
-        x, y = _as_point(point)
-        _, d, rows = _integer_view(self.vertex_list + ((x, y),))
-        return d, rows[:-1], rows[-1]
+    def locate(self, points) -> list[int]:
+        """``_polygon_sign`` per point, on one view of vertices and points."""
+        m = len(self.vertex_list)
+        _, d, rows = _point_view(self.vertex_list + tuple(points))
+        edges = list(zip(rows[:m], rows[1:m] + rows[:1]))
+        return [_polygon_sign(pt, edges, d) for pt in rows[m:]]
 
-    def contains(self, point: Point) -> bool:
-        d, rows, pt = self._view_with(point)
-        if _on_boundary(pt, rows, d):
-            return True
-        # even-odd crossing count against a horizontal ray to the right; the
-        # half-open straddle test keeps vertex crossings consistent.  The
-        # crossing x of edge ab lies right of px exactly when the turn
-        # (pt, a, b) has the sign of by - ay, positive when b is the end above.
-        py = pt[1]
-        inside = False
-        m = len(rows)
-        for i in range(m):
-            a, b = rows[i], rows[(i + 1) % m]
-            above_a = view_sign(view_minus(a[1], py, d), d) > 0
-            above_b = view_sign(view_minus(b[1], py, d), d) > 0
-            if above_a == above_b:
-                continue
-            if _turn(pt, a, b, d) == (1 if above_b else -1):
-                inside = not inside
-        return inside
-
-    def on_boundary(self, point: Point) -> bool:
-        d, rows, pt = self._view_with(point)
-        return _on_boundary(pt, rows, d)
+    contains = Region.contains
 
 
 def _double_factorial(k: int) -> int:
@@ -413,15 +399,14 @@ class UnitDisc(Region):
                      (m + n + 2) * _double_factorial(m + n))
         )
 
-    def contains(self, point: Point) -> bool:
-        x, y = _as_point(point)
-        rr = scalars.add(scalars.mul(x, x), scalars.mul(y, y))
-        return scalars.le(rr, Fraction(1))
+    def locate(self, points) -> list[int]:
+        """sign(D^2 - X^2 - Y^2) per point, on the view (X, Y) = D (x, y)."""
+        den, d, rows = _point_view(points)
+        top = den * den if d is None else (den * den, 0)
+        squares = [view_plus(view_times(x, x, d), view_times(y, y, d), d) for x, y in rows]
+        return [view_sign(view_minus(top, rr, d), d) for rr in squares]
 
-    def on_boundary(self, point: Point) -> bool:
-        x, y = _as_point(point)
-        rr = scalars.add(scalars.mul(x, x), scalars.mul(y, y))
-        return scalars.eq(rr, Fraction(1))
+    contains = Region.contains
 
 
 def integrate_terms(region: Region, terms) -> Scalar:

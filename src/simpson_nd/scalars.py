@@ -288,7 +288,7 @@ def conj(x) -> Scalar:
 
 
 # The scalar functions coerce through as_scalar, then apply the operator;
-# add, sub, mul, div and le skip the coercion for two plain Fractions.
+# add, sub, mul and div skip the coercion for two plain Fractions.
 
 
 def add(x, y) -> Scalar:
@@ -360,12 +360,6 @@ def sign(x) -> int:
         c = x.coefficient
         return (c > 0) - (c < 0)
     return view_sign((x.a, x.b), x.d)
-
-
-def le(x, y) -> bool:
-    if type(x) is Fraction and type(y) is Fraction:
-        return x.numerator * y.denominator <= y.numerator * x.denominator
-    return sign(sub(y, x)) >= 0
 
 
 def to_float(x) -> float:

@@ -14,9 +14,9 @@ integrand values from a recursive walk of the expression tree, a +
 b*sqrt(d) arithmetic from the componentwise field formulas, float rule
 sums from the node and weight lists, and exact rule sums and exactness
 reports node by node over every monomial, reduced row echelon forms by
-Gauss-Jordan elimination with one scalar operation per entry, and weight
+Gauss-Jordan elimination with one scalar operation per entry, weight
 solves from rows of ``monomial_value`` scalars reduced by that
-elimination.
+elimination, and region membership point by point in scalar arithmetic.
 """
 
 from __future__ import annotations
@@ -484,3 +484,79 @@ def scalar_solve_weights(region, nodes, targets):
     if rank == nunk:
         return UniqueSolution(tuple(solution))
     return Underdetermined(particular=tuple(solution), nullity=nunk - rank)
+
+
+def _scalar_le(x, y) -> bool:
+    return scalars.sign(scalars.sub(y, x)) >= 0
+
+
+def _scalar_turn(o, a, b) -> int:
+    """Sign of the cross product (a - o) x (b - o), in scalars."""
+    sub, mul = scalars.sub, scalars.mul
+    return scalars.sign(sub(mul(sub(a[0], o[0]), sub(b[1], o[1])),
+                            mul(sub(b[0], o[0]), sub(a[1], o[1]))))
+
+
+def _scalar_on_edge(p, a, b) -> bool:
+    return _scalar_turn(a, b, p) == 0 and all(
+        scalars.sign(scalars.sub(p[i], a[i])) * scalars.sign(scalars.sub(p[i], b[i])) <= 0
+        for i in (0, 1)
+    )
+
+
+def _scalar_contains(region, point) -> bool:
+    kind = type(region).__name__
+    if kind == "Simplex":
+        if any(scalars.sign(c) < 0 for c in point):
+            return False
+        total = Fraction(0)
+        for c in point:
+            total = scalars.add(total, c)
+        return _scalar_le(total, Fraction(1))
+    if kind == "Cube":
+        return all(scalars.sign(c) >= 0 and _scalar_le(c, Fraction(1)) for c in point)
+    if kind == "UnitDisc":
+        x, y = point
+        return _scalar_le(scalars.add(scalars.mul(x, x), scalars.mul(y, y)), Fraction(1))
+    if _scalar_on_boundary(region, point):
+        return True
+    # even-odd crossings of a horizontal ray to the right, half-open straddle
+    verts = region.vertex_list
+    inside = False
+    for a, b in zip(verts, verts[1:] + verts[:1]):
+        above_a = scalars.sign(scalars.sub(a[1], point[1])) > 0
+        above_b = scalars.sign(scalars.sub(b[1], point[1])) > 0
+        if above_a != above_b and _scalar_turn(point, a, b) == (1 if above_b else -1):
+            inside = not inside
+    return inside
+
+
+def _scalar_on_boundary(region, point) -> bool:
+    kind = type(region).__name__
+    if kind == "Simplex":
+        total = Fraction(0)
+        for c in point:
+            total = scalars.add(total, c)
+        return _scalar_contains(region, point) and (
+            any(scalars.is_zero(c) for c in point) or scalars.eq(total, Fraction(1))
+        )
+    if kind == "Cube":
+        return _scalar_contains(region, point) and any(
+            scalars.is_zero(c) or scalars.eq(c, Fraction(1)) for c in point
+        )
+    if kind == "UnitDisc":
+        x, y = point
+        return scalars.eq(scalars.add(scalars.mul(x, x), scalars.mul(y, y)), Fraction(1))
+    verts = region.vertex_list
+    return any(_scalar_on_edge(point, a, b) for a, b in zip(verts, verts[1:] + verts[:1]))
+
+
+def scalar_locate(region, point) -> int:
+    """-1 outside, 0 on the boundary, +1 inside, for one point by scalar
+    comparisons: the coordinates of a simplex or cube point against 0 and
+    1, x^2 + y^2 against 1 on the disc, and for a polygon scalar cross
+    products, first on every edge and then along a ray to the right."""
+    point = tuple(scalars.as_scalar(c) for c in point)
+    if _scalar_on_boundary(region, point):
+        return 0
+    return 1 if _scalar_contains(region, point) else -1

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import random
 
 import pytest
 
@@ -690,6 +691,70 @@ def test_weight_rows_over_many_denominators_are_refused_before_elimination(
     assert out == ""
     assert err == ("error: the weight system's rows need a common denominator of 2465 bits; "
                    f"the limit is {exactness.MAX_DENOMINATOR_BITS}\n")
+
+
+def _star_polygon(m, seed, radius=3000, sqrt_part=None):
+    """A seeded star-shaped m-gon with integer vertices up to ``radius``,
+    one in each of m equal angular sectors, so the chain is simple; with
+    ``sqrt_part`` (d, q), coordinate j gains (1 + j % 9) / q * sqrt(d)."""
+    rng = random.Random(seed)
+    vertices = []
+    for i in range(m):
+        angle = 2 * math.pi * (i + rng.uniform(0.1, 0.9)) / m
+        r = rng.uniform(0.3, 1.0) * radius
+        vertices.append((round(r * math.cos(angle)), round(r * math.sin(angle))))
+
+    def scalar(c, j):
+        if sqrt_part is None:
+            return {"rat": [str(c), "1"]}
+        d, q = sqrt_part
+        return {"quad": {"a": [str(c), "1"], "b": [str(1 + j % 9), str(q)], "rad": d}}
+
+    return {"polygon": [[scalar(x, 2 * i), scalar(y, 2 * i + 1)] for i, (x, y) in enumerate(vertices)]}
+
+
+def test_weight_solves_past_the_elimination_estimate_are_refused_before_elimination(
+    tmp_path, capsys, monkeypatch
+):
+    from simpson_nd import exactness
+
+    def refuse(*args):
+        raise AssertionError("elimination started past the work limit")
+
+    monkeypatch.setattr(exactness, "_eliminate", refuse)
+    # 45 deg8 rows on 41 nodes of up to 12 bits, 6-8 s unchecked; and over
+    # Z[sqrt 2], whose steps count eight times, 28 deg6 rows on 21 nodes, 3.4 s
+    for polygon, targets, rows in [(_star_polygon(40, 8), "deg8", "45 rows on 41 nodes"),
+                                   (_star_polygon(20, 4, 300, (2, 13)), "deg6", "28 rows on 21 nodes")]:
+        path = tmp_path / "star.json"
+        path.write_text(json.dumps(polygon))
+        code, out, err = run_cli(capsys, "derive", "--region-file", str(path), "--mode", "weights",
+                                 "--targets", targets)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: eliminating {rows} is estimated at ")
+        assert err.endswith(f" word operations; the limit is {exactness.MAX_ELIMINATION_WORK:,}\n")
+
+    # cube:7 with deg3 targets, about 0.2 s, stays inside both limits
+    def reached(*args):
+        raise _Reached
+
+    monkeypatch.setattr(exactness, "_eliminate", reached)
+    with pytest.raises(_Reached):
+        run(["derive", "--region", "cube:7", "--targets", "deg3", "--mode", "weights"])
+
+
+_C_SHAPE = [(0, 0), (3, 0), (3, 1), (1, 1), (1, 2), (3, 2), (3, 3), (0, 3)]
+
+
+@pytest.mark.parametrize("mode", ["lambda", "weights"])
+def test_derive_refuses_a_centroid_outside_its_polygon_in_either_mode(tmp_path, capsys, mode):
+    path = tmp_path / "c_shape.json"
+    path.write_text(json.dumps(
+        {"polygon": [[{"rat": [str(x), "1"]}, {"rat": [str(y), "1"]}] for x, y in _C_SHAPE]}
+    ))
+    code, out, err = run_cli(capsys, "derive", "--region-file", str(path), "--mode", mode)
+    assert (code, out) == (1, "")
+    assert err == "error: node (Fraction(19, 14), Fraction(3, 2)) lies outside the region\n"
 
 
 class _Reached(Exception):

@@ -330,6 +330,95 @@ def test_disc_membership_with_quad_coordinates():
     assert not d.contains((1, 1))
 
 
+def _coordinate(rng, d, lo, hi):
+    """A rational in [lo, hi] over a small denominator plus, over Q(sqrt d),
+    a small sqrt part."""
+    den = rng.randint(1, 12)
+    a = Fraction(rng.randint(math.floor(lo * den), math.ceil(hi * den)), den)
+    if d is None:
+        return a
+    return scalars.add(a, quad(0, Fraction(rng.randint(-3, 3), rng.randint(4, 40)), d))
+
+
+def _membership_cases():
+    """(region, points) lists for the oracle test, each over one radicand:
+    points spread about the region, and points exactly on its faces,
+    edges, vertices or circle, with near misses beside the edges."""
+    rng = random.Random(1993)
+    one = Fraction(1)
+    for n in range(1, 6):
+        for d in (None, 2, 3893):
+            points = [tuple(scalars.div(_coordinate(rng, d, -0.25, 1.25), n) for _ in range(n))
+                      for _ in range(20)]
+            for point in points[:10]:
+                face = list(point)
+                face[rng.randrange(n)] = 0
+                points.append(tuple(face))
+                # on (or past) the face sum x = 1
+                points.append(point[:-1] + (scalars.sub(one, sum(point[:-1], Fraction(0))),))
+            points += Simplex(n).vertices()
+            yield Simplex(n), points
+    for n in range(1, 5):
+        for d in (None, 3, 3893):
+            points = [tuple(_coordinate(rng, d, -0.25, 1.25) for _ in range(n)) for _ in range(20)]
+            for point in points[:12]:
+                face = list(point)
+                face[rng.randrange(n)] = rng.choice((0, one))
+                points.append(tuple(face))
+            points += Cube(n).vertices()
+            yield Cube(n), points
+    for d in (None, 2, 3):
+        points = [(_coordinate(rng, d, -1.25, 1.25), _coordinate(rng, d, -1.25, 1.25))
+                  for _ in range(20)]
+        for _ in range(10):
+            # (1 - t^2, 2t) / (1 + t^2) lies on the circle
+            t = _coordinate(rng, d, -2, 2)
+            den = scalars.add(one, scalars.mul(t, t))
+            points.append((scalars.div(scalars.sub(one, scalars.mul(t, t)), den),
+                           scalars.div(scalars.mul(2, t), den)))
+        yield UnitDisc(), points + [(1, 0), (0, -1), (0, 0)]
+    polygons = [(trapezoid_paper(), (None, 3893)), (hexagon_paper(), (None, 3))]
+    polygons += [(Polygon(_random_rational_polygon(rng)), (None,)) for _ in range(3)]
+    polygons += [(Polygon(_random_quad_polygon(rng, d)), (None, d)) for d in (2, 3893)]
+    for polygon, fields in polygons:
+        verts = polygon.vertex_list
+        xs = [to_float(x) for x, _ in verts]
+        ys = [to_float(y) for _, y in verts]
+        for d in fields:
+            points = [(_coordinate(rng, d, min(xs) - 0.5, max(xs) + 0.5),
+                       _coordinate(rng, d, min(ys) - 0.5, max(ys) + 0.5)) for _ in range(20)]
+            for a, b in zip(verts, verts[1:] + verts[:1]):
+                t = Fraction(rng.randint(0, 8), 8)
+                on = tuple(scalars.add(p, scalars.mul(t, scalars.sub(q, p))) for p, q in zip(a, b))
+                nudge = Fraction(rng.choice((-1, 1)), 1000)
+                points += [on, (on[0], scalars.add(on[1], nudge))]
+            yield polygon, points + list(verts)
+
+
+def test_locate_contains_and_on_boundary_match_the_scalar_oracle():
+    from oracles import scalar_locate
+
+    seen = {}
+    for region, points in _membership_cases():
+        want = [scalar_locate(region, point) for point in points]
+        assert region.locate(points) == want, region
+        for point, sign in zip(points, want):
+            assert region.contains(point) == (sign >= 0), (region, point)
+            assert region.on_boundary(point) == (sign == 0), (region, point)
+        seen.setdefault(type(region), set()).update(want)
+    assert seen == {cls: {-1, 0, 1} for cls in (Simplex, Cube, UnitDisc, Polygon)}
+
+
+@pytest.mark.parametrize("region", [Simplex(2), Cube(2), UnitDisc(), trapezoid_paper()])
+def test_membership_refuses_a_pi_coordinate(region):
+    # PiMultiple(0) included: a cube or simplex once compared it as 0
+    for value in (PiMultiple(0), PiMultiple(1)):
+        point = (value, Fraction(1, 2))
+        for ask in (region.contains, region.on_boundary, lambda p: region.locate([p])):
+            with pytest.raises(IncompatibleScalars, match="pi multiple"):
+                ask(point)
+
+
 def test_region_json_round_trip():
     regions = [Simplex(4), Cube(2), trapezoid_paper(), hexagon_paper(), UnitDisc()]
     rng = random.Random(708)

@@ -117,6 +117,11 @@ def test_boundary_rule():
     assert set(r.weights) == {Fraction(1, 4)}
     with pytest.raises(NodeNotOnBoundary):
         boundary_rule(Simplex(2), [(Fraction(1, 4), Fraction(1, 4))])
+    # the first node off the boundary, in list order, is the one named
+    inner, outer = (Fraction(1, 4), Fraction(1, 4)), (Fraction(1), Fraction(1))
+    with pytest.raises(NodeNotOnBoundary) as error:
+        boundary_rule(Simplex(2), [(a, Fraction(0)), inner, outer])
+    assert str(error.value) == f"node {inner} is not on the region boundary"
 
 
 def test_rule_constructor_rejects_outside_nodes():
@@ -124,6 +129,14 @@ def test_rule_constructor_rejects_outside_nodes():
         CubatureRule(Simplex(2), ((Fraction(3, 4), Fraction(3, 4)),), (Fraction(1),))
     with pytest.raises(DimensionMismatch):
         CubatureRule(Simplex(2), ((Fraction(1, 4),),), (Fraction(1),))
+    # the first offending node, in list order, names the error
+    inside, outside, short = (Fraction(1, 4),) * 2, (Fraction(3, 4),) * 2, (Fraction(1, 4),)
+    with pytest.raises(NodeOutsideRegion) as error:
+        CubatureRule(Simplex(2), (inside, outside, short, (2, 2)), (1,) * 4)
+    assert str(error.value) == f"node {outside} lies outside the region"
+    with pytest.raises(DimensionMismatch) as error:
+        CubatureRule(Simplex(2), (inside, short, outside), (1,) * 3)
+    assert str(error.value) == f"node {short} does not match region dimension 2"
 
 
 def test_blend_degenerate_cases():
@@ -222,6 +235,26 @@ def test_all_nodes_inside_region():
     for rule in ALL_NAMED():
         for node in rule.nodes:
             assert rule.region.contains(node), (rule.label, node)
+
+
+def test_cr4_locates_each_node_list_with_one_call(monkeypatch):
+    located, built = [], []
+    locate, post_init = Cube.locate, CubatureRule.__post_init__
+
+    def counted_locate(self, points):
+        located.append(len(points))
+        return locate(self, points)
+
+    def counted_post_init(self):
+        built.append(len(self.nodes))
+        post_init(self)
+
+    monkeypatch.setattr(Cube, "locate", counted_locate)
+    monkeypatch.setattr(CubatureRule, "__post_init__", counted_post_init)
+    cr4()
+    # boundary_rule's midedges, then the boundary, midpoint and blended rules
+    assert built == [4, 1, 5]
+    assert located == [4] + built
 
 
 def test_apply_poly_examples():

@@ -254,7 +254,7 @@ def test_pow_scalar_validation():
 
 def test_order_comparisons():
     assert scalars.sign(scalars.sub(Fraction(1, 2), Fraction(1, 3))) > 0
-    assert scalars.le(quad(0, 1, 3), Fraction(2))  # sqrt(3) <= 2
+    assert scalars.sign(scalars.sub(Fraction(2), quad(0, 1, 3))) >= 0  # sqrt(3) <= 2
     assert not scalars.sign(scalars.sub(Fraction(1), quad(0, 1, 3))) > 0
 
 
