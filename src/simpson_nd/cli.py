@@ -57,8 +57,15 @@ def _ascii_number(convert):
     return number
 
 
+def _rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:  # its message would be "Fraction(1, 0)"
+        raise ValueError(f"{text!r} has a zero denominator") from None
+
+
 _int = _ascii_number(int)
-_fraction = _ascii_number(Fraction)
+_fraction = _ascii_number(_rational)
 _float = _ascii_number(float)
 
 

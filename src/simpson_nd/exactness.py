@@ -24,7 +24,7 @@ from typing import Iterator, Optional, Union
 from . import scalars
 from .errors import DimensionMismatch, IncompatibleScalars, RegionMismatch, WorkLimit
 from .regions import Cube, MultiIndex, Region, Simplex
-from .rules import CubatureRule, NodeTable, node_sum
+from .rules import CubatureRule, NodeTable
 from .scalars import PiMultiple, Scalar, is_zero
 
 # Most entries of an exact system the solvers may be asked to build:
@@ -113,7 +113,7 @@ def residual(rule: CubatureRule, alpha) -> Scalar:
         raise DimensionMismatch(
             f"multi-index {alpha} does not match region dimension"
         )
-    return scalars.sub(node_sum(rule.nodes, rule.weights, alpha), rule.region.moment(alpha))
+    return scalars.sub(NodeTable(rule.nodes, rule.weights).sum(alpha), rule.region.moment(alpha))
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from . import rules, scalars
 from .errors import DenominatorZero, SingularInterpolation, WorkLimit
 from .exactness import gauss_jordan
 from .regions import Cube, Point, Region, Simplex, integrate_terms, trapezoid_paper
-from .rules import CubatureRule, NodeTable, blend, boundary_rule, midpoint_rule, monomial_value
+from .rules import CubatureRule, NodeTable, blend, boundary_rule, midpoint_rule
 from .scalars import Scalar, as_scalar, is_zero
 
 
@@ -321,7 +321,13 @@ def simplex3_vertex_solutions() -> list[tuple[Fraction, ...]]:
 
 
 def _matrix_at(nodes, basis_exponents) -> tuple[tuple[Scalar, ...], ...]:
-    return tuple(tuple(monomial_value(p, alpha) for alpha in basis_exponents) for p in nodes)
+    """x^alpha(P) with one row per node P and one column per alpha, from
+    one unit-weight node table: each term over D^|alpha| is an entry."""
+    table = NodeTable(nodes, (Fraction(1),) * len(nodes))
+    d, den = table.radicand, table.denominator
+    columns = [[scalars.from_view(t, den ** sum(alpha), d) for t in table.terms(alpha)]
+               for alpha in basis_exponents]
+    return tuple(zip(*columns))
 
 
 def exact_det(matrix) -> Scalar:

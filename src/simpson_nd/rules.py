@@ -10,6 +10,7 @@ certified, not assumed.
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -35,7 +36,7 @@ from .regions import (
     region_to_json,
     trapezoid_paper,
 )
-from .scalars import PiMultiple, Scalar, as_scalar, is_zero, quad, to_float
+from .scalars import PiMultiple, Scalar, as_scalar, is_zero, quad
 
 
 class MonomialPoly:
@@ -85,11 +86,7 @@ class MonomialPoly:
         return max((sum(a) for a in self.terms), default=0)
 
     def evaluate(self, point: Point) -> Scalar:
-        point = tuple(as_scalar(c) for c in point)
-        total: Scalar = Fraction(0)
-        for alpha, coeff in self.terms.items():
-            total = scalars.add(total, scalars.mul(coeff, monomial_value(point, alpha)))
-        return total
+        return NodeTable((tuple(point),), (Fraction(1),)).apply(self)
 
     def __add__(self, other: "MonomialPoly") -> "MonomialPoly":
         if self.dimension != other.dimension:
@@ -130,28 +127,21 @@ class MonomialPoly:
         return result
 
 
-def monomial_value(point: Point, alpha: MultiIndex) -> Scalar:
-    """x^alpha at one point: the package's only loop over (coordinate,
-    exponent) pairs, and so its one check of a point's length."""
-    if len(point) != len(alpha):
-        raise DimensionMismatch(f"point has {len(point)} coordinates, dimension is {len(alpha)}")
-    value: Scalar = Fraction(1)
-    for c, e in zip(point, alpha):
-        if e:
-            value = scalars.mul(value, c if e == 1 else scalars.pow_scalar(c, e))
-    return value
-
-
 class NodeTable:
-    """Nodes and weights laid out for many sums of w_j x^alpha(P_j).
+    """Nodes and weights laid out for many sums of w_j x^alpha(P_j): the
+    package's one evaluator of x^alpha at exact points.
 
     The table keeps X = D x and W = Dw w on the integer view of
     ``scalars.integer_view``, over Z or Z[sqrt d], where D and Dw are the
     common denominators of the coordinates and of the weights, so
     sum_j w_j x^alpha(P_j) = (sum_j W_j X_j^alpha) / (Dw D^|alpha|) is int
     or int pair arithmetic and one conversion at the end.  ``terms`` is the
-    one power loop that builds the W_j X_j^alpha: ``sum`` adds them up, and
-    ``solve_weights`` takes them, with unit weights, as its rows.  When every
+    one power loop that builds the W_j X_j^alpha.  ``sum`` adds them up for
+    residuals and weight sums, and ``apply`` for polynomials (a one-node
+    table with a unit weight is ``MonomialPoly.evaluate``); ``solve_weights``
+    and the interpolation matrices take them, with unit weights, as their
+    rows.  Nothing ties the nodes to a region, so a family system can be
+    summed at parameter points that put nodes off the boundary.  When every
     weight is a pi multiple (CR6), W holds the coefficients and each sum
     comes back times pi, as a pi column does in ``gauss_jordan``.  Every
     table sums this one way: a pi coordinate, a pi weight beside a pi-free
@@ -201,13 +191,12 @@ class NodeTable:
         value = scalars.from_view(total, self.weight_denominator * self.denominator ** sum(alpha), d)
         return PiMultiple(value) if self.pi else value
 
-
-def node_sum(nodes, weights, alpha: MultiIndex) -> Scalar:
-    """sum_j w_j x^alpha(P_j), the left side of every exactness equation:
-    the package's one weighted sum, through ``NodeTable``.  Nothing ties
-    the nodes to a region, so a system can be summed at parameter points
-    that put nodes off the boundary."""
-    return NodeTable(nodes, weights).sum(alpha)
+    def apply(self, poly: MonomialPoly) -> Scalar:
+        """sum_j w_j p(P_j), one table sum per term of p."""
+        total: Scalar = Fraction(0)
+        for alpha, coeff in poly.terms.items():
+            total = scalars.add(total, scalars.mul(coeff, self.sum(alpha)))
+        return total
 
 
 def monomial(alpha, coefficient=1) -> MonomialPoly:
@@ -242,10 +231,7 @@ class CubatureRule:
         object.__setattr__(self, "weights", weights)
 
     def weight_sum(self) -> Scalar:
-        total: Scalar = Fraction(0)
-        for w in self.weights:
-            total = scalars.add(total, w)
-        return total
+        return NodeTable(self.nodes, self.weights).sum((0,) * self.region.dimension)
 
     def apply_poly(self, poly: MonomialPoly) -> Scalar:
         """Exact weighted sum of polynomial values at the nodes."""
@@ -253,11 +239,7 @@ class CubatureRule:
             raise DimensionMismatch(
                 f"polynomial dimension {poly.dimension} does not match region"
             )
-        table = NodeTable(self.nodes, self.weights)
-        total: Scalar = Fraction(0)
-        for alpha, coeff in poly.terms.items():
-            total = scalars.add(total, scalars.mul(coeff, table.sum(alpha)))
-        return total
+        return NodeTable(self.nodes, self.weights).apply(poly)
 
 
 def midpoint_rule(region: Region) -> CubatureRule:
@@ -461,21 +443,11 @@ def named_rule(name: str, dim: int | None = None) -> CubatureRule:
     raise ValueError(f"unknown rule name: {name}")
 
 
-def _sort_key(rule: CubatureRule):
-    import json as _json
-
-    def skey(x):
-        return (to_float(x), _json.dumps(scalars.scalar_to_json(x), sort_keys=True))
-
-    return sorted(
-        (tuple(skey(c) for c in node), skey(w))
-        for node, w in zip(rule.nodes, rule.weights)
-    )
-
-
 def rules_equivalent(a: CubatureRule, b: CubatureRule) -> bool:
     """Same region and same node/weight multiset, exactly."""
-    return a.region == b.region and _sort_key(a) == _sort_key(b)
+    # scalars hash and compare exactly
+    same = Counter(zip(a.nodes, a.weights)) == Counter(zip(b.nodes, b.weights))
+    return a.region == b.region and same
 
 
 def rule_to_json(rule: CubatureRule) -> dict:

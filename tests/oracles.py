@@ -34,7 +34,6 @@ from simpson_nd.exactness import (
     monomial_label,
 )
 from simpson_nd.expr import FUNCTIONS, BinOp, Call, Neg, Num, Var
-from simpson_nd.rules import monomial_value
 
 Poly = dict[tuple, Fraction]
 
@@ -393,6 +392,11 @@ def scalar_node_sum(nodes, weights, alpha):
                 term = scalars.mul(term, c)
         total = scalars.add(total, term)
     return total
+
+
+def monomial_value(point, alpha):
+    """x^alpha at one point by scalar operators."""
+    return scalar_node_sum((point,), (Fraction(1),), alpha)
 
 
 def full_scan_report(rule, max_degree: int) -> tuple:

@@ -828,3 +828,12 @@ def test_numbers_must_be_written_in_ascii(capsys, argv, code, message):
     assert out == ""
     assert message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "flag", [("triangle", "--param", "1/0"), ("square", "--point=1/0,0,0,0,0")]
+)
+def test_a_zero_denominator_names_the_text(capsys, flag):
+    code, out, err = run_cli(capsys, "family", *flag)
+    assert (code, out) == (1, "")
+    assert err == "error: '1/0' has a zero denominator\n"

@@ -588,3 +588,61 @@ def test_solve_weights_matches_the_scalar_rows():
     assert all(isinstance(e.rhs, PiMultiple) for e in disc.equations)
     assert outcomes["trapezoid-paper", 6].witness.endswith(" gives 0 = -1/80")
     assert isinstance(outcomes["hexagon-paper", 6], Underdetermined)
+
+
+_TRIANGLE = ((0, 0), (1, 0), (0, 1))
+_SQUARE = ((0, 0), (1, 0), (1, 1), (0, 1))
+_TRAPEZOID = ((0, 0), (1, 0), (1, 2), (0, 1))
+# each 2-D catalog rule on a polygon, its region's vertices in cyclic order
+_AFFINE_RULES = (
+    (lambda: cr1(2), _TRIANGLE), (lambda: cr2(2), _TRIANGLE), (triangle_midedge, _TRIANGLE),
+    (lambda: cr3(2), _SQUARE), (cr4, _SQUARE), (cr5, _TRAPEZOID), (cr5_conjugate, _TRAPEZOID),
+)
+
+
+def _affine_map(rng, d):
+    """A seeded invertible map x -> A x + b with entries in Q, or in
+    Q(sqrt d) when d is given, and det A."""
+    def entry():
+        a = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+        return scalars.quad(a, Fraction(rng.randint(-3, 3), rng.randint(1, 4)), d) if d else a
+
+    while True:
+        (p, q), (r, s) = matrix = [(entry(), entry()) for _ in range(2)]
+        det = scalars.sub(scalars.mul(p, s), scalars.mul(q, r))
+        if not scalars.is_zero(det):
+            shift = (entry(), entry())
+            break
+
+    def apply(point):
+        return tuple(scalars.add(scalars.add(scalars.mul(u, point[0]), scalars.mul(v, point[1])), t)
+                     for (u, v), t in zip(matrix, shift))
+
+    return apply, det
+
+
+def test_the_certified_degree_is_affine_invariant():
+    """A rule exact through degree k on D, mapped with its weights times
+    |det A|, is exact through degree k on the image of D, a polygon: the
+    polynomials of degree <= k are closed under affine maps (Stroud 1971,
+    1.4).  The scans put polygon moments over Q(sqrt d), the node table and
+    locate against the simplex and cube moment formulas."""
+    rng = random.Random(2110)
+    checked, mismatches = 0, []
+    for build, vertices in _AFFINE_RULES:
+        rule = build()
+        degree = exactness_degree(rule, 5).certified_degree
+        rational = not any(isinstance(c, scalars.Quad) for p in rule.nodes for c in p)
+        for d in (None,) * 4 + ((2, 3, 5, 7) if rational else (None,) * 4):
+            apply, det = _affine_map(rng, d)
+            scale = det if scalars.sign(det) > 0 else scalars.neg(det)
+            image = CubatureRule(
+                Polygon([apply(tuple(map(Fraction, v))) for v in vertices]),
+                tuple(map(apply, rule.nodes)),
+                tuple(scalars.mul(scale, w) for w in rule.weights),
+            )
+            got = exactness_degree(image, 5).certified_degree
+            if got != degree:
+                mismatches.append((rule.label, d, got, degree))
+            checked += 1
+    assert checked == 56 and not mismatches, mismatches

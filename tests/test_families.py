@@ -4,9 +4,14 @@ from math import factorial
 
 import pytest
 
-from oracles import permutation_det
+from oracles import monomial_value, permutation_det
 from simpson_nd import families, scalars
-from simpson_nd.errors import DimensionMismatch, SingularInterpolation, WorkLimit
+from simpson_nd.errors import (
+    DimensionMismatch,
+    IncompatibleScalars,
+    SingularInterpolation,
+    WorkLimit,
+)
 from simpson_nd.exactness import residual
 from simpson_nd.families import (
     bilinear_det_closed_form,
@@ -372,6 +377,31 @@ def test_bilinear_closed_form_matches_matrix():
         matrix, det = interp_matrix_bilinear(*vals)
         assert scalars.eq(det, bilinear_det_closed_form(*vals))
         assert scalars.eq(det, permutation_det(matrix))
+
+
+def test_interpolation_matrices_hold_scalar_powers_over_q_and_quadratic_fields():
+    """Each entry, read from one unit-weight node table, is the scalar power
+    x^alpha(P); a pi parameter raises at the table."""
+    rng = random.Random(2111)
+    zero, one = Fraction(0), Fraction(1)
+    for _ in range(60):
+        d = rng.choice((None, 2, 3, 3893))
+
+        def value():
+            a = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+            return scalars.quad(a, Fraction(rng.randint(-9, 9), rng.randint(1, 9)), d) if d else a
+
+        a, b, c, e = (value() for _ in range(4))
+        for (matrix, _), nodes, basis in (
+            (interp_matrix_quadratic(a, b, c, e),
+             ((a, zero), (zero, b), (c, one), (one, e), (HALF, HALF)), families.QUADRATIC_BASIS),
+            (interp_matrix_bilinear(a, b, c, e),
+             ((a, zero), (zero, b), (one, c), (e, one)), families.BILINEAR_BASIS),
+        ):
+            want = tuple(tuple(monomial_value(p, alpha) for alpha in basis) for p in nodes)
+            assert matrix == want  # a Quad never equals a Fraction
+    with pytest.raises(IncompatibleScalars):
+        interp_matrix_bilinear(scalars.PiMultiple(1), 0, 0, 1)
 
 
 def _random_matrix(rng, n, field):

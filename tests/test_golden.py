@@ -22,8 +22,12 @@ bit.
 
 Each file holds the stdout of ``simpson-nd`` for the argv listed below,
 for example ``simpson-nd --format json verify --all > verify_all.json``.
+Run as a script, ``PYTHONPATH=src python tests/test_golden.py`` runs every
+case in a fresh interpreter instead of in process.
 """
 
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -91,3 +95,21 @@ def test_output_matches_golden(capsys, name):
     out = capsys.readouterr().out
     assert code == 0
     assert out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+def main() -> int:
+    """Run every case as ``python -m simpson_nd.cli`` in its own interpreter
+    and compare its stdout with the golden file byte for byte."""
+    failed = []
+    for name, argv in sorted(CASES.items()):
+        done = subprocess.run([sys.executable, "-m", "simpson_nd.cli", *argv], capture_output=True)
+        if done.returncode != 0 or done.stdout != (GOLDEN / name).read_bytes():
+            failed.append(name)
+    print(f"{len(CASES) - len(failed)} of {len(CASES)} golden files match")
+    for name in failed:
+        print(f"differs: {name}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -6,7 +6,7 @@ from math import factorial
 
 import pytest
 
-from oracles import float_rule_sum, scalar_node_sum
+from oracles import float_rule_sum, monomial_value, scalar_node_sum
 from test_regions import _random_rational_polygon
 from simpson_nd import rules, scalars
 from simpson_nd.errors import (
@@ -35,7 +35,6 @@ from simpson_nd.rules import (
     midpoint_rule,
     monomial,
     named_rule,
-    node_sum,
     rule_from_json,
     rule_to_json,
     rules_equivalent,
@@ -368,6 +367,27 @@ def test_evaluate_rejects_a_point_of_the_wrong_length():
         MonomialPoly(2, {(1, 0): Fraction(1)}).evaluate((0, 0, 0))
 
 
+def test_evaluate_is_the_sum_of_scalar_powers_over_q_and_quadratic_fields():
+    """A one-node table with a unit weight gives the scalar sum of
+    c * x^alpha(P), type included; a pi coordinate raises at the table."""
+    rng = random.Random(2112)
+    for _ in range(200):
+        d = rng.choice((None, 2, 3, 3893))
+        n = rng.randint(1, 4)
+        point = tuple(quad(a, _random_fraction(rng), d) if d else a
+                      for a in (_random_fraction(rng) for _ in range(n)))
+        terms = {tuple(rng.randint(0, 4) for _ in range(n)): _random_fraction(rng)
+                 for _ in range(rng.randint(0, 5))}
+        poly = MonomialPoly(n, terms)
+        want = Fraction(0)
+        for alpha, coeff in poly.terms.items():
+            want = scalars.add(want, scalars.mul(coeff, monomial_value(point, alpha)))
+        got = poly.evaluate(point)
+        assert (type(got), got) == (type(want), want)
+    with pytest.raises(IncompatibleScalars):
+        MonomialPoly(2, {(1, 0): Fraction(1)}).evaluate((PiMultiple(1), Fraction(0)))
+
+
 @pytest.mark.parametrize("builder, region", [(cr1, "Simplex"), (cr2, "Simplex"), (cr3, "Cube")])
 def test_rule_dimension_limit_refuses_before_any_node_is_built(monkeypatch, builder, region):
     def reached(*args):
@@ -415,7 +435,7 @@ def test_integer_node_table_matches_scalar_sums_on_random_rules():
             alpha = tuple(rng.randint(0, 4) for _ in range(n))
             expected = scalar_node_sum(nodes, weights, alpha)
             assert table.sum(alpha) == expected
-            assert node_sum(nodes, weights, alpha) == expected
+            assert NodeTable(nodes, weights).sum(alpha) == expected
 
 
 def test_quad_and_pi_rules_sum_over_the_integer_view():
@@ -511,6 +531,6 @@ def test_node_table_refuses_a_wrong_length_multi_index(build):
         with pytest.raises(DimensionMismatch):
             table.sum(alpha)
         with pytest.raises(DimensionMismatch):
-            node_sum(rule.nodes, rule.weights, alpha)
+            NodeTable(rule.nodes, rule.weights).sum(alpha)
     with pytest.raises(ValueError, match="non-negative"):
         table.sum((1, -1))
