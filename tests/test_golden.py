@@ -18,7 +18,9 @@ Gauss-Jordan solve over ``Quad`` pivots, the disc's weights solved
 against a column of pi moments, and the trapezoid's infeasibility
 certificate with its multipliers.  A refactor of any of these must leave
 every file here unchanged, which pins every compound estimate bit for
-bit.
+bit.  Every ``.csv`` file, and the ``verify_cr3_dim3`` and
+``moments_trapezoid`` files, were recorded before each command built only
+the output form that ``--format`` selects.
 
 Each file holds the stdout of ``simpson-nd`` for the argv listed below,
 for example ``simpson-nd --format json verify --all > verify_all.json``.
@@ -74,6 +76,8 @@ FIELD_CASES = {
     "derive_disc_weights": ("derive", "--region", "disc", "--mode", "weights"),
     # the infeasible certificate 0 = -1/80 and its multipliers
     "derive_trapezoid_weights": ("derive", "--region", "trapezoid-paper", "--mode", "weights"),
+    "verify_cr3_dim3": ("verify", "--rule", "CR3", "--dim", "3"),
+    "moments_trapezoid": ("moments", "--region", "trapezoid-paper", "--degree", "6"),
 }
 
 CASES = {"verify_all.json": ("--format", "json", "verify", "--all")}
@@ -81,8 +85,8 @@ for _command, _cases in (
     (("family",), FAMILY_CASES), (("compound",), COMPOUND_CASES), ((), FIELD_CASES),
 ):
     for _stem, _args in _cases.items():
-        CASES[f"{_stem}.txt"] = ("--format", "text") + _command + _args
-        CASES[f"{_stem}.json"] = ("--format", "json") + _command + _args
+        for _format, _suffix in (("text", "txt"), ("json", "json"), ("csv", "csv")):
+            CASES[f"{_stem}.{_suffix}"] = ("--format", _format) + _command + _args
 
 
 def test_every_golden_file_has_a_case():
