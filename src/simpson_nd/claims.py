@@ -183,18 +183,20 @@ def _deg2_targets():
 
 
 def _check_negative_results() -> list[Claim]:
+    targets = _deg2_targets()
     hexagon = hexagon_paper()
     outcome = exactness.solve_lambda(
-        rules.midpoint_rule(hexagon), rules.vertex_rule(hexagon), _deg2_targets()
+        rules.midpoint_rule(hexagon), rules.vertex_rule(hexagon), targets,
+        hexagon.moments(targets),
     )
     ok_hex = isinstance(outcome, exactness.Infeasible)
 
-    trap = trapezoid_paper()
-    nodes = (trap.centroid(), (0, 0), (1, 0), (0, 1), (1, 2))
-    full = exactness.solve_weights(trap, nodes, _deg2_targets())
+    _, centroid, moments = trapezoid_paper().mass_and_moments(targets)
+    nodes = (centroid, (0, 0), (1, 0), (0, 1), (1, 2))
+    full = exactness.solve_weights(nodes, targets, moments)
     ok_full = isinstance(full, exactness.Infeasible)
-    dropped = [a for a in _deg2_targets() if a != (1, 1)]
-    partial = exactness.solve_weights(trap, nodes, dropped)
+    kept = [(a, m) for a, m in zip(targets, moments) if a != (1, 1)]
+    partial = exactness.solve_weights(nodes, *zip(*kept))
     expected = (
         Fraction(81, 80),
         Fraction(23, 240),

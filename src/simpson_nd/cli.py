@@ -2,9 +2,12 @@
 
 Subcommands: verify, moments, derive, family, compound, catalog.
 Output formats: text (default), json, csv; the SIMPSON_ND_FORMAT
-environment variable overrides the default.  Exit codes: 0 success
-(including negative findings like "infeasible"), 1 domain error or failed
-verification, 2 usage error.
+environment variable overrides the default.  A command computes its
+results once and hands ``_emit`` one builder per format; only the builder
+of the selected format runs.  ``moments`` and ``derive`` ask their region
+for one moment batch each.  Exit codes: 0 success (including negative
+findings like "infeasible"), 1 domain error or failed verification, 2
+usage error.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
 import json
 import math
 import os
@@ -157,19 +159,20 @@ def _display_monomials(dim: int, degree: int):
         yield from block
 
 
-def _emit(fmt: str, payload: dict, table: tuple[list[str], list[list[str]]],
-          text_lines: list[str]) -> None:
+def _emit(fmt: str, *, json_payload, csv_table, text_lines) -> None:
+    """Print the one output form that ``fmt`` selects.  Each form is a
+    function of no arguments, and only the selected one is called:
+    ``json_payload`` returns the JSON object, ``csv_table`` the header and
+    the rows, and ``text_lines`` the lines."""
     if fmt == "json":
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(json_payload(), indent=2))
     elif fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        header, rows = table
+        header, rows = csv_table()
+        writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-        print(buf.getvalue(), end="")
     else:
-        for line in text_lines:
+        for line in text_lines():
             print(line)
 
 
@@ -178,7 +181,6 @@ def _fmt(x) -> str:
 
 
 def _cmd_verify(args) -> int:
-    fmt = args.format
     if args.all:
         given = [flag for flag, value in (("--rule", args.rule), ("--dim", args.dim),
                                           ("--max-degree", args.max_degree))
@@ -187,46 +189,52 @@ def _cmd_verify(args) -> int:
             raise ValueError(f"verify --all runs the claim suite and takes no {', '.join(given)}")
         results = claims_mod.run_claims()
         ok = all(c.ok for c in results)
-        payload = {
-            "command": "verify",
-            "all": True,
-            "ok": ok,
-            "claims": [
-                {"name": c.name, "ok": c.ok, "detail": c.detail} for c in results
-            ],
-        }
-        rows = [[c.name, "pass" if c.ok else "FAIL", c.detail] for c in results]
-        lines = [f"{'pass' if c.ok else 'FAIL':4}  {c.name}: {c.detail}" for c in results]
-        lines.append(f"{sum(c.ok for c in results)}/{len(results)} claims confirmed")
-        _emit(fmt, payload, (["claim", "status", "detail"], rows), lines)
+        _emit(
+            args.format,
+            json_payload=lambda: {
+                "command": "verify",
+                "all": True,
+                "ok": ok,
+                "claims": [
+                    {"name": c.name, "ok": c.ok, "detail": c.detail} for c in results
+                ],
+            },
+            csv_table=lambda: (
+                ["claim", "status", "detail"],
+                [[c.name, "pass" if c.ok else "FAIL", c.detail] for c in results],
+            ),
+            text_lines=lambda: [
+                f"{'pass' if c.ok else 'FAIL':4}  {c.name}: {c.detail}" for c in results
+            ] + [f"{sum(c.ok for c in results)}/{len(results)} claims confirmed"],
+        )
         return 0 if ok else 1
     if not args.rule:
         raise ValueError("verify needs --rule NAME or --all")
     rule = rules.named_rule(args.rule, args.dim)
     max_degree = 5 if args.max_degree is None else args.max_degree
     report = exactness.exactness_degree(rule, max_degree)
-    payload = {"command": "verify", **report.to_json()}
-    lines = [
-        f"rule {rule.label}: certified degree {report.certified_degree} "
-        f"(tested through degree {report.max_degree})"
-    ]
-    if report.failing is not None:
-        lines.append(
-            f"first failing monomial {exactness.monomial_label(report.failing)} "
-            f"= {report.failing}, residual {_fmt(report.failing_residual)}"
-        )
-    else:
-        lines.append("no failing monomial up to the tested degree")
-    rows = [
-        [
+
+    def text_lines():
+        yield (f"rule {rule.label}: certified degree {report.certified_degree} "
+               f"(tested through degree {report.max_degree})")
+        if report.failing is None:
+            yield "no failing monomial up to the tested degree"
+        else:
+            yield (f"first failing monomial {exactness.monomial_label(report.failing)} "
+                   f"= {report.failing}, residual {_fmt(report.failing_residual)}")
+
+    _emit(
+        args.format,
+        json_payload=lambda: {"command": "verify", **report.to_json()},
+        csv_table=lambda: (["rule", "degree", "tested", "failing", "residual"], [[
             report.label,
             str(report.certified_degree),
             str(report.max_degree),
             "" if report.failing is None else exactness.monomial_label(report.failing),
             "" if report.failing_residual is None else _fmt(report.failing_residual),
-        ]
-    ]
-    _emit(fmt, payload, (["rule", "degree", "tested", "failing", "residual"], rows), lines)
+        ]]),
+        text_lines=text_lines,
+    )
     return 0
 
 
@@ -235,35 +243,35 @@ def _cmd_moments(args) -> int:
     _check_monomial_table(region, args.degree)
     alphas = list(_display_monomials(region.dimension, args.degree))
     entries = list(zip(alphas, region.moments(alphas)))
-    payload = {
-        "command": "moments",
-        "region": region_to_json(region),
-        "degree": args.degree,
-        "moments": [
-            {
-                "exponents": list(alpha),
-                "label": exactness.monomial_label(alpha),
-                "value": scalars.scalar_to_json(value),
-                "decimal": scalars.to_float(value),
-            }
+    _emit(
+        args.format,
+        json_payload=lambda: {
+            "command": "moments",
+            "region": region_to_json(region),
+            "degree": args.degree,
+            "moments": [
+                {
+                    "exponents": list(alpha),
+                    "label": exactness.monomial_label(alpha),
+                    "value": scalars.scalar_to_json(value),
+                    "decimal": scalars.to_float(value),
+                }
+                for alpha, value in entries
+            ],
+        },
+        csv_table=lambda: (["monomial", "exponents", "exact", "decimal"], [
+            [
+                exactness.monomial_label(alpha),
+                " ".join(str(e) for e in alpha),
+                _fmt(value),
+                repr(scalars.to_float(value)),
+            ]
             for alpha, value in entries
-        ],
-    }
-    rows = [
-        [
-            exactness.monomial_label(alpha),
-            " ".join(str(e) for e in alpha),
-            _fmt(value),
-            repr(scalars.to_float(value)),
-        ]
-        for alpha, value in entries
-    ]
-    lines = [f"moments of {_region_name(region, args.region)} through degree {args.degree}:"]
-    lines += [
-        f"  {exactness.monomial_label(alpha)} = {_fmt(value)}"
-        for alpha, value in entries
-    ]
-    _emit(args.format, payload, (["monomial", "exponents", "exact", "decimal"], rows), lines)
+        ]),
+        text_lines=lambda: [
+            f"moments of {_region_name(region, args.region)} through degree {args.degree}:"
+        ] + [f"  {exactness.monomial_label(alpha)} = {_fmt(value)}" for alpha, value in entries],
+    )
     return 0
 
 
@@ -312,6 +320,25 @@ def _outcome_payload(outcome) -> dict:
     }
 
 
+def _outcome_rows(outcome, unknowns: list[str]) -> list[list[str]]:
+    if isinstance(outcome, exactness.UniqueSolution):
+        return [[name, _fmt(v), repr(scalars.to_float(v))]
+                for name, v in zip(unknowns, outcome.values)]
+    if isinstance(outcome, exactness.Infeasible):
+        return [["infeasible", outcome.witness, ""]]
+    return [["underdetermined", str(outcome.nullity), ""]]
+
+
+def _outcome_lines(outcome, unknowns: list[str]) -> list[str]:
+    if isinstance(outcome, exactness.UniqueSolution):
+        return [f"  {name} = {_fmt(v)} ({scalars.to_float(v)!r})"
+                for name, v in zip(unknowns, outcome.values)]
+    if isinstance(outcome, exactness.Infeasible):
+        return [f"  infeasible: {outcome.witness}"]
+    return [f"  underdetermined (nullity {outcome.nullity}); "
+            f"particular solution {[_fmt(v) for v in outcome.particular]}"]
+
+
 def _spread_nodes(region: Region):
     """The vertex set, or the four axis points for the vertex-free disc."""
     if isinstance(region, UnitDisc):
@@ -336,50 +363,40 @@ def _check_system(region: Region, targets: int, mode: str) -> None:
 
 def _cmd_derive(args) -> int:
     region = _parse_region(args.region, args.region_file)
-    dim = region.dimension
     targets = _parse_targets(args.targets, region)
     if args.exclude:
-        alpha = _parse_exclude(args.exclude, dim)
+        alpha = _parse_exclude(args.exclude, region.dimension)
         targets = [t for t in targets if t != alpha]
     _check_system(region, len(targets), args.mode)
+    # one moment batch: the midpoint rule's volume and centroid, and the targets'
+    volume, centroid, moments = region.mass_and_moments(targets)
+    # the rule checks, in either mode, that the centroid lies in the region
+    midpoint = rules.CubatureRule(region, (centroid,), (volume,), label="midpoint")
+    spread = _spread_nodes(region)
     if args.mode == "lambda":
-        spread = (
-            rules.boundary_rule(region, _spread_nodes(region))
-            if isinstance(region, UnitDisc)
-            else rules.vertex_rule(region)
-        )
+        # the vertex rule, or on the disc the axis points', from the same volume
+        w = scalars.div(volume, Fraction(len(spread)))
         outcome = exactness.solve_lambda(
-            rules.midpoint_rule(region), spread, targets
+            midpoint, rules.CubatureRule(region, spread, (w,) * len(spread)), targets, moments
         )
         unknowns = ["lambda"]
     else:
-        # the centroid through midpoint_rule, whose membership check lambda mode shares
-        nodes = rules.midpoint_rule(region).nodes + _spread_nodes(region)
-        outcome = exactness.solve_weights(region, nodes, targets)
+        nodes = midpoint.nodes + spread
+        outcome = exactness.solve_weights(nodes, targets, moments)
         unknowns = [f"w{i + 1}" for i in range(len(nodes))]
-    payload = {
-        "command": "derive",
-        "mode": args.mode,
-        "region": region_to_json(region),
-        "targets": [list(t) for t in targets],
-        **_outcome_payload(outcome),
-    }
-    lines = [f"derive --mode {args.mode} on {_region_name(region, args.region)}:"]
-    rows: list[list[str]] = []
-    if isinstance(outcome, exactness.UniqueSolution):
-        for name, v in zip(unknowns, outcome.values):
-            lines.append(f"  {name} = {_fmt(v)} ({scalars.to_float(v)!r})")
-            rows.append([name, _fmt(v), repr(scalars.to_float(v))])
-    elif isinstance(outcome, exactness.Infeasible):
-        lines.append(f"  infeasible: {outcome.witness}")
-        rows.append(["infeasible", outcome.witness, ""])
-    else:
-        lines.append(
-            f"  underdetermined (nullity {outcome.nullity}); "
-            f"particular solution {[_fmt(v) for v in outcome.particular]}"
-        )
-        rows.append(["underdetermined", str(outcome.nullity), ""])
-    _emit(args.format, payload, (["unknown", "value", "decimal"], rows), lines)
+    _emit(
+        args.format,
+        json_payload=lambda: {
+            "command": "derive",
+            "mode": args.mode,
+            "region": region_to_json(region),
+            "targets": [list(t) for t in targets],
+            **_outcome_payload(outcome),
+        },
+        csv_table=lambda: (["unknown", "value", "decimal"], _outcome_rows(outcome, unknowns)),
+        text_lines=lambda: [f"derive --mode {args.mode} on {_region_name(region, args.region)}:"]
+        + _outcome_lines(outcome, unknowns),
+    )
     return 0
 
 
@@ -390,26 +407,29 @@ def _values(text: str, count: int) -> list[Fraction]:
     return [_fraction(p) for p in parts]
 
 
-def _residual_report(args, name: str, res, extra: dict | None = None,
-                     extra_lines: list[str] | None = None) -> int:
-    payload = {
-        "command": "family",
-        "system": name,
-        "solves": res.all_zero,
-        "residuals": [
-            {"equation": eq_name, "value": scalars.scalar_to_json(v)}
-            for eq_name, v in zip(res.names, res.residuals)
-        ],
-    }
-    if extra:
-        payload.update(extra)
-    rows = [[eq_name, _fmt(v)] for eq_name, v in zip(res.names, res.residuals)]
-    lines = [f"{name} system residuals:"]
-    lines += [f"  {eq_name}: {_fmt(v)}" for eq_name, v in zip(res.names, res.residuals)]
-    lines.append("solves the system" if res.all_zero else "does not solve the system")
-    if extra_lines:
-        lines += extra_lines
-    _emit(args.format, payload, (["equation", "residual"], rows), lines)
+def _residual_report(args, name: str, res, extra=dict, extra_lines=list) -> int:
+    """Print a system's residuals; ``extra`` returns the JSON keys and
+    ``extra_lines`` the text lines that a command adds after them."""
+    residuals = list(zip(res.names, res.residuals))
+    _emit(
+        args.format,
+        json_payload=lambda: {
+            "command": "family",
+            "system": name,
+            "solves": res.all_zero,
+            "residuals": [
+                {"equation": eq_name, "value": scalars.scalar_to_json(v)}
+                for eq_name, v in residuals
+            ],
+            **extra(),
+        },
+        csv_table=lambda: (["equation", "residual"],
+                           [[eq_name, _fmt(v)] for eq_name, v in residuals]),
+        text_lines=lambda: [f"{name} system residuals:"]
+        + [f"  {eq_name}: {_fmt(v)}" for eq_name, v in residuals]
+        + ["solves the system" if res.all_zero else "does not solve the system"]
+        + extra_lines(),
+    )
     return 0
 
 
@@ -436,14 +456,14 @@ def _cmd_family(args) -> int:
         roots = sorted(families.triangle_selector_roots())
         return _residual_report(
             args, system, res,
-            extra={
+            extra=lambda: {
                 "parameter": str(c),
                 "member": {k: scalars.scalar_to_json(v)
                            for k, v in zip("abc", member[:3])} | {
                                "lambda": scalars.scalar_to_json(member[3])},
                 "selector_roots": [str(r) for r in roots],
             },
-            extra_lines=[
+            extra_lines=lambda: [
                 f"family member at c={c}: a={_fmt(member[0])}, b={_fmt(member[1])}, "
                 f"lambda={_fmt(member[3])}",
                 f"distinguished parameters: {', '.join(str(r) for r in roots)}",
@@ -456,10 +476,10 @@ def _cmd_family(args) -> int:
         roots = sorted(families.square_selector_roots())
         return _residual_report(
             args, system, res,
-            extra={"parameter": str(d),
-                   "lambda": scalars.scalar_to_json(member[4]),
-                   "selector_roots": [str(r) for r in roots]},
-            extra_lines=[
+            extra=lambda: {"parameter": str(d),
+                           "lambda": scalars.scalar_to_json(member[4]),
+                           "selector_roots": [str(r) for r in roots]},
+            extra_lines=lambda: [
                 f"family member at d={d}: lambda={_fmt(member[4])}",
                 f"parameters with the extra x^3*y exactness: "
                 f"{', '.join(str(r) for r in roots)}",
@@ -471,13 +491,13 @@ def _cmd_family(args) -> int:
         res = families.trapezoid_system(a, b, c, d, lam)
         return _residual_report(
             args, system, res,
-            extra={"branch": args.branch,
-                   "member": {"a": scalars.scalar_to_json(a),
-                              "b": scalars.scalar_to_json(b),
-                              "c": scalars.scalar_to_json(c),
-                              "d": scalars.scalar_to_json(d),
-                              "lambda": scalars.scalar_to_json(lam)}},
-            extra_lines=[
+            extra=lambda: {"branch": args.branch,
+                           "member": {"a": scalars.scalar_to_json(a),
+                                      "b": scalars.scalar_to_json(b),
+                                      "c": scalars.scalar_to_json(c),
+                                      "d": scalars.scalar_to_json(d),
+                                      "lambda": scalars.scalar_to_json(lam)}},
+            extra_lines=lambda: [
                 f"a={_fmt(a)}", f"b={_fmt(b)}", f"c={_fmt(c)}", f"d={_fmt(d)}",
                 f"lambda={_fmt(lam)}",
             ],
@@ -485,26 +505,29 @@ def _cmd_family(args) -> int:
     # simplex3
     if args.vertex_search:
         solutions = families.simplex3_vertex_solutions()
-        payload = {
-            "command": "family",
-            "system": "simplex3",
-            "vertex_search": True,
-            "lambda": "4/5",
-            "solutions": [[str(v) for v in sol] for sol in solutions],
-        }
-        rows = [[str(i + 1), ", ".join(str(v) for v in sol)]
-                for i, sol in enumerate(solutions)]
-        lines = [f"vertex-type placements solving the system at lambda=4/5: "
-                 f"{len(solutions)}"]
-        lines += ["  (" + ", ".join(str(v) for v in sol) + ")" for sol in solutions]
-        _emit(args.format, payload, (["solution", "parameters"], rows), lines)
+        _emit(
+            args.format,
+            json_payload=lambda: {
+                "command": "family",
+                "system": "simplex3",
+                "vertex_search": True,
+                "lambda": "4/5",
+                "solutions": [[str(v) for v in sol] for sol in solutions],
+            },
+            csv_table=lambda: (["solution", "parameters"],
+                               [[str(i + 1), ", ".join(str(v) for v in sol)]
+                                for i, sol in enumerate(solutions)]),
+            text_lines=lambda: [
+                f"vertex-type placements solving the system at lambda=4/5: {len(solutions)}"
+            ] + ["  (" + ", ".join(str(v) for v in sol) + ")" for sol in solutions],
+        )
         return 0
     third = Fraction(1, 3)
     res = families.simplex3_face_system((third,) * 8, Fraction(-4, 5))
     return _residual_report(
         args, "simplex3", res,
-        extra={"point": "all 1/3", "lambda": "-4/5"},
-        extra_lines=["face-center placement with lambda=-4/5"],
+        extra=lambda: {"point": "all 1/3", "lambda": "-4/5"},
+        extra_lines=lambda: ["face-center placement with lambda=-4/5"],
     )
 
 
@@ -544,33 +567,41 @@ def _cmd_compound(args) -> int:
     errors = [abs(e.estimate - reference) for e in estimates]
     if not all(map(math.isfinite, errors)):
         raise OverflowError("an error |estimate - reference| overflowed")
-    rows = []
-    for i, (est, err) in enumerate(zip(estimates, errors)):
-        ratio = "" if i == 0 or err == 0 else f"{errors[i - 1] / err:.3f}"
-        rows.append([str(est.level), str(est.cells), repr(est.estimate), repr(err), ratio])
-    payload = {
-        "command": "compound",
-        "rule": rule.label,
-        "expr": args.expr,
-        "reference": reference,
-        "reference_kind": ref_kind,
-        "rows": [
-            {"level": e.level, "cells": e.cells, "estimate": e.estimate,
-             "error": err}
-            for e, err in zip(estimates, errors)
-        ],
-    }
-    lines = [f"compound {rule.label} on {args.expr} (reference {reference!r}, {ref_kind})"]
-    lines += ["level,cells,estimate,error,ratio"]
-    lines += [",".join(row) for row in rows]
     try:
         order = compound_mod.convergence_order(estimates, reference)
-        payload["order"] = order
-        lines.append(f"fitted order {order:.3f}")
+        fit = f"fitted order {order:.3f}"
     except SimpsonNdError as exc:
-        payload["order"] = None
-        lines.append(f"no order fit: {exc}")
-    _emit(args.format, payload, (["level", "cells", "estimate", "error", "ratio"], rows), lines)
+        order, fit = None, f"no order fit: {exc}"
+
+    def rows():
+        for i, (est, err) in enumerate(zip(estimates, errors)):
+            ratio = "" if i == 0 or err == 0 else f"{errors[i - 1] / err:.3f}"
+            yield [str(est.level), str(est.cells), repr(est.estimate), repr(err), ratio]
+
+    header = ["level", "cells", "estimate", "error", "ratio"]
+    _emit(
+        args.format,
+        json_payload=lambda: {
+            "command": "compound",
+            "rule": rule.label,
+            "expr": args.expr,
+            "reference": reference,
+            "reference_kind": ref_kind,
+            "rows": [
+                {"level": e.level, "cells": e.cells, "estimate": e.estimate,
+                 "error": err}
+                for e, err in zip(estimates, errors)
+            ],
+            "order": order,
+        },
+        csv_table=lambda: (header, rows()),
+        text_lines=lambda: [
+            f"compound {rule.label} on {args.expr} (reference {reference!r}, {ref_kind})",
+            ",".join(header),
+            *(",".join(row) for row in rows()),
+            fit,
+        ],
+    )
     return 0
 
 
@@ -589,25 +620,37 @@ def _cmd_catalog(args) -> int:
         rules.cr6(),
         rules.triangle_midedge(),
     ]
-    payload_rules = []
-    rows = []
-    lines = []
-    for rule in entries:
-        report = exactness.exactness_degree(rule, _CATALOG_DEGREE_CAP)
-        payload_rules.append(
-            {**rules.rule_to_json(rule), "degree": report.certified_degree}
-        )
-        lines.append(
-            f"{rule.label}  [{_region_name(rule.region)}]  "
-            f"degree {report.certified_degree}, {len(rule.nodes)} nodes"
-        )
-        for node, w in zip(rule.nodes, rule.weights):
-            point = "(" + ", ".join(_fmt(c) for c in node) + ")"
-            approx = "(" + ", ".join(f"{scalars.to_float(c):.6f}" for c in node) + ")"
-            lines.append(f"    {point} ~ {approx}  weight {_fmt(w)} ~ {scalars.to_float(w):.6f}")
-            rows.append([rule.label, str(report.certified_degree), point, _fmt(w)])
-    payload = {"command": "catalog", "rules": payload_rules}
-    _emit(args.format, payload, (["rule", "degree", "node", "weight"], rows), lines)
+    certified = [
+        (rule, exactness.exactness_degree(rule, _CATALOG_DEGREE_CAP).certified_degree)
+        for rule in entries
+    ]
+
+    def point(node) -> str:
+        return "(" + ", ".join(_fmt(c) for c in node) + ")"
+
+    def text_lines():
+        for rule, degree in certified:
+            yield (f"{rule.label}  [{_region_name(rule.region)}]  "
+                   f"degree {degree}, {len(rule.nodes)} nodes")
+            for node, w in zip(rule.nodes, rule.weights):
+                approx = "(" + ", ".join(f"{scalars.to_float(c):.6f}" for c in node) + ")"
+                yield (f"    {point(node)} ~ {approx}  "
+                       f"weight {_fmt(w)} ~ {scalars.to_float(w):.6f}")
+
+    _emit(
+        args.format,
+        json_payload=lambda: {
+            "command": "catalog",
+            "rules": [{**rules.rule_to_json(rule), "degree": degree}
+                      for rule, degree in certified],
+        },
+        csv_table=lambda: (["rule", "degree", "node", "weight"], [
+            [rule.label, str(degree), point(node), _fmt(w)]
+            for rule, degree in certified
+            for node, w in zip(rule.nodes, rule.weights)
+        ]),
+        text_lines=text_lines,
+    )
     return 0
 
 

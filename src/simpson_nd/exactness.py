@@ -218,23 +218,25 @@ LinearSolveOutcome = Union[UniqueSolution, Infeasible, Underdetermined]
 
 
 def solve_lambda(
-    m: CubatureRule, t: CubatureRule, targets
+    m: CubatureRule, t: CubatureRule, targets, moments
 ) -> LinearSolveOutcome:
     """Solve lam*(m - t) applied to x^alpha == moment - t(x^alpha) for one
     shared lam over all target monomials.
 
-    Equations that reduce to 0 == 0 carry no information; if every target
-    does, the outcome is Underdetermined.  A lam that exists but is
-    irrational cannot define a rational blend and is reported as
-    Infeasible with the defining equation as witness.
+    ``moments`` holds the region moment of each target, in order; a list
+    of another length raises ValueError.  The caller asks the region for
+    them in the same batch as the rules' volume and centroid
+    (``Region.mass_and_moments``).  Equations that reduce to 0 == 0 carry
+    no information; if every target does, the outcome is Underdetermined.
+    A lam that exists but is irrational cannot define a rational blend and
+    is reported as Infeasible with the defining equation as witness.
     """
     if m.region != t.region:
         raise RegionMismatch("rules must share one region")
-    region = m.region
     m_table, t_table = NodeTable(m.nodes, m.weights), NodeTable(t.nodes, t.weights)
     targets = [tuple(int(e) for e in alpha) for alpha in targets]
     first: Optional[tuple[Equation, Scalar]] = None
-    for alpha, moment in zip(targets, region.moments(targets)):
+    for alpha, moment in list(zip(targets, moments, strict=True)):
         spread = t_table.sum(alpha)
         coef = scalars.sub(m_table.sum(alpha), spread)
         rhs = scalars.sub(moment, spread)
@@ -411,9 +413,11 @@ def _eliminate(view: list[list], scales: list[int], ncols: int, d, pi_columns):
     return pivots, scalars.from_view(prev, sign * prod(scales[:r]), d), reduced
 
 
-def solve_weights(region: Region, nodes, targets) -> LinearSolveOutcome:
+def solve_weights(nodes, targets, moments) -> LinearSolveOutcome:
     """Exact solve for one weight per node so the rule matches the region
-    moments of every target monomial.
+    moment of every target monomial; ``moments`` holds those moments, one
+    per target in order, from the caller's batch (a list of another length
+    raises ValueError).
 
     Works over whatever quadratic field the node coordinates and the
     moments need.  The rows come from the integer view of a ``NodeTable``
@@ -430,9 +434,9 @@ def solve_weights(region: Region, nodes, targets) -> LinearSolveOutcome:
     nodes = tuple(tuple(scalars.as_scalar(c) for c in p) for p in nodes)
     targets = [tuple(int(e) for e in alpha) for alpha in targets]
     nunk = len(nodes)
-    moments = region.moments(targets)
+    moments = list(moments)
     pi = all(type(m) is PiMultiple for m in moments)
-    rhs = [m.coefficient for m in moments] if pi else list(moments)
+    rhs = [m.coefficient for m in moments] if pi else moments
     d = scalars.radicand([c for p in nodes for c in p] + rhs, "eliminate")
     table = NodeTable(nodes, [Fraction(1)] * nunk)
 
@@ -440,7 +444,7 @@ def solve_weights(region: Region, nodes, targets) -> LinearSolveOutcome:
         return k if d is None else (k, 0)
 
     scales, view, entries = [], [], []
-    for alpha, moment in zip(targets, rhs):
+    for alpha, moment in zip(targets, rhs, strict=True):
         terms = table.terms(alpha)
         if table.radicand != d:
             # rational nodes, moments over sqrt(d)

@@ -66,9 +66,9 @@ class BlendSystem:
 
     @cached_property
     def _constants(self) -> tuple[Scalar, Point, tuple[Scalar, ...]]:
-        """Region volume, centroid and the target moments, from two moment
-        batches; computed on first use, once per system."""
-        return (*self.region.mass(), self.region.moments(self.alphas))
+        """Region volume, centroid and the target moments, from one moment
+        batch; computed on first use, once per system."""
+        return self.region.mass_and_moments(self.alphas)
 
     def nodes(self, params) -> tuple[Point, ...]:
         return self.place(*(as_scalar(v) for v in params))

@@ -51,7 +51,8 @@ class Region:
     """Base of the four regions.  Each region supplies ``moment`` (and a
     batch ``moments`` when it has a faster one); volume and centroid, the
     A(D) and P of the paper's M(f) = A(D) f(P), are its zero and first
-    moments, asked for here in one batch.  Its one membership routine,
+    moments, asked for here in one batch, together with any other moments
+    a caller needs (``mass_and_moments``).  Its one membership routine,
     ``locate(points)``, gives -1 (outside), 0 (boundary) or +1 (inside) per
     point from one ``_point_view`` of the list; ``contains`` and
     ``on_boundary`` ask it about one point, and each region keeps
@@ -71,14 +72,24 @@ class Region:
     def volume(self) -> Scalar:
         return self.moment((0,) * self.dimension)
 
+    def mass_and_moments(self, alphas) -> tuple[Scalar, Point, tuple[Scalar, ...]]:
+        """(volume, centroid, the moment of each index in ``alphas``) from
+        one ``moments`` batch over the zero index, the unit vectors and
+        ``alphas``, each distinct index asked once: all that the blend
+        lam*M + (1-lam)*T asks of its region."""
+        n = self.dimension
+        basis = [(0,) * n] + [(0,) * k + (1,) + (0,) * (n - 1 - k) for k in range(n)]
+        alphas = [tuple(int(e) for e in alpha) for alpha in alphas]
+        batch = list(dict.fromkeys(basis + alphas))
+        values = dict(zip(batch, self.moments(batch)))
+        volume = values[basis[0]]
+        centroid = tuple(scalars.div(values[unit], volume) for unit in basis[1:])
+        return volume, centroid, tuple(values[alpha] for alpha in alphas)
+
     def mass(self) -> tuple[Scalar, Point]:
         """(volume, centroid) from one batch of the zero index and the
         unit vectors."""
-        n = self.dimension
-        volume, *firsts = self.moments(
-            [(0,) * n] + [(0,) * k + (1,) + (0,) * (n - 1 - k) for k in range(n)]
-        )
-        return volume, tuple(scalars.div(m, volume) for m in firsts)
+        return self.mass_and_moments(())[:2]
 
     def centroid(self) -> Point:
         return self.mass()[1]

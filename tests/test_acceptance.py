@@ -181,14 +181,16 @@ def test_criterion_07_triangle_midedge():
 def test_criterion_08_negative_results():
     hexagon = hexagon_paper()
     targets = list(monomials_up_to(2, 2))
-    hex_out = solve_lambda(midpoint_rule(hexagon), vertex_rule(hexagon), targets)
+    hex_out = solve_lambda(midpoint_rule(hexagon), vertex_rule(hexagon), targets,
+                           hexagon.moments(targets))
     ok_hex = isinstance(hex_out, Infeasible)
 
     trap = trapezoid_paper()
     nodes = ((Fraction(5, 9), Fraction(7, 9)), (0, 0), (1, 0), (0, 1), (1, 2))
-    full = solve_weights(trap, nodes, targets)
+    full = solve_weights(nodes, targets, trap.moments(targets))
     ok_full = isinstance(full, Infeasible)
-    partial = solve_weights(trap, nodes, [a for a in targets if a != (1, 1)])
+    dropped = [a for a in targets if a != (1, 1)]
+    partial = solve_weights(nodes, dropped, trap.moments(dropped))
     ok_partial = isinstance(partial, UniqueSolution) and partial.values == (
         Fraction(81, 80),
         Fraction(23, 240),

@@ -837,3 +837,53 @@ def test_a_zero_denominator_names_the_text(capsys, flag):
     code, out, err = run_cli(capsys, "family", *flag)
     assert (code, out) == (1, "")
     assert err == "error: '1/0' has a zero denominator\n"
+
+
+_RATIONAL_PENTAGON = {"polygon": [[{"rat": [x, "1"]}, {"rat": [y, "1"]}]
+                                  for x, y in (("0", "0"), ("4", "0"), ("5", "3"), ("2", "5"),
+                                               ("-1", "2"))]}
+
+
+@pytest.mark.parametrize("region", [
+    "--region-file", "hexagon-paper", "trapezoid-paper", "simplex:3", "cube:2", "disc",
+])
+@pytest.mark.parametrize("argv", [
+    ("moments", "--degree", "3"),
+    ("derive", "--mode", "lambda"),
+    ("derive", "--mode", "weights"),
+    ("derive", "--mode", "weights", "--targets", "deg3", "--exclude", "x*y"),
+])
+def test_a_request_asks_its_region_once(tmp_path, capsys, monkeypatch, region, argv):
+    """One moment batch per moments or derive request: the midpoint
+    rule's volume and centroid, the spread rule's volume and the targets
+    all come from one ``moments`` call, and no ``moment`` call is made
+    outside it."""
+    from simpson_nd.regions import Cube, Polygon, Simplex, UnitDisc
+
+    asks, depth = [], []
+
+    def counted(method):
+        def wrapper(self, *args):
+            if not depth:
+                asks.append(method.__name__)
+            depth.append(method)
+            try:
+                return method(self, *args)
+            finally:
+                depth.pop()
+
+        return wrapper
+
+    for cls in (Simplex, Cube, Polygon, UnitDisc):
+        originals = cls.moment, cls.moments
+        for method in originals:
+            monkeypatch.setattr(cls, method.__name__, counted(method))
+    if region == "--region-file":
+        path = tmp_path / "pentagon.json"
+        path.write_text(json.dumps(_RATIONAL_PENTAGON))
+        where = ("--region-file", str(path))
+    else:
+        where = ("--region", region)
+    code, out, err = run_cli(capsys, *argv, *where)
+    assert (code, err) == (0, "")
+    assert asks == ["moments"]

@@ -129,7 +129,8 @@ def test_solve_lambda_simplex_family():
     for n in range(2, 7):
         region = Simplex(n)
         targets = [(1, 1) + (0,) * (n - 2)]
-        out = solve_lambda(midpoint_rule(region), vertex_rule(region), targets)
+        out = solve_lambda(midpoint_rule(region), vertex_rule(region), targets,
+                           region.moments(targets))
         assert isinstance(out, UniqueSolution)
         assert out.values == (Fraction(n + 1, n + 2),)
 
@@ -137,16 +138,18 @@ def test_solve_lambda_simplex_family():
 def test_solve_lambda_cube():
     for n in range(1, 7):
         region = Cube(n)
+        targets = [(2,) + (0,) * (n - 1)]
         out = solve_lambda(
-            midpoint_rule(region), vertex_rule(region), [(2,) + (0,) * (n - 1)]
+            midpoint_rule(region), vertex_rule(region), targets, region.moments(targets)
         )
         assert out.values == (Fraction(2, 3),)
 
 
 def test_solve_lambda_hexagon_infeasible():
     hexagon = hexagon_paper()
+    targets = [(2, 0), (0, 2)]
     out = solve_lambda(
-        midpoint_rule(hexagon), vertex_rule(hexagon), [(2, 0), (0, 2)]
+        midpoint_rule(hexagon), vertex_rule(hexagon), targets, hexagon.moments(targets)
     )
     assert isinstance(out, Infeasible)
     assert len(out.equations) == 2
@@ -158,15 +161,18 @@ def test_solve_lambda_hexagon_infeasible():
 
 def test_solve_lambda_underdetermined():
     region = Cube(2)
-    out = solve_lambda(midpoint_rule(region), vertex_rule(region), [(0, 0), (1, 0)])
+    targets = [(0, 0), (1, 0)]
+    out = solve_lambda(midpoint_rule(region), vertex_rule(region), targets,
+                       region.moments(targets))
     assert isinstance(out, Underdetermined)
     assert out.nullity == 1
 
 
 def test_solve_lambda_trapezoid_vertices_infeasible():
     region = trapezoid_paper()
+    targets = list(monomials_up_to(2, 2))
     out = solve_lambda(
-        midpoint_rule(region), vertex_rule(region), list(monomials_up_to(2, 2))
+        midpoint_rule(region), vertex_rule(region), targets, region.moments(targets)
     )
     assert isinstance(out, Infeasible)
 
@@ -174,8 +180,12 @@ def test_solve_lambda_trapezoid_vertices_infeasible():
 TRAP_NODES = ((Fraction(5, 9), Fraction(7, 9)), (0, 0), (1, 0), (0, 1), (1, 2))
 
 
+def _trapezoid_weights(nodes, targets):
+    return solve_weights(nodes, targets, trapezoid_paper().moments(targets))
+
+
 def test_solve_weights_trapezoid_infeasible():
-    out = solve_weights(trapezoid_paper(), TRAP_NODES, list(monomials_up_to(2, 2)))
+    out = _trapezoid_weights(TRAP_NODES, list(monomials_up_to(2, 2)))
     assert isinstance(out, Infeasible)
     # Farkas-style check: the multipliers combine the cited equations
     # into zero coefficients and a nonzero right side
@@ -191,7 +201,7 @@ def test_solve_weights_trapezoid_infeasible():
 
 def test_solve_weights_trapezoid_drop_xy():
     targets = [a for a in monomials_up_to(2, 2) if a != (1, 1)]
-    out = solve_weights(trapezoid_paper(), TRAP_NODES, targets)
+    out = _trapezoid_weights(TRAP_NODES, targets)
     assert isinstance(out, UniqueSolution)
     assert out.values == (
         Fraction(81, 80),
@@ -205,14 +215,15 @@ def test_solve_weights_trapezoid_drop_xy():
 def test_solve_weights_simplex_reproduces_cr1():
     region = Simplex(2)
     nodes = (region.centroid(),) + region.vertices()
-    out = solve_weights(region, nodes, list(monomials_up_to(2, 2)))
+    targets = list(monomials_up_to(2, 2))
+    out = solve_weights(nodes, targets, region.moments(targets))
     assert out.values == (Fraction(3, 8), Fraction(1, 24), Fraction(1, 24), Fraction(1, 24))
 
 
 def test_solve_weights_solution_zeroes_residuals():
     region = trapezoid_paper()
     targets = [a for a in monomials_up_to(2, 2) if a != (1, 1)]
-    out = solve_weights(region, TRAP_NODES, targets)
+    out = solve_weights(TRAP_NODES, targets, region.moments(targets))
     rule_like = list(zip(TRAP_NODES, out.values))
     for alpha in targets:
         total = Fraction(0)
@@ -225,14 +236,25 @@ def test_solve_weights_solution_zeroes_residuals():
 
 def test_solve_weights_rejects_a_node_of_the_wrong_length():
     with pytest.raises(DimensionMismatch):
-        solve_weights(Simplex(2), [(0, 0, 0)], [(1, 0)])
+        solve_weights([(0, 0, 0)], [(1, 0)], Simplex(2).moments([(1, 0)]))
+
+
+def test_the_solvers_refuse_targets_without_their_moments():
+    region = Simplex(2)
+    targets = [(1, 0), (0, 1)]
+    with pytest.raises(ValueError, match="shorter"):
+        solve_weights(region.vertices(), targets, region.moments(targets[:1]))
+    # a zero volume makes the first equation read 0*lam = -1/2: the length is checked first
+    with pytest.raises(ValueError, match="longer"):
+        solve_lambda(midpoint_rule(region), vertex_rule(region), [(0, 0), (1, 0)],
+                     [0, 0, 0])
 
 
 def test_solve_weights_gives_back_the_cr5_weights():
     # both branches: the center and the four boundary nodes are fixed by
     # the quadratics, so the solve must return the blend's own weights
     for rule in (cr5(), cr5_conjugate()):
-        out = solve_weights(trapezoid_paper(), rule.nodes, list(monomials_up_to(2, 2)))
+        out = _trapezoid_weights(rule.nodes, list(monomials_up_to(2, 2)))
         assert isinstance(out, UniqueSolution), rule.label
         assert out.values == rule.weights, rule.label
 
@@ -247,7 +269,8 @@ def test_cr5_residuals_are_galois_conjugate():
 def test_solve_weights_underdetermined():
     region = Simplex(2)
     nodes = (region.centroid(),) + region.vertices()
-    out = solve_weights(region, nodes, [(0, 0), (1, 0)])
+    targets = [(0, 0), (1, 0)]
+    out = solve_weights(nodes, targets, region.moments(targets))
     assert isinstance(out, Underdetermined)
     assert out.nullity == 2
 
@@ -258,7 +281,8 @@ def test_pipeline_blend_reproduces_named_rules():
     for n in (2, 3):
         region = Simplex(n)
         m, t = midpoint_rule(region), vertex_rule(region)
-        out = solve_lambda(m, t, [(1, 1) + (0,) * (n - 2)])
+        targets = [(1, 1) + (0,) * (n - 2)]
+        out = solve_lambda(m, t, targets, region.moments(targets))
         rebuilt = blend(out.values[0], m, t)
         reference = cr1(n)
         for alpha in monomials_up_to(n, 4):
@@ -268,7 +292,8 @@ def test_pipeline_blend_reproduces_named_rules():
     for n in (1, 2, 3):
         region = Cube(n)
         m, t = midpoint_rule(region), vertex_rule(region)
-        out = solve_lambda(m, t, [(2,) + (0,) * (n - 1)])
+        targets = [(2,) + (0,) * (n - 1)]
+        out = solve_lambda(m, t, targets, region.moments(targets))
         rebuilt = blend(out.values[0], m, t)
         reference = cr3(n)
         for alpha in monomials_up_to(n, 4):
@@ -339,7 +364,8 @@ def test_solve_lambda_on_the_disc_reproduces_cr6():
 
     disc = UnitDisc()
     circle = boundary_rule(disc, [(1, 0), (0, 1), (-1, 0), (0, -1)])
-    out = solve_lambda(midpoint_rule(disc), circle, [(2, 0), (0, 2), (1, 1)])
+    targets = [(2, 0), (0, 2), (1, 1)]
+    out = solve_lambda(midpoint_rule(disc), circle, targets, disc.moments(targets))
     assert isinstance(out, UniqueSolution)
     assert out.values == (Fraction(1, 2),)
     rebuilt = blend(Fraction(1, 2), midpoint_rule(disc), circle)
@@ -353,7 +379,7 @@ def test_solve_weights_over_quadratic_field():
     # elimination at the CR5 nodes runs over Q(sqrt 3893) and lands on the
     # rule's rational weights, uniquely
     rule = cr5()
-    out = solve_weights(trapezoid_paper(), rule.nodes, list(monomials_up_to(2, 2)))
+    out = _trapezoid_weights(rule.nodes, list(monomials_up_to(2, 2)))
     assert isinstance(out, UniqueSolution)
     assert out.values == rule.weights
     assert out.values[0] == Fraction(489, 784)
@@ -544,9 +570,10 @@ def test_conjugating_a_polygon_conjugates_its_moments_and_weight_solves(d):
         # quadratic targets (infeasible), as many, or more (underdetermined)
         for k in range(2, len(polygon.vertex_list) + 1):
             nodes = (centroid,) + polygon.vertex_list[:k]
-            out = solve_weights(polygon, nodes, targets)
+            out = solve_weights(nodes, targets, polygon.moments(targets))
             assert repr(out) == repr(scalar_solve_weights(polygon, nodes, targets))
-            mirrored = solve_weights(image, [tuple(map(scalars.conj, p)) for p in nodes], targets)
+            mirrored = solve_weights([tuple(map(scalars.conj, p)) for p in nodes], targets,
+                                     image.moments(targets))
             assert _fields(mirrored) == _fields(out, scalars.conj)
             if isinstance(out, Infeasible):
                 _check_certificate(out)
@@ -575,7 +602,7 @@ def _weight_systems():
 def test_solve_weights_matches_the_scalar_rows():
     outcomes = {}
     for name, region, nodes, targets in _weight_systems():
-        out = solve_weights(region, nodes, targets)
+        out = solve_weights(nodes, targets, region.moments(targets))
         assert repr(out) == repr(scalar_solve_weights(region, nodes, targets)), (name, targets)
         if isinstance(out, Infeasible):
             _check_certificate(out)

@@ -248,26 +248,29 @@ def test_trapezoid_system_matches_rule_residuals():
             assert scalars.eq(res.as_dict()[name], residual(rule, alpha)), name
 
 
-def test_a_blend_system_asks_its_region_twice(monkeypatch):
-    """mass() and the targets: two moment batches for a fresh system's
-    constants, none after."""
+def test_a_blend_system_asks_its_region_once(monkeypatch):
+    """The volume, the centroid and the targets: one moment batch, each
+    index once, for a fresh system's constants, none after."""
     calls = []
-    original = Polygon.moments
+    for cls in (Simplex, Cube, Polygon):
+        def counted(self, alphas, original=cls.moments):
+            calls.append(list(alphas))
+            return original(self, alphas)
 
-    def counted(self, alphas):
-        calls.append(list(alphas))
-        return original(self, alphas)
-
-    monkeypatch.setattr(Polygon, "moments", counted)
-    template = families._TRAPEZOID
-    system = families.BlendSystem(
-        template.make_region, template.place, list(zip(template.names, template.alphas))
-    )
-    member = trapezoid_family_member()
-    assert system.residuals(member[:4], member[4]).all_zero
-    assert calls == [[(0, 0), (1, 0), (0, 1)], list(template.alphas)]
-    system.residuals((0, 0, 0, 0), 1)
-    assert len(calls) == 2
+        monkeypatch.setattr(cls, "moments", counted)
+    for template, count in ((families._TRIANGLE, 3), (families._SQUARE, 4),
+                            (families._TRAPEZOID, 4), (families._SIMPLEX3, 8)):
+        system = families.BlendSystem(
+            template.make_region, template.place, list(zip(template.names, template.alphas))
+        )
+        calls.clear()
+        system.residuals((0,) * count, 1)
+        n = system.region.dimension
+        basis = {(0,) * n} | {tuple(int(i == k) for i in range(n)) for k in range(n)}
+        assert len(calls) == 1
+        assert sorted(calls[0]) == sorted(basis | set(template.alphas))
+        system.residuals((1,) * count, 0)
+        assert len(calls) == 1
 
 
 # ---------------------------------------------------------------- simplex3

@@ -34,6 +34,7 @@ from pathlib import Path
 
 import pytest
 
+from simpson_nd import cli, rules, scalars
 from simpson_nd.cli import run
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -99,6 +100,20 @@ def test_output_matches_golden(capsys, name):
     out = capsys.readouterr().out
     assert code == 0
     assert out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(n for n in CASES if not n.endswith(".json")))
+def test_text_and_csv_output_build_no_json(capsys, monkeypatch, name):
+    """A command builds only the form that --format selects."""
+    def refuse(*args):
+        raise AssertionError(f"{name} built JSON")
+
+    monkeypatch.setattr(cli, "region_to_json", refuse)
+    monkeypatch.setattr(scalars, "scalar_to_json", refuse)
+    monkeypatch.setattr(rules, "rule_to_json", refuse)
+    code = run(list(CASES[name]))
+    assert code == 0
+    assert capsys.readouterr().out == (GOLDEN / name).read_text(encoding="utf-8")
 
 
 def main() -> int:
