@@ -24,7 +24,7 @@ from . import rules, scalars
 from .errors import DenominatorZero, SingularInterpolation, WorkLimit
 from .exactness import gauss_jordan
 from .regions import Cube, Point, Region, Simplex, integrate_terms, trapezoid_paper
-from .rules import CubatureRule, NodeTable, blend, boundary_rule, midpoint_rule
+from .rules import CubatureRule, NodeTable, _blend_layout, blend
 from .scalars import Scalar, as_scalar, is_zero
 
 
@@ -44,7 +44,7 @@ class SystemResiduals:
 
 
 class BlendSystem:
-    """lam * midpoint_rule + (1 - lam) * equal weights on placed nodes.
+    """``blend``'s lam*M + (1-lam)*T with boundary nodes placed by parameters.
 
     ``make_region`` builds the region on first use, so importing this
     module does no geometry; ``place`` maps the node parameters to the
@@ -74,14 +74,9 @@ class BlendSystem:
         return self.place(*(as_scalar(v) for v in params))
 
     def residuals(self, params, lam) -> SystemResiduals:
-        lam = as_scalar(lam)
-        placed = self.nodes(params)
         vol, center, moments = self._constants
-        w = scalars.mul(scalars.sub(Fraction(1), lam), scalars.div(vol, Fraction(len(placed))))
-        # the node list .rule() builds, without its membership checks
-        nodes = (center,) + placed
-        weights = (scalars.mul(lam, vol),) + (w,) * len(placed)
-        table = NodeTable(nodes, weights)
+        # blend's node list, which .rule() checks, laid out here unchecked
+        table = NodeTable(*_blend_layout(as_scalar(lam), vol, center, self.nodes(params)))
         return SystemResiduals(
             self.names,
             tuple(
@@ -91,12 +86,7 @@ class BlendSystem:
         )
 
     def rule(self, params, lam, label: str) -> CubatureRule:
-        return blend(
-            Fraction(lam),
-            midpoint_rule(self.region),
-            boundary_rule(self.region, self.nodes(params)),
-            label=label,
-        )
+        return blend(lam, self.region, self.nodes(params), label=label)
 
 
 _0, _1 = Fraction(0), Fraction(1)

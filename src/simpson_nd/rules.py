@@ -4,7 +4,9 @@ named rules CR1..CR6 and the triangle midedge rule.
 Every rule stores exact Scalar nodes and weights.  Node membership in the
 closed region is verified exactly at construction, one ``Region.locate``
 call per node list, so rules with irrational boundary nodes (CR5) are
-certified, not assumed.
+certified, not assumed.  Every named rule is the paper's
+lam*M(f) + (1-lam)*T(f), built by ``blend`` from one moment batch of its
+region and one boundary node list.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .errors import (
     DimensionMismatch,
     NodeNotOnBoundary,
     NodeOutsideRegion,
-    RegionMismatch,
     WorkLimit,
 )
 from .regions import (
@@ -265,28 +266,37 @@ def boundary_rule(region: Region, nodes) -> CubatureRule:
     return CubatureRule(region, nodes, tuple(w for _ in nodes), label="boundary")
 
 
-def blend(lam, a: CubatureRule, b: CubatureRule, label: str = "") -> CubatureRule:
-    """Affine mix: lam times rule ``a`` plus (1 - lam) times rule ``b``.
+def _blend_layout(lam, volume, centroid, spread) -> tuple[tuple[Point, ...], tuple[Scalar, ...]]:
+    """Nodes and weights of lam*M + (1-lam)*T, unchecked: the centroid with
+    weight lam*A, then each of the k spread nodes with (1-lam)*A/k, where A
+    is the volume; nodes whose weight is exactly zero are dropped."""
+    share = scalars.mul(scalars.sub(Fraction(1), lam), scalars.div(volume, Fraction(len(spread))))
+    pairs = [(centroid, scalars.mul(lam, volume))] + [(p, share) for p in spread]
+    kept = [(p, w) for p, w in pairs if not is_zero(w)]
+    return tuple(p for p, _ in kept), tuple(w for _, w in kept)
 
-    Nodes whose scaled weight is exactly zero are dropped, so degenerate
-    mixes (lam in {0, 1}) reduce to the surviving rule's node set.
+
+def blend(lam, region: Region, spread, label: str = "") -> CubatureRule:
+    """The paper's rule lam*M(f) + (1-lam)*T(f) on ``region``: M(f) = A f(P)
+    at the centroid P with the volume A, and T puts A/k on each of the k
+    boundary nodes in ``spread``.
+
+    One ``mass()`` batch gives A and P, and one ``locate`` call checks P
+    and the spread: a centroid outside the region raises NodeOutsideRegion
+    (also at lam = 0) and a spread node off the boundary NodeNotOnBoundary.
+    Nodes whose weight is exactly zero are dropped, so lam in {0, 1}
+    leaves the spread or the centroid alone.
     """
-    lam = Fraction(lam)
-    if a.region != b.region:
-        raise RegionMismatch("blended rules must share one region")
-    nodes: list[Point] = []
-    weights: list[Scalar] = []
-    for node, w in zip(a.nodes, a.weights):
-        scaled = scalars.mul(lam, w)
-        if not is_zero(scaled):
-            nodes.append(node)
-            weights.append(scaled)
-    for node, w in zip(b.nodes, b.weights):
-        scaled = scalars.mul(1 - lam, w)
-        if not is_zero(scaled):
-            nodes.append(node)
-            weights.append(scaled)
-    return CubatureRule(a.region, tuple(nodes), tuple(weights), label=label)
+    spread = tuple(tuple(as_scalar(c) for c in p) for p in spread)
+    volume, centroid = region.mass()
+    inside, *signs = region.locate((centroid,) + spread)
+    if inside < 0:
+        raise NodeOutsideRegion(f"node {centroid} lies outside the region")
+    for p, s in zip(spread, signs):
+        if s:
+            raise NodeNotOnBoundary(f"node {p} is not on the region boundary")
+    nodes, weights = _blend_layout(Fraction(lam), volume, centroid, spread)
+    return CubatureRule(region, nodes, weights, label=label)
 
 
 # CR1..CR3 are built for n <= MAX_RULE_DIMENSION only: CR3(n) has 2^n + 1
@@ -308,8 +318,7 @@ def cr1(n: int) -> CubatureRule:
     (n+1)/(n+2); exact for every quadratic."""
     _check_rule_dimension(n)
     region = Simplex(n)
-    lam = Fraction(n + 1, n + 2)
-    return blend(lam, midpoint_rule(region), vertex_rule(region), label=f"CR1({n})")
+    return blend(Fraction(n + 1, n + 2), region, region.vertices(), label=f"CR1({n})")
 
 
 def _face_centers(n: int) -> tuple[Point, ...]:
@@ -327,10 +336,8 @@ def cr2(n: int) -> CubatureRule:
     -(n-2)(n+1)/(n+2); exact for every quadratic.  The center weight is
     negative for n >= 3 and zero for n = 2."""
     _check_rule_dimension(n)
-    region = Simplex(n)
     lam = Fraction(-(n - 2) * (n + 1), n + 2)
-    faces = boundary_rule(region, _face_centers(n))
-    return blend(lam, midpoint_rule(region), faces, label=f"CR2({n})")
+    return blend(lam, Simplex(n), _face_centers(n), label=f"CR2({n})")
 
 
 def cr3(n: int) -> CubatureRule:
@@ -338,9 +345,7 @@ def cr3(n: int) -> CubatureRule:
     exact for every cubic.  For n = 1 this is classical Simpson's rule."""
     _check_rule_dimension(n)
     region = Cube(n)
-    return blend(
-        Fraction(2, 3), midpoint_rule(region), vertex_rule(region), label=f"CR3({n})"
-    )
+    return blend(Fraction(2, 3), region, region.vertices(), label=f"CR3({n})")
 
 
 def _square_midedges() -> tuple[Point, ...]:
@@ -351,9 +356,7 @@ def _square_midedges() -> tuple[Point, ...]:
 def cr4() -> CubatureRule:
     """Center-plus-edge-midpoints blend on the unit square, blend parameter
     1/3; exact for every cubic and additionally for x^3 y and x y^3."""
-    region = Cube(2)
-    mids = boundary_rule(region, _square_midedges())
-    return blend(Fraction(1, 3), midpoint_rule(region), mids, label="CR4")
+    return blend(Fraction(1, 3), Cube(2), _square_midedges(), label="CR4")
 
 
 CR5_LAMBDA = Fraction(163, 392)
@@ -381,22 +384,16 @@ def _cr5_boundary_nodes(conjugate: bool) -> tuple[Point, ...]:
     )
 
 
-def _cr5(conjugate: bool, label: str) -> CubatureRule:
-    region = trapezoid_paper()
-    bnd = boundary_rule(region, _cr5_boundary_nodes(conjugate))
-    return blend(CR5_LAMBDA, midpoint_rule(region), bnd, label=label)
-
-
 def cr5() -> CubatureRule:
     """Degree-2 rule on the trapezoid (0,0),(1,0),(1,2),(0,1): center of
     mass blended with four boundary nodes whose coordinates live in
     Q(sqrt(3893)), blend parameter 163/392."""
-    return _cr5(conjugate=False, label="CR5")
+    return blend(CR5_LAMBDA, trapezoid_paper(), _cr5_boundary_nodes(False), label="CR5")
 
 
 def cr5_conjugate() -> CubatureRule:
     """The companion CR5 solution with sqrt(3893) replaced by its negative."""
-    return _cr5(conjugate=True, label="CR5*")
+    return blend(CR5_LAMBDA, trapezoid_paper(), _cr5_boundary_nodes(True), label="CR5*")
 
 
 # CR6's boundary nodes, and derive's spread nodes on the vertex-free disc
@@ -406,19 +403,14 @@ DISC_AXIS_POINTS = tuple((Fraction(x), Fraction(y)) for x, y in ((1, 0), (0, 1),
 def cr6() -> CubatureRule:
     """Unit-disc rule pi/2 f(0,0) + pi/8 (f(1,0)+f(0,1)+f(-1,0)+f(0,-1));
     exact for every cubic."""
-    region = UnitDisc()
-    circle = boundary_rule(region, DISC_AXIS_POINTS)
-    return blend(Fraction(1, 2), midpoint_rule(region), circle, label="CR6")
+    return blend(Fraction(1, 2), UnitDisc(), DISC_AXIS_POINTS, label="CR6")
 
 
 def triangle_midedge() -> CubatureRule:
     """Weights 1/6 at the three edge midpoints of the standard triangle;
-    exact for every quadratic."""
-    region = Simplex(2)
-    h = Fraction(1, 2)
-    zero = Fraction(0)
-    rule = boundary_rule(region, ((h, zero), (zero, h), (h, h)))
-    return CubatureRule(region, rule.nodes, rule.weights, label="TriangleMidedge")
+    exact for every quadratic: the blend with lam = 0."""
+    h, zero = Fraction(1, 2), Fraction(0)
+    return blend(0, Simplex(2), ((h, zero), (zero, h), (h, h)), label="TriangleMidedge")
 
 
 _NAMED_NEED_DIM = {"CR1": cr1, "CR2": cr2, "CR3": cr3}

@@ -37,7 +37,6 @@ from simpson_nd.families import (
 from simpson_nd.regions import Cube, Polygon, Simplex, hexagon_paper, trapezoid_paper
 from simpson_nd.rules import (
     blend,
-    boundary_rule,
     cr1,
     cr2,
     cr3,
@@ -93,13 +92,8 @@ def test_criterion_02_cr2_exactness():
             w for p, w in zip(rule.nodes, rule.weights) if p == rule.region.centroid()
         )
         ok_neg = ok_neg and scalars.sign(center_weight) < 0
-    region = Simplex(2)
-    midedges = boundary_rule(
-        region, ((HALF, Fraction(0)), (Fraction(0), HALF), (HALF, HALF))
-    )
-    ok_blend = rules_equivalent(
-        cr2(2), blend(Fraction(0), midpoint_rule(region), midedges)
-    )
+    midedges = ((HALF, Fraction(0)), (Fraction(0), HALF), (HALF, HALF))
+    ok_blend = rules_equivalent(cr2(2), blend(Fraction(0), Simplex(2), midedges))
     _report(
         2,
         ok_deg and ok_neg and ok_blend,

@@ -283,7 +283,7 @@ def test_pipeline_blend_reproduces_named_rules():
         m, t = midpoint_rule(region), vertex_rule(region)
         targets = [(1, 1) + (0,) * (n - 2)]
         out = solve_lambda(m, t, targets, region.moments(targets))
-        rebuilt = blend(out.values[0], m, t)
+        rebuilt = blend(out.values[0], region, region.vertices())
         reference = cr1(n)
         for alpha in monomials_up_to(n, 4):
             assert rebuilt.apply_poly(monomial(alpha)) == reference.apply_poly(
@@ -294,7 +294,7 @@ def test_pipeline_blend_reproduces_named_rules():
         m, t = midpoint_rule(region), vertex_rule(region)
         targets = [(2,) + (0,) * (n - 1)]
         out = solve_lambda(m, t, targets, region.moments(targets))
-        rebuilt = blend(out.values[0], m, t)
+        rebuilt = blend(out.values[0], region, region.vertices())
         reference = cr3(n)
         for alpha in monomials_up_to(n, 4):
             assert rebuilt.apply_poly(monomial(alpha)) == reference.apply_poly(
@@ -363,12 +363,12 @@ def test_solve_lambda_on_the_disc_reproduces_cr6():
     from simpson_nd.rules import boundary_rule, cr6
 
     disc = UnitDisc()
-    circle = boundary_rule(disc, [(1, 0), (0, 1), (-1, 0), (0, -1)])
+    axis = [(1, 0), (0, 1), (-1, 0), (0, -1)]
     targets = [(2, 0), (0, 2), (1, 1)]
-    out = solve_lambda(midpoint_rule(disc), circle, targets, disc.moments(targets))
+    out = solve_lambda(midpoint_rule(disc), boundary_rule(disc, axis), targets, disc.moments(targets))
     assert isinstance(out, UniqueSolution)
     assert out.values == (Fraction(1, 2),)
-    rebuilt = blend(Fraction(1, 2), midpoint_rule(disc), circle)
+    rebuilt = blend(out.values[0], disc, axis)
     for alpha in monomials_up_to(2, 3):
         assert scalars.eq(
             rebuilt.apply_poly(monomial(alpha)), cr6().apply_poly(monomial(alpha))

@@ -40,7 +40,6 @@ from simpson_nd.families import (
 from simpson_nd.regions import Cube, Polygon, Simplex, trapezoid_paper
 from simpson_nd.rules import (
     blend,
-    boundary_rule,
     cr1,
     cr2,
     cr3,
@@ -90,7 +89,7 @@ def test_triangle_system_matches_rule_residuals():
         c = Fraction(rng.randint(0, 12), 12)
         lam = Fraction(rng.randint(-10, 10), rng.randint(1, 10))
         nodes = [(a, Fraction(0)), (Fraction(0), b), (c, 1 - c)]
-        rule = blend(lam, midpoint_rule(region), boundary_rule(region, nodes))
+        rule = blend(lam, region, nodes)
         res = triangle_system(a, b, c, lam)
         for name, alpha in zip(res.names, targets):
             assert scalars.eq(res.as_dict()[name], residual(rule, alpha)), (name, a, b, c, lam)
@@ -152,7 +151,7 @@ def test_square_system_matches_rule_residuals():
         lam = Fraction(rng.randint(-8, 8), rng.randint(1, 8))
         a, b, c, d = vals
         nodes = [(a, Fraction(0)), (Fraction(0), b), (c, Fraction(1)), (Fraction(1), d)]
-        rule = blend(lam, midpoint_rule(region), boundary_rule(region, nodes))
+        rule = blend(lam, region, nodes)
         res = square_system(a, b, c, d, lam)
         for name, alpha in zip(res.names, targets):
             assert scalars.eq(res.as_dict()[name], residual(rule, alpha)), name
@@ -242,7 +241,7 @@ def test_trapezoid_system_matches_rule_residuals():
         d = Fraction(rng.randint(0, 10), 10)
         lam = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
         nodes = [(a, Fraction(0)), (Fraction(0), b), (Fraction(1), c), (d, d + 1)]
-        rule = blend(lam, midpoint_rule(region), boundary_rule(region, nodes))
+        rule = blend(lam, region, nodes)
         res = trapezoid_system(a, b, c, d, lam)
         for name, alpha in zip(res.names, targets):
             assert scalars.eq(res.as_dict()[name], residual(rule, alpha)), name
@@ -314,7 +313,7 @@ def test_simplex3_system_matches_rule_residuals():
             lam = Fraction(1, 2)
         a1, a2, a3, a4, a5, a6, a7, a8 = a
         nodes = [(a1, a2, 0), (a3, 0, a4), (0, a5, a6), (a7, a8, 1 - a7 - a8)]
-        rule = blend(lam, midpoint_rule(region), boundary_rule(region, nodes))
+        rule = blend(lam, region, nodes)
         res = simplex3_face_system(a, lam).as_dict()
         assert list(res) == list(linear) + list(quadratic)
         for name, alpha in quadratic.items():

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
@@ -8,13 +10,12 @@ import pytest
 
 from oracles import float_rule_sum, monomial_value, scalar_node_sum
 from test_regions import _random_rational_polygon
-from simpson_nd import rules, scalars
+from simpson_nd import families, rules, scalars
 from simpson_nd.errors import (
     DimensionMismatch,
     IncompatibleScalars,
     NodeNotOnBoundary,
     NodeOutsideRegion,
-    RegionMismatch,
     WorkLimit,
 )
 from simpson_nd.exactness import monomials_of_degree
@@ -141,13 +142,29 @@ def test_rule_constructor_rejects_outside_nodes():
 def test_blend_degenerate_cases():
     region = Cube(2)
     m, t = midpoint_rule(region), vertex_rule(region)
-    assert blend(1, m, t).nodes == m.nodes
-    assert blend(0, m, t).nodes == t.nodes
-    r = blend(Fraction(2, 3), m, t)
+    assert blend(1, region, region.vertices()).nodes == m.nodes
+    assert blend(0, region, region.vertices()).nodes == t.nodes
+    r = blend(Fraction(2, 3), region, region.vertices())
     assert r.weights[0] == Fraction(2, 3)
     assert set(r.weights[1:]) == {Fraction(1, 12)}
-    with pytest.raises(RegionMismatch):
-        blend(Fraction(1, 2), midpoint_rule(Cube(2)), vertex_rule(Simplex(2)))
+
+
+@pytest.mark.parametrize("lam", [Fraction(1, 2), Fraction(0)])
+def test_blend_checks_the_centroid_even_when_its_weight_is_zero(lam):
+    # a C-shaped polygon whose centroid falls in the notch
+    c_shape = Polygon([(0, 0), (3, 0), (3, 1), (1, 1), (1, 2), (3, 2), (3, 3), (0, 3)])
+    centroid = (Fraction(19, 14), Fraction(3, 2))
+    with pytest.raises(NodeOutsideRegion) as error:
+        blend(lam, c_shape, c_shape.vertices())
+    assert str(error.value) == f"node {centroid} lies outside the region"
+
+
+def test_blend_names_the_first_spread_node_off_the_boundary():
+    h, zero = Fraction(1, 2), Fraction(0)
+    inner, outer = (Fraction(1, 4), Fraction(1, 4)), (Fraction(1), Fraction(1))
+    with pytest.raises(NodeNotOnBoundary) as error:
+        blend(Fraction(1, 3), Simplex(2), [(h, zero), inner, outer])
+    assert str(error.value) == f"node {inner} is not on the region boundary"
 
 
 def test_cr1_weights():
@@ -251,9 +268,95 @@ def test_cr4_locates_each_node_list_with_one_call(monkeypatch):
     monkeypatch.setattr(Cube, "locate", counted_locate)
     monkeypatch.setattr(CubatureRule, "__post_init__", counted_post_init)
     cr4()
-    # boundary_rule's midedges, then the boundary, midpoint and blended rules
-    assert built == [4, 1, 5]
-    assert located == [4] + built
+    # blend checks the centroid and the midedges, then the rule its nodes
+    assert built == [5]
+    assert located == [5, 5]
+
+
+_BUILDS = {
+    **{f"{name}({n})": (lambda b=builder, n=n: b(n))
+       for name, builder in (("CR1", cr1), ("CR2", cr2), ("CR3", cr3)) for n in (2, 5, 12)},
+    **{name: (lambda name=name: named_rule(name))
+       for name in ("CR4", "CR5", "CR5*", "CR6", "TriangleMidedge")},
+    "triangle_family_rule": lambda: families.triangle_family_rule(Fraction(1, 3)),
+    "square_family_rule": lambda: families.square_family_rule(Fraction(1, 5)),
+    "simplex3_face_rule": lambda: families.simplex3_face_rule((Fraction(1, 3),) * 8, Fraction(-4, 5)),
+}
+
+
+@pytest.mark.parametrize("build", list(_BUILDS.values()), ids=list(_BUILDS))
+def test_a_build_asks_its_region_once_and_makes_one_rule(monkeypatch, build):
+    calls = Counter()
+
+    def counted(name, original):
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    for cls in (Simplex, Cube, Polygon, UnitDisc):
+        for name in ("moments", "volume", "locate"):
+            monkeypatch.setattr(cls, name, counted(name, getattr(cls, name)))
+    monkeypatch.setattr(CubatureRule, "__post_init__",
+                        counted("rule", CubatureRule.__post_init__))
+    build()
+    assert calls == {"moments": 1, "locate": 2, "rule": 1}
+
+
+# sha256 of repr((label, nodes, weights)): node order feeds every float sum
+NODE_ORDER_SHA256 = {
+    "CR1(1)": "768a406956ec5e1798a4f43e129f596b4e0d686430c27d31558381c1ed3b1354",
+    "CR3(1)": "3f4adee1ec902f7b94728f430f6b1151a4b8baeef9ed781cd056f3ad7123fe93",
+    "CR1(2)": "3471b27057037bf37f15bd62bae5ab9a8656f48d7186256723ec708a41a2914d",
+    "CR3(2)": "d7b6588e558d6dd1bd73944e634b2deedb1ac2475412e705cdc36a6d99c4b04b",
+    "CR1(3)": "189ff6664232cedda98fab2a17e8e31eca2e3e1e3ef46a4289bb19baa4b51863",
+    "CR3(3)": "0d3775d86299af9ca808a98244694e3920844c09d30d45a901a41ea09b5562d3",
+    "CR1(4)": "7873cbbac281d45e521bba0bf8f53490f4ba447b3eb49f4434c852130ff71336",
+    "CR3(4)": "e6f6d7733f098034f6d1df658c2da33600f36985881f1ea9522476795000220d",
+    "CR1(5)": "f22ca3e47097dc6e5e8d847858a863b331d7f48f93c481f22f86f75889f2471c",
+    "CR3(5)": "c33b387b8e4de7c8ee9e58e612293bf90091a18b78a288ddd88438bb153c6da4",
+    "CR1(6)": "a7adbd0a2f4fa729fd281c03ad24957b5d77d3e516aa17f0435f1242bc297c90",
+    "CR3(6)": "38eb74317a0a81ac29663b3ad3b9354a8a9bf03ea2c73036e48ba87d234a075f",
+    "CR1(7)": "21ca4ddf35422ccfe395ba50fa0458c876fc3b53164a9c3f87c872c055d05403",
+    "CR3(7)": "5c3769c0e8a76fa6dfd1c5120fda6d027b409e9053bc5b43c77b115e014d140e",
+    "CR1(8)": "bc9e74475d2c42b68fc8acfd90a591684df85f83d9719899aebbf58fc1c92837",
+    "CR3(8)": "8e2931d27ccc9452610b8c530d65c76744d2095f559efa2e6ec0b03875c1072f",
+    "CR1(9)": "66888b4343b826984745a6c205d6aad0c57e30c8868692e4250f9f98d99daa51",
+    "CR3(9)": "00fae4b1914a1d5de7a43447d78fb409338996a26b8eb6c98d1b4f38da6a50b6",
+    "CR1(10)": "e50210f3bbff41a5dd15e3888344f545c2da6a567176df3f794b5e4bf6116721",
+    "CR3(10)": "bed9f7dfe468913d74585063aacd9a8819c45d78fb5bfee9a967e86185e804ca",
+    "CR1(11)": "0e4010053cc002853b10768ced109dc4a2fff3d81987ac3a5aa43ea1cf477c4e",
+    "CR3(11)": "3f17f62503613799090487502dd28598ca49398e9690fa92423f504e5a10fb1d",
+    "CR1(12)": "63e65840478b04ed99070637eec8372286f69550a8256944a34593c58dd3fb86",
+    "CR3(12)": "4a701bfc15f2249899cf687f6732148756a986a0937e860911a9483d375e8731",
+    "CR2(2)": "5e59446103969ad57695c248a081a56b5ff02d25f1d6c7eb0482de15e7c3070c",
+    "CR2(3)": "0d425c791c8be9ac8113395bd99ad2c5667751421553da4c67d8f93fbae02ab2",
+    "CR2(4)": "39878aaf1d9c0ad0d2fe0acd8ea2bc15060d5d81b8b10415253a828b6869c01c",
+    "CR2(5)": "b84d18660eb33ee887e882b96cf5131ef2597d8102581e9e077c13d7f645b973",
+    "CR2(6)": "8f8d7bbeb7ec686179f9f6072990f9516ef0fcd041025d531aff51fdbe7cffe1",
+    "CR2(7)": "61b57e54913c80bfe8b63217635666537900be4b20e98eecec113926fdac07e5",
+    "CR2(8)": "28ea9eb18b52c39aba41c33728f9d4d3d13c1de360e58ef18666b5b4010bc0cd",
+    "CR2(9)": "340b20b6f084dc50b30f56fcb2cecaeaf8d5c5609547860ab0517440d265bd28",
+    "CR2(10)": "235d7098db001189664d716f74d6af0adac35a5447eb0bd9aeef04a967e55ed7",
+    "CR2(11)": "fdda8ec50dd71166c04461713404f1eca5fcd3388ff5766bda35fb16f4d56221",
+    "CR2(12)": "3775313f274ad2e682015d54bf2980c97a4e098badbfeda774dfc8060b4424b7",
+    "CR4": "17c2525b18610c12a4c643b71ba7af83edbdbeac3aa01bc316ef82356030d30a",
+    "CR5": "0d4ac45e11e86e266cc88ed452c78baf5a0db8c6d6769a10daf35c85a4a3a8de",
+    "CR5*": "e8732706eb5291defb1e13408a26f5f398839a051f87d84e8d97846c1130ff7b",
+    "CR6": "fbe15092a5ec0855de2add02d7cebf3be541c0885b8b7792b3def9f0dcf1687c",
+    "TriangleMidedge": "e909f9df18a79ffb19915054ece932ea6c042ceb01d2e0df64a15b080b79c388",
+}
+
+
+def test_named_rules_keep_their_node_order():
+    rules_by_label = [cr1(n) for n in range(1, 13)] + [cr3(n) for n in range(1, 13)]
+    rules_by_label += [cr2(n) for n in range(2, 13)]
+    rules_by_label += [named_rule(name) for name in ("CR4", "CR5", "CR5*", "CR6", "TriangleMidedge")]
+    got = {
+        rule.label: hashlib.sha256(repr((rule.label, rule.nodes, rule.weights)).encode()).hexdigest()
+        for rule in rules_by_label
+    }
+    assert got == NODE_ORDER_SHA256
 
 
 def test_apply_poly_examples():
@@ -275,7 +378,7 @@ def test_blend_is_affine_in_lambda():
             for _ in range(4)
         }
         poly = MonomialPoly(2, terms)
-        mixed = blend(lam, m, t).apply_poly(poly)
+        mixed = blend(lam, region, region.vertices()).apply_poly(poly)
         direct = lam * m.apply_poly(poly) + (1 - lam) * t.apply_poly(poly)
         assert mixed == direct
 
