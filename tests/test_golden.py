@@ -20,7 +20,10 @@ certificate with its multipliers.  A refactor of any of these must leave
 every file here unchanged, which pins every compound estimate bit for
 bit.  Every ``.csv`` file, and the ``verify_cr3_dim3`` and
 ``moments_trapezoid`` files, were recorded before each command built only
-the output form that ``--format`` selects.
+the output form that ``--format`` selects.  The five lambda-mode
+``derive`` files named for the cube, the simplex, the trapezoid, the
+irrational hexagon solution and the disc were recorded while
+``solve_lambda`` still took a midpoint and a spread rule.
 
 Each file holds the stdout of ``simpson-nd`` for the argv listed below,
 for example ``simpson-nd --format json verify --all > verify_all.json``.
@@ -79,6 +82,14 @@ FIELD_CASES = {
     "derive_trapezoid_weights": ("derive", "--region", "trapezoid-paper", "--mode", "weights"),
     "verify_cr3_dim3": ("verify", "--rule", "CR3", "--dim", "3"),
     "moments_trapezoid": ("moments", "--region", "trapezoid-paper", "--degree", "6"),
+    # every outcome of the lambda solve: the unique 2/3, underdetermined,
+    # two equations that disagree, the one irrational solution, 0*lam = pi/24
+    "derive_cube3_lambda": ("derive", "--region", "cube:3", "--targets", "deg3"),
+    "derive_simplex3_lambda": ("derive", "--region", "simplex:3", "--targets", "deg1"),
+    "derive_trapezoid_lambda": ("derive", "--region", "trapezoid-paper"),
+    "derive_hexagon_irrational_lambda": (
+        "derive", "--region", "hexagon-paper", "--targets", "deg2", "--exclude", "y^2"),
+    "derive_disc_lambda": ("derive", "--region", "disc", "--targets", "deg4", "--exclude", "x^4"),
 }
 
 CASES = {"verify_all.json": ("--format", "json", "verify", "--all")}
