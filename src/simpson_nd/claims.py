@@ -185,10 +185,7 @@ def _deg2_targets():
 def _check_negative_results() -> list[Claim]:
     targets = _deg2_targets()
     hexagon = hexagon_paper()
-    outcome = exactness.solve_lambda(
-        rules.midpoint_rule(hexagon), rules.vertex_rule(hexagon), targets,
-        hexagon.moments(targets),
-    )
+    outcome = exactness.solve_lambda(hexagon, hexagon.vertices(), targets)
     ok_hex = isinstance(outcome, exactness.Infeasible)
 
     _, centroid, moments = trapezoid_paper().mass_and_moments(targets)

@@ -368,20 +368,14 @@ def _cmd_derive(args) -> int:
         alpha = _parse_exclude(args.exclude, region.dimension)
         targets = [t for t in targets if t != alpha]
     _check_system(region, len(targets), args.mode)
-    # one moment batch: the midpoint rule's volume and centroid, and the targets'
-    volume, centroid, moments = region.mass_and_moments(targets)
-    # the rule checks, in either mode, that the centroid lies in the region
-    midpoint = rules.CubatureRule(region, (centroid,), (volume,), label="midpoint")
     spread = _spread_nodes(region)
     if args.mode == "lambda":
-        # the vertex rule, or on the disc the axis points', from the same volume
-        w = scalars.div(volume, Fraction(len(spread)))
-        outcome = exactness.solve_lambda(
-            midpoint, rules.CubatureRule(region, spread, (w,) * len(spread)), targets, moments
-        )
+        outcome = exactness.solve_lambda(region, spread, targets)
         unknowns = ["lambda"]
     else:
-        nodes = midpoint.nodes + spread
+        # the centroid's check and the target moments from one batch, as in lambda mode
+        _, centroid, _, moments = rules._paper_form(region, (), targets)
+        nodes = (centroid,) + spread
         outcome = exactness.solve_weights(nodes, targets, moments)
         unknowns = [f"w{i + 1}" for i in range(len(nodes))]
     _emit(

@@ -27,10 +27,6 @@ class NodeOutsideRegion(SimpsonNdError):
     """A rule node lies strictly outside the closed region."""
 
 
-class RegionMismatch(SimpsonNdError):
-    """Two rules being combined are defined over different regions."""
-
-
 class DenominatorZero(SimpsonNdError):
     """A family parameter hits a pole of the closed-form blend parameter."""
 

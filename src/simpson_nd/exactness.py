@@ -22,9 +22,9 @@ from math import factorial, lcm, prod
 from typing import Iterator, Optional, Union
 
 from . import scalars
-from .errors import DimensionMismatch, IncompatibleScalars, RegionMismatch, WorkLimit
+from .errors import DimensionMismatch, IncompatibleScalars, WorkLimit
 from .regions import Cube, MultiIndex, Region, Simplex
-from .rules import CubatureRule, NodeTable
+from .rules import CubatureRule, NodeTable, _blend_layout, _paper_form
 from .scalars import PiMultiple, Scalar, is_zero
 
 # Most entries of an exact system the solvers may be asked to build:
@@ -217,29 +217,26 @@ class Underdetermined:
 LinearSolveOutcome = Union[UniqueSolution, Infeasible, Underdetermined]
 
 
-def solve_lambda(
-    m: CubatureRule, t: CubatureRule, targets, moments
-) -> LinearSolveOutcome:
-    """Solve lam*(m - t) applied to x^alpha == moment - t(x^alpha) for one
-    shared lam over all target monomials.
+def solve_lambda(region: Region, spread, targets) -> LinearSolveOutcome:
+    """Solve lam*(M - T) applied to x^alpha == moment - T(x^alpha) for the
+    one lam of ``rules.blend``'s lam*M + (1-lam)*T on ``region`` over all
+    target monomials; M and T are the blend's layouts at lam = 1 and 0,
+    from ``rules._paper_form``'s one checked moment batch.
 
-    ``moments`` holds the region moment of each target, in order; a list
-    of another length raises ValueError.  The caller asks the region for
-    them in the same batch as the rules' volume and centroid
-    (``Region.mass_and_moments``).  Equations that reduce to 0 == 0 carry
-    no information; if every target does, the outcome is Underdetermined.
-    A lam that exists but is irrational cannot define a rational blend and
-    is reported as Infeasible with the defining equation as witness.
+    Equations that reduce to 0 == 0 carry no information; if every target
+    does, the outcome is Underdetermined.  A lam that exists but is
+    irrational cannot define a rational blend and is reported as Infeasible
+    with the defining equation as witness.
     """
-    if m.region != t.region:
-        raise RegionMismatch("rules must share one region")
-    m_table, t_table = NodeTable(m.nodes, m.weights), NodeTable(t.nodes, t.weights)
     targets = [tuple(int(e) for e in alpha) for alpha in targets]
+    volume, centroid, spread, moments = _paper_form(region, spread, targets)
+    m_table, t_table = (NodeTable(*_blend_layout(lam, volume, centroid, spread))
+                        for lam in (Fraction(1), Fraction(0)))
     first: Optional[tuple[Equation, Scalar]] = None
-    for alpha, moment in list(zip(targets, moments, strict=True)):
-        spread = t_table.sum(alpha)
-        coef = scalars.sub(m_table.sum(alpha), spread)
-        rhs = scalars.sub(moment, spread)
+    for alpha, moment in zip(targets, moments):
+        t_sum = t_table.sum(alpha)
+        coef = scalars.sub(m_table.sum(alpha), t_sum)
+        rhs = scalars.sub(moment, t_sum)
         equation = Equation(monomial_label(alpha), (coef,), rhs)
         if is_zero(coef):
             if is_zero(rhs):

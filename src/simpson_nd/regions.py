@@ -34,17 +34,20 @@ def _check_index(alpha, dimension: int) -> MultiIndex:
     return alpha
 
 
-def _point_view(points):
+def _point_view(points, dimension: int):
     """(D, d, rows): the common denominator, the radicand and one row of
     view values per point, from one ``scalars.integer_view`` of every
     coordinate in the list.  Membership and polygon geometry run on it:
     signs, moments, areas and orientations are ring expressions in the
-    coordinates, so they need no Fraction until the end."""
+    coordinates, so they need no Fraction until the end.  The first point
+    whose length is not ``dimension`` raises DimensionMismatch."""
+    for point in points:
+        if len(point) != dimension:
+            raise DimensionMismatch(f"point {point} does not match region dimension {dimension}")
     flat = [c for point in points for c in point]
     d = scalars.radicand(flat, "combine")
     den, view = scalars.integer_view(flat, d)
-    values = iter(view)
-    return den, d, [list(itertools.islice(values, len(point))) for point in points]
+    return den, d, [view[i:i + dimension] for i in range(0, len(view), dimension)]
 
 
 class Region:
@@ -123,7 +126,7 @@ class Simplex(Region):
 
     def locate(self, points) -> list[int]:
         """min(sign(X_i), sign(D - sum X_i)) per point, for X = D x."""
-        den, d, rows = _point_view(points)
+        den, d, rows = _point_view(points, self.dimension)
         top = den if d is None else (den, 0)
         return [min(view_sign(view_minus(top, view_sum(row, d), d), d),
                     *(view_sign(x, d) for x in row)) for row in rows]
@@ -154,7 +157,7 @@ class Cube(Region):
 
     def locate(self, points) -> list[int]:
         """min over i of sign(X_i) and sign(D - X_i) per point, for X = D x."""
-        den, d, rows = _point_view(points)
+        den, d, rows = _point_view(points, self.dimension)
         if d is None:
             return [view_sign(min(min(row), den - max(row)), d) for row in rows]
         return [min(view_sign(v, d) for x in row for v in (x, view_minus((den, 0), x, d)))
@@ -269,7 +272,7 @@ class Polygon(Region):
                         f"vertex {i} has the pi-valued {axis} coordinate {c!r}; "
                         "polygon coordinates must be rational or a + b*sqrt(d)"
                     )
-        _, d, rows = _point_view(pts)
+        _, d, rows = _point_view(pts, 2)
         crosses = [
             view_minus(view_times(x0, y1, d), view_times(x1, y0, d), d)
             for (x0, y0), (x1, y1) in zip(rows, rows[1:] + rows[:1])
@@ -338,7 +341,7 @@ class Polygon(Region):
         alphas = [_check_index(alpha, 2) for alpha in alphas]
         if not alphas:
             return ()
-        den, d, pts = _point_view(self.vertex_list)
+        den, d, pts = _point_view(self.vertex_list, 2)
         zero = 0 if d is None else (0, 0)
         edges = [
             (view_minus(view_times(x0, y1, d), view_times(x1, y0, d), d), x0, y0, x1, y1)
@@ -377,7 +380,7 @@ class Polygon(Region):
     def locate(self, points) -> list[int]:
         """``_polygon_sign`` per point, on one view of vertices and points."""
         m = len(self.vertex_list)
-        _, d, rows = _point_view(self.vertex_list + tuple(points))
+        _, d, rows = _point_view(self.vertex_list + tuple(points), 2)
         edges = list(zip(rows[:m], rows[1:m] + rows[:1]))
         return [_polygon_sign(pt, edges, d) for pt in rows[m:]]
 
@@ -412,7 +415,7 @@ class UnitDisc(Region):
 
     def locate(self, points) -> list[int]:
         """sign(D^2 - X^2 - Y^2) per point, on the view (X, Y) = D (x, y)."""
-        den, d, rows = _point_view(points)
+        den, d, rows = _point_view(points, self.dimension)
         top = den * den if d is None else (den * den, 0)
         squares = [view_plus(view_times(x, x, d), view_times(y, y, d), d) for x, y in rows]
         return [view_sign(view_minus(top, rr, d), d) for rr in squares]

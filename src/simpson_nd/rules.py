@@ -2,11 +2,11 @@
 named rules CR1..CR6 and the triangle midedge rule.
 
 Every rule stores exact Scalar nodes and weights.  Node membership in the
-closed region is verified exactly at construction, one ``Region.locate``
-call per node list, so rules with irrational boundary nodes (CR5) are
-certified, not assumed.  Every named rule is the paper's
-lam*M(f) + (1-lam)*T(f), built by ``blend`` from one moment batch of its
-region and one boundary node list.
+closed region is verified exactly, one ``Region.locate`` call per node
+list, so rules with irrational boundary nodes (CR5) are certified, not
+assumed.  Every named rule is the paper's lam*M(f) + (1-lam)*T(f), built
+by ``blend`` from ``_paper_form``: one moment batch of its region and one
+``locate`` call over its centroid and boundary node list.
 """
 
 from __future__ import annotations
@@ -256,14 +256,40 @@ def vertex_rule(region: Region) -> CubatureRule:
     return CubatureRule(region, verts, tuple(w for _ in verts), label="vertex")
 
 
+def _located_rule(region: Region, nodes, weights, label: str) -> CubatureRule:
+    """A rule of exact values that its builder located where they entered:
+    it skips the second ``locate`` call that ``__post_init__`` makes."""
+    rule = object.__new__(CubatureRule)
+    rule.__dict__.update(region=region, nodes=nodes, weights=weights, label=label)
+    return rule
+
+
 def boundary_rule(region: Region, nodes) -> CubatureRule:
     """Equal weights volume/(node count) at caller-chosen boundary nodes."""
     nodes = tuple(tuple(as_scalar(c) for c in p) for p in nodes)
     for p, s in zip(nodes, region.locate(nodes)):
         if s:
             raise NodeNotOnBoundary(f"node {p} is not on the region boundary")
-    w = scalars.div(region.volume(), Fraction(len(nodes)))
-    return CubatureRule(region, nodes, tuple(w for _ in nodes), label="boundary")
+    w = scalars.div(region.moments([(0,) * region.dimension])[0], Fraction(len(nodes)))
+    return _located_rule(region, nodes, tuple(w for _ in nodes), "boundary")
+
+
+def _paper_form(region: Region, spread, alphas=()) -> tuple:
+    """(A, P, spread, moments) for the paper's lam*M(f) + (1-lam)*T(f):
+    M(f) = A f(P) with the volume A and the centroid P, and T puts A/k on
+    each of the k boundary nodes in ``spread``.  One ``mass_and_moments``
+    batch gives A, P and the moments of ``alphas``, and one ``locate`` call
+    raises NodeOutsideRegion for P outside the region and NodeNotOnBoundary
+    for a spread node off the boundary."""
+    spread = tuple(tuple(as_scalar(c) for c in p) for p in spread)
+    volume, centroid, moments = region.mass_and_moments(alphas)
+    inside, *signs = region.locate((centroid,) + spread)
+    if inside < 0:
+        raise NodeOutsideRegion(f"node {centroid} lies outside the region")
+    for p, s in zip(spread, signs):
+        if s:
+            raise NodeNotOnBoundary(f"node {p} is not on the region boundary")
+    return volume, centroid, spread, moments
 
 
 def _blend_layout(lam, volume, centroid, spread) -> tuple[tuple[Point, ...], tuple[Scalar, ...]]:
@@ -277,26 +303,13 @@ def _blend_layout(lam, volume, centroid, spread) -> tuple[tuple[Point, ...], tup
 
 
 def blend(lam, region: Region, spread, label: str = "") -> CubatureRule:
-    """The paper's rule lam*M(f) + (1-lam)*T(f) on ``region``: M(f) = A f(P)
-    at the centroid P with the volume A, and T puts A/k on each of the k
-    boundary nodes in ``spread``.
-
-    One ``mass()`` batch gives A and P, and one ``locate`` call checks P
-    and the spread: a centroid outside the region raises NodeOutsideRegion
-    (also at lam = 0) and a spread node off the boundary NodeNotOnBoundary.
-    Nodes whose weight is exactly zero are dropped, so lam in {0, 1}
-    leaves the spread or the centroid alone.
+    """The paper's rule lam*M(f) + (1-lam)*T(f) on ``region`` for an exact
+    scalar lam, checked by ``_paper_form`` (also at lam = 0).  Nodes whose
+    weight is exactly zero are dropped, so lam in {0, 1} leaves the spread
+    or the centroid alone.
     """
-    spread = tuple(tuple(as_scalar(c) for c in p) for p in spread)
-    volume, centroid = region.mass()
-    inside, *signs = region.locate((centroid,) + spread)
-    if inside < 0:
-        raise NodeOutsideRegion(f"node {centroid} lies outside the region")
-    for p, s in zip(spread, signs):
-        if s:
-            raise NodeNotOnBoundary(f"node {p} is not on the region boundary")
-    nodes, weights = _blend_layout(Fraction(lam), volume, centroid, spread)
-    return CubatureRule(region, nodes, weights, label=label)
+    volume, centroid, spread, _ = _paper_form(region, spread)
+    return _located_rule(region, *_blend_layout(as_scalar(lam), volume, centroid, spread), label)
 
 
 # CR1..CR3 are built for n <= MAX_RULE_DIMENSION only: CR3(n) has 2^n + 1

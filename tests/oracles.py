@@ -16,7 +16,9 @@ sums from the node and weight lists, and exact rule sums and exactness
 reports node by node over every monomial, reduced row echelon forms by
 Gauss-Jordan elimination with one scalar operation per entry, weight
 solves from rows of ``monomial_value`` scalars reduced by that
-elimination, and region membership point by point in scalar arithmetic.
+elimination, region membership point by point in scalar arithmetic, and
+the blend parameter from any midpoint and spread rule, summed node by
+node.
 """
 
 from __future__ import annotations
@@ -411,6 +413,52 @@ def full_scan_report(rule, max_degree: int) -> tuple:
             if not scalars.is_zero(r):
                 return d - 1, alpha, r
     return max_degree, None, None
+
+
+def two_rule_lambda(m, t, targets, moments):
+    """The lam with lam*m + (1-lam)*t exact on every target, for any two
+    rules on one region and the targets' moments: each equation
+    lam*(m - t)(x^alpha) == moment - t(x^alpha) summed node by node, with
+    the outcomes and witnesses of ``exactness.solve_lambda``."""
+    assert m.region == t.region
+    targets = [tuple(int(e) for e in alpha) for alpha in targets]
+    first = None
+    for alpha, moment in zip(targets, moments, strict=True):
+        spread = scalar_node_sum(t.nodes, t.weights, alpha)
+        coef = scalars.sub(scalar_node_sum(m.nodes, m.weights, alpha), spread)
+        rhs = scalars.sub(moment, spread)
+        equation = Equation(monomial_label(alpha), (coef,), rhs)
+        if scalars.is_zero(coef):
+            if scalars.is_zero(rhs):
+                continue
+            return Infeasible(
+                witness=f"equation for {equation.label} reads 0*lam = {scalars.format_scalar(rhs)}",
+                equations=(equation,),
+            )
+        lam = scalars.div(rhs, coef)
+        if first is None:
+            first = (equation, lam)
+            continue
+        if not scalars.eq(lam, first[1]):
+            return Infeasible(
+                witness=(
+                    f"{first[0].label} forces lam = {scalars.format_scalar(first[1])} but "
+                    f"{equation.label} forces lam = {scalars.format_scalar(lam)}"
+                ),
+                equations=(first[0], equation),
+            )
+    if first is None:
+        return Underdetermined(particular=(Fraction(0),), nullity=1)
+    equation, lam = first
+    if not isinstance(lam, Fraction):
+        return Infeasible(
+            witness=(
+                f"the only solution lam = {scalars.format_scalar(lam)} "
+                f"(from {equation.label}) is irrational"
+            ),
+            equations=(equation,),
+        )
+    return UniqueSolution((lam,))
 
 
 def scalar_gauss_jordan(rows, ncols: int):

@@ -43,11 +43,9 @@ from simpson_nd.rules import (
     cr4,
     cr5,
     cr6,
-    midpoint_rule,
     monomial,
     rules_equivalent,
     triangle_midedge,
-    vertex_rule,
 )
 from simpson_nd.scalars import PiMultiple
 
@@ -175,8 +173,7 @@ def test_criterion_07_triangle_midedge():
 def test_criterion_08_negative_results():
     hexagon = hexagon_paper()
     targets = list(monomials_up_to(2, 2))
-    hex_out = solve_lambda(midpoint_rule(hexagon), vertex_rule(hexagon), targets,
-                           hexagon.moments(targets))
+    hex_out = solve_lambda(hexagon, hexagon.vertices(), targets)
     ok_hex = isinstance(hex_out, Infeasible)
 
     trap = trapezoid_paper()

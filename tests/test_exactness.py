@@ -7,9 +7,10 @@ from math import factorial
 
 import pytest
 
-from oracles import full_scan_report, scalar_solve_weights, steger_polygon_moment
+from oracles import full_scan_report, scalar_solve_weights, steger_polygon_moment, two_rule_lambda
+from test_regions import _random_rational_polygon
 from simpson_nd import scalars
-from simpson_nd.errors import DimensionMismatch
+from simpson_nd.errors import DimensionMismatch, NodeOutsideRegion
 from simpson_nd.exactness import (
     Infeasible,
     Underdetermined,
@@ -35,7 +36,9 @@ from simpson_nd.regions import (
 from simpson_nd.rules import (
     CubatureRule,
     NodeTable,
+    DISC_AXIS_POINTS,
     blend,
+    boundary_rule,
     cr1,
     cr2,
     cr3,
@@ -46,7 +49,6 @@ from simpson_nd.rules import (
     midpoint_rule,
     monomial,
     triangle_midedge,
-    vertex_rule,
 )
 from simpson_nd.scalars import PiMultiple
 
@@ -129,8 +131,7 @@ def test_solve_lambda_simplex_family():
     for n in range(2, 7):
         region = Simplex(n)
         targets = [(1, 1) + (0,) * (n - 2)]
-        out = solve_lambda(midpoint_rule(region), vertex_rule(region), targets,
-                           region.moments(targets))
+        out = solve_lambda(region, region.vertices(), targets)
         assert isinstance(out, UniqueSolution)
         assert out.values == (Fraction(n + 1, n + 2),)
 
@@ -139,18 +140,14 @@ def test_solve_lambda_cube():
     for n in range(1, 7):
         region = Cube(n)
         targets = [(2,) + (0,) * (n - 1)]
-        out = solve_lambda(
-            midpoint_rule(region), vertex_rule(region), targets, region.moments(targets)
-        )
+        out = solve_lambda(region, region.vertices(), targets)
         assert out.values == (Fraction(2, 3),)
 
 
 def test_solve_lambda_hexagon_infeasible():
     hexagon = hexagon_paper()
     targets = [(2, 0), (0, 2)]
-    out = solve_lambda(
-        midpoint_rule(hexagon), vertex_rule(hexagon), targets, hexagon.moments(targets)
-    )
+    out = solve_lambda(hexagon, hexagon.vertices(), targets)
     assert isinstance(out, Infeasible)
     assert len(out.equations) == 2
     # the witness is honest: each cited one-unknown equation pins a
@@ -162,8 +159,7 @@ def test_solve_lambda_hexagon_infeasible():
 def test_solve_lambda_underdetermined():
     region = Cube(2)
     targets = [(0, 0), (1, 0)]
-    out = solve_lambda(midpoint_rule(region), vertex_rule(region), targets,
-                       region.moments(targets))
+    out = solve_lambda(region, region.vertices(), targets)
     assert isinstance(out, Underdetermined)
     assert out.nullity == 1
 
@@ -171,9 +167,7 @@ def test_solve_lambda_underdetermined():
 def test_solve_lambda_trapezoid_vertices_infeasible():
     region = trapezoid_paper()
     targets = list(monomials_up_to(2, 2))
-    out = solve_lambda(
-        midpoint_rule(region), vertex_rule(region), targets, region.moments(targets)
-    )
+    out = solve_lambda(region, region.vertices(), targets)
     assert isinstance(out, Infeasible)
 
 
@@ -244,10 +238,6 @@ def test_the_solvers_refuse_targets_without_their_moments():
     targets = [(1, 0), (0, 1)]
     with pytest.raises(ValueError, match="shorter"):
         solve_weights(region.vertices(), targets, region.moments(targets[:1]))
-    # a zero volume makes the first equation read 0*lam = -1/2: the length is checked first
-    with pytest.raises(ValueError, match="longer"):
-        solve_lambda(midpoint_rule(region), vertex_rule(region), [(0, 0), (1, 0)],
-                     [0, 0, 0])
 
 
 def test_solve_weights_gives_back_the_cr5_weights():
@@ -280,9 +270,8 @@ def test_pipeline_blend_reproduces_named_rules():
     # monomials through degree 4
     for n in (2, 3):
         region = Simplex(n)
-        m, t = midpoint_rule(region), vertex_rule(region)
         targets = [(1, 1) + (0,) * (n - 2)]
-        out = solve_lambda(m, t, targets, region.moments(targets))
+        out = solve_lambda(region, region.vertices(), targets)
         rebuilt = blend(out.values[0], region, region.vertices())
         reference = cr1(n)
         for alpha in monomials_up_to(n, 4):
@@ -291,9 +280,8 @@ def test_pipeline_blend_reproduces_named_rules():
             )
     for n in (1, 2, 3):
         region = Cube(n)
-        m, t = midpoint_rule(region), vertex_rule(region)
         targets = [(2,) + (0,) * (n - 1)]
-        out = solve_lambda(m, t, targets, region.moments(targets))
+        out = solve_lambda(region, region.vertices(), targets)
         rebuilt = blend(out.values[0], region, region.vertices())
         reference = cr3(n)
         for alpha in monomials_up_to(n, 4):
@@ -358,14 +346,61 @@ def test_named_rule_claimed_degrees():
     assert exactness_degree(cr1(1), 4).certified_degree == 3
 
 
+def _lambda_cases():
+    """(region, spread) pairs: simplices and cubes with their vertices, the
+    disc with its axis points, the paper's trapezoid and hexagon, and 20
+    seeded rational polygons with their vertices."""
+    cases = [(cls(n), cls(n).vertices()) for cls in (Simplex, Cube) for n in range(1, 7)]
+    cases += [(UnitDisc(), DISC_AXIS_POINTS)]
+    cases += [(region, region.vertices()) for region in (trapezoid_paper(), hexagon_paper())]
+    rng = random.Random(2417)
+    polygons = [Polygon(_random_rational_polygon(rng)) for _ in range(20)]
+    return cases + [(region, region.vertices()) for region in polygons]
+
+
+def test_solve_lambda_matches_the_two_rule_solve():
+    """Each outcome, with its witness and every equation's coefficients and
+    right-hand side, is the one that the midpoint and boundary rules give,
+    on targets deg0..deg3 and deg2 with each quadratic excluded in turn."""
+    outcomes = Counter()
+    for region, spread in _lambda_cases():
+        n = region.dimension
+        try:
+            m = midpoint_rule(region)
+        except NodeOutsideRegion:
+            with pytest.raises(NodeOutsideRegion):
+                solve_lambda(region, spread, [(0,) * n])
+            outcomes["outside"] += 1
+            continue
+        t = boundary_rule(region, spread)
+        deg2 = list(monomials_up_to(n, 2))
+        target_lists = [list(monomials_up_to(n, k)) for k in range(4)]
+        target_lists += [[a for a in deg2 if a != b] for b in monomials_of_degree(n, 2)]
+        if isinstance(region, UnitDisc):
+            # x^2*y^2 then reads 0*lam = pi/24
+            target_lists.append([a for a in monomials_up_to(2, 4) if a != (4, 0)])
+        for targets in target_lists:
+            got = solve_lambda(region, spread, targets)
+            want = two_rule_lambda(m, t, targets, region.moments(targets))
+            # repr compares the scalar types too
+            assert repr(got) == repr(want), (region, targets)
+            witness = getattr(got, "witness", "")
+            kind = next((w for w in ("0*lam", "irrational", "but") if w in witness), "")
+            outcomes[type(got).__name__, kind] += 1
+    assert set(outcomes) == {
+        ("UniqueSolution", ""), ("Underdetermined", ""), ("Infeasible", "0*lam"),
+        ("Infeasible", "irrational"), ("Infeasible", "but"), "outside",
+    }
+
+
 def test_solve_lambda_on_the_disc_reproduces_cr6():
     from simpson_nd.regions import UnitDisc
-    from simpson_nd.rules import boundary_rule, cr6
+    from simpson_nd.rules import cr6
 
     disc = UnitDisc()
     axis = [(1, 0), (0, 1), (-1, 0), (0, -1)]
     targets = [(2, 0), (0, 2), (1, 1)]
-    out = solve_lambda(midpoint_rule(disc), boundary_rule(disc, axis), targets, disc.moments(targets))
+    out = solve_lambda(disc, axis, targets)
     assert isinstance(out, UniqueSolution)
     assert out.values == (Fraction(1, 2),)
     rebuilt = blend(out.values[0], disc, axis)

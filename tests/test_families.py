@@ -118,6 +118,15 @@ def test_triangle_family_distinguished_points():
     assert rules_equivalent(triangle_family_rule(Fraction(0)), cr1(2))
 
 
+def test_triangle_family_rule_takes_an_irrational_member():
+    c = scalars.add(Fraction(1, 3), quad(0, Fraction(1, 7), 2))
+    rule = triangle_family_rule(c)
+    assert rule.weight_sum() == HALF
+    ok, res = verify_triangle_family(c)
+    assert ok
+    assert tuple(residual(rule, alpha) for alpha in families._TRIANGLE.alphas) == res.residuals
+
+
 def test_triangle_selector_roots():
     assert triangle_selector_roots() == {Fraction(0), HALF}
 

@@ -27,7 +27,7 @@ from simpson_nd.regions import (
     region_to_json,
     trapezoid_paper,
 )
-from simpson_nd.rules import midpoint_rule
+from simpson_nd.rules import blend, boundary_rule, midpoint_rule
 from simpson_nd.scalars import PiMultiple, quad, to_float
 
 
@@ -185,6 +185,25 @@ def test_dimension_mismatch():
         Simplex(2).moment((1, 1, 1))
     with pytest.raises(DimensionMismatch):
         Cube(3).moment((1, 1))
+
+
+@pytest.mark.parametrize("region", [Simplex(2), Cube(3), trapezoid_paper(), UnitDisc()],
+                         ids=["simplex", "cube", "polygon", "disc"])
+@pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
+def test_a_point_of_another_length_raises(region, extra):
+    n = region.dimension
+    bad = (Fraction(1, 2),) * (n + extra)
+    good = (Fraction(0),) * n
+    message = f"point {bad} does not match region dimension {n}"
+    for check in (lambda: region.locate([good, bad, good]), lambda: region.contains(bad),
+                  lambda: region.on_boundary(bad)):
+        with pytest.raises(DimensionMismatch) as error:
+            check()
+        assert str(error.value) == message
+    for build in (lambda: blend(Fraction(1, 2), region, [bad]),
+                  lambda: boundary_rule(region, [bad])):
+        with pytest.raises(DimensionMismatch):
+            build()
 
 
 def test_moment_batches():

@@ -10,7 +10,7 @@ import pytest
 
 from oracles import float_rule_sum, monomial_value, scalar_node_sum
 from test_regions import _random_rational_polygon
-from simpson_nd import families, rules, scalars
+from simpson_nd import cli, families, rules, scalars
 from simpson_nd.errors import (
     DimensionMismatch,
     IncompatibleScalars,
@@ -18,7 +18,7 @@ from simpson_nd.errors import (
     NodeOutsideRegion,
     WorkLimit,
 )
-from simpson_nd.exactness import monomials_of_degree
+from simpson_nd.exactness import monomials_of_degree, monomials_up_to, solve_lambda
 from simpson_nd.regions import Cube, Polygon, Simplex, UnitDisc, hexagon_paper, trapezoid_paper
 from simpson_nd.rules import (
     CubatureRule,
@@ -137,6 +137,14 @@ def test_rule_constructor_rejects_outside_nodes():
     with pytest.raises(DimensionMismatch) as error:
         CubatureRule(Simplex(2), (inside, short, outside), (1,) * 3)
     assert str(error.value) == f"node {short} does not match region dimension 2"
+
+
+def test_blend_takes_lam_as_an_exact_scalar():
+    region = Cube(2)
+    for lam in (0.5, "1/2", True):
+        with pytest.raises(TypeError):
+            blend(lam, region, region.vertices())
+    assert blend(1, region, region.vertices()) == blend(Fraction(1), region, region.vertices())
 
 
 def test_blend_degenerate_cases():
@@ -267,8 +275,12 @@ def test_cr4_locates_each_node_list_with_one_call(monkeypatch):
 
     monkeypatch.setattr(Cube, "locate", counted_locate)
     monkeypatch.setattr(CubatureRule, "__post_init__", counted_post_init)
-    cr4()
-    # blend checks the centroid and the midedges, then the rule its nodes
+    rule = cr4()
+    # blend checks the centroid and the midedges in one call, and its rule
+    # does not check them again
+    assert built == []
+    assert located == [5]
+    assert rule == CubatureRule(rule.region, rule.nodes, rule.weights, rule.label)
     assert built == [5]
     assert located == [5, 5]
 
@@ -281,11 +293,16 @@ _BUILDS = {
     "triangle_family_rule": lambda: families.triangle_family_rule(Fraction(1, 3)),
     "square_family_rule": lambda: families.square_family_rule(Fraction(1, 5)),
     "simplex3_face_rule": lambda: families.simplex3_face_rule((Fraction(1, 3),) * 8, Fraction(-4, 5)),
+    "boundary_rule(CR5 nodes)": lambda: boundary_rule(
+        trapezoid_paper(), rules._cr5_boundary_nodes(False)),
+    "boundary_rule(disc)": lambda: boundary_rule(UnitDisc(), rules.DISC_AXIS_POINTS),
+    "boundary_rule(cube:5)": lambda: boundary_rule(Cube(5), Cube(5).vertices()),
 }
 
 
-@pytest.mark.parametrize("build", list(_BUILDS.values()), ids=list(_BUILDS))
-def test_a_build_asks_its_region_once_and_makes_one_rule(monkeypatch, build):
+def _count_region_calls(monkeypatch) -> Counter:
+    """Count each region's moments, volume and locate calls, and every rule
+    made, checked or not."""
     calls = Counter()
 
     def counted(name, original):
@@ -299,8 +316,43 @@ def test_a_build_asks_its_region_once_and_makes_one_rule(monkeypatch, build):
             monkeypatch.setattr(cls, name, counted(name, getattr(cls, name)))
     monkeypatch.setattr(CubatureRule, "__post_init__",
                         counted("rule", CubatureRule.__post_init__))
-    build()
-    assert calls == {"moments": 1, "locate": 2, "rule": 1}
+    monkeypatch.setattr(rules, "_located_rule", counted("rule", rules._located_rule))
+    return calls
+
+
+@pytest.mark.parametrize("build", list(_BUILDS.values()), ids=list(_BUILDS))
+def test_a_build_asks_its_region_once_and_makes_one_rule(monkeypatch, build):
+    calls = _count_region_calls(monkeypatch)
+    rule = build()
+    assert calls == {"moments": 1, "locate": 1, "rule": 1}
+    # the one locate call checked what the constructor checks
+    assert rule == CubatureRule(rule.region, rule.nodes, rule.weights, rule.label)
+
+
+_SOLVES = {
+    "cube:3": (Cube(3), Cube(3).vertices(), 3),
+    "simplex:3": (Simplex(3), Simplex(3).vertices(), 1),
+    "trapezoid": (trapezoid_paper(), trapezoid_paper().vertices(), 2),
+    "hexagon": (hexagon_paper(), hexagon_paper().vertices(), 2),
+    "disc": (UnitDisc(), rules.DISC_AXIS_POINTS, 4),
+}
+
+
+@pytest.mark.parametrize("region, spread, degree", list(_SOLVES.values()), ids=list(_SOLVES))
+def test_a_lambda_solve_asks_its_region_once_and_makes_no_rule(monkeypatch, region, spread, degree):
+    calls = _count_region_calls(monkeypatch)
+    targets = list(monomials_up_to(region.dimension, degree))
+    solve_lambda(region, spread, targets)
+    assert calls == {"moments": 1, "locate": 1}
+
+
+@pytest.mark.parametrize("mode", ["lambda", "weights"])
+@pytest.mark.parametrize("region", ["cube:3", "simplex:3", "trapezoid-paper", "hexagon-paper", "disc"])
+def test_a_derive_request_asks_its_region_once_and_makes_no_rule(monkeypatch, capsys, region, mode):
+    calls = _count_region_calls(monkeypatch)
+    assert cli.run(["derive", "--region", region, "--targets", "deg2", "--mode", mode]) == 0
+    capsys.readouterr()
+    assert calls == {"moments": 1, "locate": 1}
 
 
 # sha256 of repr((label, nodes, weights)): node order feeds every float sum
