@@ -23,7 +23,11 @@ bit.  Every ``.csv`` file, and the ``verify_cr3_dim3`` and
 the output form that ``--format`` selects.  The five lambda-mode
 ``derive`` files named for the cube, the simplex, the trapezoid, the
 irrational hexagon solution and the disc were recorded while
-``solve_lambda`` still took a midpoint and a spread rule.
+``solve_lambda`` still took a midpoint and a spread rule.  The
+``family_triangle_param``, ``family_triangle_param_outside`` and
+``family_square_param_outside`` files were recorded while each family's
+blend parameter was a hand-expanded closed form in its parameter; the
+two ``outside`` members put nodes off the boundary.
 
 Each file holds the stdout of ``simpson-nd`` for the argv listed below,
 for example ``simpson-nd --format json verify --all > verify_all.json``.
@@ -46,6 +50,10 @@ FAMILY_CASES = {
     "family_triangle_point": ("triangle", "--point", "2,0,0,1"),
     "family_square_point": ("square", "--point", "1/3,2,0,1/2,1/2"),
     "family_square_param": ("square", "--param", "1/3"),
+    "family_triangle_param": ("triangle", "--param", "2/7"),
+    # these two members put nodes off the boundary: the unchecked system path
+    "family_triangle_param_outside": ("triangle", "--param=-3/4"),
+    "family_square_param_outside": ("square", "--param", "5/2"),
     "family_trapezoid_point": ("trapezoid", "--point", "0,0,0,0,1"),
     "family_trapezoid_conjugate": ("trapezoid", "--branch", "conjugate"),
     "family_simplex3_point": ("simplex3", "--point", "1/2,1/3,2,1/5,0,3/4,1/7,2/7,3/5"),
