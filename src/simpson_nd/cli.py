@@ -445,8 +445,8 @@ def _cmd_family(args) -> int:
         return _residual_report(args, system, residuals(*_values(args.point, count)))
     if system == "triangle":
         c = _fraction(args.param if args.param is not None else "1/2")
-        ok, res = families.verify_triangle_family(c)
         member = families.triangle_family_member(c)
+        res = families.triangle_system(*member)
         roots = sorted(families.triangle_selector_roots())
         return _residual_report(
             args, system, res,
@@ -465,8 +465,8 @@ def _cmd_family(args) -> int:
         )
     if system == "square":
         d = _fraction(args.param if args.param is not None else "1/2")
-        ok, res = families.verify_square_family(d)
         member = families.square_family_member(d)
+        res = families.square_system(*member)
         roots = sorted(families.square_selector_roots())
         return _residual_report(
             args, system, res,

@@ -28,7 +28,7 @@ class NodeOutsideRegion(SimpsonNdError):
 
 
 class DenominatorZero(SimpsonNdError):
-    """A family parameter hits a pole of the closed-form blend parameter."""
+    """A family parameter places nodes where M and T agree on every target."""
 
 
 class SingularInterpolation(SimpsonNdError):

@@ -24,7 +24,7 @@ from typing import Iterator, Optional, Union
 from . import scalars
 from .errors import DimensionMismatch, IncompatibleScalars, WorkLimit
 from .regions import Cube, MultiIndex, Region, Simplex
-from .rules import CubatureRule, NodeTable, _blend_layout, _paper_form
+from .rules import CubatureRule, NodeTable, _paper_form, _paper_rows
 from .scalars import PiMultiple, Scalar, is_zero
 
 # Most entries of an exact system the solvers may be asked to build:
@@ -220,8 +220,8 @@ LinearSolveOutcome = Union[UniqueSolution, Infeasible, Underdetermined]
 def solve_lambda(region: Region, spread, targets) -> LinearSolveOutcome:
     """Solve lam*(M - T) applied to x^alpha == moment - T(x^alpha) for the
     one lam of ``rules.blend``'s lam*M + (1-lam)*T on ``region`` over all
-    target monomials; M and T are the blend's layouts at lam = 1 and 0,
-    from ``rules._paper_form``'s one checked moment batch.
+    target monomials; each equation is a row of ``rules._paper_rows``, over
+    ``rules._paper_form``'s one checked moment batch.
 
     Equations that reduce to 0 == 0 carry no information; if every target
     does, the outcome is Underdetermined.  A lam that exists but is
@@ -230,13 +230,8 @@ def solve_lambda(region: Region, spread, targets) -> LinearSolveOutcome:
     """
     targets = [tuple(int(e) for e in alpha) for alpha in targets]
     volume, centroid, spread, moments = _paper_form(region, spread, targets)
-    m_table, t_table = (NodeTable(*_blend_layout(lam, volume, centroid, spread))
-                        for lam in (Fraction(1), Fraction(0)))
     first: Optional[tuple[Equation, Scalar]] = None
-    for alpha, moment in zip(targets, moments):
-        t_sum = t_table.sum(alpha)
-        coef = scalars.sub(m_table.sum(alpha), t_sum)
-        rhs = scalars.sub(moment, t_sum)
+    for alpha, (coef, rhs) in zip(targets, _paper_rows(volume, centroid, spread, targets, moments)):
         equation = Equation(monomial_label(alpha), (coef,), rhs)
         if is_zero(coef):
             if is_zero(rhs):

@@ -24,7 +24,7 @@ from . import rules, scalars
 from .errors import DenominatorZero, SingularInterpolation, WorkLimit
 from .exactness import gauss_jordan
 from .regions import Cube, Point, Region, Simplex, integrate_terms, trapezoid_paper
-from .rules import CubatureRule, NodeTable, _blend_layout, blend
+from .rules import CubatureRule, NodeTable, _blend_layout, _paper_rows, blend
 from .scalars import Scalar, as_scalar, is_zero
 
 
@@ -85,6 +85,15 @@ class BlendSystem:
             ),
         )
 
+    def blend_parameter(self, params) -> Scalar:
+        """lam = rhs/coef of the first ``_paper_rows`` row whose coef = M - T
+        is nonzero, at the nodes ``params`` place; DenominatorZero if none is."""
+        vol, center, moments = self._constants
+        for coef, rhs in _paper_rows(vol, center, self.nodes(params), self.alphas, moments):
+            if not is_zero(coef):
+                return scalars.div(rhs, coef)
+        raise DenominatorZero("M and T agree on every target, so no blend parameter is defined")
+
     def rule(self, params, lam, label: str) -> CubatureRule:
         return blend(lam, self.region, self.nodes(params), label=label)
 
@@ -134,34 +143,22 @@ def triangle_system(a, b, c, lam) -> SystemResiduals:
     return _TRIANGLE.residuals((a, b, c), lam)
 
 
-def triangle_family_lambda(c) -> Scalar:
-    """Blend parameter of the one-parameter triangle family a = 1-c, b = c.
-
-    Derived from the family's basis polynomial
-    12*lam*c^2 - 12*lam*c + 4*lam - (12c^2 - 12c + 3) = 0, which is the
-    unique lam making the three-node blend exact on xy.  The denominator
-    12c^2 - 12c + 4 has negative discriminant, so the guard below can only
-    trip for non-real parameters; it is kept for irrational Scalar input.
-    """
-    c = as_scalar(c)
-    c2 = scalars.pow_scalar(c, 2)
-    num = scalars.add(scalars.sub(scalars.mul(Fraction(12), c2), scalars.mul(Fraction(12), c)), Fraction(3))
-    den = scalars.add(scalars.sub(scalars.mul(Fraction(12), c2), scalars.mul(Fraction(12), c)), Fraction(4))
-    if is_zero(den):
-        raise DenominatorZero("triangle family blend parameter pole")
-    return scalars.div(num, den)
-
-
 def triangle_family_member(c) -> tuple[Scalar, Scalar, Scalar, Scalar]:
-    """(a, b, c, lam) for the triangle family at parameter c."""
+    """(a, b, c, lam) for the triangle family at parameter c: a = 1-c,
+    b = c, and lam from the system's M/T rows at those nodes."""
     c = as_scalar(c)
-    return (scalars.sub(Fraction(1), c), c, c, triangle_family_lambda(c))
+    params = (scalars.sub(_1, c), c, c)
+    return (*params, _TRIANGLE.blend_parameter(params))
+
+
+def triangle_family_lambda(c) -> Scalar:
+    """Blend parameter of the one-parameter triangle family a = 1-c, b = c."""
+    return triangle_family_member(c)[3]
 
 
 def verify_triangle_family(c) -> tuple[bool, SystemResiduals]:
     """Substitute the triangle family at parameter c and report residuals."""
-    a, b, c, lam = triangle_family_member(c)
-    res = triangle_system(a, b, c, lam)
+    res = triangle_system(*triangle_family_member(c))
     return res.all_zero, res
 
 
@@ -192,34 +189,23 @@ def square_system(a, b, c, d, lam) -> SystemResiduals:
     return _SQUARE.residuals((a, b, c, d), lam)
 
 
-def square_family_lambda(d) -> Scalar:
-    """Blend parameter (6d^2 - 6d + 2)/(6d^2 - 6d + 3) of the square family.
-
-    The numerator 6d^2 - 6d + 2 has negative discriminant, so no family
-    member degenerates to a pure boundary rule (lam is never 0); the
-    denominator is 3(2d^2 - 2d + 1), likewise never zero.
-    """
-    d = as_scalar(d)
-    d2 = scalars.pow_scalar(d, 2)
-    six_d2_6d = scalars.sub(scalars.mul(Fraction(6), d2), scalars.mul(Fraction(6), d))
-    num = scalars.add(six_d2_6d, Fraction(2))
-    den = scalars.add(six_d2_6d, Fraction(3))
-    if is_zero(den):
-        raise DenominatorZero("square family blend parameter pole")
-    return scalars.div(num, den)
-
-
 def square_family_member(d) -> tuple[Scalar, Scalar, Scalar, Scalar, Scalar]:
     """(a, b, c, d, lam) for the square family at parameter d: a = d,
-    b = c = 1 - d."""
+    b = c = 1 - d, and lam from the system's M/T rows at those nodes."""
     d = as_scalar(d)
-    comp = scalars.sub(Fraction(1), d)
-    return (d, comp, comp, d, square_family_lambda(d))
+    comp = scalars.sub(_1, d)
+    params = (d, comp, comp, d)
+    return (*params, _SQUARE.blend_parameter(params))
+
+
+def square_family_lambda(d) -> Scalar:
+    """Blend parameter of the square family; never 0, so no member is a
+    pure boundary rule."""
+    return square_family_member(d)[4]
 
 
 def verify_square_family(d) -> tuple[bool, SystemResiduals]:
-    a, b, c, d, lam = square_family_member(d)
-    res = square_system(a, b, c, d, lam)
+    res = square_system(*square_family_member(d))
     return res.all_zero, res
 
 

@@ -244,9 +244,8 @@ class CubatureRule:
 
 
 def midpoint_rule(region: Region) -> CubatureRule:
-    """Single node at the center of mass, weighted by the region volume."""
-    volume, centroid = region.mass()
-    return CubatureRule(region, (centroid,), (volume,), label="midpoint")
+    """The paper's M: ``blend`` at lam = 1, with no spread."""
+    return blend(1, region, (), label="midpoint")
 
 
 def vertex_rule(region: Region) -> CubatureRule:
@@ -267,6 +266,8 @@ def _located_rule(region: Region, nodes, weights, label: str) -> CubatureRule:
 def boundary_rule(region: Region, nodes) -> CubatureRule:
     """Equal weights volume/(node count) at caller-chosen boundary nodes."""
     nodes = tuple(tuple(as_scalar(c) for c in p) for p in nodes)
+    if not nodes:
+        raise ValueError("the spread T needs at least one boundary node")
     for p, s in zip(nodes, region.locate(nodes)):
         if s:
             raise NodeNotOnBoundary(f"node {p} is not on the region boundary")
@@ -295,11 +296,26 @@ def _paper_form(region: Region, spread, alphas=()) -> tuple:
 def _blend_layout(lam, volume, centroid, spread) -> tuple[tuple[Point, ...], tuple[Scalar, ...]]:
     """Nodes and weights of lam*M + (1-lam)*T, unchecked: the centroid with
     weight lam*A, then each of the k spread nodes with (1-lam)*A/k, where A
-    is the volume; nodes whose weight is exactly zero are dropped."""
-    share = scalars.mul(scalars.sub(Fraction(1), lam), scalars.div(volume, Fraction(len(spread))))
-    pairs = [(centroid, scalars.mul(lam, volume))] + [(p, share) for p in spread]
+    is the volume; nodes whose weight is exactly zero are dropped.  An empty
+    spread is allowed only at lam = 1, and raises ValueError elsewhere."""
+    pairs = [(centroid, scalars.mul(lam, volume))]
+    if spread:
+        share = scalars.mul(scalars.sub(Fraction(1), lam), scalars.div(volume, Fraction(len(spread))))
+        pairs += [(p, share) for p in spread]
+    elif not scalars.eq(lam, 1):
+        raise ValueError("the spread T needs at least one boundary node")
     kept = [(p, w) for p, w in pairs if not is_zero(w)]
     return tuple(p for p, _ in kept), tuple(w for _, w in kept)
+
+
+def _paper_rows(volume, centroid, spread, alphas, moments):
+    """(M - T, moment - T) at x^alpha, lazily for each target in turn: the
+    rows lam*(M - T) == moment - T of ``solve_lambda`` and the families.  M
+    and T are ``_blend_layout`` at lam = 1 and 0, each laid out once."""
+    m_table, t_table = (NodeTable(*_blend_layout(lam, volume, centroid, spread))
+                        for lam in (Fraction(1), Fraction(0)))
+    return ((scalars.sub(m_table.sum(alpha), t_sum), scalars.sub(moment, t_sum))
+            for alpha, moment, t_sum in zip(alphas, moments, map(t_table.sum, alphas)))
 
 
 def blend(lam, region: Region, spread, label: str = "") -> CubatureRule:

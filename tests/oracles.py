@@ -18,7 +18,8 @@ Gauss-Jordan elimination with one scalar operation per entry, weight
 solves from rows of ``monomial_value`` scalars reduced by that
 elimination, region membership point by point in scalar arithmetic, and
 the blend parameter from any midpoint and spread rule, summed node by
-node.
+node, and the two solution families' blend parameters from closed forms
+in their parameter, expanded by hand.
 """
 
 from __future__ import annotations
@@ -459,6 +460,35 @@ def two_rule_lambda(m, t, targets, moments):
             equations=(equation,),
         )
     return UniqueSolution((lam,))
+
+
+def triangle_family_lambda_closed_form(c):
+    """Blend parameter of the triangle family a = 1-c, b = c, nodes
+    (1-c, 0), (0, c), (c, 1-c) on the standard triangle.
+
+    Derived from the family's basis polynomial
+    12*lam*c^2 - 12*lam*c + 4*lam - (12c^2 - 12c + 3) = 0, which is the
+    unique lam making the three-node blend exact on x^2 (and on y^2 and
+    xy).  The denominator 12c^2 - 12c + 4 has negative discriminant, so it
+    vanishes for no real parameter.
+    """
+    c = scalars.as_scalar(c)
+    c2 = scalars.mul(c, c)
+    base = scalars.sub(scalars.mul(Fraction(12), c2), scalars.mul(Fraction(12), c))
+    return scalars.div(scalars.add(base, Fraction(3)), scalars.add(base, Fraction(4)))
+
+
+def square_family_lambda_closed_form(d):
+    """Blend parameter (6d^2 - 6d + 2)/(6d^2 - 6d + 3) of the square family
+    a = d, b = c = 1-d, nodes (d, 0), (0, 1-d), (1-d, 1), (1, d).
+
+    The numerator 6d^2 - 6d + 2 has negative discriminant, so no family
+    member degenerates to a pure boundary rule (lam is never 0); the
+    denominator is 3(2d^2 - 2d + 1), likewise never zero.
+    """
+    d = scalars.as_scalar(d)
+    base = scalars.sub(scalars.mul(Fraction(6), scalars.mul(d, d)), scalars.mul(Fraction(6), d))
+    return scalars.div(scalars.add(base, Fraction(2)), scalars.add(base, Fraction(3)))
 
 
 def scalar_gauss_jordan(rows, ncols: int):

@@ -1,18 +1,25 @@
+import itertools
 import random
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
-from oracles import monomial_value, permutation_det
-from simpson_nd import families, scalars
+from oracles import (
+    monomial_value,
+    permutation_det,
+    square_family_lambda_closed_form,
+    triangle_family_lambda_closed_form,
+)
+from simpson_nd import cli, families, rules, scalars
 from simpson_nd.errors import (
+    DenominatorZero,
     DimensionMismatch,
     IncompatibleScalars,
     SingularInterpolation,
     WorkLimit,
 )
-from simpson_nd.exactness import residual
+from simpson_nd.exactness import UniqueSolution, residual, solve_lambda
 from simpson_nd.families import (
     bilinear_det_closed_form,
     exact_det,
@@ -25,12 +32,14 @@ from simpson_nd.families import (
     simplex3_vertex_solutions,
     solve_linear_system,
     square_family_lambda,
+    square_family_member,
     square_family_rule,
     square_selector_roots,
     square_system,
     trapezoid_family_member,
     trapezoid_system,
     triangle_family_lambda,
+    triangle_family_member,
     triangle_family_rule,
     triangle_selector_roots,
     triangle_system,
@@ -39,11 +48,13 @@ from simpson_nd.families import (
 )
 from simpson_nd.regions import Cube, Polygon, Simplex, trapezoid_paper
 from simpson_nd.rules import (
+    CR5_LAMBDA,
     blend,
     cr1,
     cr2,
     cr3,
     cr4,
+    cr5_parameters,
     midpoint_rule,
     monomial,
     rules_equivalent,
@@ -279,6 +290,94 @@ def test_a_blend_system_asks_its_region_once(monkeypatch):
         assert sorted(calls[0]) == sorted(basis | set(template.alphas))
         system.residuals((1,) * count, 0)
         assert len(calls) == 1
+
+
+# ---------------------------------------------------------------- blend parameter
+
+
+def _seeded_parameters():
+    """300 rationals in [-5, 5], then 20 values over each of Q(sqrt 2),
+    Q(sqrt 3) and Q(sqrt 3893)."""
+    rng = random.Random(25)
+    values = [Fraction(rng.randint(-5 * 84, 5 * 84), 84) for _ in range(300)]
+    for d in (2, 3, 3893):
+        values += [quad(Fraction(rng.randint(-40, 40), 8), Fraction(rng.randint(1, 40), 9), d)
+                   for _ in range(20)]
+    return values
+
+
+@pytest.mark.parametrize("generated, closed_form", [
+    (triangle_family_lambda, triangle_family_lambda_closed_form),
+    (square_family_lambda, square_family_lambda_closed_form),
+], ids=["triangle", "square"])
+def test_family_lambda_matches_its_closed_form(generated, closed_form):
+    for value in _seeded_parameters():
+        assert repr(generated(value)) == repr(closed_form(value)), value
+
+
+@pytest.mark.parametrize("conjugate", [False, True])
+def test_trapezoid_blend_parameter_is_cr5_lambda(conjugate):
+    assert families._TRAPEZOID.blend_parameter(cr5_parameters(conjugate)) == CR5_LAMBDA
+
+
+def test_solve_lambda_and_the_families_take_lam_from_one_row_routine():
+    """On boundary nodes, the solve's one lam is the family's."""
+    rng = random.Random(26)
+    for _ in range(10):
+        c = Fraction(rng.randint(0, 36), 36)
+        nodes = families._TRIANGLE.nodes(triangle_family_member(c)[:3])
+        outcome = solve_lambda(Simplex(2), nodes, families._TRIANGLE.alphas)
+        assert outcome == UniqueSolution((triangle_family_lambda(c),)), c
+        d = Fraction(rng.randint(0, 36), 36)
+        nodes = families._SQUARE.nodes(square_family_member(d)[:4])
+        outcome = solve_lambda(Cube(2), nodes, families._SQUARE.alphas)
+        assert outcome == UniqueSolution((square_family_lambda(d),)), d
+
+
+def test_blend_parameter_refuses_nodes_where_m_and_t_agree():
+    # on [0, 1] the end points' mean is the centroid, so no lam is defined for x
+    system = families.BlendSystem(lambda: Cube(1), lambda a, b: ((a,), (b,)), [("x", (1,))])
+    with pytest.raises(DenominatorZero, match="M and T agree on every target"):
+        system.blend_parameter((0, 1))
+    assert system.blend_parameter((0, Fraction(1, 2))) == 1
+
+
+def _count(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("argv", [
+    ["family", "triangle", "--param", "1/3"], ["family", "square", "--param", "1/3"],
+], ids=["triangle", "square"])
+def test_a_family_request_solves_for_lam_once(monkeypatch, capsys, argv):
+    calls = _count(monkeypatch, families.BlendSystem, "blend_parameter")
+    assert cli.run(argv) == 0
+    assert len(calls) == 1
+
+
+def test_verify_triangle_family_solves_for_lam_once(monkeypatch):
+    calls = _count(monkeypatch, families.BlendSystem, "blend_parameter")
+    ok, _ = verify_triangle_family(Fraction(2, 7))
+    assert ok
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("read", [0, 1, 5])
+def test_paper_rows_build_two_tables_however_many_rows_are_read(monkeypatch, read):
+    volume, center, moments = families._TRIANGLE._constants
+    nodes = families._TRIANGLE.nodes((Fraction(1, 4), Fraction(3, 4), Fraction(3, 4)))
+    tables = _count(monkeypatch, rules, "NodeTable")
+    rows = rules._paper_rows(volume, center, nodes, families._TRIANGLE.alphas, moments)
+    assert len(list(itertools.islice(rows, read))) == read
+    assert len(tables) == 2
 
 
 # ---------------------------------------------------------------- simplex3

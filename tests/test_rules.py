@@ -124,6 +124,22 @@ def test_boundary_rule():
     assert str(error.value) == f"node {inner} is not on the region boundary"
 
 
+@pytest.mark.parametrize("build, refused", [
+    (lambda: blend(1, Cube(2), []), False),
+    (lambda: blend(Fraction(1, 2), Cube(2), []), True),
+    (lambda: boundary_rule(Cube(2), []), True),
+    (lambda: solve_lambda(Cube(2), [], [(1, 0)]), True),
+], ids=["blend-1", "blend-half", "boundary_rule", "solve_lambda"])
+def test_an_empty_spread_is_a_domain_error_but_at_lam_1(build, refused):
+    """T needs a node; M, the blend at lam = 1, goes without one."""
+    if not refused:
+        rule = build()
+        assert (rule.nodes, rule.weights) == (((Fraction(1, 2),) * 2,), (Fraction(1),))
+        return
+    with pytest.raises(ValueError, match="the spread T needs at least one boundary node"):
+        build()
+
+
 def test_rule_constructor_rejects_outside_nodes():
     with pytest.raises(NodeOutsideRegion):
         CubatureRule(Simplex(2), ((Fraction(3, 4), Fraction(3, 4)),), (Fraction(1),))
