@@ -286,19 +286,14 @@ def _check_families() -> list[Claim]:
 
 
 def _indicator_weights(region, basis, nodes, rule) -> bool:
-    """integrate_interpolant with indicator data must reproduce the rule
-    weight of each interpolation node (zero for nodes the rule omits)."""
-    for i, node in enumerate(nodes):
-        data = [Fraction(1 if j == i else 0) for j in range(len(nodes))]
-        value = families.integrate_interpolant(region, basis, nodes, data)
-        weight = Fraction(0)
-        for p, w in zip(rule.nodes, rule.weights):
-            if p == node:
-                weight = w
-                break
-        if not scalars.eq(value, weight):
-            return False
-    return True
+    """The interpolatory weights, which integrate_interpolant dots with its
+    data, must reproduce the rule weight of each interpolation node (zero
+    for nodes the rule omits); one solve for all the nodes."""
+    weights = dict(zip(rule.nodes, rule.weights))
+    return all(
+        scalars.eq(value, weights.get(node, Fraction(0)))
+        for node, value in zip(nodes, families._interpolatory_weights(region, basis, nodes))
+    )
 
 
 def _check_interpolation() -> list[Claim]:

@@ -22,8 +22,8 @@ from typing import Callable, Sequence
 
 from . import rules, scalars
 from .errors import DenominatorZero, SingularInterpolation, WorkLimit
-from .exactness import gauss_jordan
-from .regions import Cube, Point, Region, Simplex, integrate_terms, trapezoid_paper
+from .exactness import UniqueSolution, gauss_jordan, solve_weights
+from .regions import Cube, Point, Region, Simplex, trapezoid_paper
 from .rules import CubatureRule, NodeTable, _blend_layout, _paper_rows, blend
 from .scalars import Scalar, as_scalar, is_zero
 
@@ -121,7 +121,7 @@ _TRAPEZOID = BlendSystem(
     (("x", (1, 0)), ("y", (0, 1)), ("xy", (1, 1)), ("x^2", (2, 0)), ("y^2", (0, 2))),
 )
 
-# Only the quadratic rows; simplex3_face_system states the linear ones.
+# The quadratic rows; the linear rows are _SIMPLEX3_LINEAR's below.
 _SIMPLEX3 = BlendSystem(
     lambda: Simplex(3),
     lambda a1, a2, a3, a4, a5, a6, a7, a8: (
@@ -135,6 +135,17 @@ _SIMPLEX3 = BlendSystem(
         ("x^2", (2, 0, 0)), ("y^2", (0, 2, 0)), ("z^2", (0, 0, 2)),
     ),
 )
+
+# The linear rows at lam = 0, so from the spread's T table alone: on a
+# linear target M equals the moment, so the blend residual at any lam is
+# (1-lam)*(T - moment), and T weighs each of its four nodes with
+# volume/4 = 1/24.  simplex3_face_system scales these rows by 24.
+_SIMPLEX3_LINEAR = BlendSystem(
+    lambda: _SIMPLEX3.region,
+    _SIMPLEX3.place,
+    (("x", (1, 0, 0)), ("y", (0, 1, 0)), ("z", (0, 0, 1))),
+)
+_24 = Fraction(24)
 
 
 def triangle_system(a, b, c, lam) -> SystemResiduals:
@@ -246,29 +257,20 @@ def simplex3_face_system(a: Sequence, lam) -> SystemResiduals:
     """Residuals of the 3-simplex blend with one node on each face:
     Q1 = (a1,a2,0), Q2 = (a3,0,a4), Q3 = (0,a5,a6), Q4 = (a7,a8,1-a7-a8).
 
-    The three linear residuals are the simplified node-placement
-    equations a1+a3+a7 = 1, a2+a5+a8 = 1, a4+a6-a7-a8 = 0: the raw blend
-    residuals for x, y, z divided by (1-lam)/24, so valid whenever
-    lam != 1.  The six quadratic residuals (xy, xz, yz, x^2, y^2, z^2)
-    are the raw blend residuals.
+    The three linear residuals are the node-placement equations
+    a1+a3+a7 = 1, a2+a5+a8 = 1, a4+a6-a7-a8 = 0: the raw blend residuals
+    for x, y, z divided by (1-lam)/24, so valid whenever lam != 1.  The six
+    quadratic residuals (xy, xz, yz, x^2, y^2, z^2) are the raw blend
+    residuals.
     """
     if len(a) != 8:
         raise ValueError("need exactly eight face parameters")
-    a1, a2, a3, a4, a5, a6, a7, a8 = (as_scalar(v) for v in a)
+    linear = _SIMPLEX3_LINEAR.residuals(a, _0)
     quadratic = _SIMPLEX3.residuals(a, lam)
-
-    def total(*vals) -> Scalar:
-        acc: Scalar = Fraction(0)
-        for v in vals:
-            acc = scalars.add(acc, v)
-        return acc
-
-    linear = (
-        scalars.sub(total(a1, a3, a7), _1),
-        scalars.sub(total(a2, a5, a8), _1),
-        total(a4, a6, scalars.neg(a7), scalars.neg(a8)),
+    return SystemResiduals(
+        linear.names + quadratic.names,
+        tuple(scalars.mul(_24, r) for r in linear.residuals) + quadratic.residuals,
     )
-    return SystemResiduals(("x", "y", "z") + quadratic.names, linear + quadratic.residuals)
 
 
 def simplex3_face_rule(a: Sequence, lam, label: str = "") -> CubatureRule:
@@ -281,6 +283,9 @@ def simplex3_vertex_solutions() -> list[tuple[Fraction, ...]]:
     face, keeping lam = 4/5, and return the parameter tuples that zero
     the whole system.
 
+    The search prunes on the three linear rows: a placement whose linear
+    rows do not all vanish is skipped before its quadratic table is built,
+    so only 9 of the 81 placements reach the six quadratic residuals.
     Each solution uses the four simplex vertices exactly once.  Whether
     the system admits any solution with lam = 0 is not settled by this
     package.
@@ -291,7 +296,7 @@ def simplex3_vertex_solutions() -> list[tuple[Fraction, ...]]:
     solutions = []
     for q1, q2, q3, q4 in itertools.product(corner, repeat=4):
         a = (q1[0], q1[1], q2[0], q2[1], q3[0], q3[1], q4[0], q4[1])
-        if simplex3_face_system(a, lam).all_zero:
+        if _SIMPLEX3_LINEAR.residuals(a, _0).all_zero and _SIMPLEX3.residuals(a, lam).all_zero:
             solutions.append(a)
     return solutions
 
@@ -373,7 +378,9 @@ def bilinear_det_closed_form(a, b, c, d) -> Scalar:
 
 def solve_linear_system(matrix, rhs) -> tuple[Scalar, ...]:
     """Exact solve of a square system; raises SingularInterpolation when
-    the matrix is singular."""
+    the matrix is singular.  No source module calls it since
+    integrate_interpolant takes its weights from solve_weights;
+    benchmarks/tracing.py still wraps it by name."""
     n = len(matrix)
     rows = [list(row) + [as_scalar(b)] for row, b in zip(matrix, rhs)]
     pivots, _ = gauss_jordan(rows, n)
@@ -382,20 +389,36 @@ def solve_linear_system(matrix, rhs) -> tuple[Scalar, ...]:
     return tuple(row[n] for row in rows)
 
 
+def _interpolatory_weights(region: Region, basis, nodes) -> tuple[Scalar, ...]:
+    """The weights w of the rule that integrates the interpolant exactly:
+    the one solution of V^T w = m, with V the basis at the nodes and m the
+    basis moments (Davis and Rabinowitz, Methods of Numerical Integration,
+    1984), from one ``solve_weights`` call and its work limits.  V is
+    singular exactly when V^T is, and then SingularInterpolation."""
+    outcome = solve_weights(nodes, basis, region.moments(basis))
+    if not isinstance(outcome, UniqueSolution):
+        raise SingularInterpolation("coefficient matrix is singular")
+    return outcome.values
+
+
 def integrate_interpolant(region: Region, basis, nodes, data) -> Scalar:
-    """Fit the unique combination of basis monomials through (node, value)
-    pairs, then integrate it exactly over the region.
+    """Exact integral over the region of the unique combination of basis
+    monomials through the (node, value) pairs: the data dotted with the
+    interpolatory weights.
 
     basis and nodes must have equal length; a singular fit raises
-    SingularInterpolation.
+    SingularInterpolation, and a system past ``solve_weights``' limits
+    WorkLimit.
     """
     basis = [tuple(int(e) for e in alpha) for alpha in basis]
     nodes = tuple(tuple(as_scalar(c) for c in p) for p in nodes)
     data = tuple(as_scalar(v) for v in data)
     if not (len(basis) == len(nodes) == len(data)):
         raise ValueError("basis, nodes, and data must have equal length")
-    coeffs = solve_linear_system(_matrix_at(nodes, basis), data)
-    return integrate_terms(region, zip(basis, coeffs))
+    total: Scalar = Fraction(0)
+    for value, weight in zip(data, _interpolatory_weights(region, basis, nodes)):
+        total = scalars.add(total, scalars.mul(value, weight))
+    return total
 
 
 # The rational root test finds the divisors of both end coefficients by trial

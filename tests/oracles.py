@@ -16,10 +16,13 @@ sums from the node and weight lists, and exact rule sums and exactness
 reports node by node over every monomial, reduced row echelon forms by
 Gauss-Jordan elimination with one scalar operation per entry, weight
 solves from rows of ``monomial_value`` scalars reduced by that
-elimination, region membership point by point in scalar arithmetic, and
-the blend parameter from any midpoint and spread rule, summed node by
-node, and the two solution families' blend parameters from closed forms
-in their parameter, expanded by hand.
+elimination, region membership point by point in scalar arithmetic, the
+blend parameter from any midpoint and spread rule, summed node by node,
+the two solution families' blend parameters from closed forms in their
+parameter, expanded by hand, the integral of an interpolant by solving
+for its coefficients and integrating them, the simplex3 face system's
+linear rows as hand-typed sums, and the simplex3 vertex search over the
+full system at every placement.
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ import itertools
 import math
 from fractions import Fraction
 
-from simpson_nd import compound, scalars
+from simpson_nd import compound, families, scalars
+from simpson_nd.errors import SingularInterpolation
 from simpson_nd.exactness import (
     Equation,
     Infeasible,
@@ -37,6 +41,7 @@ from simpson_nd.exactness import (
     monomial_label,
 )
 from simpson_nd.expr import FUNCTIONS, BinOp, Call, Neg, Num, Var
+from simpson_nd.regions import integrate_terms
 
 Poly = dict[tuple, Fraction]
 
@@ -642,3 +647,53 @@ def scalar_locate(region, point) -> int:
     if _scalar_on_boundary(region, point):
         return 0
     return 1 if _scalar_contains(region, point) else -1
+
+
+def solve_then_integrate_interpolant(region, basis, nodes, data):
+    """The integral of the interpolant through (node, value) pairs, by
+    solving V c = data for the basis coefficients c (V the basis at the
+    nodes, scalar rows reduced by ``scalar_gauss_jordan``) and integrating
+    sum c_k x^alpha_k with ``integrate_terms``; SingularInterpolation when
+    V is singular."""
+    basis = [tuple(int(e) for e in alpha) for alpha in basis]
+    nodes = [tuple(scalars.as_scalar(c) for c in p) for p in nodes]
+    data = [scalars.as_scalar(v) for v in data]
+    if not (len(basis) == len(nodes) == len(data)):
+        raise ValueError("basis, nodes, and data must have equal length")
+    n = len(nodes)
+    rows = [[monomial_value(p, alpha) for alpha in basis] + [v] for p, v in zip(nodes, data)]
+    pivots, _ = scalar_gauss_jordan(rows, n)
+    if len(pivots) < n:
+        raise SingularInterpolation("coefficient matrix is singular")
+    return integrate_terms(region, zip(basis, (row[n] for row in rows)))
+
+
+def simplex3_hand_linear_rows(a):
+    """The simplex3 face system's linear rows as the node-placement sums
+    a1+a3+a7 - 1, a2+a5+a8 - 1 and a4+a6-a7-a8, added left to right."""
+    a1, a2, a3, a4, a5, a6, a7, a8 = (scalars.as_scalar(v) for v in a)
+
+    def total(*vals):
+        acc = Fraction(0)
+        for v in vals:
+            acc = scalars.add(acc, v)
+        return acc
+
+    return (
+        scalars.sub(total(a1, a3, a7), Fraction(1)),
+        scalars.sub(total(a2, a5, a8), Fraction(1)),
+        total(a4, a6, scalars.neg(a7), scalars.neg(a8)),
+    )
+
+
+def unpruned_simplex3_vertex_solutions():
+    """Every one of the 81 placements of a face node at a vertex of its
+    face, in ``itertools.product`` order, kept when the whole nine-row
+    face system vanishes at lam = 4/5."""
+    zero, one = Fraction(0), Fraction(1)
+    corner = [(zero, zero), (one, zero), (zero, one)]
+    return [
+        a
+        for a in (tuple(c for q in qs for c in q) for qs in itertools.product(corner, repeat=4))
+        if families.simplex3_face_system(a, Fraction(4, 5)).all_zero
+    ]

@@ -8,14 +8,18 @@ import pytest
 from oracles import (
     monomial_value,
     permutation_det,
+    simplex3_hand_linear_rows,
+    solve_then_integrate_interpolant,
     square_family_lambda_closed_form,
     triangle_family_lambda_closed_form,
+    unpruned_simplex3_vertex_solutions,
 )
 from simpson_nd import cli, families, rules, scalars
 from simpson_nd.errors import (
     DenominatorZero,
     DimensionMismatch,
     IncompatibleScalars,
+    SimpsonNdError,
     SingularInterpolation,
     WorkLimit,
 )
@@ -46,9 +50,10 @@ from simpson_nd.families import (
     verify_square_family,
     verify_triangle_family,
 )
-from simpson_nd.regions import Cube, Polygon, Simplex, trapezoid_paper
+from simpson_nd.regions import Cube, Polygon, Simplex, UnitDisc, hexagon_paper, trapezoid_paper
 from simpson_nd.rules import (
     CR5_LAMBDA,
+    CubatureRule,
     blend,
     cr1,
     cr2,
@@ -136,6 +141,32 @@ def test_triangle_family_rule_takes_an_irrational_member():
     ok, res = verify_triangle_family(c)
     assert ok
     assert tuple(residual(rule, alpha) for alpha in families._TRIANGLE.alphas) == res.residuals
+
+
+def _seeded_family_parameter(rng, field):
+    """A rational c = k/12 in [0, 1], or for "quad" c = k/12 + sqrt(d)/m
+    kept in [0, 1]."""
+    while True:
+        c = Fraction(rng.randint(0, 12), 12)
+        if field == "quad":
+            c = scalars.add(c, quad(0, Fraction(rng.choice((-1, 1)), rng.randint(3, 9)),
+                                    rng.choice((2, 3, 5, 3893))))
+        if 0 <= scalars.to_float(c) <= 1:
+            return c
+
+
+@pytest.mark.parametrize("field", ["rat", "quad"])
+def test_triangle_family_members_c_and_one_minus_c_are_mirror_images(field):
+    # swapping x and y maps the nodes (1-c, 0), (0, c), (c, 1-c) of member
+    # 1-c onto those of member c, and lam is the same
+    rng = random.Random(91 if field == "rat" else 92)
+    for _ in range(8):
+        c = _seeded_family_parameter(rng, field)
+        other = triangle_family_rule(scalars.sub(Fraction(1), c))
+        mirrored = CubatureRule(other.region, tuple((y, x) for x, y in other.nodes), other.weights)
+        assert rules_equivalent(mirrored, triangle_family_rule(c)), c
+    # the ends c = 0 and c = 1 are one rule up to the mirror, and in fact equal
+    assert rules_equivalent(triangle_family_rule(Fraction(0)), triangle_family_rule(Fraction(1)))
 
 
 def test_triangle_selector_roots():
@@ -450,6 +481,34 @@ def test_simplex3_vertex_search():
         assert rules_equivalent(rule, cr1(3))
 
 
+def test_pruned_vertex_search_returns_the_unpruned_search_in_order():
+    assert simplex3_vertex_solutions() == unpruned_simplex3_vertex_solutions()
+
+
+@pytest.mark.parametrize("field", ["rat", "quad"])
+def test_generated_linear_rows_match_the_hand_rows(field):
+    rng = random.Random(63 if field == "rat" else 64)
+    for _ in range(16):
+        d = rng.choice((2, 3, 5, 3893))
+
+        def entry():
+            a = Fraction(rng.randint(-12, 12), rng.randint(1, 12))
+            if field == "quad" and rng.random() < 0.6:
+                return quad(a, Fraction(rng.randint(-6, 6), rng.randint(1, 6)), d)
+            return a
+
+        a = [entry() for _ in range(8)]
+        if rng.random() < 0.5:
+            # put Q4 where the x row vanishes: a1 + a3 + a7 = 1
+            a[6] = scalars.sub(scalars.sub(Fraction(1), a[0]), a[2])
+        lam = Fraction(rng.randint(-10, 10), rng.randint(1, 10))
+        if lam == 1:
+            lam = Fraction(-1, 3)
+        res = simplex3_face_system(a, lam)
+        assert res.names[:3] == ("x", "y", "z")
+        assert repr(res.residuals[:3]) == repr(simplex3_hand_linear_rows(a)), (a, lam)
+
+
 # ---------------------------------------------------------- interpolation
 
 
@@ -662,6 +721,86 @@ def test_singular_interpolation_raises():
 def test_interpolant_rejects_a_node_of_the_wrong_length():
     with pytest.raises(DimensionMismatch):
         integrate_interpolant(Simplex(2), [(0, 0)], [(0, 0, 0)], [1])
+
+
+def _interpolation_case(rng, field):
+    """(region, basis, nodes, data) of a seeded square system with 1..5
+    unknowns: rational nodes on the triangle, the square or the 3-simplex
+    ("rat"), rational and Q(sqrt 3) nodes on the paper's hexagon, whose
+    moments are over Q(sqrt 3) ("quad"), or rational nodes on the disc's pi
+    moments ("pi").  Coordinates come from a few values, so repeated and
+    aligned nodes make some systems singular."""
+    if field == "rat":
+        region = rng.choice((Simplex(2), Cube(2), Simplex(3)))
+    else:
+        region = hexagon_paper() if field == "quad" else UnitDisc()
+    n = region.dimension
+    values = [Fraction(k, 6) for k in range(-3, 7)]
+
+    def coordinate():
+        c = rng.choice(values)
+        if field == "quad" and rng.random() < 0.4:
+            return quad(c, Fraction(rng.randint(-3, 3), 6), 3)
+        return c
+
+    size = rng.randint(1, 5)
+    monomials = [alpha for alpha in itertools.product(range(4), repeat=n) if sum(alpha) <= 3]
+    basis = rng.sample(monomials, size)
+    nodes = [tuple(coordinate() for _ in range(n)) for _ in range(size)]
+    data = [coordinate() for _ in range(size)]
+    return region, basis, nodes, data
+
+
+def _outcome(integrate, case):
+    try:
+        return repr(integrate(*case))
+    except SimpsonNdError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("field", ["rat", "quad", "pi"])
+def test_interpolant_matches_the_solve_then_integrate_oracle(field):
+    rng = random.Random({"rat": 71, "quad": 72, "pi": 73}[field])
+    singular = 0
+    for _ in range(40):
+        case = _interpolation_case(rng, field)
+        got = _outcome(integrate_interpolant, case)
+        assert got == _outcome(solve_then_integrate_interpolant, case), case
+        singular += got == (SingularInterpolation, "coefficient matrix is singular")
+    assert 3 <= singular <= 35  # both kinds of system really occur
+
+
+def test_interpolant_weights_are_one_solve(monkeypatch):
+    calls = []
+    solve = families.solve_weights
+    monkeypatch.setattr(families, "solve_weights", lambda *a: calls.append(a) or solve(*a))
+    region = Cube(2)
+    nodes = [(HALF, Fraction(0)), (Fraction(0), HALF), (HALF, Fraction(1)), (Fraction(1), HALF),
+             (HALF, HALF)]
+    weights = families._interpolatory_weights(region, families.QUADRATIC_BASIS, nodes)
+    assert len(calls) == 1
+    rule = cr4()
+    assert weights == tuple(next(w for p, w in zip(rule.nodes, rule.weights) if p == q)
+                            for q in nodes)
+
+
+def test_interpolant_refuses_a_system_past_the_denominator_limit():
+    # x^40 at x = 2^-20 is 2^-800, and the moment of x^40 is 1/41: the row's
+    # common denominator 2^800 * 41 has 806 bits
+    case = (Cube(2), [(40, 0)], [(Fraction(1, 2**20), Fraction(0))], [1])
+    assert solve_then_integrate_interpolant(*case) == Fraction(2**800, 41)
+    with pytest.raises(WorkLimit, match="common denominator of 806 bits"):
+        integrate_interpolant(*case)
+
+
+def test_interpolant_refuses_a_system_past_the_elimination_work_limit():
+    # 1, x, .., x^7 at eight integers of about 3,300 bits: a nonsingular
+    # Vandermonde system estimated at about 10^10 word operations
+    big = 10**1000
+    nodes = [(big * k + 1, Fraction(0)) for k in range(1, 9)]
+    basis = [(j, 0) for j in range(8)]
+    with pytest.raises(WorkLimit, match="word operations"):
+        integrate_interpolant(Cube(2), basis, nodes, [1] * 8)
 
 
 def test_linear_interpolant_matches_vertex_rule():
