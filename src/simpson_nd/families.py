@@ -257,9 +257,10 @@ def simplex3_face_system(a: Sequence, lam) -> SystemResiduals:
     """Residuals of the 3-simplex blend with one node on each face:
     Q1 = (a1,a2,0), Q2 = (a3,0,a4), Q3 = (0,a5,a6), Q4 = (a7,a8,1-a7-a8).
 
-    The three linear residuals are the node-placement equations
-    a1+a3+a7 = 1, a2+a5+a8 = 1, a4+a6-a7-a8 = 0: the raw blend residuals
-    for x, y, z divided by (1-lam)/24, so valid whenever lam != 1.  The six
+    The three linear residuals are the simplified node-placement
+    equations a1+a3+a7 = 1, a2+a5+a8 = 1, a4+a6-a7-a8 = 0: the raw blend
+    residuals for x, y, z divided by (1-lam)/24, so valid whenever
+    lam != 1, taken as 24*(T - moment) from the spread's T table.  The six
     quadratic residuals (xy, xz, yz, x^2, y^2, z^2) are the raw blend
     residuals.
     """
