@@ -27,7 +27,10 @@ irrational hexagon solution and the disc were recorded while
 ``family_triangle_param``, ``family_triangle_param_outside`` and
 ``family_square_param_outside`` files were recorded while each family's
 blend parameter was a hand-expanded closed form in its parameter; the
-two ``outside`` members put nodes off the boundary.
+two ``outside`` members put nodes off the boundary.  The
+``compound_cr4_separable`` and ``compound_cr3_constant_subtree`` files
+were recorded before the square kernel computed the subexpressions that
+read at most one coordinate outside its cell loop.
 
 Each file holds the stdout of ``simpson-nd`` for the argv listed below,
 for example ``simpson-nd --format json verify --all > verify_all.json``.
@@ -76,6 +79,12 @@ COMPOUND_CASES = {
     # the vertex nodes are shared by the cells at a grid corner
     "compound_cr3_square": (
         "--rule", "CR3", "--dim", "2", "--expr", "exp(x*y)+x^5", "--levels", "1:5"),
+    # a product of a function of x and one of y
+    "compound_cr4_separable": (
+        "--rule", "CR4", "--expr", "cos(4*x)*exp(y)", "--levels", "1:3"),
+    # sin(1) reads no coordinate; the vertex nodes are shared at a grid corner
+    "compound_cr3_constant_subtree": (
+        "--rule", "CR3", "--dim", "2", "--expr", "exp(sin(1)*y)*x^3+cos(x*y)", "--levels", "1:4"),
 }
 
 FIELD_CASES = {
