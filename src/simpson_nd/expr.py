@@ -23,7 +23,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple, Union
 
 from .errors import ExprSyntaxError, NotPolynomial, WorkLimit
 from .rules import MonomialPoly
@@ -352,7 +352,8 @@ def to_source(e: Expr) -> str:
 def _power(base, exponent):
     value = base**exponent
     if type(value) is complex:
-        raise ValueError(f"{base!r}^{exponent!r} is not a real number")
+        # the base is negative, and -1.0^0.5 would read as -(1.0^0.5)
+        raise ValueError(f"({base!r})^{exponent!r} is not a real number")
     return value
 
 
@@ -401,24 +402,29 @@ _NAMESPACE = {
 }
 
 
-def _source(e: Expr, coordinate, depth: int) -> str:
+def _source(e: Expr, coordinate, depth: int, place=None) -> str:
     """Python source of one fully bracketed expression, evaluated in the
     order of a walk of the tree (left operand before right);
     ``coordinate(var)`` gives the source of each variable, called in that
-    order."""
+    order.  ``place(node, depth)``, if given, is asked first at each node
+    but a number; a text it returns stands for that whole subtree."""
     if depth > MAX_EXPR_DEPTH:
         raise WorkLimit(_TOO_DEEP)
     if isinstance(e, Num):
         # computed now, so 10^400 raises OverflowError before any point
         return repr(float(e.value.numerator / e.value.denominator))
+    if place is not None:
+        text = place(e, depth)
+        if text is not None:
+            return text
     if isinstance(e, Var):
         return coordinate(e)
     if isinstance(e, Neg):
-        return f"(-{_source(e.arg, coordinate, depth + 1)})"
+        return f"(-{_source(e.arg, coordinate, depth + 1, place)})"
     if isinstance(e, Call):
-        return f"{_CALLS[e.fn]}({_source(e.arg, coordinate, depth + 1)})"
-    left = _source(e.left, coordinate, depth + 1)
-    right = _source(e.right, coordinate, depth + 1)
+        return f"{_CALLS[e.fn]}({_source(e.arg, coordinate, depth + 1, place)})"
+    left = _source(e.left, coordinate, depth + 1, place)
+    right = _source(e.right, coordinate, depth + 1, place)
     if e.op == "^" and _literal_integer(e.right):
         return f"({left} ** {right})"
     return _BINARY[e.op].format(left, right)
@@ -437,14 +443,16 @@ def eval_float(e: Expr, point) -> float:
 
 
 def as_function(e: Expr):
-    """Compile an expression once to one generated Python function
-    f(*coords) -> float that evaluates the whole tree in one frame.
+    """One generated Python function f(*coords) -> float that evaluates the
+    whole tree in one frame.  Its source is generated here, so a tree
+    deeper than MAX_EXPR_DEPTH raises WorkLimit and a literal too large
+    for a float OverflowError now; it is compiled on the first call.
 
     Every float operation happens in the same order as a walk of the tree
     (left operand before right) and constants are the same floats, so
-    results and the first error raised are identical to a walk's.  A tree
-    deeper than MAX_EXPR_DEPTH raises WorkLimit; the source then nests at
-    most about MAX_EXPR_DEPTH + 2 brackets, under CPython's limit of 200.
+    results and the first error raised are identical to a walk's.  The
+    source nests at most about MAX_EXPR_DEPTH + 2 brackets, under
+    CPython's limit of 200.
 
     ``f.inline_source(dimension)`` gives the same expression for a caller
     that compiles it into its own loop (see _inline_source);
@@ -466,32 +474,105 @@ def as_function(e: Expr):
         "        raise\n"
     )
     namespace = {**_NAMESPACE, "_variables": tuple(variables)}
-    exec(compile(source, "<integrand>", "exec"), namespace)
-    f = namespace["f"]
+    compiled = None
+
+    # a caller that inlines the expression, as compound does, never pays
+    # for this compile
+    def f(*p):
+        nonlocal compiled
+        if compiled is None:
+            exec(compile(source, "<integrand>", "exec"), namespace)
+            compiled = namespace["f"]
+        return compiled(*p)
+
     f.inline_source = functools.partial(_inline_source, e)
     return f
 
 
-def _inline_source(e: Expr, dimension: int) -> tuple[str, dict]:
+class InlineSource(NamedTuple):
+    """An expression as source over float locals x0 .. x{dimension - 1};
+    see _inline_source."""
+
+    body: str  # the whole expression
+    namespace: dict  # what body runs in, without builtins
+    template: str  # body with a field {m} where the subtree parts[m] is
+    parts: tuple  # (coordinates read, source), in the order they are found
+    reads: frozenset  # the coordinates template reads outside its fields
+
+
+def _inline_source(e: Expr, dimension: int) -> InlineSource:
     """The expression as the source of one Python expression over float
-    locals x0 .. x{dimension - 1}, and the namespace (no builtins) it must
-    run in.
+    locals x0 .. x{dimension - 1} (body), the namespace (no builtins) it
+    must run in, and the same split into a template and parts.
 
     Its float operations and their order are as_function's, so a caller
     that binds the coordinates of a point to those locals gets the same
     value, bit for bit, or the same first error: a variable past the
     dimension raises its "needs dimension" ValueError where a walk reads it.
+
+    The parts are the subtrees that a caller may evaluate once for many
+    points.  A subtree other than a number is a part when it reads fewer
+    coordinates than the part around it, or than all ``dimension`` of them
+    at the top; a variable past the dimension reads none.  So in two
+    dimensions the top-level parts are the maximal subtrees that read at
+    most one coordinate, lone variables included, and the parts inside them
+    read none.  A part's source holds fields for the parts inside it, which
+    come earlier in parts; equal parts share a field.  Formatting each
+    source with the ones before it, and then the template, gives body back.
     """
     missing: list = []
+    direct = set()
+    inside = 0  # how many parts the walk is in
 
     def coordinate(var: Var) -> str:
         if var.index < dimension:
+            if not inside:
+                direct.add(var.index)
             return f"x{var.index}"
         missing.append((var.index, var.name))
         return f"_missing(_variables[{len(missing) - 1}])"
 
-    body = _source(e, coordinate, 0)
-    return body, {**_NAMESPACE, "_variables": tuple(missing)}
+    read = {}  # id(subtree) -> the coordinates it reads
+
+    def find(node) -> frozenset:
+        if isinstance(node, Num):
+            found = frozenset()
+        elif isinstance(node, Var):
+            found = frozenset({node.index} if node.index < dimension else ())
+        elif isinstance(node, (Neg, Call)):
+            found = find(node.arg)
+        else:
+            found = find(node.left) | find(node.right)
+        read[id(node)] = found
+        return found
+
+    find(e)
+    fields: dict = {}  # (coordinates read, source) -> field number
+
+    def within(around: frozenset):
+        def place(node, depth):
+            nonlocal inside
+            axes = read[id(node)]
+            if axes == around:
+                return None
+            inside += 1
+            source = _source(node, coordinate, depth, within(axes))
+            inside -= 1
+            return "{%d}" % fields.setdefault((axes, source), len(fields))
+
+        return place
+
+    template = _source(e, coordinate, 0, within(frozenset(range(dimension))))
+    sources: list = []
+    for _, source in fields:
+        sources.append(source.format(*sources))
+    return InlineSource(
+        body=template.format(*sources),
+        namespace={**_NAMESPACE, "_variables": tuple(missing)},
+        template=template,
+        parts=tuple(fields),
+        reads=frozenset(direct),
+    )
 
 
 def max_variable_index(e: Expr) -> int:

@@ -427,7 +427,7 @@ def test_compound_float_domain_errors_exit_1(capsys, integrand, message):
     [
         ("x*y", "variable y needs dimension >= 2"),
         # the first failure in evaluation order is the one reported
-        ("(0-1)^0.5*y", "-1.0^0.5 is not a real number"),
+        ("(0-1)^0.5*y", "(-1.0)^0.5 is not a real number"),
         ("y*(0-1)^0.5", "variable y needs dimension >= 2"),
         # the constant is made a float once, when the integrand is compiled
         ("1" + "0" * 399 + "*x", "integer division result too large for a float"),
@@ -467,13 +467,21 @@ def test_compound_levels_are_checked_before_any_cell_is_built(
 
 
 def test_a_compound_request_compiles_one_kernel(capsys, monkeypatch):
-    from simpson_nd import compound
+    from simpson_nd import compound, expr
 
     compile_kernel, compound_apply = compound._compile_kernel, compound.compound_apply
-    builds, levels = [], []
+    builds, levels, compiled = [], [], []
     monkeypatch.setattr(
         compound, "_compile_kernel", lambda *args: builds.append(args) or compile_kernel(*args)
     )
+    # the kernel inlines the integrand, so as_function's own is never compiled
+    for module in (compound, expr):
+        monkeypatch.setattr(
+            module,
+            "compile",
+            lambda source, name, mode: compiled.append(name) or compile(source, name, mode),
+            raising=False,
+        )
     monkeypatch.setattr(
         compound, "compound_apply", lambda *args: levels.append(args[1]) or compound_apply(*args)
     )
@@ -483,6 +491,7 @@ def test_a_compound_request_compiles_one_kernel(capsys, monkeypatch):
     assert "level-7 estimate" in out
     assert levels == [7, 1, 2, 3, 4]
     assert len(builds) == 1
+    assert compiled == ["<compound kernel>"]
 
     # every estimate goes through compound.compound_apply, which the
     # work-limit tests replace with one that refuses

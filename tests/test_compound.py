@@ -1,10 +1,11 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from simpson_nd import compound, rules, scalars
+from simpson_nd import compound, expr, rules, scalars
 from simpson_nd.compound import (
     MAX_CELLS,
     CompoundEstimate,
@@ -355,8 +356,20 @@ def test_grid_kernels_match_a_call_at_every_node_of_every_cell():
         (cr4(), ["x", "y"]),
         (cr3(2), ["x", "y"]),
     ):
-        # integrands that first fail on the grid lines x = 0, 1/2 and 1
-        trees = [parse(text) for text in ("log(x)", "1/(2*x-1)", "exp(710*x)")]
+        # integrands that first fail on the grid lines x = 0, 1/2 and 1, and
+        # on the square ones whose subtrees of one coordinate fail: the
+        # first fails in a row before its column table would
+        trees = [
+            parse(text)
+            for text in (
+                "log(x)",
+                "1/(2*x-1)",
+                "exp(710*x)",
+                "(y-0.3)^0.5+(x-0.6)^0.5",
+                "log(y)*exp(x)",
+                "sin(3)*x+1/(2*y-1)",
+            )
+        ]
         trees += [random_float_expr(rng, rng.randint(1, 4), names) for _ in range(40)]
         for tree in trees:
             f = as_function(tree)
@@ -369,3 +382,21 @@ def test_grid_kernels_match_a_call_at_every_node_of_every_cell():
                 seen.add(want if isinstance(want, tuple) else str)
     assert {t for t, _ in seen - {str}} >= {ValueError, ZeroDivisionError, OverflowError}
     assert str in seen
+
+
+def test_square_kernel_evaluates_each_subtree_where_its_coordinates_are_fixed(monkeypatch):
+    # CR4 has the node offsets 0, 1/2 and 1 on each axis: exp(x) is taken
+    # once per column and offset, sin(3*y) once per row and offset, sin(1)
+    # once, and cos(x*y) at each distinct node point
+    calls = Counter()
+
+    def counted(name, fn):
+        return lambda value: calls.update([name]) or fn(value)
+
+    for name in ("_exp", "_sin", "_cos"):
+        monkeypatch.setitem(expr._NAMESPACE, name, counted(name, expr._NAMESPACE[name]))
+    level, k = 3, 8
+    f = as_function(parse("exp(x)*sin(3*y)+cos(x*y)+sin(1)"))
+    got = compound_apply(cr4(), level, f).estimate
+    assert calls == {"_exp": 3 * k, "_sin": 3 * k + 1, "_cos": k * k + 2 * k * (k + 1)}
+    assert got.hex() == every_node_compound(cr4(), level, lambda *p: f(*p)).hex()

@@ -251,7 +251,7 @@ def test_left_operand_fails_first_under_every_operator():
     complex_power = parse("(0-1)^0.5")
     y = Var(1, "y")
     for op in ("+", "-", "*", "/", "^"):
-        with pytest.raises(ValueError, match=r"^-1\.0\^0\.5 is not a real number$"):
+        with pytest.raises(ValueError, match=r"^\(-1\.0\)\^0\.5 is not a real number$"):
             as_function(BinOp(op, complex_power, y))(2.0)
         with pytest.raises(ValueError, match=r"^variable y needs dimension >= 2$"):
             as_function(BinOp(op, y, complex_power))(2.0)
@@ -293,10 +293,10 @@ def test_compiled_evaluator_matches_tree_walk_bit_for_bit():
 def _inlined(f, dimension):
     """f's inline source compiled alone over x0 .. x{dimension - 1}, as the
     compound kernel inlines it."""
-    body, namespace = f.inline_source(dimension)
+    inline = f.inline_source(dimension)
     names = ", ".join(f"x{i}" for i in range(dimension))
-    exec(f"def g({names}):\n    return {body}\n", namespace)
-    return namespace["g"]
+    exec(f"def g({names}):\n    return {inline.body}\n", inline.namespace)
+    return inline.namespace["g"]
 
 
 def _bits_or_error(evaluate):
@@ -321,7 +321,7 @@ def test_literal_integer_powers_match_the_walk_in_bits_and_messages():
             exponent = rng.choice([Neg(Num(Fraction(-k))), Num(Fraction(k))])
         tree = BinOp("^", rng.choice(bases), exponent)
         f = as_function(tree)
-        assert "_power" not in f.inline_source(1)[0]
+        assert "_power" not in f.inline_source(1).body
         point = rng.choice(coords) if rng.random() < 0.7 else rng.uniform(-4.0, 4.0)
         want = _bits_or_error(lambda: walk_eval_float(tree, (point,)))
         if isinstance(want, tuple):
@@ -340,7 +340,7 @@ def test_literal_integer_powers_match_the_walk_in_bits_and_messages():
         ("(0-2)^3", (-8.0).hex()),
         ("x^-2", (ZeroDivisionError, "0.0 cannot be raised to a negative power")),
         ("10^400", (OverflowError, errno.ERANGE)),
-        ("(0-1)^0.5", (ValueError, "-1.0^0.5 is not a real number")),
+        ("(0-1)^0.5", (ValueError, "(-1.0)^0.5 is not a real number")),
     ],
 )
 def test_literal_integer_power_cases_at_zero(source, want):
@@ -354,7 +354,59 @@ def test_literal_integer_power_cases_at_zero(source, want):
         else:
             assert _bits_or_error(lambda: evaluate(0.0)) == want
     # only the fractional exponent keeps the call that refuses a complex value
-    assert ("_power" in f.inline_source(1)[0]) == source.endswith("0.5")
+    assert ("_power" in f.inline_source(1).body) == source.endswith("0.5")
+
+
+@pytest.mark.parametrize(
+    "source, dimension, template, parts, reads",
+    [
+        # in 2-d each maximal subtree of one coordinate, a lone x or y too
+        (
+            "exp(x)*sin(3*y)+cos(x*y)",
+            2,
+            "(({0} * {1}) + _cos(({2} * {3})))",
+            [({0}, "_exp(x0)"), ({1}, "_sin((3.0 * x1))"), ({0}, "x0"), ({1}, "x1")],
+            set(),
+        ),
+        # a constant inside a part of y is a part of its own, found first
+        (
+            "exp(sin(1)*y)*x^3",
+            2,
+            "({1} * {2})",
+            [(set(), "_sin(1.0)"), ({1}, "_exp(({0} * x1))"), ({0}, "(x0 ** 3.0)")],
+            set(),
+        ),
+        # equal subtrees share a part
+        ("exp(x)*y+exp(x)", 2, "(({0} * {1}) + {0})", [({0}, "_exp(x0)"), ({1}, "x1")], set()),
+        # in 1-d only what reads no coordinate moves, a variable past the
+        # dimension included
+        (
+            "exp(sin(1)*y)*x^3",
+            1,
+            "({0} * (x0 ** 3.0))",
+            [(set(), "_exp((_sin(1.0) * _missing(_variables[0])))")],
+            {0},
+        ),
+        # in 3-d a subtree of two coordinates is a part, and holds parts of one
+        ("x*y", 3, "{2}", [({0}, "x0"), ({1}, "x1"), ({0, 1}, "({0} * {1})")], set()),
+    ],
+)
+def test_inline_source_parts(source, dimension, template, parts, reads):
+    tree = parse(source)
+    inline = as_function(tree).inline_source(dimension)
+    assert inline.template == template
+    assert inline.parts == tuple((frozenset(axes), text) for axes, text in parts)
+    assert inline.reads == reads
+    # the whole expression, as the template and parts give it back
+    whole = []
+    for _, text in inline.parts:
+        whole.append(text.format(*whole))
+    assert inline.body == template.format(*whole)
+    point = (0.25, 0.75, 0.5)[:dimension]
+    names = ", ".join(f"x{i}" for i in range(dimension))
+    exec(f"def g({names}):\n    return {inline.body}\n", inline.namespace)
+    if dimension > 1:
+        assert inline.namespace["g"](*point).hex() == walk_eval_float(tree, point).hex()
 
 
 def test_max_variable_index():
