@@ -429,7 +429,7 @@ def test_compound_float_domain_errors_exit_1(capsys, integrand, message):
         # the first failure in evaluation order is the one reported
         ("(0-1)^0.5*y", "(-1.0)^0.5 is not a real number"),
         ("y*(0-1)^0.5", "variable y needs dimension >= 2"),
-        # the constant is made a float once, when the integrand is compiled
+        # the constant is made a float once, when the integrand's source is made
         ("1" + "0" * 399 + "*x", "integer division result too large for a float"),
     ],
 )
