@@ -288,7 +288,9 @@ def _compile_kernel(rule: CubatureRule, f: Callable[..., float], hoist: bool = T
     else:
         source = _cells_source(dimension, nodes, inline.body)
     exec(compile(source, "<compound kernel>", "exec"), namespace)
-    kernel = namespace["kernel"]
+    # taken out of its own globals, so that a replaced kernel is freed at
+    # once rather than left as a cycle for the collector
+    kernel = namespace.pop("kernel")
     kernel.hoisted = bool(inline.parts)
     return kernel
 

@@ -482,7 +482,7 @@ def as_function(e: Expr):
         nonlocal compiled
         if compiled is None:
             exec(compile(source, "<integrand>", "exec"), namespace)
-            compiled = namespace["f"]
+            compiled = namespace.pop("f")  # no cycle through its globals
         return compiled(*p)
 
     f.inline_source = functools.partial(_inline_source, e)
@@ -520,59 +520,66 @@ def _inline_source(e: Expr, dimension: int) -> InlineSource:
     come earlier in parts; equal parts share a field.  Formatting each
     source with the ones before it, and then the template, gives body back.
     """
-    missing: list = []
-    direct = set()
-    inside = 0  # how many parts the walk is in
-
-    def coordinate(var: Var) -> str:
-        if var.index < dimension:
-            if not inside:
-                direct.add(var.index)
-            return f"x{var.index}"
-        missing.append((var.index, var.name))
-        return f"_missing(_variables[{len(missing) - 1}])"
-
-    read = {}  # id(subtree) -> the coordinates it reads
-
-    def find(node) -> frozenset:
-        if isinstance(node, Num):
-            found = frozenset()
-        elif isinstance(node, Var):
-            found = frozenset({node.index} if node.index < dimension else ())
-        elif isinstance(node, (Neg, Call)):
-            found = find(node.arg)
-        else:
-            found = find(node.left) | find(node.right)
-        read[id(node)] = found
-        return found
-
-    find(e)
-    fields: dict = {}  # (coordinates read, source) -> field number
-
-    def within(around: frozenset):
-        def place(node, depth):
-            nonlocal inside
-            axes = read[id(node)]
-            if axes == around:
-                return None
-            inside += 1
-            source = _source(node, coordinate, depth, within(axes))
-            inside -= 1
-            return "{%d}" % fields.setdefault((axes, source), len(fields))
-
-        return place
-
-    template = _source(e, coordinate, 0, within(frozenset(range(dimension))))
+    split = _Split(e, dimension)
+    template = _source(e, split.coordinate, 0, split.within(frozenset(range(dimension))))
     sources: list = []
-    for _, source in fields:
+    for _, source in split.fields:
         sources.append(source.format(*sources))
     return InlineSource(
         body=template.format(*sources),
-        namespace={**_NAMESPACE, "_variables": tuple(missing)},
+        namespace={**_NAMESPACE, "_variables": tuple(split.missing)},
         template=template,
-        parts=tuple(fields),
-        reads=frozenset(direct),
+        parts=tuple(split.fields),
+        reads=frozenset(split.direct),
     )
+
+
+class _Split:
+    """The walk of _inline_source.  An object, not nested functions: a
+    nested function that calls itself is a reference cycle, which would
+    keep each call's tables until the cycle collector ran."""
+
+    def __init__(self, e: Expr, dimension: int):
+        self.dimension = dimension
+        self.missing: list = []
+        self.direct: set = set()
+        self.inside = 0  # how many parts the walk is in
+        self.read: dict = {}  # id(subtree) -> the coordinates it reads
+        self.fields: dict = {}  # (coordinates read, source) -> field number
+        self._find(e)
+
+    def coordinate(self, var: Var) -> str:
+        if var.index < self.dimension:
+            if not self.inside:
+                self.direct.add(var.index)
+            return f"x{var.index}"
+        self.missing.append((var.index, var.name))
+        return f"_missing(_variables[{len(self.missing) - 1}])"
+
+    def _find(self, node) -> frozenset:
+        if isinstance(node, Num):
+            found = frozenset()
+        elif isinstance(node, Var):
+            found = frozenset({node.index} if node.index < self.dimension else ())
+        elif isinstance(node, (Neg, Call)):
+            found = self._find(node.arg)
+        else:
+            found = self._find(node.left) | self._find(node.right)
+        self.read[id(node)] = found
+        return found
+
+    def within(self, around: frozenset):
+        """_source's ``place`` inside a part that reads ``around``."""
+        return functools.partial(self._place, around)
+
+    def _place(self, around: frozenset, node, depth: int):
+        axes = self.read[id(node)]
+        if axes == around:
+            return None
+        self.inside += 1
+        source = _source(node, self.coordinate, depth, self.within(axes))
+        self.inside -= 1
+        return "{%d}" % self.fields.setdefault((axes, source), len(self.fields))
 
 
 def max_variable_index(e: Expr) -> int:
@@ -610,53 +617,55 @@ def to_monomial_poly(e: Expr, dimension: int | None = None) -> MonomialPoly:
     """
     if dimension is None:
         dimension = max(max_variable_index(e), 1)
+    return _lower(e, dimension)
 
-    def lower(node: Expr) -> MonomialPoly:
-        if isinstance(node, Num):
-            return MonomialPoly(dimension, {(0,) * dimension: node.value})
-        if isinstance(node, Var):
-            if node.index >= dimension:
-                raise NotPolynomial(
-                    f"variable {node.name} exceeds dimension {dimension}"
-                )
-            alpha = tuple(1 if i == node.index else 0 for i in range(dimension))
-            return MonomialPoly(dimension, {alpha: Fraction(1)})
-        if isinstance(node, Neg):
-            return -lower(node.arg)
-        if isinstance(node, Call):
-            raise NotPolynomial(f"{node.fn}() is not polynomial")
-        left = lower(node.left)
-        if node.op == "^":
-            exponent = node.right
-            if (
-                not isinstance(exponent, Num)
-                or exponent.value.denominator != 1
-                or exponent.value < 0
-            ):
-                raise NotPolynomial(
-                    "exponent must be a non-negative integer literal"
-                )
-            k = int(exponent.value)
-            if k > MAX_POLY_EXPONENT:
-                raise WorkLimit(f"exponent {k} is above the limit of {MAX_POLY_EXPONENT}")
-            # a product of k of left's terms, chosen with repetition
-            products = math.comb(max(len(left.terms), 1) + k - 1, k)
-            _check_size(dimension, left.degree() * k, products)
-            return left ** k
-        right = lower(node.right)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            products = len(left.terms) * len(right.terms)
-            _check_size(dimension, left.degree() + right.degree(), products)
-            return left * right
-        # division: the divisor must be a constant
-        if set(right.terms) - {(0,) * dimension}:
-            raise NotPolynomial("division by a non-constant expression")
-        if not right.terms:
-            raise ZeroDivisionError("division by zero in expression")
-        return left.scale(1 / right.terms[(0,) * dimension])
 
-    return lower(e)
+# a module function, not a closure: a nested function that calls itself is
+# a reference cycle left for the collector
+def _lower(node: Expr, dimension: int) -> MonomialPoly:
+    if isinstance(node, Num):
+        return MonomialPoly(dimension, {(0,) * dimension: node.value})
+    if isinstance(node, Var):
+        if node.index >= dimension:
+            raise NotPolynomial(
+                f"variable {node.name} exceeds dimension {dimension}"
+            )
+        alpha = tuple(1 if i == node.index else 0 for i in range(dimension))
+        return MonomialPoly(dimension, {alpha: Fraction(1)})
+    if isinstance(node, Neg):
+        return -_lower(node.arg, dimension)
+    if isinstance(node, Call):
+        raise NotPolynomial(f"{node.fn}() is not polynomial")
+    left = _lower(node.left, dimension)
+    if node.op == "^":
+        exponent = node.right
+        if (
+            not isinstance(exponent, Num)
+            or exponent.value.denominator != 1
+            or exponent.value < 0
+        ):
+            raise NotPolynomial(
+                "exponent must be a non-negative integer literal"
+            )
+        k = int(exponent.value)
+        if k > MAX_POLY_EXPONENT:
+            raise WorkLimit(f"exponent {k} is above the limit of {MAX_POLY_EXPONENT}")
+        # a product of k of left's terms, chosen with repetition
+        products = math.comb(max(len(left.terms), 1) + k - 1, k)
+        _check_size(dimension, left.degree() * k, products)
+        return left ** k
+    right = _lower(node.right, dimension)
+    if node.op == "+":
+        return left + right
+    if node.op == "-":
+        return left - right
+    if node.op == "*":
+        products = len(left.terms) * len(right.terms)
+        _check_size(dimension, left.degree() + right.degree(), products)
+        return left * right
+    # division: the divisor must be a constant
+    if set(right.terms) - {(0,) * dimension}:
+        raise NotPolynomial("division by a non-constant expression")
+    if not right.terms:
+        raise ZeroDivisionError("division by zero in expression")
+    return left.scale(1 / right.terms[(0,) * dimension])

@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import json
 import math
@@ -464,6 +465,27 @@ def test_compound_levels_are_checked_before_any_cell_is_built(
     assert code == 1
     assert out == ""
     assert message in err
+
+
+def test_compound_requests_leave_no_reference_cycles(capsys):
+    # each request's tree, kernel and tables are freed by reference
+    # counting once the next request replaces them, so the peak memory of
+    # a long run does not depend on when the cycle collector last ran
+    requests = [
+        ("--rule", "CR3", "--dim", "1", "--expr", "exp(5*x)", "--levels", "2:4"),
+        ("--rule", "CR4", "--expr", "exp(x)*sin(3*y)+cos(x*y)", "--levels", "1:3"),
+        ("--rule", "CR4", "--expr", "x^6*y^3", "--levels", "1:3"),
+        ("--rule", "TriangleMidedge", "--expr", "sin(3*x+y)", "--levels", "1:2"),
+    ]
+    run_cli(capsys, "compound", *requests[-1])
+    gc.collect()
+    gc.disable()
+    try:
+        for argv in requests:
+            assert run_cli(capsys, "compound", *argv)[0] == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_a_compound_request_compiles_one_kernel(capsys, monkeypatch):
