@@ -157,8 +157,9 @@ def _triangle_cells(level: int):
 # integrand are computed at exactly the points of the every-node loop, so
 # the kernel raises if and only if that loop does, but it may raise a
 # different error first: a table is filled before any cell.  So then
-# compound_apply runs the level again through a kernel that hoists
-# nothing, which raises the every-node loop's first error.  On the
+# compound_apply runs the level again through a kernel that calls the
+# integrand at each node, in the every-node order, which raises that
+# loop's first error: as_function's f compiles the same expression.  On the
 # interval, whose one axis is the cell loop, only the constants move; a
 # called integrand has no parts, and the triangle kernel hoists nothing.
 
@@ -266,7 +267,7 @@ def _grid_source(dimension: int, nodes, inline: InlineSource) -> str:
     return "\n".join(lines + _tail(pad)) + "\n"
 
 
-def _compile_kernel(rule: CubatureRule, f: Callable[..., float], hoist: bool = True):
+def _compile_kernel(rule: CubatureRule, f: Callable[..., float]):
     dimension = rule.region.dimension
     inline_source = getattr(f, "inline_source", None)
     everything = frozenset(range(dimension))
@@ -276,8 +277,6 @@ def _compile_kernel(rule: CubatureRule, f: Callable[..., float], hoist: bool = T
         inline = InlineSource(call, namespace, template=call, parts=(), reads=everything)
     else:
         inline = inline_source(dimension)
-    if not (hoist and _on_grid(rule)):
-        inline = inline._replace(template=inline.body, parts=(), reads=everything)
     nodes = [
         (tuple(to_float(c) for c in p), to_float(w)) for p, w in zip(rule.nodes, rule.weights)
     ]
@@ -290,18 +289,16 @@ def _compile_kernel(rule: CubatureRule, f: Callable[..., float], hoist: bool = T
     exec(compile(source, "<compound kernel>", "exec"), namespace)
     # taken out of its own globals, so that a replaced kernel is freed at
     # once rather than left as a cycle for the collector
-    kernel = namespace.pop("kernel")
-    kernel.hoisted = bool(inline.parts)
-    return kernel
+    return namespace.pop("kernel")
 
 
 # The one kernel kept, as (integrand, rule, kernel).  The CLI calls
 # compound_apply once per level with one integrand and one rule, so a
 # request compiles one kernel (on CR4 about 0.55-0.65 ms for
 # exp(x)*sin(3*y)+cos(x*y) and 0.45 ms for x^6*y^3: the hoisted parts'
-# tables and row values lengthen the source), one more only for a level
-# whose hoisted kernel raises, and nothing is kept once the next request
-# starts.
+# tables and row values lengthen the source), one more, which calls the
+# integrand, only for a grid level whose inlined kernel raises, and
+# nothing is kept once the next request starts.
 _last_kernel = (None, None, None)
 
 
@@ -363,11 +360,11 @@ def compound_apply(
         try:
             total = kernel(2**level, scale)
         except (ArithmeticError, ValueError):
-            if not kernel.hoisted:
+            if not hasattr(f, "inline_source"):
                 raise
             # a hoisted value is computed before the cells that first use
-            # it, so the kernel with nothing hoisted finds the first error
-            total = _compile_kernel(rule, f, hoist=False)(2**level, scale)
+            # it, so a kernel that calls f at each node finds the first error
+            total = _compile_kernel(rule, lambda *p: f(*p))(2**level, scale)
     else:
         total = kernel(_triangle_cells(level), scale)
     if not math.isfinite(total):

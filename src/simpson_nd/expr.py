@@ -1,6 +1,7 @@
 """Integrand expressions: a small recursive-descent parser, float
-evaluation through one generated Python function per expression, and
-exact lowering of polynomial expressions.
+evaluation through generated Python source (one emitter, whose expression
+both as_function and the compound kernel compile), and exact lowering of
+polynomial expressions.
 
 Grammar (standard precedence, ^ binds tightest and associates right):
 
@@ -364,16 +365,8 @@ def _missing(variable) -> None:
     raise ValueError(f"variable {name} needs dimension >= {index + 1}") from None
 
 
-def _check_dimension(variables, point) -> None:
-    """Raise the ValueError of the first variable, in evaluation order,
-    that the point has no coordinate for; return if there is none."""
-    for variable in variables:
-        if variable[0] >= len(point):
-            _missing(variable)
-
-
-# The generated source holds only float reprs, the coordinate names the
-# caller chooses (integer subscripts of p, or locals x0, x1, ...), the forms
+# The generated source holds only float reprs, the locals x0, x1, ... of
+# the coordinates (a _missing call for a variable past them), the forms
 # below and these names, bound in a namespace without builtins.  No string
 # of the tree is pasted in: op and fn are looked up here.  ^ is a call to
 # _power, except that a literal integer exponent (a Num with denominator 1,
@@ -393,11 +386,8 @@ _BINARY = {
 _CALLS = {name: f"_{name}" for name in FUNCTIONS}
 _NAMESPACE = {
     "__builtins__": {},
-    "_float": float,
     "_power": _power,
-    "_check_dimension": _check_dimension,
     "_missing": _missing,
-    "IndexError": IndexError,
     **{_CALLS[name]: fn for name, fn in FUNCTIONS.items()},
 }
 
@@ -443,14 +433,18 @@ def eval_float(e: Expr, point) -> float:
 
 
 def as_function(e: Expr):
-    """One generated Python function f(*coords) -> float that evaluates the
-    whole tree in one frame.  Its source is generated here, so a tree
-    deeper than MAX_EXPR_DEPTH raises WorkLimit and a literal too large
-    for a float OverflowError now; it is compiled on the first call.
+    """A Python function f(*coords) -> float.  f reads the first
+    m = min(len(coords), max_variable_index(e)) coordinates as float() and
+    calls g(x0, ..., x{m-1}), which returns _inline_source(e, m).body, the
+    expression a compound kernel inlines; g is compiled on the first call
+    with each m.  The source is walked here, so a tree deeper than
+    MAX_EXPR_DEPTH raises WorkLimit and a literal too large for a float
+    OverflowError now.
 
     Every float operation happens in the same order as a walk of the tree
     (left operand before right) and constants are the same floats, so
-    results and the first error raised are identical to a walk's.  The
+    results and the first error raised, a variable past the point's
+    "needs dimension" ValueError included, are identical to a walk's.  The
     source nests at most about MAX_EXPR_DEPTH + 2 brackets, under
     CPython's limit of 200.
 
@@ -458,32 +452,22 @@ def as_function(e: Expr):
     that compiles it into its own loop (see _inline_source);
     ``functools.wraps`` carries it over to a wrapper of f.
     """
-    variables: list = []
-
-    def coordinate(var: Var) -> str:
-        variables.append((var.index, var.name))
-        return f"_float(p[{var.index}])"
-
-    body = _source(e, coordinate, 0)
-    source = (
-        "def f(*p):\n"
-        "    try:\n"
-        f"        return {body}\n"
-        "    except IndexError:\n"
-        "        _check_dimension(_variables, p)\n"
-        "        raise\n"
-    )
-    namespace = {**_NAMESPACE, "_variables": tuple(variables)}
-    compiled = None
+    _source(e, lambda var: var.name, 0)  # WorkLimit or OverflowError here
+    top = max_variable_index(e)
+    compiled: dict = {}  # m -> g
 
     # a caller that inlines the expression, as compound does, never pays
-    # for this compile
+    # for a compile here
     def f(*p):
-        nonlocal compiled
-        if compiled is None:
-            exec(compile(source, "<integrand>", "exec"), namespace)
-            compiled = namespace.pop("f")  # no cycle through its globals
-        return compiled(*p)
+        m = min(len(p), top)
+        g = compiled.get(m)
+        if g is None:
+            inline = _inline_source(e, m)
+            names = ", ".join(f"x{i}" for i in range(m))
+            source = f"def g({names}):\n    return {inline.body}\n"
+            exec(compile(source, "<integrand>", "exec"), inline.namespace)
+            g = compiled[m] = inline.namespace.pop("g")  # no cycle through its globals
+        return g(*map(float, p[:m]))
 
     f.inline_source = functools.partial(_inline_source, e)
     return f
@@ -505,10 +489,12 @@ def _inline_source(e: Expr, dimension: int) -> InlineSource:
     locals x0 .. x{dimension - 1} (body), the namespace (no builtins) it
     must run in, and the same split into a template and parts.
 
-    Its float operations and their order are as_function's, so a caller
-    that binds the coordinates of a point to those locals gets the same
-    value, bit for bit, or the same first error: a variable past the
+    Its float operations happen in the order of a walk of the tree, so a
+    caller that binds the coordinates of a point to those locals gets the
+    walk's value, bit for bit, or its first error: a variable past the
     dimension raises its "needs dimension" ValueError where a walk reads it.
+    as_function compiles this body alone; compound inlines it in its cell
+    loop.
 
     The parts are the subtrees that a caller may evaluate once for many
     points.  A subtree other than a number is a part when it reads fewer

@@ -535,6 +535,22 @@ def scalar_gauss_jordan(rows, ncols: int):
     return pivots, det
 
 
+def interpolate_polynomial(fn, degree: int, rng) -> list:
+    """Ascending coefficients of the polynomial p of degree <= ``degree``
+    that agrees with ``fn`` at degree + 1 distinct seeded rationals in
+    (0, 1), from one Vandermonde solve through scalar_gauss_jordan.  fn
+    must equal p at two more such points too, so a fn that is not a
+    polynomial of that degree fails an assertion here."""
+    points = [Fraction(n, 1000) for n in rng.sample(range(1, 1000), degree + 3)]
+    rows = [[t**j for j in range(degree + 1)] + [fn(t)] for t in points[: degree + 1]]
+    pivots, _ = scalar_gauss_jordan(rows, degree + 1)
+    assert pivots == list(range(degree + 1))  # distinct points: Vandermonde is regular
+    coefficients = [row[-1] for row in rows]
+    for t in points[degree + 1 :]:
+        assert sum(c * t**j for j, c in enumerate(coefficients)) == fn(t), t
+    return coefficients
+
+
 def scalar_solve_weights(region, nodes, targets):
     """The outcome of ``exactness.solve_weights`` from scalar rows: each
     entry is ``monomial_value`` of a node, the rows [A | b] are reduced by

@@ -1,4 +1,5 @@
 import errno
+import gc
 import math
 import random
 from fractions import Fraction
@@ -245,6 +246,49 @@ def test_eval_float():
     assert eval_float(parse("sqrt(4)"), ()) == 2.0
     with pytest.raises(ValueError):
         eval_float(parse("z"), (1.0, 2.0))
+
+
+def test_the_standalone_integrand_compiles_once_per_coordinate_count(monkeypatch):
+    # f compiles the inline body over the m coordinates it reads, once per m
+    from simpson_nd import expr
+
+    compiled = []
+    monkeypatch.setattr(
+        expr,
+        "compile",
+        lambda source, name, mode: compiled.append(source) or compile(source, name, mode),
+        raising=False,
+    )
+    f = as_function(parse("x*y"))
+    assert compiled == []
+    assert f(2.0, 3.0) == 6.0
+    # float("unread") would raise: a coordinate past the tree is never read
+    assert f(2.0, 3.0, "unread") == 6.0
+    assert len(compiled) == 1
+    with pytest.raises(ValueError, match=r"^variable y needs dimension >= 2$"):
+        f(2.0)
+    assert len(compiled) == 2
+    got = f(2, 3)
+    assert type(got) is float and got == 6.0
+    assert len(compiled) == 2
+    with pytest.raises(ZeroDivisionError, match=r"^float division by zero$"):
+        as_function(parse("1/x"))(0)
+
+
+def test_the_standalone_integrand_leaves_no_reference_cycles():
+    gc.collect()
+    gc.disable()
+    try:
+        f = as_function(parse("exp(x)*y"))
+        assert f(0.0, 2.0) == 2.0
+        try:
+            f(0.0)
+        except ValueError:
+            pass
+        del f
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_left_operand_fails_first_under_every_operator():

@@ -6,6 +6,7 @@ from math import factorial
 import pytest
 
 from oracles import (
+    interpolate_polynomial,
     monomial_value,
     permutation_det,
     simplex3_hand_linear_rows,
@@ -240,6 +241,26 @@ def test_square_family_quarter_point_misses_bonus():
 
 def test_square_selector_roots():
     assert square_selector_roots() == {Fraction(0), Fraction(1), HALF}
+
+
+def test_square_selector_is_the_numerator_of_the_x3y_residual():
+    # lam = (6d^2 - 6d + 2)/(6d^2 - 6d + 3); times that denominator, the
+    # x^3 y residual of the member at d is -SQUARE_SELECTOR(d)/8, so the
+    # selector's roots are the members exact for x^3 y, and no others
+    rng = random.Random(1414)
+
+    def denominator(d):
+        return 6 * d * d - 6 * d + 3
+
+    def scaled_residual(d):
+        return denominator(d) * residual(square_family_rule(d), (3, 1))
+
+    assert interpolate_polynomial(scaled_residual, 3, rng) == [
+        -c / 8 for c in families.SQUARE_SELECTOR
+    ]
+    assert interpolate_polynomial(
+        lambda d: square_family_lambda(d) * denominator(d), 2, rng
+    ) == [2, -6, 6]
 
 
 def test_square_family_lambda_never_zero():
