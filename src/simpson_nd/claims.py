@@ -178,12 +178,8 @@ def _check_midedge() -> list[Claim]:
     ]
 
 
-def _deg2_targets():
-    return [alpha for alpha in exactness.monomials_up_to(2, 2)]
-
-
 def _check_negative_results() -> list[Claim]:
-    targets = _deg2_targets()
+    targets = list(exactness.monomials_up_to(2, 2))
     hexagon = hexagon_paper()
     outcome = exactness.solve_lambda(hexagon, hexagon.vertices(), targets)
     ok_hex = isinstance(outcome, exactness.Infeasible)
@@ -386,23 +382,17 @@ def _check_moments() -> list[Claim]:
     ]
 
 
+def _fitted_order(rule: rules.CubatureRule, f: Callable[..., float], reference: float) -> float:
+    """The convergence order fitted to levels 1-5 of compounding rule."""
+    ests = [compound_mod.compound_apply(rule, lv, f) for lv in range(1, 6)]
+    return compound_mod.convergence_order(ests, reference)
+
+
 def _check_convergence() -> list[Claim]:
     exp2 = lambda x, y: math.exp(x + y)
-    ref_square = (math.e - 1.0) ** 2
-    ests = [
-        compound_mod.compound_apply(rules.cr4(), lv, exp2) for lv in range(1, 6)
-    ]
-    order_sq = compound_mod.convergence_order(ests, ref_square)
-    ests_tri = [
-        compound_mod.compound_apply(rules.triangle_midedge(), lv, exp2)
-        for lv in range(1, 6)
-    ]
-    order_tri = compound_mod.convergence_order(ests_tri, 1.0)
-    exp1 = lambda x: math.exp(x)
-    ests_1d = [
-        compound_mod.compound_apply(rules.cr3(1), lv, exp1) for lv in range(1, 6)
-    ]
-    order_1d = compound_mod.convergence_order(ests_1d, math.e - 1.0)
+    order_sq = _fitted_order(rules.cr4(), exp2, (math.e - 1.0) ** 2)
+    order_tri = _fitted_order(rules.triangle_midedge(), exp2, 1.0)
+    order_1d = _fitted_order(rules.cr3(1), math.exp, math.e - 1.0)
     return [
         Claim(
             "compound-cr4-order-4",

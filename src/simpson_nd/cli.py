@@ -59,7 +59,27 @@ def _ascii_number(convert):
     return number
 
 
+# Most digits a command-line rational may spell: its mantissa's digits plus
+# the size of its exponent, counted before Fraction() expands it.  A family
+# residual has at most about 9 times its values' digits, so at the limit the
+# largest one, simplex3 --point with nine values over distinct 399-digit
+# denominators, has 3,583 digits, under the 4,300 that printing an int allows;
+# that request takes 15 ms on one core of a 2-vCPU Xeon.  Unchecked, family
+# square --param 1e-100000 took 5.1 s and 1e-400000 48 s, only to fail to print.
+MAX_RATIONAL_DIGITS = 400
+
+
 def _rational(text: str) -> Fraction:
+    mantissa, _, exponent = text.lower().partition("e")
+    exponent = exponent.strip().lstrip("+-").lstrip("0")
+    digits = sum(c.isdigit() for c in mantissa)
+    if exponent.isdigit():
+        # measured by its length first: int() would expand a long exponent too
+        digits += int(exponent) if len(exponent) < 9 else 10**9
+    if digits > MAX_RATIONAL_DIGITS:
+        shown = text if len(text) <= 24 else text[:20] + "..."
+        raise WorkLimit(f"{shown!r} has more than {MAX_RATIONAL_DIGITS} digits, "
+                        "counting its exponent")
     try:
         return Fraction(text)
     except ZeroDivisionError:  # its message would be "Fraction(1, 0)"
@@ -92,7 +112,11 @@ def _parse_region(alias: str | None, path: str | None) -> Region:
 def _read_region(alias: str | None, path: str | None) -> Region:
     if path:
         with open(path, "r", encoding="utf-8") as fh:
-            return region_from_json(json.load(fh))
+            try:
+                data = json.load(fh)
+            except RecursionError:
+                raise ValueError(f"{path}: the JSON is nested too deep to read") from None
+        return region_from_json(data)
     if not alias:
         raise ValueError("a region is required (--region or --region-file)")
     alias = alias.strip().lower()
@@ -603,17 +627,8 @@ _CATALOG_DEGREE_CAP = 5
 
 
 def _cmd_catalog(args) -> int:
-    dim = args.dim
-    entries = [
-        rules.cr1(dim),
-        rules.cr2(dim),
-        rules.cr3(dim),
-        rules.cr4(),
-        rules.cr5(),
-        rules.cr5_conjugate(),
-        rules.cr6(),
-        rules.triangle_midedge(),
-    ]
+    entries = [build(args.dim) for build in rules._NAMED_NEED_DIM.values()]
+    entries += [build() for build in rules._NAMED_FIXED.values()]
     certified = [
         (rule, exactness.exactness_degree(rule, _CATALOG_DEGREE_CAP).certified_degree)
         for rule in entries

@@ -179,6 +179,17 @@ def test_catalog_json_round_trips(capsys):
         assert rebuilt.label == entry["label"]
 
 
+def test_catalog_lists_the_rules_of_the_name_tables(capsys, monkeypatch):
+    from simpson_nd import rules
+
+    monkeypatch.setitem(rules._NAMED_FIXED, "EXTRA", lambda: rules.cr3(2))
+    code, out, _ = run_cli(capsys, "--format", "json", "catalog", "--dim", "2")
+    assert code == 0
+    labels = [entry["label"] for entry in json.loads(out)["rules"]]
+    assert labels == ["CR1(2)", "CR2(2)", "CR3(2)", "CR4", "CR5", "CR5*", "CR6",
+                      "TriangleMidedge", "CR3(2)"]
+
+
 def test_region_file(tmp_path, capsys):
     path = tmp_path / "region.json"
     path.write_text(json.dumps({"simplex": 2}))
@@ -359,6 +370,18 @@ def test_malformed_region_file_is_a_domain_error(tmp_path, capsys, region, messa
     assert out == ""
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
+
+
+# deeper than json.load reads on any supported Python (3.13 reads about 10,000 levels)
+@pytest.mark.parametrize(
+    "text", ["[" * 100_000, '{"polygon": ' + "[" * 100_000 + "]" * 100_000 + "}"]
+)
+def test_a_region_file_nested_too_deep_is_a_domain_error(tmp_path, capsys, text):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "moments", "--region-file", str(path), "--degree", "0")
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: the JSON is nested too deep to read\n"
 
 
 def test_family_point_with_a_negative_first_value(capsys):
@@ -868,6 +891,53 @@ def test_a_zero_denominator_names_the_text(capsys, flag):
     code, out, err = run_cli(capsys, "family", *flag)
     assert (code, out) == (1, "")
     assert err == "error: '1/0' has a zero denominator\n"
+
+
+@pytest.mark.parametrize(
+    "system, flag, count",
+    [("triangle", "--param", 1), ("square", "--param", 1), ("triangle", "--point", 4),
+     ("square", "--point", 5), ("trapezoid", "--point", 5), ("simplex3", "--point", 9)],
+)
+def test_rationals_at_the_digit_limit_print_for_every_family(capsys, system, flag, count):
+    from simpson_nd.cli import FORMATS, MAX_RATIONAL_DIGITS
+
+    limit = MAX_RATIONAL_DIGITS
+    shapes = (
+        # distinct denominators, so that a residual's denominator is their product
+        [f"1/{10 ** (limit - 2) + 2 * k + 1}" for k in range(count)],
+        [f"1e-{limit - 1}"] * count,
+        ["9" * limit] * count,
+    )
+    for values in shapes:
+        for fmt in FORMATS:
+            code, out, err = run_cli(capsys, "--format", fmt, "family", system, flag,
+                                     ",".join(values))
+            assert (code, err) == (0, ""), (fmt, values[0][:30])
+            assert out
+
+
+@pytest.mark.parametrize("flag, past, shown", [
+    ("--param", "1e-400", "'1e-400'"),
+    ("--param", "9" * 401, "'99999999999999999999...'"),
+    ("--param", "1" * 200 + "/" + "3" * 201, "'11111111111111111111...'"),
+    ("--param", "1.5e-399", "'1.5e-399'"),
+    ("--param", "1e-99999999999999999999", "'1e-99999999999999999999'"),
+    ("--point", "1e-400,0,0,0,0", "'1e-400'"),
+])
+def test_a_rational_past_the_digit_limit_is_refused_before_fraction_runs(
+    capsys, monkeypatch, flag, past, shown
+):
+    from simpson_nd import cli
+
+    assert cli.MAX_RATIONAL_DIGITS == 400
+
+    def refuse(*args):
+        raise AssertionError("Fraction() ran on a value past the digit limit")
+
+    monkeypatch.setattr(cli, "Fraction", refuse)
+    code, out, err = run_cli(capsys, "family", "square", flag, past)
+    assert (code, out) == (1, "")
+    assert err == f"error: {shown} has more than 400 digits, counting its exponent\n"
 
 
 _RATIONAL_PENTAGON = {"polygon": [[{"rat": [x, "1"]}, {"rat": [y, "1"]}]
