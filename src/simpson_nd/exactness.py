@@ -270,37 +270,6 @@ def solve_lambda(region: Region, spread, targets) -> LinearSolveOutcome:
     return UniqueSolution((lam,))
 
 
-def _scale_in(rows: list[list[Scalar]], ncols: int):
-    """(d, pi_columns, scales, view) for the rows of ``gauss_jordan``.
-
-    d is the one radicand (None when every entry is rational), pi_columns
-    the trailing columns whose every entry is a pi multiple, and scales and
-    view each row's common denominator S and integer view from
-    ``scalars.integer_view``, a pi column entry as its coefficient.  A pi
-    multiple anywhere else, or a second radicand, raises IncompatibleScalars."""
-    width = len(rows[0]) if rows else 0
-    pi_columns = {
-        j for j in range(ncols, width) if all(isinstance(row[j], PiMultiple) for row in rows)
-    }
-    values = []
-    for i, row in enumerate(rows):
-        for j, x in enumerate(row):
-            if isinstance(x, PiMultiple) and j not in pi_columns:
-                raise IncompatibleScalars(
-                    f"row {i} has the pi multiple {x!r} in column {j}; elimination "
-                    f"takes pi only in a column after the first {ncols} "
-                    "whose every entry is a pi multiple"
-                )
-        values.append([x.coefficient if j in pi_columns else x for j, x in enumerate(row)])
-    d = scalars.radicand([x for row in values for x in row], "eliminate")
-    scales, view = [], []
-    for row in values:
-        s, scaled = scalars.integer_view(row, d)
-        scales.append(s)
-        view.append(scaled)
-    return d, pi_columns, scales, view
-
-
 def _step(row: list, pivot: list, start: int, p, f, prev, d) -> None:
     """row[start:] = (p*row - f*pivot) / prev in place, over Z or Z[sqrt d].
 
@@ -329,32 +298,32 @@ def _step(row: list, pivot: list, start: int, p, f, prev, d) -> None:
 
 def gauss_jordan(rows: list[list[Scalar]], ncols: int) -> tuple[list[int], Scalar]:
     """In-place reduced row echelon form over the first ``ncols`` columns;
-    trailing columns ride along.  The rows are scalars: ``_scale_in``
-    scales each row by the lcm of its denominators onto the integer view,
-    and ``_eliminate``, the package's only elimination loop, reduces them.
-
-    Entries are rationals and values over one radicand.  A trailing
-    column whose every entry is a pi multiple is reduced as its
-    coefficients and comes back as pi multiples; a pi multiple anywhere
-    else, a second radicand, or a pi column entry that would be a sqrt
-    value times pi raises IncompatibleScalars.
+    trailing columns ride along.  The rows are scalars, rationals and values
+    over one radicand: each row is scaled by the lcm of its denominators
+    onto ``scalars.integer_view``, and ``_eliminate``, the package's only
+    elimination loop, reduces them.  A pi multiple or a second radicand
+    raises IncompatibleScalars.
 
     Returns the pivot columns (so the rank) and the determinant: the swap
     sign times the last pivot over the product of the pivot rows' scales,
     or 0 when the rank is below ``ncols``.  It is the block's determinant
     only when the block is square.
     """
-    d, pi_columns, scales, view = _scale_in(rows, ncols)
-    pivots, det, rows[:] = _eliminate(view, scales, ncols, d, pi_columns)
+    d = scalars.radicand([x for row in rows for x in row], "eliminate")
+    scales, view = [], []
+    for row in rows:
+        s, scaled = scalars.integer_view(row, d)
+        scales.append(s)
+        view.append(scaled)
+    pivots, det, rows[:] = _eliminate(view, scales, ncols, d)
     return pivots, det
 
 
-def _eliminate(view: list[list], scales: list[int], ncols: int, d, pi_columns):
+def _eliminate(view: list[list], scales: list[int], ncols: int, d):
     """(pivots, determinant, reduced scalar rows) of rows already on the
     integer view: row i holds S_i times its values, S_i = scales[i], as
     ints or as (A, B) int pairs meaning A + B*sqrt(d) (Cohen, GTM 138,
-    4.2), a column in ``pi_columns`` by its pi coefficients.  ``view`` and
-    ``scales`` are reduced in place.
+    4.2).  ``view`` and ``scales`` are reduced in place.
 
     Elimination is fraction-free over Z or Z[sqrt d] (Bareiss, *Sylvester's
     identity and multistep integer-preserving Gaussian elimination*, Math.
@@ -397,8 +366,6 @@ def _eliminate(view: list[list], scales: list[int], ncols: int, d, pi_columns):
         if i >= r:
             # a row below the rank still carries its scale S
             values = [scalars.div(x, scales[i]) for x in values]
-        for j in pi_columns:
-            values[j] = PiMultiple(values[j])
         reduced.append(values)
     if r < ncols:
         return pivots, Fraction(0), reduced
@@ -414,8 +381,10 @@ def solve_weights(nodes, targets, moments) -> LinearSolveOutcome:
     Works over whatever quadratic field the node coordinates and the
     moments need.  The rows come from the integer view of a ``NodeTable``
     with unit weights: row alpha's node entries are its terms X_j^alpha
-    over D^|alpha|, and its right-hand side is the moment, a pi moment (the
-    disc) as its coefficient in a pi column.  Each row is scaled once, by
+    over D^|alpha|, and its right-hand side is the moment.  The disc's
+    moments are pi multiples: the rows take their coefficients, and the
+    values read back from that column, the solution and an infeasibility
+    witness, are pi multiples again.  Each row is scaled once, by
     the lcm S of D^|alpha| and the moment's denominator, and goes to
     ``_eliminate`` as ints or Z[sqrt d] pairs; no entry is a scalar until
     the reduced rows come back.  An inconsistent system yields an
@@ -458,8 +427,7 @@ def solve_weights(nodes, targets, moments) -> LinearSolveOutcome:
     if work > MAX_ELIMINATION_WORK:
         raise WorkLimit(f"eliminating {len(view)} rows on {nunk} nodes is estimated at {work:,} "
                         f"word operations; the limit is {MAX_ELIMINATION_WORK:,}")
-    pi_columns = {nunk} if pi else set()
-    pivots, _, rows = _eliminate([list(row) for row in view], list(scales), nunk, d, pi_columns)
+    pivots, _, rows = _eliminate([list(row) for row in view], list(scales), nunk, d)
     rank = len(pivots)
     if any(not is_zero(row[nunk]) for row in rows[rank:]):
         # Reduce [A | b | I] so every row remembers its origin: row i gains
@@ -469,8 +437,9 @@ def solve_weights(nodes, targets, moments) -> LinearSolveOutcome:
             row + [lift(scale if j == i else 0) for j in range(len(view))]
             for i, (row, scale) in enumerate(zip(view, scales))
         ]
-        _, _, rows = _eliminate(block, scales, nunk, d, pi_columns)
+        _, _, rows = _eliminate(block, scales, nunk, d)
         row = next(row for row in rows[rank:] if not is_zero(row[nunk]))
+        gap = PiMultiple(row[nunk]) if pi else row[nunk]
         used = [(i, mult) for i, mult in enumerate(row[nunk + 1 :]) if not is_zero(mult)]
         equations = tuple(
             Equation(
@@ -483,14 +452,14 @@ def solve_weights(nodes, targets, moments) -> LinearSolveOutcome:
         return Infeasible(
             witness=(
                 f"combining the equations for {', '.join(eqn.label for eqn in equations)} "
-                f"gives 0 = {scalars.format_scalar(row[nunk])}"
+                f"gives 0 = {scalars.format_scalar(gap)}"
             ),
             equations=equations,
             multipliers=tuple(mult for _, mult in used),
         )
     solution: list[Scalar] = [Fraction(0)] * nunk
     for r, col in enumerate(pivots):
-        solution[col] = rows[r][nunk]
+        solution[col] = PiMultiple(rows[r][nunk]) if pi else rows[r][nunk]
     if rank == nunk:
         return UniqueSolution(tuple(solution))
     return Underdetermined(particular=tuple(solution), nullity=nunk - rank)

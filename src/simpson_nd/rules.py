@@ -144,10 +144,11 @@ class NodeTable:
     rows.  Nothing ties the nodes to a region, so a family system can be
     summed at parameter points that put nodes off the boundary.  When every
     weight is a pi multiple (CR6), W holds the coefficients and each sum
-    comes back times pi, as a pi column does in ``gauss_jordan``.  Every
-    table sums this one way: a pi coordinate, a pi weight beside a pi-free
-    one or a second radicand raises IncompatibleScalars, and nodes of
-    different lengths raise DimensionMismatch.
+    comes back times pi, as ``solve_weights`` puts the pi back on the
+    weights it solves for the disc's pi moments.  Every table sums this
+    one way: a pi coordinate, a pi weight beside a pi-free one or a second
+    radicand raises IncompatibleScalars, and nodes of different lengths
+    raise DimensionMismatch.
     """
 
     __slots__ = ("nodes", "weights", "dimension", "radicand", "pi", "columns",

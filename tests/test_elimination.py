@@ -5,11 +5,10 @@ columns, the ``repr`` of every reduced entry and the ``repr`` of the
 determinant.  The systems mix denominators within a row and between the
 ``.a`` and ``.b`` parts of one entry, and include singular,
 rank-deficient and inconsistent blocks, wide ``[A | b | I]`` blocks as
-``solve_weights`` builds them, rows whose entry in the pivot column is
-zero, and a trailing column of pi multiples.  The scalar loop reduces
-a pi column only while every product it forms is representable; the
-fraction-free loop reduces it as its rational coefficients and refuses
-only a result it cannot represent.
+``solve_weights`` builds them, and rows whose entry in the pivot column
+is zero.  The elimination takes no pi: a pi multiple in any column is
+refused, where the scalar loop reduces it while every product it forms
+is representable.
 """
 
 import random
@@ -112,52 +111,22 @@ def test_square_systems_keep_the_determinant():
     assert swapped >= 20
 
 
-def test_a_trailing_pi_column_comes_back_as_pi_multiples():
-    rng = random.Random(1109)
-    zero_pi = 0
-    for _ in range(100):
-        rows, ncols = _system(rng, None)
-        col = rng.randint(ncols, len(rows[0]))
-        rows = [row[:col] + [PiMultiple(_rational(rng))] + row[col:] for row in rows]
-        _, reduced = _reduce_both(rows, ncols)
-        assert all(type(row[col]) is PiMultiple for row in reduced)
-        zero_pi += any(row[col] == 0 for row in reduced)
-    assert zero_pi >= 20
-
-
-@pytest.mark.parametrize("d", RADICANDS)
-def test_a_pi_column_over_a_radicand_reduces_as_its_coefficients(d):
-    """The pi column comes back as pi times the reduced coefficient column,
-    and a coefficient that is not rational is refused."""
-    rng = random.Random(1111 + d)
-    answered = refused = 0
-    for _ in range(60):
+@pytest.mark.parametrize("d", (None,) + RADICANDS)
+def test_refuses_pi_in_any_column(d):
+    """A pi multiple in any one column, or a trailing column whose every
+    entry is a pi multiple, raises IncompatibleScalars."""
+    rng = random.Random(1109 + (d or 0))
+    message = r"^cannot eliminate the pi multiple PiMultiple\(Fraction\(-?\d+, \d+\)\) with values free of pi$"
+    for _ in range(40):
         rows, ncols = _system(rng, d)
-        coefficients = [_rational(rng) for _ in rows]
-        plain = [row + [c] for row, c in zip(rows, coefficients)]
-        pivots, _ = scalar_gauss_jordan(plain, ncols)
-        tagged = [row + [PiMultiple(c)] for row, c in zip(rows, coefficients)]
-        if all(isinstance(row[-1], Fraction) for row in plain):
-            assert gauss_jordan(tagged, ncols)[0] == pivots
-            want = [row[:-1] + [PiMultiple(row[-1])] for row in plain]
-            assert [[repr(x) for x in r] for r in tagged] == [[repr(x) for x in r] for r in want]
-            answered += 1
-        else:
-            with pytest.raises(IncompatibleScalars, match="^pi times a sqrt value is not representable$"):
+        col = rng.randint(0, len(rows[0]))
+        column = [Fraction(0)] * len(rows)
+        column[rng.randrange(len(rows))] = PiMultiple(_rational(rng, zeros=0))
+        one = [row[:col] + [x] + row[col:] for row, x in zip(rows, column)]
+        trailing = [row + [PiMultiple(_rational(rng))] for row in rows]
+        for tagged in (one, trailing):
+            with pytest.raises(IncompatibleScalars, match=message):
                 gauss_jordan(tagged, ncols)
-            refused += 1
-    assert answered >= 10 and refused >= 10
-
-
-def test_a_pi_column_is_reduced_where_the_scalar_loop_formed_sqrt_times_pi():
-    root2 = Quad(0, 1, 2)
-    rows = [[root2, Fraction(1), PiMultiple(1)], [Fraction(0), Fraction(1), PiMultiple(1)]]
-    with pytest.raises(IncompatibleScalars):
-        scalar_gauss_jordan([list(r) for r in rows], 2)  # pi / sqrt(2)
-    assert gauss_jordan(rows, 2) == ([0, 1], root2)
-    assert repr(rows) == repr([
-        [Fraction(1), Fraction(0), PiMultiple(0)], [Fraction(0), Fraction(1), PiMultiple(1)]
-    ])
 
 
 # Inputs the fraction-free loop refuses.  The scalar loop answered each of
@@ -165,13 +134,13 @@ def test_a_pi_column_is_reduced_where_the_scalar_loop_formed_sqrt_times_pi():
 REFUSED = {
     "pi in a pivot column": (
         [[Fraction(1), Fraction(0)], [Fraction(0), PiMultiple(1)]], 2,
-        r"^row 1 has the pi multiple PiMultiple\(Fraction\(1, 1\)\) in column 1; "
-        r"elimination takes pi only in a column after the first 2 whose every entry "
-        r"is a pi multiple$",
+        r"^cannot eliminate the pi multiple PiMultiple\(Fraction\(1, 1\)\) "
+        r"with values free of pi$",
     ),
     "pi beside a rational zero in a trailing column": (
         [[Fraction(1), PiMultiple(1)], [Fraction(1), Fraction(0)]], 1,
-        r"^row 0 has the pi multiple PiMultiple\(Fraction\(1, 1\)\) in column 1; ",
+        r"^cannot eliminate the pi multiple PiMultiple\(Fraction\(1, 1\)\) "
+        r"with values free of pi$",
     ),
     "two radicands": (
         [[Quad(0, 1, 2)], [Quad(0, 1, 3)]], 1,

@@ -15,8 +15,10 @@ exactness report.  Every file here, ``derive_disc_weights`` and
 1968).  Those pin the CR5/CR5* nodes in Q(sqrt 3893), the CR6 pi
 weights, hexagon moments in Q(sqrt 3), the irrational lambda witness, a
 Gauss-Jordan solve over ``Quad`` pivots, the disc's weights solved
-against a column of pi moments, and the trapezoid's infeasibility
-certificate with its multipliers.  A refactor of any of these must leave
+against its pi moments (recorded while the elimination still took a
+column of pi multiples; ``solve_weights`` now strips the pi and puts it
+back itself), and the trapezoid's infeasibility certificate with its
+multipliers.  A refactor of any of these must leave
 every file here unchanged, which pins every compound estimate bit for
 bit.  Every ``.csv`` file, and the ``verify_cr3_dim3`` and
 ``moments_trapezoid`` files, were recorded before each command built only
