@@ -25,6 +25,7 @@ from . import claims as claims_mod
 from . import compound as compound_mod
 from . import exactness, expr, families, rules, scalars
 from .errors import NotPolynomial, SimpsonNdError, WorkLimit
+from .scalars import MAX_RATIONAL_DIGITS
 from .regions import (
     Cube,
     Polygon,
@@ -59,16 +60,6 @@ def _ascii_number(convert):
     return number
 
 
-# Most digits a command-line rational may spell: its mantissa's digits plus
-# the size of its exponent, counted before Fraction() expands it.  A family
-# residual has at most about 9 times its values' digits, so at the limit the
-# largest one, simplex3 --point with nine values over distinct 399-digit
-# denominators, has 3,583 digits, under the 4,300 that printing an int allows;
-# that request takes 15 ms on one core of a 2-vCPU Xeon.  Unchecked, family
-# square --param 1e-100000 took 5.1 s and 1e-400000 48 s, only to fail to print.
-MAX_RATIONAL_DIGITS = 400
-
-
 def _rational(text: str) -> Fraction:
     mantissa, _, exponent = text.lower().partition("e")
     exponent = exponent.strip().lstrip("+-").lstrip("0")
@@ -77,13 +68,12 @@ def _rational(text: str) -> Fraction:
         # measured by its length first: int() would expand a long exponent too
         digits += int(exponent) if len(exponent) < 9 else 10**9
     if digits > MAX_RATIONAL_DIGITS:
-        shown = text if len(text) <= 24 else text[:20] + "..."
-        raise WorkLimit(f"{shown!r} has more than {MAX_RATIONAL_DIGITS} digits, "
+        raise WorkLimit(f"{scalars.shown(text)!r} has more than {MAX_RATIONAL_DIGITS} digits, "
                         "counting its exponent")
     try:
         return Fraction(text)
     except ZeroDivisionError:  # its message would be "Fraction(1, 0)"
-        raise ValueError(f"{text!r} has a zero denominator") from None
+        raise ValueError(f"{scalars.shown(text)!r} has a zero denominator") from None
 
 
 _int = _ascii_number(int)
@@ -113,7 +103,7 @@ def _read_region(alias: str | None, path: str | None) -> Region:
     if path:
         with open(path, "r", encoding="utf-8") as fh:
             try:
-                data = json.load(fh)
+                data = json.load(fh, parse_int=scalars.int_from_json)
             except RecursionError:
                 raise ValueError(f"{path}: the JSON is nested too deep to read") from None
         return region_from_json(data)

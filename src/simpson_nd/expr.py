@@ -28,6 +28,7 @@ from typing import NamedTuple, Union
 
 from .errors import ExprSyntaxError, NotPolynomial, WorkLimit
 from .rules import MonomialPoly
+from .scalars import MAX_RATIONAL_DIGITS, shown
 
 FUNCTIONS = {
     "sin": math.sin,
@@ -253,6 +254,9 @@ class _Parser:
 
     def atom(self) -> tuple[Expr, int]:
         tok = self.peek()
+        # a number, or a variable's index, is refused before int() reads it
+        if sum(map(_digit, tok.text)) > MAX_RATIONAL_DIGITS:
+            raise WorkLimit(f"{shown(tok.text)!r} has more than {MAX_RATIONAL_DIGITS} digits")
         if tok.kind == "num":
             self.advance()
             if "." in tok.text:

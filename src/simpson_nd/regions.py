@@ -475,7 +475,7 @@ def region_to_json(region: Region) -> dict:
 
 def region_from_json(obj) -> Region:
     if not isinstance(obj, dict) or len(obj) != 1:
-        raise ValueError(f"malformed region encoding: {obj!r}")
+        raise ValueError(f"malformed region encoding: {scalars.shown(repr(obj))}")
     if "simplex" in obj:
         return Simplex(scalars.int_from_json(obj["simplex"]))
     if "cube" in obj:
@@ -485,7 +485,9 @@ def region_from_json(obj) -> Region:
         if not isinstance(vertices, list) or not all(
             isinstance(v, list) and len(v) == 2 for v in vertices
         ):
-            raise ValueError(f"a polygon must be a list of [x, y] vertices, got {vertices!r}")
+            raise ValueError(
+                f"a polygon must be a list of [x, y] vertices, got {scalars.shown(repr(vertices))}"
+            )
         return Polygon(
             [
                 (scalars.scalar_from_json(x), scalars.scalar_from_json(y))
@@ -494,4 +496,4 @@ def region_from_json(obj) -> Region:
         )
     if "disc" in obj:
         return UnitDisc()
-    raise ValueError(f"unknown region tag in {obj!r}")
+    raise ValueError(f"unknown region tag in {scalars.shown(repr(obj))}")

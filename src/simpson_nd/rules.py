@@ -485,14 +485,18 @@ def rule_to_json(rule: CubatureRule) -> dict:
 
 def rule_from_json(obj) -> CubatureRule:
     if not isinstance(obj, dict) or not {"region", "nodes", "weights"} <= set(obj):
-        raise ValueError(f"a rule needs the keys region, nodes and weights, got {obj!r}")
+        raise ValueError(
+            f"a rule needs the keys region, nodes and weights, got {scalars.shown(repr(obj))}"
+        )
     nodes, weights, label = obj["nodes"], obj["weights"], obj.get("label", "")
     if not isinstance(nodes, list) or not all(isinstance(p, list) for p in nodes):
-        raise ValueError(f"rule nodes must be a list of coordinate lists, got {nodes!r}")
+        raise ValueError(
+            f"rule nodes must be a list of coordinate lists, got {scalars.shown(repr(nodes))}"
+        )
     if not isinstance(weights, list):
-        raise ValueError(f"rule weights must be a list, got {weights!r}")
+        raise ValueError(f"rule weights must be a list, got {scalars.shown(repr(weights))}")
     if not isinstance(label, str):
-        raise ValueError(f"a rule label must be a string, got {label!r}")
+        raise ValueError(f"a rule label must be a string, got {scalars.shown(repr(label))}")
     return CubatureRule(
         region_from_json(obj["region"]),
         tuple(tuple(scalars.scalar_from_json(c) for c in node) for node in nodes),

@@ -20,13 +20,35 @@ import re
 from fractions import Fraction
 from typing import Union
 
-from .errors import IncompatibleScalars
+from .errors import IncompatibleScalars, WorkLimit
 
 Rational = Fraction
 
 Scalar = Union[Fraction, "Quad", "PiMultiple"]
 
 _RationalLike = (int, Fraction)
+
+
+# Most digits an integer or rational from outside may spell: a JSON integer
+# in a region or rule file, a number in an expression, and a command-line
+# rational, whose mantissa's digits and the size of its exponent are counted
+# before Fraction() expands it.  Each is checked before int() runs, which
+# refuses more than 4,300 digits with an error that names none of them.  A
+# family residual has at most about 9 times its values' digits, so at the
+# limit the largest one, simplex3 --point with nine values over distinct
+# 399-digit denominators, has 3,583 digits, under the 4,300 that printing an
+# int allows; that request takes 15 ms on one core of a 2-vCPU Xeon.
+# Unchecked, family square --param 1e-100000 took 5.1 s and 1e-400000 48 s,
+# only to fail to print.
+MAX_RATIONAL_DIGITS = 400
+
+
+def shown(text: str) -> str:
+    """Outside input as an error message quotes it: the text itself up to 24
+    characters, else its first 20 and "...".  A value that is not a string
+    is shown by its repr, ``shown(repr(value))``; a string is cut first and
+    then put in quotes, ``repr(shown(text))``, so that its quotes close."""
+    return text if len(text) <= 24 else text[:20] + "..."
 
 
 # Largest accepted radicand.  The squarefree check is trial division,
@@ -492,20 +514,26 @@ _INTEGER = re.compile(r"-?[0-9]+")
 
 
 def int_from_json(value) -> int:
-    """Decode a JSON integer: an int (not a bool) or a decimal integer string."""
+    """Decode a JSON integer: an int (not a bool) or a decimal integer string,
+    of at most MAX_RATIONAL_DIGITS digits.  ``json.load`` hands it the text
+    of every JSON integer as ``parse_int``."""
     if type(value) is int:
+        if abs(value) >= 10**MAX_RATIONAL_DIGITS:
+            raise WorkLimit(f"an integer has more than {MAX_RATIONAL_DIGITS} digits")
         return value
     if isinstance(value, str) and _INTEGER.fullmatch(value):
+        if len(value.lstrip("-")) > MAX_RATIONAL_DIGITS:
+            raise WorkLimit(f"{shown(value)!r} has more than {MAX_RATIONAL_DIGITS} digits")
         return int(value)
-    raise ValueError(f"expected an integer or a decimal integer string, got {value!r}")
+    raise ValueError(f"expected an integer or a decimal integer string, got {shown(repr(value))}")
 
 
 def _pair_frac(pair) -> Fraction:
     if not isinstance(pair, list) or len(pair) != 2:
-        raise ValueError(f"expected a [numerator, denominator] pair, got {pair!r}")
+        raise ValueError(f"expected a [numerator, denominator] pair, got {shown(repr(pair))}")
     num, den = int_from_json(pair[0]), int_from_json(pair[1])
     if den == 0:
-        raise ValueError(f"zero denominator in {pair!r}")
+        raise ValueError(f"zero denominator in {shown(repr(pair))}")
     return Fraction(num, den)
 
 
@@ -520,17 +548,17 @@ def scalar_to_json(x) -> dict:
 
 def scalar_from_json(obj) -> Scalar:
     if not isinstance(obj, dict) or len(obj) != 1:
-        raise ValueError(f"malformed scalar encoding: {obj!r}")
+        raise ValueError(f"malformed scalar encoding: {shown(repr(obj))}")
     if "rat" in obj:
         return _pair_frac(obj["rat"])
     if "quad" in obj:
         q = obj["quad"]
         if not isinstance(q, dict) or set(q) != {"a", "b", "rad"}:
-            raise ValueError(f"a quad needs exactly the keys a, b and rad, got {q!r}")
+            raise ValueError(f"a quad needs exactly the keys a, b and rad, got {shown(repr(q))}")
         return quad(_pair_frac(q["a"]), _pair_frac(q["b"]), int_from_json(q["rad"]))
     if "pi" in obj:
         return PiMultiple(_pair_frac(obj["pi"]))
-    raise ValueError(f"unknown scalar tag in {obj!r}")
+    raise ValueError(f"unknown scalar tag in {shown(repr(obj))}")
 
 
 def _format_fraction(f: Fraction) -> str:

@@ -384,6 +384,60 @@ def test_a_region_file_nested_too_deep_is_a_domain_error(tmp_path, capsys, text)
     assert err == f"error: {path}: the JSON is nested too deep to read\n"
 
 
+def _triangle_text(number: str) -> str:
+    """A region file for the triangle (0, 0), (N, 0), (0, 1), N written as given."""
+    return ('{"polygon": [[{"rat": [0, 1]}, {"rat": [0, 1]}], [{"rat": [%s, 1]}, '
+            '{"rat": [0, 1]}], [{"rat": [0, 1]}, {"rat": [1, 1]}]]}' % number)
+
+
+@pytest.mark.parametrize("quote", ["", '"'], ids=["bare", "string"])
+def test_region_file_integers_past_the_digit_limit_are_refused(tmp_path, capsys, quote):
+    from simpson_nd.cli import MAX_RATIONAL_DIGITS
+
+    path = tmp_path / "region.json"
+    for digits in (MAX_RATIONAL_DIGITS, MAX_RATIONAL_DIGITS + 1, 5000):
+        path.write_text(_triangle_text(quote + "9" * digits + quote))
+        code, out, err = run_cli(capsys, "moments", "--region-file", str(path), "--degree", "1")
+        if digits == MAX_RATIONAL_DIGITS:
+            assert (code, err) == (0, "")
+            assert f"  1 = {'9' * digits}/2\n" in out
+        else:
+            assert (code, out) == (1, "")
+            assert err == f"error: '{'9' * 20}...' has more than {MAX_RATIONAL_DIGITS} digits\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("compound", "--rule", "CR4", "--levels", "1:2", "--expr"),
+    ("derive", "--region", "cube:2", "--targets", "deg1", "--exclude"),
+], ids=["compound", "derive"])
+def test_expression_numbers_past_the_digit_limit_are_refused(capsys, argv):
+    from simpson_nd.cli import MAX_RATIONAL_DIGITS
+
+    for zeros in (MAX_RATIONAL_DIGITS - 1, MAX_RATIONAL_DIGITS, 5000):
+        code, out, err = run_cli(capsys, *argv, "x*1." + "0" * zeros)
+        if zeros < MAX_RATIONAL_DIGITS:
+            assert (code, err) == (0, "")
+            assert out
+        else:
+            assert (code, out) == (1, "")
+            assert err == f"error: '1.{'0' * 18}...' has more than {MAX_RATIONAL_DIGITS} digits\n"
+
+
+def test_a_long_region_file_is_quoted_short(tmp_path, capsys):
+    path = tmp_path / "region.json"
+    path.write_text(json.dumps({"polygon": [[{"rat": [str(k), "1"]}] * 3 for k in range(20000)]}))
+    assert path.stat().st_size > 200_000
+    code, out, err = run_cli(capsys, "moments", "--region-file", str(path), "--degree", "0")
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and len(err.encode()) < 200
+    assert err == "error: a polygon must be a list of [x, y] vertices, got [[{'rat': ['0', '1']...\n"
+
+
+def test_compound_division_by_zero_is_a_domain_error(capsys):
+    code, out, err = run_cli(capsys, "compound", "--rule", "CR4", "--levels", "1:2", "--expr", "x/0")
+    assert (code, out, err) == (1, "", "error: division by zero in expression\n")
+
+
 def test_family_point_with_a_negative_first_value(capsys):
     # argparse reads a spaced "-1,..." as an option, so the help names the = form
     code, out, _ = run_cli(capsys, "family", "--help")

@@ -708,3 +708,20 @@ def test_the_certified_degree_is_affine_invariant():
                 mismatches.append((rule.label, d, got, degree))
             checked += 1
     assert checked == 56 and not mismatches, mismatches
+
+
+# Refusals of the residual: (call, error, message)
+REFUSALS = {
+    f"index of length {n}": (
+        lambda n=n: residual(cr3(2), (1,) * n), DimensionMismatch,
+        rf"^multi-index \({', '.join(['1'] * n)},?\) does not match region dimension$",
+    )
+    for n in (1, 3)
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_refusals(case):
+    call, error, message = REFUSALS[case]
+    with pytest.raises(error, match=message):
+        call()

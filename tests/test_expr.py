@@ -467,3 +467,46 @@ def test_float_path_agrees_with_exact_path():
         exact = scalars.to_float(rule.apply_poly(poly))
         approx = float_rule_sum(rule, f)
         assert math.isclose(exact, approx, rel_tol=1e-10, abs_tol=1e-10), rule.label
+
+
+# Refusals of printing and lowering: (call, error, message)
+REFUSALS = {
+    "a third printed as a decimal": (
+        lambda: to_source(Num(Fraction(1, 3))), ValueError, r"^1/3 has no finite decimal form$",
+    ),
+    "division by zero lowered": (
+        lambda: to_monomial_poly(parse("x/0"), 1), ZeroDivisionError,
+        r"^division by zero in expression$",
+    ),
+    "division by a zero sum lowered": (
+        lambda: to_monomial_poly(parse("x/(y-y)"), 2), ZeroDivisionError,
+        r"^division by zero in expression$",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_refusals(case):
+    call, error, message = REFUSALS[case]
+    with pytest.raises(error, match=message):
+        call()
+
+
+@pytest.mark.parametrize("spelled", [
+    lambda n: "7" * n,
+    lambda n: "0." + "5" * (n - 1),
+    lambda n: "." + "5" * n,
+    lambda n: "x*1." + "0" * (n - 1),
+])
+def test_numbers_are_parsed_up_to_the_digit_limit(spelled):
+    limit = scalars.MAX_RATIONAL_DIGITS
+    parse(spelled(limit))
+    with pytest.raises(WorkLimit, match=rf"^'.{{20}}\.\.\.' has more than {limit} digits$"):
+        parse(spelled(limit + 1))
+
+
+def test_a_variable_index_past_the_digit_limit_is_refused():
+    limit = scalars.MAX_RATIONAL_DIGITS
+    assert parse("x" + "1" * limit) == Var(int("1" * limit) - 1, "x" + "1" * limit)
+    with pytest.raises(WorkLimit, match=rf"^'x1{{19}}\.\.\.' has more than {limit} digits$"):
+        parse("x" + "1" * (limit + 1))

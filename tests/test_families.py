@@ -893,3 +893,26 @@ def test_rational_roots_just_inside_its_limits():
         Fraction(10**6),
         Fraction(-(10**6)),
     }
+
+
+# Refusals of the family systems and interpolation: (call, error, message)
+REFUSALS = {
+    "seven face parameters": (
+        lambda: simplex3_face_system([Fraction(1, 3)] * 7, Fraction(1, 2)), ValueError,
+        r"^need exactly eight face parameters$",
+    ),
+    "interpolant of unequal lengths": (
+        lambda: integrate_interpolant(Simplex(2), [(0, 0), (1, 0)], [(0, 0)], [1, 2]),
+        ValueError, r"^basis, nodes, and data must have equal length$",
+    ),
+    "roots of the zero polynomial": (
+        lambda: rational_roots([0, 0]), ValueError, r"^zero polynomial has every root$",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_refusals(case):
+    call, error, message = REFUSALS[case]
+    with pytest.raises(error, match=message):
+        call()

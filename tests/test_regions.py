@@ -570,3 +570,23 @@ def test_polygon_moment_recurrence_matches_the_closed_forms(d):
             assert polygon.moment(alpha) == want, (vertices, alpha)
             assert polygon.moments([alpha, (0, 0), alpha]) == (want, expected[0, 0], want)
         assert polygon.moments(singles) == tuple(steger_polygon_moment(ccw, *a) for a in singles)
+
+
+# Refusals of region decoders and constructors: (call, error, message)
+REFUSALS = {
+    "unknown tag": (
+        lambda: region_from_json({"ball": 3}), ValueError, r"^unknown region tag in \{'ball': 3\}$",
+    ),
+    "not a region": (lambda: region_to_json(object()), TypeError, r"^not a region: <object "),
+    "three-coordinate vertex": (
+        lambda: Polygon([(0, 0), (1, 0, 0), (0, 1)]), ValueError,
+        r"^polygon vertices must be 2-dimensional$",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_refusals(case):
+    call, error, message = REFUSALS[case]
+    with pytest.raises(error, match=message):
+        call()

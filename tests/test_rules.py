@@ -705,3 +705,35 @@ def test_node_table_refuses_a_wrong_length_multi_index(build):
             NodeTable(rule.nodes, rule.weights).sum(alpha)
     with pytest.raises(ValueError, match="non-negative"):
         table.sum((1, -1))
+
+
+_X = MonomialPoly(1, {(1,): Fraction(1)})
+_XY = MonomialPoly(2, {(1, 1): Fraction(1)})
+
+# Refusals of polynomials and rules: (call, error, message)
+REFUSALS = {
+    "dimension 0": (lambda: MonomialPoly(0), ValueError, r"^polynomial dimension must be >= 1$"),
+    "negative exponent": (
+        lambda: MonomialPoly(2, {(1, -1): Fraction(1)}), ValueError,
+        r"^negative exponent in \(1, -1\)$",
+    ),
+    "sum of mixed dimensions": (
+        lambda: _X + _XY, DimensionMismatch, r"^cannot add polynomials of different dimension$",
+    ),
+    "product of mixed dimensions": (
+        lambda: _XY * _X, DimensionMismatch,
+        r"^cannot multiply polynomials of different dimension$",
+    ),
+    "negative power": (lambda: _X ** -1, ValueError, r"^exponent must be non-negative$"),
+    "rule with no nodes": (
+        lambda: CubatureRule(Simplex(2), (), ()), ValueError,
+        r"^rule needs equally many nodes and weights, at least one$",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_refusals(case):
+    call, error, message = REFUSALS[case]
+    with pytest.raises(error, match=message):
+        call()

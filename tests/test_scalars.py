@@ -8,7 +8,7 @@ import pytest
 
 from oracles import quad_components
 from simpson_nd import scalars
-from simpson_nd.errors import IncompatibleScalars
+from simpson_nd.errors import IncompatibleScalars, WorkLimit
 from simpson_nd.scalars import (
     PiMultiple,
     Quad,
@@ -419,3 +419,73 @@ def test_bool_and_float_operands_are_refused_by_operators_and_functions():
                             infix(x, y)
         with pytest.raises(TypeError):
             scalars.neg(bad)
+
+
+# Refusals of scalar constructors and decoders: (call, error, message)
+REFUSALS = {
+    "malformed encoding": (
+        lambda: scalar_from_json([1]), ValueError, r"^malformed scalar encoding: \[1\]$",
+    ),
+    "two tags": (
+        lambda: scalar_from_json({"rat": ["1", "1"], "pi": ["1", "1"]}), ValueError,
+        r"^malformed scalar encoding: \{'rat': \['1', '1'\], \.\.\.$",
+    ),
+    "unknown tag": (
+        lambda: scalar_from_json({"sqrt": ["2", "1"]}), ValueError,
+        r"^unknown scalar tag in \{'sqrt': \['2', '1'\]\}$",
+    ),
+    "zero denominator": (
+        lambda: scalar_from_json({"rat": ["1", "0"]}), ValueError,
+        r"^zero denominator in \['1', '0'\]$",
+    ),
+    "float integer": (
+        lambda: scalars.int_from_json(1.5), ValueError,
+        r"^expected an integer or a decimal integer string, got 1\.5$",
+    ),
+    "bool integer": (
+        lambda: scalars.int_from_json(True), ValueError,
+        r"^expected an integer or a decimal integer string, got True$",
+    ),
+    "decimal string integer": (
+        lambda: scalars.int_from_json("1.5"), ValueError,
+        r"^expected an integer or a decimal integer string, got '1\.5'$",
+    ),
+    "radicand with a square factor": (
+        lambda: Quad(0, 1, 18), ValueError, r"^radicand must be squarefree, got 18$",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_refusals(case):
+    call, error, message = REFUSALS[case]
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_a_zero_pi_multiple_hashes_as_the_zero_it_equals():
+    assert PiMultiple(0) == 0 and hash(PiMultiple(0)) == hash(0) == hash(Fraction(0))
+    assert len({PiMultiple(0), Fraction(0)}) == 1
+    assert hash(PiMultiple(1)) != hash(Fraction(1))
+
+
+def test_integers_are_decoded_up_to_the_digit_limit():
+    limit = scalars.MAX_RATIONAL_DIGITS
+    for value in (10**limit - 1, -(10**limit - 1)):
+        assert scalars.int_from_json(value) == value
+        assert scalars.int_from_json(str(value)) == value
+    for value in (10**limit, -(10**limit)):
+        with pytest.raises(WorkLimit, match=f"^an integer has more than {limit} digits$"):
+            scalars.int_from_json(value)
+        with pytest.raises(WorkLimit, match=rf"^'-?10+\.\.\.' has more than {limit} digits$"):
+            scalars.int_from_json(str(value))
+    # leading zeros are digits the text spells
+    assert scalars.int_from_json("0" * limit) == 0
+    with pytest.raises(WorkLimit):
+        scalars.int_from_json("0" * (limit + 1))
+
+
+def test_shown_cuts_outside_input_past_24_characters():
+    assert scalars.shown("x" * 24) == "x" * 24
+    assert scalars.shown("x" * 25) == "x" * 20 + "..."
+    assert scalars.shown(repr([1] * 9)) == "[1, 1, 1, 1, 1, 1, 1..."
