@@ -25,7 +25,6 @@ from . import claims as claims_mod
 from . import compound as compound_mod
 from . import exactness, expr, families, rules, scalars
 from .errors import NotPolynomial, SimpsonNdError, WorkLimit
-from .scalars import MAX_RATIONAL_DIGITS
 from .regions import (
     Cube,
     Polygon,
@@ -38,6 +37,7 @@ from .regions import (
     region_to_json,
     trapezoid_paper,
 )
+from .scalars import MAX_RATIONAL_DIGITS
 
 FORMATS = ("text", "json", "csv")
 

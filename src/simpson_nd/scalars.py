@@ -29,17 +29,17 @@ Scalar = Union[Fraction, "Quad", "PiMultiple"]
 _RationalLike = (int, Fraction)
 
 
-# Most digits an integer or rational from outside may spell: a JSON integer
-# in a region or rule file, a number in an expression, and a command-line
-# rational, whose mantissa's digits and the size of its exponent are counted
-# before Fraction() expands it.  Each is checked before int() runs, which
-# refuses more than 4,300 digits with an error that names none of them.  A
-# family residual has at most about 9 times its values' digits, so at the
-# limit the largest one, simplex3 --point with nine values over distinct
-# 399-digit denominators, has 3,583 digits, under the 4,300 that printing an
-# int allows; that request takes 15 ms on one core of a 2-vCPU Xeon.
-# Unchecked, family square --param 1e-100000 took 5.1 s and 1e-400000 48 s,
-# only to fail to print.
+# Most digits an integer or rational from outside may spell, counted before
+# int() or Fraction() reads it (int() refuses more than 4,300 digits with a
+# message that names no input): each integer of a region file, each number
+# and variable index of an expression, and a command-line rational, whose
+# mantissa's digits and the size of its exponent are counted.  A family
+# residual has at most about 9 times its values' digits, so at the limit the
+# largest one, simplex3 --point with nine values over distinct 399-digit
+# denominators, has 3,583 digits, under the 4,300 that printing an int
+# allows; that request takes 15 ms on one core of a 2-vCPU Xeon.  Unchecked,
+# family square --param 1e-100000 took 5.1 s and 1e-400000 48 s, only to
+# fail to print.
 MAX_RATIONAL_DIGITS = 400
 
 

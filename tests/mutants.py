@@ -1,0 +1,151 @@
+"""Mutation checks: each entry breaks one line of the package and names
+the tests that must then fail.
+
+Run from anywhere, with pytest installed:
+
+    python tests/mutants.py
+
+The named tests first run once against an unchanged copy of ``src``, where
+they must pass.  Then, for each mutant, ``src`` is copied to a temporary
+directory, the one substitution is applied, and pytest runs only the named
+tests against the copy in a subprocess, with ``-o pythonpath=<copy>/src``
+in place of the ``pythonpath`` of ``pyproject.toml``.  An old text that is
+missing, or found more than once, is an error, and so is a mutant that
+leaves any named test passing.  The file has no ``test_`` prefix, so
+pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (file in src/simpson_nd, exact old text, new text, test ids that must fail)
+MUTANTS = [
+    (
+        "exactness.py",
+        "solution[col] = PiMultiple(rows[r][nunk]) if pi else rows[r][nunk]",
+        "solution[col] = rows[r][nunk]",
+        ["tests/test_exactness.py::test_solve_weights_matches_the_scalar_rows"],
+    ),
+    (
+        "exactness.py",
+        "gap = PiMultiple(row[nunk]) if pi else row[nunk]",
+        "gap = row[nunk]",
+        ["tests/test_exactness.py::test_solve_weights_matches_the_scalar_rows"],
+    ),
+    (
+        "exactness.py",
+        "        if i >= r:\n",
+        "        if i > r:\n",
+        ["tests/test_elimination.py::test_matches_the_scalar_loop"],
+    ),
+    (
+        "exactness.py",
+        "            sign = -sign\n",
+        "",
+        ["tests/test_elimination.py::test_square_systems_keep_the_determinant"],
+    ),
+    (
+        "scalars.py",
+        'if len(value.lstrip("-")) > MAX_RATIONAL_DIGITS:',
+        'if len(value.lstrip("-")) >= MAX_RATIONAL_DIGITS:',
+        [
+            "tests/test_scalars.py::test_integers_are_decoded_up_to_the_digit_limit",
+            "tests/test_cli.py::test_region_file_integers_past_the_digit_limit_are_refused",
+        ],
+    ),
+    (
+        "scalars.py",
+        "if abs(value) >= 10**MAX_RATIONAL_DIGITS:",
+        "if abs(value) > 10**MAX_RATIONAL_DIGITS:",
+        ["tests/test_scalars.py::test_integers_are_decoded_up_to_the_digit_limit"],
+    ),
+    (
+        "expr.py",
+        "if sum(map(_digit, tok.text)) > MAX_RATIONAL_DIGITS:",
+        "if sum(map(_digit, tok.text)) >= MAX_RATIONAL_DIGITS:",
+        [
+            "tests/test_expr.py::test_numbers_are_parsed_up_to_the_digit_limit",
+            "tests/test_expr.py::test_a_variable_index_past_the_digit_limit_is_refused",
+            "tests/test_cli.py::test_expression_numbers_past_the_digit_limit_are_refused",
+        ],
+    ),
+    (
+        "scalars.py",
+        'return text if len(text) <= 24 else text[:20] + "..."',
+        'return text if len(text) <= 25 else text[:20] + "..."',
+        ["tests/test_scalars.py::test_shown_cuts_outside_input_past_24_characters"],
+    ),
+    (
+        "scalars.py",
+        'return text if len(text) <= 24 else text[:20] + "..."',
+        'return text if len(text) <= 24 else text[:21] + "..."',
+        [
+            "tests/test_scalars.py::test_shown_cuts_outside_input_past_24_characters",
+            "tests/test_cli.py::test_a_long_region_file_is_quoted_short",
+            "tests/test_cli.py::test_a_rational_past_the_digit_limit_is_refused_before_fraction_runs",
+        ],
+    ),
+]
+
+
+def _copy_src(into: Path, mutant=None) -> Path:
+    """A copy of src under ``into``, with the mutant's one substitution."""
+    src = into / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    if mutant is not None:
+        name, old, new, _ = mutant
+        path = src / "simpson_nd" / name
+        text = path.read_text(encoding="utf-8")
+        if text.count(old) != 1:
+            raise SystemExit(f"{name}: the old text occurs {text.count(old)} times: {old!r}")
+        path.write_text(text.replace(old, new), encoding="utf-8")
+    return src
+
+
+def _failed(src: Path, tests: list[str]) -> list[str]:
+    """The ids of the failing tests among ``tests``, run against ``src``."""
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "--tb=no", "-rf", "-p", "no:cacheprovider",
+         "-o", f"pythonpath={src}", *tests],
+        cwd=ROOT, env=env, capture_output=True, text=True,
+    )
+    failed = [line.split()[1] for line in run.stdout.splitlines() if line.startswith("FAILED ")]
+    if run.returncode not in (0, 1) or (run.returncode == 1 and not failed):
+        raise SystemExit(f"pytest exited {run.returncode} on {tests}:\n{run.stdout}{run.stderr}")
+    return failed
+
+
+def main() -> int:
+    tests = sorted({test for *_, named in MUTANTS for test in named})
+    with tempfile.TemporaryDirectory() as tmp:
+        failed = _failed(_copy_src(Path(tmp)), tests)
+    if failed:
+        print("the named tests must pass on the unchanged source; failing:", *failed, sep="\n  ")
+        return 1
+    survivors = 0
+    for mutant in MUTANTS:
+        name, old, new, named = mutant
+        with tempfile.TemporaryDirectory() as tmp:
+            failed = _failed(_copy_src(Path(tmp), mutant), named)
+        passing = [t for t in named if not any(f == t or f.startswith(t + "[") for f in failed)]
+        verdict = "survived" if passing else "killed"
+        print(f"{verdict:8}  {name}: {old.strip()!r} -> {new.strip()!r}")
+        for test in passing:
+            print(f"          still passes: {test}")
+        survivors += bool(passing)
+    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

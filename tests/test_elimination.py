@@ -116,7 +116,8 @@ def test_refuses_pi_in_any_column(d):
     """A pi multiple in any one column, or a trailing column whose every
     entry is a pi multiple, raises IncompatibleScalars."""
     rng = random.Random(1109 + (d or 0))
-    message = r"^cannot eliminate the pi multiple PiMultiple\(Fraction\(-?\d+, \d+\)\) with values free of pi$"
+    message = (r"^cannot eliminate the pi multiple PiMultiple\(Fraction\(-?\d+, \d+\)\) "
+               r"with values free of pi$")
     for _ in range(40):
         rows, ncols = _system(rng, d)
         col = rng.randint(0, len(rows[0]))
