@@ -5,8 +5,8 @@ polynomial expressions.
 
 Grammar (standard precedence, ^ binds tightest and associates right):
 
-    expr   := term (('+' | '-') term)*
-    term   := unary (('*' | '/') unary)*
+    expr   := term (('+' | '-') term)*      _Parser.expr(1)
+    term   := unary (('*' | '/') unary)*    _Parser.expr(2)
     unary  := '-' unary | power
     power  := atom ('^' unary)?
     atom   := NUMBER | NAME '(' expr ')' | NAME | '(' expr ')'
@@ -64,6 +64,12 @@ MAX_POLY_TERMS = 2000
 # 300 parentheses or a 2000-term sum raised RecursionError.
 MAX_EXPR_DEPTH = 100
 _TOO_DEEP = f"the expression is nested too deep; the limit is {MAX_EXPR_DEPTH} levels"
+
+# Binding levels of the printer and the parser: _Parser.expr(level) reads
+# + - (level 1) and * / (level 2) here, and past level 2 come unary operands.
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
+_UNARY_PREC = 3
+_ATOM_PREC = 5
 
 
 @dataclass(frozen=True)
@@ -123,6 +129,9 @@ def _digit(ch: str) -> bool:
     return "0" <= ch <= "9"
 
 
+_ONE_CHAR_KIND = {**dict.fromkeys(_PREC, "op"), "(": "lparen", ")": "rparen"}
+
+
 def _lex(source: str) -> list[_Token]:
     tokens = []
     i = 0
@@ -150,21 +159,12 @@ def _lex(source: str) -> list[_Token]:
                 i += 1
             tokens.append(_Token("name", source[start:i], start))
             continue
-        if ch in "+-*/^":
-            tokens.append(_Token("op", ch, i))
-            i += 1
-            continue
-        if ch == "(":
-            tokens.append(_Token("lparen", ch, i))
-            i += 1
-            continue
-        if ch == ")":
-            tokens.append(_Token("rparen", ch, i))
-            i += 1
-            continue
-        raise ExprSyntaxError(
-            i, ("number", "variable", "function", "operator", "'('", "')'"), ch
-        )
+        if ch not in _ONE_CHAR_KIND:
+            raise ExprSyntaxError(
+                i, ("number", "variable", "function", "operator", "'('", "')'"), ch
+            )
+        tokens.append(_Token(_ONE_CHAR_KIND[ch], ch, i))
+        i += 1
     tokens.append(_Token("end", "", n))
     return tokens
 
@@ -190,10 +190,10 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expect_rparen(self):
+    def expect(self, kind: str, label: str):
         tok = self.peek()
-        if tok.kind != "rparen":
-            raise ExprSyntaxError(tok.offset, ("')'",), tok.text)
+        if tok.kind != kind:
+            raise ExprSyntaxError(tok.offset, (label,), tok.text)
         self.advance()
 
     def check(self, height: int) -> int:
@@ -219,20 +219,15 @@ class _Parser:
             )
         return e
 
-    def expr(self) -> tuple[Expr, int]:
-        left, height = self.term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            right, right_height = self.term()
-            left, height = BinOp(op, left, right), self.check(max(height, right_height) + 1)
-        return left, height
-
-    def term(self) -> tuple[Expr, int]:
-        left, height = self.unary()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
-            right, right_height = self.unary()
-            left, height = BinOp(op, left, right), self.check(max(height, right_height) + 1)
+    def expr(self, level: int = 1) -> tuple[Expr, int]:
+        """A left-associative chain of the operators whose _PREC is
+        ``level``, over chains of the next level, or unary operands."""
+        last = level + 1 == _UNARY_PREC
+        left, height = self.unary() if last else self.expr(level + 1)
+        while (tok := self.peek()).kind == "op" and _PREC[tok.text] == level:
+            self.advance()
+            right, right_height = self.unary() if last else self.expr(level + 1)
+            left, height = BinOp(tok.text, left, right), self.check(max(height, right_height) + 1)
         return left, height
 
     def unary(self) -> tuple[Expr, int]:
@@ -271,12 +266,9 @@ class _Parser:
             self.advance()
             name = tok.text
             if name in FUNCTIONS:
-                opening = self.peek()
-                if opening.kind != "lparen":
-                    raise ExprSyntaxError(opening.offset, ("'('",), opening.text)
-                self.advance()
+                self.expect("lparen", "'('")
                 arg, height = self.nested(self.expr)
-                self.expect_rparen()
+                self.expect("rparen", "')'")
                 return Call(name, arg), height
             if name in _ALIASES:
                 return Var(_ALIASES[name], name), 0
@@ -287,7 +279,7 @@ class _Parser:
         if tok.kind == "lparen":
             self.advance()
             inner, height = self.nested(self.expr)
-            self.expect_rparen()
+            self.expect("rparen", "')'")
             return inner, height
         raise ExprSyntaxError(tok.offset, _ATOM_EXPECTED, tok.text)
 
@@ -318,11 +310,6 @@ def _format_number(value: Fraction) -> str:
         return text
     text = text.rjust(digits + 1, "0")
     return f"{text[:-digits]}.{text[-digits:]}"
-
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
-_UNARY_PREC = 3
-_ATOM_PREC = 5
 
 
 def _emit(e: Expr, parent_prec: int) -> str:
@@ -581,9 +568,7 @@ def max_variable_index(e: Expr) -> int:
         return 0
     if isinstance(e, Var):
         return e.index + 1
-    if isinstance(e, Neg):
-        return max_variable_index(e.arg)
-    if isinstance(e, Call):
+    if isinstance(e, (Neg, Call)):
         return max_variable_index(e.arg)
     return max(max_variable_index(e.left), max_variable_index(e.right))
 

@@ -24,7 +24,7 @@ from . import rules, scalars
 from .errors import DenominatorZero, SingularInterpolation, WorkLimit
 from .exactness import UniqueSolution, gauss_jordan, solve_weights
 from .regions import Cube, Point, Region, Simplex, trapezoid_paper
-from .rules import CubatureRule, NodeTable, _blend_layout, _paper_rows, blend
+from .rules import CubatureRule, NodeTable, _blend_layout, _paper_rows
 from .scalars import Scalar, as_scalar, is_zero
 
 
@@ -95,7 +95,12 @@ class BlendSystem:
         raise DenominatorZero("M and T agree on every target, so no blend parameter is defined")
 
     def rule(self, params, lam, label: str) -> CubatureRule:
-        return blend(lam, self.region, self.nodes(params), label=label)
+        """``blend(lam, region, nodes)`` from the system's moment batch."""
+        vol, center, _ = self._constants
+        spread = self.nodes(params)
+        rules._check_paper_nodes(self.region, center, spread)
+        layout = _blend_layout(as_scalar(lam), vol, center, spread)
+        return rules._located_rule(self.region, *layout, label)
 
 
 _0, _1 = Fraction(0), Fraction(1)

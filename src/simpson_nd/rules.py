@@ -280,18 +280,24 @@ def _paper_form(region: Region, spread, alphas=()) -> tuple:
     """(A, P, spread, moments) for the paper's lam*M(f) + (1-lam)*T(f):
     M(f) = A f(P) with the volume A and the centroid P, and T puts A/k on
     each of the k boundary nodes in ``spread``.  One ``mass_and_moments``
-    batch gives A, P and the moments of ``alphas``, and one ``locate`` call
-    raises NodeOutsideRegion for P outside the region and NodeNotOnBoundary
-    for a spread node off the boundary."""
+    batch gives A, P and the moments of ``alphas``, and _check_paper_nodes
+    makes one ``locate`` call."""
     spread = tuple(tuple(as_scalar(c) for c in p) for p in spread)
     volume, centroid, moments = region.mass_and_moments(alphas)
+    _check_paper_nodes(region, centroid, spread)
+    return volume, centroid, spread, moments
+
+
+def _check_paper_nodes(region: Region, centroid, spread) -> None:
+    """One ``locate`` call over the centroid and the exact ``spread``: it
+    raises NodeOutsideRegion for a centroid outside the region and
+    NodeNotOnBoundary for the first spread node off the boundary."""
     inside, *signs = region.locate((centroid,) + spread)
     if inside < 0:
         raise NodeOutsideRegion(f"node {centroid} lies outside the region")
     for p, s in zip(spread, signs):
         if s:
             raise NodeNotOnBoundary(f"node {p} is not on the region boundary")
-    return volume, centroid, spread, moments
 
 
 def _blend_layout(lam, volume, centroid, spread) -> tuple[tuple[Point, ...], tuple[Scalar, ...]]:

@@ -345,8 +345,6 @@ def pow_scalar(x, k: int) -> Scalar:
     if not isinstance(k, int) or k < 0:
         raise ValueError("exponent must be a non-negative integer")
     x = as_scalar(x)
-    if isinstance(x, Fraction):
-        return x**k
     result: Scalar = Fraction(1)
     for _ in range(k):
         result = mul(result, x)

@@ -93,6 +93,65 @@ MUTANTS = [
             "tests/test_cli.py::test_a_rational_past_the_digit_limit_is_refused_before_fraction_runs",
         ],
     ),
+    (
+        "expr.py",
+        "if self.depth + height > MAX_EXPR_DEPTH:",
+        "if self.depth + height >= MAX_EXPR_DEPTH:",
+        ["tests/test_expr.py::test_expressions_at_the_depth_limit_are_admitted"],
+    ),
+    (
+        "expr.py",
+        "if depth > MAX_EXPR_DEPTH:",
+        "if depth >= MAX_EXPR_DEPTH:",
+        [
+            "tests/test_expr.py::test_expressions_at_the_depth_limit_are_admitted",
+            "tests/test_expr.py::test_compiling_a_tree_past_the_depth_limit_is_refused",
+        ],
+    ),
+    (
+        "expr.py",
+        "if k > MAX_POLY_EXPONENT:",
+        "if k >= MAX_POLY_EXPONENT:",
+        ["tests/test_expr.py::test_lowering_limits_admit_an_expansion_at_each_limit"],
+    ),
+    (
+        "expr.py",
+        "if degree > MAX_POLY_DEGREE:",
+        "if degree >= MAX_POLY_DEGREE:",
+        [
+            "tests/test_expr.py::test_lowering_limits_admit_an_expansion_at_each_limit",
+            "tests/test_expr.py::test_lowering_limits_bound_the_term_count",
+        ],
+    ),
+    (
+        "expr.py",
+        "if terms > MAX_POLY_TERMS:",
+        "if terms >= MAX_POLY_TERMS:",
+        ["tests/test_expr.py::test_lowering_limits_admit_an_expansion_at_each_limit"],
+    ),
+    (
+        "cli.py",
+        "if degree > expr.MAX_POLY_DEGREE:",
+        "if degree >= expr.MAX_POLY_DEGREE:",
+        ["tests/test_cli.py::test_a_monomial_table_at_the_limits_is_admitted"],
+    ),
+    (
+        "cli.py",
+        "if entries > expr.MAX_POLY_TERMS:",
+        "if entries >= expr.MAX_POLY_TERMS:",
+        ["tests/test_cli.py::test_a_monomial_table_at_the_limits_is_admitted"],
+    ),
+    # the parser's one precedence loop; "== level" -> ">= level" is an
+    # equivalent mutant, since no * or / can follow a chain of level 2
+    (
+        "expr.py",
+        "_PREC[tok.text] == level",
+        "_PREC[tok.text] <= level",
+        [
+            "tests/test_expr.py::test_parse_basic_structure",
+            "tests/test_expr.py::test_round_trip_200_random_expressions",
+        ],
+    ),
 ]
 
 

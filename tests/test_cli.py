@@ -764,6 +764,27 @@ def test_table_system_and_polygon_limits_refuse_before_any_work(
     assert message in err
 
 
+@pytest.mark.parametrize("region, degree, monomials, entries", [
+    ("simplex:1", "32", 33, 33),  # expr.MAX_POLY_DEGREE
+    ("cube:3", "4", 35, 35),
+    ("hexagon-paper", "2", 6, 36),  # 6 monomials x 6 edges
+])
+def test_a_monomial_table_at_the_limits_is_admitted(
+    capsys, monkeypatch, region, degree, monomials, entries
+):
+    from simpson_nd import expr
+
+    # no built-in region's table has exactly MAX_POLY_TERMS entries, so the
+    # limit is set to the size of each table
+    argv = ("moments", "--region", region, "--degree", degree)
+    monkeypatch.setattr(expr, "MAX_POLY_TERMS", entries)
+    code, out, _ = run_cli(capsys, *argv)
+    assert (code, len(out.splitlines())) == (0, 1 + monomials)
+    monkeypatch.setattr(expr, "MAX_POLY_TERMS", entries - 1)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "") and f"the limit is {entries - 1}\n" in err
+
+
 def _q3893_octagon(denominator):
     """_circle_polygon(8) with coordinate i moved by (1 + i % 9) /
     denominator(i) * sqrt(3893), under 0.01: still convex."""

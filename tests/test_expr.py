@@ -12,6 +12,7 @@ from simpson_nd.expr import (
     FUNCTIONS,
     MAX_EXPR_DEPTH,
     MAX_POLY_DEGREE,
+    MAX_POLY_EXPONENT,
     MAX_POLY_TERMS,
     BinOp,
     Call,
@@ -147,14 +148,21 @@ def test_to_monomial_poly_rejections():
         to_monomial_poly(parse("y"), dimension=1)
 
 
+def _sum(n):
+    return "+".join(f"x{i}" for i in range(1, n + 1))
+
+
 @pytest.mark.parametrize(
     "source, message",
     [
         ("1^2000000", "exponent 2000000 is above the limit"),
         ("(x+1)^1100", "exponent 1100 is above the limit"),
+        (f"1^{MAX_POLY_EXPONENT + 1}", f"exponent {MAX_POLY_EXPONENT + 1} is above the limit"),
         (f"(x+y+1)^{MAX_POLY_DEGREE + 1}", f"needs degree {MAX_POLY_DEGREE + 1}"),
         # C(6 + 12, 6) = 18564 monomials of degree <= 12 in six variables
         ("(x1+x2+x3+x4+x5+x6+1)^12", "may give 18564 terms"),
+        # 69 x 29 = 2001 products of terms, under C(69 + 2, 2) = 2485 monomials
+        (f"({_sum(69)})*({_sum(29)})", "may give 2001 terms"),
     ],
 )
 def test_lowering_limits_refuse_a_power_before_multiplying(monkeypatch, source, message):
@@ -165,6 +173,21 @@ def test_lowering_limits_refuse_a_power_before_multiplying(monkeypatch, source, 
     monkeypatch.setattr(MonomialPoly, "__pow__", refuse)
     with pytest.raises(WorkLimit, match=message):
         to_monomial_poly(parse(source))
+
+
+@pytest.mark.parametrize(
+    "source, dimension, terms, degree",
+    [
+        (f"2^{MAX_POLY_EXPONENT}", 1, 1, 0),
+        (f"x^{MAX_POLY_DEGREE}", 1, 1, MAX_POLY_DEGREE),
+        # 40 x 50 = 2000 products of terms, under C(62 + 2, 2) = 2016
+        # monomials; 820 + 400 of them are distinct
+        (f"({_sum(40)})*({_sum(50)})", 62, 1220, 2),
+    ],
+)
+def test_lowering_limits_admit_an_expansion_at_each_limit(source, dimension, terms, degree):
+    poly = to_monomial_poly(parse(source), dimension)
+    assert (len(poly.terms), poly.degree()) == (terms, degree)
 
 
 def test_lowering_limits_refuse_a_product_from_its_operand_degrees():

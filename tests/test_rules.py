@@ -338,6 +338,9 @@ def _count_region_calls(monkeypatch) -> Counter:
 
 @pytest.mark.parametrize("build", list(_BUILDS.values()), ids=list(_BUILDS))
 def test_a_build_asks_its_region_once_and_makes_one_rule(monkeypatch, build):
+    # a family rule reads its system's cached batch: start each build without one
+    for system in (families._TRIANGLE, families._SQUARE, families._SIMPLEX3):
+        monkeypatch.delitem(system.__dict__, "_constants", raising=False)
     calls = _count_region_calls(monkeypatch)
     rule = build()
     assert calls == {"moments": 1, "locate": 1, "rule": 1}
@@ -529,6 +532,9 @@ def test_monomial_poly_validation():
         MonomialPoly(2, {(1, 1, 1): Fraction(1)})
     p = MonomialPoly(2, {(1, 0): Fraction(0)})
     assert p.terms == {}
+    assert p == MonomialPoly(2) and hash(p) == hash(MonomialPoly(2))
+    assert p != MonomialPoly(3) and _XY != MonomialPoly(2, {(1, 1): 2}) and _XY != {(1, 1): 1}
+    assert repr(_XY) == "MonomialPoly(2, {(1, 1): Fraction(1, 1)})"
     with pytest.raises(DimensionMismatch):
         cr4().apply_poly(MonomialPoly(3, {(1, 1, 1): Fraction(1)}))
 
@@ -725,6 +731,9 @@ REFUSALS = {
         r"^cannot multiply polynomials of different dimension$",
     ),
     "negative power": (lambda: _X ** -1, ValueError, r"^exponent must be non-negative$"),
+    "a polynomial set after it is made": (
+        lambda: setattr(_X, "terms", {}), AttributeError, r"^MonomialPoly values are immutable$",
+    ),
     "rule with no nodes": (
         lambda: CubatureRule(Simplex(2), (), ()), ValueError,
         r"^rule needs equally many nodes and weights, at least one$",

@@ -57,6 +57,8 @@ def test_eq_canonicalization():
     assert not eq(PiMultiple(Fraction(1, 4)), Fraction(1, 4))
     assert eq(PiMultiple(0), Fraction(0))
     assert not eq(quad(1, 1, 3), quad(1, 1, 3893))
+    # PiMultiple's __eq__ runs first, and answers a sqrt value itself
+    assert not eq(PiMultiple(1), quad(1, 1, 3)) and not eq(PiMultiple(0), quad(0, 1, 3))
 
 
 def test_to_float_examples():
@@ -235,6 +237,7 @@ def test_format_scalar():
     assert format_scalar(PiMultiple(Fraction(-3, 4))) == "-3*pi/4"
     assert format_scalar(PiMultiple(0)) == "0"
     assert format_scalar(quad(0, 1, 3)) == "sqrt(3)"
+    assert str(quad(0, 1, 3)) == "sqrt(3)" and str(PiMultiple(Fraction(1, 2))) == "pi/2"
 
 
 def test_pi_ratio_is_rational():
@@ -452,6 +455,13 @@ REFUSALS = {
     ),
     "radicand with a square factor": (
         lambda: Quad(0, 1, 18), ValueError, r"^radicand must be squarefree, got 18$",
+    ),
+    "a sqrt value set after it is made": (
+        lambda: setattr(quad(1, 1, 3), "b", 2), AttributeError, r"^Quad values are immutable$",
+    ),
+    "a pi multiple set after it is made": (
+        lambda: setattr(PiMultiple(1), "coefficient", 2), AttributeError,
+        r"^PiMultiple values are immutable$",
     ),
 }
 
