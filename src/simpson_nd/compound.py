@@ -17,7 +17,12 @@ most one coordinate is computed once where that coordinate is fixed: a
 part of x alone once per grid column and node x-offset, a part of y
 alone once per row and node y-offset, a constant once.  So
 exp(x)*sin(3*y)+cos(x*y) under CR4 makes about 3 math calls per cell
-(cos at the 3 nodes a cell evaluates), not 9.
+(cos at the 3 nodes a cell evaluates), not 9.  On the triangle every
+node of every cell is evaluated, but the products m_ij * p_j of a cell's
+matrix and the node coordinates are worked out once per distinct matrix,
+at most six per depth, and each cell only adds them to its offset; a
+product with p_j == 0.0 is left out, and a coordinate the integrand does
+not read is not mapped at all.
 """
 
 from __future__ import annotations
@@ -35,9 +40,9 @@ from .scalars import to_float
 # The most cells one compound_apply call builds: 2^20 cells take about
 # 0.8-1.1 s on CR4 for exp(x*y)*sin(3*x*y)+cos(x*y), whose three calls
 # read both coordinates, 0.5-0.7 s for exp(x)*sin(3*y)+cos(x*y), whose
-# exp and sin are computed outside the cell loop, and 1.2-1.4 s on the
+# exp and sin are computed outside the cell loop, and 0.8-1.0 s on the
 # triangle midedge rule for either (building the triangle cells is about
-# 0.45 s of that), on one core of a 2-vCPU Xeon.
+# 0.2 s of that), on one core of a 2-vCPU Xeon.
 MAX_CELLS = 2**20
 
 
@@ -71,24 +76,27 @@ def triangle_children(v0, v1, v2):
 
 
 # The triangle cells as affine maps (offset, matrix) of the rule's region,
-# x -> matrix x + offset, in depth-first order.  These float cells are the
-# one way a rule is mapped onto a triangle; the interval and square
-# kernels walk their grids by index instead (see _grid_source).
+# x -> matrix x + offset, in depth-first order, each yielded as
+# (offset, products(matrix)).  These float cells are the one way a rule is
+# mapped onto a triangle; the interval and square kernels walk their grids
+# by index instead (see _grid_source).
 
 
-def _triangle_cells(level: int):
+def _triangle_cells(level: int, products):
     # Each triangle is its map (o, M), M with columns a and b; its children,
     # in triangle_children's order, are (o, M/2), (o + a/2, M/2),
     # (o + b/2, M/2) and (o + a/2, (b/2, (b - a)/2)).  Every coordinate is
     # dyadic, so these are exactly the midpoints and vertex differences of
     # the vertex form, and no -0.0 arises.  The child matrices depend on M
     # alone, and there are at most six M per depth (orientation has order
-    # 6), so each is worked out once and its tuples shared.  An explicit
-    # depth-first stack keeps O(level) triangles alive, not 4^level; the
-    # children of a depth-1 triangle are cells, yielded as they come.
-    root = ((0.0, 0.0), ((1.0, 0.0), (0.0, 1.0)))
+    # 6), so each is worked out once and its tuples shared, together with
+    # products(M) of each child M, which a cell carries in place of M.  An
+    # explicit depth-first stack keeps O(level) triangles alive, not
+    # 4^level; the children of a depth-1 triangle are cells, yielded as
+    # they come.
+    o, matrix = root = ((0.0, 0.0), ((1.0, 0.0), (0.0, 1.0)))
     if level == 0:
-        yield root
+        yield o, products(matrix)
         return
     split = {}
     stack = [(root, level)]
@@ -101,8 +109,10 @@ def _triangle_cells(level: int):
             (ax, bx), (ay, by) = matrix
             half = ((ax / 2, bx / 2), (ay / 2, by / 2))
             turned = ((bx / 2, (bx - ax) / 2), (by / 2, (by - ay) / 2))
-            children = split[matrix] = (half, turned, ax / 2, ay / 2, bx / 2, by / 2)
-        half, turned, hax, hay, hbx, hby = children
+            children = split[matrix] = (
+                half, turned, ax / 2, ay / 2, bx / 2, by / 2, products(half), products(turned)
+            )
+        half, turned, hax, hay, hbx, hby, cut, turn = children
         ox, oy = o
         a = (ox + hax, oy + hay)
         b = (ox + hbx, oy + hby)
@@ -113,10 +123,20 @@ def _triangle_cells(level: int):
             push(((a, half), depth))
             push(((o, half), depth))
         else:
-            yield o, half
-            yield a, half
-            yield b, half
-            yield a, turned
+            yield o, cut
+            yield a, cut
+            yield b, cut
+            yield a, turn
+
+
+def _node_products(keys):
+    """products(M) for _triangle_cells: the tuple of M[i][j] * p for each
+    key (i, j, p) of _cells_source, in that order."""
+
+    def products(matrix):
+        return tuple([matrix[i][j] * p for i, j, p in keys])
+
+    return products
 
 
 # One generated function per (rule, integrand) runs the whole cell loop.
@@ -128,7 +148,19 @@ def _triangle_cells(level: int):
 # than the integrand's arithmetic); any other callable is called as
 # _f(x0, x1).  The source holds only float reprs, the fixed names below
 # and the integrand's inline_source text, and runs without builtins (the
-# grid kernels get range as _range).
+# grid kernels get range as _range, the triangle kernel _triangle_cells
+# as _cells and _node_products' function as _products).
+#
+# On the triangle a cell comes as (o, (t0, t1, ...)): the distinct
+# products t = m_ij * p_j over the nodes, with p_j != 0.0, in the order
+# the kernel first uses them, each the float multiply of the every-node
+# loop, done once per matrix instead of once per cell.  A node coordinate
+# is x_i = o_i + t_a + t_b, the terms in that loop's order.  A dropped
+# m_ij * 0.0 is +-0.0, and adding it leaves the sum's bits as they are,
+# as neither o_i nor any partial sum is ever -0.0.  A coordinate the
+# integrand does not read (outside inline.reads and its parts' reads;
+# a called integrand reads all) is not computed: float + and * never
+# raise, so the first error is the same.
 #
 # On the interval and the square the kernel walks the row-major grid by
 # index, with o = i h and M = h I, h = 2^-level, and evaluates each node
@@ -164,23 +196,31 @@ def _triangle_cells(level: int):
 # called integrand has no parts, and the triangle kernel hoists nothing.
 
 
-def _cells_source(dimension: int, nodes, body: str) -> str:
+def _cells_source(dimension: int, nodes, inline: InlineSource):
     axes = range(dimension)
-    offset = "".join(f"o{i}, " for i in axes)
-    matrix = "".join("(" + "".join(f"m{i}{j}, " for j in axes) + "), " for i in axes)
-    lines = [
-        "def kernel(cells, scale):",
-        "    total = 0.0",
-        "    carry = 0.0",
-        f"    for ({offset}), ({matrix}) in cells:",
-        "        cell = 0.0",
-    ]
+    reads = inline.reads.union(*(read for read, _ in inline.parts))
+    keys = {}  # (i, j, p[j]) -> the n of t<n> = m_ij * p[j], in first-use order
+    lines = []
     for point, weight in nodes:
         for i in axes:
-            terms = "".join(f" + m{i}{j} * {point[j]!r}" for j in axes)
-            lines.append(f"        x{i} = o{i}{terms}")
-        lines.append(f"        cell += {weight!r} * ({body})")
-    return "\n".join(lines + _tail("        ")) + "\n"
+            if i in reads:
+                terms = "".join(
+                    f" + t{keys.setdefault((i, j, point[j]), len(keys))}"
+                    for j in axes
+                    if point[j] != 0.0
+                )
+                lines.append(f"        x{i} = o{i}{terms}")
+        lines.append(f"        cell += {weight!r} * ({inline.body})")
+    offset = "".join(f"o{i}, " for i in axes)
+    products = "".join(f"t{n}, " for n in range(len(keys)))
+    head = [
+        "def kernel(level, scale):",
+        "    total = 0.0",
+        "    carry = 0.0",
+        f"    for ({offset}), ({products}) in _cells(level, _products):",
+        "        cell = 0.0",
+    ]
+    return "\n".join(head + lines + _tail("        ")) + "\n", list(keys)
 
 
 def _tail(pad: str) -> list:
@@ -285,7 +325,9 @@ def _compile_kernel(rule: CubatureRule, f: Callable[..., float]):
         source = _grid_source(dimension, nodes, inline)
         namespace["_range"] = range
     else:
-        source = _cells_source(dimension, nodes, inline.body)
+        source, keys = _cells_source(dimension, nodes, inline)
+        namespace["_cells"] = _triangle_cells
+        namespace["_products"] = _node_products(keys)
     exec(compile(source, "<compound kernel>", "exec"), namespace)
     # taken out of its own globals, so that a replaced kernel is freed at
     # once rather than left as a cycle for the collector
@@ -366,7 +408,7 @@ def compound_apply(
             # it, so a kernel that calls f at each node finds the first error
             total = _compile_kernel(rule, lambda *p: f(*p))(2**level, scale)
     else:
-        total = kernel(_triangle_cells(level), scale)
+        total = kernel(level, scale)
     if not math.isfinite(total):
         raise OverflowError(f"the level-{level} estimate is {total}: a float overflowed")
     return CompoundEstimate(level=level, cells=cells, estimate=total)

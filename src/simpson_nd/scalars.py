@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 from typing import Union
 
@@ -503,9 +504,21 @@ def from_view(x, q, d) -> Scalar:
     return _make_quad(Fraction(a * qa - b * qb * d, norm), Fraction(b * qa - a * qb, norm), d)
 
 
+def decimal(n: int) -> str:
+    """str(n), or WorkLimit where str() would refuse n: an input within
+    MAX_RATIONAL_DIGITS can still give a result past the interpreter's
+    sys.get_int_max_str_digits() (0 means none).  More than that many
+    digits means |n| >= 10^limit, which takes over 3 * limit bits, so
+    bit_length() keeps the exact test off every smaller n."""
+    limit = sys.get_int_max_str_digits()
+    if limit and n.bit_length() > 3 * limit and abs(n) >= 10**limit:
+        raise WorkLimit(f"an exact result has more than {limit} digits, too many to print")
+    return str(n)
+
+
 def _frac_pair(f: Fraction) -> list:
     # integers as decimal strings: arbitrary precision survives any JSON reader
-    return [str(f.numerator), str(f.denominator)]
+    return [decimal(f.numerator), decimal(f.denominator)]
 
 
 _INTEGER = re.compile(r"-?[0-9]+")
@@ -561,8 +574,8 @@ def scalar_from_json(obj) -> Scalar:
 
 def _format_fraction(f: Fraction) -> str:
     if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+        return decimal(f.numerator)
+    return f"{decimal(f.numerator)}/{decimal(f.denominator)}"
 
 
 def format_scalar(x) -> str:
@@ -582,7 +595,7 @@ def format_scalar(x) -> str:
     if c == 0:
         return "0"
     num, den = c.numerator, c.denominator
-    head = "pi" if abs(num) == 1 else f"{abs(num)}*pi"
+    head = "pi" if abs(num) == 1 else f"{decimal(abs(num))}*pi"
     if num < 0:
         head = "-" + head
-    return head if den == 1 else f"{head}/{den}"
+    return head if den == 1 else f"{head}/{decimal(den)}"

@@ -141,6 +141,23 @@ MUTANTS = [
         "if entries >= expr.MAX_POLY_TERMS:",
         ["tests/test_cli.py::test_a_monomial_table_at_the_limits_is_admitted"],
     ),
+    (
+        "compound.py",
+        "if exponent > math.log2(MAX_CELLS):",
+        "if exponent >= math.log2(MAX_CELLS):",
+        ["tests/test_compound.py::test_compound_cell_limit_is_checked_before_any_cell_is_built"],
+    ),
+    # the turned child of a depth-1 triangle takes the half children's
+    # products.  Swapping the two terms of a node coordinate is left out:
+    # the midedge and CR2(2) terms are dyadic, so either order sums them
+    # exactly, and on CR1(2)'s centroid the swap changed no estimate or
+    # error over about 6,400 rule, level and integrand cases
+    (
+        "compound.py",
+        "yield a, turn\n",
+        "yield a, cut\n",
+        ["tests/test_compound.py::test_triangle_kernel_matches_a_call_at_every_node_of_every_cell"],
+    ),
     # the parser's one precedence loop; "== level" -> ">= level" is an
     # equivalent mutant, since no * or / can follow a chain of level 2
     (

@@ -4,8 +4,8 @@ These deliberately avoid the closed-form moment formulas in the package:
 simplex and cube moments come from recursive symbolic iterated
 integration over the region inequalities, determinants from the
 permutation sum, float triangle cells from a stack that holds every
-triangle of the subdivision, interval and square compound sums from a
-call of the integrand at every node of every grid cell, disc moments
+triangle of the subdivision, compound sums from a call of the integrand
+at every node of every grid or triangle cell, disc moments
 from composite numeric quadrature in polar coordinates and from
 single-factorial case formulas (not the package's double-factorial
 closed form), polygon moments from a fan triangulation pulled back to
@@ -41,7 +41,7 @@ from simpson_nd.exactness import (
     monomial_label,
 )
 from simpson_nd.expr import FUNCTIONS, BinOp, Call, Neg, Num, Var
-from simpson_nd.regions import integrate_terms
+from simpson_nd.regions import Simplex, integrate_terms
 
 Poly = dict[tuple, Fraction]
 
@@ -261,18 +261,22 @@ def stack_triangle_cells(level: int):
 
 
 def every_node_compound(rule, level: int, f) -> float:
-    """The compensated compound sum of a rule on the interval or the
-    square, with f called at every node of every cell: the cells of the
-    row-major grid as affine maps (o, M), o = i*h and M = h*I, each node
-    mapped through x -> M x + o term by term, zero entries of M included.
-    The float operations, and their order, are those of compound_apply."""
+    """The compensated compound sum of a rule on the interval, the square
+    or the triangle, with f called at every node of every cell: the cells
+    as affine maps (o, M), on a grid those of the row-major grid, o = i*h
+    and M = h*I, h = 2^-level, and on the triangle those of
+    stack_triangle_cells, each node mapped through x -> M x + o term by
+    term, zero entries of M included.  The float operations, and their
+    order, are those of compound_apply."""
     k = 2**level
     h = 1.0 / k
     nodes = [
         (tuple(map(scalars.to_float, p)), scalars.to_float(w))
         for p, w in zip(rule.nodes, rule.weights)
     ]
-    if rule.region.dimension == 1:
+    if isinstance(rule.region, Simplex) and rule.region.dimension == 2:
+        cells = list(stack_triangle_cells(level))
+    elif rule.region.dimension == 1:
         cells = [((i * h,), ((h,),)) for i in range(k)]
     else:
         matrix = ((h, 0.0), (0.0, h))

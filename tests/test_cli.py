@@ -406,6 +406,21 @@ def test_region_file_integers_past_the_digit_limit_are_refused(tmp_path, capsys,
             assert err == f"error: '{'9' * 20}...' has more than {MAX_RATIONAL_DIGITS} digits\n"
 
 
+def test_a_moment_past_the_printing_limit_is_refused(tmp_path, capsys):
+    # every coordinate is within the digit limit, but the degree-10 moments
+    # of this triangle have more digits than str() gives an int
+    from simpson_nd.cli import MAX_RATIONAL_DIGITS
+
+    path = tmp_path / "region.json"
+    path.write_text(_triangle_text("9" * MAX_RATIONAL_DIGITS))
+    code, out, err = run_cli(capsys, "moments", "--region-file", str(path), "--degree", "9")
+    assert (code, err) == (0, "")
+    assert max(map(len, out.splitlines())) > 3900
+    code, out, err = run_cli(capsys, "moments", "--region-file", str(path), "--degree", "10")
+    assert (code, out) == (1, "")
+    assert err == "error: an exact result has more than 4300 digits, too many to print\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("compound", "--rule", "CR4", "--levels", "1:2", "--expr"),
     ("derive", "--region", "cube:2", "--targets", "deg1", "--exclude"),

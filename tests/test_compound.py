@@ -1,5 +1,6 @@
 import math
 import random
+from array import array
 from collections import Counter
 from fractions import Fraction
 
@@ -67,29 +68,7 @@ def test_triangle_children_agree_across_scalar_types():
 def test_triangle_cells_match_a_stack_of_every_triangle():
     for level in range(9):
         want = repr(list(stack_triangle_cells(level)))  # signed zeros included
-        assert repr(list(compound._triangle_cells(level))) == want
-
-
-def test_every_catalog_triangle_rule_gives_the_same_bits_on_either_triangle_cells():
-    catalog = [named_rule(name, 2) for name in (*rules._NAMED_NEED_DIM, *rules._NAMED_FIXED)]
-    triangle_rules = [
-        rule
-        for rule in catalog
-        if isinstance(rule.region, Simplex) and rule.region.dimension == 2
-    ]
-    assert [rule.label for rule in triangle_rules] == ["CR1(2)", "CR2(2)", "TriangleMidedge"]
-    for source in ("exp(x)*sin(3*y)+cos(x*y)", "x^4*y - 3*x*y^2 + 1"):
-        f = as_function(parse(source))
-        for rule in triangle_rules:
-            kernel = compound._kernel(rule, f)
-            for level in range(7):
-                scale = 1.0 / 4**level
-                want = kernel(stack_triangle_cells(level), scale).hex()
-                assert kernel(compound._triangle_cells(level), scale).hex() == want, (
-                    rule.label,
-                    source,
-                    level,
-                )
+        assert repr(list(compound._triangle_cells(level, lambda m: m))) == want
 
 
 def test_compound_cell_limit_is_checked_before_any_cell_is_built(monkeypatch):
@@ -317,6 +296,20 @@ def _recording(f, points):
     return record
 
 
+def _logging(f, points):
+    # _recording's cheaper form: each point kept as its argument tuple
+    def log(*point):
+        points.append(point)
+        return f(*point)
+
+    return log
+
+
+def _bits(points) -> bytes:
+    # the points' coordinates as raw doubles: -0.0 differs from 0.0
+    return array("d", [c for point in points for c in point]).tobytes()
+
+
 def _every_node_outcome(rule, level, f):
     try:
         total = every_node_compound(rule, level, f)
@@ -381,6 +374,51 @@ def test_grid_kernels_match_a_call_at_every_node_of_every_cell():
                 assert once == list(dict.fromkeys(every)), (rule.label, level, f)
                 seen.add(want if isinstance(want, tuple) else str)
     assert {t for t, _ in seen - {str}} >= {ValueError, ZeroDivisionError, OverflowError}
+    assert str in seen
+
+
+def test_triangle_kernel_matches_a_call_at_every_node_of_every_cell():
+    # the estimate, or the first error, is the every-node loop's, inlined or
+    # called, on every catalog triangle rule; a called integrand sees every
+    # node of every cell, repeats included, in that loop's order
+    catalog = [named_rule(name, 2) for name in (*rules._NAMED_NEED_DIM, *rules._NAMED_FIXED)]
+    triangle_rules = [
+        rule
+        for rule in catalog
+        if isinstance(rule.region, Simplex) and rule.region.dimension == 2
+    ]
+    assert [rule.label for rule in triangle_rules] == ["CR1(2)", "CR2(2)", "TriangleMidedge"]
+    rng = random.Random(1810)
+    seen = set()
+    for rule in triangle_rules:
+        # integrands that first fail on the edges x = 0, y = 0 and x + y = 1,
+        # on grid lines, and at a variable past the dimension
+        trees = [
+            parse(text)
+            for text in (
+                "log(x)",
+                "log(y)",
+                "1/(x+y-1)",
+                "x+z",
+                "1/(2*x-1)",
+                "exp(710*x)",
+                "(y-0.3)^0.5+(x-0.6)^0.5",
+                "log(y)*exp(x)",
+                "sin(3)*x+1/(2*y-1)",
+            )
+        ]
+        trees += [random_float_expr(rng, rng.randint(1, 4), ["x", "y"]) for _ in range(40)]
+        for tree in trees:
+            f = as_function(tree)
+            for level in range(7):
+                every, called = [], []
+                want = _every_node_outcome(rule, level, _logging(f, every))
+                assert _full_outcome(rule, level, f) == want, (rule.label, level, f)
+                assert _full_outcome(rule, level, _logging(f, called)) == want
+                assert _bits(called) == _bits(every), (rule.label, level, f)
+                seen.add(want if isinstance(want, tuple) else str)
+    assert {t for t, _ in seen - {str}} >= {ValueError, ZeroDivisionError, OverflowError}
+    assert (ValueError, "variable z needs dimension >= 3") in seen
     assert str in seen
 
 

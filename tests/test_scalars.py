@@ -2,6 +2,7 @@ import json
 import math
 import operator
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -493,6 +494,31 @@ def test_integers_are_decoded_up_to_the_digit_limit():
     assert scalars.int_from_json("0" * limit) == 0
     with pytest.raises(WorkLimit):
         scalars.int_from_json("0" * (limit + 1))
+
+
+def test_decimal_refuses_an_integer_past_the_printing_limit():
+    # str() refuses more than sys.get_int_max_str_digits() digits (0: no
+    # limit) with the interpreter's own message; decimal refuses them first
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for n in (0, -7, 10**640 - 1, -(10**640 - 1)):
+            assert scalars.decimal(n) == str(n)
+        big = Fraction(10**640, 3)
+        for refused in (
+            lambda: scalars.decimal(10**640),
+            lambda: scalars.decimal(-(10**640)),
+            lambda: scalars.format_scalar(big),
+            lambda: scalars.format_scalar(1 / big),
+            lambda: scalars.format_scalar(PiMultiple(big)),
+            lambda: scalars.scalar_to_json(big),
+        ):
+            with pytest.raises(WorkLimit, match="^an exact result has more than 640 digits, too"):
+                refused()
+        sys.set_int_max_str_digits(0)
+        assert scalars.decimal(-(10**5000)) == "-1" + "0" * 5000
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def test_shown_cuts_outside_input_past_24_characters():
