@@ -40,9 +40,9 @@ from .scalars import to_float
 # The most cells one compound_apply call builds: 2^20 cells take about
 # 0.8-1.1 s on CR4 for exp(x*y)*sin(3*x*y)+cos(x*y), whose three calls
 # read both coordinates, 0.5-0.7 s for exp(x)*sin(3*y)+cos(x*y), whose
-# exp and sin are computed outside the cell loop, and 0.8-1.0 s on the
+# exp and sin are computed outside the cell loop, and 0.8-1.1 s on the
 # triangle midedge rule for either (building the triangle cells is about
-# 0.2 s of that), on one core of a 2-vCPU Xeon.
+# 0.2-0.3 s of that), on one core of a 2-vCPU Xeon.
 MAX_CELLS = 2**20
 
 
