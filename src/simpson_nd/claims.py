@@ -10,18 +10,18 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Callable
 
 from . import compound as compound_mod
 from . import exactness, families, rules, scalars
+from .record import record
 from .regions import Cube, Polygon, Simplex, UnitDisc, hexagon_paper, trapezoid_paper
 from .scalars import PiMultiple
 
 
-@dataclass(frozen=True)
+@record
 class Claim:
     name: str
     ok: bool

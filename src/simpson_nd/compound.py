@@ -28,11 +28,11 @@ not read is not mapped at all.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import DegenerateErrors, UnsupportedRegion, WorkLimit
 from .expr import InlineSource
+from .record import record
 from .regions import Cube, Simplex
 from .rules import CubatureRule
 from .scalars import to_float
@@ -46,7 +46,7 @@ from .scalars import to_float
 MAX_CELLS = 2**20
 
 
-@dataclass(frozen=True)
+@record
 class CompoundEstimate:
     level: int
     cells: int

@@ -16,13 +16,13 @@ carried with a checkable certificate.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm, prod
 from typing import Iterator, Optional, Union
 
 from . import scalars
 from .errors import DimensionMismatch, IncompatibleScalars, WorkLimit
+from .record import record
 from .regions import Cube, MultiIndex, Region, Simplex
 from .rules import CubatureRule, NodeTable, _paper_form, _paper_rows
 from .scalars import PiMultiple, Scalar, is_zero
@@ -116,7 +116,7 @@ def residual(rule: CubatureRule, alpha) -> Scalar:
     return scalars.sub(NodeTable(rule.nodes, rule.weights).sum(alpha), rule.region.moment(alpha))
 
 
-@dataclass(frozen=True)
+@record
 class ExactnessReport:
     """Certified exactness degree plus the first failure found, if any."""
 
@@ -181,7 +181,7 @@ def exactness_degree(rule: CubatureRule, max_degree: int) -> ExactnessReport:
     return ExactnessReport(rule.label, max_degree, None, None, max_degree)
 
 
-@dataclass(frozen=True)
+@record
 class Equation:
     """One linear equation: coefficients dot unknowns == rhs."""
 
@@ -190,12 +190,12 @@ class Equation:
     rhs: Scalar
 
 
-@dataclass(frozen=True)
+@record
 class UniqueSolution:
     values: tuple[Scalar, ...]
 
 
-@dataclass(frozen=True)
+@record
 class Infeasible:
     """No solution; ``equations`` is a minimal inconsistent certificate.
 
@@ -208,7 +208,7 @@ class Infeasible:
     multipliers: tuple[Scalar, ...] = ()
 
 
-@dataclass(frozen=True)
+@record
 class Underdetermined:
     particular: tuple[Scalar, ...]
     nullity: int

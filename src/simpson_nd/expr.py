@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Union
 
 from .errors import ExprSyntaxError, NotPolynomial, WorkLimit
+from .record import record
 from .rules import MonomialPoly
 from .scalars import MAX_RATIONAL_DIGITS, shown
 
@@ -72,12 +72,12 @@ _UNARY_PREC = 3
 _ATOM_PREC = 5
 
 
-@dataclass(frozen=True)
+@record
 class Num:
     value: Fraction
 
 
-@dataclass(frozen=True)
+@record
 class Var:
     index: int  # zero-based
     name: str
@@ -87,12 +87,12 @@ class Var:
             raise ValueError(f"a variable index must be an int >= 0, got {self.index!r}")
 
 
-@dataclass(frozen=True)
+@record
 class Neg:
     arg: "Expr"
 
 
-@dataclass(frozen=True)
+@record
 class BinOp:
     op: str  # one of + - * / ^
     left: "Expr"
@@ -103,7 +103,7 @@ class BinOp:
             raise ValueError(f"unknown operator {self.op!r}")
 
 
-@dataclass(frozen=True)
+@record
 class Call:
     fn: str
     arg: "Expr"
@@ -116,7 +116,7 @@ class Call:
 Expr = Union[Num, Var, Neg, BinOp, Call]
 
 
-@dataclass(frozen=True)
+@record
 class _Token:
     kind: str  # num, name, op, lparen, rparen, end
     text: str

@@ -15,7 +15,6 @@ computer algebra system.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Sequence
@@ -23,12 +22,13 @@ from typing import Callable, Sequence
 from . import rules, scalars
 from .errors import DenominatorZero, SingularInterpolation, WorkLimit
 from .exactness import UniqueSolution, gauss_jordan, solve_weights
+from .record import record
 from .regions import Cube, Point, Region, Simplex, trapezoid_paper
 from .rules import CubatureRule, NodeTable, _blend_layout, _paper_rows
 from .scalars import Scalar, as_scalar, is_zero
 
 
-@dataclass(frozen=True)
+@record
 class SystemResiduals:
     """Named residuals of one polynomial system at one parameter point."""
 

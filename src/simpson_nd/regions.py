@@ -10,12 +10,12 @@ any rounding.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
 
 from . import scalars
 from .errors import DimensionMismatch, NoVertices, WorkLimit
+from .record import record
 from .scalars import PiMultiple, Scalar, as_scalar, quad
 from .scalars import view_minus, view_plus, view_sign, view_sum, view_times
 
@@ -98,7 +98,7 @@ class Region:
         return self.mass()[1]
 
 
-@dataclass(frozen=True)
+@record
 class Simplex(Region):
     """Standard n-simplex: x_i >= 0, sum x_i <= 1."""
 
@@ -134,7 +134,7 @@ class Simplex(Region):
     contains = Region.contains
 
 
-@dataclass(frozen=True)
+@record
 class Cube(Region):
     """Unit n-cube [0,1]^n."""
 
@@ -235,7 +235,7 @@ def _polygon_sign(pt, edges, d) -> int:
 MAX_POLYGON_VERTICES = 100
 
 
-@dataclass(frozen=True)
+@record
 class Polygon(Region):
     """Simple planar polygon with rational or a + b*sqrt(d) coordinates,
     one radicand d per polygon.
@@ -392,7 +392,7 @@ def _double_factorial(k: int) -> int:
     return prod(range(k, 0, -2))
 
 
-@dataclass(frozen=True)
+@record
 class UnitDisc(Region):
     """Closed unit disc in the plane; all moments are pi multiples."""
 

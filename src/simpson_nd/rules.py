@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import operator
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import chain
@@ -26,6 +25,7 @@ from .errors import (
     NodeOutsideRegion,
     WorkLimit,
 )
+from .record import record
 from .regions import (
     Cube,
     MultiIndex,
@@ -207,7 +207,7 @@ def monomial(alpha, coefficient=1) -> MonomialPoly:
     return MonomialPoly(len(alpha), {alpha: Fraction(coefficient)})
 
 
-@dataclass(frozen=True)
+@record
 class CubatureRule:
     """Finite node/weight list over a region, all entries exact."""
 

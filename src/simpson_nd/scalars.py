@@ -384,12 +384,22 @@ def sign(x) -> int:
 
 
 def to_float(x) -> float:
+    """The float nearest a rational, and float arithmetic on the parts of
+    a + b*sqrt(d) and c*pi.  OverflowError, quoting the exact value, when
+    the value or a part lies past the float range."""
     x = as_scalar(x)
-    if isinstance(x, Fraction):
-        return x.numerator / x.denominator
-    if isinstance(x, Quad):
-        return float(x.a) + float(x.b) * math.sqrt(x.d)
-    return float(x.coefficient) * math.pi
+    try:
+        if isinstance(x, Fraction):
+            return x.numerator / x.denominator
+        if isinstance(x, Quad):
+            value = float(x.a) + float(x.b) * math.sqrt(x.d)
+        else:
+            value = float(x.coefficient) * math.pi
+    except OverflowError:
+        value = math.inf
+    if math.isinf(value):
+        raise OverflowError(f"{shown(format_scalar(x))!r} is too large for a float")
+    return value
 
 
 # The integer view.  Polygon geometry, node sums and elimination run on

@@ -169,6 +169,29 @@ MUTANTS = [
             "tests/test_expr.py::test_round_trip_200_random_expressions",
         ],
     ),
+    # the record methods: equality across classes, the __post_init__ checks
+    # and immutability
+    (
+        "record.py",
+        "if other.__class__ is self.__class__:",
+        "if True:",
+        ["tests/test_record.py::test_records_of_other_classes_with_equal_fields_differ"],
+    ),
+    (
+        "record.py",
+        "            self.__post_init__()\n",
+        "            pass\n",
+        [
+            "tests/test_record.py::test_post_init_checks_run",
+            "tests/test_record.py::test_post_init_normalizes_and_an_own_init_is_kept",
+        ],
+    ),
+    (
+        "record.py",
+        "cls.__setattr__ = cls.__delattr__ = _immutable",
+        "cls.__setattr__ = cls.__delattr__ = lambda self, *args: None",
+        ["tests/test_record.py::test_records_are_immutable"],
+    ),
 ]
 
 

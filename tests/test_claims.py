@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -22,7 +21,15 @@ def test_first_failure_claims_read_the_exactness_report(monkeypatch, field, valu
     real = exactness.exactness_degree
 
     def altered(rule, max_degree):
-        return dataclasses.replace(real(rule, max_degree), **{field: value})
+        report = real(rule, max_degree)
+        fields = {
+            "label": report.label,
+            "certified_degree": report.certified_degree,
+            "failing": report.failing,
+            "failing_residual": report.failing_residual,
+            "max_degree": report.max_degree,
+        }
+        return exactness.ExactnessReport(**{**fields, field: value})
 
     monkeypatch.setattr(exactness, "exactness_degree", altered)
     assert {c.name for c in claims.run_claims() if not c.ok} == FIRST_FAILURE_CLAIMS

@@ -421,6 +421,23 @@ def test_a_moment_past_the_printing_limit_is_refused(tmp_path, capsys):
     assert err == "error: an exact result has more than 4300 digits, too many to print\n"
 
 
+def test_an_exact_value_past_the_float_range_is_refused_with_one_line(tmp_path, capsys):
+    # the moments print exactly as text, but their decimal field has no float
+    path = tmp_path / "region.json"
+    path.write_text(_triangle_text(str(10**400 - 1)))
+    code, out, err = run_cli(capsys, "moments", "--region-file", str(path), "--degree", "0")
+    assert (code, err) == (0, "")
+    assert out.startswith("moments of polygon through degree 0:\n  1 = 99999")
+    refusal = "error: '99999999999999999999...' is too large for a float\n"
+    for argv in (("--format", "json", "moments"), ("--format", "csv", "moments", "--degree", "0")):
+        assert run_cli(capsys, *argv, "--region-file", str(path)) == (1, "", refusal)
+    # the exact reference of a compound study, 10^400/3 on the square
+    code, out, err = run_cli(
+        capsys, "compound", "--rule", "CR4", "--expr", "10^400*x^2", "--levels", "1:3"
+    )
+    assert (code, out, err) == (1, "", "error: '10000000000000000000...' is too large for a float\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("compound", "--rule", "CR4", "--levels", "1:2", "--expr"),
     ("derive", "--region", "cube:2", "--targets", "deg1", "--exclude"),

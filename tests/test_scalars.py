@@ -2,6 +2,7 @@ import json
 import math
 import operator
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -519,6 +520,25 @@ def test_decimal_refuses_an_integer_past_the_printing_limit():
         assert scalars.decimal(-(10**5000)) == "-1" + "0" * 5000
     finally:
         sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.parametrize("value, shown", [
+    (Fraction(10**400 - 1, 2), "99999999999999999999..."),  # int / int raises
+    (Fraction(-(10**309)), "-1000000000000000000..."),
+    (quad(1, 10**400, 3), "1 + 1000000000000000..."),  # float(b) raises
+    (quad(1, 10**308, 3893), "1 + 1000000000000000..."),  # float(b) * sqrt(d) is inf
+    (PiMultiple(10**308), "10000000000000000000..."),  # float(c) * pi is inf
+], ids=["rational", "negative", "quad-part", "quad-product", "pi"])
+def test_to_float_refuses_a_value_past_the_float_range(value, shown):
+    with pytest.raises(OverflowError, match=f"^'{re.escape(shown)}' is too large for a float$"):
+        to_float(value)
+
+
+def test_to_float_keeps_values_within_the_float_range():
+    assert to_float(Fraction(10**400, 10**399)) == 10.0  # a huge numerator and denominator
+    assert to_float(Fraction(-(10**308))) == -1e308
+    assert to_float(quad(0, 10**300, 3)) == 10.0**300 * math.sqrt(3)
+    assert to_float(PiMultiple(Fraction(1, 10**400))) == 0.0
 
 
 def test_shown_cuts_outside_input_past_24_characters():
