@@ -24,7 +24,14 @@ from . import scalars
 from .errors import DimensionMismatch, IncompatibleScalars, WorkLimit
 from .record import record
 from .regions import Cube, MultiIndex, Region, Simplex
-from .rules import CubatureRule, NodeTable, _paper_form, _paper_rows
+from .rules import (
+    CubatureRule,
+    NodeTable,
+    _centroid_sums,
+    _paper_form,
+    _paper_rows,
+    _spread_sums,
+)
 from .scalars import PiMultiple, Scalar, is_zero
 
 # Most entries of an exact system the solvers may be asked to build:
@@ -221,7 +228,8 @@ def solve_lambda(region: Region, spread, targets) -> LinearSolveOutcome:
     """Solve lam*(M - T) applied to x^alpha == moment - T(x^alpha) for the
     one lam of ``rules.blend``'s lam*M + (1-lam)*T on ``region`` over all
     target monomials; each equation is a row of ``rules._paper_rows``, over
-    ``rules._paper_form``'s one checked moment batch.
+    ``rules._paper_form``'s one checked moment batch, with M and T each
+    from one node table.
 
     Equations that reduce to 0 == 0 carry no information; if every target
     does, the outcome is Underdetermined.  A lam that exists but is
@@ -230,8 +238,10 @@ def solve_lambda(region: Region, spread, targets) -> LinearSolveOutcome:
     """
     targets = [tuple(int(e) for e in alpha) for alpha in targets]
     volume, centroid, spread, moments = _paper_form(region, spread, targets)
+    rows = _paper_rows(_centroid_sums(volume, centroid, targets),
+                       _spread_sums(volume, spread, targets), moments)
     first: Optional[tuple[Equation, Scalar]] = None
-    for alpha, (coef, rhs) in zip(targets, _paper_rows(volume, centroid, spread, targets, moments)):
+    for alpha, (coef, rhs) in zip(targets, rows):
         equation = Equation(monomial_label(alpha), (coef,), rhs)
         if is_zero(coef):
             if is_zero(rhs):

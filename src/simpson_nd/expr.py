@@ -28,7 +28,7 @@ from typing import NamedTuple, Union
 from .errors import ExprSyntaxError, NotPolynomial, WorkLimit
 from .record import record
 from .rules import MonomialPoly
-from .scalars import MAX_RATIONAL_DIGITS, shown
+from .scalars import MAX_RATIONAL_DIGITS, shown, to_float
 
 FUNCTIONS = {
     "sin": math.sin,
@@ -392,8 +392,9 @@ def _source(e: Expr, coordinate, depth: int, place=None) -> str:
     if depth > MAX_EXPR_DEPTH:
         raise WorkLimit(_TOO_DEEP)
     if isinstance(e, Num):
-        # computed now, so 10^400 raises OverflowError before any point
-        return repr(float(e.value.numerator / e.value.denominator))
+        # computed now, so a literal past the float range raises to_float's
+        # OverflowError, which quotes it, before any point
+        return repr(to_float(e.value))
     if place is not None:
         text = place(e, depth)
         if text is not None:

@@ -5,8 +5,8 @@ Every system is the paper's blend lam*M + (1-lam)*T on one region: M puts
 the region volume at the centroid, and T spreads it equally over boundary
 nodes placed by a few parameters.  A system is data, a node
 parameterization plus a table of named target monomials, and its residuals
-come from one function: the blend applied to each target minus the region
-moment.  A parameter point solves the system exactly when every residual
+come from one row routine, ``rules._paper_rows``: the blend applied to
+each target minus the region moment.  A parameter point solves the system exactly when every residual
 is zero.  The solution families reduce each system to one free parameter;
 the reductions are checked by substitution here, never re-derived with a
 computer algebra system.
@@ -24,7 +24,14 @@ from .errors import DenominatorZero, SingularInterpolation, WorkLimit
 from .exactness import UniqueSolution, gauss_jordan, solve_weights
 from .record import record
 from .regions import Cube, Point, Region, Simplex, trapezoid_paper
-from .rules import CubatureRule, NodeTable, _blend_layout, _paper_rows
+from .rules import (
+    CubatureRule,
+    NodeTable,
+    _blend_layout,
+    _centroid_sums,
+    _paper_rows,
+    _spread_sums,
+)
 from .scalars import Scalar, as_scalar, is_zero
 
 
@@ -51,6 +58,12 @@ class BlendSystem:
     boundary nodes; ``targets`` lists the (name, exponent) rows in output
     order.  Nodes are placed without any membership check, so a parameter
     point may put them off the boundary.
+
+    M does not depend on the parameters, so the system keeps M at each
+    target beside its moment batch.  A parameter point then costs one pass
+    of ``rules._paper_rows``, with T from one table of its spread, and its
+    residual at lam is lam*(M - T) - (moment - T): the blend minus the
+    moment.
     """
 
     def __init__(self, make_region: Callable[[], Region],
@@ -65,42 +78,64 @@ class BlendSystem:
         return self.make_region()
 
     @cached_property
-    def _constants(self) -> tuple[Scalar, Point, tuple[Scalar, ...]]:
-        """Region volume, centroid and the target moments, from one moment
-        batch; computed on first use, once per system."""
-        return self.region.mass_and_moments(self.alphas)
+    def _constants(self) -> tuple[Scalar, Point, tuple[Scalar, ...], tuple[Scalar, ...]]:
+        """Region volume, centroid, the target moments and M at each target,
+        from one moment batch and one one-node table; computed on first
+        use, once per system."""
+        volume, centroid, moments = self.region.mass_and_moments(self.alphas)
+        return volume, centroid, moments, tuple(_centroid_sums(volume, centroid, self.alphas))
 
     def nodes(self, params) -> tuple[Point, ...]:
         return self.place(*(as_scalar(v) for v in params))
 
+    def rows(self, params):
+        """The ``_paper_rows`` (M - T, moment - T) at the nodes ``params``
+        place, lazily for each target in turn."""
+        volume, _, moments, m_sums = self._constants
+        return _paper_rows(m_sums, _spread_sums(volume, self.nodes(params), self.alphas), moments)
+
     def residuals(self, params, lam) -> SystemResiduals:
-        vol, center, moments = self._constants
-        # blend's node list, which .rule() checks, laid out here unchecked
-        table = NodeTable(*_blend_layout(as_scalar(lam), vol, center, self.nodes(params)))
-        return SystemResiduals(
-            self.names,
-            tuple(
-                scalars.sub(table.sum(alpha), moment)
-                for alpha, moment in zip(self.alphas, moments)
-            ),
-        )
+        rows = self.rows(params)
+        return self._at(as_scalar(lam), rows)
 
     def blend_parameter(self, params) -> Scalar:
-        """lam = rhs/coef of the first ``_paper_rows`` row whose coef = M - T
-        is nonzero, at the nodes ``params`` place; DenominatorZero if none is."""
-        vol, center, moments = self._constants
-        for coef, rhs in _paper_rows(vol, center, self.nodes(params), self.alphas, moments):
-            if not is_zero(coef):
-                return scalars.div(rhs, coef)
-        raise DenominatorZero("M and T agree on every target, so no blend parameter is defined")
+        """lam from the first row whose coef = M - T is nonzero, at the
+        nodes ``params`` place; DenominatorZero if none is."""
+        return _row_lambda(self.rows(params))
+
+    def lambda_and_residuals(self, params) -> tuple[Scalar, SystemResiduals]:
+        """``blend_parameter`` and the residuals at that lam, from one row
+        pass."""
+        rows = tuple(self.rows(params))
+        lam = _row_lambda(rows)
+        return lam, self._at(lam, rows)
+
+    def _at(self, lam, rows) -> SystemResiduals:
+        return SystemResiduals(self.names, tuple(_row_residual(lam, row) for row in rows))
 
     def rule(self, params, lam, label: str) -> CubatureRule:
         """``blend(lam, region, nodes)`` from the system's moment batch."""
-        vol, center, _ = self._constants
+        vol, center, _, _ = self._constants
         spread = self.nodes(params)
         rules._check_paper_nodes(self.region, center, spread)
         layout = _blend_layout(as_scalar(lam), vol, center, spread)
         return rules._located_rule(self.region, *layout, label)
+
+
+def _row_lambda(rows) -> Scalar:
+    """lam = rhs/coef of the first (coef, rhs) row with coef = M - T
+    nonzero; DenominatorZero if none is."""
+    for coef, rhs in rows:
+        if not is_zero(coef):
+            return scalars.div(rhs, coef)
+    raise DenominatorZero("M and T agree on every target, so no blend parameter is defined")
+
+
+def _row_residual(lam, row) -> Scalar:
+    """lam*coef - rhs: the blend at lam minus the moment, for a row
+    (M - T, moment - T)."""
+    coef, rhs = row
+    return scalars.sub(scalars.mul(lam, coef), rhs)
 
 
 _0, _1 = Fraction(0), Fraction(1)
@@ -126,7 +161,8 @@ _TRAPEZOID = BlendSystem(
     (("x", (1, 0)), ("y", (0, 1)), ("xy", (1, 1)), ("x^2", (2, 0)), ("y^2", (0, 2))),
 )
 
-# The quadratic rows; the linear rows are _SIMPLEX3_LINEAR's below.
+# The linear rows first: simplex3_face_system scales them, and the vertex
+# search prunes on them.
 _SIMPLEX3 = BlendSystem(
     lambda: Simplex(3),
     lambda a1, a2, a3, a4, a5, a6, a7, a8: (
@@ -136,21 +172,13 @@ _SIMPLEX3 = BlendSystem(
         (a7, a8, scalars.sub(scalars.sub(_1, a7), a8)),
     ),
     (
+        ("x", (1, 0, 0)), ("y", (0, 1, 0)), ("z", (0, 0, 1)),
         ("xy", (1, 1, 0)), ("xz", (1, 0, 1)), ("yz", (0, 1, 1)),
         ("x^2", (2, 0, 0)), ("y^2", (0, 2, 0)), ("z^2", (0, 0, 2)),
     ),
 )
-
-# The linear rows at lam = 0, so from the spread's T table alone: on a
-# linear target M equals the moment, so the blend residual at any lam is
-# (1-lam)*(T - moment), and T weighs each of its four nodes with
-# volume/4 = 1/24.  simplex3_face_system scales these rows by 24.
-_SIMPLEX3_LINEAR = BlendSystem(
-    lambda: _SIMPLEX3.region,
-    _SIMPLEX3.place,
-    (("x", (1, 0, 0)), ("y", (0, 1, 0)), ("z", (0, 0, 1))),
-)
-_24 = Fraction(24)
+_SIMPLEX3_LINEAR_ROWS = 3
+_MINUS_24 = Fraction(-24)
 
 
 def triangle_system(a, b, c, lam) -> SystemResiduals:
@@ -159,11 +187,16 @@ def triangle_system(a, b, c, lam) -> SystemResiduals:
     return _TRIANGLE.residuals((a, b, c), lam)
 
 
+def _triangle_params(c) -> tuple[Scalar, Scalar, Scalar]:
+    """(a, b, c) = (1-c, c, c), the triangle family's node parameters."""
+    c = as_scalar(c)
+    return (scalars.sub(_1, c), c, c)
+
+
 def triangle_family_member(c) -> tuple[Scalar, Scalar, Scalar, Scalar]:
     """(a, b, c, lam) for the triangle family at parameter c: a = 1-c,
     b = c, and lam from the system's M/T rows at those nodes."""
-    c = as_scalar(c)
-    params = (scalars.sub(_1, c), c, c)
+    params = _triangle_params(c)
     return (*params, _TRIANGLE.blend_parameter(params))
 
 
@@ -173,8 +206,9 @@ def triangle_family_lambda(c) -> Scalar:
 
 
 def verify_triangle_family(c) -> tuple[bool, SystemResiduals]:
-    """Substitute the triangle family at parameter c and report residuals."""
-    res = triangle_system(*triangle_family_member(c))
+    """Substitute the triangle family at parameter c and report residuals:
+    lam and the residuals at lam from one row pass."""
+    _, res = _TRIANGLE.lambda_and_residuals(_triangle_params(c))
     return res.all_zero, res
 
 
@@ -205,12 +239,17 @@ def square_system(a, b, c, d, lam) -> SystemResiduals:
     return _SQUARE.residuals((a, b, c, d), lam)
 
 
+def _square_params(d) -> tuple[Scalar, Scalar, Scalar, Scalar]:
+    """(a, b, c, d) = (d, 1-d, 1-d, d), the square family's node parameters."""
+    d = as_scalar(d)
+    comp = scalars.sub(_1, d)
+    return (d, comp, comp, d)
+
+
 def square_family_member(d) -> tuple[Scalar, Scalar, Scalar, Scalar, Scalar]:
     """(a, b, c, d, lam) for the square family at parameter d: a = d,
     b = c = 1 - d, and lam from the system's M/T rows at those nodes."""
-    d = as_scalar(d)
-    comp = scalars.sub(_1, d)
-    params = (d, comp, comp, d)
+    params = _square_params(d)
     return (*params, _SQUARE.blend_parameter(params))
 
 
@@ -221,7 +260,8 @@ def square_family_lambda(d) -> Scalar:
 
 
 def verify_square_family(d) -> tuple[bool, SystemResiduals]:
-    res = square_system(*square_family_member(d))
+    """As verify_triangle_family, for the square family at parameter d."""
+    _, res = _SQUARE.lambda_and_residuals(_square_params(d))
     return res.all_zero, res
 
 
@@ -265,17 +305,21 @@ def simplex3_face_system(a: Sequence, lam) -> SystemResiduals:
     The three linear residuals are the simplified node-placement
     equations a1+a3+a7 = 1, a2+a5+a8 = 1, a4+a6-a7-a8 = 0: the raw blend
     residuals for x, y, z divided by (1-lam)/24, so valid whenever
-    lam != 1, taken as 24*(T - moment) from the spread's T table.  The six
-    quadratic residuals (xy, xz, yz, x^2, y^2, z^2) are the raw blend
-    residuals.
+    lam != 1.  On a linear target M equals the moment, so the raw
+    residual is (1-lam)*(T - moment), and T weighs each of the four nodes
+    with volume/4 = 1/24: each linear residual is 24*(T - moment), -24
+    times its row's rhs.  The six quadratic residuals (xy, xz, yz, x^2,
+    y^2, z^2) are the raw blend residuals, lam*coef - rhs.  All nine rows
+    come from one row pass.
     """
     if len(a) != 8:
         raise ValueError("need exactly eight face parameters")
-    linear = _SIMPLEX3_LINEAR.residuals(a, _0)
-    quadratic = _SIMPLEX3.residuals(a, lam)
+    rows = tuple(_SIMPLEX3.rows(a))
+    lam = as_scalar(lam)
     return SystemResiduals(
-        linear.names + quadratic.names,
-        tuple(scalars.mul(_24, r) for r in linear.residuals) + quadratic.residuals,
+        _SIMPLEX3.names,
+        tuple(scalars.mul(_MINUS_24, rhs) for _, rhs in rows[:_SIMPLEX3_LINEAR_ROWS])
+        + tuple(_row_residual(lam, row) for row in rows[_SIMPLEX3_LINEAR_ROWS:]),
     )
 
 
@@ -287,23 +331,43 @@ def simplex3_face_rule(a: Sequence, lam, label: str = "") -> CubatureRule:
 def simplex3_vertex_solutions() -> list[tuple[Fraction, ...]]:
     """Search all placements that put each face node at a vertex of its
     face, keeping lam = 4/5, and return the parameter tuples that zero
-    the whole system.
+    the whole system, in ``itertools.product`` order of the corners.
 
-    The search prunes on the three linear rows: a placement whose linear
-    rows do not all vanish is skipped before its quadratic table is built,
-    so only 9 of the 81 placements reach the six quadratic residuals.
-    Each solution uses the four simplex vertices exactly once.  Whether
-    the system admits any solution with lam = 0 is not settled by this
-    package.
+    One NodeTable holds the 12 candidate nodes, each face's node at each
+    of its three corners, with T's weight volume/4, so each target's terms
+    come once from the table's one power loop.  A placement's T(x^alpha)
+    is then four of those ints added, over the table's scale.  The three
+    linear rows prune first: they vanish only where T equals the moment,
+    and only 9 of the 81 placements pass.  The six quadratic rows,
+    lam*coef - rhs from ``_paper_rows``, run on those 9.  Each solution
+    uses the four simplex vertices exactly once.
+
+    Whether the system admits any solution with lam = 0 is not settled by
+    this package.
     """
     zero, one = Fraction(0), Fraction(1)
-    corner = [(zero, zero), (one, zero), (zero, one)]
+    corners = ((zero, zero), (one, zero), (zero, one))
     lam = Fraction(4, 5)
+    volume, _, moments, m_sums = _SIMPLEX3._constants
+    by_corner = [_SIMPLEX3.nodes(corner * 4) for corner in corners]
+    # the node of face f at corner k is candidate 3*f + k
+    table = NodeTable([nodes[f] for f in range(4) for nodes in by_corner],
+                      (scalars.div(volume, Fraction(4)),) * 12)
+    alphas = _SIMPLEX3.alphas
+    terms = [table.terms(alpha) for alpha in alphas]
+    scales = [table.weight_denominator * table.denominator ** sum(alpha) for alpha in alphas]
+    linear = _SIMPLEX3_LINEAR_ROWS
+    # T equals the moment on every linear target
+    goals = [moment * scale for moment, scale in zip(moments[:linear], scales)]
     solutions = []
-    for q1, q2, q3, q4 in itertools.product(corner, repeat=4):
-        a = (q1[0], q1[1], q2[0], q2[1], q3[0], q3[1], q4[0], q4[1])
-        if _SIMPLEX3_LINEAR.residuals(a, _0).all_zero and _SIMPLEX3.residuals(a, lam).all_zero:
-            solutions.append(a)
+    for i, j, k, m in itertools.product(range(3), range(3, 6), range(6, 9), range(9, 12)):
+        sums = [t[i] + t[j] + t[k] + t[m] for t in terms]
+        if sums[:linear] != goals:
+            continue
+        t_sums = map(Fraction, sums[linear:], scales[linear:])
+        rows = _paper_rows(m_sums[linear:], t_sums, moments[linear:])
+        if all(is_zero(_row_residual(lam, row)) for row in rows):
+            solutions.append(tuple(c for n in (i, j, k, m) for c in corners[n % 3]))
     return solutions
 
 

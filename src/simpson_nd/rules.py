@@ -315,14 +315,31 @@ def _blend_layout(lam, volume, centroid, spread) -> tuple[tuple[Point, ...], tup
     return tuple(p for p, _ in kept), tuple(w for _, w in kept)
 
 
-def _paper_rows(volume, centroid, spread, alphas, moments):
+def _centroid_sums(volume, centroid, alphas):
+    """M(x^alpha) = A x^alpha(P) at each target in turn, from one one-node
+    table (P, A): the paper's M, which no spread changes, so a family
+    system keeps these with its moment batch."""
+    return map(NodeTable((centroid,), (volume,)).sum, alphas)
+
+
+def _spread_sums(volume, spread, alphas):
+    """T(x^alpha) at each target in turn, from one table of the k spread
+    nodes, each weighted A/k; an empty spread raises ValueError."""
+    if not spread:
+        raise ValueError("the spread T needs at least one boundary node")
+    share = scalars.div(volume, Fraction(len(spread)))
+    return map(NodeTable(spread, (share,) * len(spread)).sum, alphas)
+
+
+def _paper_rows(m_sums, t_sums, moments):
     """(M - T, moment - T) at x^alpha, lazily for each target in turn: the
-    rows lam*(M - T) == moment - T of ``solve_lambda`` and the families.  M
-    and T are ``_blend_layout`` at lam = 1 and 0, each laid out once."""
-    m_table, t_table = (NodeTable(*_blend_layout(lam, volume, centroid, spread))
-                        for lam in (Fraction(1), Fraction(0)))
-    return ((scalars.sub(m_table.sum(alpha), t_sum), scalars.sub(moment, t_sum))
-            for alpha, moment, t_sum in zip(alphas, moments, map(t_table.sum, alphas)))
+    rows lam*(M - T) == moment - T of ``solve_lambda``, the family systems
+    and the simplex3 vertex search, whose blend residual at lam is
+    lam*(M - T) - (moment - T).  M comes from ``_centroid_sums``, which a
+    family system computes once; T from ``_spread_sums``, one table per
+    spread, or from the vertex search's table of candidate nodes."""
+    return ((scalars.sub(m, t), scalars.sub(moment, t))
+            for m, t, moment in zip(m_sums, t_sums, moments))
 
 
 def blend(lam, region: Region, spread, label: str = "") -> CubatureRule:

@@ -192,6 +192,47 @@ MUTANTS = [
         "cls.__setattr__ = cls.__delattr__ = lambda self, *args: None",
         ["tests/test_record.py::test_records_are_immutable"],
     ),
+    # the family rows: a vertex-search placement summed without face 4's
+    # term, the residual lam*coef - rhs with its sign flipped, M taken as
+    # the volume without the centroid's power, and T weighing each spread
+    # node with the whole volume instead of volume/k
+    (
+        "families.py",
+        "sums = [t[i] + t[j] + t[k] + t[m] for t in terms]",
+        "sums = [t[i] + t[j] + t[k] for t in terms]",
+        [
+            "tests/test_families.py::test_pruned_vertex_search_returns_the_unpruned_search_in_order",
+            "tests/test_families.py::test_vertex_search_sums_every_candidate_from_one_table",
+            "tests/test_families.py::test_simplex3_vertex_search",
+        ],
+    ),
+    (
+        "families.py",
+        "return scalars.sub(scalars.mul(lam, coef), rhs)",
+        "return scalars.sub(rhs, scalars.mul(lam, coef))",
+        ["tests/test_families.py::test_system_residuals_match_a_direct_sum"],
+    ),
+    (
+        "rules.py",
+        "return map(NodeTable((centroid,), (volume,)).sum, alphas)",
+        "return (volume for _ in alphas)",
+        [
+            "tests/test_families.py::test_system_residuals_match_a_direct_sum",
+            "tests/test_families.py::test_family_lambda_matches_its_closed_form",
+            "tests/test_families.py::"
+            "test_solve_lambda_on_seeded_family_spreads_matches_the_two_rule_solve",
+        ],
+    ),
+    (
+        "rules.py",
+        "share = scalars.div(volume, Fraction(len(spread)))",
+        "share = volume",
+        [
+            "tests/test_families.py::test_system_residuals_match_a_direct_sum",
+            "tests/test_families.py::"
+            "test_solve_lambda_on_seeded_family_spreads_matches_the_two_rule_solve",
+        ],
+    ),
 ]
 
 

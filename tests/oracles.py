@@ -18,7 +18,8 @@ Gauss-Jordan elimination with one scalar operation per entry, weight
 solves from rows of ``monomial_value`` scalars reduced by that
 elimination, region membership point by point in scalar arithmetic, the
 blend parameter from any midpoint and spread rule, summed node by node,
-the two solution families' blend parameters from closed forms in their
+a family system's residual from its blend summed node by node, the two
+solution families' blend parameters from closed forms in their
 parameter, expanded by hand, the integral of an interpolant by solving
 for its coefficients and integrating them, the simplex3 face system's
 linear rows as hand-typed sums, and the simplex3 vertex search over the
@@ -409,6 +410,20 @@ def scalar_node_sum(nodes, weights, alpha):
 def monomial_value(point, alpha):
     """x^alpha at one point by scalar operators."""
     return scalar_node_sum((point,), (Fraction(1),), alpha)
+
+
+def direct_family_residual(lam, volume, centroid, spread, alpha, moment):
+    """lam*A*x^alpha(P) + (1-lam)*(A/k)*sum_j x^alpha(P_j) - moment: the
+    residual of a family system at one target, for the volume A, the
+    centroid P and the k spread nodes P_j, by scalar operators node by
+    node, with no node table and no integer view."""
+    spread_total = Fraction(0)
+    for node in spread:
+        spread_total = scalars.add(spread_total, monomial_value(node, alpha))
+    share = scalars.div(volume, Fraction(len(spread)))
+    m = scalars.mul(scalars.mul(lam, volume), monomial_value(centroid, alpha))
+    t = scalars.mul(scalars.mul(scalars.sub(Fraction(1), lam), share), spread_total)
+    return scalars.sub(scalars.add(m, t), moment)
 
 
 def full_scan_report(rule, max_degree: int) -> tuple:

@@ -541,7 +541,7 @@ def test_compound_float_domain_errors_exit_1(capsys, integrand, message):
         ("(0-1)^0.5*y", "(-1.0)^0.5 is not a real number"),
         ("y*(0-1)^0.5", "variable y needs dimension >= 2"),
         # the constant is made a float once, when the integrand's source is made
-        ("1" + "0" * 399 + "*x", "integer division result too large for a float"),
+        ("1" + "0" * 399 + "*x", "'10000000000000000000...' is too large for a float"),
     ],
 )
 def test_compound_integrand_errors_exit_1_with_one_line(capsys, integrand, message):

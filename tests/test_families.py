@@ -1,18 +1,23 @@
 import itertools
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, isqrt
 
 import pytest
 
 from oracles import (
+    direct_family_residual,
+    fan_polygon_moment,
     interpolate_polynomial,
+    iterated_cube_moment,
+    iterated_simplex_moment,
     monomial_value,
     permutation_det,
     simplex3_hand_linear_rows,
     solve_then_integrate_interpolant,
     square_family_lambda_closed_form,
     triangle_family_lambda_closed_form,
+    two_rule_lambda,
     unpruned_simplex3_vertex_solutions,
 )
 from simpson_nd import cli, families, rules, scalars
@@ -24,7 +29,7 @@ from simpson_nd.errors import (
     SingularInterpolation,
     WorkLimit,
 )
-from simpson_nd.exactness import UniqueSolution, residual, solve_lambda
+from simpson_nd.exactness import UniqueSolution, monomials_up_to, residual, solve_lambda
 from simpson_nd.families import (
     bilinear_det_closed_form,
     exact_det,
@@ -56,6 +61,7 @@ from simpson_nd.rules import (
     CR5_LAMBDA,
     CubatureRule,
     blend,
+    boundary_rule,
     cr1,
     cr2,
     cr3,
@@ -416,20 +422,188 @@ def test_a_family_request_solves_for_lam_once(monkeypatch, capsys, argv):
 
 
 def test_verify_triangle_family_solves_for_lam_once(monkeypatch):
-    calls = _count(monkeypatch, families.BlendSystem, "blend_parameter")
+    """lam and the residuals at lam come from one row pass, for both
+    families."""
+    passes = _count(monkeypatch, families, "_paper_rows")
     ok, _ = verify_triangle_family(Fraction(2, 7))
     assert ok
-    assert len(calls) == 1
+    assert len(passes) == 1
+    ok, _ = verify_square_family(Fraction(2, 7))
+    assert ok
+    assert len(passes) == 2
 
 
 @pytest.mark.parametrize("read", [0, 1, 5])
 def test_paper_rows_build_two_tables_however_many_rows_are_read(monkeypatch, read):
-    volume, center, moments = families._TRIANGLE._constants
-    nodes = families._TRIANGLE.nodes((Fraction(1, 4), Fraction(3, 4), Fraction(3, 4)))
+    """A row pass builds one spread table, and the one-node M table only
+    when the caller has no M sums, which a family system keeps."""
+    volume, center, moments, m_sums = families._TRIANGLE._constants
+    params = (Fraction(1, 4), Fraction(3, 4), Fraction(3, 4))
+    nodes = families._TRIANGLE.nodes(params)
+    alphas = families._TRIANGLE.alphas
     tables = _count(monkeypatch, rules, "NodeTable")
-    rows = rules._paper_rows(volume, center, nodes, families._TRIANGLE.alphas, moments)
+    rows = rules._paper_rows(rules._centroid_sums(volume, center, alphas),
+                             rules._spread_sums(volume, nodes, alphas), moments)
     assert len(list(itertools.islice(rows, read))) == read
     assert len(tables) == 2
+    system_rows = families._TRIANGLE.rows(params)
+    assert len(list(itertools.islice(system_rows, read))) == read
+    assert len(tables) == 3
+    assert tables[2][0] == nodes
+    # both passes give the same rows
+    assert list(rows) == list(system_rows) == list(families._TRIANGLE.rows(params))[read:]
+
+
+# ------------------------------------------------- rows against direct sums
+
+_TRAPEZOID_VERTICES = ((0, 0), (1, 0), (1, 2), (0, 1))
+
+
+def _oracle_constants(moment, n):
+    """(volume, centroid, moment) of a region from an oracle moment."""
+    volume = moment((0,) * n)
+    centroid = tuple(moment(tuple(int(i == k) for i in range(n))) / volume for k in range(n))
+    return volume, centroid, moment
+
+
+# each system's public function, node placement and region moments, typed
+# here again: (public function or None, nodes at the parameters, constants)
+_DIRECT = {
+    "triangle": (
+        triangle_system,
+        lambda a, b, c: ((a, 0), (0, b), (c, scalars.sub(1, c))),
+        _oracle_constants(lambda alpha: iterated_simplex_moment(2, alpha), 2),
+    ),
+    "square": (
+        square_system,
+        lambda a, b, c, d: ((a, 0), (0, b), (c, 1), (1, d)),
+        _oracle_constants(lambda alpha: iterated_cube_moment(2, alpha), 2),
+    ),
+    "trapezoid": (
+        trapezoid_system,
+        lambda a, b, c, d: ((a, 0), (0, b), (1, c), (d, scalars.add(d, 1))),
+        _oracle_constants(lambda alpha: fan_polygon_moment(_TRAPEZOID_VERTICES, *alpha), 2),
+    ),
+    "simplex3": (
+        None,
+        lambda a1, a2, a3, a4, a5, a6, a7, a8: (
+            (a1, a2, 0), (a3, 0, a4), (0, a5, a6),
+            (a7, a8, scalars.sub(scalars.sub(1, a7), a8)),
+        ),
+        _oracle_constants(lambda alpha: iterated_simplex_moment(3, alpha), 3),
+    ),
+}
+_SYSTEMS = {"triangle": families._TRIANGLE, "square": families._SQUARE,
+            "trapezoid": families._TRAPEZOID, "simplex3": families._SIMPLEX3}
+
+
+def _seeded_points(rng, count):
+    """Parameter points: six rational, then two over each of Q(sqrt 2),
+    Q(sqrt 3) and Q(sqrt 3893), every value of a point in one field."""
+    points = [tuple(Fraction(rng.randint(-24, 24), rng.randint(1, 12)) for _ in range(count))
+              for _ in range(6)]
+    for d in (2, 3, 3893):
+        points += [tuple(quad(Fraction(rng.randint(-24, 24), rng.randint(1, 12)),
+                              Fraction(rng.randint(-6, 6), rng.randint(1, 12)), d)
+                         for _ in range(count))
+                   for _ in range(2)]
+    return points
+
+
+@pytest.mark.parametrize("name", sorted(_DIRECT))
+def test_system_residuals_match_a_direct_sum(name):
+    """Every residual of every system, at seeded rational and Q(sqrt d)
+    points and lam in {0, 1, seeded rationals}, is the blend summed node
+    by node minus the oracle moment, with the same scalar type."""
+    system = _SYSTEMS[name]
+    public, place, (volume, centroid, moment) = _DIRECT[name]
+    rng = random.Random(3400 + len(name))
+    count = {"triangle": 3, "simplex3": 8}.get(name, 4)
+    for params in _seeded_points(rng, count):
+        spread = place(*params)
+        for lam in (Fraction(0), Fraction(1), Fraction(rng.randint(-9, 9), rng.randint(1, 9))):
+            want = [direct_family_residual(lam, volume, centroid, spread, alpha, moment(alpha))
+                    for alpha in system.alphas]
+            got = system.residuals(params, lam)
+            assert got.names == system.names
+            assert repr(got.residuals) == repr(tuple(want)), (params, lam)
+            if public is not None:
+                assert public(*params, lam) == got
+        if name == "simplex3":
+            # the linear rows are 24*(T - moment), the raw residual at lam = 0
+            lam = Fraction(rng.randint(-9, 9), 7)
+            face = simplex3_face_system(params, lam).residuals
+            at_zero = system.residuals(params, 0).residuals
+            assert face[:3] == tuple(scalars.mul(24, r) for r in at_zero[:3])
+            assert face[3:] == system.residuals(params, lam).residuals[3:]
+
+
+@pytest.mark.parametrize("name", sorted(_DIRECT))
+def test_one_row_pass_gives_the_blend_parameter_and_its_residuals(name):
+    system = _SYSTEMS[name]
+    rng = random.Random(3410 + len(name))
+    count = {"triangle": 3, "simplex3": 8}.get(name, 4)
+    for params in _seeded_points(rng, count):
+        lam, res = system.lambda_and_residuals(params)
+        want = system.blend_parameter(params)
+        assert repr(lam) == repr(want)
+        assert repr(res) == repr(system.residuals(params, want))
+    # where M and T agree on every target, both refuse
+    flat = families.BlendSystem(lambda: Cube(1), lambda a, b: ((a,), (b,)), [("x", (1,))])
+    for call in (flat.blend_parameter, flat.lambda_and_residuals):
+        with pytest.raises(DenominatorZero):
+            call((0, 1))
+
+
+def test_family_verification_is_the_member_substituted():
+    rng = random.Random(3420)
+    for value in _seeded_parameters()[::10] + [Fraction(rng.randint(-9, 9), 7) for _ in range(5)]:
+        assert verify_triangle_family(value) == (
+            triangle_system(*triangle_family_member(value)).all_zero,
+            triangle_system(*triangle_family_member(value)),
+        )
+        assert verify_square_family(value) == (
+            square_system(*square_family_member(value)).all_zero,
+            square_system(*square_family_member(value)),
+        )
+
+
+def _boundary_value(rng, d):
+    """A seeded value in [0, 1], rational or over Q(sqrt d)."""
+    a = Fraction(rng.randint(0, 24), 24)
+    if d is None:
+        return a
+    # |b sqrt(d)| <= 9/20 around a centre in [19/40, 21/40]
+    b = Fraction(rng.randint(-9, 9), 20 * (isqrt(d) + 1))
+    return quad(Fraction(rng.randint(19, 21), 40), b, d)
+
+
+def test_solve_lambda_on_seeded_family_spreads_matches_the_two_rule_solve():
+    """solve_lambda's outcome, witness and equations on seeded boundary
+    spreads of the triangle and square systems, rational and over
+    Q(sqrt d), family members among them, are those of the midpoint and
+    boundary rules summed node by node."""
+    rng = random.Random(3430)
+    kinds = set()
+    for region, system, count, member in (
+        (Simplex(2), families._TRIANGLE, 3, triangle_family_member),
+        (Cube(2), families._SQUARE, 4, square_family_member),
+    ):
+        targets_lists = [list(system.alphas), list(monomials_up_to(2, 3))]
+        m = midpoint_rule(region)
+        for d in (None, None, None, 2, 3, 3893):
+            for _ in range(3):
+                for params in ([_boundary_value(rng, d) for _ in range(count)],
+                               member(_boundary_value(rng, d))[:count]):
+                    nodes = system.nodes(params)
+                    t = boundary_rule(region, nodes)
+                    for targets in targets_lists:
+                        got = solve_lambda(region, nodes, targets)
+                        want = two_rule_lambda(m, t, targets, region.moments(targets))
+                        assert repr(got) == repr(want), (nodes, targets)
+                        witness = getattr(got, "witness", "")
+                        kinds.add((type(got).__name__, "irrational" in witness))
+    assert kinds == {("UniqueSolution", False), ("Infeasible", False), ("Infeasible", True)}
 
 
 # ---------------------------------------------------------------- simplex3
@@ -504,6 +678,18 @@ def test_simplex3_vertex_search():
 
 def test_pruned_vertex_search_returns_the_unpruned_search_in_order():
     assert simplex3_vertex_solutions() == unpruned_simplex3_vertex_solutions()
+
+
+def test_vertex_search_sums_every_candidate_from_one_table(monkeypatch):
+    """One NodeTable of the 12 candidate nodes; the system's M sums are
+    kept from before."""
+    assert families._SIMPLEX3._constants
+    here, there = (_count(monkeypatch, module, "NodeTable") for module in (families, rules))
+    solutions = simplex3_vertex_solutions()
+    assert (len(here), len(there)) == (1, 0)
+    assert len(here[0][0]) == 12
+    monkeypatch.undo()
+    assert solutions == unpruned_simplex3_vertex_solutions()
 
 
 @pytest.mark.parametrize("field", ["rat", "quad"])

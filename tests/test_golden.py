@@ -32,7 +32,9 @@ blend parameter was a hand-expanded closed form in its parameter; the
 two ``outside`` members put nodes off the boundary.  The
 ``compound_cr4_separable`` and ``compound_cr3_constant_subtree`` files
 were recorded before the square kernel computed the subexpressions that
-read at most one coordinate outside its cell loop.
+read at most one coordinate outside its cell loop, and the
+``family_simplex3_vertex_search`` files before the vertex search summed
+its candidate nodes from one table and the family systems kept M.
 
 Each file holds the stdout of ``simpson-nd`` for the argv listed below,
 for example ``simpson-nd --format json verify --all > verify_all.json``.
@@ -63,6 +65,7 @@ FAMILY_CASES = {
     "family_trapezoid_conjugate": ("trapezoid", "--branch", "conjugate"),
     "family_simplex3_point": ("simplex3", "--point", "1/2,1/3,2,1/5,0,3/4,1/7,2/7,3/5"),
     "family_simplex3": ("simplex3",),
+    "family_simplex3_vertex_search": ("simplex3", "--vertex-search"),
 }
 
 COMPOUND_CASES = {
