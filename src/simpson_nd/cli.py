@@ -388,9 +388,10 @@ def _cmd_derive(args) -> int:
         unknowns = ["lambda"]
     else:
         # the centroid's check and the target moments from one batch, as in lambda mode
-        _, centroid, _, moments = rules._paper_form(region, (), targets)
-        nodes = (centroid,) + spread
-        outcome = exactness.solve_weights(nodes, targets, moments)
+        form = rules.PaperForm(region, targets)
+        form.check(())
+        nodes = (form.centroid,) + spread
+        outcome = exactness.solve_weights(nodes, targets, form.moments)
         unknowns = [f"w{i + 1}" for i in range(len(nodes))]
     _emit(
         args.format,
@@ -409,8 +410,8 @@ def _cmd_derive(args) -> int:
 
 
 def _values(text: str, count: int) -> list[Fraction]:
-    parts = [p for p in text.replace(" ", "").split(",") if p]
-    if len(parts) != count:
+    parts = text.replace(" ", "").split(",")
+    if len(parts) != count or "" in parts:
         raise ValueError(f"expected {count} comma-separated rationals, got {text!r}")
     return [_fraction(p) for p in parts]
 
@@ -459,36 +460,34 @@ def _cmd_family(args) -> int:
         return _residual_report(args, system, residuals(*_values(args.point, count)))
     if system == "triangle":
         c = _fraction(args.param if args.param is not None else "1/2")
-        member = families.triangle_family_member(c)
-        res = families.triangle_system(*member)
+        params = families._triangle_params(c)
+        lam, res = families._TRIANGLE.lambda_and_residuals(params)
         roots = sorted(families.triangle_selector_roots())
         return _residual_report(
             args, system, res,
             extra=lambda: {
                 "parameter": str(c),
-                "member": {k: scalars.scalar_to_json(v)
-                           for k, v in zip("abc", member[:3])} | {
-                               "lambda": scalars.scalar_to_json(member[3])},
+                "member": {k: scalars.scalar_to_json(v) for k, v in zip("abc", params)} | {
+                    "lambda": scalars.scalar_to_json(lam)},
                 "selector_roots": [str(r) for r in roots],
             },
             extra_lines=lambda: [
-                f"family member at c={c}: a={_fmt(member[0])}, b={_fmt(member[1])}, "
-                f"lambda={_fmt(member[3])}",
+                f"family member at c={c}: a={_fmt(params[0])}, b={_fmt(params[1])}, "
+                f"lambda={_fmt(lam)}",
                 f"distinguished parameters: {', '.join(str(r) for r in roots)}",
             ],
         )
     if system == "square":
         d = _fraction(args.param if args.param is not None else "1/2")
-        member = families.square_family_member(d)
-        res = families.square_system(*member)
+        lam, res = families._SQUARE.lambda_and_residuals(families._square_params(d))
         roots = sorted(families.square_selector_roots())
         return _residual_report(
             args, system, res,
             extra=lambda: {"parameter": str(d),
-                           "lambda": scalars.scalar_to_json(member[4]),
+                           "lambda": scalars.scalar_to_json(lam),
                            "selector_roots": [str(r) for r in roots]},
             extra_lines=lambda: [
-                f"family member at d={d}: lambda={_fmt(member[4])}",
+                f"family member at d={d}: lambda={_fmt(lam)}",
                 f"parameters with the extra x^3*y exactness: "
                 f"{', '.join(str(r) for r in roots)}",
             ],

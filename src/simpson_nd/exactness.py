@@ -24,14 +24,7 @@ from . import scalars
 from .errors import DimensionMismatch, IncompatibleScalars, WorkLimit
 from .record import record
 from .regions import Cube, MultiIndex, Region, Simplex
-from .rules import (
-    CubatureRule,
-    NodeTable,
-    _centroid_sums,
-    _paper_form,
-    _paper_rows,
-    _spread_sums,
-)
+from .rules import CubatureRule, NodeTable, PaperForm
 from .scalars import PiMultiple, Scalar, is_zero
 
 # Most entries of an exact system the solvers may be asked to build:
@@ -227,9 +220,9 @@ LinearSolveOutcome = Union[UniqueSolution, Infeasible, Underdetermined]
 def solve_lambda(region: Region, spread, targets) -> LinearSolveOutcome:
     """Solve lam*(M - T) applied to x^alpha == moment - T(x^alpha) for the
     one lam of ``rules.blend``'s lam*M + (1-lam)*T on ``region`` over all
-    target monomials; each equation is a row of ``rules._paper_rows``, over
-    ``rules._paper_form``'s one checked moment batch, with M and T each
-    from one node table.
+    target monomials; each equation is a row of one ``rules.PaperForm``,
+    from one moment batch and one ``locate`` call, with M and T each from
+    one node table.
 
     Equations that reduce to 0 == 0 carry no information; if every target
     does, the outcome is Underdetermined.  A lam that exists but is
@@ -237,9 +230,10 @@ def solve_lambda(region: Region, spread, targets) -> LinearSolveOutcome:
     with the defining equation as witness.
     """
     targets = [tuple(int(e) for e in alpha) for alpha in targets]
-    volume, centroid, spread, moments = _paper_form(region, spread, targets)
-    rows = _paper_rows(_centroid_sums(volume, centroid, targets),
-                       _spread_sums(volume, spread, targets), moments)
+    spread = tuple(tuple(scalars.as_scalar(c) for c in p) for p in spread)
+    form = PaperForm(region, targets)
+    form.check(spread)
+    rows = form.rows(spread)
     first: Optional[tuple[Equation, Scalar]] = None
     for alpha, (coef, rhs) in zip(targets, rows):
         equation = Equation(monomial_label(alpha), (coef,), rhs)

@@ -5,11 +5,11 @@ Every system is the paper's blend lam*M + (1-lam)*T on one region: M puts
 the region volume at the centroid, and T spreads it equally over boundary
 nodes placed by a few parameters.  A system is data, a node
 parameterization plus a table of named target monomials, and its residuals
-come from one row routine, ``rules._paper_rows``: the blend applied to
-each target minus the region moment.  A parameter point solves the system exactly when every residual
-is zero.  The solution families reduce each system to one free parameter;
-the reductions are checked by substitution here, never re-derived with a
-computer algebra system.
+come from the rows of one ``rules.PaperForm``: the blend applied to each
+target minus the region moment.  A parameter point solves the system
+exactly when every residual is zero.  The solution families reduce each
+system to one free parameter; the reductions are checked by substitution
+here, never re-derived with a computer algebra system.
 """
 
 from __future__ import annotations
@@ -24,14 +24,7 @@ from .errors import DenominatorZero, SingularInterpolation, WorkLimit
 from .exactness import UniqueSolution, gauss_jordan, solve_weights
 from .record import record
 from .regions import Cube, Point, Region, Simplex, trapezoid_paper
-from .rules import (
-    CubatureRule,
-    NodeTable,
-    _blend_layout,
-    _centroid_sums,
-    _paper_rows,
-    _spread_sums,
-)
+from .rules import CubatureRule, NodeTable, PaperForm
 from .scalars import Scalar, as_scalar, is_zero
 
 
@@ -59,11 +52,11 @@ class BlendSystem:
     order.  Nodes are placed without any membership check, so a parameter
     point may put them off the boundary.
 
-    M does not depend on the parameters, so the system keeps M at each
-    target beside its moment batch.  A parameter point then costs one pass
-    of ``rules._paper_rows``, with T from one table of its spread, and its
-    residual at lam is lam*(M - T) - (moment - T): the blend minus the
-    moment.
+    The system keeps one ``rules.PaperForm`` of its region and targets,
+    with M at each target, which no parameter changes.  A parameter point
+    then costs one row pass of the form, with T from one table of its
+    spread, and its residual at lam is lam*(M - T) - (moment - T): the
+    blend minus the moment.
     """
 
     def __init__(self, make_region: Callable[[], Region],
@@ -74,25 +67,17 @@ class BlendSystem:
         self.alphas = tuple(alpha for _, alpha in targets)
 
     @cached_property
-    def region(self) -> Region:
-        return self.make_region()
-
-    @cached_property
-    def _constants(self) -> tuple[Scalar, Point, tuple[Scalar, ...], tuple[Scalar, ...]]:
-        """Region volume, centroid, the target moments and M at each target,
-        from one moment batch and one one-node table; computed on first
-        use, once per system."""
-        volume, centroid, moments = self.region.mass_and_moments(self.alphas)
-        return volume, centroid, moments, tuple(_centroid_sums(volume, centroid, self.alphas))
+    def form(self) -> PaperForm:
+        """Computed on first use, once per system."""
+        return PaperForm(self.make_region(), self.alphas)
 
     def nodes(self, params) -> tuple[Point, ...]:
         return self.place(*(as_scalar(v) for v in params))
 
     def rows(self, params):
-        """The ``_paper_rows`` (M - T, moment - T) at the nodes ``params``
-        place, lazily for each target in turn."""
-        volume, _, moments, m_sums = self._constants
-        return _paper_rows(m_sums, _spread_sums(volume, self.nodes(params), self.alphas), moments)
+        """The form's (M - T, moment - T) at the nodes ``params`` place,
+        lazily for each target in turn."""
+        return self.form.rows(self.nodes(params))
 
     def residuals(self, params, lam) -> SystemResiduals:
         rows = self.rows(params)
@@ -114,12 +99,8 @@ class BlendSystem:
         return SystemResiduals(self.names, tuple(_row_residual(lam, row) for row in rows))
 
     def rule(self, params, lam, label: str) -> CubatureRule:
-        """``blend(lam, region, nodes)`` from the system's moment batch."""
-        vol, center, _, _ = self._constants
-        spread = self.nodes(params)
-        rules._check_paper_nodes(self.region, center, spread)
-        layout = _blend_layout(as_scalar(lam), vol, center, spread)
-        return rules._located_rule(self.region, *layout, label)
+        """``blend(lam, region, nodes)`` from the system's form."""
+        return self.form.rule(lam, self.nodes(params), label)
 
 
 def _row_lambda(rows) -> Scalar:
@@ -338,8 +319,8 @@ def simplex3_vertex_solutions() -> list[tuple[Fraction, ...]]:
     come once from the table's one power loop.  A placement's T(x^alpha)
     is then four of those ints added, over the table's scale.  The three
     linear rows prune first: they vanish only where T equals the moment,
-    and only 9 of the 81 placements pass.  The six quadratic rows,
-    lam*coef - rhs from ``_paper_rows``, run on those 9.  Each solution
+    and only 9 of the 81 placements pass.  The six quadratic rows of the
+    system's form, lam*coef - rhs, run on those 9.  Each solution
     uses the four simplex vertices exactly once.
 
     Whether the system admits any solution with lam = 0 is not settled by
@@ -348,24 +329,23 @@ def simplex3_vertex_solutions() -> list[tuple[Fraction, ...]]:
     zero, one = Fraction(0), Fraction(1)
     corners = ((zero, zero), (one, zero), (zero, one))
     lam = Fraction(4, 5)
-    volume, _, moments, m_sums = _SIMPLEX3._constants
+    form = _SIMPLEX3.form
     by_corner = [_SIMPLEX3.nodes(corner * 4) for corner in corners]
     # the node of face f at corner k is candidate 3*f + k
     table = NodeTable([nodes[f] for f in range(4) for nodes in by_corner],
-                      (scalars.div(volume, Fraction(4)),) * 12)
-    alphas = _SIMPLEX3.alphas
-    terms = [table.terms(alpha) for alpha in alphas]
-    scales = [table.weight_denominator * table.denominator ** sum(alpha) for alpha in alphas]
+                      (scalars.div(form.volume, Fraction(4)),) * 12)
+    terms = [table.terms(alpha) for alpha in form.alphas]
+    scales = [table.weight_denominator * table.denominator ** sum(alpha) for alpha in form.alphas]
     linear = _SIMPLEX3_LINEAR_ROWS
     # T equals the moment on every linear target
-    goals = [moment * scale for moment, scale in zip(moments[:linear], scales)]
+    goals = [moment * scale for moment, scale in zip(form.moments[:linear], scales)]
+    m_sums, moments = form.m_sums[linear:], form.moments[linear:]
     solutions = []
     for i, j, k, m in itertools.product(range(3), range(3, 6), range(6, 9), range(9, 12)):
         sums = [t[i] + t[j] + t[k] + t[m] for t in terms]
         if sums[:linear] != goals:
             continue
-        t_sums = map(Fraction, sums[linear:], scales[linear:])
-        rows = _paper_rows(m_sums[linear:], t_sums, moments[linear:])
+        rows = map(form.row, m_sums, map(Fraction, sums[linear:], scales[linear:]), moments)
         if all(is_zero(_row_residual(lam, row)) for row in rows):
             solutions.append(tuple(c for n in (i, j, k, m) for c in corners[n % 3]))
     return solutions

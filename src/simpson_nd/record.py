@@ -23,6 +23,8 @@ _set = object.__setattr__
 
 
 def _immutable(self, *args):
+    """Every set and delete on a record, a ``Quad``, a ``PiMultiple`` or a
+    ``MonomialPoly``."""
     raise AttributeError(f"{type(self).__name__} values are immutable")
 
 

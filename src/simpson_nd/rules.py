@@ -5,7 +5,7 @@ Every rule stores exact Scalar nodes and weights.  Node membership in the
 closed region is verified exactly, one ``Region.locate`` call per node
 list, so rules with irrational boundary nodes (CR5) are certified, not
 assumed.  Every named rule is the paper's lam*M(f) + (1-lam)*T(f), built
-by ``blend`` from ``_paper_form``: one moment batch of its region and one
+by ``blend`` from one ``PaperForm``: one moment batch of its region and one
 ``locate`` call over its centroid and boundary node list.
 """
 
@@ -14,7 +14,7 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from itertools import chain
 from typing import Mapping
 
@@ -25,7 +25,7 @@ from .errors import (
     NodeOutsideRegion,
     WorkLimit,
 )
-from .record import record
+from .record import _immutable, record
 from .regions import (
     Cube,
     MultiIndex,
@@ -67,8 +67,7 @@ class MonomialPoly:
         object.__setattr__(self, "dimension", dimension)
         object.__setattr__(self, "terms", clean)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("MonomialPoly values are immutable")
+    __setattr__ = __delattr__ = _immutable
 
     def __eq__(self, other):
         return (
@@ -276,80 +275,82 @@ def boundary_rule(region: Region, nodes) -> CubatureRule:
     return _located_rule(region, nodes, tuple(w for _ in nodes), "boundary")
 
 
-def _paper_form(region: Region, spread, alphas=()) -> tuple:
-    """(A, P, spread, moments) for the paper's lam*M(f) + (1-lam)*T(f):
-    M(f) = A f(P) with the volume A and the centroid P, and T puts A/k on
-    each of the k boundary nodes in ``spread``.  One ``mass_and_moments``
-    batch gives A, P and the moments of ``alphas``, and _check_paper_nodes
-    makes one ``locate`` call."""
-    spread = tuple(tuple(as_scalar(c) for c in p) for p in spread)
-    volume, centroid, moments = region.mass_and_moments(alphas)
-    _check_paper_nodes(region, centroid, spread)
-    return volume, centroid, spread, moments
+class PaperForm:
+    """The paper's lam*M(f) + (1-lam)*T(f) on ``region``: M(f) = A f(P)
+    with the volume A and the centroid P, and T puts A/k on each of the k
+    boundary nodes of a spread.  One ``mass_and_moments`` batch gives A, P
+    and the moments of ``alphas``; M at each alpha comes from one one-node
+    table (P, A), on first use.  M does not depend on the spread, so a
+    family system keeps one form and sums only T at each parameter point.
+    ``blend``, ``solve_lambda``, ``derive --mode weights`` and the family
+    systems all build on this one form.
+    """
 
+    def __init__(self, region: Region, alphas=()):
+        self.region = region
+        self.alphas = alphas
+        self.volume, self.centroid, self.moments = region.mass_and_moments(alphas)
 
-def _check_paper_nodes(region: Region, centroid, spread) -> None:
-    """One ``locate`` call over the centroid and the exact ``spread``: it
-    raises NodeOutsideRegion for a centroid outside the region and
-    NodeNotOnBoundary for the first spread node off the boundary."""
-    inside, *signs = region.locate((centroid,) + spread)
-    if inside < 0:
-        raise NodeOutsideRegion(f"node {centroid} lies outside the region")
-    for p, s in zip(spread, signs):
-        if s:
-            raise NodeNotOnBoundary(f"node {p} is not on the region boundary")
+    @cached_property
+    def m_sums(self) -> tuple[Scalar, ...]:
+        return tuple(map(NodeTable((self.centroid,), (self.volume,)).sum, self.alphas))
 
+    def check(self, spread) -> None:
+        """One ``locate`` call over P and the exact ``spread``: it raises
+        NodeOutsideRegion for a centroid outside the region and
+        NodeNotOnBoundary for the first spread node off the boundary."""
+        inside, *signs = self.region.locate((self.centroid,) + spread)
+        if inside < 0:
+            raise NodeOutsideRegion(f"node {self.centroid} lies outside the region")
+        for p, s in zip(spread, signs):
+            if s:
+                raise NodeNotOnBoundary(f"node {p} is not on the region boundary")
 
-def _blend_layout(lam, volume, centroid, spread) -> tuple[tuple[Point, ...], tuple[Scalar, ...]]:
-    """Nodes and weights of lam*M + (1-lam)*T, unchecked: the centroid with
-    weight lam*A, then each of the k spread nodes with (1-lam)*A/k, where A
-    is the volume; nodes whose weight is exactly zero are dropped.  An empty
-    spread is allowed only at lam = 1, and raises ValueError elsewhere."""
-    pairs = [(centroid, scalars.mul(lam, volume))]
-    if spread:
-        share = scalars.mul(scalars.sub(Fraction(1), lam), scalars.div(volume, Fraction(len(spread))))
-        pairs += [(p, share) for p in spread]
-    elif not scalars.eq(lam, 1):
-        raise ValueError("the spread T needs at least one boundary node")
-    kept = [(p, w) for p, w in pairs if not is_zero(w)]
-    return tuple(p for p, _ in kept), tuple(w for _, w in kept)
+    def _share(self, spread) -> Scalar:
+        """A/k, T's weight on each of the k spread nodes; an empty spread
+        raises ValueError."""
+        if not spread:
+            raise ValueError("the spread T needs at least one boundary node")
+        return scalars.div(self.volume, Fraction(len(spread)))
 
+    def rows(self, spread):
+        """(M - T, moment - T) at each target in turn, lazily, with T from
+        one table of the spread: the rows lam*(M - T) == moment - T of
+        ``solve_lambda`` and the family systems, whose blend residual at
+        lam is lam*(M - T) - (moment - T).  The spread is not checked."""
+        m_sums, share = self.m_sums, self._share(spread)
+        t_sums = map(NodeTable(spread, (share,) * len(spread)).sum, self.alphas)
+        return map(self.row, m_sums, t_sums, self.moments)
 
-def _centroid_sums(volume, centroid, alphas):
-    """M(x^alpha) = A x^alpha(P) at each target in turn, from one one-node
-    table (P, A): the paper's M, which no spread changes, so a family
-    system keeps these with its moment batch."""
-    return map(NodeTable((centroid,), (volume,)).sum, alphas)
+    @staticmethod
+    def row(m, t, moment) -> tuple[Scalar, Scalar]:
+        """One target's row from its M, T and moment, which the simplex3
+        vertex search also reads with T from its table of candidates."""
+        return scalars.sub(m, t), scalars.sub(moment, t)
 
-
-def _spread_sums(volume, spread, alphas):
-    """T(x^alpha) at each target in turn, from one table of the k spread
-    nodes, each weighted A/k; an empty spread raises ValueError."""
-    if not spread:
-        raise ValueError("the spread T needs at least one boundary node")
-    share = scalars.div(volume, Fraction(len(spread)))
-    return map(NodeTable(spread, (share,) * len(spread)).sum, alphas)
-
-
-def _paper_rows(m_sums, t_sums, moments):
-    """(M - T, moment - T) at x^alpha, lazily for each target in turn: the
-    rows lam*(M - T) == moment - T of ``solve_lambda``, the family systems
-    and the simplex3 vertex search, whose blend residual at lam is
-    lam*(M - T) - (moment - T).  M comes from ``_centroid_sums``, which a
-    family system computes once; T from ``_spread_sums``, one table per
-    spread, or from the vertex search's table of candidate nodes."""
-    return ((scalars.sub(m, t), scalars.sub(moment, t))
-            for m, t, moment in zip(m_sums, t_sums, moments))
+    def rule(self, lam, spread, label: str) -> CubatureRule:
+        """The blend at the exact ``spread`` after ``check``: the centroid
+        with weight lam*A, then each spread node with (1-lam)*A/k; nodes
+        whose weight is exactly zero are dropped.  An empty spread is
+        allowed only at lam = 1, and raises ValueError elsewhere."""
+        self.check(spread)
+        lam = as_scalar(lam)
+        pairs = [(self.centroid, scalars.mul(lam, self.volume))]
+        if spread or not scalars.eq(lam, 1):
+            share = scalars.mul(scalars.sub(Fraction(1), lam), self._share(spread))
+            pairs += [(p, share) for p in spread]
+        kept = [(p, w) for p, w in pairs if not is_zero(w)]
+        return _located_rule(self.region, tuple(p for p, _ in kept), tuple(w for _, w in kept), label)
 
 
 def blend(lam, region: Region, spread, label: str = "") -> CubatureRule:
     """The paper's rule lam*M(f) + (1-lam)*T(f) on ``region`` for an exact
-    scalar lam, checked by ``_paper_form`` (also at lam = 0).  Nodes whose
-    weight is exactly zero are dropped, so lam in {0, 1} leaves the spread
-    or the centroid alone.
+    scalar lam, checked by ``PaperForm.check`` (also at lam = 0).  Nodes
+    whose weight is exactly zero are dropped, so lam in {0, 1} leaves the
+    spread or the centroid alone.
     """
-    volume, centroid, spread, _ = _paper_form(region, spread)
-    return _located_rule(region, *_blend_layout(as_scalar(lam), volume, centroid, spread), label)
+    spread = tuple(tuple(as_scalar(c) for c in p) for p in spread)
+    return PaperForm(region).rule(lam, spread, label)
 
 
 # CR1..CR3 are built for n <= MAX_RULE_DIMENSION only: CR3(n) has 2^n + 1

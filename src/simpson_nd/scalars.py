@@ -22,6 +22,7 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import IncompatibleScalars, WorkLimit
+from .record import _immutable
 
 Rational = Fraction
 
@@ -117,9 +118,7 @@ class _Exact:
     itself, as Fraction does, and Quad decides every mixed Quad/PiMultiple case."""
 
     __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} values are immutable")
+    __setattr__ = __delattr__ = _immutable
 
     def __str__(self):
         return format_scalar(self)

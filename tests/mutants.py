@@ -192,10 +192,12 @@ MUTANTS = [
         "cls.__setattr__ = cls.__delattr__ = lambda self, *args: None",
         ["tests/test_record.py::test_records_are_immutable"],
     ),
-    # the family rows: a vertex-search placement summed without face 4's
-    # term, the residual lam*coef - rhs with its sign flipped, M taken as
-    # the volume without the centroid's power, and T weighing each spread
-    # node with the whole volume instead of volume/k
+    # the paper's form and the family rows: a vertex-search placement
+    # summed without face 4's term, the residual lam*coef - rhs with its
+    # sign flipped, M taken as the volume without the centroid's power, T
+    # weighing each spread node with the whole volume instead of volume/k,
+    # a centroid outside the region let through, and an empty spread let
+    # through at lam != 1
     (
         "families.py",
         "sums = [t[i] + t[j] + t[k] + t[m] for t in terms]",
@@ -214,8 +216,8 @@ MUTANTS = [
     ),
     (
         "rules.py",
-        "return map(NodeTable((centroid,), (volume,)).sum, alphas)",
-        "return (volume for _ in alphas)",
+        "return tuple(map(NodeTable((self.centroid,), (self.volume,)).sum, self.alphas))",
+        "return tuple(self.volume for _ in self.alphas)",
         [
             "tests/test_families.py::test_system_residuals_match_a_direct_sum",
             "tests/test_families.py::test_family_lambda_matches_its_closed_form",
@@ -225,13 +227,25 @@ MUTANTS = [
     ),
     (
         "rules.py",
-        "share = scalars.div(volume, Fraction(len(spread)))",
-        "share = volume",
+        "return scalars.div(self.volume, Fraction(len(spread)))",
+        "return self.volume",
         [
             "tests/test_families.py::test_system_residuals_match_a_direct_sum",
             "tests/test_families.py::"
             "test_solve_lambda_on_seeded_family_spreads_matches_the_two_rule_solve",
         ],
+    ),
+    (
+        "rules.py",
+        "if inside < 0:",
+        "if inside < -1:",
+        ["tests/test_rules.py::test_blend_checks_the_centroid_even_when_its_weight_is_zero"],
+    ),
+    (
+        "rules.py",
+        "if spread or not scalars.eq(lam, 1):",
+        "if spread:",
+        ["tests/test_rules.py::test_an_empty_spread_is_a_domain_error_but_at_lam_1"],
     ),
 ]
 

@@ -510,6 +510,12 @@ def test_family_point_precedence(capsys):
         code, out, err = run_cli(capsys, "family", system, "--point", "1,2")
         assert (code, out) == (1, "")
         assert f"expected {count} comma-separated rationals, got '1,2'" in err
+    # an empty field is refused, not dropped; spaces around a field are not fields
+    for given in ("1,2,,3,4", "1,2,3,4,", ",1,2,3,4", "1,2, ,3"):
+        code, out, err = run_cli(capsys, "family", "triangle", "--point", given)
+        assert (code, out) == (1, "")
+        assert f"expected 4 comma-separated rationals, got {given!r}" in err
+    assert run_cli(capsys, "family", "triangle", "--point", " 1, 2 ,3,4 ")[0] == 0
 
 
 @pytest.mark.parametrize(

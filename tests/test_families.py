@@ -342,7 +342,7 @@ def test_a_blend_system_asks_its_region_once(monkeypatch):
         )
         calls.clear()
         system.residuals((0,) * count, 1)
-        n = system.region.dimension
+        n = system.form.region.dimension
         basis = {(0,) * n} | {tuple(int(i == k) for i in range(n)) for k in range(n)}
         assert len(calls) == 1
         assert sorted(calls[0]) == sorted(basis | set(template.alphas))
@@ -416,15 +416,16 @@ def _count(monkeypatch, owner, name):
     ["family", "triangle", "--param", "1/3"], ["family", "square", "--param", "1/3"],
 ], ids=["triangle", "square"])
 def test_a_family_request_solves_for_lam_once(monkeypatch, capsys, argv):
-    calls = _count(monkeypatch, families.BlendSystem, "blend_parameter")
+    """lam and the residuals the command prints come from one row pass."""
+    passes = _count(monkeypatch, rules.PaperForm, "rows")
     assert cli.run(argv) == 0
-    assert len(calls) == 1
+    assert len(passes) == 1
 
 
 def test_verify_triangle_family_solves_for_lam_once(monkeypatch):
     """lam and the residuals at lam come from one row pass, for both
     families."""
-    passes = _count(monkeypatch, families, "_paper_rows")
+    passes = _count(monkeypatch, rules.PaperForm, "rows")
     ok, _ = verify_triangle_family(Fraction(2, 7))
     assert ok
     assert len(passes) == 1
@@ -435,23 +436,24 @@ def test_verify_triangle_family_solves_for_lam_once(monkeypatch):
 
 @pytest.mark.parametrize("read", [0, 1, 5])
 def test_paper_rows_build_two_tables_however_many_rows_are_read(monkeypatch, read):
-    """A row pass builds one spread table, and the one-node M table only
-    when the caller has no M sums, which a family system keeps."""
-    volume, center, moments, m_sums = families._TRIANGLE._constants
+    """A form's row pass builds one spread table, and the one-node M table
+    only on the form's first pass: a family system keeps its form."""
+    system = families._TRIANGLE
+    assert system.form.m_sums
     params = (Fraction(1, 4), Fraction(3, 4), Fraction(3, 4))
-    nodes = families._TRIANGLE.nodes(params)
-    alphas = families._TRIANGLE.alphas
+    nodes = system.nodes(params)
     tables = _count(monkeypatch, rules, "NodeTable")
-    rows = rules._paper_rows(rules._centroid_sums(volume, center, alphas),
-                             rules._spread_sums(volume, nodes, alphas), moments)
+    form = rules.PaperForm(system.form.region, system.alphas)
+    rows = form.rows(nodes)
     assert len(list(itertools.islice(rows, read))) == read
     assert len(tables) == 2
-    system_rows = families._TRIANGLE.rows(params)
+    assert tables[0][0] == (form.centroid,) and tables[1][0] == nodes
+    system_rows = system.rows(params)
     assert len(list(itertools.islice(system_rows, read))) == read
     assert len(tables) == 3
     assert tables[2][0] == nodes
     # both passes give the same rows
-    assert list(rows) == list(system_rows) == list(families._TRIANGLE.rows(params))[read:]
+    assert list(rows) == list(system_rows) == list(system.rows(params))[read:]
 
 
 # ------------------------------------------------- rows against direct sums
@@ -683,7 +685,7 @@ def test_pruned_vertex_search_returns_the_unpruned_search_in_order():
 def test_vertex_search_sums_every_candidate_from_one_table(monkeypatch):
     """One NodeTable of the 12 candidate nodes; the system's M sums are
     kept from before."""
-    assert families._SIMPLEX3._constants
+    assert families._SIMPLEX3.form.m_sums
     here, there = (_count(monkeypatch, module, "NodeTable") for module in (families, rules))
     solutions = simplex3_vertex_solutions()
     assert (len(here), len(there)) == (1, 0)

@@ -338,9 +338,9 @@ def _count_region_calls(monkeypatch) -> Counter:
 
 @pytest.mark.parametrize("build", list(_BUILDS.values()), ids=list(_BUILDS))
 def test_a_build_asks_its_region_once_and_makes_one_rule(monkeypatch, build):
-    # a family rule reads its system's cached batch: start each build without one
+    # a family rule reads its system's cached form: start each build without one
     for system in (families._TRIANGLE, families._SQUARE, families._SIMPLEX3):
-        monkeypatch.delitem(system.__dict__, "_constants", raising=False)
+        monkeypatch.delitem(system.__dict__, "form", raising=False)
     calls = _count_region_calls(monkeypatch)
     rule = build()
     assert calls == {"moments": 1, "locate": 1, "rule": 1}
@@ -733,6 +733,9 @@ REFUSALS = {
     "negative power": (lambda: _X ** -1, ValueError, r"^exponent must be non-negative$"),
     "a polynomial set after it is made": (
         lambda: setattr(_X, "terms", {}), AttributeError, r"^MonomialPoly values are immutable$",
+    ),
+    "a polynomial's terms deleted": (
+        lambda: delattr(_X, "terms"), AttributeError, r"^MonomialPoly values are immutable$",
     ),
     "rule with no nodes": (
         lambda: CubatureRule(Simplex(2), (), ()), ValueError,

@@ -465,6 +465,13 @@ REFUSALS = {
         lambda: setattr(PiMultiple(1), "coefficient", 2), AttributeError,
         r"^PiMultiple values are immutable$",
     ),
+    "a sqrt value's part deleted": (
+        lambda: delattr(Quad(1, 2, 3), "a"), AttributeError, r"^Quad values are immutable$",
+    ),
+    "a pi multiple's coefficient deleted": (
+        lambda: delattr(PiMultiple(3), "coefficient"), AttributeError,
+        r"^PiMultiple values are immutable$",
+    ),
 }
 
 
