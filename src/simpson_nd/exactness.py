@@ -113,7 +113,7 @@ def residual(rule: CubatureRule, alpha) -> Scalar:
         raise DimensionMismatch(
             f"multi-index {alpha} does not match region dimension"
         )
-    return scalars.sub(NodeTable(rule.nodes, rule.weights).sum(alpha), rule.region.moment(alpha))
+    return scalars.sub(rule.table.sum(alpha), rule.region.moment(alpha))
 
 
 @record
@@ -161,8 +161,55 @@ def scans_orbits(region: Region, table: NodeTable) -> bool:
     return True
 
 
+def _moment_views(region: Region, table: NodeTable, alphas) -> list:
+    """Each moment of ``alphas`` as (M, q) on the table's view: the moment,
+    or its pi coefficient when the table sums pi weights, is M / q with M
+    an int, or an int pair over the table's radicand.  A simplex or a cube
+    gives int pairs; any other region one ``moments`` batch.  A moment
+    outside the table's ring is None: its residual is left to the scalars."""
+    d, pi = table.radicand, table.pi
+    if isinstance(region, (Simplex, Cube)):
+        if pi:
+            return [None] * len(alphas)
+        return [(m if d is None else (m, 0), q) for m, q in map(region._moment_pair, alphas)]
+    views = []
+    for moment in region.moments(alphas):
+        if pi != (type(moment) is PiMultiple):
+            views.append(None)
+            continue
+        if pi:
+            moment = moment.coefficient
+        if type(moment) is Fraction:
+            m = moment.numerator
+            views.append((m if d is None else (m, 0), moment.denominator))
+        elif moment.d == d:
+            q, (m,) = scalars.integer_view([moment], d)
+            views.append((m, q))
+        else:
+            views.append(None)
+    return views
+
+
+def _vanishes(terms, moment, scale, d) -> bool:
+    """Whether a table's sum equals the moment (M, q), on ints: the sum is
+    (sum_j W_j X_j^alpha) / scale, for the terms W_j X_j^alpha and
+    scale = Dw D^|alpha|, so the residual is zero when
+    (sum_j W_j X_j^alpha) q == M scale, over Z[sqrt d] on both parts."""
+    m, q = moment
+    if d is None:
+        return sum(terms) * q == m * scale
+    total = scalars.view_sum(terms, d)
+    return total[0] * q == m[0] * scale and total[1] * q == m[1] * scale
+
+
 def exactness_degree(rule: CubatureRule, max_degree: int) -> ExactnessReport:
     """Scan residuals degree by degree; certify through the last clean degree.
+
+    The scan reads the rule's table and takes each degree's moments at
+    once (``_moment_views``).  A residual is tested for zero on the
+    integer view (``_vanishes``), and only the first nonzero one is built
+    as a scalar; a residual whose moment is outside the table's ring is
+    built as a scalar and tested with ``is_zero``.
 
     Both the sum and the moment of a monomial are unchanged when the rule
     scans orbits and its coordinates are permuted, so the first failing
@@ -170,13 +217,16 @@ def exactness_degree(rule: CubatureRule, max_degree: int) -> ExactnessReport:
     report is the full scan's."""
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
-    region = rule.region
-    table = NodeTable(rule.nodes, rule.weights)
+    region, table = rule.region, rule.table
     scan = sorted_monomials_of_degree if scans_orbits(region, table) else monomials_of_degree
     for d in range(max_degree + 1):
-        for alpha in scan(region.dimension, d):
+        alphas = list(scan(region.dimension, d))
+        scale = table.weight_denominator * table.denominator ** d
+        for alpha, moment in zip(alphas, _moment_views(region, table, alphas)):
+            if moment is not None and _vanishes(table.terms(alpha), moment, scale, table.radicand):
+                continue
             r = scalars.sub(table.sum(alpha), region.moment(alpha))
-            if not is_zero(r):
+            if moment is not None or not is_zero(r):
                 return ExactnessReport(rule.label, d - 1, alpha, r, max_degree)
     return ExactnessReport(rule.label, max_degree, None, None, max_degree)
 
@@ -230,7 +280,7 @@ def solve_lambda(region: Region, spread, targets) -> LinearSolveOutcome:
     with the defining equation as witness.
     """
     targets = [tuple(int(e) for e in alpha) for alpha in targets]
-    spread = tuple(tuple(scalars.as_scalar(c) for c in p) for p in spread)
+    spread = scalars.as_points(spread)
     form = PaperForm(region, targets)
     form.check(spread)
     rows = form.rows(spread)
@@ -396,7 +446,7 @@ def solve_weights(nodes, targets, moments) -> LinearSolveOutcome:
     0 == nonzero.  Rows past MAX_DENOMINATOR_BITS or MAX_ELIMINATION_WORK
     raise WorkLimit before elimination.
     """
-    nodes = tuple(tuple(scalars.as_scalar(c) for c in p) for p in nodes)
+    nodes = scalars.as_points(nodes)
     targets = [tuple(int(e) for e in alpha) for alpha in targets]
     nunk = len(nodes)
     moments = list(moments)

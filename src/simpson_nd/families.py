@@ -462,7 +462,7 @@ def integrate_interpolant(region: Region, basis, nodes, data) -> Scalar:
     WorkLimit.
     """
     basis = [tuple(int(e) for e in alpha) for alpha in basis]
-    nodes = tuple(tuple(as_scalar(c) for c in p) for p in nodes)
+    nodes = scalars.as_points(nodes)
     data = tuple(as_scalar(v) for v in data)
     if not (len(basis) == len(nodes) == len(data)):
         raise ValueError("basis, nodes, and data must have equal length")

@@ -16,11 +16,14 @@ from math import factorial, prod
 from . import scalars
 from .errors import DimensionMismatch, NoVertices, WorkLimit
 from .record import record
-from .scalars import PiMultiple, Scalar, as_scalar, quad
+from .scalars import PiMultiple, Scalar, quad
 from .scalars import view_minus, view_plus, view_sign, view_sum, view_times
 
 MultiIndex = tuple[int, ...]
 Point = tuple[Scalar, ...]
+
+# the exact 0 and 1 that every simplex and cube vertex shares
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 def _check_index(alpha, dimension: int) -> MultiIndex:
@@ -50,6 +53,18 @@ def _point_view(points, dimension: int):
     return den, d, [view[i:i + dimension] for i in range(0, len(view), dimension)]
 
 
+class Located(list):
+    """What ``locate`` returns: the sign of each point, and as ``view`` the
+    (D, d, rows) of ``_point_view`` for those points, so that a rule's
+    ``NodeTable`` can start from the view its membership check built."""
+
+    __slots__ = ("view",)
+
+    def __init__(self, signs, view):
+        super().__init__(signs)
+        self.view = view
+
+
 class Region:
     """Base of the four regions.  Each region supplies ``moment`` (and a
     batch ``moments`` when it has a faster one); volume and centroid, the
@@ -57,9 +72,12 @@ class Region:
     moments, asked for here in one batch, together with any other moments
     a caller needs (``mass_and_moments``).  Its one membership routine,
     ``locate(points)``, gives -1 (outside), 0 (boundary) or +1 (inside) per
-    point from one ``_point_view`` of the list; ``contains`` and
-    ``on_boundary`` ask it about one point, and each region keeps
-    ``contains`` in its own ``__dict__`` for ``benchmarks/tracing.py``."""
+    point from one ``_point_view`` of the list, and hands that view back on
+    the ``Located`` list of signs; ``contains`` and ``on_boundary`` ask it
+    about one point, and each region keeps ``contains`` in its own
+    ``__dict__`` for ``benchmarks/tracing.py``.  A simplex and a cube give
+    their centroid in closed form (``_closed_centroid``) and each moment as
+    an int pair (``_moment_pair``)."""
 
     __slots__ = ()
 
@@ -75,18 +93,26 @@ class Region:
     def volume(self) -> Scalar:
         return self.moment((0,) * self.dimension)
 
+    def _closed_centroid(self):
+        """The centroid in closed form, or None to divide the first moments
+        by the volume."""
+        return None
+
     def mass_and_moments(self, alphas) -> tuple[Scalar, Point, tuple[Scalar, ...]]:
         """(volume, centroid, the moment of each index in ``alphas``) from
-        one ``moments`` batch over the zero index, the unit vectors and
-        ``alphas``, each distinct index asked once: all that the blend
-        lam*M + (1-lam)*T asks of its region."""
+        one ``moments`` batch over the zero index, the unit vectors (unless
+        the centroid has a closed form) and ``alphas``, each distinct index
+        asked once: all that the blend lam*M + (1-lam)*T asks of its region."""
         n = self.dimension
-        basis = [(0,) * n] + [(0,) * k + (1,) + (0,) * (n - 1 - k) for k in range(n)]
+        zero = (0,) * n
+        centroid = self._closed_centroid()
+        units = [(0,) * k + (1,) + (0,) * (n - 1 - k) for k in range(n)] if centroid is None else []
         alphas = [tuple(int(e) for e in alpha) for alpha in alphas]
-        batch = list(dict.fromkeys(basis + alphas))
+        batch = list(dict.fromkeys([zero] + units + alphas))
         values = dict(zip(batch, self.moments(batch)))
-        volume = values[basis[0]]
-        centroid = tuple(scalars.div(values[unit], volume) for unit in basis[1:])
+        volume = values[zero]
+        if units:
+            centroid = tuple(scalars.div(values[unit], volume) for unit in units)
         return volume, centroid, tuple(values[alpha] for alpha in alphas)
 
     def mass(self) -> tuple[Scalar, Point]:
@@ -110,26 +136,28 @@ class Simplex(Region):
 
     def vertices(self) -> tuple[Point, ...]:
         n = self.dimension
-        pts = [tuple(Fraction(0) for _ in range(n))]
-        for k in range(n):
-            pts.append(tuple(Fraction(1 if i == k else 0) for i in range(n)))
-        return tuple(pts)
+        return ((_ZERO,) * n,) + tuple((_ZERO,) * k + (_ONE,) + (_ZERO,) * (n - 1 - k)
+                                       for k in range(n))
+
+    def _closed_centroid(self) -> Point:
+        return (Fraction(1, self.dimension + 1),) * self.dimension
+
+    def _moment_pair(self, alpha) -> tuple[int, int]:
+        """(prod alpha_i!, (n + |alpha|)!), the moment of an index already
+        checked, unreduced."""
+        return prod(map(factorial, alpha)), factorial(self.dimension + sum(alpha))
 
     def moment(self, alpha) -> Scalar:
         """Dirichlet formula: integral of x^alpha equals
         (prod alpha_i!) / (n + |alpha|)!."""
-        alpha = _check_index(alpha, self.dimension)
-        num = 1
-        for e in alpha:
-            num *= factorial(e)
-        return Fraction(num, factorial(self.dimension + sum(alpha)))
+        return Fraction(*self._moment_pair(_check_index(alpha, self.dimension)))
 
-    def locate(self, points) -> list[int]:
+    def locate(self, points) -> Located:
         """min(sign(X_i), sign(D - sum X_i)) per point, for X = D x."""
-        den, d, rows = _point_view(points, self.dimension)
+        view = den, d, rows = _point_view(points, self.dimension)
         top = den if d is None else (den, 0)
-        return [min(view_sign(view_minus(top, view_sum(row, d), d), d),
-                    *(view_sign(x, d) for x in row)) for row in rows]
+        return Located([min(view_sign(view_minus(top, view_sum(row, d), d), d),
+                            *(view_sign(x, d) for x in row)) for row in rows], view)
 
     contains = Region.contains
 
@@ -146,22 +174,25 @@ class Cube(Region):
 
     def vertices(self) -> tuple[Point, ...]:
         # lexicographic over {0,1}^n with the leftmost coordinate most significant
-        return tuple(
-            tuple(Fraction(b) for b in bits)
-            for bits in itertools.product((0, 1), repeat=self.dimension)
-        )
+        return tuple(itertools.product((_ZERO, _ONE), repeat=self.dimension))
+
+    def _closed_centroid(self) -> Point:
+        return (Fraction(1, 2),) * self.dimension
+
+    def _moment_pair(self, alpha) -> tuple[int, int]:
+        """(1, prod (alpha_i + 1)), the moment of an index already checked."""
+        return 1, prod(e + 1 for e in alpha)
 
     def moment(self, alpha) -> Scalar:
-        alpha = _check_index(alpha, self.dimension)
-        return Fraction(1, prod(e + 1 for e in alpha))
+        return Fraction(*self._moment_pair(_check_index(alpha, self.dimension)))
 
-    def locate(self, points) -> list[int]:
+    def locate(self, points) -> Located:
         """min over i of sign(X_i) and sign(D - X_i) per point, for X = D x."""
-        den, d, rows = _point_view(points, self.dimension)
+        view = den, d, rows = _point_view(points, self.dimension)
         if d is None:
-            return [view_sign(min(min(row), den - max(row)), d) for row in rows]
-        return [min(view_sign(v, d) for x in row for v in (x, view_minus((den, 0), x, d)))
-                for row in rows]
+            return Located([view_sign(min(min(row), den - max(row)), d) for row in rows], view)
+        return Located([min(view_sign(v, d) for x in row for v in (x, view_minus((den, 0), x, d)))
+                        for row in rows], view)
 
     contains = Region.contains
 
@@ -256,7 +287,7 @@ class Polygon(Region):
     vertex_list: tuple[Point, ...]
 
     def __init__(self, vertex_list):
-        pts = tuple(tuple(map(as_scalar, v)) for v in vertex_list)
+        pts = scalars.as_points(vertex_list)
         if len(pts) < 3:
             raise ValueError("polygon needs at least 3 vertices")
         if len(pts) > MAX_POLYGON_VERTICES:
@@ -377,12 +408,13 @@ class Polygon(Region):
             a_above, h_above = a_row, h_row
         return tuple(totals[alpha] for alpha in alphas)
 
-    def locate(self, points) -> list[int]:
-        """``_polygon_sign`` per point, on one view of vertices and points."""
+    def locate(self, points) -> Located:
+        """``_polygon_sign`` per point, on one view of vertices and points;
+        the view handed back is the points' rows over that D."""
         m = len(self.vertex_list)
-        _, d, rows = _point_view(self.vertex_list + tuple(points), 2)
+        den, d, rows = _point_view(self.vertex_list + tuple(points), 2)
         edges = list(zip(rows[:m], rows[1:m] + rows[:1]))
-        return [_polygon_sign(pt, edges, d) for pt in rows[m:]]
+        return Located([_polygon_sign(pt, edges, d) for pt in rows[m:]], (den, d, rows[m:]))
 
     contains = Region.contains
 
@@ -413,12 +445,12 @@ class UnitDisc(Region):
                      (m + n + 2) * _double_factorial(m + n))
         )
 
-    def locate(self, points) -> list[int]:
+    def locate(self, points) -> Located:
         """sign(D^2 - X^2 - Y^2) per point, on the view (X, Y) = D (x, y)."""
-        den, d, rows = _point_view(points, self.dimension)
+        view = den, d, rows = _point_view(points, self.dimension)
         top = den * den if d is None else (den * den, 0)
         squares = [view_plus(view_times(x, x, d), view_times(y, y, d), d) for x, y in rows]
-        return [view_sign(view_minus(top, rr, d), d) for rr in squares]
+        return Located([view_sign(view_minus(top, rr, d), d) for rr in squares], view)
 
     contains = Region.contains
 

@@ -11,6 +11,7 @@ by ``blend`` from one ``PaperForm``: one moment batch of its region and one
 
 from __future__ import annotations
 
+import math
 import operator
 from collections import Counter
 from fractions import Fraction
@@ -148,12 +149,19 @@ class NodeTable:
     one way: a pi coordinate, a pi weight beside a pi-free one or a second
     radicand raises IncompatibleScalars, and nodes of different lengths
     raise DimensionMismatch.
+
+    ``view``, when given, is the (D, d, rows) of the nodes that a ``locate``
+    call built (``regions.Located.view``), one row per node over a common
+    denominator D of the nodes and possibly of points beside them.  Over
+    the table's radicand, the table takes its columns from those rows,
+    divided by g = gcd(D, every entry), so that D / g is the nodes' own
+    lcm and the table is the one a second view of the nodes would build.
     """
 
     __slots__ = ("nodes", "weights", "dimension", "radicand", "pi", "columns",
                  "scaled_weights", "denominator", "weight_denominator")
 
-    def __init__(self, nodes, weights):
+    def __init__(self, nodes, weights, view=None):
         pairs = tuple(zip(nodes, weights))
         self.nodes = tuple(p for p, _ in pairs)
         self.weights = tuple(w for _, w in pairs)
@@ -164,8 +172,18 @@ class NodeTable:
         weights = [w.coefficient for w in self.weights] if self.pi else list(self.weights)
         coordinates = list(chain.from_iterable(zip(*self.nodes)))
         d = self.radicand = scalars.radicand(coordinates + weights, "sum")
-        self.denominator, flat = scalars.integer_view(coordinates, d)
         self.weight_denominator, self.scaled_weights = scalars.integer_view(weights, d)
+        if view is not None and view[1] == d:
+            den, _, rows = view
+            entries = chain.from_iterable(rows)
+            g = math.gcd(den, *(entries if d is None else chain.from_iterable(entries)))
+            if g > 1:
+                rows = [[x // g if d is None else (x[0] // g, x[1] // g) for x in row]
+                        for row in rows]
+            self.denominator = den // g
+            self.columns = tuple(map(list, zip(*rows)))
+            return
+        self.denominator, flat = scalars.integer_view(coordinates, d)
         n = len(self.nodes)
         self.columns = tuple(flat[i:i + n] for i in range(0, len(flat), n))
 
@@ -208,7 +226,12 @@ def monomial(alpha, coefficient=1) -> MonomialPoly:
 
 @record
 class CubatureRule:
-    """Finite node/weight list over a region, all entries exact."""
+    """Finite node/weight list over a region, all entries exact.
+
+    ``table`` is the rule's one ``NodeTable``, built on first use;
+    residuals, weight sums and polynomial sums all read it.  A rule that
+    its builder located (``_located_rule``) starts it from the view of that
+    ``locate`` call, which it holds until then."""
 
     region: Region
     nodes: tuple[Point, ...]
@@ -216,7 +239,7 @@ class CubatureRule:
     label: str = ""
 
     def __post_init__(self):
-        nodes = tuple(tuple(as_scalar(c) for c in p) for p in self.nodes)
+        nodes = scalars.as_points(self.nodes)
         weights = tuple(as_scalar(w) for w in self.weights)
         if len(nodes) == 0 or len(nodes) != len(weights):
             raise ValueError("rule needs equally many nodes and weights, at least one")
@@ -231,8 +254,12 @@ class CubatureRule:
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
 
+    @cached_property
+    def table(self) -> NodeTable:
+        return NodeTable(self.nodes, self.weights, self.__dict__.pop("_view", None))
+
     def weight_sum(self) -> Scalar:
-        return NodeTable(self.nodes, self.weights).sum((0,) * self.region.dimension)
+        return self.table.sum((0,) * self.region.dimension)
 
     def apply_poly(self, poly: MonomialPoly) -> Scalar:
         """Exact weighted sum of polynomial values at the nodes."""
@@ -240,7 +267,7 @@ class CubatureRule:
             raise DimensionMismatch(
                 f"polynomial dimension {poly.dimension} does not match region"
             )
-        return NodeTable(self.nodes, self.weights).apply(poly)
+        return self.table.apply(poly)
 
 
 def midpoint_rule(region: Region) -> CubatureRule:
@@ -255,24 +282,26 @@ def vertex_rule(region: Region) -> CubatureRule:
     return CubatureRule(region, verts, tuple(w for _ in verts), label="vertex")
 
 
-def _located_rule(region: Region, nodes, weights, label: str) -> CubatureRule:
-    """A rule of exact values that its builder located where they entered:
-    it skips the second ``locate`` call that ``__post_init__`` makes."""
+def _located_rule(region: Region, nodes, weights, label: str, view) -> CubatureRule:
+    """A rule of exact values that its builder located where they entered,
+    with ``view``, the rows of its nodes from that ``locate`` call: it skips
+    the second call that ``__post_init__`` makes."""
     rule = object.__new__(CubatureRule)
-    rule.__dict__.update(region=region, nodes=nodes, weights=weights, label=label)
+    rule.__dict__.update(region=region, nodes=nodes, weights=weights, label=label, _view=view)
     return rule
 
 
 def boundary_rule(region: Region, nodes) -> CubatureRule:
     """Equal weights volume/(node count) at caller-chosen boundary nodes."""
-    nodes = tuple(tuple(as_scalar(c) for c in p) for p in nodes)
+    nodes = scalars.as_points(nodes)
     if not nodes:
         raise ValueError("the spread T needs at least one boundary node")
-    for p, s in zip(nodes, region.locate(nodes)):
+    located = region.locate(nodes)
+    for p, s in zip(nodes, located):
         if s:
             raise NodeNotOnBoundary(f"node {p} is not on the region boundary")
     w = scalars.div(region.moments([(0,) * region.dimension])[0], Fraction(len(nodes)))
-    return _located_rule(region, nodes, tuple(w for _ in nodes), "boundary")
+    return _located_rule(region, nodes, tuple(w for _ in nodes), "boundary", located.view)
 
 
 class PaperForm:
@@ -295,16 +324,19 @@ class PaperForm:
     def m_sums(self) -> tuple[Scalar, ...]:
         return tuple(map(NodeTable((self.centroid,), (self.volume,)).sum, self.alphas))
 
-    def check(self, spread) -> None:
+    def check(self, spread):
         """One ``locate`` call over P and the exact ``spread``: it raises
         NodeOutsideRegion for a centroid outside the region and
-        NodeNotOnBoundary for the first spread node off the boundary."""
-        inside, *signs = self.region.locate((self.centroid,) + spread)
+        NodeNotOnBoundary for the first spread node off the boundary.
+        Returns the (D, d, rows) view of P and the spread that it built."""
+        located = self.region.locate((self.centroid,) + spread)
+        inside, *signs = located
         if inside < 0:
             raise NodeOutsideRegion(f"node {self.centroid} lies outside the region")
         for p, s in zip(spread, signs):
             if s:
                 raise NodeNotOnBoundary(f"node {p} is not on the region boundary")
+        return located.view
 
     def _share(self, spread) -> Scalar:
         """A/k, T's weight on each of the k spread nodes; an empty spread
@@ -331,16 +363,19 @@ class PaperForm:
     def rule(self, lam, spread, label: str) -> CubatureRule:
         """The blend at the exact ``spread`` after ``check``: the centroid
         with weight lam*A, then each spread node with (1-lam)*A/k; nodes
-        whose weight is exactly zero are dropped.  An empty spread is
-        allowed only at lam = 1, and raises ValueError elsewhere."""
-        self.check(spread)
+        whose weight is exactly zero are dropped, and so are their rows of
+        the check's view, which the rule keeps for its table.  An empty
+        spread is allowed only at lam = 1, and raises ValueError elsewhere."""
+        den, d, rows = self.check(spread)
         lam = as_scalar(lam)
         pairs = [(self.centroid, scalars.mul(lam, self.volume))]
         if spread or not scalars.eq(lam, 1):
             share = scalars.mul(scalars.sub(Fraction(1), lam), self._share(spread))
             pairs += [(p, share) for p in spread]
-        kept = [(p, w) for p, w in pairs if not is_zero(w)]
-        return _located_rule(self.region, tuple(p for p, _ in kept), tuple(w for _, w in kept), label)
+        kept = [k for k, (_, w) in enumerate(pairs) if not is_zero(w)]
+        return _located_rule(self.region, tuple(pairs[k][0] for k in kept),
+                             tuple(pairs[k][1] for k in kept), label,
+                             (den, d, [rows[k] for k in kept]))
 
 
 def blend(lam, region: Region, spread, label: str = "") -> CubatureRule:
@@ -349,7 +384,7 @@ def blend(lam, region: Region, spread, label: str = "") -> CubatureRule:
     whose weight is exactly zero are dropped, so lam in {0, 1} leaves the
     spread or the centroid alone.
     """
-    spread = tuple(tuple(as_scalar(c) for c in p) for p in spread)
+    spread = scalars.as_points(spread)
     return PaperForm(region).rule(lam, spread, label)
 
 

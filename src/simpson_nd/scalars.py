@@ -15,6 +15,7 @@ Z[sqrt d], on which polygons, node tables and the elimination compute.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 import sys
@@ -83,6 +84,17 @@ def as_scalar(x) -> Scalar:
     if (value := _operand(x)) is None:
         raise TypeError(f"not an exact scalar: {x!r}")
     return value
+
+
+def as_points(points) -> tuple:
+    """Each point a tuple of ``as_scalar`` values.  Points that are
+    tuples of exact scalars already, as region vertices are, come back as
+    they are, after one pass over the types."""
+    points = tuple(points)
+    if set(map(type, points)) <= {tuple} and set(
+            map(type, itertools.chain.from_iterable(points))) <= {Fraction, Quad, PiMultiple}:
+        return points
+    return tuple(tuple(map(as_scalar, p)) for p in points)
 
 
 def quad(a, b, d: int) -> Scalar:

@@ -247,6 +247,37 @@ MUTANTS = [
         "if spread:",
         ["tests/test_rules.py::test_an_empty_spread_is_a_domain_error_but_at_lam_1"],
     ),
+    # the scan on the integer view: the zero test scaled by D^(|alpha| - 1)
+    # instead of D^|alpha|, the moment's denominator dropped from it, and a
+    # blend's table keeping the rows of the nodes whose weight is zero
+    (
+        "exactness.py",
+        "scale = table.weight_denominator * table.denominator ** d",
+        "scale = table.weight_denominator * table.denominator ** (d - 1)",
+        [
+            "tests/test_exactness.py::test_the_integer_scan_gives_the_full_scalar_scan_report",
+            "tests/test_exactness.py::test_orbit_scan_gives_the_full_scan_report",
+            "tests/test_exactness.py::test_the_scan_builds_only_the_failing_residual_as_a_scalar",
+        ],
+    ),
+    (
+        "exactness.py",
+        "return sum(terms) * q == m * scale",
+        "return sum(terms) == m * scale",
+        [
+            "tests/test_exactness.py::test_the_integer_scan_gives_the_full_scalar_scan_report",
+            "tests/test_exactness.py::test_the_scan_builds_only_the_failing_residual_as_a_scalar",
+        ],
+    ),
+    (
+        "rules.py",
+        "(den, d, [rows[k] for k in kept])",
+        "(den, d, rows)",
+        [
+            "tests/test_rules.py::test_a_rules_table_is_the_table_of_its_nodes_and_weights",
+            "tests/test_exactness.py::test_the_integer_scan_gives_the_full_scalar_scan_report",
+        ],
+    ),
 ]
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from oracles import full_scan_report, scalar_solve_weights, steger_polygon_moment, two_rule_lambda
 from test_regions import _random_rational_polygon
-from simpson_nd import scalars
+from simpson_nd import rules, scalars
 from simpson_nd.errors import DimensionMismatch, NodeOutsideRegion
 from simpson_nd.exactness import (
     Infeasible,
@@ -725,3 +725,132 @@ def test_refusals(case):
     call, error, message = REFUSALS[case]
     with pytest.raises(error, match=message):
         call()
+
+
+def _simplex_boundary_point(rng, n):
+    """Barycentric weights k_0..k_n >= 0 over their sum, one of them 0."""
+    while True:
+        k = [rng.randint(0, 5) for _ in range(n + 1)]
+        k[rng.randrange(n + 1)] = 0
+        if sum(k):
+            return tuple(Fraction(x, sum(k)) for x in k[1:])
+
+
+def _cube_boundary_point(rng, n):
+    q = rng.randint(1, 6)
+    point = [Fraction(rng.randint(0, q), q) for _ in range(n)]
+    point[rng.randrange(n)] = Fraction(rng.randint(0, 1))
+    return tuple(point)
+
+
+def _polygon_spread(rng, vertices):
+    """Some vertices and edge midpoints of a convex polygon."""
+    pairs = list(zip(vertices, vertices[1:] + vertices[:1]))
+    points = list(vertices) + [tuple(scalars.div(scalars.add(a, b), 2) for a, b in zip(p, q))
+                               for p, q in pairs]
+    return rng.sample(points, rng.randint(1, len(points)))
+
+
+_CIRCLE_POINTS = DISC_AXIS_POINTS + tuple(
+    (Fraction(x, r), Fraction(y, r)) for x, y, r in ((3, 4, 5), (-5, 12, 13), (8, -15, 17)))
+
+
+def seeded_blends(seed=3600):
+    """(region, spread, lam) over Q, Q(sqrt d) and pi: simplices and cubes
+    with their vertices and with seeded boundary points, rational polygons
+    and polygons over Q(sqrt d) with some vertices and edge midpoints, the
+    paper's hexagon and trapezoid, and the disc with axis and rational
+    circle points; each spread at lam = 0, lam = 1 (where a row is dropped)
+    and a seeded lam."""
+    rng = random.Random(seed)
+    cases = []
+    for n in (1, 2, 3):
+        for region, boundary in ((Simplex(n), _simplex_boundary_point),
+                                 (Cube(n), _cube_boundary_point)):
+            cases.append((region, region.vertices()))
+            cases += [(region, [boundary(rng, n) for _ in range(rng.randint(1, 5))])
+                      for _ in range(2)]
+    for d in (None, None, 2, 3, 3893):
+        vertices = _conjugable_polygon(rng, d)
+        cases.append((Polygon(vertices), _polygon_spread(rng, vertices)))
+    for polygon in (hexagon_paper(), trapezoid_paper()):
+        cases.append((polygon, _polygon_spread(rng, list(polygon.vertex_list))))
+    cases.append((trapezoid_paper(), rules._cr5_boundary_nodes(False)))
+    cases += [(UnitDisc(), rng.sample(_CIRCLE_POINTS, rng.randint(1, 7))) for _ in range(3)]
+    return [(region, tuple(spread), lam) for region, spread in cases
+            for lam in (Fraction(0), Fraction(1),
+                        Fraction(rng.randint(-9, 9), rng.randint(1, 9)))]
+
+
+def _affine_images():
+    """The images of ``test_the_certified_degree_is_affine_invariant``."""
+    rng = random.Random(2110)
+    images = []
+    for build, vertices in _AFFINE_RULES:
+        rule = build()
+        rational = not any(isinstance(c, scalars.Quad) for p in rule.nodes for c in p)
+        for d in (None,) * 4 + ((2, 3, 5, 7) if rational else (None,) * 4):
+            apply, det = _affine_map(rng, d)
+            scale = det if scalars.sign(det) > 0 else scalars.neg(det)
+            images.append(CubatureRule(
+                Polygon([apply(tuple(map(Fraction, v))) for v in vertices]),
+                tuple(map(apply, rule.nodes)),
+                tuple(scalars.mul(scale, w) for w in rule.weights),
+            ))
+    return images
+
+
+def test_the_integer_scan_gives_the_full_scalar_scan_report():
+    """The scan's zero test on ints, over Z, Z[sqrt d] and the pi
+    coefficient, against the oracle's scalar residual of every monomial."""
+    catalog = [cr4(), cr5(), cr5_conjugate(), cr6(), triangle_midedge()]
+    catalog += [build(n) for n in range(1, 5) for build in (cr1, cr2, cr3)]
+    cases = seeded_blends()
+    blends = [blend(lam, region, spread) for region, spread, lam in cases]
+    # lam = 0 drops the centroid, lam = 1 the spread
+    assert [len(rule.nodes) for rule in blends[:6]] == [2, 1, 3, 2, 1, 3]
+    rings = Counter()
+    for rule in catalog + blends + _affine_images():
+        degree = 4 if rule.region.dimension < 3 else 3
+        report = exactness_degree(rule, degree)
+        assert _report_tuple(report) == full_scan_report(rule, degree), rule
+        rings["pi" if rule.table.pi else rule.table.radicand] += 1
+    assert len(blends) == 87
+    assert {None, 2, 3, 5, 7, 3893, "pi"} <= set(rings), rings
+
+
+def test_residuals_weight_sums_and_polynomial_sums_read_the_rules_one_table(monkeypatch):
+    built = []
+
+    class Counted(NodeTable):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(rules, "NodeTable", Counted)
+    rule = cr4()
+    assert residual(rule, (3, 1)) == residual(rule, (1, 3)) == 0
+    assert residual(rule, (4, 0)) == Fraction(1, 120)
+    assert rule.weight_sum() == 1
+    assert rule.apply_poly(monomial((2, 2), 9)) == Fraction(15, 16)
+    assert exactness_degree(rule, 5).certified_degree == 3
+    assert len(built) == 1 and rule.table is rule.table
+
+
+def test_the_scan_builds_only_the_failing_residual_as_a_scalar(monkeypatch):
+    subs = []
+    sub = scalars.sub
+
+    def counted(x, y):
+        subs.append((x, y))
+        return sub(x, y)
+
+    catalog = [cr4(), cr5(), cr5_conjugate(), cr6(), triangle_midedge(), cr1(5), cr2(4), cr3(6)]
+    monkeypatch.setattr(scalars, "sub", counted)
+    for rule in catalog:
+        report = exactness_degree(rule, 6)
+        assert len(subs) == 1 and report.failing_residual == sub(*subs[0]), rule.label
+        subs.clear()
+    rule = cr3(2)
+    subs.clear()
+    assert exactness_degree(rule, 3).failing is None and subs == []
