@@ -4,7 +4,8 @@ named rules CR1..CR6 and the triangle midedge rule.
 Every rule stores exact Scalar nodes and weights.  Node membership in the
 closed region is verified exactly, one ``Region.locate`` call per node
 list, so rules with irrational boundary nodes (CR5) are certified, not
-assumed.  Every named rule is the paper's lam*M(f) + (1-lam)*T(f), built
+assumed; the integer view that call builds starts the rule's one
+``NodeTable`` (``CubatureRule.table``).  Every named rule is the paper's lam*M(f) + (1-lam)*T(f), built
 by ``blend`` from one ``PaperForm``: one moment batch of its region and one
 ``locate`` call over its centroid and boundary node list.
 """
