@@ -219,6 +219,13 @@ def _check_negative_results() -> list[Claim]:
     ]
 
 
+# each point family's residual count, in words, and its selector roots
+_FAMILY_CLAIMS = {
+    "triangle": ("five", {Fraction(0), Fraction(1, 2)}),
+    "square": ("nine", {Fraction(0), Fraction(1), Fraction(1, 2)}),
+}
+
+
 def _check_families() -> list[Claim]:
     rng = random.Random(20250808)
 
@@ -227,20 +234,15 @@ def _check_families() -> list[Claim]:
         num = rng.randint(lo * den, hi * den)
         return Fraction(num, den)
 
-    ok_tri = all(
-        families.verify_triangle_family(random_fraction())[0] for _ in range(20)
-    )
-    ok_sq = all(
-        families.verify_square_family(random_fraction())[0] for _ in range(20)
-    )
-    ok_roots = families.triangle_selector_roots() == {
-        Fraction(0),
-        Fraction(1, 2),
-    } and families.square_selector_roots() == {
-        Fraction(0),
-        Fraction(1),
-        Fraction(1, 2),
-    }
+    member_claims, ok_roots = [], True
+    for name, family in families.FAMILIES.items():
+        count, roots = _FAMILY_CLAIMS[name]
+        member_claims.append(Claim(
+            f"{name}-family-20-random-members",
+            all(family.verify(random_fraction())[0] for _ in range(20)),
+            f"all {count} residuals vanish at every sampled parameter",
+        ))
+        ok_roots = ok_roots and family.selector_roots() == roots
     third = Fraction(1, 3)
     lam = Fraction(-4, 5)
     point = (third,) * 8
@@ -252,17 +254,7 @@ def _check_families() -> list[Claim]:
     ok_vertex = len(vertex) > 0 and all(
         families.simplex3_face_system(a, Fraction(4, 5)).all_zero for a in vertex
     )
-    return [
-        Claim(
-            "triangle-family-20-random-members",
-            ok_tri,
-            "all five residuals vanish at every sampled parameter",
-        ),
-        Claim(
-            "square-family-20-random-members",
-            ok_sq,
-            "all nine residuals vanish at every sampled parameter",
-        ),
+    return member_claims + [
         Claim(
             "family-selector-root-sets",
             ok_roots,

@@ -458,38 +458,26 @@ def _cmd_family(args) -> int:
     if args.point and not (system == "simplex3" and args.vertex_search):
         count, residuals = _POINT_SYSTEMS[system]
         return _residual_report(args, system, residuals(*_values(args.point, count)))
-    if system == "triangle":
-        c = _fraction(args.param if args.param is not None else "1/2")
-        params = families._triangle_params(c)
-        lam, res = families._TRIANGLE.lambda_and_residuals(params)
-        roots = sorted(families.triangle_selector_roots())
+    family = families.FAMILIES.get(system)
+    if family is not None:
+        t = _fraction(args.param if args.param is not None else family.default)
+        params, lam, res = family.member(t)
+        roots = [str(r) for r in sorted(family.selector_roots())]
+        shown = dict(zip(family.member_names, params))
+
+        def member_json():
+            member = {k: scalars.scalar_to_json(v) for k, v in shown.items()}
+            member["lambda"] = scalars.scalar_to_json(lam)
+            return {"member": member} if shown else member
+
         return _residual_report(
             args, system, res,
-            extra=lambda: {
-                "parameter": str(c),
-                "member": {k: scalars.scalar_to_json(v) for k, v in zip("abc", params)} | {
-                    "lambda": scalars.scalar_to_json(lam)},
-                "selector_roots": [str(r) for r in roots],
-            },
+            extra=lambda: {"parameter": str(t), **member_json(), "selector_roots": roots},
             extra_lines=lambda: [
-                f"family member at c={c}: a={_fmt(params[0])}, b={_fmt(params[1])}, "
-                f"lambda={_fmt(lam)}",
-                f"distinguished parameters: {', '.join(str(r) for r in roots)}",
-            ],
-        )
-    if system == "square":
-        d = _fraction(args.param if args.param is not None else "1/2")
-        lam, res = families._SQUARE.lambda_and_residuals(families._square_params(d))
-        roots = sorted(families.square_selector_roots())
-        return _residual_report(
-            args, system, res,
-            extra=lambda: {"parameter": str(d),
-                           "lambda": scalars.scalar_to_json(lam),
-                           "selector_roots": [str(r) for r in roots]},
-            extra_lines=lambda: [
-                f"family member at d={d}: lambda={_fmt(lam)}",
-                f"parameters with the extra x^3*y exactness: "
-                f"{', '.join(str(r) for r in roots)}",
+                f"family member at {family.parameter}={t}: " + ", ".join(
+                    [f"{k}={_fmt(v)}" for k, v in shown.items() if k != family.parameter]
+                    + [f"lambda={_fmt(lam)}"]),
+                f"{family.roots_label}: {', '.join(roots)}",
             ],
         )
     if system == "trapezoid":

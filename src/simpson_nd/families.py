@@ -168,96 +168,87 @@ def triangle_system(a, b, c, lam) -> SystemResiduals:
     return _TRIANGLE.residuals((a, b, c), lam)
 
 
-def _triangle_params(c) -> tuple[Scalar, Scalar, Scalar]:
-    """(a, b, c) = (1-c, c, c), the triangle family's node parameters."""
-    c = as_scalar(c)
-    return (scalars.sub(_1, c), c, c)
-
-
-def triangle_family_member(c) -> tuple[Scalar, Scalar, Scalar, Scalar]:
-    """(a, b, c, lam) for the triangle family at parameter c: a = 1-c,
-    b = c, and lam from the system's M/T rows at those nodes."""
-    params = _triangle_params(c)
-    return (*params, _TRIANGLE.blend_parameter(params))
-
-
-def triangle_family_lambda(c) -> Scalar:
-    """Blend parameter of the one-parameter triangle family a = 1-c, b = c."""
-    return triangle_family_member(c)[3]
-
-
-def verify_triangle_family(c) -> tuple[bool, SystemResiduals]:
-    """Substitute the triangle family at parameter c and report residuals:
-    lam and the residuals at lam from one row pass."""
-    _, res = _TRIANGLE.lambda_and_residuals(_triangle_params(c))
-    return res.all_zero, res
-
-
-def triangle_family_rule(c, label: str = "") -> CubatureRule:
-    """The family member as an actual rule over the standard triangle."""
-    *params, lam = triangle_family_member(c)
-    return _TRIANGLE.rule(params, lam, label)
-
-
-# Quartic in c singling out the vertex (c=0) and edge-midpoint (c=1/2)
-# configurations inside the triangle family, ascending coefficients.
-TRIANGLE_SELECTOR = (
-    Fraction(0),
-    Fraction(0),
-    Fraction(6),
-    Fraction(-24),
-    Fraction(24),
-)
-
-
-def triangle_selector_roots() -> set[Fraction]:
-    return rational_roots(TRIANGLE_SELECTOR)
-
-
 def square_system(a, b, c, d, lam) -> SystemResiduals:
     """Residuals for x, y, x^2, y^2, xy, x^3, y^3, x^2 y, x y^2 of the
     unit-square blend with boundary nodes (a,0), (0,b), (c,1), (1,d)."""
     return _SQUARE.residuals((a, b, c, d), lam)
 
 
-def _square_params(d) -> tuple[Scalar, Scalar, Scalar, Scalar]:
-    """(a, b, c, d) = (d, 1-d, 1-d, d), the square family's node parameters."""
-    d = as_scalar(d)
-    comp = scalars.sub(_1, d)
-    return (d, comp, comp, d)
+@record
+class PointFamily:
+    """A one-parameter family of a system: ``place`` maps the parameter t
+    and 1 - t to the system's node parameters, and lam comes from the
+    system's rows at those nodes.
+
+    ``parameter`` names t, and ``default``, a constant, is the t that
+    ``family`` takes without ``--param``.  ``selector`` holds the ascending coefficients of
+    the polynomial whose rational roots are the family's distinguished
+    parameters.  ``member_names`` are the node parameters that ``family``
+    prints as the member (none: it prints lam alone), and ``roots_label``
+    captions the roots.
+    """
+
+    system: BlendSystem
+    place: Callable[[Scalar, Scalar], tuple[Scalar, ...]]
+    parameter: str
+    selector: tuple[Fraction, ...]
+    member_names: str
+    roots_label: str
+    default = "1/2"
+
+    def member(self, t) -> tuple[tuple[Scalar, ...], Scalar, SystemResiduals]:
+        """The node parameters at t, lam and the residuals at lam, from one
+        row pass."""
+        t = as_scalar(t)
+        params = self.place(t, scalars.sub(_1, t))
+        return (params, *self.system.lambda_and_residuals(params))
+
+    def verify(self, t) -> tuple[bool, SystemResiduals]:
+        """Substitute the member at t: whether every residual is zero, and
+        the residuals."""
+        res = self.member(t)[2]
+        return res.all_zero, res
+
+    def rule(self, t, label: str = "") -> CubatureRule:
+        """The member at t as a rule over the system's region."""
+        params, lam, _ = self.member(t)
+        return self.system.rule(params, lam, label)
+
+    def selector_roots(self) -> set[Fraction]:
+        return rational_roots(self.selector)
 
 
-def square_family_member(d) -> tuple[Scalar, Scalar, Scalar, Scalar, Scalar]:
-    """(a, b, c, d, lam) for the square family at parameter d: a = d,
-    b = c = 1 - d, and lam from the system's M/T rows at those nodes."""
-    params = _square_params(d)
-    return (*params, _SQUARE.blend_parameter(params))
+FAMILIES = {
+    "triangle": PointFamily(
+        system=_TRIANGLE,
+        place=lambda c, one_minus_c: (one_minus_c, c, c),
+        parameter="c",
+        # 6c^2 (2c - 1)^2.  Its roots label configurations, not an extra
+        # exactness: c = 0 puts the nodes at the vertices (CR1(2)), and
+        # c = 1/2 is the midedge rule, the one member with lam = 0.  c = 1
+        # gives the same vertex rule as c = 0 but is not a root.  The roots
+        # stay {0, 1/2}, as verify_all.json, the family_triangle_param* golden
+        # files and benchmarks/expected.json pin them.
+        selector=(Fraction(0), Fraction(0), Fraction(6), Fraction(-24), Fraction(24)),
+        member_names="abc",
+        roots_label="distinguished parameters",
+    ),
+    "square": PointFamily(
+        system=_SQUARE,
+        place=lambda d, one_minus_d: (d, one_minus_d, one_minus_d, d),
+        parameter="d",
+        # d (2d - 1)(d - 1), whose roots are the members exact for x^3 y (and
+        # then also x y^3): the vertex cases d = 0, 1 and the midedge d = 1/2
+        selector=(Fraction(0), Fraction(1), Fraction(-3), Fraction(2)),
+        member_names="",
+        roots_label="parameters with the extra x^3*y exactness",
+    ),
+}
 
-
-def square_family_lambda(d) -> Scalar:
-    """Blend parameter of the square family; never 0, so no member is a
-    pure boundary rule."""
-    return square_family_member(d)[4]
-
-
-def verify_square_family(d) -> tuple[bool, SystemResiduals]:
-    """As verify_triangle_family, for the square family at parameter d."""
-    _, res = _SQUARE.lambda_and_residuals(_square_params(d))
-    return res.all_zero, res
-
-
-def square_family_rule(d, label: str = "") -> CubatureRule:
-    *params, lam = square_family_member(d)
-    return _SQUARE.rule(params, lam, label)
-
-
-# Cubic in d whose roots are the square-family members exact for x^3 y
-# (and then also x y^3): the vertex cases d = 0, 1 and the midedge d = 1/2.
-SQUARE_SELECTOR = (Fraction(0), Fraction(1), Fraction(-3), Fraction(2))
-
-
-def square_selector_roots() -> set[Fraction]:
-    return rational_roots(SQUARE_SELECTOR)
+verify_triangle_family = FAMILIES["triangle"].verify
+triangle_selector_roots = FAMILIES["triangle"].selector_roots
+verify_square_family = FAMILIES["square"].verify
+square_selector_roots = FAMILIES["square"].selector_roots
 
 
 def trapezoid_system(a, b, c, d, lam) -> SystemResiduals:

@@ -278,6 +278,40 @@ MUTANTS = [
             "tests/test_exactness.py::test_the_integer_scan_gives_the_full_scalar_scan_report",
         ],
     ),
+    # the point-family table: two entries of a parameter map swapped
+    (
+        "families.py",
+        "(one_minus_c, c, c)",
+        "(c, one_minus_c, c)",
+        [
+            "tests/test_families.py::test_triangle_family_members_all_solve",
+            "tests/test_families.py::test_family_lambda_matches_its_closed_form",
+            "tests/test_cli.py::test_family_triangle",
+        ],
+    ),
+    (
+        "families.py",
+        "(d, one_minus_d, one_minus_d, d)",
+        "(one_minus_d, d, one_minus_d, d)",
+        [
+            "tests/test_families.py::test_square_family_lambda",
+            "tests/test_families.py::test_square_family_members_all_solve",
+            "tests/test_families.py::test_family_lambda_matches_its_closed_form",
+        ],
+    ),
+    # the rational root test's limits
+    (
+        "families.py",
+        "if largest > MAX_ROOT_COEFFICIENT:",
+        "if largest >= MAX_ROOT_COEFFICIENT:",
+        ["tests/test_families.py::test_rational_roots_just_inside_its_limits"],
+    ),
+    (
+        "families.py",
+        "if len(numerators) * len(denominators) > MAX_DIVISOR_PAIRS:",
+        "if len(numerators) * len(denominators) >= MAX_DIVISOR_PAIRS:",
+        ["tests/test_families.py::test_rational_roots_admit_exactly_the_divisor_pair_limit"],
+    ),
 ]
 
 

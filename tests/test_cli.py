@@ -108,6 +108,19 @@ def test_family_triangle(capsys):
     assert "lambda=1/4" in out
 
 
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("system, parameter", [("triangle", "c"), ("square", "d")])
+def test_a_family_without_a_param_is_its_member_at_one_half(capsys, system, parameter, fmt):
+    default = run_cli(capsys, "--format", fmt, "family", system)
+    assert default == run_cli(capsys, "--format", fmt, "family", system, "--param", "1/2")
+    code, out, err = default
+    assert (code, err) == (0, "")
+    if fmt == "json":
+        assert json.loads(out)["parameter"] == "1/2"
+    elif fmt == "text":
+        assert f"family member at {parameter}=1/2: " in out
+
+
 def test_family_square_point(capsys):
     code, out, _ = run_cli(
         capsys, "--format", "json", "family", "square", "--point", "1/2,1/2,1/2,1/2,1/3"

@@ -41,16 +41,10 @@ from simpson_nd.families import (
     simplex3_face_system,
     simplex3_vertex_solutions,
     solve_linear_system,
-    square_family_lambda,
-    square_family_member,
-    square_family_rule,
     square_selector_roots,
     square_system,
     trapezoid_family_member,
     trapezoid_system,
-    triangle_family_lambda,
-    triangle_family_member,
-    triangle_family_rule,
     triangle_selector_roots,
     triangle_system,
     verify_square_family,
@@ -76,6 +70,7 @@ from simpson_nd.rules import (
 from simpson_nd.scalars import quad
 
 HALF = Fraction(1, 2)
+TRIANGLE, SQUARE = families.FAMILIES["triangle"], families.FAMILIES["square"]
 
 
 # ---------------------------------------------------------------- triangle
@@ -119,9 +114,9 @@ def test_triangle_system_matches_rule_residuals():
 
 
 def test_triangle_family_lambda_endpoints():
-    assert triangle_family_lambda(Fraction(0)) == Fraction(3, 4)
-    assert triangle_family_lambda(HALF) == 0
-    assert triangle_family_lambda(Fraction(1, 3)) == Fraction(1, 4)
+    assert TRIANGLE.member(Fraction(0))[1] == Fraction(3, 4)
+    assert TRIANGLE.member(HALF)[1] == 0
+    assert TRIANGLE.member(Fraction(1, 3))[1] == Fraction(1, 4)
 
 
 def test_triangle_family_members_all_solve():
@@ -135,15 +130,15 @@ def test_triangle_family_members_all_solve():
 def test_triangle_family_distinguished_points():
     ok, _ = verify_triangle_family(HALF)
     assert ok
-    assert rules_equivalent(triangle_family_rule(HALF), triangle_midedge())
+    assert rules_equivalent(TRIANGLE.rule(HALF), triangle_midedge())
     ok, _ = verify_triangle_family(Fraction(0))
     assert ok
-    assert rules_equivalent(triangle_family_rule(Fraction(0)), cr1(2))
+    assert rules_equivalent(TRIANGLE.rule(Fraction(0)), cr1(2))
 
 
 def test_triangle_family_rule_takes_an_irrational_member():
     c = scalars.add(Fraction(1, 3), quad(0, Fraction(1, 7), 2))
-    rule = triangle_family_rule(c)
+    rule = TRIANGLE.rule(c)
     assert rule.weight_sum() == HALF
     ok, res = verify_triangle_family(c)
     assert ok
@@ -169,11 +164,11 @@ def test_triangle_family_members_c_and_one_minus_c_are_mirror_images(field):
     rng = random.Random(91 if field == "rat" else 92)
     for _ in range(8):
         c = _seeded_family_parameter(rng, field)
-        other = triangle_family_rule(scalars.sub(Fraction(1), c))
+        other = TRIANGLE.rule(scalars.sub(Fraction(1), c))
         mirrored = CubatureRule(other.region, tuple((y, x) for x, y in other.nodes), other.weights)
-        assert rules_equivalent(mirrored, triangle_family_rule(c)), c
+        assert rules_equivalent(mirrored, TRIANGLE.rule(c)), c
     # the ends c = 0 and c = 1 are one rule up to the mirror, and in fact equal
-    assert rules_equivalent(triangle_family_rule(Fraction(0)), triangle_family_rule(Fraction(1)))
+    assert rules_equivalent(TRIANGLE.rule(Fraction(0)), TRIANGLE.rule(Fraction(1)))
 
 
 def test_triangle_selector_roots():
@@ -216,9 +211,9 @@ def test_square_system_matches_rule_residuals():
 
 
 def test_square_family_lambda():
-    assert square_family_lambda(HALF) == Fraction(1, 3)
-    assert square_family_lambda(Fraction(0)) == Fraction(2, 3)
-    assert square_family_lambda(Fraction(1)) == Fraction(2, 3)
+    assert SQUARE.member(HALF)[1] == Fraction(1, 3)
+    assert SQUARE.member(Fraction(0))[1] == Fraction(2, 3)
+    assert SQUARE.member(Fraction(1))[1] == Fraction(2, 3)
 
 
 def test_square_family_members_all_solve():
@@ -230,19 +225,19 @@ def test_square_family_members_all_solve():
 
 
 def test_square_family_distinguished_points():
-    assert rules_equivalent(square_family_rule(HALF), cr4())
-    assert rules_equivalent(square_family_rule(Fraction(0)), cr3(2))
-    assert rules_equivalent(square_family_rule(Fraction(1)), cr3(2))
+    assert rules_equivalent(SQUARE.rule(HALF), cr4())
+    assert rules_equivalent(SQUARE.rule(Fraction(0)), cr3(2))
+    assert rules_equivalent(SQUARE.rule(Fraction(1)), cr3(2))
 
 
 def test_square_family_quarter_point_misses_bonus():
     ok, res = verify_square_family(Fraction(1, 4))
     assert ok
-    rule = square_family_rule(Fraction(1, 4))
+    rule = SQUARE.rule(Fraction(1, 4))
     assert not scalars.is_zero(residual(rule, (3, 1)))
     # at the selector roots the bonus residual vanishes
     for d in square_selector_roots():
-        assert scalars.is_zero(residual(square_family_rule(d), (3, 1)))
+        assert scalars.is_zero(residual(SQUARE.rule(d), (3, 1)))
 
 
 def test_square_selector_roots():
@@ -251,7 +246,7 @@ def test_square_selector_roots():
 
 def test_square_selector_is_the_numerator_of_the_x3y_residual():
     # lam = (6d^2 - 6d + 2)/(6d^2 - 6d + 3); times that denominator, the
-    # x^3 y residual of the member at d is -SQUARE_SELECTOR(d)/8, so the
+    # x^3 y residual of the member at d is -selector(d)/8, so the
     # selector's roots are the members exact for x^3 y, and no others
     rng = random.Random(1414)
 
@@ -259,13 +254,13 @@ def test_square_selector_is_the_numerator_of_the_x3y_residual():
         return 6 * d * d - 6 * d + 3
 
     def scaled_residual(d):
-        return denominator(d) * residual(square_family_rule(d), (3, 1))
+        return denominator(d) * residual(SQUARE.rule(d), (3, 1))
 
     assert interpolate_polynomial(scaled_residual, 3, rng) == [
-        -c / 8 for c in families.SQUARE_SELECTOR
+        -c / 8 for c in SQUARE.selector
     ]
     assert interpolate_polynomial(
-        lambda d: square_family_lambda(d) * denominator(d), 2, rng
+        lambda d: SQUARE.member(d)[1] * denominator(d), 2, rng
     ) == [2, -6, 6]
 
 
@@ -275,7 +270,7 @@ def test_square_family_lambda_never_zero():
     rng = random.Random(5)
     for _ in range(50):
         d = Fraction(rng.randint(-60, 60), rng.randint(1, 60))
-        assert square_family_lambda(d) != 0
+        assert SQUARE.member(d)[1] != 0
 
 
 # ---------------------------------------------------------------- trapezoid
@@ -364,13 +359,13 @@ def _seeded_parameters():
     return values
 
 
-@pytest.mark.parametrize("generated, closed_form", [
-    (triangle_family_lambda, triangle_family_lambda_closed_form),
-    (square_family_lambda, square_family_lambda_closed_form),
+@pytest.mark.parametrize("family, closed_form", [
+    (TRIANGLE, triangle_family_lambda_closed_form),
+    (SQUARE, square_family_lambda_closed_form),
 ], ids=["triangle", "square"])
-def test_family_lambda_matches_its_closed_form(generated, closed_form):
+def test_family_lambda_matches_its_closed_form(family, closed_form):
     for value in _seeded_parameters():
-        assert repr(generated(value)) == repr(closed_form(value)), value
+        assert repr(family.member(value)[1]) == repr(closed_form(value)), value
 
 
 @pytest.mark.parametrize("conjugate", [False, True])
@@ -383,13 +378,13 @@ def test_solve_lambda_and_the_families_take_lam_from_one_row_routine():
     rng = random.Random(26)
     for _ in range(10):
         c = Fraction(rng.randint(0, 36), 36)
-        nodes = families._TRIANGLE.nodes(triangle_family_member(c)[:3])
-        outcome = solve_lambda(Simplex(2), nodes, families._TRIANGLE.alphas)
-        assert outcome == UniqueSolution((triangle_family_lambda(c),)), c
+        params, lam, _ = TRIANGLE.member(c)
+        outcome = solve_lambda(Simplex(2), TRIANGLE.system.nodes(params), TRIANGLE.system.alphas)
+        assert outcome == UniqueSolution((lam,)), c
         d = Fraction(rng.randint(0, 36), 36)
-        nodes = families._SQUARE.nodes(square_family_member(d)[:4])
-        outcome = solve_lambda(Cube(2), nodes, families._SQUARE.alphas)
-        assert outcome == UniqueSolution((square_family_lambda(d),)), d
+        params, lam, _ = SQUARE.member(d)
+        outcome = solve_lambda(Cube(2), SQUARE.system.nodes(params), SQUARE.system.alphas)
+        assert outcome == UniqueSolution((lam,)), d
 
 
 def test_blend_parameter_refuses_nodes_where_m_and_t_agree():
@@ -560,14 +555,12 @@ def test_one_row_pass_gives_the_blend_parameter_and_its_residuals(name):
 def test_family_verification_is_the_member_substituted():
     rng = random.Random(3420)
     for value in _seeded_parameters()[::10] + [Fraction(rng.randint(-9, 9), 7) for _ in range(5)]:
-        assert verify_triangle_family(value) == (
-            triangle_system(*triangle_family_member(value)).all_zero,
-            triangle_system(*triangle_family_member(value)),
-        )
-        assert verify_square_family(value) == (
-            square_system(*square_family_member(value)).all_zero,
-            square_system(*square_family_member(value)),
-        )
+        params, lam, _ = TRIANGLE.member(value)
+        res = triangle_system(*params, lam)
+        assert verify_triangle_family(value) == (res.all_zero, res)
+        params, lam, _ = SQUARE.member(value)
+        res = square_system(*params, lam)
+        assert verify_square_family(value) == (res.all_zero, res)
 
 
 def _boundary_value(rng, d):
@@ -587,16 +580,14 @@ def test_solve_lambda_on_seeded_family_spreads_matches_the_two_rule_solve():
     boundary rules summed node by node."""
     rng = random.Random(3430)
     kinds = set()
-    for region, system, count, member in (
-        (Simplex(2), families._TRIANGLE, 3, triangle_family_member),
-        (Cube(2), families._SQUARE, 4, square_family_member),
-    ):
+    for region, family, count in ((Simplex(2), TRIANGLE, 3), (Cube(2), SQUARE, 4)):
+        system = family.system
         targets_lists = [list(system.alphas), list(monomials_up_to(2, 3))]
         m = midpoint_rule(region)
         for d in (None, None, None, 2, 3, 3893):
             for _ in range(3):
                 for params in ([_boundary_value(rng, d) for _ in range(count)],
-                               member(_boundary_value(rng, d))[:count]):
+                               family.member(_boundary_value(rng, d))[0]):
                     nodes = system.nodes(params)
                     t = boundary_rule(region, nodes)
                     for targets in targets_lists:
@@ -1081,6 +1072,17 @@ def test_rational_roots_just_inside_its_limits():
         Fraction(10**6),
         Fraction(-(10**6)),
     }
+
+
+def test_rational_roots_admit_exactly_the_divisor_pair_limit():
+    # 162000 = 2^4 * 3^4 * 5^3 has 5 * 5 * 4 = 100 divisors, so
+    # 162000 x^3 - 162000 tries 100 * 100 pairs, the limit
+    assert families.MAX_DIVISOR_PAIRS == 100 * 100
+    ends = (Fraction(-162000), Fraction(0), Fraction(0), Fraction(162000))
+    assert rational_roots(ends) == {Fraction(1)}
+    # twice the low end has 6 * 5 * 4 = 120 divisors: 12000 pairs
+    with pytest.raises(WorkLimit, match="12000 divisor pairs; the limit is 10000"):
+        rational_roots((2 * ends[0],) + ends[1:])
 
 
 # Refusals of the family systems and interpolation: (call, error, message)

@@ -308,8 +308,8 @@ _BUILDS = {
        for name, builder in (("CR1", cr1), ("CR2", cr2), ("CR3", cr3)) for n in (2, 5, 12)},
     **{name: (lambda name=name: named_rule(name))
        for name in ("CR4", "CR5", "CR5*", "CR6", "TriangleMidedge")},
-    "triangle_family_rule": lambda: families.triangle_family_rule(Fraction(1, 3)),
-    "square_family_rule": lambda: families.square_family_rule(Fraction(1, 5)),
+    "triangle family": lambda: families.FAMILIES["triangle"].rule(Fraction(1, 3)),
+    "square family": lambda: families.FAMILIES["square"].rule(Fraction(1, 5)),
     "simplex3_face_rule": lambda: families.simplex3_face_rule((Fraction(1, 3),) * 8, Fraction(-4, 5)),
     "boundary_rule(CR5 nodes)": lambda: boundary_rule(
         trapezoid_paper(), rules._cr5_boundary_nodes(False)),
