@@ -442,8 +442,9 @@ def _residual_report(args, name: str, res, extra=dict, extra_lines=list) -> int:
     return 0
 
 
-# family --point: each system's parameter count, lambda included, and its residuals,
-# looked up on each call so that benchmarks/tracing.py's wrappers are seen
+# family --point: each system's parameter count, lambda included, and its residuals.
+# benchmarks/tracing.py patches the values of a module's dicts that are the functions
+# themselves, not functions inside a tuple, so each lambda looks its system up per call
 _POINT_SYSTEMS = {
     "triangle": (4, lambda *v: families.triangle_system(*v)),
     "square": (5, lambda *v: families.square_system(*v)),

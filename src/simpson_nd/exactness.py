@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import factorial, lcm, prod
+from math import lcm, prod
 from typing import Iterator, Optional, Union
 
 from . import scalars
@@ -144,50 +144,33 @@ def scans_orbits(region: Region, table: NodeTable) -> bool:
     """Whether ``exactness_degree`` may scan only descending exponent tuples:
     the region's moments are permutation-invariant (a ``Simplex`` or a
     ``Cube``) and the node/weight multiset is closed under coordinate
-    permutations.  Grouped by (sorted coordinates, weight) on the table's
-    integer view, each group must hold every distinct permutation of its
-    coordinates, all equally often; O(N n log n)."""
+    permutations.  The transposition (0 1) and the cycle (0 1 ... n-1)
+    generate every permutation, so the multiset of (coordinates, weight)
+    rows on the table's integer view must be unchanged by swapping
+    columns 0 and 1 and by rotating the columns; O(N n)."""
     if not isinstance(region, (Simplex, Cube)):
         return False
-    groups: dict[tuple, Counter] = {}
-    for node, w in zip(zip(*table.columns), table.scaled_weights):
-        groups.setdefault((tuple(sorted(node)), w), Counter())[node] += 1
-    for (coords, _), members in groups.items():
-        orbit_size = factorial(len(coords)) // prod(
-            factorial(k) for k in Counter(coords).values()
-        )
-        if len(members) != orbit_size or len(set(members.values())) != 1:
-            return False
-    return True
+    columns, weights = table.columns, table.scaled_weights
+    rows = Counter(zip(*columns, weights))
+    return all(Counter(zip(*moved, weights)) == rows
+               for moved in (columns[1::-1] + columns[2:], columns[1:] + columns[:1]))
 
 
 def _moment_views(region: Region, table: NodeTable, alphas) -> list:
-    """Each moment of ``alphas`` as (M, q) on the table's view: the moment,
-    or its pi coefficient when the table sums pi weights, is M / q with M
-    an int, or an int pair over the table's radicand.  A simplex or a cube
-    gives int pairs; any other region one ``moments`` batch.  A moment
-    outside the table's ring is None: its residual is left to the scalars."""
-    d, pi = table.radicand, table.pi
-    if isinstance(region, (Simplex, Cube)):
-        if pi:
-            return [None] * len(alphas)
-        return [(m if d is None else (m, 0), q) for m, q in map(region._moment_pair, alphas)]
-    views = []
-    for moment in region.moments(alphas):
-        if pi != (type(moment) is PiMultiple):
-            views.append(None)
-            continue
-        if pi:
-            moment = moment.coefficient
-        if type(moment) is Fraction:
-            m = moment.numerator
-            views.append((m if d is None else (m, 0), moment.denominator))
-        elif moment.d == d:
-            q, (m,) = scalars.integer_view([moment], d)
-            views.append((m, q))
-        else:
-            views.append(None)
-    return views
+    """Each moment of ``alphas`` as (M, q) on the table's view, from the
+    region's one ``_moment_view`` call: the moment, or its pi coefficient
+    when the table sums pi weights, is M / q with M an int, or an int pair
+    over the table's radicand.  A rational region's pairs are lifted to
+    ((M, 0), q) under a table over sqrt(d).  When the region's ring is not
+    the table's, every moment is None: its residual is left to the scalars."""
+    d, pi, views = region._moment_view(alphas)
+    if pi != table.pi:
+        return [None] * len(alphas)
+    if d == table.radicand:
+        return views
+    if d is None:
+        return [((m, 0), q) for m, q in views]
+    return [None] * len(alphas)
 
 
 def _vanishes(terms, moment, scale, d) -> bool:

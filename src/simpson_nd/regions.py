@@ -66,18 +66,21 @@ class Located(list):
 
 
 class Region:
-    """Base of the four regions.  Each region supplies ``moment`` (and a
-    batch ``moments`` when it has a faster one); volume and centroid, the
-    A(D) and P of the paper's M(f) = A(D) f(P), are its zero and first
-    moments, asked for here in one batch, together with any other moments
-    a caller needs (``mass_and_moments``).  Its one membership routine,
+    """Base of the four regions.  Each region has one moment routine,
+    ``_moment_view(alphas) -> (d, pi, [(M, q), ...])`` for checked indices:
+    M is an int, or an int pair over the radicand d, q a positive int, and
+    the moment is M / q, times pi when ``pi`` is true.  ``moments`` turns
+    one such call into scalars, ``moment`` is a batch of one, and the
+    exactness scan reads the pairs themselves.  Volume and centroid, the
+    A(D) and P of the paper's M(f) = A(D) f(P), are the zero and first
+    moments, asked for in one batch with any other moments a caller needs
+    (``mass_and_moments``); a simplex and a cube give their centroid in
+    closed form (``_closed_centroid``).  The one membership routine,
     ``locate(points)``, gives -1 (outside), 0 (boundary) or +1 (inside) per
     point from one ``_point_view`` of the list, and hands that view back on
     the ``Located`` list of signs; ``contains`` and ``on_boundary`` ask it
-    about one point, and each region keeps ``contains`` in its own
-    ``__dict__`` for ``benchmarks/tracing.py``.  A simplex and a cube give
-    their centroid in closed form (``_closed_centroid``) and each moment as
-    an int pair (``_moment_pair``)."""
+    about one point.  Each region keeps ``moment`` and ``contains`` in its
+    own ``__dict__``, because ``benchmarks/tracing.py`` wraps them there."""
 
     __slots__ = ()
 
@@ -87,8 +90,18 @@ class Region:
     def on_boundary(self, point: Point) -> bool:
         return self.locate([point])[0] == 0
 
+    def moment(self, alpha) -> Scalar:
+        return self.moments((alpha,))[0]
+
     def moments(self, alphas) -> tuple[Scalar, ...]:
-        return tuple(map(self.moment, alphas))
+        """The moment of each index in ``alphas``: every index is checked,
+        then one ``_moment_view`` call gives them all."""
+        alphas = [_check_index(alpha, self.dimension) for alpha in alphas]
+        if not alphas:
+            return ()
+        d, pi, views = self._moment_view(alphas)
+        values = [scalars.from_view(m, q, d) for m, q in views]
+        return tuple(map(PiMultiple, values) if pi else values)
 
     def volume(self) -> Scalar:
         return self.moment((0,) * self.dimension)
@@ -142,15 +155,11 @@ class Simplex(Region):
     def _closed_centroid(self) -> Point:
         return (Fraction(1, self.dimension + 1),) * self.dimension
 
-    def _moment_pair(self, alpha) -> tuple[int, int]:
-        """(prod alpha_i!, (n + |alpha|)!), the moment of an index already
-        checked, unreduced."""
-        return prod(map(factorial, alpha)), factorial(self.dimension + sum(alpha))
-
-    def moment(self, alpha) -> Scalar:
+    def _moment_view(self, alphas):
         """Dirichlet formula: integral of x^alpha equals
-        (prod alpha_i!) / (n + |alpha|)!."""
-        return Fraction(*self._moment_pair(_check_index(alpha, self.dimension)))
+        (prod alpha_i!) / (n + |alpha|)!, as that unreduced pair."""
+        n = self.dimension
+        return None, False, [(prod(map(factorial, a)), factorial(n + sum(a))) for a in alphas]
 
     def locate(self, points) -> Located:
         """min(sign(X_i), sign(D - sum X_i)) per point, for X = D x."""
@@ -159,6 +168,7 @@ class Simplex(Region):
         return Located([min(view_sign(view_minus(top, view_sum(row, d), d), d),
                             *(view_sign(x, d) for x in row)) for row in rows], view)
 
+    moment = Region.moment
     contains = Region.contains
 
 
@@ -179,12 +189,9 @@ class Cube(Region):
     def _closed_centroid(self) -> Point:
         return (Fraction(1, 2),) * self.dimension
 
-    def _moment_pair(self, alpha) -> tuple[int, int]:
-        """(1, prod (alpha_i + 1)), the moment of an index already checked."""
-        return 1, prod(e + 1 for e in alpha)
-
-    def moment(self, alpha) -> Scalar:
-        return Fraction(*self._moment_pair(_check_index(alpha, self.dimension)))
+    def _moment_view(self, alphas):
+        """(1, prod (alpha_i + 1)) per index."""
+        return None, False, [(1, prod(e + 1 for e in a)) for a in alphas]
 
     def locate(self, points) -> Located:
         """min over i of sign(X_i) and sign(D - X_i) per point, for X = D x."""
@@ -194,6 +201,7 @@ class Cube(Region):
         return Located([min(view_sign(v, d) for x in row for v in (x, view_minus((den, 0), x, d)))
                         for row in rows], view)
 
+    moment = Region.moment
     contains = Region.contains
 
 
@@ -278,10 +286,9 @@ class Polygon(Region):
     vertices raise WorkLimit before it starts.  The area sign, the check,
     the moments and membership all run on the package's one integer view,
     ``scalars.integer_view`` over Z or Z[sqrt d], built once per call:
-    ``moments`` builds one view for a whole batch of indices and turns each
-    total into a scalar with ``scalars.from_view``, and ``locate`` one view
-    of the vertices and every queried point together.  Nothing is cached
-    on the instance.
+    ``_moment_view`` builds one view for a whole batch of indices, and
+    ``locate`` one view of the vertices and every queried point together.
+    Nothing is cached on the instance.
     """
 
     vertex_list: tuple[Point, ...]
@@ -345,10 +352,7 @@ class Polygon(Region):
     def vertices(self) -> tuple[Point, ...]:
         return self.vertex_list
 
-    def moment(self, alpha) -> Scalar:
-        return self.moments((alpha,))[0]
-
-    def moments(self, alphas) -> tuple[Scalar, ...]:
+    def _moment_view(self, alphas):
         """Exact integrals of x^p y^q, one per (p, q) in ``alphas``, by
         Green's theorem and one recurrence per edge.
 
@@ -364,14 +368,11 @@ class Polygon(Region):
         to Steger's binomial double sum (Steger, On the Calculation of
         Arbitrary Moments of Polygons, 1996).  H(p,q) has degree p+q+2 in
         the coordinates, so the sum T runs on the integer view and the
-        moment is p! q! T / ((p+q+2)! D^(p+q+2)).  Every index is checked
-        first; the view is then built once, and the recurrence runs once,
-        over every edge at a time, on the down-closed set of the batch: each
-        (i, j) at or below some (p, q) in ``alphas``.
+        moment is the pair (T, (p+q+2)! D^(p+q+2) / (p! q!)).  The view is
+        built once, and the recurrence runs once, over every edge at a
+        time, on the down-closed set of the batch: each (i, j) at or below
+        some (p, q) in ``alphas``.
         """
-        alphas = [_check_index(alpha, 2) for alpha in alphas]
-        if not alphas:
-            return ()
         den, d, pts = _point_view(self.vertex_list, 2)
         zero = 0 if d is None else (0, 0)
         edges = [
@@ -404,9 +405,9 @@ class Polygon(Region):
                 if (i, j) in wanted:
                     # p! q! divides (p+q+2)!, so the divisor is an int
                     scale = factorial(i + j + 2) // (factorial(i) * factorial(j)) * den ** (i + j + 2)
-                    totals[i, j] = scalars.from_view(view_sum(h, d), scale, d)
+                    totals[i, j] = view_sum(h, d), scale
             a_above, h_above = a_row, h_row
-        return tuple(totals[alpha] for alpha in alphas)
+        return d, False, [totals[alpha] for alpha in alphas]
 
     def locate(self, points) -> Located:
         """``_polygon_sign`` per point, on one view of vertices and points;
@@ -416,6 +417,7 @@ class Polygon(Region):
         edges = list(zip(rows[:m], rows[1:m] + rows[:1]))
         return Located([_polygon_sign(pt, edges, d) for pt in rows[m:]], (den, d, rows[m:]))
 
+    moment = Region.moment
     contains = Region.contains
 
 
@@ -435,15 +437,14 @@ class UnitDisc(Region):
     def vertices(self):
         raise NoVertices("the unit disc has no vertices")
 
-    def moment(self, alpha) -> Scalar:
+    def _moment_view(self, alphas):
         """2 pi (m-1)!! (n-1)!! / ((m+n+2) (m+n)!!) for even m and n, else 0."""
-        m, n = _check_index(alpha, 2)
-        if m % 2 or n % 2:
-            return PiMultiple(0)
-        return PiMultiple(
-            Fraction(2 * _double_factorial(m - 1) * _double_factorial(n - 1),
-                     (m + n + 2) * _double_factorial(m + n))
-        )
+        return None, True, [
+            (0, 1) if m % 2 or n % 2 else
+            (2 * _double_factorial(m - 1) * _double_factorial(n - 1),
+             (m + n + 2) * _double_factorial(m + n))
+            for m, n in alphas
+        ]
 
     def locate(self, points) -> Located:
         """sign(D^2 - X^2 - Y^2) per point, on the view (X, Y) = D (x, y)."""
@@ -452,6 +453,7 @@ class UnitDisc(Region):
         squares = [view_plus(view_times(x, x, d), view_times(y, y, d), d) for x, y in rows]
         return Located([view_sign(view_minus(top, rr, d), d) for rr in squares], view)
 
+    moment = Region.moment
     contains = Region.contains
 
 

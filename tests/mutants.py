@@ -9,10 +9,11 @@ The named tests first run once against an unchanged copy of ``src``, where
 they must pass.  Then, for each mutant, ``src`` is copied to a temporary
 directory, the one substitution is applied, and pytest runs only the named
 tests against the copy in a subprocess, with ``-o pythonpath=<copy>/src``
-in place of the ``pythonpath`` of ``pyproject.toml``.  An old text that is
-missing, or found more than once, is an error, and so is a mutant that
-leaves any named test passing.  The file has no ``test_`` prefix, so
-pytest does not collect it.
+in place of the ``pythonpath`` of ``pyproject.toml``.  The mutants run on a
+pool of ``os.cpu_count()`` workers, and their verdicts print in table
+order.  An old text that is missing, or found more than once, is an
+error, and so is a mutant that leaves any named test passing.  The file
+has no ``test_`` prefix, so pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -312,6 +314,86 @@ MUTANTS = [
         "if len(numerators) * len(denominators) >= MAX_DIVISOR_PAIRS:",
         ["tests/test_families.py::test_rational_roots_admit_exactly_the_divisor_pair_limit"],
     ),
+    # the other size limits, each admitting exactly its figure
+    (
+        "rules.py",
+        "if n > MAX_RULE_DIMENSION:",
+        "if n >= MAX_RULE_DIMENSION:",
+        ["tests/test_rules.py::test_rule_dimension_limit_refuses_before_any_node_is_built"],
+    ),
+    (
+        "cli.py",
+        "region.dimension > rules.MAX_RULE_DIMENSION:",
+        "region.dimension >= rules.MAX_RULE_DIMENSION:",
+        ["tests/test_cli.py::test_inputs_just_inside_the_limits_reach_the_work"],
+    ),
+    (
+        "regions.py",
+        "if len(pts) > MAX_POLYGON_VERTICES:",
+        "if len(pts) >= MAX_POLYGON_VERTICES:",
+        ["tests/test_regions.py::test_a_polygon_at_the_vertex_limit_is_admitted"],
+    ),
+    (
+        "cli.py",
+        "if entries > exactness.MAX_SYSTEM_ENTRIES:",
+        "if entries >= exactness.MAX_SYSTEM_ENTRIES:",
+        ["tests/test_cli.py::test_a_derive_system_at_the_entry_limit_is_admitted"],
+    ),
+    (
+        "exactness.py",
+        ".bit_length()) > MAX_DENOMINATOR_BITS:",
+        ".bit_length()) >= MAX_DENOMINATOR_BITS:",
+        ["tests/test_exactness.py::test_weight_solves_at_the_estimate_limits_are_admitted"],
+    ),
+    (
+        "exactness.py",
+        "if work > MAX_ELIMINATION_WORK:",
+        "if work >= MAX_ELIMINATION_WORK:",
+        ["tests/test_exactness.py::test_weight_solves_at_the_estimate_limits_are_admitted"],
+    ),
+    (
+        "scalars.py",
+        "if d > MAX_RADICAND:",
+        "if d >= MAX_RADICAND:",
+        ["tests/test_scalars.py::test_a_radicand_at_the_limit_is_admitted"],
+    ),
+    # the one moment routine per region and the scan's reading of it: a
+    # rational region's pairs not lifted under a table over sqrt(d), the
+    # polygon's scale one power of D short, a pi moment read as a rational
+    # one, and the orbit test without the cycle
+    (
+        "exactness.py",
+        "return [((m, 0), q) for m, q in views]",
+        "return views",
+        [
+            "tests/test_exactness.py::test_moment_views_are_the_moments_on_the_tables_ring_or_none",
+            "tests/test_exactness.py::test_orbit_scan_gives_the_full_scan_report",
+        ],
+    ),
+    (
+        "regions.py",
+        "* den ** (i + j + 2)",
+        "* den ** (i + j + 1)",
+        [
+            "tests/test_regions.py::test_a_moment_batch_is_its_single_moments_and_the_oracles",
+            "tests/test_regions.py::test_polygon_moments_match_fan_triangulation_oracle",
+        ],
+    ),
+    (
+        "exactness.py",
+        "    if pi != table.pi:\n        return [None] * len(alphas)\n",
+        "",
+        ["tests/test_exactness.py::test_moment_views_are_the_moments_on_the_tables_ring_or_none"],
+    ),
+    (
+        "exactness.py",
+        "(columns[1::-1] + columns[2:], columns[1:] + columns[:1])",
+        "(columns[1::-1] + columns[2:],)",
+        [
+            "tests/test_exactness.py::"
+            "test_a_rule_not_closed_under_permutations_gets_the_full_scan[_swap_closed_cube3]",
+        ],
+    ),
 ]
 
 
@@ -344,6 +426,14 @@ def _failed(src: Path, tests: list[str]) -> list[str]:
     return failed
 
 
+def _passing(mutant) -> list[str]:
+    """The named tests of ``mutant`` that still pass against its copy."""
+    named = mutant[3]
+    with tempfile.TemporaryDirectory() as tmp:
+        failed = _failed(_copy_src(Path(tmp), mutant), named)
+    return [t for t in named if not any(f == t or f.startswith(t + "[") for f in failed)]
+
+
 def main() -> int:
     tests = sorted({test for *_, named in MUTANTS for test in named})
     with tempfile.TemporaryDirectory() as tmp:
@@ -352,16 +442,13 @@ def main() -> int:
         print("the named tests must pass on the unchanged source; failing:", *failed, sep="\n  ")
         return 1
     survivors = 0
-    for mutant in MUTANTS:
-        name, old, new, named = mutant
-        with tempfile.TemporaryDirectory() as tmp:
-            failed = _failed(_copy_src(Path(tmp), mutant), named)
-        passing = [t for t in named if not any(f == t or f.startswith(t + "[") for f in failed)]
-        verdict = "survived" if passing else "killed"
-        print(f"{verdict:8}  {name}: {old.strip()!r} -> {new.strip()!r}")
-        for test in passing:
-            print(f"          still passes: {test}")
-        survivors += bool(passing)
+    with ThreadPoolExecutor(os.cpu_count()) as pool:
+        for (name, old, new, _), passing in zip(MUTANTS, pool.map(_passing, MUTANTS)):
+            verdict = "survived" if passing else "killed"
+            print(f"{verdict:8}  {name}: {old.strip()!r} -> {new.strip()!r}", flush=True)
+            for test in passing:
+                print(f"          still passes: {test}")
+            survivors += bool(passing)
     print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed")
     return 1 if survivors else 0
 

@@ -836,6 +836,24 @@ def test_a_monomial_table_at_the_limits_is_admitted(
     assert (code, out) == (1, "") and f"the limit is {entries - 1}\n" in err
 
 
+@pytest.mark.parametrize("mode, entries", [
+    ("lambda", 90),  # 10 deg2 targets on 9 nodes
+    ("weights", 200),  # 10 x (9 + 1 + 10)
+])
+def test_a_derive_system_at_the_entry_limit_is_admitted(capsys, monkeypatch, mode, entries):
+    from simpson_nd import exactness
+
+    argv = ("derive", "--region", "cube:3", "--targets", "deg2", "--mode", mode)
+    monkeypatch.setattr(exactness, "MAX_SYSTEM_ENTRIES", entries)
+    code, _, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    monkeypatch.setattr(exactness, "MAX_SYSTEM_ENTRIES", entries - 1)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == (f"error: 10 targets on 9 nodes make a {mode} system of {entries} entries; "
+                   f"the limit is {entries - 1}\n")
+
+
 def _q3893_octagon(denominator):
     """_circle_polygon(8) with coordinate i moved by (1 + i % 9) /
     denominator(i) * sqrt(3893), under 0.01: still convex."""

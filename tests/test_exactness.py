@@ -8,13 +8,14 @@ from math import factorial
 import pytest
 
 from oracles import full_scan_report, scalar_solve_weights, steger_polygon_moment, two_rule_lambda
-from test_regions import _random_rational_polygon
-from simpson_nd import rules, scalars
-from simpson_nd.errors import DimensionMismatch, NodeOutsideRegion
+from test_regions import _random_rational_polygon, moment_cases, random_index_batch
+from simpson_nd import exactness, rules, scalars
+from simpson_nd.errors import DimensionMismatch, NodeOutsideRegion, WorkLimit
 from simpson_nd.exactness import (
     Infeasible,
     Underdetermined,
     UniqueSolution,
+    _moment_views,
     exactness_degree,
     monomial_label,
     monomials_of_degree,
@@ -50,7 +51,7 @@ from simpson_nd.rules import (
     monomial,
     triangle_midedge,
 )
-from simpson_nd.scalars import PiMultiple
+from simpson_nd.scalars import PiMultiple, quad
 
 
 def test_monomial_order_is_graded_lex():
@@ -265,6 +266,29 @@ def test_solve_weights_underdetermined():
     assert out.nullity == 2
 
 
+@pytest.mark.parametrize("region, bits, work", [
+    (trapezoid_paper(), 14, 3_200),  # 10 rows on 5 nodes over Z
+    (hexagon_paper(), 2, 10_080),  # 10 rows on 7 nodes over Z[sqrt 3], eight times the steps
+], ids=["trapezoid", "hexagon"])
+def test_weight_solves_at_the_estimate_limits_are_admitted(monkeypatch, region, bits, work):
+    # the centroid, the vertices and deg3 targets; each limit is set to the
+    # solve's figure, and then to one below it
+    targets = list(monomials_up_to(2, 3))
+    _, centroid, moments = region.mass_and_moments(targets)
+    nodes = (centroid,) + region.vertices()
+    outcome = solve_weights(nodes, targets, moments)
+    for limit, figure, message in [
+        ("MAX_DENOMINATOR_BITS", bits, f"a common denominator of {bits} bits; "),
+        ("MAX_ELIMINATION_WORK", work, f"estimated at {work:,} word operations; "),
+    ]:
+        monkeypatch.setattr(exactness, limit, figure)
+        assert solve_weights(nodes, targets, moments) == outcome
+        monkeypatch.setattr(exactness, limit, figure - 1)
+        with pytest.raises(WorkLimit, match=f"{message}the limit is {figure - 1:,}$"):
+            solve_weights(nodes, targets, moments)
+        monkeypatch.undo()
+
+
 def test_pipeline_blend_reproduces_named_rules():
     # solve for the blend parameter, rebuild the rule, compare on all
     # monomials through degree 4
@@ -452,6 +476,36 @@ def test_orbit_scan_gives_the_full_scan_report(max_degree):
     assert scanned == {rule.label for rule in catalog} - {"CR5", "CR5*", "CR6"}
 
 
+def _one_node_table(n, d, pi):
+    """A one-node table of dimension n over Q, or over Q(sqrt d), with a pi
+    weight when ``pi`` is true."""
+    first = Fraction(1, 3) if d is None else quad(Fraction(1, 5), Fraction(1, 7), d)
+    weight = PiMultiple(Fraction(1, 2)) if pi else Fraction(1, 2)
+    return NodeTable([(first,) + (Fraction(1, 4),) * (n - 1)], [weight])
+
+
+def test_moment_views_are_the_moments_on_the_tables_ring_or_none():
+    rng = random.Random(3802)
+    tables = [(None, False), (2, False), (3, False), (None, True), (3, True)]
+    for region, d, pi in moment_cases(rng):
+        batch = random_index_batch(rng, region.dimension)
+        moments = region.moments(batch)
+        for table_d, table_pi in tables:
+            views = _moment_views(region, _one_node_table(region.dimension, table_d, table_pi),
+                                  batch)
+            assert len(views) == len(batch)
+            if pi != table_pi or d not in (None, table_d):
+                assert views == [None] * len(batch), (region, table_d, table_pi)
+                continue
+            for view, moment in zip(views, moments):
+                m, q = view
+                assert type(q) is int and q > 0
+                assert type(m) is int if table_d is None else list(map(type, m)) == [int, int]
+                want = moment.coefficient if pi else moment
+                got = scalars.from_view(m, q, table_d)
+                assert (type(got), got) == (type(want), want), (region, table_d, table_pi)
+
+
 def _cr3_2_moving(source, target):
     """CR3(2) with 1/7 of weight moved from the vertex ``source`` to ``target``."""
     rule = cr3(2)
@@ -479,6 +533,21 @@ def _dropped_member_cube3():
     )
 
 
+def _swap_closed_cube3():
+    # CR3(3) without the vertex (0, 0, 1): swapping x and y keeps the rest,
+    # the cycle x -> y -> z -> x does not
+    rule = cr3(3)
+    kept = [
+        (p, w) for p, w in zip(rule.nodes, rule.weights)
+        if p != (Fraction(0), Fraction(0), Fraction(1))
+    ]
+    swapped = sorted(((y, x, z), w) for (x, y, z), w in kept)
+    assert swapped == sorted(kept)
+    return CubatureRule(
+        rule.region, tuple(p for p, _ in kept), tuple(w for _, w in kept), label="swap-closed"
+    )
+
+
 def _uneven_multiplicity_square():
     # (1, 0) twice and (0, 1) once: every permutation is there, unequally often
     one, zero, q = Fraction(1), Fraction(0), Fraction(1, 3)
@@ -486,7 +555,8 @@ def _uneven_multiplicity_square():
 
 
 @pytest.mark.parametrize(
-    "build", [_moved_weight_cr3_2, _dropped_member_cube3, _uneven_multiplicity_square]
+    "build",
+    [_moved_weight_cr3_2, _dropped_member_cube3, _swap_closed_cube3, _uneven_multiplicity_square],
 )
 def test_a_rule_not_closed_under_permutations_gets_the_full_scan(build):
     rule = build()

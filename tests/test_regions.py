@@ -9,11 +9,12 @@ from oracles import (
     binomial,
     disc_moment_numeric,
     factorial_disc_moment,
+    fan_polygon_moment,
     iterated_cube_moment,
     iterated_simplex_moment,
 )
-from simpson_nd import scalars
-from simpson_nd.errors import DimensionMismatch, IncompatibleScalars, NoVertices
+from simpson_nd import regions, scalars
+from simpson_nd.errors import DimensionMismatch, IncompatibleScalars, NoVertices, WorkLimit
 from simpson_nd.exactness import monomials_up_to
 from simpson_nd.regions import (
     Cube,
@@ -74,13 +75,15 @@ def test_volume_centroid_and_midpoint_keep_their_closed_form_reprs():
 
 
 def test_regions_share_one_base():
-    # benchmarks/tracing.py wraps moment and contains through Class.__dict__
+    # each region has one moment routine, and the base class turns its pairs
+    # into scalars; benchmarks/tracing.py wraps moment and contains through
+    # Class.__dict__
     for cls in (Simplex, Cube, Polygon, UnitDisc):
         assert issubclass(cls, Region)
-        assert {"moment", "contains"} <= set(vars(cls)), cls
-        assert not {"volume", "centroid"} & set(vars(cls)), cls
-    assert {"moments", "__init__"} <= set(vars(Polygon))
-    assert not any("moments" in vars(cls) for cls in (Simplex, Cube, UnitDisc))
+        assert {"_moment_view", "moment", "contains"} <= set(vars(cls)), cls
+        assert vars(cls)["moment"] is Region.moment, cls
+        assert not {"moments", "volume", "centroid"} & set(vars(cls)), cls
+    assert "__init__" in vars(Polygon)
     assert Region.__slots__ == ()
     polygon = trapezoid_paper()
     polygon.mass()
@@ -570,6 +573,53 @@ def test_polygon_moment_recurrence_matches_the_closed_forms(d):
             assert polygon.moment(alpha) == want, (vertices, alpha)
             assert polygon.moments([alpha, (0, 0), alpha]) == (want, expected[0, 0], want)
         assert polygon.moments(singles) == tuple(steger_polygon_moment(ccw, *a) for a in singles)
+
+
+def moment_cases(rng):
+    """(region, d, pi) for simplices and cubes of dimension 1..4, rational
+    and Q(sqrt d) polygons and the disc: each region's moments are
+    rational, over sqrt(d), or pi multiples."""
+    cases = [(cls(n), None, False) for cls in (Simplex, Cube) for n in range(1, 5)]
+    cases += [(Polygon(_random_rational_polygon(rng)), None, False) for _ in range(2)]
+    cases += [(trapezoid_paper(), None, False), (hexagon_paper(), 3, False),
+              (Polygon(_sheared_hexagon(7)), 7, False)]
+    cases += [(Polygon(_random_quad_polygon(rng, d)), d, False) for d in (2, 3893)]
+    return cases + [(UnitDisc(), None, True)]
+
+
+def random_index_batch(rng, n):
+    """Up to six random indices with entries up to 3, and two repeats."""
+    batch = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(1, 6))]
+    return batch + rng.choices(batch, k=2)
+
+
+def _oracle_moment(region, alpha):
+    if isinstance(region, Simplex):
+        return iterated_simplex_moment(region.dimension, alpha)
+    if isinstance(region, Cube):
+        return iterated_cube_moment(region.dimension, alpha)
+    if isinstance(region, UnitDisc):
+        return factorial_disc_moment(*alpha)
+    return fan_polygon_moment(region.vertex_list, *alpha)
+
+
+def test_a_moment_batch_is_its_single_moments_and_the_oracles():
+    rng = random.Random(3801)
+    for region, _, _ in moment_cases(rng):
+        for _ in range(3):
+            batch = random_index_batch(rng, region.dimension)
+            oracle = [_oracle_moment(region, alpha) for alpha in batch]
+            typed = [(type(v), v) for v in region.moments(batch)]
+            assert typed == [(type(v), v) for v in map(region.moment, batch)], (region, batch)
+            assert typed == [(type(v), v) for v in oracle], (region, batch)
+
+
+def test_a_polygon_at_the_vertex_limit_is_admitted():
+    # a strictly convex chain on the parabola y = x^2
+    limit = regions.MAX_POLYGON_VERTICES
+    assert len(Polygon([(i, i * i) for i in range(limit)]).vertex_list) == limit
+    with pytest.raises(WorkLimit, match=f"^polygon has {limit + 1} vertices; the limit is {limit}$"):
+        Polygon([(i, i * i) for i in range(limit + 1)])
 
 
 # Refusals of region decoders and constructors: (call, error, message)

@@ -301,6 +301,15 @@ def test_radicand_over_the_limit_is_refused_before_the_squarefree_check(monkeypa
         scalar_from_json({"quad": {"a": ["1", "1"], "b": ["1", "1"], "rad": str(big)}})
 
 
+def test_a_radicand_at_the_limit_is_admitted(monkeypatch):
+    # MAX_RADICAND, 10**12, is not squarefree, so the limit is set to 3893
+    monkeypatch.setattr(scalars, "MAX_RADICAND", 3893)
+    assert Quad(1, 1, 3893).d == 3893
+    monkeypatch.setattr(scalars, "MAX_RADICAND", 3892)
+    with pytest.raises(ValueError, match="^radicand 3893 exceeds the limit 3892$"):
+        Quad(1, 1, 3893)
+
+
 def test_rational_fast_path_rejects_bool():
     with pytest.raises(TypeError):
         scalars.add(True, Fraction(1))
