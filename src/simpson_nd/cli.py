@@ -717,7 +717,21 @@ def run(argv=None) -> int:
     if args.format is None:
         args.format = _default_format()
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader closed stdout: point it at os.devnull, so that the
+        # flush at exit writes nowhere, and exit 1 quietly, as Python's
+        # SIGPIPE recipe does
+        try:
+            stdout = sys.stdout.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, stdout)
+            os.close(devnull)
+        except (OSError, ValueError):  # an in-process stdout with no file descriptor
+            pass
+        return 1
     except (SimpsonNdError, ValueError, OSError, ZeroDivisionError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -53,18 +53,6 @@ def _point_view(points, dimension: int):
     return den, d, [view[i:i + dimension] for i in range(0, len(view), dimension)]
 
 
-class Located(list):
-    """What ``locate`` returns: the sign of each point, and as ``view`` the
-    (D, d, rows) of ``_point_view`` for those points, so that a rule's
-    ``NodeTable`` can start from the view its membership check built."""
-
-    __slots__ = ("view",)
-
-    def __init__(self, signs, view):
-        super().__init__(signs)
-        self.view = view
-
-
 class Region:
     """Base of the four regions.  Each region has one moment routine,
     ``_moment_view(alphas) -> (d, pi, [(M, q), ...])`` for checked indices:
@@ -76,11 +64,11 @@ class Region:
     moments, asked for in one batch with any other moments a caller needs
     (``mass_and_moments``); a simplex and a cube give their centroid in
     closed form (``_closed_centroid``).  The one membership routine,
-    ``locate(points)``, gives -1 (outside), 0 (boundary) or +1 (inside) per
-    point from one ``_point_view`` of the list, and hands that view back on
-    the ``Located`` list of signs; ``contains`` and ``on_boundary`` ask it
-    about one point.  Each region keeps ``moment`` and ``contains`` in its
-    own ``__dict__``, because ``benchmarks/tracing.py`` wraps them there."""
+    ``locate(points)``, gives a list of -1 (outside), 0 (boundary) or +1
+    (inside), one per point, from one ``_point_view`` of the list;
+    ``contains`` and ``on_boundary`` ask it about one point.  Each region
+    keeps ``moment`` and ``contains`` in its own ``__dict__``, because
+    ``benchmarks/tracing.py`` wraps them there."""
 
     __slots__ = ()
 
@@ -161,12 +149,12 @@ class Simplex(Region):
         n = self.dimension
         return None, False, [(prod(map(factorial, a)), factorial(n + sum(a))) for a in alphas]
 
-    def locate(self, points) -> Located:
+    def locate(self, points) -> list[int]:
         """min(sign(X_i), sign(D - sum X_i)) per point, for X = D x."""
-        view = den, d, rows = _point_view(points, self.dimension)
+        den, d, rows = _point_view(points, self.dimension)
         top = den if d is None else (den, 0)
-        return Located([min(view_sign(view_minus(top, view_sum(row, d), d), d),
-                            *(view_sign(x, d) for x in row)) for row in rows], view)
+        return [min(view_sign(view_minus(top, view_sum(row, d), d), d),
+                    *(view_sign(x, d) for x in row)) for row in rows]
 
     moment = Region.moment
     contains = Region.contains
@@ -193,13 +181,13 @@ class Cube(Region):
         """(1, prod (alpha_i + 1)) per index."""
         return None, False, [(1, prod(e + 1 for e in a)) for a in alphas]
 
-    def locate(self, points) -> Located:
+    def locate(self, points) -> list[int]:
         """min over i of sign(X_i) and sign(D - X_i) per point, for X = D x."""
-        view = den, d, rows = _point_view(points, self.dimension)
+        den, d, rows = _point_view(points, self.dimension)
         if d is None:
-            return Located([view_sign(min(min(row), den - max(row)), d) for row in rows], view)
-        return Located([min(view_sign(v, d) for x in row for v in (x, view_minus((den, 0), x, d)))
-                        for row in rows], view)
+            return [view_sign(min(min(row), den - max(row)), d) for row in rows]
+        return [min(view_sign(v, d) for x in row for v in (x, view_minus((den, 0), x, d)))
+                for row in rows]
 
     moment = Region.moment
     contains = Region.contains
@@ -370,8 +358,7 @@ class Polygon(Region):
         the coordinates, so the sum T runs on the integer view and the
         moment is the pair (T, (p+q+2)! D^(p+q+2) / (p! q!)).  The view is
         built once, and the recurrence runs once, over every edge at a
-        time, on the down-closed set of the batch: each (i, j) at or below
-        some (p, q) in ``alphas``.
+        time, on the triangle i + j <= the largest p + q in ``alphas``.
         """
         den, d, pts = _point_view(self.vertex_list, 2)
         zero = 0 if d is None else (0, 0)
@@ -381,18 +368,13 @@ class Polygon(Region):
         ]
         crosses, x0s, y0s, x1s, y1s = zip(*(edge for edge in edges if edge[0] != zero))
         zeros = [zero] * len(crosses)
-        # reach[i]: the largest q of an index (p, q) of the batch with p >= i
-        reach = [-1] * (max(p for p, _ in alphas) + 1)
-        for p, q in alphas:
-            reach[p] = max(reach[p], q)
-        for i in range(len(reach) - 2, -1, -1):
-            reach[i] = max(reach[i], reach[i + 1])
+        top = max(map(sum, alphas))
         wanted = set(alphas)
         totals = {}
         a_above = h_above = None
-        for i, top in enumerate(reach):
+        for i in range(top + 1):
             a_row, h_row = [], []
-            for j in range(top + 1):
+            for j in range(top - i + 1):
                 if i == j == 0:
                     a = h = crosses
                 else:
@@ -409,13 +391,12 @@ class Polygon(Region):
             a_above, h_above = a_row, h_row
         return d, False, [totals[alpha] for alpha in alphas]
 
-    def locate(self, points) -> Located:
-        """``_polygon_sign`` per point, on one view of vertices and points;
-        the view handed back is the points' rows over that D."""
+    def locate(self, points) -> list[int]:
+        """``_polygon_sign`` per point, on one view of vertices and points."""
         m = len(self.vertex_list)
-        den, d, rows = _point_view(self.vertex_list + tuple(points), 2)
+        _, d, rows = _point_view(self.vertex_list + tuple(points), 2)
         edges = list(zip(rows[:m], rows[1:m] + rows[:1]))
-        return Located([_polygon_sign(pt, edges, d) for pt in rows[m:]], (den, d, rows[m:]))
+        return [_polygon_sign(pt, edges, d) for pt in rows[m:]]
 
     moment = Region.moment
     contains = Region.contains
@@ -446,12 +427,12 @@ class UnitDisc(Region):
             for m, n in alphas
         ]
 
-    def locate(self, points) -> Located:
+    def locate(self, points) -> list[int]:
         """sign(D^2 - X^2 - Y^2) per point, on the view (X, Y) = D (x, y)."""
-        view = den, d, rows = _point_view(points, self.dimension)
+        den, d, rows = _point_view(points, self.dimension)
         top = den * den if d is None else (den * den, 0)
         squares = [view_plus(view_times(x, x, d), view_times(y, y, d), d) for x, y in rows]
-        return Located([view_sign(view_minus(top, rr, d), d) for rr in squares], view)
+        return [view_sign(view_minus(top, rr, d), d) for rr in squares]
 
     moment = Region.moment
     contains = Region.contains

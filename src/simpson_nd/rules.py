@@ -4,15 +4,15 @@ named rules CR1..CR6 and the triangle midedge rule.
 Every rule stores exact Scalar nodes and weights.  Node membership in the
 closed region is verified exactly, one ``Region.locate`` call per node
 list, so rules with irrational boundary nodes (CR5) are certified, not
-assumed; the integer view that call builds starts the rule's one
-``NodeTable`` (``CubatureRule.table``).  Every named rule is the paper's lam*M(f) + (1-lam)*T(f), built
-by ``blend`` from one ``PaperForm``: one moment batch of its region and one
-``locate`` call over its centroid and boundary node list.
+assumed.  A rule's one ``NodeTable`` (``CubatureRule.table``) is built from
+its nodes and weights on first use.  Every named rule is the paper's
+lam*M(f) + (1-lam)*T(f), built by ``blend`` from one ``PaperForm``: one
+moment batch of its region and one ``locate`` call over its centroid and
+boundary node list.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 from collections import Counter
 from fractions import Fraction
@@ -150,19 +150,12 @@ class NodeTable:
     one way: a pi coordinate, a pi weight beside a pi-free one or a second
     radicand raises IncompatibleScalars, and nodes of different lengths
     raise DimensionMismatch.
-
-    ``view``, when given, is the (D, d, rows) of the nodes that a ``locate``
-    call built (``regions.Located.view``), one row per node over a common
-    denominator D of the nodes and possibly of points beside them.  Over
-    the table's radicand, the table takes its columns from those rows,
-    divided by g = gcd(D, every entry), so that D / g is the nodes' own
-    lcm and the table is the one a second view of the nodes would build.
     """
 
     __slots__ = ("nodes", "weights", "dimension", "radicand", "pi", "columns",
                  "scaled_weights", "denominator", "weight_denominator")
 
-    def __init__(self, nodes, weights, view=None):
+    def __init__(self, nodes, weights):
         pairs = tuple(zip(nodes, weights))
         self.nodes = tuple(p for p, _ in pairs)
         self.weights = tuple(w for _, w in pairs)
@@ -174,16 +167,6 @@ class NodeTable:
         coordinates = list(chain.from_iterable(zip(*self.nodes)))
         d = self.radicand = scalars.radicand(coordinates + weights, "sum")
         self.weight_denominator, self.scaled_weights = scalars.integer_view(weights, d)
-        if view is not None and view[1] == d:
-            den, _, rows = view
-            entries = chain.from_iterable(rows)
-            g = math.gcd(den, *(entries if d is None else chain.from_iterable(entries)))
-            if g > 1:
-                rows = [[x // g if d is None else (x[0] // g, x[1] // g) for x in row]
-                        for row in rows]
-            self.denominator = den // g
-            self.columns = tuple(map(list, zip(*rows)))
-            return
         self.denominator, flat = scalars.integer_view(coordinates, d)
         n = len(self.nodes)
         self.columns = tuple(flat[i:i + n] for i in range(0, len(flat), n))
@@ -229,10 +212,9 @@ def monomial(alpha, coefficient=1) -> MonomialPoly:
 class CubatureRule:
     """Finite node/weight list over a region, all entries exact.
 
-    ``table`` is the rule's one ``NodeTable``, built on first use;
-    residuals, weight sums and polynomial sums all read it.  A rule that
-    its builder located (``_located_rule``) starts it from the view of that
-    ``locate`` call, which it holds until then."""
+    ``table`` is the rule's one ``NodeTable``, built from ``nodes`` and
+    ``weights`` on first use; residuals, weight sums and polynomial sums
+    all read it."""
 
     region: Region
     nodes: tuple[Point, ...]
@@ -257,7 +239,7 @@ class CubatureRule:
 
     @cached_property
     def table(self) -> NodeTable:
-        return NodeTable(self.nodes, self.weights, self.__dict__.pop("_view", None))
+        return NodeTable(self.nodes, self.weights)
 
     def weight_sum(self) -> Scalar:
         return self.table.sum((0,) * self.region.dimension)
@@ -283,12 +265,11 @@ def vertex_rule(region: Region) -> CubatureRule:
     return CubatureRule(region, verts, tuple(w for _ in verts), label="vertex")
 
 
-def _located_rule(region: Region, nodes, weights, label: str, view) -> CubatureRule:
-    """A rule of exact values that its builder located where they entered,
-    with ``view``, the rows of its nodes from that ``locate`` call: it skips
-    the second call that ``__post_init__`` makes."""
+def _located_rule(region: Region, nodes, weights, label: str) -> CubatureRule:
+    """A rule of exact values that its builder located where they entered:
+    it skips the second ``locate`` call that ``__post_init__`` makes."""
     rule = object.__new__(CubatureRule)
-    rule.__dict__.update(region=region, nodes=nodes, weights=weights, label=label, _view=view)
+    rule.__dict__.update(region=region, nodes=nodes, weights=weights, label=label)
     return rule
 
 
@@ -297,12 +278,11 @@ def boundary_rule(region: Region, nodes) -> CubatureRule:
     nodes = scalars.as_points(nodes)
     if not nodes:
         raise ValueError("the spread T needs at least one boundary node")
-    located = region.locate(nodes)
-    for p, s in zip(nodes, located):
+    for p, s in zip(nodes, region.locate(nodes)):
         if s:
             raise NodeNotOnBoundary(f"node {p} is not on the region boundary")
     w = scalars.div(region.moments([(0,) * region.dimension])[0], Fraction(len(nodes)))
-    return _located_rule(region, nodes, tuple(w for _ in nodes), "boundary", located.view)
+    return _located_rule(region, nodes, tuple(w for _ in nodes), "boundary")
 
 
 class PaperForm:
@@ -328,16 +308,13 @@ class PaperForm:
     def check(self, spread):
         """One ``locate`` call over P and the exact ``spread``: it raises
         NodeOutsideRegion for a centroid outside the region and
-        NodeNotOnBoundary for the first spread node off the boundary.
-        Returns the (D, d, rows) view of P and the spread that it built."""
-        located = self.region.locate((self.centroid,) + spread)
-        inside, *signs = located
+        NodeNotOnBoundary for the first spread node off the boundary."""
+        inside, *signs = self.region.locate((self.centroid,) + spread)
         if inside < 0:
             raise NodeOutsideRegion(f"node {self.centroid} lies outside the region")
         for p, s in zip(spread, signs):
             if s:
                 raise NodeNotOnBoundary(f"node {p} is not on the region boundary")
-        return located.view
 
     def _share(self, spread) -> Scalar:
         """A/k, T's weight on each of the k spread nodes; an empty spread
@@ -364,19 +341,16 @@ class PaperForm:
     def rule(self, lam, spread, label: str) -> CubatureRule:
         """The blend at the exact ``spread`` after ``check``: the centroid
         with weight lam*A, then each spread node with (1-lam)*A/k; nodes
-        whose weight is exactly zero are dropped, and so are their rows of
-        the check's view, which the rule keeps for its table.  An empty
-        spread is allowed only at lam = 1, and raises ValueError elsewhere."""
-        den, d, rows = self.check(spread)
+        whose weight is exactly zero are dropped.  An empty spread is
+        allowed only at lam = 1, and raises ValueError elsewhere."""
+        self.check(spread)
         lam = as_scalar(lam)
         pairs = [(self.centroid, scalars.mul(lam, self.volume))]
         if spread or not scalars.eq(lam, 1):
             share = scalars.mul(scalars.sub(Fraction(1), lam), self._share(spread))
             pairs += [(p, share) for p in spread]
-        kept = [k for k, (_, w) in enumerate(pairs) if not is_zero(w)]
-        return _located_rule(self.region, tuple(pairs[k][0] for k in kept),
-                             tuple(pairs[k][1] for k in kept), label,
-                             (den, d, [rows[k] for k in kept]))
+        nodes, weights = zip(*(pair for pair in pairs if not is_zero(pair[1])))
+        return _located_rule(self.region, nodes, weights, label)
 
 
 def blend(lam, region: Region, spread, label: str = "") -> CubatureRule:

@@ -198,8 +198,8 @@ MUTANTS = [
     # summed without face 4's term, the residual lam*coef - rhs with its
     # sign flipped, M taken as the volume without the centroid's power, T
     # weighing each spread node with the whole volume instead of volume/k,
-    # a centroid outside the region let through, and an empty spread let
-    # through at lam != 1
+    # a centroid outside the region let through, an empty spread let
+    # through at lam != 1, and a blend keeping the nodes whose weight is zero
     (
         "families.py",
         "sums = [t[i] + t[j] + t[k] + t[m] for t in terms]",
@@ -249,9 +249,14 @@ MUTANTS = [
         "if spread:",
         ["tests/test_rules.py::test_an_empty_spread_is_a_domain_error_but_at_lam_1"],
     ),
+    (
+        "rules.py",
+        "(pair for pair in pairs if not is_zero(pair[1]))",
+        "(pair for pair in pairs)",
+        ["tests/test_rules.py::test_blend_degenerate_cases"],
+    ),
     # the scan on the integer view: the zero test scaled by D^(|alpha| - 1)
-    # instead of D^|alpha|, the moment's denominator dropped from it, and a
-    # blend's table keeping the rows of the nodes whose weight is zero
+    # instead of D^|alpha|, and the moment's denominator dropped from it
     (
         "exactness.py",
         "scale = table.weight_denominator * table.denominator ** d",
@@ -269,15 +274,6 @@ MUTANTS = [
         [
             "tests/test_exactness.py::test_the_integer_scan_gives_the_full_scalar_scan_report",
             "tests/test_exactness.py::test_the_scan_builds_only_the_failing_residual_as_a_scalar",
-        ],
-    ),
-    (
-        "rules.py",
-        "(den, d, [rows[k] for k in kept])",
-        "(den, d, rows)",
-        [
-            "tests/test_rules.py::test_a_rules_table_is_the_table_of_its_nodes_and_weights",
-            "tests/test_exactness.py::test_the_integer_scan_gives_the_full_scalar_scan_report",
         ],
     ),
     # the point-family table: two entries of a parameter map swapped

@@ -3,10 +3,15 @@ import gc
 import io
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import simpson_nd
 from simpson_nd.cli import run
 
 
@@ -1133,3 +1138,27 @@ def test_a_request_asks_its_region_once(tmp_path, capsys, monkeypatch, region, a
     code, out, err = run_cli(capsys, *argv, *where)
     assert (code, err) == (0, "")
     assert asks == ["moments"]
+
+
+def test_a_closed_stdout_ends_the_run_quietly_with_status_1():
+    # the read end of the pipe is closed before the child starts, so its
+    # first write to stdout meets a broken pipe
+    src = Path(simpson_nd.__file__).resolve().parent.parent
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "simpson_nd.cli", "catalog", "--dim", "3"],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            stdout=write_end, stderr=subprocess.PIPE, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (1, b"")
+
+
+def test_a_missing_region_file_is_a_domain_error(capsys, tmp_path):
+    path = tmp_path / "missing.json"
+    code, out, err = run_cli(capsys, "moments", "--region-file", str(path), "--degree", "1")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and str(path) in err

@@ -77,12 +77,15 @@ def test_volume_centroid_and_midpoint_keep_their_closed_form_reprs():
 def test_regions_share_one_base():
     # each region has one moment routine, and the base class turns its pairs
     # into scalars; benchmarks/tracing.py wraps moment and contains through
-    # Class.__dict__
-    for cls in (Simplex, Cube, Polygon, UnitDisc):
+    # Class.__dict__; locate hands back a plain list of signs
+    for region in (Simplex(2), Cube(2), trapezoid_paper(), UnitDisc()):
+        cls = type(region)
         assert issubclass(cls, Region)
         assert {"_moment_view", "moment", "contains"} <= set(vars(cls)), cls
         assert vars(cls)["moment"] is Region.moment, cls
         assert not {"moments", "volume", "centroid"} & set(vars(cls)), cls
+        signs = region.locate([(Fraction(1, 4), Fraction(1, 4)), (Fraction(2), Fraction(0))])
+        assert type(signs) is list and signs == [1, -1], cls
     assert "__init__" in vars(Polygon)
     assert Region.__slots__ == ()
     polygon = trapezoid_paper()

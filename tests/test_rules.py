@@ -753,46 +753,10 @@ def test_refusals(case):
         call()
 
 
-_TABLE_SLOTS = ("denominator", "columns", "scaled_weights", "weight_denominator", "radicand", "pi")
-
-
-def test_a_rules_table_is_the_table_of_its_nodes_and_weights(monkeypatch):
-    """A blend's table starts from the view of its one locate call and is,
-    slot for slot, the table a fresh view of the kept nodes builds: at lam =
-    0 the centroid's row is dropped and D comes back to the spread's own
-    lcm, D / gcd(D, entries)."""
-    from test_exactness import seeded_blends
-
-    views = []
-    integer_view = scalars.integer_view
-
-    def counted(values, d=None):
-        views.append(len(values))
-        return integer_view(values, d)
-
-    cases = seeded_blends(3601)
-    built = [blend(lam, region, spread) for region, spread, lam in cases]
-    built += [named_rule(name, 3) for name in ("CR1", "CR2", "CR3")]
-    built += [named_rule(name) for name in ("CR4", "CR5", "CR5*", "CR6", "TriangleMidedge")]
-    for rule in built:
-        monkeypatch.setattr(scalars, "integer_view", counted)
-        table = rule.table
-        monkeypatch.undo()
-        fresh = NodeTable(rule.nodes, rule.weights)
-        for slot in _TABLE_SLOTS:
-            got, want = getattr(table, slot), getattr(fresh, slot)
-            assert (type(got), got) == (type(want), want), (rule, slot)
-        if isinstance(rule.region, (Simplex, Cube, UnitDisc)):
-            # the weights' view only: the coordinates' came with the locate call
-            assert views == [len(rule.weights)], rule
-        views.clear()
+def test_a_rules_table_is_the_table_of_its_nodes_and_weights():
+    """A rule builds its table from its own nodes and weights, on first
+    use: the midedge rule is the blend at lam = 0, so the centroid's 1/3
+    is dropped with its node and D is the midpoints' 2."""
     midedge = triangle_midedge()
+    assert "table" not in vars(midedge)
     assert midedge.table.denominator == 2 and midedge.table.columns == ([1, 0, 1], [0, 1, 1])
-    assert any(lam == 0 and _drops_a_denominator(region, spread) for region, spread, lam in cases)
-
-
-def _drops_a_denominator(region, spread) -> bool:
-    """Whether the centroid's row brings a denominator that the spread's
-    own rows do not have, so that lam = 0 must reduce D."""
-    rule = blend(0, region, spread)
-    return rules.PaperForm(region).check(tuple(spread))[0] != rule.table.denominator
