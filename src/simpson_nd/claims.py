@@ -94,7 +94,8 @@ def _check_cr2() -> list[Claim]:
     ]
 
 
-_QUARTIC_RESIDUAL = Fraction(5, 24) - Fraction(1, 5)
+# Simpson's value of x^4 on [0, 1], and the moment it misses
+_QUARTIC = (Fraction(5, 24), Fraction(1, 5))
 
 
 def _check_cr3() -> list[Claim]:
@@ -102,7 +103,7 @@ def _check_cr3() -> list[Claim]:
     reports = {n: exactness.exactness_degree(rule, 5) for n, rule in members.items()}
     ok_deg = all(report.certified_degree == 3 for report in reports.values())
     ok_res = all(
-        _fails_first_at(report, (4,) + (0,) * (n - 1), _QUARTIC_RESIDUAL)
+        _fails_first_at(report, (4,) + (0,) * (n - 1), scalars.sub(*_QUARTIC))
         for n, report in reports.items()
     )
     return [
@@ -116,66 +117,51 @@ def _check_cr3() -> list[Claim]:
     ]
 
 
-def _check_cr4() -> list[Claim]:
-    rule = rules.cr4()
-    report = exactness.exactness_degree(rule, 5)
-    # the scan stops at x^4, before x^3 y and x y^3
-    ok = (
-        report.certified_degree == 3
-        and _fails_first_at(report, (4, 0), _QUARTIC_RESIDUAL)
-        and scalars.is_zero(exactness.residual(rule, (3, 1)))
-        and scalars.is_zero(exactness.residual(rule, (1, 3)))
-    )
-    return [
-        Claim(
-            "cr4-cubic-exactness-plus-bonus",
-            ok,
-            "degree 3, zero residual on x^3 y and x y^3, x^4 residual 1/120",
-        )
-    ]
+# The single-rule first failures, each one claim: (name, detail, catalog name,
+# degree scanned through, certified degree, first failing monomial, the rule's
+# value and the region's moment there, monomials whose residual also vanishes).
+# CR5* is scanned only through its certified degree, so it has no failure.
+_FIRST_FAILURES = (
+    (
+        "cr4-cubic-exactness-plus-bonus",
+        "degree 3, zero residual on x^3 y and x y^3, x^4 residual 1/120",
+        "CR4", 5, 3, (4, 0), *_QUARTIC, ((3, 1), (1, 3)),
+    ),
+    (
+        "cr5-quadratic-exactness-sqrt3893",
+        "degree 2 over Q(sqrt 3893); x^3 residual 336001/762048 - 9/20",
+        "CR5", 4, 2, (3, 0), Fraction(336001, 762048), Fraction(9, 20), (),
+    ),
+    ("cr5-conjugate-solution", "conjugate root also degree 2", "CR5*", 2, 2, None, None, None, ()),
+    (
+        "cr6-cubic-exactness-pi-weights",
+        "degree 3 with pi arithmetic; x^4 residual pi/4 - pi/8",
+        "CR6", 5, 3, (4, 0), PiMultiple(Fraction(1, 4)), PiMultiple(Fraction(1, 8)), (),
+    ),
+    (
+        "midedge-quadratic-exactness",
+        "degree 2; x^3 gives 1/24 vs 1/20",
+        "TriangleMidedge", 4, 2, (3, 0), Fraction(1, 24), Fraction(1, 20), (),
+    ),
+)
 
 
-def _check_cr5() -> list[Claim]:
-    report = exactness.exactness_degree(rules.cr5(), 4)
-    ok = report.certified_degree == 2 and _fails_first_at(
-        report, (3, 0), Fraction(336001, 762048) - Fraction(9, 20)
-    )
-    ok_conj = exactness.exactness_degree(rules.cr5_conjugate(), 2).certified_degree == 2
-    return [
-        Claim(
-            "cr5-quadratic-exactness-sqrt3893",
-            ok,
-            "degree 2 over Q(sqrt 3893); x^3 residual 336001/762048 - 9/20",
-        ),
-        Claim("cr5-conjugate-solution", ok_conj, "conjugate root also degree 2"),
-    ]
-
-
-def _check_cr6() -> list[Claim]:
-    report = exactness.exactness_degree(rules.cr6(), 5)
-    ok = report.certified_degree == 3 and _fails_first_at(
-        report, (4, 0), PiMultiple(Fraction(1, 8))
-    )
-    return [
-        Claim(
-            "cr6-cubic-exactness-pi-weights",
-            ok,
-            "degree 3 with pi arithmetic; x^4 residual pi/4 - pi/8",
-        )
-    ]
-
-
-def _check_midedge() -> list[Claim]:
-    report = exactness.exactness_degree(rules.triangle_midedge(), 4)
-    # rule(x^3) = 1/24 follows from the residual and the moment 1/20
-    ok = (
-        report.certified_degree == 2
-        and _fails_first_at(report, (3, 0), Fraction(1, 24) - Fraction(1, 20))
-        and Simplex(2).moment((3, 0)) == Fraction(1, 20)
-    )
-    return [
-        Claim("midedge-quadratic-exactness", ok, "degree 2; x^3 gives 1/24 vs 1/20")
-    ]
+def _check_first_failures() -> list[Claim]:
+    out = []
+    for name, detail, rule_name, top, degree, alpha, value, moment, zeros in _FIRST_FAILURES:
+        rule = rules.named_rule(rule_name)
+        report = exactness.exactness_degree(rule, top)
+        ok = report.certified_degree == degree
+        if alpha is not None:
+            ok = (
+                ok
+                and _fails_first_at(report, alpha, scalars.sub(value, moment))
+                and rule.region.moment(alpha) == moment
+            )
+        # the scan stops at the first failure, before these monomials
+        ok = ok and all(scalars.is_zero(exactness.residual(rule, beta)) for beta in zeros)
+        out.append(Claim(name, ok, detail))
+    return out
 
 
 def _check_negative_results() -> list[Claim]:
@@ -243,16 +229,15 @@ def _check_families() -> list[Claim]:
             f"all {count} residuals vanish at every sampled parameter",
         ))
         ok_roots = ok_roots and family.selector_roots() == roots
-    third = Fraction(1, 3)
-    lam = Fraction(-4, 5)
-    point = (third,) * 8
+    point, lam = families.SIMPLEX3_FACE_CENTERS
     res = families.simplex3_face_system(point, lam)
     ok_face = res.all_zero and rules.rules_equivalent(
         families.simplex3_face_rule(point, lam), rules.cr2(3)
     )
     vertex = families.simplex3_vertex_solutions()
     ok_vertex = len(vertex) > 0 and all(
-        families.simplex3_face_system(a, Fraction(4, 5)).all_zero for a in vertex
+        families.simplex3_face_system(a, families.SIMPLEX3_VERTEX_LAMBDA).all_zero
+        for a in vertex
     )
     return member_claims + [
         Claim(
@@ -263,12 +248,13 @@ def _check_families() -> list[Claim]:
         Claim(
             "simplex3-face-centers-solution",
             ok_face,
-            "all-1/3 with blend -4/5 solves the system and rebuilds CR2(3)",
+            f"all-{point[0]} with blend {lam} solves the system and rebuilds CR2(3)",
         ),
         Claim(
             "simplex3-vertex-placements",
             ok_vertex,
-            f"vertex-type search finds {len(vertex)} solutions at blend 4/5",
+            f"vertex-type search finds {len(vertex)} solutions at blend "
+            f"{families.SIMPLEX3_VERTEX_LAMBDA}",
         ),
     ]
 
@@ -409,10 +395,7 @@ _CHECKS: tuple[Callable[[], list[Claim]], ...] = (
     _check_cr1,
     _check_cr2,
     _check_cr3,
-    _check_cr4,
-    _check_cr5,
-    _check_cr6,
-    _check_midedge,
+    _check_first_failures,
     _check_negative_results,
     _check_families,
     _check_interpolation,

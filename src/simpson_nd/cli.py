@@ -507,23 +507,24 @@ def _cmd_family(args) -> int:
                 "command": "family",
                 "system": "simplex3",
                 "vertex_search": True,
-                "lambda": "4/5",
+                "lambda": str(families.SIMPLEX3_VERTEX_LAMBDA),
                 "solutions": [[str(v) for v in sol] for sol in solutions],
             },
             csv_table=lambda: (["solution", "parameters"],
                                [[str(i + 1), ", ".join(str(v) for v in sol)]
                                 for i, sol in enumerate(solutions)]),
             text_lines=lambda: [
-                f"vertex-type placements solving the system at lambda=4/5: {len(solutions)}"
+                "vertex-type placements solving the system at "
+                f"lambda={families.SIMPLEX3_VERTEX_LAMBDA}: {len(solutions)}"
             ] + ["  (" + ", ".join(str(v) for v in sol) + ")" for sol in solutions],
         )
         return 0
-    third = Fraction(1, 3)
-    res = families.simplex3_face_system((third,) * 8, Fraction(-4, 5))
+    point, lam = families.SIMPLEX3_FACE_CENTERS
+    res = families.simplex3_face_system(point, lam)
     return _residual_report(
         args, "simplex3", res,
-        extra=lambda: {"point": "all 1/3", "lambda": "-4/5"},
-        extra_lines=lambda: ["face-center placement with lambda=-4/5"],
+        extra=lambda: {"point": f"all {point[0]}", "lambda": str(lam)},
+        extra_lines=lambda: [f"face-center placement with lambda={lam}"],
     )
 
 
@@ -687,7 +688,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--branch", choices=("primary", "conjugate"), default="primary",
                    help="trapezoid family branch")
     p.add_argument("--vertex-search", action="store_true",
-                   help="simplex3: search vertex-type placements at lambda=4/5")
+                   help="simplex3: search vertex-type placements at "
+                   f"lambda={families.SIMPLEX3_VERTEX_LAMBDA}")
     p.set_defaults(func=_cmd_family)
 
     p = sub.add_parser("compound", help="subdivision convergence study")

@@ -270,6 +270,12 @@ def trapezoid_family_member(conjugate: bool = False):
     return (*rules.cr5_parameters(conjugate), rules.CR5_LAMBDA)
 
 
+# The published face-centre member (every parameter 1/3, lam = -4/5, which
+# rebuilds CR2(3)) and the blend the vertex search keeps
+SIMPLEX3_FACE_CENTERS = ((Fraction(1, 3),) * 8, Fraction(-4, 5))
+SIMPLEX3_VERTEX_LAMBDA = Fraction(4, 5)
+
+
 def simplex3_face_system(a: Sequence, lam) -> SystemResiduals:
     """Residuals of the 3-simplex blend with one node on each face:
     Q1 = (a1,a2,0), Q2 = (a3,0,a4), Q3 = (0,a5,a6), Q4 = (a7,a8,1-a7-a8).
@@ -319,7 +325,7 @@ def simplex3_vertex_solutions() -> list[tuple[Fraction, ...]]:
     """
     zero, one = Fraction(0), Fraction(1)
     corners = ((zero, zero), (one, zero), (zero, one))
-    lam = Fraction(4, 5)
+    lam = SIMPLEX3_VERTEX_LAMBDA
     form = _SIMPLEX3.form
     by_corner = [_SIMPLEX3.nodes(corner * 4) for corner in corners]
     # the node of face f at corner k is candidate 3*f + k

@@ -390,6 +390,18 @@ MUTANTS = [
             "test_a_rule_not_closed_under_permutations_gets_the_full_scan[_swap_closed_cube3]",
         ],
     ),
+    (
+        "claims.py",
+        "        ok = ok and all(scalars.is_zero(exactness.residual(rule, beta)) for beta in zeros)\n",
+        "",
+        ["tests/test_claims.py::test_a_nonzero_bonus_residual_fails_only_the_cr4_claim"],
+    ),
+    (
+        "claims.py",
+        "                and rule.region.moment(alpha) == moment\n",
+        "",
+        ["tests/test_claims.py::test_a_row_whose_value_and_moment_both_shift_fails"],
+    ),
 ]
 
 

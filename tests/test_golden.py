@@ -35,6 +35,8 @@ were recorded before the square kernel computed the subexpressions that
 read at most one coordinate outside its cell loop, and the
 ``family_simplex3_vertex_search`` files before the vertex search summed
 its candidate nodes from one table and the family systems kept M.
+The ``verify_all.txt`` and ``verify_all.csv`` files were recorded before
+the claim suite read its single-rule first failures from one table.
 
 Each file holds the stdout of ``simpson-nd`` for the argv listed below,
 for example ``simpson-nd --format json verify --all > verify_all.json``.
@@ -114,12 +116,16 @@ FIELD_CASES = {
     "derive_disc_lambda": ("derive", "--region", "disc", "--targets", "deg4", "--exclude", "x^4"),
 }
 
-CASES = {"verify_all.json": ("--format", "json", "verify", "--all")}
+_FORMATS = (("text", "txt"), ("json", "json"), ("csv", "csv"))
+CASES = {
+    f"verify_all.{_suffix}": ("--format", _format, "verify", "--all")
+    for _format, _suffix in _FORMATS
+}
 for _command, _cases in (
     (("family",), FAMILY_CASES), (("compound",), COMPOUND_CASES), ((), FIELD_CASES),
 ):
     for _stem, _args in _cases.items():
-        for _format, _suffix in (("text", "txt"), ("json", "json"), ("csv", "csv")):
+        for _format, _suffix in _FORMATS:
             CASES[f"{_stem}.{_suffix}"] = ("--format", _format) + _command + _args
 
 
