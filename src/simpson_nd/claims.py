@@ -117,47 +117,48 @@ def _check_cr3() -> list[Claim]:
     ]
 
 
-# The single-rule first failures, each one claim: (name, detail, catalog name,
-# degree scanned through, certified degree, first failing monomial, the rule's
-# value and the region's moment there, monomials whose residual also vanishes).
-# CR5* is scanned only through its certified degree, so it has no failure.
+# The single-rule first failures, each one claim, scanned through the certified
+# degree + 1: (name, detail, catalog name, certified degree, first failing
+# monomial, the rule's value and the region's moment there, monomials whose
+# residual also vanishes).  CR5*'s x^3 value is rational, so it is CR5's.
 _FIRST_FAILURES = (
     (
         "cr4-cubic-exactness-plus-bonus",
         "degree 3, zero residual on x^3 y and x y^3, x^4 residual 1/120",
-        "CR4", 5, 3, (4, 0), *_QUARTIC, ((3, 1), (1, 3)),
+        "CR4", 3, (4, 0), *_QUARTIC, ((3, 1), (1, 3)),
     ),
     (
         "cr5-quadratic-exactness-sqrt3893",
         "degree 2 over Q(sqrt 3893); x^3 residual 336001/762048 - 9/20",
-        "CR5", 4, 2, (3, 0), Fraction(336001, 762048), Fraction(9, 20), (),
+        "CR5", 2, (3, 0), Fraction(336001, 762048), Fraction(9, 20), (),
     ),
-    ("cr5-conjugate-solution", "conjugate root also degree 2", "CR5*", 2, 2, None, None, None, ()),
+    (
+        "cr5-conjugate-solution", "conjugate root also degree 2",
+        "CR5*", 2, (3, 0), Fraction(336001, 762048), Fraction(9, 20), (),
+    ),
     (
         "cr6-cubic-exactness-pi-weights",
         "degree 3 with pi arithmetic; x^4 residual pi/4 - pi/8",
-        "CR6", 5, 3, (4, 0), PiMultiple(Fraction(1, 4)), PiMultiple(Fraction(1, 8)), (),
+        "CR6", 3, (4, 0), PiMultiple(Fraction(1, 4)), PiMultiple(Fraction(1, 8)), (),
     ),
     (
         "midedge-quadratic-exactness",
         "degree 2; x^3 gives 1/24 vs 1/20",
-        "TriangleMidedge", 4, 2, (3, 0), Fraction(1, 24), Fraction(1, 20), (),
+        "TriangleMidedge", 2, (3, 0), Fraction(1, 24), Fraction(1, 20), (),
     ),
 )
 
 
 def _check_first_failures() -> list[Claim]:
     out = []
-    for name, detail, rule_name, top, degree, alpha, value, moment, zeros in _FIRST_FAILURES:
+    for name, detail, rule_name, degree, alpha, value, moment, zeros in _FIRST_FAILURES:
         rule = rules.named_rule(rule_name)
-        report = exactness.exactness_degree(rule, top)
-        ok = report.certified_degree == degree
-        if alpha is not None:
-            ok = (
-                ok
-                and _fails_first_at(report, alpha, scalars.sub(value, moment))
-                and rule.region.moment(alpha) == moment
-            )
+        report = exactness.exactness_degree(rule, degree + 1)
+        ok = (
+            report.certified_degree == degree
+            and _fails_first_at(report, alpha, scalars.sub(value, moment))
+            and rule.region.moment(alpha) == moment
+        )
         # the scan stops at the first failure, before these monomials
         ok = ok and all(scalars.is_zero(exactness.residual(rule, beta)) for beta in zeros)
         out.append(Claim(name, ok, detail))

@@ -4,25 +4,21 @@ A base rule over the unit interval, the unit square, or the standard
 triangle is mapped affinely onto every cell of a uniform subdivision and
 the per-cell estimates are summed.  Cell order is fixed (row-major grids,
 depth-first triangle recursion) and the float accumulation is compensated,
-so results are reproducible bit for bit.  The loop over the cells is one
-Python function generated and compiled per rule and integrand, with the
-nodes as float constants and an integrand from expr.as_function inlined;
-it does the float operations, in the same order, of a loop that maps
-each node of each cell and calls the integrand.  On the interval and
-the square a grid node shared by neighbouring cells is evaluated once,
-in the first cell that has it, and its value reused: its mapped
-coordinates are the same floats in every cell, so every estimate keeps
-its bits.  On the square each part of an inlined integrand that reads at
-most one coordinate is computed once where that coordinate is fixed: a
-part of x alone once per grid column and node x-offset, a part of y
-alone once per row and node y-offset, a constant once.  So
-exp(x)*sin(3*y)+cos(x*y) under CR4 makes about 3 math calls per cell
-(cos at the 3 nodes a cell evaluates), not 9.  On the triangle every
-node of every cell is evaluated, but the products m_ij * p_j of a cell's
-matrix and the node coordinates are worked out once per distinct matrix,
-at most six per depth, and each cell only adds them to its offset; a
-product with p_j == 0.0 is left out, and a coordinate the integrand does
-not read is not mapped at all.
+so results are reproducible bit for bit.
+
+Every region's cell loop is one generated function, kernel(level, scale),
+compiled per rule and integrand with the nodes as float constants and an
+integrand from expr.as_function inlined.  It does the float operations,
+in the same order, of a loop that maps each node of each cell and calls
+the integrand, less work whose floats it already has: a grid node shared
+by neighbouring cells is evaluated once, a part of the integrand that
+reads one coordinate of the square once per row or column (so
+exp(x)*sin(3*y)+cos(x*y) under CR4 makes about 3 math calls per cell, not
+9), and the products of a triangle cell's matrix and the nodes once per
+distinct matrix.  So every estimate keeps its bits.  Work done ahead of
+a cell can meet another error first, so when an inlined kernel raises,
+compound_apply runs the level once more through a kernel that calls the
+integrand at every node, which raises the every-node loop's first error.
 """
 
 from __future__ import annotations
@@ -77,7 +73,8 @@ def triangle_children(v0, v1, v2):
 
 # The triangle cells as affine maps (offset, matrix) of the rule's region,
 # x -> matrix x + offset, in depth-first order, each yielded as
-# (offset, products(matrix)).  These float cells are the one way a rule is
+# (offset, products(matrix)), products being the kernel's _products (see
+# _cells_source).  These float cells are the one way a rule is
 # mapped onto a triangle; the interval and square kernels walk their grids
 # by index instead (see _grid_source).
 
@@ -129,27 +126,19 @@ def _triangle_cells(level: int, products):
             yield a, turn
 
 
-def _node_products(keys):
-    """products(M) for _triangle_cells: the tuple of M[i][j] * p for each
-    key (i, j, p) of _cells_source, in that order."""
-
-    def products(matrix):
-        return tuple([matrix[i][j] * p for i, j, p in keys])
-
-    return products
-
-
-# One generated function per (rule, integrand) runs the whole cell loop.
-# Per cell it maps each node through x -> M x + o with the node's float
-# constants, adds w * f(x) in node order, and adds the cell to the
-# compensated sum: the float operations, in the order, of a loop that
-# calls f at every node of every cell.  An integrand from
-# expr.as_function is inlined over the locals x0, x1 (a call costs more
-# than the integrand's arithmetic); any other callable is called as
-# _f(x0, x1).  The source holds only float reprs, the fixed names below
-# and the integrand's inline_source text, and runs without builtins (the
-# grid kernels get range as _range, the triangle kernel _triangle_cells
-# as _cells and _node_products' function as _products).
+# One generated function per (rule, integrand), kernel(level, scale), runs
+# the whole cell loop of a level and returns the compensated sum.  Per cell
+# it maps each node through x -> M x + o with the node's float constants,
+# adds w * f(x) in node order, and adds the cell times scale to the sum:
+# the float operations, in the order, of a loop that calls f at every node
+# of every cell.  An integrand from expr.as_function is inlined over the
+# locals x0, x1 (a call costs more than the integrand's arithmetic); any
+# other callable is called as _f(x0, x1).  Each source builder returns
+# (source, names): the kernel's source, which holds only float reprs, the
+# fixed names below and the integrand's inline_source text, and the names
+# it runs with besides the integrand's, without builtins (the grid kernels
+# get range as _range, the triangle kernel _triangle_cells as _cells and
+# its own products function as _products).
 #
 # On the triangle a cell comes as (o, (t0, t1, ...)): the distinct
 # products t = m_ij * p_j over the nodes, with p_j != 0.0, in the order
@@ -160,21 +149,21 @@ def _node_products(keys):
 # as neither o_i nor any partial sum is ever -0.0.  A coordinate the
 # integrand does not read (outside inline.reads and its parts' reads;
 # a called integrand reads all) is not computed: float + and * never
-# raise, so the first error is the same.
+# raise, so leaving it out changes no outcome.
 #
 # On the interval and the square the kernel walks the row-major grid by
-# index, with o = i h and M = h I, h = 2^-level, and evaluates each node
-# shared by neighbouring cells once.  A node p with p[a] == 0.0 whose
-# partner q = p + e_a is also a node (q[a] == 1.0, every other coordinate
-# equal) takes q's value from cell i - e_a: along axis 0 from a local r<n>
-# carried through the row, along axis 1 from a column buffer s<n>, both
-# written at the end of a cell.  The mapped coordinates agree bit for bit,
-# since (i - 1) h + h * 1.0 == i h exactly for dyadic h and i <= 2^20, and
-# the other axes use one expression in both cells.  (M's zero entries are
-# left out: o + 0.0 * p == o, as o is never -0.0.)  In the first column or
-# row p is evaluated in its node-order place, so the points f sees are
-# those of the every-node loop with repeats removed, in the same order,
-# and the first error raised is the same.
+# index, with k = 2^level, o = i h and M = h I, h = 1/k, and evaluates
+# each node shared by neighbouring cells once.  A node p with p[a] == 0.0
+# whose partner q = p + e_a is also a node (q[a] == 1.0, every other
+# coordinate equal) takes q's value from cell i - e_a: along axis 0 from a
+# local r<n> carried through the row, along axis 1 from a column buffer
+# s<n>, both written at the end of a cell.  The mapped coordinates agree
+# bit for bit, since (i - 1) h + h * 1.0 == i h exactly for dyadic h and
+# i <= 2^20, and the other axes use one expression in both cells.  (M's
+# zero entries are left out: o + 0.0 * p == o, as o is never -0.0.)  In
+# the first column or row p is evaluated in its node-order place, so the
+# points f sees are those of the every-node loop with repeats removed, in
+# the same order.
 #
 # On the square the kernel takes an inlined integrand as
 # expr._inline_source's template and parts, and computes each part once in
@@ -185,18 +174,20 @@ def _node_products(keys):
 # x0 = i0 * h + h * p0, the expression the cells use.  A lone coordinate
 # is a part too, so the cells read x0 and x1 from these as well.  Each part
 # takes the same floats through the same operations as it would inline,
-# so every estimate keeps its bits.  The parts and the rest of the
-# integrand are computed at exactly the points of the every-node loop, so
-# the kernel raises if and only if that loop does, but it may raise a
-# different error first: a table is filled before any cell.  So then
-# compound_apply runs the level again through a kernel that calls the
-# integrand at each node, in the every-node order, which raises that
-# loop's first error: as_function's f compiles the same expression.  On the
-# interval, whose one axis is the cell loop, only the constants move; a
-# called integrand has no parts, and the triangle kernel hoists nothing.
+# so every estimate keeps its bits.  (On the interval, whose one axis is
+# the cell loop, only the constants move.)
+#
+# So every kernel computes f at exactly the points of the every-node loop
+# and raises if and only if that loop does, but an inlined one may raise a
+# different error first: a table is filled before any cell.  Whenever an
+# inlined kernel raises, on any region, compound_apply therefore runs the
+# level once more through a kernel that calls the integrand at each node,
+# in the every-node order, which raises that loop's first error:
+# as_function's f compiles the same expression.  A called integrand is
+# never replayed, as its kernel already calls it in that order.
 
 
-def _cells_source(dimension: int, nodes, inline: InlineSource):
+def _cells_source(dimension: int, nodes, inline: InlineSource) -> tuple[str, dict]:
     axes = range(dimension)
     reads = inline.reads.union(*(read for read, _ in inline.parts))
     keys = {}  # (i, j, p[j]) -> the n of t<n> = m_ij * p[j], in first-use order
@@ -220,7 +211,12 @@ def _cells_source(dimension: int, nodes, inline: InlineSource):
         f"    for ({offset}), ({products}) in _cells(level, _products):",
         "        cell = 0.0",
     ]
-    return "\n".join(head + lines + _tail("        ")) + "\n", list(keys)
+
+    def multiply(matrix):  # the t<n> of one cell's matrix, in the order of n
+        return tuple([matrix[i][j] * p for i, j, p in keys])
+
+    source = "\n".join(head + lines + _tail("        ")) + "\n"
+    return source, {"_cells": _triangle_cells, "_products": multiply}
 
 
 def _tail(pad: str) -> list:
@@ -238,7 +234,7 @@ def _stored(node: int, axis: int) -> str:
     return f"r{node}" if axis == 0 else f"s{node}[i0]"
 
 
-def _grid_source(dimension: int, nodes, inline: InlineSource) -> str:
+def _grid_source(dimension: int, nodes, inline: InlineSource) -> tuple[str, dict]:
     axes = range(dimension)
     points = [point for point, _ in nodes]
     shared = {}  # node -> [(axis, partner)]
@@ -261,7 +257,8 @@ def _grid_source(dimension: int, nodes, inline: InlineSource) -> str:
         j = offsets[axis].index(point[axis])
         return f"row{m}_{j}" if axis == outer else f"col{m}_{j}[i0]"
 
-    lines = ["def kernel(k, scale):", "    h = 1.0 / k", "    total = 0.0", "    carry = 0.0"]
+    lines = ["def kernel(level, scale):", "    k = 2**level", "    h = 1.0 / k"]
+    lines += ["    total = 0.0", "    carry = 0.0"]
     rows, tables = [], []  # (part, source)
     for m, (reads, source) in enumerate(inline.parts):
         source = source.format(*constants)  # a part holds only constants
@@ -304,7 +301,7 @@ def _grid_source(dimension: int, nodes, inline: InlineSource) -> str:
         lines.append(f"{pad}cell += {weight!r} * {value}")
     for n, pairs in shared.items():
         lines += [f"{pad}{_stored(n, a)} = v{q}" for a, q in pairs]
-    return "\n".join(lines + _tail(pad)) + "\n"
+    return "\n".join(lines + _tail(pad)) + "\n", {"_range": range}
 
 
 def _compile_kernel(rule: CubatureRule, f: Callable[..., float]):
@@ -320,14 +317,8 @@ def _compile_kernel(rule: CubatureRule, f: Callable[..., float]):
     nodes = [
         (tuple(to_float(c) for c in p), to_float(w)) for p, w in zip(rule.nodes, rule.weights)
     ]
-    namespace = inline.namespace
-    if _on_grid(rule):
-        source = _grid_source(dimension, nodes, inline)
-        namespace["_range"] = range
-    else:
-        source, keys = _cells_source(dimension, nodes, inline)
-        namespace["_cells"] = _triangle_cells
-        namespace["_products"] = _node_products(keys)
+    source, names = (_grid_source if _on_grid(rule) else _cells_source)(dimension, nodes, inline)
+    namespace = inline.namespace | names
     exec(compile(source, "<compound kernel>", "exec"), namespace)
     # taken out of its own globals, so that a replaced kernel is freed at
     # once rather than left as a cycle for the collector
@@ -339,7 +330,7 @@ def _compile_kernel(rule: CubatureRule, f: Callable[..., float]):
 # request compiles one kernel (on CR4 about 0.55-0.65 ms for
 # exp(x)*sin(3*y)+cos(x*y) and 0.45 ms for x^6*y^3: the hoisted parts'
 # tables and row values lengthen the source), one more, which calls the
-# integrand, only for a grid level whose inlined kernel raises, and
+# integrand, only for a level whose inlined kernel raises, and
 # nothing is kept once the next request starts.
 _last_kernel = (None, None, None)
 
@@ -398,17 +389,14 @@ def compound_apply(
     # of two, so scaling by it rounds nowhere
     scale = 1.0 / cells
     kernel = _kernel(rule, f)
-    if _on_grid(rule):
-        try:
-            total = kernel(2**level, scale)
-        except (ArithmeticError, ValueError):
-            if not hasattr(f, "inline_source"):
-                raise
-            # a hoisted value is computed before the cells that first use
-            # it, so a kernel that calls f at each node finds the first error
-            total = _compile_kernel(rule, lambda *p: f(*p))(2**level, scale)
-    else:
+    try:
         total = kernel(level, scale)
+    except (ArithmeticError, ValueError):
+        if not hasattr(f, "inline_source"):
+            raise
+        # an inlined kernel may compute a value before the cells that first
+        # use it, so a kernel that calls f at each node finds the first error
+        total = _compile_kernel(rule, lambda *p: f(*p))(level, scale)
     if not math.isfinite(total):
         raise OverflowError(f"the level-{level} estimate is {total}: a float overflowed")
     return CompoundEstimate(level=level, cells=cells, estimate=total)

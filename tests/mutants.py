@@ -398,9 +398,33 @@ MUTANTS = [
     ),
     (
         "claims.py",
-        "                and rule.region.moment(alpha) == moment\n",
+        "            and rule.region.moment(alpha) == moment\n",
         "",
         ["tests/test_claims.py::test_a_row_whose_value_and_moment_both_shift_fails"],
+    ),
+    # each first-failure row scanned only through its certified degree
+    (
+        "claims.py",
+        "exactness.exactness_degree(rule, degree + 1)",
+        "exactness.exactness_degree(rule, degree)",
+        [
+            "tests/test_claims.py::test_a_nonzero_bonus_residual_fails_only_the_cr4_claim",
+            "tests/test_cli.py::test_verify_all_exit_code",
+        ],
+    ),
+    # the one kernel contract: a raising inlined kernel not replayed through
+    # a calling one, and the triangle products taken in reverse key order
+    (
+        "compound.py",
+        "        total = _compile_kernel(rule, lambda *p: f(*p))(level, scale)\n",
+        "        raise\n",
+        ["tests/test_compound.py::test_inlined_integrand_matches_a_called_one_through_compound_apply"],
+    ),
+    (
+        "compound.py",
+        "for i, j, p in keys])",
+        "for i, j, p in reversed(keys)])",
+        ["tests/test_compound.py::test_triangle_kernel_matches_a_call_at_every_node_of_every_cell"],
     ),
 ]
 

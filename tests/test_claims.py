@@ -18,6 +18,7 @@ FIRST_FAILURE_CLAIMS = {
     "cr3-quartic-residual",
     "cr4-cubic-exactness-plus-bonus",
     "cr5-quadratic-exactness-sqrt3893",
+    "cr5-conjugate-solution",
     "cr6-cubic-exactness-pi-weights",
     "midedge-quadratic-exactness",
 }
@@ -57,7 +58,7 @@ def test_a_nonzero_bonus_residual_fails_only_the_cr4_claim(monkeypatch):
 def test_a_row_whose_value_and_moment_both_shift_fails(monkeypatch):
     """The residual value - moment is unchanged, but the moment is wrong."""
     rows = [
-        row[:6] + (row[6] + Fraction(1), row[7] + Fraction(1)) + row[8:]
+        row[:5] + (row[5] + Fraction(1), row[6] + Fraction(1)) + row[7:]
         if row[0] == "midedge-quadratic-exactness" else row
         for row in claims._FIRST_FAILURES
     ]
@@ -80,12 +81,10 @@ def _oracle_moment(region, alpha):
 
 @pytest.mark.parametrize("row", claims._FIRST_FAILURES, ids=lambda row: row[0])
 def test_each_first_failure_row_holds_by_the_oracles(row):
-    _, _, rule_name, top, degree, alpha, value, moment, zeros = row
+    _, _, rule_name, degree, alpha, value, moment, zeros = row
     rule = rules.named_rule(rule_name)
-    residual = None if alpha is None else value - moment
-    assert full_scan_report(rule, top) == (degree, alpha, residual)
-    if alpha is not None:
-        assert _oracle_moment(rule.region, alpha) == moment
+    assert full_scan_report(rule, degree + 1) == (degree, alpha, value - moment)
+    assert _oracle_moment(rule.region, alpha) == moment
     for beta in zeros:
         # a bonus: past the certified degree, yet exact
         assert sum(beta) > degree

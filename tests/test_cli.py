@@ -622,14 +622,23 @@ def test_compound_requests_leave_no_reference_cycles(capsys):
         gc.enable()
 
 
-def test_a_compound_request_compiles_one_kernel(capsys, monkeypatch):
-    from simpson_nd import compound, expr
+def _count_builds(monkeypatch) -> list:
+    """The (rule, integrand) of each compound kernel compiled from here on."""
+    from simpson_nd import compound
 
-    compile_kernel, compound_apply = compound._compile_kernel, compound.compound_apply
-    builds, levels, compiled = [], [], []
+    compile_kernel, builds = compound._compile_kernel, []
     monkeypatch.setattr(
         compound, "_compile_kernel", lambda *args: builds.append(args) or compile_kernel(*args)
     )
+    return builds
+
+
+def test_a_compound_request_compiles_one_kernel(capsys, monkeypatch):
+    from simpson_nd import compound, expr
+
+    compound_apply = compound.compound_apply
+    builds = _count_builds(monkeypatch)
+    levels, compiled = [], []
     # the kernel inlines the integrand, so as_function's own is never compiled
     for module in (compound, expr):
         monkeypatch.setattr(
@@ -657,6 +666,35 @@ def test_a_compound_request_compiles_one_kernel(capsys, monkeypatch):
     monkeypatch.setattr(compound, "compound_apply", refuse)
     with pytest.raises(AssertionError, match="a compound estimate ran"):
         run_cli(capsys, *argv)
+
+
+def test_a_raising_inlined_integrand_on_the_triangle_is_replayed_through_a_call(monkeypatch):
+    # log(0.0) at the midedge node (0, 1/2) of the level-1 corner cell: the
+    # inlined kernel raises, and exactly one more kernel, which calls the
+    # integrand, runs the level again and raises the every-node loop's error
+    from oracles import every_node_compound
+
+    from simpson_nd import compound, expr, rules
+
+    rule = rules.triangle_midedge()
+    f = expr.as_function(expr.parse("log(x)"))
+    with pytest.raises(ValueError) as want:
+        every_node_compound(rule, 1, f)
+    builds = _count_builds(monkeypatch)
+    with pytest.raises(ValueError) as got:
+        compound.compound_apply(rule, 1, f)
+    assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+    assert [g is f for _, g in builds] == [True, False]
+    assert not hasattr(builds[1][1], "inline_source")
+
+    # a plain callable is already called at each node: no second kernel
+    def plain(x, y):
+        return math.log(x)
+
+    builds.clear()
+    with pytest.raises(ValueError):
+        compound.compound_apply(rule, 1, plain)
+    assert [g for _, g in builds] == [plain]
 
 
 @pytest.mark.parametrize(

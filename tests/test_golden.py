@@ -41,7 +41,8 @@ the claim suite read its single-rule first failures from one table.
 Each file holds the stdout of ``simpson-nd`` for the argv listed below,
 for example ``simpson-nd --format json verify --all > verify_all.json``.
 Run as a script, ``PYTHONPATH=src python tests/test_golden.py`` runs every
-case in a fresh interpreter instead of in process.
+case in a fresh interpreter instead of in process, with warnings as
+errors, as pytest runs them.
 """
 
 import subprocess
@@ -156,12 +157,15 @@ def test_text_and_csv_output_build_no_json(capsys, monkeypatch, name):
 
 
 def main() -> int:
-    """Run every case as ``python -m simpson_nd.cli`` in its own interpreter
-    and compare its stdout with the golden file byte for byte."""
+    """Run every case as ``python -W error -m simpson_nd.cli`` in its own
+    interpreter and compare its stdout with the golden file byte for byte;
+    any output on stderr fails the case too."""
     failed = []
     for name, argv in sorted(CASES.items()):
-        done = subprocess.run([sys.executable, "-m", "simpson_nd.cli", *argv], capture_output=True)
-        if done.returncode != 0 or done.stdout != (GOLDEN / name).read_bytes():
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "simpson_nd.cli", *argv], capture_output=True
+        )
+        if done.returncode != 0 or done.stderr or done.stdout != (GOLDEN / name).read_bytes():
             failed.append(name)
     print(f"{len(CASES) - len(failed)} of {len(CASES)} golden files match")
     for name in failed:
