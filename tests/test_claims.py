@@ -8,9 +8,10 @@ from oracles import (
     iterated_cube_moment,
     iterated_simplex_moment,
     scalar_node_sum,
+    solve_then_integrate_interpolant,
     steger_polygon_moment,
 )
-from simpson_nd import claims, exactness, rules
+from simpson_nd import claims, exactness, families, rules
 from simpson_nd.regions import Cube, Polygon, Simplex, UnitDisc
 
 # the claims that publish a rule's first failing monomial and its residual
@@ -101,3 +102,58 @@ def test_each_compound_study_builds_its_rule_once(monkeypatch):
         monkeypatch.setattr(rules, name, counted)
     assert all(claim.ok for claim in claims._check_convergence())
     assert calls == {"cr4": 1, "triangle_midedge": 1, "cr3": 1}
+
+
+def _unit(n, *axes):
+    """The n-tuple with 1 on ``axes`` and 0 elsewhere."""
+    return tuple(1 if i in axes else 0 for i in range(n))
+
+
+def _simplex_vertices(n):
+    return {_unit(n)} | {_unit(n, k) for k in range(n)}
+
+
+_0, _1, _H, _T = Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 3)
+
+# the published interpolation cases: (rule, region, basis, nodes), each node
+# set the rule's nodes plus its region's centroid
+INTERPOLATION_CASES = [
+    (rules.cr1(n), Simplex(n),
+     {_unit(n)} | {_unit(n, k) for k in range(n)} | {_unit(n, 0, 1)},
+     _simplex_vertices(n) | {(Fraction(1, n + 1),) * n})
+    for n in range(2, 5)
+] + [
+    (rules.triangle_midedge(), Simplex(2), {(1, 1), (1, 0), (0, 1), (0, 0)},
+     {(_H, _0), (_0, _H), (_H, _H), (_T, _T)}),
+    (rules.cr4(), Cube(2), set(families.QUADRATIC_BASIS),
+     {(_H, _0), (_0, _H), (_H, _1), (_1, _H), (_H, _H)}),
+]
+
+
+def test_the_interpolation_claim_solves_the_published_systems_by_an_oracle(monkeypatch):
+    """Each weight solve of the interpolation claim gets its published
+    region, basis and node set, and each weight it must reproduce is the
+    integral of the interpolant through the indicator data of its node,
+    solved as V c = data by the oracle: the rule's weight there, or 0 at a
+    centroid that the rule omits."""
+    calls = []
+    real = families._interpolatory_weights
+
+    def recorded(region, basis, nodes):
+        weights = real(region, basis, nodes)
+        calls.append((region, list(basis), list(nodes), weights))
+        return weights
+
+    monkeypatch.setattr(families, "_interpolatory_weights", recorded)
+    assert all(claim.ok for claim in claims._check_interpolation())
+    assert len(calls) == len(INTERPOLATION_CASES)
+    for (region, basis, nodes, weights), case in zip(calls, INTERPOLATION_CASES):
+        rule, published_region, published_basis, published_nodes = case
+        assert (region, set(basis), set(nodes)) == (
+            published_region, published_basis, published_nodes)
+        assert len(basis) == len(nodes)
+        rule_weights = dict(zip(rule.nodes, rule.weights))
+        for j, node in enumerate(nodes):
+            data = [Fraction(int(i == j)) for i in range(len(nodes))]
+            oracle = solve_then_integrate_interpolant(region, basis, nodes, data)
+            assert oracle == rule_weights.get(node, Fraction(0)) == weights[j], (rule.label, node)
