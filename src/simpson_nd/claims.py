@@ -260,50 +260,31 @@ def _check_families() -> list[Claim]:
     ]
 
 
-def _indicator_weights(region, basis, nodes, rule) -> bool:
-    """The interpolatory weights, which integrate_interpolant dots with its
-    data, must reproduce the rule weight of each interpolation node (zero
-    for nodes the rule omits); one solve for all the nodes."""
+def _indicator_weights(rule: rules.CubatureRule, basis) -> bool:
+    """The interpolatory weights at the rule's nodes plus its region's
+    centroid, which integrate_interpolant dots with its data, must
+    reproduce the rule weight of each node (zero at a centroid the rule
+    omits); one solve for all the nodes."""
     weights = dict(zip(rule.nodes, rule.weights))
+    nodes = list(dict.fromkeys(rule.nodes + (rule.region.centroid(),)))
     return all(
         scalars.eq(value, weights.get(node, Fraction(0)))
-        for node, value in zip(nodes, families._interpolatory_weights(region, basis, nodes))
+        for node, value in zip(nodes, families._interpolatory_weights(rule.region, basis, nodes))
     )
 
 
 def _check_interpolation() -> list[Claim]:
-    ok_cr1 = True
-    for n in range(2, 5):
-        region = Simplex(n)
-        basis = [(0,) * n] + [
-            tuple(1 if i == k else 0 for i in range(n)) for k in range(n)
-        ]
-        basis.append(tuple(1 if i < 2 else 0 for i in range(n)))
-        nodes = list(region.vertices()) + [region.centroid()]
-        if not _indicator_weights(region, basis, nodes, rules.cr1(n)):
-            ok_cr1 = False
+    # (rule, basis): CR1(n) with {1, x_k, x1 x2}, the midedge rule and CR4
+    cases = [
+        (rules.cr1(n), list(exactness.monomials_up_to(n, 1)) + [(1, 1) + (0,) * (n - 2)])
+        for n in range(2, 5)
+    ] + [
+        (rules.triangle_midedge(), [(1, 1), (1, 0), (0, 1), (0, 0)]),
+        (rules.cr4(), list(families.QUADRATIC_BASIS)),
+    ]
+    ok_weights = all(_indicator_weights(rule, basis) for rule, basis in cases)
 
     h = Fraction(1, 2)
-    third = Fraction(1, 3)
-    tri_nodes = [(h, Fraction(0)), (Fraction(0), h), (h, h), (third, third)]
-    ok_mid = _indicator_weights(
-        Simplex(2),
-        [(1, 1), (1, 0), (0, 1), (0, 0)],
-        tri_nodes,
-        rules.triangle_midedge(),
-    )
-
-    sq_nodes = [
-        (h, Fraction(0)),
-        (Fraction(0), h),
-        (h, Fraction(1)),
-        (Fraction(1), h),
-        (h, h),
-    ]
-    ok_cr4 = _indicator_weights(
-        Cube(2), list(families.QUADRATIC_BASIS), sq_nodes, rules.cr4()
-    )
-
     _, det_half = families.interp_matrix_quadratic(h, h, h, h)
     _, det_bi_half = families.interp_matrix_bilinear(h, h, h, h)
     _, det_bi_vertex = families.interp_matrix_bilinear(1, 0, 0, 1)
@@ -322,7 +303,7 @@ def _check_interpolation() -> list[Claim]:
     return [
         Claim(
             "interpolation-reproduces-weights",
-            ok_cr1 and ok_mid and ok_cr4,
+            ok_weights,
             "indicator data integrates to the rule weights (CR1(2..4), midedge, CR4)",
         ),
         Claim(

@@ -4,10 +4,11 @@ Subcommands: verify, moments, derive, family, compound, catalog.
 Output formats: text (default), json, csv; the SIMPSON_ND_FORMAT
 environment variable overrides the default.  A command computes its
 results once and hands ``_emit`` one builder per format; only the builder
-of the selected format runs.  ``moments`` and ``derive`` ask their region
-for one moment batch each.  Exit codes: 0 success (including negative
-findings like "infeasible"), 1 domain error or failed verification, 2
-usage error.
+of the selected format runs, and ``_emit`` puts the subcommand's name
+first in every JSON object, as its "command" key.  ``moments`` and
+``derive`` ask their region for one moment batch each.  Exit codes: 0
+success (including negative findings like "infeasible"), 1 domain error
+or failed verification, 2 usage error.
 """
 
 from __future__ import annotations
@@ -173,14 +174,15 @@ def _display_monomials(dim: int, degree: int):
         yield from block
 
 
-def _emit(fmt: str, *, json_payload, csv_table, text_lines) -> None:
-    """Print the one output form that ``fmt`` selects.  Each form is a
-    function of no arguments, and only the selected one is called:
+def _emit(args, *, json_payload, csv_table, text_lines) -> None:
+    """Print the one output form that ``args.format`` selects.  Each form
+    is a function of no arguments, and only the selected one is called:
     ``json_payload`` returns the JSON object, ``csv_table`` the header and
-    the rows, and ``text_lines`` the lines."""
-    if fmt == "json":
-        print(json.dumps(json_payload(), indent=2))
-    elif fmt == "csv":
+    the rows, and ``text_lines`` the lines.  The printed JSON object's
+    first key, "command", names the subcommand: ``args.command``."""
+    if args.format == "json":
+        print(json.dumps({"command": args.command, **json_payload()}, indent=2))
+    elif args.format == "csv":
         header, rows = csv_table()
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(header)
@@ -204,9 +206,8 @@ def _cmd_verify(args) -> int:
         results = claims_mod.run_claims()
         ok = all(c.ok for c in results)
         _emit(
-            args.format,
+            args,
             json_payload=lambda: {
-                "command": "verify",
                 "all": True,
                 "ok": ok,
                 "claims": [
@@ -238,8 +239,8 @@ def _cmd_verify(args) -> int:
                    f"= {report.failing}, residual {_fmt(report.failing_residual)}")
 
     _emit(
-        args.format,
-        json_payload=lambda: {"command": "verify", **report.to_json()},
+        args,
+        json_payload=report.to_json,
         csv_table=lambda: (["rule", "degree", "tested", "failing", "residual"], [[
             report.label,
             str(report.certified_degree),
@@ -258,9 +259,8 @@ def _cmd_moments(args) -> int:
     alphas = list(_display_monomials(region.dimension, args.degree))
     entries = list(zip(alphas, region.moments(alphas)))
     _emit(
-        args.format,
+        args,
         json_payload=lambda: {
-            "command": "moments",
             "region": region_to_json(region),
             "degree": args.degree,
             "moments": [
@@ -360,13 +360,10 @@ def _spread_nodes(region: Region):
     return tuple(region.vertices())
 
 
-def _check_system(region: Region, targets: int, mode: str) -> None:
-    """Refuse a derive system above exactness.MAX_SYSTEM_ENTRIES before any
-    rule is built.  A cube's 2^n vertices are counted, not built."""
-    if isinstance(region, Cube):
-        nodes = 1 + 2**region.dimension
-    else:
-        nodes = 1 + len(_spread_nodes(region))
+def _check_system(spread, targets: int, mode: str) -> None:
+    """Refuse a derive system above exactness.MAX_SYSTEM_ENTRIES, on the
+    centroid and the ``spread``, before any moment is computed."""
+    nodes = 1 + len(spread)
     entries = targets * (nodes if mode == "lambda" else nodes + 1 + targets)
     if entries > exactness.MAX_SYSTEM_ENTRIES:
         raise WorkLimit(
@@ -381,8 +378,8 @@ def _cmd_derive(args) -> int:
     if args.exclude:
         alpha = _parse_exclude(args.exclude, region.dimension)
         targets = [t for t in targets if t != alpha]
-    _check_system(region, len(targets), args.mode)
     spread = _spread_nodes(region)
+    _check_system(spread, len(targets), args.mode)
     if args.mode == "lambda":
         outcome = exactness.solve_lambda(region, spread, targets)
         unknowns = ["lambda"]
@@ -394,9 +391,8 @@ def _cmd_derive(args) -> int:
         outcome = exactness.solve_weights(nodes, targets, form.moments)
         unknowns = [f"w{i + 1}" for i in range(len(nodes))]
     _emit(
-        args.format,
+        args,
         json_payload=lambda: {
-            "command": "derive",
             "mode": args.mode,
             "region": region_to_json(region),
             "targets": [list(t) for t in targets],
@@ -421,9 +417,8 @@ def _residual_report(args, name: str, res, extra=dict, extra_lines=list) -> int:
     ``extra_lines`` the text lines that a command adds after them."""
     residuals = list(zip(res.names, res.residuals))
     _emit(
-        args.format,
+        args,
         json_payload=lambda: {
-            "command": "family",
             "system": name,
             "solves": res.all_zero,
             "residuals": [
@@ -482,29 +477,21 @@ def _cmd_family(args) -> int:
             ],
         )
     if system == "trapezoid":
-        conjugate = args.branch == "conjugate"
-        a, b, c, d, lam = families.trapezoid_family_member(conjugate)
-        res = families.trapezoid_system(a, b, c, d, lam)
+        member = dict(zip(("a", "b", "c", "d", "lambda"),
+                          families.trapezoid_family_member(args.branch == "conjugate")))
+        res = families.trapezoid_system(*member.values())
         return _residual_report(
             args, system, res,
-            extra=lambda: {"branch": args.branch,
-                           "member": {"a": scalars.scalar_to_json(a),
-                                      "b": scalars.scalar_to_json(b),
-                                      "c": scalars.scalar_to_json(c),
-                                      "d": scalars.scalar_to_json(d),
-                                      "lambda": scalars.scalar_to_json(lam)}},
-            extra_lines=lambda: [
-                f"a={_fmt(a)}", f"b={_fmt(b)}", f"c={_fmt(c)}", f"d={_fmt(d)}",
-                f"lambda={_fmt(lam)}",
-            ],
+            extra=lambda: {"branch": args.branch, "member": {
+                k: scalars.scalar_to_json(v) for k, v in member.items()}},
+            extra_lines=lambda: [f"{k}={_fmt(v)}" for k, v in member.items()],
         )
     # simplex3
     if args.vertex_search:
         solutions = families.simplex3_vertex_solutions()
         _emit(
-            args.format,
+            args,
             json_payload=lambda: {
-                "command": "family",
                 "system": "simplex3",
                 "vertex_search": True,
                 "lambda": str(families.SIMPLEX3_VERTEX_LAMBDA),
@@ -577,9 +564,8 @@ def _cmd_compound(args) -> int:
 
     header = ["level", "cells", "estimate", "error", "ratio"]
     _emit(
-        args.format,
+        args,
         json_payload=lambda: {
-            "command": "compound",
             "rule": rule.label,
             "expr": args.expr,
             "reference": reference,
@@ -626,9 +612,8 @@ def _cmd_catalog(args) -> int:
                        f"weight {_fmt(w)} ~ {scalars.to_float(w):.6f}")
 
     _emit(
-        args.format,
+        args,
         json_payload=lambda: {
-            "command": "catalog",
             "rules": [{**rules.rule_to_json(rule), "degree": degree}
                       for rule, degree in certified],
         },

@@ -376,10 +376,9 @@ BILINEAR_BASIS = ((1, 1), (1, 0), (0, 1), (0, 0))
 
 def interp_matrix_quadratic(a, b, c, d):
     """Coefficient matrix of the basis {x^2, y^2, x, y, 1} at the nodes
-    (a,0), (0,b), (c,1), (1,d), (1/2,1/2), with its exact determinant."""
-    a, b, c, d = (as_scalar(v) for v in (a, b, c, d))
-    zero, one, h = Fraction(0), Fraction(1), Fraction(1, 2)
-    nodes = ((a, zero), (zero, b), (c, one), (one, d), (h, h))
+    (a,0), (0,b), (c,1), (1,d), (1/2,1/2), with its exact determinant:
+    the square system's nodes and the centroid."""
+    nodes = _SQUARE.nodes((a, b, c, d)) + ((Fraction(1, 2),) * 2,)
     matrix = _matrix_at(nodes, QUADRATIC_BASIS)
     return matrix, exact_det(matrix)
 
