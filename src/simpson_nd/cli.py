@@ -377,7 +377,10 @@ def _cmd_derive(args) -> int:
     targets = _parse_targets(args.targets, region)
     if args.exclude:
         alpha = _parse_exclude(args.exclude, region.dimension)
-        targets = [t for t in targets if t != alpha]
+        if alpha not in targets:
+            raise ValueError(f"--exclude {exactness.monomial_label(alpha)} is not among "
+                             f"the {args.targets.strip()} targets")
+        targets.remove(alpha)
     spread = _spread_nodes(region)
     _check_system(spread, len(targets), args.mode)
     if args.mode == "lambda":

@@ -488,14 +488,18 @@ _NAMED_FIXED = {
 
 
 def named_rule(name: str, dim: int | None = None) -> CubatureRule:
-    """Look up a rule by catalog name; CR1..CR3 need a dimension."""
+    """Look up a rule by catalog name; CR1..CR3 need a dimension, and the
+    other rules refuse any dimension but their own."""
     key = name.strip().upper()
     if key in _NAMED_NEED_DIM:
         if dim is None:
             raise ValueError(f"rule {name} needs a dimension")
         return _NAMED_NEED_DIM[key](dim)
     if key in _NAMED_FIXED:
-        return _NAMED_FIXED[key]()
+        rule = _NAMED_FIXED[key]()
+        if dim is not None and dim != rule.region.dimension:
+            raise ValueError(f"rule {name} has dimension {rule.region.dimension}, not {dim}")
+        return rule
     raise ValueError(f"unknown rule name: {name}")
 
 

@@ -307,6 +307,23 @@ def test_domain_error_exit_1(capsys):
         assert f"verify --all runs the claim suite and takes no {named}" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    # a fixed rule given a dimension that is not its own
+    (("verify", "--rule", "CR4", "--dim", "7"), "rule CR4 has dimension 2, not 7"),
+    (("compound", "--rule", "CR4", "--dim", "3", "--expr", "x*y"),
+     "rule CR4 has dimension 2, not 3"),
+    (("verify", "--rule", "TriangleMidedge", "--dim", "1"),
+     "rule TriangleMidedge has dimension 2, not 1"),
+    # an --exclude monomial that the targets do not hold
+    (("derive", "--region", "cube:2", "--exclude", "x^3"),
+     "--exclude x^3 is not among the deg2 targets"),
+    (("derive", "--region", "simplex:3", "--targets", "deg1", "--mode", "weights",
+      "--exclude", "x*z"), "--exclude x*z is not among the deg1 targets"),
+])
+def test_an_option_that_would_change_nothing_is_refused(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
 def test_derive_disc_lambda(capsys):
     code, out, _ = run_cli(
         capsys, "--format", "json", "derive", "--region", "disc", "--targets", "deg3"
