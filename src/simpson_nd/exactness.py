@@ -21,7 +21,7 @@ from math import lcm, prod
 from typing import Iterator, Optional, Union
 
 from . import scalars
-from .errors import DimensionMismatch, IncompatibleScalars, WorkLimit
+from .errors import DimensionMismatch, WorkLimit
 from .record import record
 from .regions import Cube, MultiIndex, Region, Simplex
 from .rules import CubatureRule, NodeTable, PaperForm
