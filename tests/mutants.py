@@ -426,6 +426,55 @@ MUTANTS = [
         "for i, j, p in reversed(keys)])",
         ["tests/test_compound.py::test_triangle_kernel_matches_a_call_at_every_node_of_every_cell"],
     ),
+    # what the program reads instead of restating: the interpolation claim
+    # solved without the centroid, the JSON objects without the subcommand's
+    # name, and derive's system counted without the centroid
+    (
+        "claims.py",
+        "nodes = list(dict.fromkeys(rule.nodes + (rule.region.centroid(),)))",
+        "nodes = list(rule.nodes)",
+        ["tests/test_claims.py::"
+         "test_the_interpolation_claim_solves_the_published_systems_by_an_oracle"],
+    ),
+    (
+        "cli.py",
+        'json.dumps({"command": args.command, **json_payload()}, indent=2)',
+        "json.dumps(json_payload(), indent=2)",
+        [
+            "tests/test_golden.py::test_output_matches_golden[verify_all.json]",
+            "tests/test_golden.py::test_output_matches_golden[derive_disc_weights.json]",
+        ],
+    ),
+    (
+        "cli.py",
+        "nodes = 1 + len(spread)",
+        "nodes = len(spread)",
+        [
+            "tests/test_cli.py::test_a_derive_system_at_the_entry_limit_is_admitted",
+            "tests/test_cli.py::test_table_system_and_polygon_limits_refuse_before_any_work",
+        ],
+    ),
+    # the integer view's sign and ring arithmetic: the simplex's slack
+    # 1 - sum x_i negated, an edge recurrence term on the wrong endpoint,
+    # and the product in Z[sqrt d] without the radicand
+    (
+        "regions.py",
+        "view_minus(top, view_sum(row, d), d)",
+        "view_minus(view_sum(row, d), top, d)",
+        ["tests/test_regions.py::test_simplex_and_cube_membership"],
+    ),
+    (
+        "regions.py",
+        "a = _mul_add(x0s, ",
+        "a = _mul_add(x1s, ",
+        ["tests/test_regions.py::test_hexagon_moments"],
+    ),
+    (
+        "scalars.py",
+        "return (a * e + b * f * d, a * f + b * e)",
+        "return (a * e + b * f, a * f + b * e)",
+        ["tests/test_regions.py::test_polygon_moments_match_fan_triangulation_oracle"],
+    ),
 ]
 
 
