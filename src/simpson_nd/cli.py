@@ -451,9 +451,21 @@ _POINT_SYSTEMS = {
 }
 
 
+# the options besides --point that each family system reads
+_FAMILY_OPTIONS = {
+    "triangle": ("--param",), "square": ("--param",),
+    "trapezoid": ("--branch",), "simplex3": ("--vertex-search",),
+}
+
+
 def _cmd_family(args) -> int:
     system = args.system
-    # --point wins over every other option but simplex3's --vertex-search
+    given = {"--param": args.param is not None, "--branch": args.branch is not None,
+             "--vertex-search": args.vertex_search}
+    unread = [name for name, on in given.items() if on and name not in _FAMILY_OPTIONS[system]]
+    if unread:
+        raise ValueError(f"family {system} takes no {', '.join(unread)}")
+    # --point wins over the system's own option but simplex3's --vertex-search
     if args.point and not (system == "simplex3" and args.vertex_search):
         count, residuals = _POINT_SYSTEMS[system]
         return _residual_report(args, system, residuals(*_values(args.point, count)))
@@ -480,12 +492,13 @@ def _cmd_family(args) -> int:
             ],
         )
     if system == "trapezoid":
+        branch = args.branch or "primary"
         member = dict(zip(("a", "b", "c", "d", "lambda"),
-                          families.trapezoid_family_member(args.branch == "conjugate")))
+                          families.trapezoid_family_member(branch == "conjugate")))
         res = families.trapezoid_system(*member.values())
         return _residual_report(
             args, system, res,
-            extra=lambda: {"branch": args.branch, "member": {
+            extra=lambda: {"branch": branch, "member": {
                 k: scalars.scalar_to_json(v) for k, v in member.items()}},
             extra_lines=lambda: [f"{k}={_fmt(v)}" for k, v in member.items()],
         )
@@ -673,8 +686,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", help="family parameter (triangle: c, square: d)")
     p.add_argument("--point", help="raw parameter tuple, comma separated; write "
                    "--point=-1,2,... when the first value is negative")
-    p.add_argument("--branch", choices=("primary", "conjugate"), default="primary",
-                   help="trapezoid family branch")
+    p.add_argument("--branch", choices=("primary", "conjugate"),
+                   help="trapezoid family branch (default: primary)")
     p.add_argument("--vertex-search", action="store_true",
                    help="simplex3: search vertex-type placements at "
                    f"lambda={families.SIMPLEX3_VERTEX_LAMBDA}")

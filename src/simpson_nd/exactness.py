@@ -189,10 +189,14 @@ def exactness_degree(rule: CubatureRule, max_degree: int) -> ExactnessReport:
     """Scan residuals degree by degree; certify through the last clean degree.
 
     The scan reads the rule's table and takes each degree's moments at
-    once (``_moment_views``).  A residual is tested for zero on the
-    integer view (``_vanishes``), and only the first nonzero one is built
-    as a scalar; a residual whose moment is outside the table's ring is
-    built as a scalar and tested with ``is_zero``.
+    once (``_moment_views``).  It keeps the terms W_j X_j^alpha of the
+    previous degree only: each monomial's terms are its parent's
+    (``_parent``) times one column (``NodeTable.times``), one pass over
+    the nodes where ``NodeTable.terms`` would make |alpha|.  A residual is
+    tested for zero on the integer view (``_vanishes``), and only the
+    first nonzero one is built as a scalar; a residual whose moment is
+    outside the table's ring is built as a scalar and tested with
+    ``is_zero``.
 
     Both the sum and the moment of a monomial are unchanged when the rule
     scans orbits and its coordinates are permuted, so the first failing
@@ -202,16 +206,34 @@ def exactness_degree(rule: CubatureRule, max_degree: int) -> ExactnessReport:
         raise ValueError("max_degree must be >= 0")
     region, table = rule.region, rule.table
     scan = sorted_monomials_of_degree if scans_orbits(region, table) else monomials_of_degree
+    powers = {}
     for d in range(max_degree + 1):
         alphas = list(scan(region.dimension, d))
         scale = table.weight_denominator * table.denominator ** d
+        previous, powers = powers, {}
         for alpha, moment in zip(alphas, _moment_views(region, table, alphas)):
-            if moment is not None and _vanishes(table.terms(alpha), moment, scale, table.radicand):
+            if d:
+                parent, i = _parent(alpha)
+                powers[alpha] = table.times(previous[parent], i)
+            else:
+                powers[alpha] = table.scaled_weights
+            if moment is not None and _vanishes(powers[alpha], moment, scale, table.radicand):
                 continue
             r = scalars.sub(table.sum(alpha), region.moment(alpha))
             if moment is not None or not is_zero(r):
                 return ExactnessReport(rule.label, d - 1, alpha, r, max_degree)
     return ExactnessReport(rule.label, max_degree, None, None, max_degree)
+
+
+def _parent(alpha: MultiIndex) -> tuple[MultiIndex, int]:
+    """(alpha - e_i, i) for the last nonzero index i of a nonzero alpha.
+    The parent is a monomial of the previous degree that the scan has
+    visited: any tuple in a full scan, and in an orbit scan a descending
+    tuple again, since only the last nonzero exponent drops."""
+    i = len(alpha) - 1
+    while not alpha[i]:
+        i -= 1
+    return alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:], i
 
 
 @record
@@ -253,9 +275,11 @@ LinearSolveOutcome = Union[UniqueSolution, Infeasible, Underdetermined]
 def solve_lambda(region: Region, spread, targets) -> LinearSolveOutcome:
     """Solve lam*(M - T) applied to x^alpha == moment - T(x^alpha) for the
     one lam of ``rules.blend``'s lam*M + (1-lam)*T on ``region`` over all
-    target monomials; each equation is a row of one ``rules.PaperForm``,
-    from one moment batch and one ``locate`` call, with M and T each from
-    one node table.
+    target monomials; each equation is a ``rules.Row`` of one
+    ``rules.PaperForm``, from one moment batch and one ``locate`` call,
+    with M and T each from one node table.  The rows are compared on the
+    integer view: two rows force one lam when their cross products agree.
+    An equation is built as scalars only for a witness.
 
     Equations that reduce to 0 == 0 carry no information; if every target
     does, the outcome is Underdetermined.  A lam that exists but is
@@ -266,45 +290,47 @@ def solve_lambda(region: Region, spread, targets) -> LinearSolveOutcome:
     spread = scalars.as_points(spread)
     form = PaperForm(region, targets)
     form.check(spread)
-    rows = form.rows(spread)
-    first: Optional[tuple[Equation, Scalar]] = None
-    for alpha, (coef, rhs) in zip(targets, rows):
-        equation = Equation(monomial_label(alpha), (coef,), rhs)
-        if is_zero(coef):
-            if is_zero(rhs):
+    first = None
+    for alpha, row in zip(targets, form.rows(spread)):
+        label = monomial_label(alpha)
+        if row.coef_is_zero:
+            if row.rhs_is_zero:
                 continue
+            equation = _equation(label, row)
             return Infeasible(
-                witness=(
-                    f"equation for {equation.label} reads 0*lam = "
-                    f"{scalars.format_scalar(rhs)}"
-                ),
+                witness=f"equation for {label} reads 0*lam = {scalars.format_scalar(equation.rhs)}",
                 equations=(equation,),
             )
-        lam = scalars.div(rhs, coef)
         if first is None:
-            first = (equation, lam)
+            first = (label, row)
             continue
-        if not scalars.eq(lam, first[1]):
+        if not row.agrees(first[1]):
             return Infeasible(
                 witness=(
-                    f"{first[0].label} forces lam = "
-                    f"{scalars.format_scalar(first[1])} but {equation.label} "
-                    f"forces lam = {scalars.format_scalar(lam)}"
+                    f"{first[0]} forces lam = {scalars.format_scalar(first[1].lam())} "
+                    f"but {label} forces lam = {scalars.format_scalar(row.lam())}"
                 ),
-                equations=(first[0], equation),
+                equations=(_equation(*first), _equation(label, row)),
             )
     if first is None:
         return Underdetermined(particular=(Fraction(0),), nullity=1)
-    equation, lam = first
+    label, row = first
+    lam = row.lam()
     if not isinstance(lam, Fraction):
         return Infeasible(
             witness=(
                 f"the only solution lam = {scalars.format_scalar(lam)} "
-                f"(from {equation.label}) is irrational"
+                f"(from {label}) is irrational"
             ),
-            equations=(equation,),
+            equations=(_equation(label, row),),
         )
     return UniqueSolution((lam,))
+
+
+def _equation(label: str, row) -> Equation:
+    """A row as the equation coef * lam == rhs, in scalars."""
+    coef, rhs = row.scalars()
+    return Equation(label, (coef,), rhs)
 
 
 def _step(row: list, pivot: list, start: int, p, f, prev, d) -> None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Sequence
 
 from . import rules, scalars
@@ -53,10 +53,13 @@ class BlendSystem:
     point may put them off the boundary.
 
     The system keeps one ``rules.PaperForm`` of its region and targets,
-    with M at each target, which no parameter changes.  A parameter point
-    then costs one row pass of the form, with T from one table of its
-    spread, and its residual at lam is lam*(M - T) - (moment - T): the
-    blend minus the moment.
+    with M and the moment at each target, which no parameter changes.  A
+    parameter point then costs one row pass of the form, with T from one
+    table of its spread.  Each row is a ``rules.Row`` on the integer view,
+    and its residual at lam is lam*(M - T) - (moment - T): the blend minus
+    the moment.  lam and each residual are built as scalars from the rows
+    once; a residual at the rows' own lam is zero when its row and lam's
+    agree by cross-multiplication.
     """
 
     def __init__(self, make_region: Callable[[], Region],
@@ -75,48 +78,40 @@ class BlendSystem:
         return self.place(*(as_scalar(v) for v in params))
 
     def rows(self, params):
-        """The form's (M - T, moment - T) at the nodes ``params`` place,
-        lazily for each target in turn."""
+        """The form's ``Row`` of each target at the nodes ``params`` place,
+        lazily."""
         return self.form.rows(self.nodes(params))
 
     def residuals(self, params, lam) -> SystemResiduals:
         rows = self.rows(params)
-        return self._at(as_scalar(lam), rows)
+        lam = as_scalar(lam)
+        return SystemResiduals(self.names, tuple(row.at(lam) for row in rows))
 
     def blend_parameter(self, params) -> Scalar:
         """lam from the first row whose coef = M - T is nonzero, at the
         nodes ``params`` place; DenominatorZero if none is."""
-        return _row_lambda(self.rows(params))
+        return _lambda_row(self.rows(params)).lam()
 
     def lambda_and_residuals(self, params) -> tuple[Scalar, SystemResiduals]:
         """``blend_parameter`` and the residuals at that lam, from one row
-        pass."""
+        pass: each residual is zero when its row agrees with lam's row, and
+        is built as a scalar only when it is not."""
         rows = tuple(self.rows(params))
-        lam = _row_lambda(rows)
-        return lam, self._at(lam, rows)
-
-    def _at(self, lam, rows) -> SystemResiduals:
-        return SystemResiduals(self.names, tuple(_row_residual(lam, row) for row in rows))
+        by = _lambda_row(rows)
+        return by.lam(), SystemResiduals(self.names, tuple(row.residual(by) for row in rows))
 
     def rule(self, params, lam, label: str) -> CubatureRule:
         """``blend(lam, region, nodes)`` from the system's form."""
         return self.form.rule(lam, self.nodes(params), label)
 
 
-def _row_lambda(rows) -> Scalar:
-    """lam = rhs/coef of the first (coef, rhs) row with coef = M - T
-    nonzero; DenominatorZero if none is."""
-    for coef, rhs in rows:
-        if not is_zero(coef):
-            return scalars.div(rhs, coef)
+def _lambda_row(rows):
+    """The first row whose coef = M - T is nonzero, which defines lam;
+    DenominatorZero if none is."""
+    for row in rows:
+        if not row.coef_is_zero:
+            return row
     raise DenominatorZero("M and T agree on every target, so no blend parameter is defined")
-
-
-def _row_residual(lam, row) -> Scalar:
-    """lam*coef - rhs: the blend at lam minus the moment, for a row
-    (M - T, moment - T)."""
-    coef, rhs = row
-    return scalars.sub(scalars.mul(lam, coef), rhs)
 
 
 _0, _1 = Fraction(0), Fraction(1)
@@ -296,8 +291,8 @@ def simplex3_face_system(a: Sequence, lam) -> SystemResiduals:
     lam = as_scalar(lam)
     return SystemResiduals(
         _SIMPLEX3.names,
-        tuple(scalars.mul(_MINUS_24, rhs) for _, rhs in rows[:_SIMPLEX3_LINEAR_ROWS])
-        + tuple(_row_residual(lam, row) for row in rows[_SIMPLEX3_LINEAR_ROWS:]),
+        tuple(scalars.mul(_MINUS_24, row.scalars()[1]) for row in rows[:_SIMPLEX3_LINEAR_ROWS])
+        + tuple(row.at(lam) for row in rows[_SIMPLEX3_LINEAR_ROWS:]),
     )
 
 
@@ -316,9 +311,10 @@ def simplex3_vertex_solutions() -> list[tuple[Fraction, ...]]:
     come once from the table's one power loop.  A placement's T(x^alpha)
     is then four of those ints added, over the table's scale.  The three
     linear rows prune first: they vanish only where T equals the moment,
-    and only 9 of the 81 placements pass.  The six quadratic rows of the
-    system's form, lam*coef - rhs, run on those 9.  Each solution
-    uses the four simplex vertices exactly once.
+    and only 9 of the 81 placements pass.  On those 9, the form's ``row``
+    builds the six quadratic rows from the same ints, and each residual
+    lam*coef - rhs is tested on them.  Each solution uses the four simplex
+    vertices exactly once.
 
     Whether the system admits any solution with lam = 0 is not settled by
     this package.
@@ -336,14 +332,16 @@ def simplex3_vertex_solutions() -> list[tuple[Fraction, ...]]:
     linear = _SIMPLEX3_LINEAR_ROWS
     # T equals the moment on every linear target
     goals = [moment * scale for moment, scale in zip(form.moments[:linear], scales)]
-    m_sums, moments = form.m_sums[linear:], form.moments[linear:]
+    # the form and the candidates are rational: their rows are on Z
+    make_row = partial(form.row, ring=(table.radicand, table.pi))
+    m_sums, moments = form.m_sums[2][linear:], form.moment_views[2][linear:]
     solutions = []
     for i, j, k, m in itertools.product(range(3), range(3, 6), range(6, 9), range(9, 12)):
         sums = [t[i] + t[j] + t[k] + t[m] for t in terms]
         if sums[:linear] != goals:
             continue
-        rows = map(form.row, m_sums, map(Fraction, sums[linear:], scales[linear:]), moments)
-        if all(is_zero(_row_residual(lam, row)) for row in rows):
+        rows = map(make_row, m_sums, zip(sums[linear:], scales[linear:]), moments)
+        if all(is_zero(row.at(lam)) for row in rows):
             solutions.append(tuple(c for n in (i, j, k, m) for c in corners[n % 3]))
     return solutions
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import cached_property
 from math import factorial, prod
 
 from . import scalars
@@ -273,10 +274,12 @@ class Polygon(Region):
     exact pairwise edge-intersection check; more than MAX_POLYGON_VERTICES
     vertices raise WorkLimit before it starts.  The area sign, the check,
     the moments and membership all run on the package's one integer view,
-    ``scalars.integer_view`` over Z or Z[sqrt d], built once per call:
-    ``_moment_view`` builds one view for a whole batch of indices, and
-    ``locate`` one view of the vertices and every queried point together.
-    Nothing is cached on the instance.
+    ``scalars.integer_view`` over Z or Z[sqrt d].  ``locate`` builds one
+    view of the vertices and every queried point together, per call.  The
+    moments keep their view and their recurrence on the instance, in a
+    ``_MomentTriangle`` built on the first moment call: a later call
+    extends it only past the largest degree built so far.  It is not a
+    field, so repr, equality and hashing ignore it.
     """
 
     vertex_list: tuple[Point, ...]
@@ -340,6 +343,12 @@ class Polygon(Region):
     def vertices(self) -> tuple[Point, ...]:
         return self.vertex_list
 
+    @cached_property
+    def _triangle(self) -> "_MomentTriangle":
+        """The edge recurrence of ``_moment_view``, kept on the instance
+        beside the fields, so it is outside repr, equality and hashing."""
+        return _MomentTriangle(self.vertex_list)
+
     def _moment_view(self, alphas):
         """Exact integrals of x^p y^q, one per (p, q) in ``alphas``, by
         Green's theorem and one recurrence per edge.
@@ -356,40 +365,15 @@ class Polygon(Region):
         to Steger's binomial double sum (Steger, On the Calculation of
         Arbitrary Moments of Polygons, 1996).  H(p,q) has degree p+q+2 in
         the coordinates, so the sum T runs on the integer view and the
-        moment is the pair (T, (p+q+2)! D^(p+q+2) / (p! q!)).  The view is
-        built once, and the recurrence runs once, over every edge at a
-        time, on the triangle i + j <= the largest p + q in ``alphas``.
+        moment is the pair (T, (p+q+2)! D^(p+q+2) / (p! q!)).  The view
+        is built once per polygon, and the recurrence runs over every edge
+        at a time, one diagonal i + j = k after another, each diagonal
+        once: a call extends the polygon's ``_MomentTriangle`` only past
+        the largest degree built so far.
         """
-        den, d, pts = _point_view(self.vertex_list, 2)
-        zero = 0 if d is None else (0, 0)
-        edges = [
-            (view_minus(view_times(x0, y1, d), view_times(x1, y0, d), d), x0, y0, x1, y1)
-            for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1])
-        ]
-        crosses, x0s, y0s, x1s, y1s = zip(*(edge for edge in edges if edge[0] != zero))
-        zeros = [zero] * len(crosses)
-        top = max(map(sum, alphas))
-        wanted = set(alphas)
-        totals = {}
-        a_above = h_above = None
-        for i in range(top + 1):
-            a_row, h_row = [], []
-            for j in range(top - i + 1):
-                if i == j == 0:
-                    a = h = crosses
-                else:
-                    a = _mul_add(x0s, a_above[j] if i else zeros,
-                                 y0s, a_row[j - 1] if j else zeros, zeros, d)
-                    h = _mul_add(x1s, h_above[j] if i else zeros,
-                                 y1s, h_row[j - 1] if j else zeros, a, d)
-                a_row.append(a)
-                h_row.append(h)
-                if (i, j) in wanted:
-                    # p! q! divides (p+q+2)!, so the divisor is an int
-                    scale = factorial(i + j + 2) // (factorial(i) * factorial(j)) * den ** (i + j + 2)
-                    totals[i, j] = view_sum(h, d), scale
-            a_above, h_above = a_row, h_row
-        return d, False, [totals[alpha] for alpha in alphas]
+        triangle = self._triangle
+        triangle.extend(max(map(sum, alphas)))
+        return triangle.d, False, [triangle.totals[alpha] for alpha in alphas]
 
     def locate(self, points) -> list[int]:
         """``_polygon_sign`` per point, on one view of vertices and points."""
@@ -400,6 +384,49 @@ class Polygon(Region):
 
     moment = Region.moment
     contains = Region.contains
+
+
+class _MomentTriangle:
+    """A polygon's moment recurrence, built up by degree: the integer view
+    of its edges (edges of zero cross product drop out, as their terms
+    are all zero), the last diagonal i + j = ``degree`` of A and of H,
+    one view value per edge in each entry, and the pair (T, scale) of
+    every (i, j) built so far (``Polygon._moment_view``)."""
+
+    __slots__ = ("d", "den", "x0s", "y0s", "x1s", "y1s", "zeros", "a", "h", "degree", "totals")
+
+    def __init__(self, vertex_list):
+        den, d, pts = _point_view(vertex_list, 2)
+        zero = 0 if d is None else (0, 0)
+        edges = [
+            (view_minus(view_times(x0, y1, d), view_times(x1, y0, d), d), x0, y0, x1, y1)
+            for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1])
+        ]
+        crosses, self.x0s, self.y0s, self.x1s, self.y1s = zip(
+            *(edge for edge in edges if edge[0] != zero))
+        self.d, self.den, self.zeros = d, den, [zero] * len(crosses)
+        self.a = self.h = [crosses]
+        self.degree = 0
+        self.totals = {(0, 0): (view_sum(crosses, d), 2 * den ** 2)}
+
+    def extend(self, top: int) -> None:
+        """Build the diagonals degree + 1 .. top, and their totals."""
+        d, den, zeros = self.d, self.den, self.zeros
+        for k in range(self.degree + 1, top + 1):
+            a_row, h_row = [], []
+            for i in range(k + 1):
+                # A(i-1, j) and H(i-1, j) are entry i - 1 of the last diagonal,
+                # A(i, j-1) and H(i, j-1) its entry i
+                a = _mul_add(self.x0s, self.a[i - 1] if i else zeros,
+                             self.y0s, self.a[i] if i < k else zeros, zeros, d)
+                h = _mul_add(self.x1s, self.h[i - 1] if i else zeros,
+                             self.y1s, self.h[i] if i < k else zeros, a, d)
+                a_row.append(a)
+                h_row.append(h)
+                # p! q! divides (p+q+2)!, so the divisor is an int
+                scale = factorial(k + 2) // (factorial(i) * factorial(k - i)) * den ** (k + 2)
+                self.totals[i, k - i] = view_sum(h, d), scale
+            self.a, self.h, self.degree = a_row, h_row, k
 
 
 def _double_factorial(k: int) -> int:

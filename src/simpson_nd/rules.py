@@ -18,6 +18,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import chain
+from math import lcm
 from typing import Mapping
 
 from . import scalars
@@ -39,7 +40,7 @@ from .regions import (
     region_to_json,
     trapezoid_paper,
 )
-from .scalars import PiMultiple, Scalar, as_scalar, is_zero, quad
+from .scalars import PiMultiple, Scalar, as_scalar, is_zero, quad, view_minus, view_times
 
 
 class MonomialPoly:
@@ -137,9 +138,12 @@ class NodeTable:
     ``scalars.integer_view``, over Z or Z[sqrt d], where D and Dw are the
     common denominators of the coordinates and of the weights, so
     sum_j w_j x^alpha(P_j) = (sum_j W_j X_j^alpha) / (Dw D^|alpha|) is int
-    or int pair arithmetic and one conversion at the end.  ``terms`` is the
-    one power loop that builds the W_j X_j^alpha.  ``sum`` adds them up for
-    residuals and weight sums, and ``apply`` for polynomials (a one-node
+    or int pair arithmetic and one conversion at the end.  ``times`` is the
+    one power step: it takes the W_j X_j^alpha of one alpha to those of
+    alpha + e_i, so ``terms`` builds them from the weights and the
+    exactness scan from the previous degree's.  ``sum_view`` adds them up
+    on the view, for the paper's rows, ``sum`` as a scalar for residuals
+    and weight sums, and ``apply`` for polynomials (a one-node
     table with a unit weight is ``MonomialPoly.evaluate``); ``solve_weights``
     and the interpolation matrices take them, with unit weights, as their
     rows.  Nothing ties the nodes to a region, so a family system can be
@@ -171,28 +175,37 @@ class NodeTable:
         n = len(self.nodes)
         self.columns = tuple(flat[i:i + n] for i in range(0, len(flat), n))
 
+    def times(self, terms: list, i: int) -> list:
+        """The terms of alpha + e_i from the terms of alpha: each node's
+        term times its coordinate i, one pass over column i."""
+        d = self.radicand
+        times = operator.mul if d is None else partial(scalars.view_times, d=d)
+        return list(map(times, terms, self.columns[i]))
+
     def terms(self, alpha: MultiIndex) -> list:
-        """W_j X_j^alpha on the view, one per node, from the table's one
-        power loop: w_j x^alpha(P_j) is the j-th term over Dw D^|alpha|."""
+        """W_j X_j^alpha on the view, one per node, by |alpha| calls of
+        ``times`` from the weights: w_j x^alpha(P_j) is the j-th term over
+        Dw D^|alpha|."""
         if len(alpha) != self.dimension:
             raise DimensionMismatch(
                 f"point has {self.dimension} coordinates, dimension is {len(alpha)}"
             )
-        d = self.radicand
-        times = operator.mul if d is None else partial(scalars.view_times, d=d)
         terms = self.scaled_weights
-        for column, e in zip(self.columns, alpha):
+        for i, e in enumerate(alpha):
             if e < 0:
                 raise ValueError("exponent must be a non-negative integer")
             for _ in range(e):
-                terms = list(map(times, terms, column))
+                terms = self.times(terms, i)
         return terms
 
+    def sum_view(self, alpha: MultiIndex) -> tuple:
+        """(sum_j W_j X_j^alpha, Dw D^|alpha|): the sum at alpha on the view
+        and its scale, as a region's ``_moment_view`` gives a moment."""
+        return (scalars.view_sum(self.terms(alpha), self.radicand),
+                self.weight_denominator * self.denominator ** sum(alpha))
+
     def sum(self, alpha: MultiIndex) -> Scalar:
-        d = self.radicand
-        total = scalars.view_sum(self.terms(alpha), d)
-        value = scalars.from_view(total, self.weight_denominator * self.denominator ** sum(alpha), d)
-        return PiMultiple(value) if self.pi else value
+        return _scalar(*self.sum_view(alpha), self.radicand, self.pi)
 
     def apply(self, poly: MonomialPoly) -> Scalar:
         """sum_j w_j p(P_j), one table sum per term of p."""
@@ -285,15 +298,146 @@ def boundary_rule(region: Region, nodes) -> CubatureRule:
     return _located_rule(region, nodes, tuple(w for _ in nodes), "boundary")
 
 
+def _scalar(x, q, d, pi: bool) -> Scalar:
+    """The view value x over the int or view value q as a scalar, times pi
+    when ``pi``: a table sum, a row entry or a residual shown to a caller."""
+    value = scalars.from_view(x, q, d)
+    return PiMultiple(value) if pi else value
+
+
+def _scaled(x, k: int, d):
+    """The view value x times the int k; under a radicand an int x is
+    lifted to (x k, 0)."""
+    if d is None:
+        return x * k
+    if type(x) is int:
+        return x * k, 0
+    return x[0] * k, x[1] * k
+
+
+def _one_ring(*rings):
+    """The (d, pi) that views on each (d, pi) of ``rings`` share, a rational
+    view lifting into a radicand's; None for two radicands, for a pi view
+    beside a pi-free one, and for pi times a radicand, which no scalar
+    represents."""
+    radicands = {d for d, _ in rings} - {None}
+    pis = {pi for _, pi in rings}
+    if len(radicands) > 1 or len(pis) > 1 or radicands and True in pis:
+        return None
+    return (radicands.pop() if radicands else None), pis.pop()
+
+
+@record
+class Row:
+    """One target's equation lam*(M - T) == moment - T on the integer view:
+    ``coef`` and ``rhs`` are S (M - T) and S (moment - T) for the row's
+    scale S > 0, ints or Z[sqrt d] pairs, pi coefficients when ``pi``.
+
+    S and the pi cancel from lam = rhs/coef, so rows compare by
+    cross-multiplying: a row's residual lam*coef - rhs at the lam of the
+    row ``by`` is (rhs_by coef - rhs coef_by) / (coef_by S), zero when
+    rhs_by coef == rhs coef_by.  A scalar is built only for what a caller
+    shows: a lam, a residual or the row itself (``scalars``).
+    """
+
+    coef: object
+    rhs: object
+    scale: int
+    d: int | None
+    pi: bool
+
+    def __init__(self, coef, rhs, scale: int, d, pi: bool):
+        # one dict update: half the time of the record's generic __init__
+        self.__dict__.update(coef=coef, rhs=rhs, scale=scale, d=d, pi=pi)
+
+    def _zero(self, x) -> bool:
+        return not (x if self.d is None else x[0] or x[1])
+
+    @property
+    def coef_is_zero(self) -> bool:
+        return self._zero(self.coef)
+
+    @property
+    def rhs_is_zero(self) -> bool:
+        return self._zero(self.rhs)
+
+    def scalars(self) -> tuple[Scalar, Scalar]:
+        """(M - T, moment - T) as scalars."""
+        return (_scalar(self.coef, self.scale, self.d, self.pi),
+                _scalar(self.rhs, self.scale, self.d, self.pi))
+
+    def lam(self) -> Scalar:
+        """rhs/coef, for a coef that is not zero."""
+        return scalars.from_view(self.rhs, self.coef, self.d)
+
+    def _cross(self, by):
+        """rhs_by coef - rhs coef_by."""
+        d = self.d
+        return view_minus(view_times(by.rhs, self.coef, d), view_times(self.rhs, by.coef, d), d)
+
+    def agrees(self, by) -> bool:
+        """Whether this row's lam is the lam of the row ``by``, for two rows
+        whose coef is not zero."""
+        return self._zero(self._cross(by))
+
+    def residual(self, by) -> Scalar:
+        """lam*coef - rhs at the lam of the row ``by``."""
+        return _scalar(self._cross(by), _scaled(by.coef, self.scale, self.d), self.d, self.pi)
+
+    def at(self, lam) -> Scalar:
+        """lam*coef - rhs at an exact scalar lam: on the view for a rational
+        lam, by scalar arithmetic on the row's scalars for any other."""
+        if type(lam) is not Fraction:
+            return ScalarRow(*self.scalars()).at(lam)
+        d = self.d
+        top = view_minus(_scaled(self.coef, lam.numerator, d),
+                         _scaled(self.rhs, lam.denominator, d), d)
+        return _scalar(top, self.scale * lam.denominator, d, self.pi)
+
+
+@record
+class ScalarRow:
+    """(M - T, moment - T) as scalars, with the methods of ``Row``: the row
+    of a target whose M, T and moment share no one ring."""
+
+    coef: Scalar
+    rhs: Scalar
+
+    @property
+    def coef_is_zero(self) -> bool:
+        return is_zero(self.coef)
+
+    @property
+    def rhs_is_zero(self) -> bool:
+        return is_zero(self.rhs)
+
+    def scalars(self) -> tuple[Scalar, Scalar]:
+        return self.coef, self.rhs
+
+    def lam(self) -> Scalar:
+        return scalars.div(self.rhs, self.coef)
+
+    def agrees(self, by) -> bool:
+        return scalars.eq(self.lam(), by.lam())
+
+    def residual(self, by) -> Scalar:
+        return self.at(by.lam())
+
+    def at(self, lam) -> Scalar:
+        return scalars.sub(scalars.mul(lam, self.coef), self.rhs)
+
+
 class PaperForm:
     """The paper's lam*M(f) + (1-lam)*T(f) on ``region``: M(f) = A f(P)
     with the volume A and the centroid P, and T puts A/k on each of the k
     boundary nodes of a spread.  One ``mass_and_moments`` batch gives A, P
-    and the moments of ``alphas``; M at each alpha comes from one one-node
-    table (P, A), on first use.  M does not depend on the spread, so a
-    family system keeps one form and sums only T at each parameter point.
-    ``blend``, ``solve_lambda``, ``derive --mode weights`` and the family
-    systems all build on this one form.
+    and the moments of ``alphas``.  The rows read M and the moments on the
+    integer view, each computed once per form, on first use: M at each
+    alpha from one one-node table (P, A) (``m_sums``) and the moments from
+    the region's ``_moment_view`` (``moment_views``).  M does not depend on
+    the spread, so a family system keeps one form and sums only T at each
+    parameter point.  ``blend``, ``solve_lambda``, ``derive --mode
+    weights`` and the family systems all build on this one form.
     """
 
     def __init__(self, region: Region, alphas=()):
@@ -302,8 +446,16 @@ class PaperForm:
         self.volume, self.centroid, self.moments = region.mass_and_moments(alphas)
 
     @cached_property
-    def m_sums(self) -> tuple[Scalar, ...]:
-        return tuple(map(NodeTable((self.centroid,), (self.volume,)).sum, self.alphas))
+    def m_sums(self) -> tuple:
+        """M at each alpha as (d, pi, [(sum, scale), ...]) on the view of the
+        one-node table (P, A), laid out as a region's ``_moment_view``."""
+        table = NodeTable((self.centroid,), (self.volume,))
+        return table.radicand, table.pi, list(map(table.sum_view, self.alphas))
+
+    @cached_property
+    def moment_views(self) -> tuple:
+        """The region's ``_moment_view`` of the targets."""
+        return self.region._moment_view(self.alphas) if self.alphas else (None, False, [])
 
     def check(self, spread):
         """One ``locate`` call over P and the exact ``spread``: it raises
@@ -324,19 +476,34 @@ class PaperForm:
         return scalars.div(self.volume, Fraction(len(spread)))
 
     def rows(self, spread):
-        """(M - T, moment - T) at each target in turn, lazily, with T from
-        one table of the spread: the rows lam*(M - T) == moment - T of
-        ``solve_lambda`` and the family systems, whose blend residual at
-        lam is lam*(M - T) - (moment - T).  The spread is not checked."""
-        m_sums, share = self.m_sums, self._share(spread)
-        t_sums = map(NodeTable(spread, (share,) * len(spread)).sum, self.alphas)
-        return map(self.row, m_sums, t_sums, self.moments)
+        """The ``Row`` of each target in turn, lazily, with T from one table
+        of the spread: the rows lam*(M - T) == moment - T of ``solve_lambda``
+        and the family systems, whose blend residual at lam is
+        lam*(M - T) - (moment - T).  When M, T and the moments share no one
+        ring (``_one_ring``), each is a ``ScalarRow`` of their scalars
+        instead.  The spread is not checked."""
+        (m_d, m_pi, m_sums), share = self.m_sums, self._share(spread)
+        table = NodeTable(spread, (share,) * len(spread))
+        q_d, q_pi, q_views = self.moment_views
+        ring = _one_ring((m_d, m_pi), (table.radicand, table.pi), (q_d, q_pi))
+        if ring is None:
+            m_values = (_scalar(*m, m_d, m_pi) for m in m_sums)
+            return (ScalarRow(scalars.sub(m, t), scalars.sub(moment, t))
+                    for m, t, moment in zip(m_values, map(table.sum, self.alphas), self.moments))
+        return map(partial(self.row, ring=ring), m_sums, map(table.sum_view, self.alphas), q_views)
 
     @staticmethod
-    def row(m, t, moment) -> tuple[Scalar, Scalar]:
-        """One target's row from its M, T and moment, which the simplex3
-        vertex search also reads with T from its table of candidates."""
-        return scalars.sub(m, t), scalars.sub(moment, t)
+    def row(m, t, moment, ring) -> Row:
+        """One target's ``Row`` from its M, T and moment, each a (view, scale)
+        pair on the one ring (d, pi), over the lcm of their scales.  The
+        simplex3 vertex search builds its rows here too, with T from its
+        table of candidates."""
+        d, pi = ring
+        (m, m_scale), (t, t_scale), (moment, q) = m, t, moment
+        scale = lcm(m_scale, t_scale, q)
+        t = _scaled(t, scale // t_scale, d)
+        return Row(view_minus(_scaled(m, scale // m_scale, d), t, d),
+                   view_minus(_scaled(moment, scale // q, d), t, d), scale, d, pi)
 
     def rule(self, lam, spread, label: str) -> CubatureRule:
         """The blend at the exact ``spread`` after ``check``: the centroid

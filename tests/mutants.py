@@ -211,15 +211,17 @@ MUTANTS = [
         ],
     ),
     (
-        "families.py",
-        "return scalars.sub(scalars.mul(lam, coef), rhs)",
-        "return scalars.sub(rhs, scalars.mul(lam, coef))",
+        "rules.py",
+        "top = view_minus(_scaled(self.coef, lam.numerator, d),\n"
+        "                         _scaled(self.rhs, lam.denominator, d), d)",
+        "top = view_minus(_scaled(self.rhs, lam.denominator, d),\n"
+        "                         _scaled(self.coef, lam.numerator, d), d)",
         ["tests/test_families.py::test_system_residuals_match_a_direct_sum"],
     ),
     (
         "rules.py",
-        "return tuple(map(NodeTable((self.centroid,), (self.volume,)).sum, self.alphas))",
-        "return tuple(self.volume for _ in self.alphas)",
+        "list(map(table.sum_view, self.alphas))",
+        "[table.sum_view((0,) * len(alpha)) for alpha in self.alphas]",
         [
             "tests/test_families.py::test_system_residuals_match_a_direct_sum",
             "tests/test_families.py::test_family_lambda_matches_its_closed_form",
@@ -368,8 +370,8 @@ MUTANTS = [
     ),
     (
         "regions.py",
-        "* den ** (i + j + 2)",
-        "* den ** (i + j + 1)",
+        "* den ** (k + 2)",
+        "* den ** (k + 1)",
         [
             "tests/test_regions.py::test_a_moment_batch_is_its_single_moments_and_the_oracles",
             "tests/test_regions.py::test_polygon_moments_match_fan_triangulation_oracle",
@@ -465,8 +467,8 @@ MUTANTS = [
     ),
     (
         "regions.py",
-        "a = _mul_add(x0s, ",
-        "a = _mul_add(x1s, ",
+        "a = _mul_add(self.x0s, ",
+        "a = _mul_add(self.x1s, ",
         ["tests/test_regions.py::test_hexagon_moments"],
     ),
     (
@@ -474,6 +476,65 @@ MUTANTS = [
         "return (a * e + b * f * d, a * f + b * e)",
         "return (a * e + b * f, a * f + b * e)",
         ["tests/test_regions.py::test_polygon_moments_match_fan_triangulation_oracle"],
+    ),
+    # the rows on ints, the kept moment triangle and the scan's powers: two
+    # rows compared by the wrong cross products, a row's rhs shown without
+    # its pi, the scalar rows dropped, two radicands taken for one ring, the
+    # triangle built one diagonal short, and a monomial's terms from the
+    # wrong column or the wrong parent
+    (
+        "rules.py",
+        "view_times(by.rhs, self.coef, d), view_times(self.rhs, by.coef, d)",
+        "view_times(by.rhs, by.coef, d), view_times(self.rhs, self.coef, d)",
+        [
+            "tests/test_families.py::test_integer_rows_give_the_oracle_rows_lambda_and_residuals",
+            "tests/test_families.py::test_solve_lambda_on_the_integer_rows_gives_the_oracle_outcomes",
+        ],
+    ),
+    (
+        "rules.py",
+        "_scalar(self.rhs, self.scale, self.d, self.pi))",
+        "_scalar(self.rhs, self.scale, self.d, False))",
+        ["tests/test_families.py::test_solve_lambda_on_the_integer_rows_gives_the_oracle_outcomes"],
+    ),
+    (
+        "rules.py",
+        "        if ring is None:\n            m_values",
+        "        if False:\n            m_values",
+        [
+            "tests/test_families.py::test_rows_without_one_ring_fall_back_to_the_scalar_rows",
+            "tests/test_families.py::test_integer_rows_give_the_oracle_rows_lambda_and_residuals",
+        ],
+    ),
+    (
+        "rules.py",
+        "if len(radicands) > 1 or len(pis) > 1 or",
+        "if len(pis) > 1 or",
+        ["tests/test_families.py::test_rows_without_one_ring_fall_back_to_the_scalar_rows"],
+    ),
+    (
+        "regions.py",
+        "for k in range(self.degree + 1, top + 1):",
+        "for k in range(self.degree + 1, top):",
+        [
+            "tests/test_regions.py::test_one_polygon_asked_in_any_order_keeps_one_moment_triangle",
+            "tests/test_regions.py::test_polygon_moments_match_fan_triangulation_oracle",
+        ],
+    ),
+    (
+        "exactness.py",
+        "powers[alpha] = table.times(previous[parent], i)",
+        "powers[alpha] = table.times(previous[parent], 0)",
+        ["tests/test_exactness.py::test_the_integer_scan_gives_the_full_scalar_scan_report"],
+    ),
+    (
+        "exactness.py",
+        "return alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:], i",
+        "return alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:], len(alpha) - 1",
+        [
+            "tests/test_exactness.py::test_the_integer_scan_gives_the_full_scalar_scan_report",
+            "tests/test_exactness.py::test_orbit_scan_gives_the_full_scan_report",
+        ],
     ),
 ]
 

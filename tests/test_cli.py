@@ -142,6 +142,10 @@ def test_family_trapezoid_branches(capsys):
         )
         assert code == 0
         assert json.loads(out)["solves"] is True
+        assert json.loads(out)["branch"] == branch
+    # without --branch the trapezoid takes, and prints, the primary branch
+    assert run_cli(capsys, "--format", "json", "family", "trapezoid") == run_cli(
+        capsys, "--format", "json", "family", "trapezoid", "--branch", "primary")
 
 
 def test_family_simplex3_vertex_search(capsys):
@@ -319,6 +323,14 @@ def test_domain_error_exit_1(capsys):
      "--exclude x^3 is not among the deg2 targets"),
     (("derive", "--region", "simplex:3", "--targets", "deg1", "--mode", "weights",
       "--exclude", "x*z"), "--exclude x*z is not among the deg1 targets"),
+    # a family option that the chosen system never reads
+    (("family", "trapezoid", "--param", "1/3"), "family trapezoid takes no --param"),
+    (("family", "simplex3", "--param", "1/3"), "family simplex3 takes no --param"),
+    (("family", "triangle", "--branch", "conjugate"), "family triangle takes no --branch"),
+    (("family", "simplex3", "--branch", "primary"), "family simplex3 takes no --branch"),
+    (("family", "square", "--vertex-search"), "family square takes no --vertex-search"),
+    (("family", "trapezoid", "--vertex-search", "--param", "0"),
+     "family trapezoid takes no --param, --vertex-search"),
 ])
 def test_an_option_that_would_change_nothing_is_refused(capsys, argv, message):
     assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
@@ -521,8 +533,9 @@ def test_family_point_with_a_negative_first_value(capsys):
 
 
 def test_family_point_precedence(capsys):
-    """--point wins over --param, --branch and a stray --vertex-search, except
-    that simplex3's --vertex-search wins over --point."""
+    """--point wins over --param and --branch on the systems that read them,
+    except that simplex3's --vertex-search wins over --point; beside
+    --point, an option that its system never reads is refused."""
     point = {
         "triangle": ("--point=2,0,0,1", "--param", "1/3"),
         "square": ("--point=1/3,2,0,1/2,1/2", "--param", "1/3"),
@@ -530,9 +543,12 @@ def test_family_point_precedence(capsys):
     }
     for system, (given, *other) in point.items():
         expected = run_cli(capsys, "--format", "json", "family", system, given)
-        for extra in (other, ["--vertex-search"]):
-            assert run_cli(capsys, "--format", "json", "family", system, given, *extra) == expected
-            assert run_cli(capsys, "--format", "json", "family", system, *extra, given) == expected
+        assert run_cli(capsys, "--format", "json", "family", system, given, *other) == expected
+        assert run_cli(capsys, "--format", "json", "family", system, *other, given) == expected
+        for stray in (["--vertex-search"], ["--param", "1/3"], ["--branch", "primary"]):
+            if stray[0] != other[0]:
+                assert run_cli(capsys, "family", system, given, *stray) == (
+                    1, "", f"error: family {system} takes no {stray[0]}\n")
     simplex3 = "--point=1/2,1/3,2,1/5,0,3/4,1/7,2/7,3/5"
     search = run_cli(capsys, "--format", "json", "family", "simplex3", "--vertex-search")
     assert json.loads(search[1])["vertex_search"] is True

@@ -7,12 +7,14 @@ import pytest
 
 from oracles import (
     direct_family_residual,
+    factorial_disc_moment,
     fan_polygon_moment,
     interpolate_polynomial,
     iterated_cube_moment,
     iterated_simplex_moment,
     monomial_value,
     permutation_det,
+    scalar_node_sum,
     simplex3_hand_linear_rows,
     solve_then_integrate_interpolant,
     square_family_lambda_closed_form,
@@ -597,6 +599,202 @@ def test_solve_lambda_on_seeded_family_spreads_matches_the_two_rule_solve():
                         witness = getattr(got, "witness", "")
                         kinds.add((type(got).__name__, "irrational" in witness))
     assert kinds == {("UniqueSolution", False), ("Infeasible", False), ("Infeasible", True)}
+
+
+# ------------------------------------------- integer rows against the oracles
+
+
+def _oracle_rows(constants, spread, alphas):
+    """(M - T, moment - T) at each target by the oracles: M and T summed
+    node by node by scalar operators, the moment from an oracle."""
+    volume, centroid, moment = constants
+    share = scalars.div(volume, Fraction(len(spread)))
+    rows = []
+    for alpha in alphas:
+        t = scalar_node_sum(spread, (share,) * len(spread), alpha)
+        m = scalar_node_sum((centroid,), (volume,), alpha)
+        rows.append((scalars.sub(m, t), scalars.sub(moment(alpha), t)))
+    return rows
+
+
+def _oracle_lambda_and_residuals(rows):
+    """lam from the first row with a nonzero coef, None if there is none,
+    and each residual lam*coef - rhs at it."""
+    lam = next((scalars.div(rhs, coef) for coef, rhs in rows if not scalars.is_zero(coef)), None)
+    if lam is None:
+        return None
+    return lam, tuple(scalars.sub(scalars.mul(lam, coef), rhs) for coef, rhs in rows)
+
+
+def _scalar_rows_only(monkeypatch):
+    """Make every row pass take the scalar rows, as when M, T and the
+    moments share no one ring."""
+    monkeypatch.setattr(rules, "_one_ring", lambda *rings: None)
+
+
+def _row_cases(rng):
+    """(system name, parameters): 24 members of each family, t outside
+    [0, 1] among them, seeded ``family --point`` parameters of every
+    system, and both CR5 branches over Q(sqrt 3893)."""
+    cases = []
+    for name in ("triangle", "square"):
+        ts = [Fraction(rng.randint(-36, 48), 12) for _ in range(18)]
+        assert sum(not 0 <= t <= 1 for t in ts) >= 5
+        ts += [quad(Fraction(rng.randint(-12, 12), 8), Fraction(rng.randint(1, 9), 9), d)
+               for d in (2, 3, 3893) for _ in range(2)]
+        cases += [(name, families.FAMILIES[name].place(t, scalars.sub(1, t))) for t in ts]
+    for name in sorted(_DIRECT):
+        count = {"triangle": 3, "simplex3": 8}.get(name, 4)
+        cases += [(name, params) for params in _seeded_points(rng, count)]
+    return cases + [("trapezoid", cr5_parameters(conjugate)) for conjugate in (False, True)]
+
+
+def test_integer_rows_give_the_oracle_rows_lambda_and_residuals(monkeypatch):
+    """Each system's rows, lam and residuals, at family members, seeded
+    points and CR5's two branches, are those composed from oracle moments
+    and node sums, on the integer rows and on the scalar rows alike; a
+    residual is zero exactly when its row agrees with lam's row."""
+    rng = random.Random(4300)
+    cases = _row_cases(rng)
+    outcomes, rings = [], set()
+    for name, params in cases:
+        system = _SYSTEMS[name]
+        _, place, constants = _DIRECT[name]
+        want_rows = _oracle_rows(constants, place(*params), system.alphas)
+        rows = list(system.rows(params))
+        rings |= {row.d for row in rows}
+        assert repr([row.scalars() for row in rows]) == repr(want_rows), (name, params)
+        want = _oracle_lambda_and_residuals(want_rows)
+        if want is None:
+            with pytest.raises(DenominatorZero):
+                system.lambda_and_residuals(params)
+            outcomes.append(None)
+            continue
+        lam, res = system.lambda_and_residuals(params)
+        assert repr((lam, res.residuals)) == repr(want), (name, params)
+        by = next(row for row in rows if not row.coef_is_zero)
+        assert [row.agrees(by) for row in rows] == [scalars.is_zero(r) for r in want[1]]
+        outcomes.append((lam, res))
+    _scalar_rows_only(monkeypatch)
+    for (name, params), outcome in zip(cases, outcomes):
+        rows = list(_SYSTEMS[name].rows(params))
+        assert all(type(row) is rules.ScalarRow for row in rows)
+        if outcome is not None:
+            assert repr(_SYSTEMS[name].lambda_and_residuals(params)) == repr(outcome)
+    solved = [res.all_zero for res in filter(None, (o and o[1] for o in outcomes))]
+    # every family member and both CR5 branches solve; no seeded point does
+    assert (len(cases), solved.count(True), solved.count(False)) == (98, 50, 48)
+    assert {None, 2, 3, 3893} <= rings
+    cr5_rows = [outcome for (name, params), outcome in zip(cases, outcomes)
+                if params in (cr5_parameters(False), cr5_parameters(True))]
+    assert [(lam, res.all_zero) for lam, res in cr5_rows] == [(CR5_LAMBDA, True)] * 2
+
+
+def _spreads(region):
+    """Boundary spreads of a region: a polygon's vertices and its edge
+    midpoints, a cube's vertices, a simplex's vertices and face centres,
+    the disc's axis points and four points on the circle."""
+    if isinstance(region, UnitDisc):
+        three_four = (Fraction(3, 5), Fraction(4, 5))
+        return [rules.DISC_AXIS_POINTS,
+                tuple((sx * x, sy * y) for x, y in (three_four, three_four[::-1])
+                      for sx, sy in ((1, 1), (-1, -1)))]
+    vertices = region.vertices()
+    if isinstance(region, Polygon):
+        midpoints = tuple(tuple(scalars.div(scalars.add(a, b), Fraction(2)) for a, b in zip(p, q))
+                          for p, q in zip(vertices, vertices[1:] + vertices[:1]))
+        return [vertices, midpoints]
+    if isinstance(region, Simplex):
+        return [vertices, rules._face_centers(region.dimension)]
+    return [vertices]
+
+
+def _oracle_moment(region):
+    if isinstance(region, Polygon):
+        return lambda alpha: fan_polygon_moment(region.vertex_list, *alpha)
+    if isinstance(region, Simplex):
+        return lambda alpha: iterated_simplex_moment(region.dimension, alpha)
+    if isinstance(region, Cube):
+        return lambda alpha: iterated_cube_moment(region.dimension, alpha)
+    return lambda alpha: factorial_disc_moment(*alpha)
+
+
+def test_solve_lambda_on_the_integer_rows_gives_the_oracle_outcomes(monkeypatch):
+    """solve_lambda's outcome, witness and equations, over Q(sqrt d)
+    hexagons, rational polygons, cube:3, simplex:3 and the disc, for
+    seeded target sets, are those of the two rules summed node by node
+    against oracle moments, and the scalar rows give them too."""
+    from test_regions import _random_rational_polygon, _sheared_hexagon
+
+    rng = random.Random(4310)
+    regions = [hexagon_paper(), Polygon(_sheared_hexagon(2)), Polygon(_sheared_hexagon(5)),
+               trapezoid_paper(), Cube(3), Simplex(3), UnitDisc()]
+    regions += [Polygon(_random_rational_polygon(rng)) for _ in range(3)]
+    cases = []
+    for region in regions:
+        n = region.dimension
+        for spread in _spreads(region):
+            for degree in (1, 2, 3, 4) if n == 2 else (1, 2, 3):
+                targets = list(monomials_up_to(n, degree))
+                cases.append((region, spread, targets))
+                cases.append((region, spread, rng.sample(targets, len(targets) - 1)))
+    outcomes, kinds = [], set()
+    for region, spread, targets in cases:
+        moment = _oracle_moment(region)
+        want = two_rule_lambda(midpoint_rule(region), boundary_rule(region, spread), targets,
+                               [moment(alpha) for alpha in targets])
+        got = solve_lambda(region, spread, targets)
+        assert repr(got) == repr(want), (region, spread, targets)
+        outcomes.append(got)
+        witness = getattr(got, "witness", "")
+        kinds.add((type(got).__name__, next(
+            (kind for kind in ("irrational", "0*lam", "forces") if kind in witness), "")))
+    assert kinds == {("UniqueSolution", ""), ("Underdetermined", ""), ("Infeasible", "forces"),
+                     ("Infeasible", "irrational"), ("Infeasible", "0*lam")}
+    assert len(cases) == 146
+    _scalar_rows_only(monkeypatch)
+    for (region, spread, targets), outcome in zip(cases, outcomes):
+        assert repr(solve_lambda(region, spread, targets)) == repr(outcome)
+
+
+def test_rows_without_one_ring_fall_back_to_the_scalar_rows():
+    """On a Q(sqrt 3) triangle of rational area, spread nodes over
+    Q(sqrt 2) in conjugate pairs give rational T sums: M, T and the
+    moments have two radicands, so the rows are scalar rows, and they
+    give the oracle's lam and residuals."""
+    root3 = quad(0, 1, 3)
+    vertices = ((0, 0), (root3, 0), (0, root3))
+    s = quad(0, Fraction(1, 2), 2)
+    system = families.BlendSystem(
+        lambda: Polygon(vertices),
+        lambda a, b: ((scalars.add(a, s), 0), (scalars.sub(a, s), 0), (b, 0)),
+        [("x", (1, 0)), ("y", (0, 1)), ("x^2", (2, 0)), ("xy", (1, 1)), ("x^3", (3, 0))],
+    )
+    volume = system.form.volume
+    assert volume == Fraction(3, 2)
+    constants = (volume, system.form.centroid, lambda alpha: fan_polygon_moment(vertices, *alpha))
+    for params in ((Fraction(1), Fraction(1, 2)), (Fraction(2, 3), Fraction(5, 4))):
+        rows = list(system.rows(params))
+        assert all(type(row) is rules.ScalarRow for row in rows)
+        nodes = system.nodes(params)
+        want_rows = _oracle_rows(constants, nodes, system.alphas)
+        assert repr([row.scalars() for row in rows]) == repr(want_rows)
+        assert repr(system.lambda_and_residuals(params)[0]) == repr(
+            _oracle_lambda_and_residuals(want_rows)[0])
+        lam = Fraction(3, 7)
+        assert repr(system.residuals(params, lam).residuals) == repr(tuple(
+            direct_family_residual(lam, volume, system.form.centroid, nodes, alpha,
+                                   constants[2](alpha))
+            for alpha in system.alphas))
+    # pi times sqrt(2) is no scalar: on the disc, nodes over Q(sqrt 2) take
+    # the scalar rows, which refuse as the oracle's sums do
+    disc, h = UnitDisc(), quad(0, Fraction(1, 2), 2)
+    spread = ((h, h), (h, scalars.neg(h)))
+    for solve in (lambda: solve_lambda(disc, spread, [(1, 0), (2, 0)]),
+                  lambda: two_rule_lambda(midpoint_rule(disc), boundary_rule(disc, spread),
+                                          [(1, 0), (2, 0)], disc.moments([(1, 0), (2, 0)]))):
+        with pytest.raises(IncompatibleScalars, match="pi times a sqrt value"):
+            solve()
 
 
 # ---------------------------------------------------------------- simplex3

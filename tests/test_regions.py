@@ -90,7 +90,9 @@ def test_regions_share_one_base():
     assert Region.__slots__ == ()
     polygon = trapezoid_paper()
     polygon.mass()
-    assert vars(polygon) == {"vertex_list": polygon.vertex_list}
+    # the moments' recurrence is kept on the instance, beside the one field
+    assert set(vars(polygon)) == {"vertex_list", "_triangle"}
+    assert polygon._triangle.degree == 1
 
 
 def test_integrate_terms_asks_for_one_moment_batch(monkeypatch):
@@ -532,7 +534,35 @@ def test_polygon_moments_match_fan_triangulation_oracle():
         batch = list(expected) + rng.choices(list(expected), k=10)
         rng.shuffle(batch)
         assert polygon.moments(batch) == tuple(expected[a] for a in batch), vertices
-        assert vars(polygon) == {"vertex_list": polygon.vertex_list}
+        assert set(vars(polygon)) == {"vertex_list", "_triangle"}
+        assert polygon._triangle.degree == 6
+
+
+def test_one_polygon_asked_in_any_order_keeps_one_moment_triangle():
+    """Batches of one degree each, in rising, falling and mixed order, with
+    single moment calls between them, give the oracle moments and a fresh
+    polygon's values from one kept triangle; the polygon still equals,
+    hashes and prints as its fresh twin."""
+    rng = random.Random(20243)
+    cases = _oracle_cases()[::2] + [hexagon_paper().vertex_list, trapezoid_paper().vertex_list]
+    for vertices in cases:
+        expected = {alpha: fan_polygon_moment(vertices, *alpha) for alpha in monomials_up_to(2, 6)}
+        degrees = list(range(7))
+        for order in (degrees, degrees[::-1], rng.sample(degrees, 7)):
+            kept = Polygon(vertices)
+            asked = []
+            for degree in order:
+                batch = [alpha for alpha in expected if sum(alpha) == degree]
+                rng.shuffle(batch)
+                fresh = Polygon(vertices).moments(batch)
+                assert kept.moments(batch) == fresh == tuple(expected[a] for a in batch)
+                alpha = rng.choice(list(expected))
+                assert kept.moment(alpha) == Polygon(vertices).moment(alpha) == expected[alpha]
+                asked += [degree, sum(alpha)]
+                assert kept._triangle.degree == max(asked)
+            twin = Polygon(vertices)
+            assert kept == twin and hash(kept) == hash(twin) and repr(kept) == repr(twin)
+            assert {kept: 1}[twin] == 1
 
 
 def test_polygon_moments_ignore_vertex_order_and_orientation():

@@ -95,7 +95,9 @@ def test_midpoint_rule_takes_one_moment_batch(monkeypatch, region):
     assert repr(rule.nodes) == repr((region.centroid(),))
     assert repr(rule.weights) == repr((region.volume(),))
     if isinstance(region, Polygon):
-        assert vars(region) == {"vertex_list": region.vertex_list}
+        # the one batch built the moment triangle through degree 1 only
+        assert set(vars(region)) == {"vertex_list", "_triangle"}
+        assert region._triangle.degree == 1
 
 
 def test_vertex_rule_examples():
