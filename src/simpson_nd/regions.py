@@ -345,8 +345,7 @@ class Polygon(Region):
 
     @cached_property
     def _triangle(self) -> "_MomentTriangle":
-        """The edge recurrence of ``_moment_view``, kept on the instance
-        beside the fields, so it is outside repr, equality and hashing."""
+        """The edge recurrence of ``_moment_view``, built on first use."""
         return _MomentTriangle(self.vertex_list)
 
     def _moment_view(self, alphas):

@@ -70,6 +70,7 @@ from simpson_nd.rules import (
     vertex_rule,
 )
 from simpson_nd.scalars import quad
+from test_regions import _random_rational_polygon, _sheared_hexagon
 
 HALF = Fraction(1, 2)
 TRIANGLE, SQUARE = families.FAMILIES["triangle"], families.FAMILIES["square"]
@@ -724,8 +725,6 @@ def test_solve_lambda_on_the_integer_rows_gives_the_oracle_outcomes(monkeypatch)
     hexagons, rational polygons, cube:3, simplex:3 and the disc, for
     seeded target sets, are those of the two rules summed node by node
     against oracle moments, and the scalar rows give them too."""
-    from test_regions import _random_rational_polygon, _sheared_hexagon
-
     rng = random.Random(4310)
     regions = [hexagon_paper(), Polygon(_sheared_hexagon(2)), Polygon(_sheared_hexagon(5)),
                trapezoid_paper(), Cube(3), Simplex(3), UnitDisc()]
